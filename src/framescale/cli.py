@@ -19,7 +19,7 @@ import numpy as np
 
 from .frames import FramePair, bessel_and_frame_bounds, pair_operator
 from .instances import GENERATOR_KINDS, generate
-from .linalg import jacobi_eigh, top_singular_triplet
+from .linalg import eigh, top_singular_triplet
 from .multiplier import norm_lower_alternating, norm_oracle_grid
 from .rescale import build_dilation, extract_scaling, optimize
 from .verify import RatioConfig, VerificationError, ratio_experiment, run_suite
@@ -277,10 +277,10 @@ def _cmd_rescale(args) -> int:
         scaling = extract_scaling(pair, bracket.log_weights)
         checks = {
             "bound_respected": bool(
-                scaling.bounds_x.upper <= bracket.m_upper + 1e-8
-                and scaling.bounds_y.upper <= bracket.m_upper + 1e-8),
+                scaling.bounds_x.upper <= bracket.m_upper * (1.0 + 1e-8)
+                and scaling.bounds_y.upper <= bracket.m_upper * (1.0 + 1e-8)),
             "bracket_ordered": bool(
-                bracket.m_lower <= bracket.m_upper + 1e-8),
+                bracket.m_lower <= bracket.m_upper * (1.0 + 1e-8)),
         }
         if args.dilation:
             dil = build_dilation(pair, bracket.log_weights, bracket.m_upper)
@@ -384,7 +384,7 @@ def _cmd_bench(args) -> int:
         checksum = hashlib.sha256(
             serialize_instance(pair).encode("utf-8")).hexdigest()[:16]
         t0 = time.perf_counter()
-        jacobi_eigh(pair.xs.conj().T @ pair.xs)
+        eigh(pair.xs.conj().T @ pair.xs)
         t_eig = time.perf_counter() - t0
         t0 = time.perf_counter()
         grid_ok = _oracle_allowed(pair, args.phase_steps)

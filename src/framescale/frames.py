@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import hermitian_extreme_eig, top_singular_triplet
+from .linalg import eigh, top_singular_triplet
 
 MIN_VECTOR_NORM = 1e-14
 
@@ -73,10 +73,9 @@ def bessel_and_frame_bounds(vectors: np.ndarray,
     lower bound the smallest; is_frame reports whether the lower bound
     clears frame_tol.
     """
-    s = frame_operator(vectors)
-    lam_min, lam_max, _, _ = hermitian_extreme_eig(s)
-    lam_min = max(lam_min, 0.0)
-    return BesselBounds(lam_min, lam_max, lam_min > frame_tol)
+    w, _ = eigh(frame_operator(vectors))
+    lam_min = max(float(w[0]), 0.0)
+    return BesselBounds(lam_min, float(w[-1]), lam_min > frame_tol)
 
 
 def pair_operator(pair: FramePair) -> np.ndarray:
@@ -89,5 +88,5 @@ def is_schauder_identity(pair: FramePair, tol: float = 1e-10) -> bool:
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     t = pair_operator(pair) - np.eye(pair.dim)
-    sigma, _, _ = top_singular_triplet(t, tol=min(1e-10, max(tol * 1e-2, 1e-14)))
+    sigma, _, _ = top_singular_triplet(t)
     return sigma <= tol

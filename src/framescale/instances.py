@@ -6,7 +6,7 @@ All generators are deterministic given a numpy Generator; callers seed.
 import numpy as np
 
 from .frames import FramePair, frame_operator, is_schauder_identity
-from .linalg import jacobi_eigh
+from .linalg import eigh
 
 GENERATOR_KINDS = ("gaussian", "schauder_mangled", "onb_union", "d1_scalars")
 
@@ -64,7 +64,7 @@ def canonical_dual_pair(rng: np.random.Generator, n: int, d: int,
     for _ in range(200):
         xs = random_complex(rng, n, d) / np.sqrt(2.0 * d)
         s = frame_operator(xs)
-        w, v = jacobi_eigh(s)
+        w, v = eigh(s)
         if w[0] > min_conditioning * w[-1]:
             inv = (v / w) @ v.conj().T
             # rows are vectors, so applying S^-1 to each row is a right

@@ -1,18 +1,15 @@
-"""Dense Hermitian and singular-value kernels for small complex matrices.
+"""Validated wrappers over LAPACK for small dense complex matrices.
 
-Everything here is self-contained: eigendecompositions come from a cyclic
-Jacobi sweep, extreme eigenpairs from shifted power iteration, and singular
-values from one-sided (Hestenes) Jacobi.  Matrices are plain complex ndarrays
-of shape (d, d) with d small (tens, not thousands).
+Every routine checks its input (finite entries, and Hermitian symmetry
+where the decomposition assumes it) and then calls numpy.linalg, which
+runs LAPACK.  Matrices are plain complex ndarrays of shape (d, d) with d
+small (tens, not thousands).
 """
 
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative kernel failed to meet its residual target within the cap."""
+PSD_CLAMP = 1e-10
 
 
 def check_matrix(mat: np.ndarray, square: bool = True) -> np.ndarray:
@@ -30,8 +27,8 @@ def check_matrix(mat: np.ndarray, square: bool = True) -> np.ndarray:
 def check_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate Hermitian symmetry entrywise and return the symmetrized copy.
 
-    The symmetrized copy (mat + mat^H)/2 removes roundoff-level asymmetry so
-    downstream rotations preserve symmetry exactly.
+    The symmetrized copy (mat + mat^H)/2 removes roundoff-level asymmetry,
+    so the decomposition sees an exactly Hermitian matrix.
     """
     a = check_matrix(mat, square=True)
     drift = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
@@ -40,183 +37,31 @@ def check_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray
     return 0.5 * (a + a.conj().T)
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex):
-    """2x2 unitary zeroing the off-diagonal of [[app, apq], [conj(apq), aqq]].
-
-    Returns the 2x2 block U with U^H H U diagonal.  The phase of apq is
-    absorbed first so the remaining rotation is the classic real one.
-    """
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (aqq - app) / (2.0 * mag)
-    sign = 1.0 if tau >= 0.0 else -1.0
-    t = sign / (abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    return np.array([[c, s], [-s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=np.complex128)
+def eigh(mat: np.ndarray):
+    """Hermitian eigendecomposition (w, V): w ascending, mat = V diag(w) V^H."""
+    return np.linalg.eigh(check_hermitian(mat))
 
 
-def jacobi_eigh(mat: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Full Hermitian eigendecomposition by cyclic Jacobi rotations.
+def top_singular_triplet(mat: np.ndarray):
+    """Largest singular triplet (sigma, u, v) with mat @ v = sigma * u.
 
-    Returns (w, V) with eigenvalues w ascending and unitary V satisfying
-    mat = V diag(w) V^H.  Raises ConvergenceError if the off-diagonal mass
-    does not fall below tol * ||mat||_F within max_sweeps sweeps.
-    """
-    a = check_hermitian(mat)
-    d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return a.real.reshape(1).copy(), v
-    norm = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    thresh = tol * max(norm, np.finfo(np.float64).tiny) / d
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p, q]) <= thresh:
-                    continue
-                rotated = True
-                u2 = _jacobi_rotation(a[p, p].real, a[q, q].real, a[p, q])
-                a[:, [p, q]] = a[:, [p, q]] @ u2
-                a[[p, q], :] = u2.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ u2
-        if not rotated:
-            w = np.diag(a).real.copy()
-            order = np.argsort(w)
-            return w[order], v[:, order]
-    raise ConvergenceError(
-        f"jacobi_eigh: off-diagonal mass above target after {max_sweeps} sweeps")
-
-
-def _power_dominant(mat: np.ndarray, tol: float, max_iters: int):
-    """Dominant eigenpair of a Hermitian matrix with nonnegative spectrum.
-
-    Assumes the largest eigenvalue is also largest in modulus (callers shift
-    to arrange this).  Residual target is relative to the Rayleigh quotient.
-    Returns (lam, vec, converged).
-    """
-    d = mat.shape[0]
-    rng = np.random.default_rng(0x7A11)
-    vec = np.ones(d) + 0.125 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    vec = vec / np.sqrt(np.real(np.vdot(vec, vec)))
-    lam = float(np.real(np.vdot(vec, mat @ vec)))
-    for _ in range(max_iters):
-        w = mat @ vec
-        lam = float(np.real(np.vdot(vec, w)))
-        res = float(np.sqrt(np.real(np.vdot(w - lam * vec, w - lam * vec))))
-        if res <= tol * (1.0 + abs(lam)):
-            return lam, vec, True
-        nw = float(np.sqrt(np.real(np.vdot(w, w))))
-        if nw == 0.0:
-            return 0.0, vec, True
-        vec = w / nw
-    return lam, vec, False
-
-
-def hermitian_extreme_eig(mat: np.ndarray, tol: float = 1e-10,
-                          max_iters: int = 10000, jacobi_fallback: bool = True):
-    """Smallest and largest eigenpairs of a Hermitian matrix.
-
-    Uses power iteration on the shifted matrices mat + sI and sI - mat with
-    s = ||mat||_F + 1, so each target eigenvalue is dominant.  If the
-    iteration stalls (tightly clustered spectrum) the full Jacobi
-    decomposition takes over; with the fallback disabled a stall raises
-    ConvergenceError.
-
-    Returns (lam_min, lam_max, vec_min, vec_max).
-    """
-    a = check_hermitian(mat)
-    d = a.shape[0]
-    shift = float(np.sqrt(np.sum(np.abs(a) ** 2))) + 1.0
-    eye = np.eye(d, dtype=np.complex128)
-
-    lam_hi, v_hi, ok_hi = _power_dominant(a + shift * eye, tol, max_iters)
-    lam_lo, v_lo, ok_lo = _power_dominant(shift * eye - a, tol, max_iters)
-    if ok_hi and ok_lo:
-        lam_max = float(np.real(np.vdot(v_hi, a @ v_hi)))
-        lam_min = float(np.real(np.vdot(v_lo, a @ v_lo)))
-        return lam_min, lam_max, v_lo, v_hi
-    if jacobi_fallback:
-        w, v = jacobi_eigh(a)
-        return float(w[0]), float(w[-1]), v[:, 0].copy(), v[:, -1].copy()
-    raise ConvergenceError(
-        f"hermitian_extreme_eig: residual above {tol:g} after {max_iters} iterations")
-
-
-def top_singular_triplet(mat: np.ndarray, tol: float = 1e-10,
-                         max_iters: int = 10000, jacobi_fallback: bool = True):
-    """Largest singular triplet (sigma, u, v) with mat @ v ~ sigma * u.
-
-    Power iteration runs on the Gram matrix mat^H mat, which is positive
-    semidefinite, so no shift is needed.  Falls back to the full Jacobi
-    decomposition of the Gram matrix on stall.
+    u and v are unit vectors; for the zero matrix sigma is 0 and u is the
+    first standard basis vector.
     """
     a = check_matrix(mat, square=False)
-    rows, cols = a.shape
-    gram = a.conj().T @ a
-    gram = 0.5 * (gram + gram.conj().T)
-    lam, v, ok = _power_dominant(gram, tol, max_iters)
-    if not ok:
-        if not jacobi_fallback:
-            raise ConvergenceError(
-                f"top_singular_triplet: residual above {tol:g} after {max_iters} iterations")
-        w, vecs = jacobi_eigh(gram)
-        lam, v = float(w[-1]), vecs[:, -1].copy()
-    sigma = float(np.sqrt(max(lam, 0.0)))
-    image = a @ v
-    image_norm = float(np.sqrt(np.real(np.vdot(image, image))))
-    if image_norm > 0.0:
-        u = image / image_norm
-        sigma = image_norm
-    else:
-        u = np.zeros(rows, dtype=np.complex128)
+    left, s, right_h = np.linalg.svd(a)
+    sigma = float(s[0])
+    u = left[:, 0]
+    v = right_h[0].conj()
+    if sigma == 0.0:
+        u = np.zeros(a.shape[0], dtype=np.complex128)
         u[0] = 1.0
-        sigma = 0.0
     return sigma, u, v
 
 
-def singular_values(mat: np.ndarray, tol: float = 1e-14,
-                    max_sweeps: int = 60) -> np.ndarray:
-    """All singular values (descending) by one-sided Jacobi orthogonalization.
-
-    Column rotations make the columns pairwise orthogonal; the singular
-    values are then the column norms.  This route keeps small singular
-    values accurate, which squaring through the Gram matrix would not.
-    """
-    a = check_matrix(mat, square=False).copy()
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros(0)
-    if rows < cols:
-        a = a.conj().T.copy()
-        rows, cols = a.shape
-    scale = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    if scale == 0.0:
-        return np.zeros(cols)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                g = complex(np.vdot(a[:, p], a[:, q]))
-                npp = float(np.real(np.vdot(a[:, p], a[:, p])))
-                nqq = float(np.real(np.vdot(a[:, q], a[:, q])))
-                if abs(g) <= tol * np.sqrt(npp * nqq) + np.finfo(np.float64).tiny:
-                    continue
-                rotated = True
-                u2 = _jacobi_rotation(npp, nqq, g)
-                a[:, [p, q]] = a[:, [p, q]] @ u2
-        if not rotated:
-            out = np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
-            out.sort()
-            return out[::-1].copy()
-    raise ConvergenceError(
-        f"singular_values: columns not orthogonal after {max_sweeps} sweeps")
+def singular_values(mat: np.ndarray) -> np.ndarray:
+    """All singular values, descending."""
+    return np.linalg.svd(check_matrix(mat, square=False), compute_uv=False)
 
 
 def trace_norm(mat: np.ndarray) -> float:
@@ -225,17 +70,15 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(singular_values(a)))
 
 
-def psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-tol * (1 + |w|_max), 0) are clamped to zero; anything
-    more negative raises ValueError.
+    Eigenvalues in [-PSD_CLAMP * (1 + |w|_max), 0) are clamped to zero;
+    anything more negative raises ValueError.
     """
-    a = check_hermitian(mat)
-    w, v = jacobi_eigh(a)
+    w, v = eigh(mat)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    lo = -tol * (1.0 + scale)
-    if np.min(w) < lo:
+    if np.min(w) < -PSD_CLAMP * (1.0 + scale):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {np.min(w):.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

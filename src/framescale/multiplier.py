@@ -94,14 +94,14 @@ def norm_lower_alternating(pair: FramePair, restarts: int = 8,
         u = v = None
         for _ in range(max_iters):
             m = mask_matrix(pair, eps)
-            sigma, left, right = top_singular_triplet(m, tol=1e-12)
+            sigma, left, right = top_singular_triplet(m)
             u, v = right, left
             terms = (pair.ys.conj() @ u) * (pair.xs @ v.conj())
             mags = np.abs(terms)
             aligned = float(np.sum(mags))
             live = mags > 0.0
             eps = np.where(live, np.conj(terms) / np.where(live, mags, 1.0), eps)
-            if aligned - prev <= tol * (1.0 + aligned):
+            if aligned - prev <= tol * aligned:
                 prev = aligned
                 break
             prev = aligned
@@ -189,7 +189,7 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
         rem, dig = divmod(rem, phase_steps)
         eps[pos] = phases[dig]
     m = mask_matrix(pair, eps)
-    _, left, right = top_singular_triplet(m, tol=1e-12)
+    _, left, right = top_singular_triplet(m)
     return _certify(pair, eps, right, left, "grid")
 
 
@@ -253,7 +253,7 @@ def cb_lower_sampled(pair: FramePair, m: int = 2, samples: int = 12,
         raise ValueError("samples must be >= 0")
     n, d = pair.n, pair.dim
     eye = np.broadcast_to(np.eye(m, dtype=np.complex128), (n, m, m)).copy()
-    best, _, _ = top_singular_triplet(assemble_block(pair, eye), tol=1e-12)
+    best, _, _ = top_singular_triplet(assemble_block(pair, eye))
     scalar = norm_lower_alternating(pair, seed=seed)
     best = max(best, scalar.value)
     rng = np.random.default_rng(np.random.SeedSequence([seed, m]))
@@ -265,7 +265,7 @@ def cb_lower_sampled(pair: FramePair, m: int = 2, samples: int = 12,
             idx = np.arange(m)
             for k in range(n):
                 mats[k, idx, idx] = np.exp(2j * np.pi * rng.uniform(size=m))
-        sigma, _, _ = top_singular_triplet(assemble_block(pair, mats), tol=1e-12)
+        sigma, _, _ = top_singular_triplet(assemble_block(pair, mats))
         best = max(best, float(sigma))
     return float(best)
 

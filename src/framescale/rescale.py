@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import BesselBounds, FramePair, bessel_and_frame_bounds
-from .linalg import jacobi_eigh, psd_sqrt
+from .linalg import eigh, psd_sqrt
 from .multiplier import cb_lower_sampled, check_mask
 
 BRACKET_SLACK = 1e-8
@@ -48,8 +48,8 @@ def _branch_tops(pair: FramePair, t: np.ndarray):
     xx, yy = _rank_one_stacks(pair)
     fmat = np.tensordot(np.exp(t), xx, axes=1)
     gmat = np.tensordot(np.exp(-t), yy, axes=1)
-    wf, vf = jacobi_eigh(fmat)
-    wg, vg = jacobi_eigh(gmat)
+    wf, vf = eigh(fmat)
+    wg, vg = eigh(gmat)
     return float(wf[-1]), vf[:, -1], float(wg[-1]), vg[:, -1]
 
 
@@ -127,8 +127,8 @@ def _smoothed_state(pair: FramePair, t: np.ndarray, b: float):
     et = np.exp(t)
     fmat = np.tensordot(et, xx, axes=1)
     gmat = np.tensordot(1.0 / et, yy, axes=1)
-    wf, vf = jacobi_eigh(fmat)
-    wg, vg = jacobi_eigh(gmat)
+    wf, vf = eigh(fmat)
+    wg, vg = eigh(gmat)
     wmax = max(wf[-1], wg[-1])
     pf = np.exp(b * (wf - wmax))
     pg = np.exp(b * (wg - wmax))
@@ -167,7 +167,7 @@ def _newton_polish(pair: FramePair, t: np.ndarray,
             gnorm = float(np.max(np.abs(grad)))
             if gnorm <= 1e-13 * (1.0 + abs(psi)):
                 break
-            w, v = jacobi_eigh(hess.astype(np.complex128))
+            w, v = eigh(hess)
             floor = max(1e-12 * float(np.max(np.abs(w))), 1e-300)
             step = -(v @ ((v.conj().T @ grad) / np.maximum(w, floor))).real
             cap = float(np.max(np.abs(step)))
@@ -194,8 +194,8 @@ def _newton_polish(pair: FramePair, t: np.ndarray,
 def _psi_only(pair: FramePair, t: np.ndarray, b: float):
     xx, yy = _rank_one_stacks(pair)
     et = np.exp(t)
-    wf, _ = jacobi_eigh(np.tensordot(et, xx, axes=1))
-    wg, _ = jacobi_eigh(np.tensordot(1.0 / et, yy, axes=1))
+    wf, _ = eigh(np.tensordot(et, xx, axes=1))
+    wg, _ = eigh(np.tensordot(1.0 / et, yy, axes=1))
     wmax = max(wf[-1], wg[-1])
     z = float(np.sum(np.exp(b * (wf - wmax))) + np.sum(np.exp(b * (wg - wmax))))
     return wmax + np.log(z) / b, wf[-1], wg[-1]
@@ -334,11 +334,11 @@ class Dilation:
 
 
 def build_dilation(pair: FramePair, log_weights: np.ndarray,
-                   multiplier_norm: float, tol: float = 1e-10) -> Dilation:
+                   multiplier_norm: float) -> Dilation:
     """Assemble the explicit dilation at the given weights and norm bound.
 
     Requires both weighted Bessel bounds to stay below multiplier_norm
-    (within tol) so the isometry paddings exist.
+    (within psd_sqrt's clamp) so the isometry paddings exist.
     """
     t = _check_weights(log_weights, pair.n)
     if multiplier_norm <= 0.0:
@@ -350,8 +350,8 @@ def build_dilation(pair: FramePair, log_weights: np.ndarray,
     gy = np.einsum("ki,kj->ij", wy, wy.conj())
     d = pair.dim
     eye = np.eye(d, dtype=np.complex128)
-    pad1 = psd_sqrt(eye - gx / multiplier_norm, tol=tol)
-    pad2 = psd_sqrt(eye - gy / multiplier_norm, tol=tol)
+    pad1 = psd_sqrt(eye - gx / multiplier_norm)
+    pad2 = psd_sqrt(eye - gy / multiplier_norm)
     root = np.sqrt(multiplier_norm)
     zeros = np.zeros((d, d), dtype=np.complex128)
     v1 = np.concatenate([wx.conj() / root, zeros, pad1], axis=0)

@@ -1,7 +1,10 @@
 """Shared random-instance helpers for the test suite.
 
-Oracle computations in tests go through numpy.linalg (LAPACK), which is
-independent of the package's own Jacobi and power-iteration kernels.
+The package's linear algebra is numpy.linalg (LAPACK) behind thin
+validating wrappers, so a numpy.linalg value in a test is a cross-check of
+the code around the wrappers, not an independent oracle for them.  The
+wrappers themselves are checked against closed forms and properties in
+test_linalg.py.
 """
 
 import numpy as np

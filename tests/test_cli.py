@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framescale import cli
+from framescale.frames import FramePair
 from framescale.instances import gaussian_pair
 from framescale.verify import VerificationError
 
@@ -147,6 +148,19 @@ def test_rescale_without_oracle_omits_ratio(tmp_path):
     rec = read_json(str(out))["records"][0]
     assert "ratio" not in rec and "phi_norm_oracle" not in rec
     assert "max_ratio" not in read_json(str(out))["summary"]
+
+
+def test_rescale_checks_are_relative_to_the_bound(tmp_path):
+    # a global factor of 1e10 on x puts M_upper near 1e10, where rounding
+    # alone exceeds any absolute slack
+    pair = gaussian_pair(np.random.default_rng(4), 4, 2)
+    inst = tmp_path / "scaled.frame.json"
+    out = tmp_path / "res.json"
+    cli.save_instance(str(inst), FramePair(1e10 * pair.xs, pair.ys))
+    assert cli.main(["rescale", "--in", str(inst), "--seed", "0",
+                     "--out", str(out)]) == 0
+    checks = read_json(str(out))["records"][0]["check_results"]
+    assert checks["bound_respected"] and checks["bracket_ordered"]
 
 
 def test_analyze_writes_report_and_csv(tmp_path):

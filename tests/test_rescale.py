@@ -84,10 +84,10 @@ def _smooth_point(rng, pair, spread=1.2):
     while True:
         t = rng.uniform(-spread, spread, pair.n)
         from framescale.rescale import _rank_one_stacks
-        from framescale.linalg import jacobi_eigh
+        from framescale.linalg import eigh
         xx, yy = _rank_one_stacks(pair)
-        wf, _ = jacobi_eigh(np.tensordot(np.exp(t), xx, axes=1))
-        wg, _ = jacobi_eigh(np.tensordot(np.exp(-t), yy, axes=1))
+        wf, _ = eigh(np.tensordot(np.exp(t), xx, axes=1))
+        wg, _ = eigh(np.tensordot(np.exp(-t), yy, axes=1))
         f, g = wf[-1], wg[-1]
         gap_f = wf[-1] - wf[-2] if pair.dim > 1 else 1.0
         gap_g = wg[-1] - wg[-2] if pair.dim > 1 else 1.0
@@ -156,6 +156,12 @@ def test_optimize_invariant_under_diagonal_reparameterization():
     a = optimize(pair)
     b = optimize(scaled)
     assert abs(a.m_upper - b.m_upper) <= 1e-6 * (1.0 + a.m_upper)
+    # a global factor c on either family scales both bounds by exactly c
+    for c in (1e-6, 1e6):
+        for xs, ys in ((c * pair.xs, pair.ys), (pair.xs, c * pair.ys)):
+            br = optimize(FramePair(xs, ys))
+            assert abs(br.m_upper - c * a.m_upper) <= 1e-12 * c * a.m_upper
+            assert abs(br.m_lower - c * a.m_lower) <= 1e-12 * c * a.m_lower
 
 
 def test_optimize_invariant_under_common_unitary():
