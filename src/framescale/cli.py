@@ -290,12 +290,12 @@ def _cmd_rescale(args) -> int:
                 float(np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye))))
             checks["dilation_isometric"] = checks["dilation_defect"] <= 1e-8
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
-               "phi_norm_lower": norm_lower_alternating(pair, seed=seed).value,
+               "phi_norm_lower": bracket.phi_lower.value,
                "M_upper": bracket.m_upper, "M_lower": bracket.m_lower,
                "weights": [float(t) for t in bracket.log_weights],
                "bessel_x": [scaling.bounds_x.lower, scaling.bounds_x.upper],
                "bessel_y": [scaling.bounds_y.lower, scaling.bounds_y.upper],
-               "check_results": checks}
+               "check_results": checks, "stats": bracket.stats}
         if _oracle_allowed(pair, args.phase_steps):
             oracle = norm_oracle_grid(pair, phase_steps=args.phase_steps).value
             rec["phi_norm_oracle"] = oracle

@@ -18,15 +18,28 @@ followed by a smoothed spectral Newton polish converges to the global
 minimum.
 """
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .frames import BesselBounds, FramePair, bessel_and_frame_bounds
 from .linalg import eigh, psd_sqrt
-from .multiplier import cb_lower_sampled, check_mask
+from .multiplier import (
+    MultiplierNormEstimate,
+    cb_lower_sampled,
+    check_mask,
+    norm_lower_alternating,
+)
 
-BRACKET_SLACK = 1e-8
+BRACKET_SLACK = 1e-8  # relative to m_upper
+# Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
+# at a time in one stacked eigh.  On criterion-01 sized pairs (n <= 5,
+# d <= 3) blocks of 1, 2, 4 and 8 took within 3 % of each other (best of
+# 12 passes); 4 keeps the longest backtrack to 10 calls
+ARMIJO_STEPS = np.ldexp(1.0, -np.arange(40))
+LINE_SEARCH_BLOCK = 4
+_SIGNS = np.array([[1.0], [-1.0]])  # log-weights of F and G: +t and -t
 
 
 def _check_weights(t: np.ndarray, n: int) -> np.ndarray:
@@ -38,25 +51,50 @@ def _check_weights(t: np.ndarray, n: int) -> np.ndarray:
     return t
 
 
-def _rank_one_stacks(pair: FramePair):
-    xx = np.einsum("ki,kj->kij", pair.xs, pair.xs.conj())
-    yy = np.einsum("ki,kj->kij", pair.ys, pair.ys.conj())
-    return xx, yy
+class _Objective:
+    """F(t) and G(t) of one pair, from rank-one stacks built once.
+
+    stack[0] holds x_k x_k^* and stack[1] holds y_k y_k^*.  spectra(t)
+    weights them by e^{t_k} and e^{-t_k} at one point t of shape (n,) or
+    at a block of points of shape (B, n), and diagonalises every F and G
+    in one validated LAPACK call: w[..., 0, :] is the spectrum of F and
+    w[..., 1, :] that of G.  The weighted sum runs over the stack axis,
+    so a point gets bitwise the same F and G whatever block it is in (a
+    tensordot over a block is a GEMM, which rounds differently from the
+    GEMV of a single point), and F and G come out exactly Hermitian.
+    The counters record what optimize reports in CbBracket.stats.
+    """
+
+    def __init__(self, pair: FramePair):
+        self.vecs = np.stack([pair.xs, pair.ys])
+        self.stack = np.einsum("ski,skj->skij", self.vecs, self.vecs.conj())
+        self.eigh_calls = 0
+        self.newton_steps = 0
+        self.candidates = 0
+
+    def eigh(self, mat: np.ndarray):
+        self.eigh_calls += 1
+        return eigh(mat)
+
+    def spectra(self, t: np.ndarray):
+        weights = np.exp(t[..., None, :] * _SIGNS)
+        return self.eigh((weights[..., None, None] * self.stack).sum(axis=-3))
 
 
-def _branch_tops(pair: FramePair, t: np.ndarray):
-    xx, yy = _rank_one_stacks(pair)
-    fmat = np.tensordot(np.exp(t), xx, axes=1)
-    gmat = np.tensordot(np.exp(-t), yy, axes=1)
-    wf, vf = eigh(fmat)
-    wg, vg = eigh(gmat)
-    return float(wf[-1]), vf[:, -1], float(wg[-1]), vg[:, -1]
+def _branch_tops(obj: _Objective, t: np.ndarray):
+    w, v = obj.spectra(t)
+    return float(w[0, -1]), v[0, :, -1], float(w[1, -1]), v[1, :, -1]
+
+
+def _balanced(obj: _Objective, t: np.ndarray) -> np.ndarray:
+    f, _, g, _ = _branch_tops(obj, t)
+    return t + 0.5 * np.log(g / f)
 
 
 def bessel_pair_objective(pair: FramePair, t: np.ndarray):
     """The two weighted Bessel bounds (f, g) at log-weights t."""
     t = _check_weights(t, pair.n)
-    f, _, g, _ = _branch_tops(pair, t)
+    f, _, g, _ = _branch_tops(_Objective(pair), t)
     return f, g
 
 
@@ -67,9 +105,7 @@ def balance(pair: FramePair, t: np.ndarray) -> np.ndarray:
     c = (ln g - ln f) / 2 makes both equal to sqrt(f g), which never
     increases max(f, g).
     """
-    t = _check_weights(t, pair.n)
-    f, g = bessel_pair_objective(pair, t)
-    return t + 0.5 * np.log(g / f)
+    return _balanced(_Objective(pair), _check_weights(t, pair.n))
 
 
 def subgradient(pair: FramePair, t: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
@@ -81,10 +117,10 @@ def subgradient(pair: FramePair, t: np.ndarray, tie_tol: float = 1e-9) -> np.nda
     averaged.
     """
     t = _check_weights(t, pair.n)
-    f, vf, g, vg = _branch_tops(pair, t)
+    f, vf, g, vg = _branch_tops(_Objective(pair), t)
     gx = np.exp(t) * np.abs(pair.xs.conj() @ vf) ** 2
     gy = np.exp(-t) * np.abs(pair.ys.conj() @ vg) ** 2
-    gap = tie_tol * max(1.0, f, g)
+    gap = tie_tol * max(f, g)
     if f - g > gap:
         return gx
     if g - f > gap:
@@ -104,70 +140,92 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 def _divided_exp(b: float, lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Divided differences (p_i - p_j)/(lam_i - lam_j) of p = e^{b(lam-max)}.
 
-    Near-coincident eigenvalues switch to the series form b p_j phi1(b dl)
-    to avoid cancellation; the diagonal is the derivative b p_i.
+    lam and p are spectra of shape (..., d).  Near-coincident eigenvalues
+    switch to the series form b p_j phi1(b dl) to avoid cancellation; the
+    diagonal is the derivative b p_i.
     """
-    dl = lam[:, None] - lam[None, :]
+    dl = lam[..., :, None] - lam[..., None, :]
     delta = b * dl
     small = np.abs(delta) <= 1e-3
     safe = np.where(small, 1.0, dl)
-    direct = (p[:, None] - p[None, :]) / safe
-    series = b * p[None, :] * _phi1(delta)
+    direct = (p[..., :, None] - p[..., None, :]) / safe
+    series = b * p[..., None, :] * _phi1(delta)
     return np.where(small, series, direct)
 
 
-def _smoothed_state(pair: FramePair, t: np.ndarray, b: float):
+def _psi(w: np.ndarray, b: float):
+    """Smoothed objective from spectra w of shape (..., 2, d).
+
+    Returns psi, the weights p = e^{b (w - wmax)} and their sum z.
+    """
+    wmax = w[..., -1].max(axis=-1)
+    p = np.exp(b * (w - wmax[..., None, None]))
+    z = p[..., 0, :].sum(axis=-1) + p[..., 1, :].sum(axis=-1)
+    return wmax + np.log(z) / b, p, z
+
+
+def _smoothed_state(obj: _Objective, t: np.ndarray, b: float, spectra):
     """Value, gradient, and Hessian of the smoothed objective.
 
     The smoothing is psi = (1/b) log(tr e^{bF} + tr e^{bG}), which is
     convex, exceeds h by at most log(2d)/b, and has exact derivatives
-    through the eigendecompositions of F and G.
+    through the eigendecompositions of F and G; spectra is
+    obj.spectra(t).
     """
-    xx, yy = _rank_one_stacks(pair)
-    et = np.exp(t)
-    fmat = np.tensordot(et, xx, axes=1)
-    gmat = np.tensordot(1.0 / et, yy, axes=1)
-    wf, vf = eigh(fmat)
-    wg, vg = eigh(gmat)
-    wmax = max(wf[-1], wg[-1])
-    pf = np.exp(b * (wf - wmax))
-    pg = np.exp(b * (wg - wmax))
-    z = float(np.sum(pf) + np.sum(pg))
-    psi = wmax + np.log(z) / b
-
-    ax = pair.xs.conj() @ vf
-    ay = pair.ys.conj() @ vg
-    qf = et * (np.abs(ax) ** 2 @ pf)
-    qg = (1.0 / et) * (np.abs(ay) ** 2 @ pg)
-    grad = (qf - qg) / z
-
-    curv = np.zeros((pair.n, pair.n))
-    for lam, p, amp, scal in ((wf, pf, ax, np.sqrt(et)),
-                              (wg, pg, ay, np.sqrt(1.0 / et))):
-        lam_mat = _divided_exp(b, lam, p)
-        w = scal[:, None] * amp.conj()
-        prod = np.einsum("ki,li->kli", w, w.conj())
-        curv += np.real(np.einsum("kli,ij,klj->kl", prod, lam_mat, prod.conj()))
-    hess = (curv + np.diag(qf + qg)) / z - b * np.outer(grad, grad)
+    w, v = spectra
+    psi, p, z = _psi(w, b)
+    weights = np.exp(t * _SIGNS)
+    amp = obj.vecs.conj() @ v
+    q = weights * np.einsum("skj,sj->sk", np.abs(amp) ** 2, p)
+    grad = (q[0] - q[1]) / z
+    lam_mat = _divided_exp(b, w, p)
+    scaled = np.sqrt(weights)[:, :, None] * amp.conj()
+    prod = np.einsum("ski,sli->skli", scaled, scaled.conj())
+    curv = np.real(np.einsum("skli,sij,sklj->kl", prod, lam_mat, prod.conj()))
+    hess = (curv + np.diag(q[0] + q[1])) / z - b * np.outer(grad, grad)
     hess = 0.5 * (hess + hess.T)
-    return psi, grad, hess
+    return float(psi), grad, hess
 
 
-def _newton_polish(pair: FramePair, t: np.ndarray,
+def _armijo_step(obj: _Objective, t: np.ndarray, step: np.ndarray, b: float,
+                 psi: float, slope: float):
+    """First t + 2^-j step, j = 0..39, passing Armijo, with its spectra.
+
+    Candidates are scored LINE_SEARCH_BLOCK at a time, one stacked eigh
+    per block.  A point's spectra do not depend on its block, so the
+    accepted j is the one a sequential scan accepts, and its spectra are
+    those obj.spectra gives at that point.  None if no candidate passes.
+    """
+    for lo in range(0, ARMIJO_STEPS.size, LINE_SEARCH_BLOCK):
+        alphas = ARMIJO_STEPS[lo:lo + LINE_SEARCH_BLOCK]
+        cands = t + alphas[:, None] * step
+        obj.candidates += alphas.size
+        w, v = obj.spectra(cands)
+        passed = np.flatnonzero(
+            _psi(w, b)[0] <= psi + 1e-4 * alphas * slope)
+        if passed.size:
+            j = passed[0]
+            return cands[j], (w[j], v[j])
+    return None
+
+
+def _newton_polish(obj: _Objective, t: np.ndarray,
                    beta_relative=(1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10),
                    max_newton: int = 25) -> np.ndarray:
     """Anneal the smoothed objective down to a sharp minimum of h."""
     tiny = np.finfo(np.float64).tiny
     for b_rel in beta_relative:
-        t = balance(pair, t)
-        f, g = bessel_pair_objective(pair, t)
+        t = _balanced(obj, t)
+        spectra = obj.spectra(t)
+        f, g = spectra[0][:, -1]
         b = b_rel / max(max(f, g), tiny)
         for _ in range(max_newton):
-            psi, grad, hess = _smoothed_state(pair, t, b)
+            psi, grad, hess = _smoothed_state(obj, t, b, spectra)
             gnorm = float(np.max(np.abs(grad)))
             if gnorm <= 1e-13 * (1.0 + abs(psi)):
                 break
-            w, v = eigh(hess)
+            obj.newton_steps += 1
+            w, v = obj.eigh(hess)
             floor = max(1e-12 * float(np.max(np.abs(w))), 1e-300)
             step = -(v @ ((v.conj().T @ grad) / np.maximum(w, floor))).real
             cap = float(np.max(np.abs(step)))
@@ -177,46 +235,39 @@ def _newton_polish(pair: FramePair, t: np.ndarray,
             if slope >= 0.0:
                 step = -grad / max(max(f, g), tiny)
                 slope = float(grad @ step)
-            alpha = 1.0
-            accepted = False
-            for _ in range(40):
-                cand, _, _ = _psi_only(pair, t + alpha * step, b)
-                if cand <= psi + 1e-4 * alpha * slope:
-                    t = t + alpha * step
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
+            found = _armijo_step(obj, t, step, b, psi, slope)
+            if found is None:
                 break
-    return balance(pair, t)
-
-
-def _psi_only(pair: FramePair, t: np.ndarray, b: float):
-    xx, yy = _rank_one_stacks(pair)
-    et = np.exp(t)
-    wf, _ = eigh(np.tensordot(et, xx, axes=1))
-    wg, _ = eigh(np.tensordot(1.0 / et, yy, axes=1))
-    wmax = max(wf[-1], wg[-1])
-    z = float(np.sum(np.exp(b * (wf - wmax))) + np.sum(np.exp(b * (wg - wmax))))
-    return wmax + np.log(z) / b, wf[-1], wg[-1]
+            t, spectra = found
+    return _balanced(obj, t)
 
 
 @dataclass(frozen=True)
 class CbBracket:
-    """Two-sided bracket on the completely bounded multiplier norm."""
+    """Two-sided bracket on the completely bounded multiplier norm.
+
+    phi_lower is the alternating-ascent estimate of the scalar multiplier
+    norm, with its replayable witness, that fed m_lower.  stats counts
+    what optimize did: subgradient_iters, newton_steps,
+    line_search_candidates (Armijo points scored), eigh_calls (stacked
+    LAPACK calls on F, G and the Newton Hessian) and wall_s.
+    """
 
     m_lower: float
     m_upper: float
     log_weights: np.ndarray
     f: float
     g: float
+    phi_lower: MultiplierNormEstimate | None = None
+    stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m_lower > self.m_upper + BRACKET_SLACK:
+        scale = abs(self.m_upper)
+        if self.m_lower > self.m_upper + BRACKET_SLACK * scale:
             raise ValueError(
                 f"bracket inverted: lower {self.m_lower:.12g} above upper "
                 f"{self.m_upper:.12g}")
-        if abs(max(self.f, self.g) - self.m_upper) > 1e-10 * (1.0 + self.m_upper):
+        if abs(max(self.f, self.g) - self.m_upper) > 1e-10 * scale:
             raise ValueError("m_upper must equal max(f, g) at the stored weights")
 
 
@@ -234,47 +285,44 @@ def optimize(pair: FramePair, max_iters: int = 2000, tol: float = 1e-7,
     stall_window iterations falls below a coarse threshold.  With
     polish=False the subgradient phase runs until the improvement per
     window drops below tol.  The subgradient is normalized by the
-    current objective so steps are scale free.
+    current objective so steps are scale free.  The rank-one stacks
+    are built once, and alternating ascent runs once, seeded by seed.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if tol <= 0.0 or step0 <= 0.0:
         raise ValueError("tol and step0 must be positive")
+    started = time.perf_counter()
     tiny = np.finfo(np.float64).tiny
+    obj = _Objective(pair)
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
     t = np.log(np.linalg.norm(pair.ys, axis=1) / np.linalg.norm(pair.xs, axis=1))
     # balancing is a common shift, which leaves both top eigenvectors
-    # unchanged, so one eigendecomposition pair per iteration suffices
-    f, vf, g, vg = _branch_tops(pair, t)
+    # unchanged, so one eigendecomposition pair per iteration suffices;
+    # after it f = g, so the tied (averaged) subgradient always applies
+    f, vf, g, vg = _branch_tops(obj, t)
     t = t + 0.5 * np.log(g / f)
-    f = g = float(np.sqrt(f * g))
-    best_h = f
+    h = float(np.sqrt(f * g))
+    best_h = h
     best_t = t.copy()
     marker = best_h
     since_mark = 0
     stall_tol = max(tol, 1e-3) if polish else tol
-    tie_gap = 1e-9 * max(1.0, f, g)
+    iters = 0
     for i in range(max_iters):
-        gx = np.exp(t) * np.abs(pair.xs.conj() @ vf) ** 2
-        gy = np.exp(-t) * np.abs(pair.ys.conj() @ vg) ** 2
-        if f - g > tie_gap:
-            sub = gx
-        elif g - f > tie_gap:
-            sub = -gy
-        else:
-            sub = 0.5 * (gx - gy)
-        h_cur = max(f, g)
-        if float(np.sum(np.abs(sub))) <= 1e-15 * (1.0 + h_cur):
+        sub = 0.5 * (np.exp(t) * np.abs(pair.xs.conj() @ vf) ** 2
+                     - np.exp(-t) * np.abs(pair.ys.conj() @ vg) ** 2)
+        if float(np.sum(np.abs(sub))) <= 1e-15 * (1.0 + h):
             break
-        t = t - (step0 / np.sqrt(i + 1.0)) * sub / max(h_cur, tiny)
-        f, vf, g, vg = _branch_tops(pair, t)
+        iters += 1
+        t = t - (step0 / np.sqrt(i + 1.0)) * sub / max(h, tiny)
+        f, vf, g, vg = _branch_tops(obj, t)
         t = t + 0.5 * np.log(g / f)
-        f = g = float(np.sqrt(f * g))
-        tie_gap = 1e-9 * max(1.0, f)
-        if f < best_h:
-            best_h = f
+        h = float(np.sqrt(f * g))
+        if h < best_h:
+            best_h = h
             best_t = t.copy()
         since_mark += 1
         if since_mark >= stall_window:
@@ -283,15 +331,21 @@ def optimize(pair: FramePair, max_iters: int = 2000, tol: float = 1e-7,
             marker = best_h
             since_mark = 0
     if polish:
-        polished = _newton_polish(pair, best_t)
-        f_p, g_p = bessel_pair_objective(pair, polished)
+        polished = _newton_polish(obj, best_t)
+        f_p, _, g_p, _ = _branch_tops(obj, polished)
         if max(f_p, g_p) <= best_h:
             best_t = polished
             best_h = max(f_p, g_p)
-    best_t = balance(pair, best_t)
-    f, g = bessel_pair_objective(pair, best_t)
-    lower = cb_lower_sampled(pair, m=cb_order, samples=cb_samples, seed=seed)
-    return CbBracket(lower, max(f, g), best_t, f, g)
+    best_t = _balanced(obj, best_t)
+    f, _, g, _ = _branch_tops(obj, best_t)
+    phi_lower = norm_lower_alternating(pair, seed=seed)
+    lower = cb_lower_sampled(pair, m=cb_order, samples=cb_samples, seed=seed,
+                             scalar=phi_lower)
+    stats = {"subgradient_iters": iters, "newton_steps": obj.newton_steps,
+             "line_search_candidates": obj.candidates,
+             "eigh_calls": obj.eigh_calls,
+             "wall_s": time.perf_counter() - started}
+    return CbBracket(lower, max(f, g), best_t, f, g, phi_lower, stats)
 
 
 @dataclass(frozen=True)

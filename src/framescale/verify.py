@@ -34,6 +34,7 @@ from .multiplier import (
     norm_oracle_grid,
 )
 from .rescale import (
+    _Objective,
     bessel_pair_objective,
     build_dilation,
     dilation_reconstruct,
@@ -637,9 +638,6 @@ def suite_subgradient_fd(seed: int = 0, points: int = 100,
     at least 1e-6, in practice far larger) and the two branches are
     separated, keeping the objective differentiable across the stencil.
     """
-    from .linalg import eigh
-    from .rescale import _rank_one_stacks
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 808]))
     records = []
     worst = 0.0
@@ -649,9 +647,7 @@ def suite_subgradient_fd(seed: int = 0, points: int = 100,
         d = int(rng.integers(1, 4))
         pair = gaussian_pair(rng, n, d)
         t = rng.uniform(-1.2, 1.2, n)
-        xx, yy = _rank_one_stacks(pair)
-        wf, _ = eigh(np.tensordot(np.exp(t), xx, axes=1))
-        wg, _ = eigh(np.tensordot(np.exp(-t), yy, axes=1))
+        (wf, wg), _ = _Objective(pair).spectra(t)
         f, g = wf[-1], wg[-1]
         gap_f = wf[-1] - wf[-2] if d > 1 else np.inf
         gap_g = wg[-1] - wg[-2] if d > 1 else np.inf

@@ -6,6 +6,7 @@ import pytest
 from framescale import cli
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair
+from framescale.multiplier import norm_lower_alternating
 from framescale.verify import VerificationError
 
 
@@ -148,6 +149,23 @@ def test_rescale_without_oracle_omits_ratio(tmp_path):
     rec = read_json(str(out))["records"][0]
     assert "ratio" not in rec and "phi_norm_oracle" not in rec
     assert "max_ratio" not in read_json(str(out))["summary"]
+
+
+def test_rescale_records_stats_and_one_ascent(tmp_path):
+    pair = gaussian_pair(np.random.default_rng(6), 4, 2)
+    inst = tmp_path / "one.frame.json"
+    out = tmp_path / "res.json"
+    cli.save_instance(str(inst), pair)
+    assert cli.main(["rescale", "--in", str(inst), "--seed", "2",
+                     "--out", str(out)]) == 0
+    rec = read_json(str(out))["records"][0]
+    assert rec["phi_norm_lower"] == norm_lower_alternating(pair, seed=2).value
+    stats = rec["stats"]
+    assert set(stats) == {"subgradient_iters", "newton_steps",
+                          "line_search_candidates", "eigh_calls", "wall_s"}
+    assert all(v > 0 for v in stats.values())
+    header = (tmp_path / "res.csv").read_text().splitlines()[0].split(",")
+    assert {f"stats.{key}" for key in stats} <= set(header)
 
 
 def test_rescale_checks_are_relative_to_the_bound(tmp_path):

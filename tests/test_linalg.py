@@ -78,16 +78,55 @@ def test_extreme_eig_rejects_non_hermitian():
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, st.integers(1, 6), st.integers(-150, 150))
-def test_eigh_is_scale_equivariant(seed, d, exponent):
-    # no absolute tolerance may act inside the wrapper
-    a = random_hermitian(np.random.default_rng(seed), d)
+@given(SEEDS, st.integers(1, 6), st.integers(-150, 150), st.integers(0, 3))
+def test_eigh_is_scale_equivariant(seed, d, exponent, count):
+    # no absolute tolerance may act inside the wrapper; count > 0 passes a
+    # (count, d, d) stack, whose matrices must each obey the property
+    rng = np.random.default_rng(seed)
+    if count:
+        a = np.stack([random_hermitian(rng, d) for _ in range(count)])
+    else:
+        a = random_hermitian(rng, d)
     c = 10.0 ** exponent
     w, _ = eigh(a)
     wc, vc = eigh(c * a)
-    scale = float(np.max(np.abs(w)))
-    assert np.max(np.abs(wc / c - w)) <= 1e-13 * scale
-    assert np.max(np.abs(c * a @ vc - vc * wc)) <= 1e-13 * c * scale
+    assert wc.shape == w.shape == a.shape[:-1]
+    scale = np.max(np.abs(w), axis=-1)[..., None]
+    assert np.all(np.abs(wc / c - w) <= 1e-13 * scale)
+    resid = np.abs(c * a @ vc - vc * wc[..., None, :])
+    assert np.all(resid <= 1e-13 * c * scale[..., None])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_eigh_stack_is_bitwise_equal_to_single_calls(d):
+    rng = np.random.default_rng(30 + d)
+    a = np.stack([random_hermitian(rng, d) for _ in range(12)]).reshape(
+        3, 4, d, d)
+    w, v = eigh(a)
+    assert w.shape == (3, 4, d) and v.shape == (3, 4, d, d)
+    for i in range(3):
+        for j in range(4):
+            wi, vi = eigh(a[i, j])
+            assert np.array_equal(w[i, j], wi)
+            assert np.array_equal(v[i, j], vi)
+
+
+@pytest.mark.parametrize("bad", ["skew", np.nan, np.inf])
+def test_eigh_stack_rejects_one_bad_matrix(bad):
+    rng = np.random.default_rng(33)
+    a = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+    if bad == "skew":
+        a[3, 0, 1] += 1e-9
+        match = "not Hermitian at stack index 3:"
+    else:
+        a[3, 1, 1] = bad
+        match = "non-finite"
+    with pytest.raises(ValueError, match=match):
+        eigh(a)
+    with pytest.raises(ValueError, match=match):
+        check_hermitian(a)
+    # the same stack without the bad matrix passes
+    eigh(np.delete(a, 3, axis=0))
 
 
 def test_top_singular_triplet_matches_oracle():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import framescale.rescale as rescale
 from framescale.frames import FramePair, bessel_and_frame_bounds, pair_operator
 from framescale.instances import (
     canonical_dual_pair,
@@ -16,9 +17,16 @@ from framescale.multiplier import (
     amplified_input_norm,
     assemble_block,
     mask_matrix,
+    norm_lower_alternating,
 )
 from framescale.rescale import (
+    ARMIJO_STEPS,
+    LINE_SEARCH_BLOCK,
     CbBracket,
+    _armijo_step,
+    _Objective,
+    _psi,
+    _smoothed_state,
     balance,
     bessel_pair_objective,
     build_dilation,
@@ -83,11 +91,7 @@ def _smooth_point(rng, pair, spread=1.2):
     """Draw t where both top eigenvalues are simple and the branches split."""
     while True:
         t = rng.uniform(-spread, spread, pair.n)
-        from framescale.rescale import _rank_one_stacks
-        from framescale.linalg import eigh
-        xx, yy = _rank_one_stacks(pair)
-        wf, _ = eigh(np.tensordot(np.exp(t), xx, axes=1))
-        wg, _ = eigh(np.tensordot(np.exp(-t), yy, axes=1))
+        (wf, wg), _ = _Objective(pair).spectra(t)
         f, g = wf[-1], wg[-1]
         gap_f = wf[-1] - wf[-2] if pair.dim > 1 else 1.0
         gap_g = wg[-1] - wg[-2] if pair.dim > 1 else 1.0
@@ -125,6 +129,62 @@ def test_subgradient_scalar_case_closed_form():
     # f = 5 > g = 2, so the gradient is the f branch: e^{t_k} |x_k|^2
     sub = subgradient(pair, t)
     assert np.max(np.abs(sub - np.array([4.0, 1.0]))) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+def test_subgradient_is_homogeneous_of_degree_two(c):
+    # scaling both families by c scales f and g by c^2 and leaves the top
+    # eigenvectors alone, so the branch choice and the subgradient follow
+    rng = np.random.default_rng(87)
+    pair = gaussian_pair(rng, 4, 2)
+    for _ in range(5):
+        t = rng.uniform(-1.0, 1.0, 4)
+        f, g = bessel_pair_objective(pair, t)
+        assert abs(f - g) >= 1e-2 * max(f, g)
+        base = subgradient(pair, t)
+        scaled = subgradient(FramePair(c * pair.xs, c * pair.ys), t)
+        assert np.max(np.abs(scaled - c * c * base)) <= (
+            1e-12 * c * c * np.max(np.abs(base)))
+
+
+def test_bessel_pair_objective_makes_one_eigh_call(monkeypatch):
+    calls = []
+    eigh = rescale.eigh
+
+    def counted(mat):
+        calls.append(np.shape(mat))
+        return eigh(mat)
+
+    monkeypatch.setattr(rescale, "eigh", counted)
+    pair = gaussian_pair(np.random.default_rng(88), 5, 3)
+    bessel_pair_objective(pair, np.zeros(5))
+    assert calls == [(2, 3, 3)]
+
+
+def test_block_line_search_accepts_the_sequential_step():
+    rng = np.random.default_rng(89)
+    crossed = False
+    for n, d in ((4, 2), (5, 3), (3, 1)):
+        pair = gaussian_pair(rng, n, d)
+        obj = _Objective(pair)
+        t = balance(pair, rng.uniform(-1.0, 1.0, n))
+        f, g = bessel_pair_objective(pair, t)
+        b = 1e3 / max(f, g)
+        psi, grad, _ = _smoothed_state(obj, t, b, obj.spectra(t))
+        for stretch in (1.0, 10.0, 1e3):
+            step = -stretch * grad / max(f, g)
+            slope = float(grad @ step)
+            accepted, (w, v) = _armijo_step(obj, t, step, b, psi, slope)
+            for j, alpha in enumerate(ARMIJO_STEPS):
+                cand = t + alpha * step
+                spectra = obj.spectra(cand)
+                if _psi(spectra[0], b)[0] <= psi + 1e-4 * alpha * slope:
+                    break
+            assert np.array_equal(accepted, cand)
+            assert np.array_equal(w, spectra[0])
+            assert np.array_equal(v, spectra[1])
+            crossed |= j >= LINE_SEARCH_BLOCK
+    assert crossed
 
 
 def test_optimize_on_orthonormal_pair_is_exact():
@@ -183,6 +243,34 @@ def test_bracket_fields_consistent():
     assert abs(br.f - br.g) <= 1e-8 * (br.f + br.g)
     with pytest.raises(ValueError):
         CbBracket(2.0, 1.0, np.zeros(4), 1.0, 1.0)
+
+
+def test_bracket_checks_are_relative_to_the_bound():
+    # inverted by 50 %, far below any absolute slack
+    with pytest.raises(ValueError, match="inverted"):
+        CbBracket(1.5e-9, 1e-9, np.zeros(4), 1e-9, 1e-9)
+    with pytest.raises(ValueError, match="max"):
+        CbBracket(1e-9, 1e-9, np.zeros(4), 1.01e-9, 1e-9)
+    CbBracket(1e-9 * (1.0 + 1e-9), 1e-9, np.zeros(4), 1e-9, 1e-9)
+
+
+def test_optimize_reports_its_ascent_and_repeatable_counts():
+    pair = gaussian_pair(np.random.default_rng(90), 4, 3)
+    first, second = optimize(pair, seed=3), optimize(pair, seed=3)
+    alt = norm_lower_alternating(pair, seed=3)
+    est = first.phi_lower
+    assert est.value == alt.value
+    # the witness replays: value = Re sum_k mask_k <u, y_k> <x_k, v>
+    replay = np.real(np.sum(est.witness_mask * (pair.ys.conj() @ est.witness_u)
+                            * (pair.xs @ est.witness_v.conj())))
+    assert replay == est.value
+    assert first.m_lower >= est.value
+    counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
+    assert set(counts) == {"subgradient_iters", "newton_steps",
+                           "line_search_candidates", "eigh_calls"}
+    assert all(isinstance(v, int) and v > 0 for v in counts.values())
+    assert counts == {k: v for k, v in second.stats.items() if k != "wall_s"}
+    assert first.stats["wall_s"] > 0.0
 
 
 def test_certificate_valid_at_arbitrary_weights():
