@@ -22,7 +22,7 @@ from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh, top_singular_triplet
 from .multiplier import norm_lower_alternating, norm_oracle_grid
 from .rescale import build_dilation, extract_scaling, optimize
-from .verify import RatioConfig, VerificationError, ratio_experiment, run_suite
+from .verify import SUITES, VerificationError, run_suite
 
 FORMAT_VERSION = 1
 INSTANCE_SUFFIX = ".frame.json"
@@ -323,12 +323,9 @@ def _cmd_rescale(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     try:
-        if args.suite == "ratio":
-            cfg = RatioConfig(instances=args.instances, seed=seed,
-                              phase_steps=args.phase_steps)
-            report = ratio_experiment(cfg)
-        else:
-            report = run_suite(args.suite, seed=seed)
+        sizes = ({"instances": args.instances, "phase_steps": args.phase_steps}
+                 if args.suite == "ratio" else {})
+        report = run_suite(args.suite, seed=seed, **sizes)
     except VerificationError as exc:
         failure = {"format_version": FORMAT_VERSION, "command": "verify",
                    "suite": args.suite, "seed": seed, "error": str(exc),
@@ -351,7 +348,8 @@ def _cmd_verify(args) -> int:
     if args.out:
         write_report(args.out, report)
     for sub in printable:
-        print(f"PASS {sub['suite']}: {json.dumps(_plain(sub['summary']))}")
+        print(f"PASS {sub['suite']} in {sub['summary']['wall_s']:.1f}s: "
+              f"{json.dumps(_plain(sub['summary']))}")
     return EXIT_OK
 
 
@@ -455,9 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     rescale.set_defaults(func=_cmd_rescale)
 
     ver = sub.add_parser("verify", help="run an inequality suite")
-    ver.add_argument("--suite", default="all",
-                     choices=["khintchine", "trace", "chain", "ratio",
-                              "dilation", "all"])
+    ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--instances", type=int, default=200,
                      help="instance count for the ratio suite")

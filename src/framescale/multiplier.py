@@ -111,39 +111,100 @@ def norm_lower_alternating(pair: FramePair, restarts: int = 8,
     return best
 
 
-def _batched_op_norm(mats: np.ndarray) -> np.ndarray:
-    """Operator norms of a (B, d, d) stack via closed-form Gram eigenvalues.
+def _pow2_scale(a: np.ndarray) -> float:
+    """Power of two that puts the largest real or imaginary part in [0.5, 1).
 
-    d <= 3 uses explicit characteristic-polynomial roots; larger d falls
-    back to batched LAPACK.
+    Multiplying by it is exact, so it changes no comparison, and it keeps
+    squared and cubed Gram entries inside the float range.
     """
-    d = mats.shape[-1]
+    big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    return float(np.ldexp(1.0, -int(np.frexp(big)[1])))
+
+
+def _gram_re(re: np.ndarray, im: np.ndarray, j: int, k: int) -> np.ndarray:
+    """Real part of g_jk = sum_i conj(m_ij) m_ik, per matrix of the planes."""
+    out = re[0, j] * re[0, k]
+    out += im[0, j] * im[0, k]
+    for i in range(1, re.shape[0]):
+        out += re[i, j] * re[i, k]
+        out += im[i, j] * im[i, k]
+    return out
+
+
+def _gram_im(re: np.ndarray, im: np.ndarray, j: int, k: int) -> np.ndarray:
+    """Imaginary part of g_jk = sum_i conj(m_ij) m_ik, per matrix."""
+    out = re[0, j] * im[0, k]
+    out -= im[0, j] * re[0, k]
+    for i in range(1, re.shape[0]):
+        out += re[i, j] * im[i, k]
+        out -= im[i, j] * re[i, k]
+    return out
+
+
+def _op_norm_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of d x d matrices held as real planes.
+
+    re and im have shape (d, d, B): entry [i, j, b] is the real or
+    imaginary part of m_ij of matrix b.  The norm is sqrt of the top
+    eigenvalue of the Gram matrix g_jk = sum_i conj(m_ij) m_ik, whose
+    entries are formed in real arithmetic.  d = 1 is |m|, d = 2 takes the
+    larger root of the characteristic polynomial from trace and
+    determinant, d = 3 the trigonometric form of the cubic's roots; larger
+    d falls back to batched LAPACK.  Callers keep the entries near unit
+    size (see _pow2_scale), because the d = 3 form cubes squared entries.
+    """
+    d = re.shape[0]
     if d == 1:
-        return np.abs(mats[:, 0, 0])
-    gram = np.einsum("bki,bkj->bij", mats.conj(), mats)
+        return np.hypot(re[0, 0], im[0, 0])
     if d == 2:
-        tr = gram[:, 0, 0].real + gram[:, 1, 1].real
-        det = (gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]).real
-        half = 0.5 * tr
-        disc = np.sqrt(np.clip(half * half - det, 0.0, None))
-        return np.sqrt(np.clip(half + disc, 0.0, None))
+        g00, g11 = _gram_re(re, im, 0, 0), _gram_re(re, im, 1, 1)
+        cr, ci = _gram_re(re, im, 0, 1), _gram_im(re, im, 0, 1)
+        # discriminant (tr/2)^2 - det, written without cancellation
+        half_gap = 0.5 * (g00 - g11)
+        disc = np.sqrt(half_gap * half_gap + cr * cr + ci * ci)
+        return np.sqrt(0.5 * (g00 + g11) + disc)
     if d == 3:
-        q = (gram[:, 0, 0] + gram[:, 1, 1] + gram[:, 2, 2]).real / 3.0
-        b = gram.copy()
-        for i in range(3):
-            b[:, i, i] -= q
-        p = np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2)) / 6.0)
+        g00, g11, g22 = (_gram_re(re, im, j, j) for j in range(3))
+        upper = ((0, 1), (0, 2), (1, 2))
+        x01, x02, x12 = (_gram_re(re, im, j, k) for j, k in upper)
+        y01, y02, y12 = (_gram_im(re, im, j, k) for j, k in upper)
+        q = (g00 + g11 + g22) / 3.0
+        b00, b11, b22 = g00 - q, g11 - q, g22 - q
+        s01 = x01 * x01 + y01 * y01
+        s02 = x02 * x02 + y02 * y02
+        s12 = x12 * x12 + y12 * y12
+        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                     + 2.0 * (s01 + s02 + s12)) / 6.0)
         safe = np.where(p > 0.0, p, 1.0)
-        det = (
-            b[:, 0, 0] * (b[:, 1, 1] * b[:, 2, 2] - b[:, 1, 2] * b[:, 2, 1])
-            - b[:, 0, 1] * (b[:, 1, 0] * b[:, 2, 2] - b[:, 1, 2] * b[:, 2, 0])
-            + b[:, 0, 2] * (b[:, 1, 0] * b[:, 2, 1] - b[:, 1, 1] * b[:, 2, 0])
-        ).real
-        r = np.clip(det / (2.0 * safe ** 3), -1.0, 1.0)
+        # det(G - qI); the cyclic term is 2 Re(g01 g12 conj(g02))
+        det = (b00 * b11 * b22 - b00 * s12 - b11 * s02 - b22 * s01
+               + 2.0 * ((x01 * x12 - y01 * y12) * x02
+                        + (x01 * y12 + y01 * x12) * y02))
+        r = np.clip(det / (2.0 * safe * safe * safe), -1.0, 1.0)
         lam = q + 2.0 * safe * np.cos(np.arccos(r) / 3.0)
         lam = np.where(p > 0.0, lam, q)
         return np.sqrt(np.clip(lam, 0.0, None))
+    # eigvalsh reads only the lower triangle, g_kj = conj(g_jk)
+    gram = np.zeros((re.shape[2], d, d), dtype=np.complex128)
+    for j in range(d):
+        gram[:, j, j] = _gram_re(re, im, j, j)
+        for k in range(j + 1, d):
+            gram[:, k, j].real = _gram_re(re, im, j, k)
+            gram[:, k, j].imag = -_gram_im(re, im, j, k)
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+
+
+def _digit_sums(start: np.ndarray, tables) -> np.ndarray:
+    """start plus one column of each (d, d, s) table, for every choice.
+
+    The result has shape (d, d, s^len(tables)); the last table's column
+    varies fastest along the last axis.
+    """
+    d = start.shape[0]
+    out = start[:, :, None]
+    for table in tables:
+        out = (out[:, :, :, None] + table[:, :, None, :]).reshape(d, d, -1)
+    return out
 
 
 GRID_MAX_N = 6
@@ -154,11 +215,22 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     """Exhaustive maximum of the mask-matrix norm over a phase grid.
 
     The norm is convex in the mask, so its maximum over the polydisc is
-    attained at unimodular masks; those are discretized to phase_steps
-    points per coordinate.  A global phase never changes the norm, so the
-    first coordinate is pinned to 1 and phase_steps^(n-1) masks are swept,
-    which is an exact reduction.  Cost grows geometrically; n is capped at
-    6.
+    attained at unimodular masks; the grid restricts each phase to
+    phase_steps equally spaced points.  A global phase never changes the
+    norm, so the first coordinate is pinned to 1 and all
+    phase_steps^(n-1) masks are swept, coordinate 1 fastest; the first
+    mask of largest norm wins.  The result is the exact maximum over the
+    grid and a replayable lower bound on the multiplier norm, certified
+    by the top singular pair of the chosen mask's matrix.  Cost grows
+    geometrically; n is capped at 6.
+
+    The grid is a Cartesian product, so the mask matrices are sums of
+    per-coordinate tables phase * x_k y_k^*.  The fastest coordinates,
+    as many as fit in GRID_CHUNK masks, form one block built once by
+    broadcast sums and held as real and imaginary planes; every setting
+    of the remaining coordinates adds one d x d offset to it.  The tables
+    are first scaled by an exact power of two, so no squared Gram entry
+    overflows at any scale of the pair.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
@@ -166,23 +238,30 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
         raise ValueError("phase_steps must be >= 8")
     n, d = pair.n, pair.dim
     phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
-    rank_ones = np.einsum("ki,kj->kij", pair.xs, pair.ys.conj()).reshape(n, d * d)
-    total = phase_steps ** (n - 1)
+    rank_ones = np.einsum("ki,kj->kij", pair.xs, pair.ys.conj())
+    rank_ones = rank_ones * _pow2_scale(rank_ones)
+    tables = rank_ones[:, :, :, None] * phases
+    fast = 0
+    while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:
+        fast += 1
+    inner = _digit_sums(rank_ones[0], tables[fast:0:-1])
+    offsets = _digit_sums(np.zeros((d, d), dtype=np.complex128),
+                          tables[n - 1:fast:-1])
+    inner_re = np.ascontiguousarray(inner.real)
+    inner_im = np.ascontiguousarray(inner.imag)
+    re = np.empty_like(inner_re)
+    im = np.empty_like(inner_im)
+    block = inner.shape[2]
     best_val = -np.inf
     best_idx = 0
-    for lo in range(0, total, GRID_CHUNK):
-        idx = np.arange(lo, min(lo + GRID_CHUNK, total))
-        eps = np.ones((idx.size, n), dtype=np.complex128)
-        rem = idx
-        for pos in range(1, n):
-            rem, dig = np.divmod(rem, phase_steps)
-            eps[:, pos] = phases[dig]
-        mats = (eps @ rank_ones).reshape(idx.size, d, d)
-        vals = _batched_op_norm(mats)
+    for outer in range(offsets.shape[2]):
+        np.add(inner_re, offsets.real[:, :, outer, None], out=re)
+        np.add(inner_im, offsets.imag[:, :, outer, None], out=im)
+        vals = _op_norm_planes(re, im)
         arg = int(np.argmax(vals))
         if vals[arg] > best_val:
             best_val = float(vals[arg])
-            best_idx = lo + arg
+            best_idx = outer * block + arg
     eps = np.ones(n, dtype=np.complex128)
     rem = best_idx
     for pos in range(1, n):
@@ -208,7 +287,9 @@ def check_amplified(mats: np.ndarray, n: int) -> np.ndarray:
 def amplified_input_norm(mats: np.ndarray) -> float:
     """max_k of the operator norms of the matrix coefficients."""
     a = check_amplified(mats, mats.shape[0])
-    return float(np.max(_batched_op_norm(a)))
+    scale = _pow2_scale(a)
+    planes = np.moveaxis(a * scale, 0, -1)
+    return float(np.max(_op_norm_planes(planes.real, planes.imag))) / scale
 
 
 def amplified_apply(pair: FramePair, mats: np.ndarray, us: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ one-sided inequalities may dip 1e-9 relative below zero slack, and
 statistical experiment thresholds carry an explicit 5 percent cushion.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +316,8 @@ def end_to_end_rescale_check(pair: FramePair, schauder_tol: float = 1e-8,
     if scaling.bounds_x.lower <= frame_tol or scaling.bounds_y.lower <= frame_tol:
         raise VerificationError(
             "rescaled family lost the lower frame bound", record)
-    if scaling.bounds_x.upper > bracket.m_upper + 1e-8 or \
-            scaling.bounds_y.upper > bracket.m_upper + 1e-8:
+    if scaling.bounds_x.upper > bracket.m_upper * (1.0 + 1e-8) or \
+            scaling.bounds_y.upper > bracket.m_upper * (1.0 + 1e-8):
         raise VerificationError(
             "rescaled family exceeds the certified upper bound", record)
     if sdev > schauder_tol:
@@ -383,7 +384,7 @@ def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
         if ratio > limit:
             raise VerificationError(
                 f"instance {i}: ratio {ratio:.6f} above {limit:.2f}", rec)
-        if bracket.m_lower > bracket.m_upper + 1e-8:
+        if bracket.m_lower > bracket.m_upper * (1.0 + 1e-8):
             raise VerificationError(
                 f"instance {i}: bracket inverted", rec)
     ratios = np.array([r["ratio"] for r in records])
@@ -608,8 +609,8 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
         grid_drift = 0.0
         if n <= 4:
             gr = norm_oracle_grid(pair, phase_steps=16).value
-            grid_drift = abs(norm_oracle_grid(scaled, phase_steps=16).value - gr) / (
-                1.0 + gr)
+            grid_drift = abs(norm_oracle_grid(scaled, phase_steps=16).value
+                             - gr) / gr
         record = {"instance": i, "n": n, "d": d, "diag_drift": diag_drift,
                   "unitary_drift": unitary_drift, "alternating_drift": alt_drift,
                   "pair_operator_drift": t_drift, "grid_drift": grid_drift}
@@ -627,7 +628,9 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
             "summary": {"instances": instances,
                         "worst_diag_drift": max(r["diag_drift"] for r in records),
                         "worst_unitary_drift": max(r["unitary_drift"]
-                                                   for r in records)}}
+                                                   for r in records),
+                        "worst_grid_drift": max(r["grid_drift"]
+                                                for r in records)}}
 
 
 def suite_subgradient_fd(seed: int = 0, points: int = 100,
@@ -682,15 +685,25 @@ SUITES = {
     "ratio": lambda seed=0, **kw: ratio_experiment(
         RatioConfig(seed=seed, **kw)),
     "dilation": suite_dilation,
+    "end_to_end": suite_end_to_end,
+    "d1": suite_d1,
+    "invariance": suite_invariance,
+    "subgradient_fd": suite_subgradient_fd,
 }
 
 
 def run_suite(name: str, seed: int = 0, **kwargs) -> dict:
-    """Run one named suite; 'all' runs every named suite in order."""
+    """Run one named suite; 'all' runs every named suite in order.
+
+    Each suite's report summary carries its wall time as wall_s.
+    """
     if name == "all":
         return {"suite": "all",
                 "reports": [run_suite(key, seed=seed) for key in SUITES]}
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES) + ['all']}")
-    return SUITES[name](seed=seed, **kwargs)
+    start = time.perf_counter()
+    report = SUITES[name](seed=seed, **kwargs)
+    report["summary"]["wall_s"] = time.perf_counter() - start
+    return report

@@ -100,9 +100,11 @@ def test_criterion_08_reparameterization_invariance():
     summary = report["summary"]
     assert summary["worst_diag_drift"] <= 1e-6
     assert summary["worst_unitary_drift"] <= 1e-9
+    assert summary["worst_grid_drift"] <= 1e-9
     print(f"criterion 08 PASS: diagonal drift "
           f"{summary['worst_diag_drift']:.2e}, unitary drift "
-          f"{summary['worst_unitary_drift']:.2e}")
+          f"{summary['worst_unitary_drift']:.2e}, grid drift "
+          f"{summary['worst_grid_drift']:.2e} (limit 1e-9)")
 
 
 def test_criterion_09_bracket_ordering():

@@ -225,6 +225,30 @@ def test_verify_suite_passes(tmp_path):
     assert report["summary"]["failures"] == 0
 
 
+@pytest.mark.parametrize("suite", ["end_to_end", "d1", "invariance",
+                                   "subgradient_fd"])
+def test_verify_reaches_every_registered_suite(suite, monkeypatch, capsys):
+    calls = []
+
+    def fake(name, seed=0, **kwargs):
+        calls.append(name)
+        return {"suite": name, "records": [], "summary": {"wall_s": 1.25}}
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    assert cli.main(["verify", "--suite", suite, "--seed", "0"]) == 0
+    assert calls == [suite]
+    assert capsys.readouterr().out.startswith(f"PASS {suite} in 1.2s: ")
+
+
+def test_verify_reports_suite_wall_time(tmp_path, capsys):
+    out = tmp_path / "d1.json"
+    assert cli.main(["verify", "--suite", "d1", "--seed", "0",
+                     "--out", str(out)]) == 0
+    wall = read_json(str(out))["summary"]["wall_s"]
+    assert wall > 0.0
+    assert capsys.readouterr().out.startswith(f"PASS d1 in {wall:.1f}s: ")
+
+
 def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
     env_out = tmp_path / "env.frame.json"

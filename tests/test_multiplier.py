@@ -21,7 +21,7 @@ from framescale.multiplier import (
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
-    _batched_op_norm,
+    _op_norm_planes,
 )
 
 from conftest import haar_unitary, random_complex
@@ -90,11 +90,81 @@ def test_alternating_certificate_replays():
 
 def test_batched_op_norm_matches_oracle():
     rng = np.random.default_rng(55)
-    for d in (1, 2, 3, 4):
-        mats = random_complex(rng, 40, d, d)
-        mine = _batched_op_norm(mats)
-        oracle = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in mats])
-        assert np.max(np.abs(mine - oracle)) <= 1e-10 * (1.0 + np.max(oracle))
+    for d in (1, 2, 3, 4, 5):
+        u, w = haar_unitary(rng, d), haar_unitary(rng, d)
+        spread = np.ones(d)
+        spread[0] = 2.0
+        mats = np.concatenate([
+            random_complex(rng, 40, d, d),
+            np.zeros((1, d, d), dtype=complex),
+            np.einsum("bi,bj->bij", random_complex(rng, 5, d),
+                      random_complex(rng, 5, d).conj()),
+            np.stack([3.0 * u, (u * spread) @ w, (u * spread[::-1]) @ w]),
+        ])
+        planes = np.moveaxis(mats, 0, -1)
+        mine = _op_norm_planes(planes.real, planes.imag)
+        oracle = np.array([np.linalg.norm(m, 2) for m in mats])
+        assert np.all(np.abs(mine - oracle) <= 1e-12 * oracle)
+
+
+def _swept_masks(n, steps):
+    """Every grid mask in sweep order: coordinate 0 pinned, 1 fastest."""
+    phases = np.exp(2j * np.pi * np.arange(steps) / steps)
+    idx = np.arange(steps ** (n - 1))
+    eps = np.ones((idx.size, n), dtype=complex)
+    for pos in range(1, n):
+        idx, dig = np.divmod(idx, steps)
+        eps[:, pos] = phases[dig]
+    return eps
+
+
+def _assert_grid_matches(pair, steps, norms):
+    masks = _swept_masks(pair.n, steps)
+    best = int(np.argmax(norms))
+    est = norm_oracle_grid(pair, phase_steps=steps)
+    assert np.array_equal(est.witness_mask, masks[best])
+    assert abs(est.value - norms[best]) <= 1e-12 * norms[best]
+
+
+def test_grid_oracle_matches_brute_force():
+    rng = np.random.default_rng(68)
+    for n in (1, 2, 3, 4):
+        for d in (1, 2, 3, 4):
+            pair = gaussian_pair(rng, n, d)
+            norms = [np.linalg.norm(mask_matrix(pair, eps), 2)
+                     for eps in _swept_masks(n, 8)]
+            _assert_grid_matches(pair, 8, np.array(norms))
+
+
+def test_grid_oracle_edge_sizes():
+    rng = np.random.default_rng(69)
+    one = gaussian_pair(rng, 1, 3)
+    est = norm_oracle_grid(one, phase_steps=8)
+    assert np.array_equal(est.witness_mask, [1.0])
+    solo = np.linalg.norm(one.xs[0]) * np.linalg.norm(one.ys[0])
+    assert abs(est.value - solo) <= 1e-12 * solo
+    # n = 2 fills one block with no outer digits; n = 6 at 16 steps
+    # sweeps 16 outer blocks of 16^4 masks
+    for n, d, steps in ((2, 3, 48), (6, 2, 16)):
+        pair = gaussian_pair(rng, n, d)
+        masks = _swept_masks(n, steps)
+        norms = np.concatenate([
+            np.linalg.svd(np.einsum("bk,ki,kj->bij", chunk, pair.xs,
+                                    pair.ys.conj()), compute_uv=False)[:, 0]
+            for chunk in np.array_split(masks, max(1, masks.shape[0] >> 16))])
+        _assert_grid_matches(pair, steps, norms)
+
+
+def test_grid_oracle_is_scale_equivariant_without_overflow():
+    rng = np.random.default_rng(70)
+    for d in (2, 3):
+        pair = gaussian_pair(rng, 4, d)
+        base = norm_oracle_grid(pair, phase_steps=16)
+        for c in (1e60, 1e100, 1e150):
+            est = norm_oracle_grid(FramePair(c * pair.xs, pair.ys),
+                                   phase_steps=16)
+            assert np.array_equal(est.witness_mask, base.witness_mask)
+            assert abs(est.value / c - base.value) <= 1e-12 * base.value
 
 
 def test_grid_oracle_on_scalar_pair():
@@ -166,6 +236,8 @@ def test_amplified_input_norm():
     rng = np.random.default_rng(61)
     mats = np.stack([haar_unitary(rng, 3), 0.5 * haar_unitary(rng, 3)])
     assert abs(amplified_input_norm(mats) - 1.0) <= 1e-10
+    for c in (1e-200, 1e200):
+        assert abs(amplified_input_norm(c * mats) / c - 1.0) <= 1e-10
 
 
 def test_cb_lower_dominates_unmasked_norm_and_witness():

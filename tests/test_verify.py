@@ -280,5 +280,6 @@ def test_suite_d1_deterministic():
 def test_run_suite_dispatch():
     report = run_suite("khintchine", seed=1, vectors=60)
     assert report["suite"] == "khintchine"
+    assert report["summary"]["wall_s"] > 0.0
     with pytest.raises(ValueError):
         run_suite("nonsense")
