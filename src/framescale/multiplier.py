@@ -229,8 +229,8 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     as many as fit in GRID_CHUNK masks, form one block built once by
     broadcast sums and held as real and imaginary planes; every setting
     of the remaining coordinates adds one d x d offset to it.  The tables
-    are first scaled by an exact power of two, so no squared Gram entry
-    overflows at any scale of the pair.
+    are first scaled by an exact power of two, so the Gram entries stay
+    inside the float range whenever the tables themselves do.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
