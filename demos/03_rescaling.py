@@ -31,7 +31,8 @@ print(f"  y family bounds: [{by.lower:.3e}, {by.upper:.3e}]")
 bracket = optimize(pair, seed=0)
 print("\noptimized log-weights")
 print(f"  certified upper bound: {bracket.m_upper:.6f}")
-print(f"  sampled lower bound:   {bracket.m_lower:.6f}")
+print(f"  dual lower bound:      {bracket.m_lower:.6f}")
+print(f"  relative gap:          {bracket.gap:.1e}")
 print(f"  balanced branches: f = {bracket.f:.6f}, g = {bracket.g:.6f}")
 
 scaling = extract_scaling(pair, bracket.log_weights)

@@ -272,8 +272,7 @@ def _cmd_rescale(args) -> int:
     failures = 0
     ratios = []
     for label, pair, _ in corpus:
-        bracket = optimize(pair, max_iters=args.max_iters, tol=args.tol,
-                           seed=seed)
+        bracket = optimize(pair, seed=seed)
         scaling = extract_scaling(pair, bracket.log_weights)
         checks = {
             "bound_respected": bool(
@@ -292,6 +291,7 @@ def _cmd_rescale(args) -> int:
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
                "phi_norm_lower": bracket.phi_lower.value,
                "M_upper": bracket.m_upper, "M_lower": bracket.m_lower,
+               "gap": bracket.gap,
                "weights": [float(t) for t in bracket.log_weights],
                "bessel_x": [scaling.bounds_x.lower, scaling.bounds_x.upper],
                "bessel_y": [scaling.bounds_y.lower, scaling.bounds_y.upper],
@@ -307,7 +307,7 @@ def _cmd_rescale(args) -> int:
         records.append(rec)
         ratio_note = f" ratio={rec['ratio']:.4f}" if "ratio" in rec else ""
         print(f"{label}: M_lower={bracket.m_lower:.6g} "
-              f"M_upper={bracket.m_upper:.6g} "
+              f"M_upper={bracket.m_upper:.6g} gap={bracket.gap:.2g} "
               f"bessel=({scaling.bounds_x.upper:.6g}, "
               f"{scaling.bounds_y.upper:.6g}){ratio_note} ok={ok}")
     summary = {"instances": len(records), "failures": failures}
@@ -390,12 +390,12 @@ def _cmd_bench(args) -> int:
             norm_oracle_grid(pair, phase_steps=args.phase_steps)
         t_grid = time.perf_counter() - t0
         t0 = time.perf_counter()
-        optimize(pair)
+        bracket = optimize(pair)
         t_opt = time.perf_counter() - t0
         rec = {"n": n, "d": d, "workload_checksum": checksum,
                "eig_seconds": t_eig,
                "grid_seconds": t_grid if grid_ok else None,
-               "optimize_seconds": t_opt}
+               "optimize_seconds": t_opt, "stats": bracket.stats}
         records.append(rec)
         grid_note = f" grid={t_grid:.4f}s" if grid_ok else ""
         print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s{grid_note} "
@@ -443,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     rescale.add_argument("--in", dest="infile", required=True,
                          help="instance file or corpus directory")
     rescale.add_argument("--seed", type=int, default=None)
-    rescale.add_argument("--max-iters", type=int, default=2000)
-    rescale.add_argument("--tol", type=float, default=1e-7)
     rescale.add_argument("--phase-steps", type=int, default=0,
                          help="also run the grid oracle and report the ratio")
     rescale.add_argument("--dilation", action="store_true",

@@ -320,16 +320,13 @@ def assemble_block(pair: FramePair, mats: np.ndarray) -> np.ndarray:
 
 
 def cb_lower_sampled(pair: FramePair, m: int = 2, samples: int = 12,
-                     seed: int = 0,
-                     scalar: MultiplierNormEstimate | None = None) -> float:
+                     seed: int = 0) -> float:
     """Sampled lower bound on the completely bounded multiplier norm.
 
     Candidates: the identity coefficients (norm of the unmasked sum), the
     best alternating scalar witness, and random unitary or diagonal-phase
     coefficient tuples of order m.  The result is the largest amplified
-    norm seen, hence monotone in the sample set.  A caller that already
-    ran norm_lower_alternating(pair, seed=seed) passes its estimate as
-    scalar, and the ascent is not repeated.
+    norm seen, hence monotone in the sample set.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -338,9 +335,7 @@ def cb_lower_sampled(pair: FramePair, m: int = 2, samples: int = 12,
     n, d = pair.n, pair.dim
     eye = np.broadcast_to(np.eye(m, dtype=np.complex128), (n, m, m)).copy()
     best, _, _ = top_singular_triplet(assemble_block(pair, eye))
-    if scalar is None:
-        scalar = norm_lower_alternating(pair, seed=seed)
-    best = max(best, scalar.value)
+    best = max(best, norm_lower_alternating(pair, seed=seed).value)
     rng = np.random.default_rng(np.random.SeedSequence([seed, m]))
     for s in range(samples):
         if s % 2 == 0:

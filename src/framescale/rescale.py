@@ -9,13 +9,17 @@ and every amplified masked map satisfies ||Phi_(m)(A)|| <= sqrt(f g) ||A||
 <= max(f, g) ||A||, a row-column factorization through the rescaled pair
 (e^{t_k/2} x_k, e^{-t_k/2} y_k).  Minimizing h = max(f, g) over t therefore
 produces an upper bound M_upper on the completely bounded norm together
-with explicit weights, and the optimizer below also reports a sampled
-lower bound so callers get a bracket.
+with explicit weights.
 
-h is convex in t (each branch is a maximum of affine functions of e^{t_k}
-composed with convex exponentials), so a projected subgradient phase
-followed by a smoothed spectral Newton polish converges to the global
-minimum.
+The dual side gives the lower bound.  For density matrices rho and sigma,
+
+    D(rho, sigma) = sum_k sqrt(<rho x_k, x_k> <sigma y_k, y_k>)
+
+is at most h(t) for every t (Cauchy-Schwarz on the two weighted sums)
+and at most the completely bounded norm, because rank-one unit
+coefficients built from rho and sigma reach it (Haagerup's factorization
+of Schur multipliers; Paulsen, Completely Bounded Maps and Operator
+Algebras, 2002).  h is convex, and the two sides meet at its minimum.
 """
 
 import time
@@ -25,12 +29,7 @@ import numpy as np
 
 from .frames import BesselBounds, FramePair, bessel_and_frame_bounds
 from .linalg import eigh, psd_sqrt
-from .multiplier import (
-    MultiplierNormEstimate,
-    cb_lower_sampled,
-    check_mask,
-    norm_lower_alternating,
-)
+from .multiplier import MultiplierNormEstimate, check_mask, norm_lower_alternating
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 # Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
@@ -39,6 +38,15 @@ BRACKET_SLACK = 1e-8  # relative to m_upper
 # 12 passes); 4 keeps the longest backtrack to 10 calls
 ARMIJO_STEPS = np.ldexp(1.0, -np.arange(40))
 LINE_SEARCH_BLOCK = 4
+# Newton stages run at sharpness b = b_rel / h for b_rel = B_REL_START,
+# B_REL_START * B_REL_FACTOR, ... up to B_REL_TOP, at most NEWTON_STEPS
+# steps each; optimize stops after the first stage whose duality gap
+# (m_upper - D) / m_upper is at most GAP_TOL
+B_REL_START = 1e2
+B_REL_FACTOR = 10.0
+B_REL_TOP = 1e10
+NEWTON_STEPS = 25
+GAP_TOL = 1e-13
 _SIGNS = np.array([[1.0], [-1.0]])  # log-weights of F and G: +t and -t
 
 
@@ -86,8 +94,9 @@ def _branch_tops(obj: _Objective, t: np.ndarray):
     return float(w[0, -1]), v[0, :, -1], float(w[1, -1]), v[1, :, -1]
 
 
-def _balanced(obj: _Objective, t: np.ndarray) -> np.ndarray:
-    f, _, g, _ = _branch_tops(obj, t)
+def _balanced(t: np.ndarray, spectra) -> np.ndarray:
+    """t shifted as in balance, from the spectra at t."""
+    f, g = spectra[0][:, -1]
     return t + 0.5 * np.log(g / f)
 
 
@@ -105,7 +114,8 @@ def balance(pair: FramePair, t: np.ndarray) -> np.ndarray:
     c = (ln g - ln f) / 2 makes both equal to sqrt(f g), which never
     increases max(f, g).
     """
-    return _balanced(_Objective(pair), _check_weights(t, pair.n))
+    t = _check_weights(t, pair.n)
+    return _balanced(t, _Objective(pair).spectra(t))
 
 
 def subgradient(pair: FramePair, t: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
@@ -209,48 +219,69 @@ def _armijo_step(obj: _Objective, t: np.ndarray, step: np.ndarray, b: float,
     return None
 
 
-def _newton_polish(obj: _Objective, t: np.ndarray,
-                   beta_relative=(1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10),
-                   max_newton: int = 25) -> np.ndarray:
-    """Anneal the smoothed objective down to a sharp minimum of h."""
-    tiny = np.finfo(np.float64).tiny
-    for b_rel in beta_relative:
-        t = _balanced(obj, t)
-        spectra = obj.spectra(t)
-        f, g = spectra[0][:, -1]
-        b = b_rel / max(max(f, g), tiny)
-        for _ in range(max_newton):
-            psi, grad, hess = _smoothed_state(obj, t, b, spectra)
-            gnorm = float(np.max(np.abs(grad)))
-            if gnorm <= 1e-13 * (1.0 + abs(psi)):
-                break
-            obj.newton_steps += 1
-            w, v = obj.eigh(hess)
-            floor = max(1e-12 * float(np.max(np.abs(w))), 1e-300)
-            step = -(v @ ((v.conj().T @ grad) / np.maximum(w, floor))).real
-            cap = float(np.max(np.abs(step)))
-            if cap > 3.0:
-                step *= 3.0 / cap
+def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
+    """Damped Newton steps on the smoothed objective at sharpness b.
+
+    Each step solves with the Hessian's eigendecomposition, its spectrum
+    floored at 1e-12 of the largest eigenvalue, caps the step at 3 in
+    every coordinate, and takes the Armijo point of _armijo_step.  Stops
+    when the gradient is below 1e-13 of psi (relative, so the rule is
+    the same at every scale of the pair), when no Armijo point passes, or
+    after NEWTON_STEPS steps.  Returns the last point and its spectra.
+    """
+    h = float(spectra[0][:, -1].max())
+    for _ in range(NEWTON_STEPS):
+        psi, grad, hess = _smoothed_state(obj, t, b, spectra)
+        if float(np.max(np.abs(grad))) <= 1e-13 * abs(psi):
+            break
+        obj.newton_steps += 1
+        w, v = obj.eigh(hess)
+        floor = max(1e-12 * float(np.max(np.abs(w))), 1e-300)
+        step = -(v @ ((v.conj().T @ grad) / np.maximum(w, floor))).real
+        cap = float(np.max(np.abs(step)))
+        if cap > 3.0:
+            step *= 3.0 / cap
+        slope = float(grad @ step)
+        if slope >= 0.0:
+            step = -grad / h
             slope = float(grad @ step)
-            if slope >= 0.0:
-                step = -grad / max(max(f, g), tiny)
-                slope = float(grad @ step)
-            found = _armijo_step(obj, t, step, b, psi, slope)
-            if found is None:
-                break
-            t, spectra = found
-    return _balanced(obj, t)
+        found = _armijo_step(obj, t, step, b, psi, slope)
+        if found is None:
+            break
+        t, spectra = found
+    return t, spectra
+
+
+def _dual_certificate(obj: _Objective, spectra, b: float):
+    """D at rho = e^{bF} / tr e^{bF} and sigma = e^{bG} / tr e^{bG}.
+
+    Returns D and the witness tuples us, vs (see CbBracket): row i of vs
+    is sqrt(p_i) times eigenvector i of F, so rho = sum_i vs_i vs_i^*,
+    and likewise us for sigma and G.
+    """
+    w, v = spectra
+    p = np.exp(b * (w - w[:, -1:]))
+    p /= p.sum(axis=1, keepdims=True)
+    tuples = np.sqrt(p)[:, :, None] * np.swapaxes(v, 1, 2)
+    norms = np.linalg.norm(obj.vecs.conj() @ np.swapaxes(tuples, 1, 2), axis=2)
+    return float(np.sum(norms[0] * norms[1])), tuples[1], tuples[0]
 
 
 @dataclass(frozen=True)
 class CbBracket:
     """Two-sided bracket on the completely bounded multiplier norm.
 
-    phi_lower is the alternating-ascent estimate of the scalar multiplier
-    norm, with its replayable witness, that fed m_lower.  stats counts
-    what optimize did: subgradient_iters, newton_steps,
-    line_search_candidates (Armijo points scored), eigh_calls (stacked
-    LAPACK calls on F, G and the Newton Hessian) and wall_s.
+    m_lower is the larger of two certified values, each with a witness
+    that replays it.  phi_lower is the alternating-ascent estimate of the
+    scalar multiplier norm, with its mask and unit vectors.  dual_us and
+    dual_vs are the (m, d) tuples of the dual certificate D: with
+    cu_k = (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the unit rank-one
+    coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0
+    where either vanishes) give an amplified map whose norm is at least
+    sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
+    newton_steps, line_search_candidates (Armijo points scored),
+    eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian) and
+    wall_s.
     """
 
     m_lower: float
@@ -259,6 +290,8 @@ class CbBracket:
     f: float
     g: float
     phi_lower: MultiplierNormEstimate | None = None
+    dual_us: np.ndarray | None = None
+    dual_vs: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -270,82 +303,52 @@ class CbBracket:
         if abs(max(self.f, self.g) - self.m_upper) > 1e-10 * scale:
             raise ValueError("m_upper must equal max(f, g) at the stored weights")
 
+    @property
+    def gap(self) -> float:
+        """Relative width (m_upper - m_lower) / m_upper of the bracket."""
+        return (self.m_upper - self.m_lower) / self.m_upper
 
-def optimize(pair: FramePair, max_iters: int = 2000, tol: float = 1e-7,
-             step0: float = 1.0, stall_window: int = 150, seed: int = 0,
-             polish: bool = True, cb_order: int = 2,
-             cb_samples: int = 12) -> CbBracket:
+
+def optimize(pair: FramePair, seed: int = 0) -> CbBracket:
     """Minimize max(f, g) over log-weights and bracket the cb norm.
 
-    Phase one is projected subgradient descent with diminishing steps
-    s_i = step0 / sqrt(i + 1), rebalancing after every step and keeping
-    the best iterate.  Phase two polishes with the annealed smoothed
-    Newton method, which pushes the optimality gap to roughly 1e-10
-    relative; phase one therefore hands off as soon as progress per
-    stall_window iterations falls below a coarse threshold.  With
-    polish=False the subgradient phase runs until the improvement per
-    window drops below tol.  The subgradient is normalized by the
-    current objective so steps are scale free.  The rank-one stacks
-    are built once, and alternating ascent runs once, seeded by seed.
+    One loop: from the balanced equalizer start, Newton stages on the
+    smoothed objective at b_rel = B_REL_START, times B_REL_FACTOR each
+    stage, up to B_REL_TOP.  After each stage t is balanced and the Gibbs
+    states of F and G give the dual value D; the loop stops once
+    m_upper - D <= GAP_TOL * m_upper.  m_lower is the larger of D and the
+    alternating-ascent estimate (run once, seeded by seed), both
+    certified.  The rank-one stacks are built once per pair.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if tol <= 0.0 or step0 <= 0.0:
-        raise ValueError("tol and step0 must be positive")
     started = time.perf_counter()
-    tiny = np.finfo(np.float64).tiny
     obj = _Objective(pair)
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
     t = np.log(np.linalg.norm(pair.ys, axis=1) / np.linalg.norm(pair.xs, axis=1))
-    # balancing is a common shift, which leaves both top eigenvectors
-    # unchanged, so one eigendecomposition pair per iteration suffices;
-    # after it f = g, so the tied (averaged) subgradient always applies
-    f, vf, g, vg = _branch_tops(obj, t)
-    t = t + 0.5 * np.log(g / f)
-    h = float(np.sqrt(f * g))
-    best_h = h
-    best_t = t.copy()
-    marker = best_h
-    since_mark = 0
-    stall_tol = max(tol, 1e-3) if polish else tol
-    iters = 0
-    for i in range(max_iters):
-        sub = 0.5 * (np.exp(t) * np.abs(pair.xs.conj() @ vf) ** 2
-                     - np.exp(-t) * np.abs(pair.ys.conj() @ vg) ** 2)
-        if float(np.sum(np.abs(sub))) <= 1e-15 * (1.0 + h):
+    t = _balanced(t, obj.spectra(t))
+    spectra = obj.spectra(t)
+    b_rel = B_REL_START
+    stages = 0
+    while True:
+        stages += 1
+        b = b_rel / float(spectra[0][:, -1].max())
+        t, spectra = _newton_stage(obj, t, spectra, b)
+        t = _balanced(t, spectra)
+        spectra = obj.spectra(t)
+        dual, us, vs = _dual_certificate(obj, spectra, b)
+        f, g = (float(top) for top in spectra[0][:, -1])
+        m_upper = max(f, g)
+        if m_upper - dual <= GAP_TOL * m_upper or b_rel >= B_REL_TOP:
             break
-        iters += 1
-        t = t - (step0 / np.sqrt(i + 1.0)) * sub / max(h, tiny)
-        f, vf, g, vg = _branch_tops(obj, t)
-        t = t + 0.5 * np.log(g / f)
-        h = float(np.sqrt(f * g))
-        if h < best_h:
-            best_h = h
-            best_t = t.copy()
-        since_mark += 1
-        if since_mark >= stall_window:
-            if marker - best_h <= stall_tol * best_h:
-                break
-            marker = best_h
-            since_mark = 0
-    if polish:
-        polished = _newton_polish(obj, best_t)
-        f_p, _, g_p, _ = _branch_tops(obj, polished)
-        if max(f_p, g_p) <= best_h:
-            best_t = polished
-            best_h = max(f_p, g_p)
-    best_t = _balanced(obj, best_t)
-    f, _, g, _ = _branch_tops(obj, best_t)
+        b_rel *= B_REL_FACTOR
     phi_lower = norm_lower_alternating(pair, seed=seed)
-    lower = cb_lower_sampled(pair, m=cb_order, samples=cb_samples, seed=seed,
-                             scalar=phi_lower)
-    stats = {"subgradient_iters": iters, "newton_steps": obj.newton_steps,
+    stats = {"stages": stages, "newton_steps": obj.newton_steps,
              "line_search_candidates": obj.candidates,
              "eigh_calls": obj.eigh_calls,
              "wall_s": time.perf_counter() - started}
-    return CbBracket(lower, max(f, g), best_t, f, g, phi_lower, stats)
+    return CbBracket(max(dual, phi_lower.value), m_upper, t, f, g, phi_lower,
+                     us, vs, stats)
 
 
 @dataclass(frozen=True)

@@ -598,13 +598,11 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
         rotated = FramePair(pair.xs @ u.T, pair.ys @ u.T)
 
         base = optimize(pair)
-        diag_drift = abs(optimize(scaled).m_upper - base.m_upper) / (
-            1.0 + base.m_upper)
-        unitary_drift = abs(optimize(rotated).m_upper - base.m_upper) / (
-            1.0 + base.m_upper)
+        diag_drift = abs(optimize(scaled).m_upper - base.m_upper) / base.m_upper
+        unitary_drift = abs(optimize(rotated).m_upper - base.m_upper) / base.m_upper
 
         alt = norm_lower_alternating(pair).value
-        alt_drift = abs(norm_lower_alternating(scaled).value - alt) / (1.0 + alt)
+        alt_drift = abs(norm_lower_alternating(scaled).value - alt) / alt
         t_drift = float(np.max(np.abs(pair_operator(scaled) - pair_operator(pair))))
         grid_drift = 0.0
         if n <= 4:

@@ -161,11 +161,13 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     rec = read_json(str(out))["records"][0]
     assert rec["phi_norm_lower"] == norm_lower_alternating(pair, seed=2).value
     stats = rec["stats"]
-    assert set(stats) == {"subgradient_iters", "newton_steps",
+    assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls", "wall_s"}
     assert all(v > 0 for v in stats.values())
+    assert rec["gap"] == (rec["M_upper"] - rec["M_lower"]) / rec["M_upper"]
+    assert rec["gap"] <= 1e-12
     header = (tmp_path / "res.csv").read_text().splitlines()[0].split(",")
-    assert {f"stats.{key}" for key in stats} <= set(header)
+    assert {f"stats.{key}" for key in stats} | {"gap"} <= set(header)
 
 
 def test_rescale_checks_are_relative_to_the_bound(tmp_path):
@@ -275,6 +277,10 @@ def test_bench_checksums_are_deterministic(tmp_path):
     rec_a = read_json(str(out_a))["records"][0]
     rec_b = read_json(str(out_b))["records"][0]
     assert rec_a["workload_checksum"] == rec_b["workload_checksum"]
+    # the optimizer's counts repeat; only its wall time may differ
+    counts = {k: v for k, v in rec_a["stats"].items() if k != "wall_s"}
+    assert counts == {k: v for k, v in rec_b["stats"].items() if k != "wall_s"}
+    assert counts["stages"] >= 1
 
 
 def test_bench_empty_grid(tmp_path):

@@ -260,14 +260,6 @@ def test_cb_lower_on_orthonormal_basis_pair_is_one():
         assert abs(cb - 1.0) <= 1e-9
 
 
-def test_cb_lower_reuses_a_passed_scalar_estimate():
-    rng = np.random.default_rng(67)
-    pair = gaussian_pair(rng, 4, 2)
-    scalar = norm_lower_alternating(pair, seed=5)
-    assert cb_lower_sampled(pair, seed=5, scalar=scalar) == cb_lower_sampled(
-        pair, seed=5)
-
-
 def test_cb_lower_monotone_in_samples():
     rng = np.random.default_rng(64)
     pair = gaussian_pair(rng, 4, 2)

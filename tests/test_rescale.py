@@ -8,6 +8,7 @@ from framescale.frames import FramePair, bessel_and_frame_bounds, pair_operator
 from framescale.instances import (
     canonical_dual_pair,
     gaussian_pair,
+    generate,
     mangle,
     mangling_scalars,
     onb_union_pair,
@@ -215,7 +216,7 @@ def test_optimize_invariant_under_diagonal_reparameterization():
     scaled = mangle(pair, mangling_scalars(rng, 4, (1e-3, 1e3)))
     a = optimize(pair)
     b = optimize(scaled)
-    assert abs(a.m_upper - b.m_upper) <= 1e-6 * (1.0 + a.m_upper)
+    assert abs(a.m_upper - b.m_upper) <= 1e-6 * a.m_upper
     # a global factor c on either family scales both bounds by exactly c
     for c in (1e-6, 1e6):
         for xs, ys in ((c * pair.xs, pair.ys), (pair.xs, c * pair.ys)):
@@ -231,16 +232,17 @@ def test_optimize_invariant_under_common_unitary():
     rotated = FramePair(pair.xs @ u.T, pair.ys @ u.T)
     a = optimize(pair)
     b = optimize(rotated)
-    assert abs(a.m_upper - b.m_upper) <= 1e-9 * (1.0 + a.m_upper)
+    assert abs(a.m_upper - b.m_upper) <= 1e-9 * a.m_upper
 
 
 def test_bracket_fields_consistent():
     rng = np.random.default_rng(78)
     pair = gaussian_pair(rng, 4, 2)
     br = optimize(pair)
-    assert br.m_lower <= br.m_upper + 1e-8
-    assert abs(max(br.f, br.g) - br.m_upper) <= 1e-10 * (1.0 + br.m_upper)
+    assert br.m_lower <= br.m_upper * (1.0 + 1e-8)
+    assert abs(max(br.f, br.g) - br.m_upper) <= 1e-10 * br.m_upper
     assert abs(br.f - br.g) <= 1e-8 * (br.f + br.g)
+    assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
     with pytest.raises(ValueError):
         CbBracket(2.0, 1.0, np.zeros(4), 1.0, 1.0)
 
@@ -266,11 +268,63 @@ def test_optimize_reports_its_ascent_and_repeatable_counts():
     assert replay == est.value
     assert first.m_lower >= est.value
     counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
-    assert set(counts) == {"subgradient_iters", "newton_steps",
+    assert set(counts) == {"stages", "newton_steps",
                            "line_search_candidates", "eigh_calls"}
     assert all(isinstance(v, int) and v > 0 for v in counts.values())
     assert counts == {k: v for k, v in second.stats.items() if k != "wall_s"}
     assert first.stats["wall_s"] > 0.0
+
+
+def test_optimize_is_equivariant_under_a_tiny_global_scale():
+    # the Newton stop rule is relative to psi: a factor c on both families
+    # scales m_upper by exactly c^2 (an absolute rule drifted 9e-4 at 1e-8)
+    pair = generate("gaussian", np.random.default_rng(3), 4, 2)
+    base = optimize(pair)
+    for c in (1e-8, 1e-6):
+        br = optimize(FramePair(c * pair.xs, c * pair.ys))
+        assert abs(br.m_upper / c ** 2 - base.m_upper) <= 1e-12 * base.m_upper
+        assert abs(br.m_lower / c ** 2 - base.m_lower) <= 1e-12 * base.m_lower
+
+
+def _dual_coefficients(pair, us, vs):
+    """A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T of the CbBracket docstring."""
+    cu = pair.ys.conj() @ us.T
+    cv = pair.xs.conj() @ vs.T
+    nu = np.linalg.norm(cu, axis=1)[:, None]
+    nv = np.linalg.norm(cv, axis=1)[:, None]
+    live = (nu > 0.0) & (nv > 0.0)
+    cu = np.where(live, cu / np.where(live, nu, 1.0), 0.0)
+    cv = np.where(live, cv / np.where(live, nv, 1.0), 0.0)
+    return np.einsum("ki,kj->kij", cv, cu.conj())
+
+
+def test_dual_certificate_replays():
+    rng = np.random.default_rng(91)
+    for _ in range(12):
+        d = int(rng.integers(1, 4))
+        pair = gaussian_pair(rng, int(rng.integers(1, 7)), d)
+        br = optimize(pair)
+        us, vs = br.dual_us, br.dual_vs
+        assert us.shape == vs.shape == (d, d)
+        # each tuple is a unit vector of C^d (x) C^d: a density matrix's root
+        assert abs(np.linalg.norm(us) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(vs) - 1.0) <= 1e-12
+        mats = _dual_coefficients(pair, us, vs)
+        assert amplified_input_norm(mats) <= 1.0 + 1e-12
+        block = assemble_block(pair, mats)
+        sigma, _, _ = top_singular_triplet(block)
+        bilinear = np.real(vs.reshape(-1).conj() @ block @ us.reshape(-1))
+        assert sigma >= bilinear * (1.0 - 1e-12)
+        assert sigma >= br.m_lower * (1.0 - 1e-12)
+        best = max(br.phi_lower.value, bilinear)
+        assert abs(br.m_lower - best) <= 1e-12 * br.m_lower
+
+
+def test_dual_certificate_closes_a_large_bracket():
+    pair = generate("gaussian", np.random.default_rng(0), 40, 8)
+    br = optimize(pair)
+    assert br.gap <= 1e-9
+    assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
 
 
 def test_certificate_valid_at_arbitrary_weights():
