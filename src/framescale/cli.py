@@ -399,7 +399,7 @@ def _cmd_bench(args) -> int:
         records.append(rec)
         grid_note = f" grid={t_grid:.4f}s" if grid_ok else ""
         print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s{grid_note} "
-              f"optimize={t_opt:.4f}s")
+              f"optimize={t_opt:.4f}s ascent={bracket.stats['ascent_s']:.4f}s")
     if not records:
         print("empty grid, nothing to time")
     if args.out:

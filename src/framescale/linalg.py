@@ -3,10 +3,10 @@
 Every routine checks its input (finite entries, and Hermitian symmetry
 where the decomposition assumes it) and then calls numpy.linalg, which
 runs LAPACK.  Matrices are plain complex ndarrays of shape (d, d) with d
-small (tens, not thousands).  check_hermitian and eigh also take a stack
-of shape (..., d, d): every matrix in it gets the same checks, and the
-whole stack goes to LAPACK in one call, whose results are bitwise equal
-to one call per matrix.
+small (tens, not thousands).  check_hermitian, eigh and
+top_singular_triplet also take a stack of shape (..., r, c): every matrix
+in it gets the same checks, and the whole stack goes to LAPACK in one
+call, whose results are bitwise equal to one call per matrix.
 """
 
 import numpy as np
@@ -63,16 +63,21 @@ def top_singular_triplet(mat: np.ndarray):
     """Largest singular triplet (sigma, u, v) with mat @ v = sigma * u.
 
     u and v are unit vectors; for the zero matrix sigma is 0 and u is the
-    first standard basis vector.
+    first standard basis vector.  For an (..., r, c) stack, sigma has
+    shape (...), u (..., r) and v (..., c), and the zero-matrix rule
+    holds per matrix.
     """
-    a = check_matrix(mat, square=False)
+    a = check_matrix(mat, square=False, stack=True)
     left, s, right_h = np.linalg.svd(a)
-    sigma = float(s[0])
-    u = left[:, 0]
-    v = right_h[0].conj()
-    if sigma == 0.0:
-        u = np.zeros(a.shape[0], dtype=np.complex128)
-        u[0] = 1.0
+    sigma = s[..., 0]
+    u = left[..., :, 0]
+    v = right_h[..., 0, :].conj()
+    zero = sigma == 0.0
+    if zero.any():
+        e0 = np.eye(1, a.shape[-2], dtype=np.complex128)[0]
+        u = np.where(zero[..., None], e0, u)
+    if a.ndim == 2:
+        return float(sigma), u, v
     return sigma, u, v
 
 

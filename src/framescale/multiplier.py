@@ -4,7 +4,8 @@ A scalar mask a = (a_1, ..., a_n) with |a_k| <= 1 induces the linear map
 u -> sum_k a_k <u, y_k> x_k.  The worst mask norm is the multiplier norm;
 replacing scalars by m x m matrices gives the amplified maps whose supremum
 over all m is the completely bounded norm.  This module provides exact
-evaluation, an alternating-ascent lower bound with certified witnesses, an
+evaluation, an alternating-ascent lower bound with certified witnesses
+(its restarts run in lockstep, one stacked SVD per iteration), an
 exhaustive phase-grid oracle for small n, and a sampled amplified lower
 bound.
 """
@@ -19,12 +20,16 @@ from .linalg import top_singular_triplet
 MASK_SLACK = 1e-12
 
 
-def check_mask(mask: np.ndarray, n: int) -> np.ndarray:
-    """Validate a scalar mask: length n, finite, inside the closed unit disc."""
+def check_mask(mask: np.ndarray, n: int, stack: bool = False) -> np.ndarray:
+    """Validate a scalar mask: length n, finite, inside the closed unit disc.
+
+    With stack=True the input may also be a stack of masks of shape
+    (..., n); every row gets the same checks in one pass.
+    """
     a = np.asarray(mask, dtype=np.complex128)
-    if a.shape != (n,):
+    if a.ndim < 1 or a.shape[-1] != n or (a.ndim > 1 and not stack):
         raise ValueError(f"mask shape {a.shape} does not match n={n}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("mask has non-finite entries")
     big = float(np.max(np.abs(a)))
     if big > 1.0 + MASK_SLACK:
@@ -37,7 +42,9 @@ class MultiplierNormEstimate:
     """A certified lower estimate of the multiplier norm.
 
     value equals Re sum_k mask_k <u, y_k> <x_k, v> for the stored unit
-    witnesses, so any reader can replay the certificate.
+    witnesses, so any reader can replay the certificate.  iterations
+    counts the stacked SVD steps of the alternating ascent (0 for other
+    methods).
     """
 
     value: float
@@ -45,13 +52,15 @@ class MultiplierNormEstimate:
     witness_v: np.ndarray
     witness_mask: np.ndarray
     method: str
+    iterations: int = 0
 
 
 def _certify(pair: FramePair, mask: np.ndarray, u: np.ndarray,
-             v: np.ndarray, method: str) -> MultiplierNormEstimate:
+             v: np.ndarray, method: str,
+             iterations: int = 0) -> MultiplierNormEstimate:
     coeff = mask * (pair.ys.conj() @ u) * (pair.xs @ v.conj())
     value = float(np.real(np.sum(coeff)))
-    return MultiplierNormEstimate(value, u, v, mask, method)
+    return MultiplierNormEstimate(value, u, v, mask, method, iterations)
 
 
 def apply_mask(pair: FramePair, mask: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -78,37 +87,50 @@ def norm_lower_alternating(pair: FramePair, restarts: int = 8,
     mask matrix; with (u, v) fixed, the best mask aligns each phase so
     every term contributes positively.  Both half-steps are monotone.  The
     first restart starts from the all-ones mask, the rest from random
-    phases.
+    phases.  A restart stops once its aligned value rises by at most tol
+    of itself, or after max_iters steps; the first restart of largest
+    certified value wins.
+
+    The restarts run in lockstep: each iteration takes the mask matrices
+    of every restart still running from the rank-one tables x_k y_k^* in
+    one broadcast sum and their top triplets in one stacked SVD.  The sums
+    run over the k axis, never through a GEMM over the block, so a
+    restart's trajectory is bitwise the same whichever other restarts are
+    still running, and the first r restarts of a call give the value that
+    restarts=r gives.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best = None
-    for r in range(restarts):
-        if r == 0:
-            eps = np.ones(pair.n, dtype=np.complex128)
-        else:
-            rng = np.random.default_rng(seeds[r])
-            eps = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=pair.n))
-        prev = -np.inf
-        u = v = None
-        for _ in range(max_iters):
-            m = mask_matrix(pair, eps)
-            sigma, left, right = top_singular_triplet(m)
-            u, v = right, left
-            terms = (pair.ys.conj() @ u) * (pair.xs @ v.conj())
-            mags = np.abs(terms)
-            aligned = float(np.sum(mags))
-            live = mags > 0.0
-            eps = np.where(live, np.conj(terms) / np.where(live, mags, 1.0), eps)
-            if aligned - prev <= tol * aligned:
-                prev = aligned
-                break
-            prev = aligned
-        cand = _certify(pair, eps, u, v, "alternating")
-        if best is None or cand.value > best.value:
-            best = cand
-    return best
+    eps = np.ones((restarts, pair.n), dtype=np.complex128)
+    for r in range(1, restarts):
+        rng = np.random.default_rng(seeds[r])
+        eps[r] = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=pair.n))
+    xs, ys_conj = pair.xs, pair.ys.conj()
+    rank_ones = xs[:, :, None] * ys_conj[:, None, :]
+    us = np.zeros((restarts, pair.dim), dtype=np.complex128)
+    vs = np.zeros_like(us)
+    prev = np.full(restarts, -np.inf)
+    live = np.arange(restarts)
+    iterations = 0
+    while live.size and iterations < max_iters:
+        iterations += 1
+        a = check_mask(eps[live], pair.n, stack=True)
+        mats = (a[:, :, None, None] * rank_ones).sum(axis=1)
+        _, left, right = top_singular_triplet(mats)
+        us[live], vs[live] = right, left
+        terms = ((ys_conj * right[:, None, :]).sum(axis=-1)
+                 * (xs * left.conj()[:, None, :]).sum(axis=-1))
+        mags = np.abs(terms)
+        aligned = mags.sum(axis=-1)
+        nonzero = mags > 0.0
+        phases = np.conj(terms) / np.where(nonzero, mags, 1.0)
+        eps[live] = np.where(nonzero, phases, a)
+        running = aligned - prev[live] > tol * aligned
+        prev[live] = aligned
+        live = live[running]
+    return max((_certify(pair, eps[r], us[r], vs[r], "alternating", iterations)
+                for r in range(restarts)), key=lambda est: est.value)
 
 
 def _pow2_scale(a: np.ndarray) -> float:

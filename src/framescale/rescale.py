@@ -280,7 +280,11 @@ class CbBracket:
     where either vanishes) give an amplified map whose norm is at least
     sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
     newton_steps, line_search_candidates (Armijo points scored),
-    eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian) and
+    eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian),
+    ascent_iterations (stacked SVD steps of the alternating ascent),
+    ascent_s (its wall time), stop ("gap" once the duality gap met
+    GAP_TOL, "top_stage" when the loop ran out of stages), stage_gaps
+    (the relative gap (m_upper - D) / m_upper after each stage) and
     wall_s.
     """
 
@@ -316,7 +320,7 @@ def optimize(pair: FramePair, seed: int = 0) -> CbBracket:
     smoothed objective at b_rel = B_REL_START, times B_REL_FACTOR each
     stage, up to B_REL_TOP.  After each stage t is balanced and the Gibbs
     states of F and G give the dual value D; the loop stops once
-    m_upper - D <= GAP_TOL * m_upper.  m_lower is the larger of D and the
+    (m_upper - D) / m_upper <= GAP_TOL.  m_lower is the larger of D and the
     alternating-ascent estimate (run once, seeded by seed), both
     certified.  The rank-one stacks are built once per pair.
     """
@@ -329,9 +333,8 @@ def optimize(pair: FramePair, seed: int = 0) -> CbBracket:
     t = _balanced(t, obj.spectra(t))
     spectra = obj.spectra(t)
     b_rel = B_REL_START
-    stages = 0
+    stage_gaps = []
     while True:
-        stages += 1
         b = b_rel / float(spectra[0][:, -1].max())
         t, spectra = _newton_stage(obj, t, spectra, b)
         t = _balanced(t, spectra)
@@ -339,13 +342,19 @@ def optimize(pair: FramePair, seed: int = 0) -> CbBracket:
         dual, us, vs = _dual_certificate(obj, spectra, b)
         f, g = (float(top) for top in spectra[0][:, -1])
         m_upper = max(f, g)
-        if m_upper - dual <= GAP_TOL * m_upper or b_rel >= B_REL_TOP:
+        stage_gaps.append((m_upper - dual) / m_upper)
+        if stage_gaps[-1] <= GAP_TOL or b_rel >= B_REL_TOP:
             break
         b_rel *= B_REL_FACTOR
+    ascent_started = time.perf_counter()
     phi_lower = norm_lower_alternating(pair, seed=seed)
-    stats = {"stages": stages, "newton_steps": obj.newton_steps,
+    ascent_s = time.perf_counter() - ascent_started
+    stats = {"stages": len(stage_gaps), "newton_steps": obj.newton_steps,
              "line_search_candidates": obj.candidates,
              "eigh_calls": obj.eigh_calls,
+             "ascent_iterations": phi_lower.iterations, "ascent_s": ascent_s,
+             "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
+             "stage_gaps": stage_gaps,
              "wall_s": time.perf_counter() - started}
     return CbBracket(max(dual, phi_lower.value), m_upper, t, f, g, phi_lower,
                      us, vs, stats)

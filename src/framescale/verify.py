@@ -627,6 +627,8 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
                         "worst_diag_drift": max(r["diag_drift"] for r in records),
                         "worst_unitary_drift": max(r["unitary_drift"]
                                                    for r in records),
+                        "worst_alternating_drift": max(r["alternating_drift"]
+                                                       for r in records),
                         "worst_grid_drift": max(r["grid_drift"]
                                                 for r in records)}}
 

@@ -27,3 +27,15 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return random_complex(rng, n, d) / np.sqrt(d)
+
+
+def dual_coefficients(pair, us, vs):
+    """A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T of the CbBracket docstring."""
+    cu = pair.ys.conj() @ us.T
+    cv = pair.xs.conj() @ vs.T
+    nu = np.linalg.norm(cu, axis=1)[:, None]
+    nv = np.linalg.norm(cv, axis=1)[:, None]
+    live = (nu > 0.0) & (nv > 0.0)
+    cu = np.where(live, cu / np.where(live, nu, 1.0), 0.0)
+    cv = np.where(live, cv / np.where(live, nv, 1.0), 0.0)
+    return np.einsum("ki,kj->kij", cv, cu.conj())

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from framescale.instances import generate
-from framescale.multiplier import cb_lower_sampled, norm_lower_alternating
+from framescale.linalg import top_singular_triplet
+from framescale.multiplier import (
+    amplified_input_norm,
+    assemble_block,
+    cb_lower_sampled,
+    norm_lower_alternating,
+)
 from framescale.rescale import optimize
 from framescale.verify import (
     RatioConfig,
@@ -26,6 +32,8 @@ from framescale.verify import (
     suite_subgradient_fd,
     suite_trace,
 )
+
+from conftest import dual_coefficients
 
 RATIO_BUDGET_SECONDS = 300.0
 
@@ -103,7 +111,8 @@ def test_criterion_08_reparameterization_invariance():
     assert summary["worst_grid_drift"] <= 1e-9
     print(f"criterion 08 PASS: diagonal drift "
           f"{summary['worst_diag_drift']:.2e}, unitary drift "
-          f"{summary['worst_unitary_drift']:.2e}, grid drift "
+          f"{summary['worst_unitary_drift']:.2e}, alternating drift "
+          f"{summary['worst_alternating_drift']:.2e} (limit 1e-6), grid drift "
           f"{summary['worst_grid_drift']:.2e} (limit 1e-9)")
 
 
@@ -120,14 +129,22 @@ def test_criterion_09_bracket_ordering():
                 d, n = 1, int(rng.integers(1, 7))
             pair = generate(kind, rng, n, d)
             bracket = optimize(pair)
-            assert bracket.m_lower <= bracket.m_upper + 1e-8
+            assert bracket.m_lower <= bracket.m_upper * (1.0 + 1e-12)
             alt = norm_lower_alternating(pair).value
             cb = cb_lower_sampled(pair, m=2)
-            assert cb >= alt - 1e-9
-            worst_gap = max(worst_gap, bracket.m_lower - bracket.m_upper)
+            assert cb >= alt * (1.0 - 1e-12)
+            # replay D's witness: unit coefficients whose block norm sits
+            # between the scalar witness and the certified upper bound
+            mats = dual_coefficients(pair, bracket.dual_us, bracket.dual_vs)
+            assert amplified_input_norm(mats) <= 1.0 + 1e-12
+            block, _, _ = top_singular_triplet(assemble_block(pair, mats))
+            assert block >= alt * (1.0 - 1e-12)
+            assert block <= bracket.m_upper * (1.0 + 1e-12)
+            worst_gap = max(worst_gap,
+                            (bracket.m_lower - bracket.m_upper) / bracket.m_upper)
             count += 1
-    print(f"criterion 09 PASS: bracket ordered on {count} instances, "
-          f"largest lower-minus-upper {worst_gap:.2e}")
+    print(f"criterion 09 PASS: bracket ordered and D replayed on {count} "
+          f"instances, largest relative lower-minus-upper {worst_gap:.2e}")
 
 
 def test_criterion_10_subgradient_matches_finite_differences():

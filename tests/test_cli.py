@@ -162,8 +162,13 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     assert rec["phi_norm_lower"] == norm_lower_alternating(pair, seed=2).value
     stats = rec["stats"]
     assert set(stats) == {"stages", "newton_steps",
-                          "line_search_candidates", "eigh_calls", "wall_s"}
-    assert all(v > 0 for v in stats.values())
+                          "line_search_candidates", "eigh_calls",
+                          "ascent_iterations", "ascent_s", "stop",
+                          "stage_gaps", "wall_s"}
+    assert all(v > 0 for k, v in stats.items()
+               if k not in ("stop", "stage_gaps"))
+    assert stats["stop"] == "gap"
+    assert len(stats["stage_gaps"]) == stats["stages"]
     assert rec["gap"] == (rec["M_upper"] - rec["M_lower"]) / rec["M_upper"]
     assert rec["gap"] <= 1e-12
     header = (tmp_path / "res.csv").read_text().splitlines()[0].split(",")
@@ -278,8 +283,9 @@ def test_bench_checksums_are_deterministic(tmp_path):
     rec_b = read_json(str(out_b))["records"][0]
     assert rec_a["workload_checksum"] == rec_b["workload_checksum"]
     # the optimizer's counts repeat; only its wall time may differ
-    counts = {k: v for k, v in rec_a["stats"].items() if k != "wall_s"}
-    assert counts == {k: v for k, v in rec_b["stats"].items() if k != "wall_s"}
+    times = ("wall_s", "ascent_s")
+    counts = {k: v for k, v in rec_a["stats"].items() if k not in times}
+    assert counts == {k: v for k, v in rec_b["stats"].items() if k not in times}
     assert counts["stages"] >= 1
 
 

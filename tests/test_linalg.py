@@ -168,6 +168,43 @@ def test_top_singular_triplet_zero_matrix():
         assert np.array_equal(m @ v, sigma * u)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_top_singular_triplet_stack_is_bitwise_equal_to_single_calls(d):
+    rng = np.random.default_rng(40 + d)
+    for shape in ((3, 4, d, d), (6, d, d + 2)):
+        a = random_complex(rng, *shape)
+        sigma, u, v = top_singular_triplet(a)
+        assert sigma.shape == shape[:-2]
+        assert u.shape == shape[:-1] and v.shape == shape[:-2] + shape[-1:]
+        for idx in np.ndindex(*shape[:-2]):
+            si, ui, vi = top_singular_triplet(a[idx])
+            assert sigma[idx] == si
+            assert np.array_equal(u[idx], ui) and np.array_equal(v[idx], vi)
+
+
+def test_top_singular_triplet_zero_matrix_inside_a_stack():
+    rng = np.random.default_rng(46)
+    a = random_complex(rng, 4, 3, 2)
+    a[2] = 0.0
+    sigma, u, v = top_singular_triplet(a)
+    assert sigma[2] == 0.0
+    assert np.array_equal(u[2], np.eye(3)[0])
+    assert abs(np.linalg.norm(v[2]) - 1.0) <= 1e-14
+    assert np.all(sigma[[0, 1, 3]] > 0.0)
+    for i in (0, 1, 3):
+        assert np.linalg.norm(a[i] @ v[i] - sigma[i] * u[i]) <= 1e-13 * sigma[i]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_top_singular_triplet_stack_rejects_one_bad_matrix(bad):
+    rng = np.random.default_rng(47)
+    a = random_complex(rng, 5, 3, 3)
+    a[3, 1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        top_singular_triplet(a)
+    top_singular_triplet(np.delete(a, 3, axis=0))
+
+
 def test_zero_matrix_through_every_wrapper():
     z = np.zeros((3, 3), dtype=complex)
     w, v = eigh(z)

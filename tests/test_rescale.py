@@ -37,7 +37,7 @@ from framescale.rescale import (
     subgradient,
 )
 
-from conftest import haar_unitary, random_complex
+from conftest import dual_coefficients, haar_unitary, random_complex
 
 
 def test_objective_matches_frame_bounds_of_scaled_families():
@@ -267,12 +267,34 @@ def test_optimize_reports_its_ascent_and_repeatable_counts():
                             * (pair.xs @ est.witness_v.conj())))
     assert replay == est.value
     assert first.m_lower >= est.value
-    counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
+    times = ("wall_s", "ascent_s")
+    counts = {k: v for k, v in first.stats.items() if k not in times}
     assert set(counts) == {"stages", "newton_steps",
-                           "line_search_candidates", "eigh_calls"}
-    assert all(isinstance(v, int) and v > 0 for v in counts.values())
-    assert counts == {k: v for k, v in second.stats.items() if k != "wall_s"}
-    assert first.stats["wall_s"] > 0.0
+                           "line_search_candidates", "eigh_calls",
+                           "ascent_iterations", "stop", "stage_gaps"}
+    assert all(isinstance(counts[k], int) and counts[k] > 0
+               for k in set(counts) - {"stop", "stage_gaps"})
+    assert counts["ascent_iterations"] == est.iterations
+    assert counts == {k: v for k, v in second.stats.items() if k not in times}
+    assert first.stats["wall_s"] >= first.stats["ascent_s"] > 0.0
+
+
+def _assert_stop_matches_stage_gaps(br):
+    stats = br.stats
+    assert len(stats["stage_gaps"]) == stats["stages"]
+    assert (stats["stop"] == "gap") == (stats["stage_gaps"][-1] <= rescale.GAP_TOL)
+    assert stats["stop"] in ("gap", "top_stage")
+    # m_lower is at least D, so the bracket is no wider than the last stage gap
+    assert br.gap <= stats["stage_gaps"][-1]
+
+
+def test_stats_record_each_stage_gap_and_the_stop_reason():
+    rng = np.random.default_rng(92)
+    for _ in range(8):
+        br = optimize(gaussian_pair(rng, int(rng.integers(2, 7)),
+                                    int(rng.integers(1, 4))))
+        _assert_stop_matches_stage_gaps(br)
+        assert br.stats["stop"] == "gap"
 
 
 def test_optimize_is_equivariant_under_a_tiny_global_scale():
@@ -286,18 +308,6 @@ def test_optimize_is_equivariant_under_a_tiny_global_scale():
         assert abs(br.m_lower / c ** 2 - base.m_lower) <= 1e-12 * base.m_lower
 
 
-def _dual_coefficients(pair, us, vs):
-    """A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T of the CbBracket docstring."""
-    cu = pair.ys.conj() @ us.T
-    cv = pair.xs.conj() @ vs.T
-    nu = np.linalg.norm(cu, axis=1)[:, None]
-    nv = np.linalg.norm(cv, axis=1)[:, None]
-    live = (nu > 0.0) & (nv > 0.0)
-    cu = np.where(live, cu / np.where(live, nu, 1.0), 0.0)
-    cv = np.where(live, cv / np.where(live, nv, 1.0), 0.0)
-    return np.einsum("ki,kj->kij", cv, cu.conj())
-
-
 def test_dual_certificate_replays():
     rng = np.random.default_rng(91)
     for _ in range(12):
@@ -309,7 +319,7 @@ def test_dual_certificate_replays():
         # each tuple is a unit vector of C^d (x) C^d: a density matrix's root
         assert abs(np.linalg.norm(us) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(vs) - 1.0) <= 1e-12
-        mats = _dual_coefficients(pair, us, vs)
+        mats = dual_coefficients(pair, us, vs)
         assert amplified_input_norm(mats) <= 1.0 + 1e-12
         block = assemble_block(pair, mats)
         sigma, _, _ = top_singular_triplet(block)
@@ -325,6 +335,9 @@ def test_dual_certificate_closes_a_large_bracket():
     br = optimize(pair)
     assert br.gap <= 1e-9
     assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
+    # the gap stays above GAP_TOL here, so every stage runs
+    _assert_stop_matches_stage_gaps(br)
+    assert br.stats["stop"] == "top_stage"
 
 
 def test_certificate_valid_at_arbitrary_weights():
