@@ -28,7 +28,7 @@ print("mangled reproducing pair (5 vectors in C^3)")
 print(f"  x family bounds: [{bx.lower:.3e}, {bx.upper:.3e}]")
 print(f"  y family bounds: [{by.lower:.3e}, {by.upper:.3e}]")
 
-bracket = optimize(pair, seed=0)
+bracket = optimize(pair)
 print("\noptimized log-weights")
 print(f"  certified upper bound: {bracket.m_upper:.6f}")
 print(f"  dual lower bound:      {bracket.m_lower:.6f}")

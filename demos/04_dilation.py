@@ -19,7 +19,7 @@ from framescale import (
 rng = np.random.default_rng(3)
 pair = generate("schauder_mangled", rng, n=4, d=2, scaling_range=(1e-2, 1e2))
 
-bracket = optimize(pair, seed=0)
+bracket = optimize(pair)
 dil = build_dilation(pair, bracket.log_weights, bracket.m_upper)
 print(f"dilation of a 4-vector pair in C^2, certificate M = "
       f"{bracket.m_upper:.6f}")

@@ -1,12 +1,13 @@
 """Finite frame pairs: multiplier norms, rescaling weights, and dilations.
 
 The package is organized around FramePair, a finite family of vector
-pairs in C^d.  frames computes Bessel and frame bounds, multiplier
-estimates the masked-combination operator norm from below and its
-matrix-coefficient refinement, rescale finds log-weights whose balanced
-Bessel bounds certify the norm from above and builds the explicit
-dilation, and verify turns every supporting inequality into an
-executable check.
+pairs in C^d.  frames computes Bessel and frame bounds; multiplier
+estimates the masked-combination operator norm from below and evaluates
+its matrix-coefficient (amplified) maps; rescale finds log-weights whose
+balanced Bessel bounds certify the completely bounded norm from above,
+bounds it from below by a dual certificate with a replayable witness,
+and builds the explicit dilation; verify turns every supporting
+inequality into an executable check.
 """
 
 from .frames import (
@@ -21,7 +22,6 @@ from .instances import GENERATOR_KINDS, generate, mangle, mangling_scalars
 from .multiplier import (
     MultiplierNormEstimate,
     apply_mask,
-    cb_lower_sampled,
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
@@ -66,7 +66,6 @@ __all__ = [
     "bessel_and_frame_bounds",
     "bessel_pair_objective",
     "build_dilation",
-    "cb_lower_sampled",
     "dilation_reconstruct",
     "end_to_end_rescale_check",
     "extract_scaling",

@@ -6,8 +6,8 @@ replacing scalars by m x m matrices gives the amplified maps whose supremum
 over all m is the completely bounded norm.  This module provides exact
 evaluation, an alternating-ascent lower bound with certified witnesses
 (its restarts run in lockstep, one stacked SVD per iteration), an
-exhaustive phase-grid oracle for small n, and a sampled amplified lower
-bound.
+exhaustive phase-grid oracle for small n, and the amplified maps through
+which the dual certificate of rescale.optimize replays.
 """
 
 from dataclasses import dataclass
@@ -340,40 +340,3 @@ def assemble_block(pair: FramePair, mats: np.ndarray) -> np.ndarray:
     big = np.einsum("kab,ki,kj->aibj", a, pair.xs, pair.ys.conj())
     return big.reshape(m * d, m * d)
 
-
-def cb_lower_sampled(pair: FramePair, m: int = 2, samples: int = 12,
-                     seed: int = 0) -> float:
-    """Sampled lower bound on the completely bounded multiplier norm.
-
-    Candidates: the identity coefficients (norm of the unmasked sum), the
-    best alternating scalar witness, and random unitary or diagonal-phase
-    coefficient tuples of order m.  The result is the largest amplified
-    norm seen, hence monotone in the sample set.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
-    n, d = pair.n, pair.dim
-    eye = np.broadcast_to(np.eye(m, dtype=np.complex128), (n, m, m)).copy()
-    best, _, _ = top_singular_triplet(assemble_block(pair, eye))
-    best = max(best, norm_lower_alternating(pair, seed=seed).value)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, m]))
-    for s in range(samples):
-        if s % 2 == 0:
-            mats = np.stack([_haar(rng, m) for _ in range(n)])
-        else:
-            mats = np.zeros((n, m, m), dtype=np.complex128)
-            idx = np.arange(m)
-            for k in range(n):
-                mats[k, idx, idx] = np.exp(2j * np.pi * rng.uniform(size=m))
-        sigma, _, _ = top_singular_triplet(assemble_block(pair, mats))
-        best = max(best, float(sigma))
-    return float(best)
-
-
-def _haar(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))

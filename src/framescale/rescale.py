@@ -29,7 +29,7 @@ import numpy as np
 
 from .frames import BesselBounds, FramePair, bessel_and_frame_bounds
 from .linalg import eigh, psd_sqrt
-from .multiplier import MultiplierNormEstimate, check_mask, norm_lower_alternating
+from .multiplier import check_mask
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 # Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
@@ -271,21 +271,17 @@ def _dual_certificate(obj: _Objective, spectra, b: float):
 class CbBracket:
     """Two-sided bracket on the completely bounded multiplier norm.
 
-    m_lower is the larger of two certified values, each with a witness
-    that replays it.  phi_lower is the alternating-ascent estimate of the
-    scalar multiplier norm, with its mask and unit vectors.  dual_us and
-    dual_vs are the (m, d) tuples of the dual certificate D: with
-    cu_k = (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the unit rank-one
-    coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0
-    where either vanishes) give an amplified map whose norm is at least
+    m_lower is the dual certificate D, with a witness that replays it:
+    dual_us and dual_vs are its (m, d) tuples.  With cu_k = (y_k^* us_j)_j
+    and cv_k = (x_k^* vs_i)_i, the unit rank-one coefficients
+    A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0 where either
+    vanishes) give an amplified map whose norm is at least
     sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
     newton_steps, line_search_candidates (Armijo points scored),
     eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian),
-    ascent_iterations (stacked SVD steps of the alternating ascent),
-    ascent_s (its wall time), stop ("gap" once the duality gap met
-    GAP_TOL, "top_stage" when the loop ran out of stages), stage_gaps
-    (the relative gap (m_upper - D) / m_upper after each stage) and
-    wall_s.
+    stop ("gap" once the duality gap met GAP_TOL, "top_stage" when the
+    loop ran out of stages), stage_gaps (the relative gap
+    (m_upper - D) / m_upper after each stage) and wall_s.
     """
 
     m_lower: float
@@ -293,7 +289,6 @@ class CbBracket:
     log_weights: np.ndarray
     f: float
     g: float
-    phi_lower: MultiplierNormEstimate | None = None
     dual_us: np.ndarray | None = None
     dual_vs: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
@@ -313,16 +308,15 @@ class CbBracket:
         return (self.m_upper - self.m_lower) / self.m_upper
 
 
-def optimize(pair: FramePair, seed: int = 0) -> CbBracket:
+def optimize(pair: FramePair) -> CbBracket:
     """Minimize max(f, g) over log-weights and bracket the cb norm.
 
     One loop: from the balanced equalizer start, Newton stages on the
     smoothed objective at b_rel = B_REL_START, times B_REL_FACTOR each
     stage, up to B_REL_TOP.  After each stage t is balanced and the Gibbs
     states of F and G give the dual value D; the loop stops once
-    (m_upper - D) / m_upper <= GAP_TOL.  m_lower is the larger of D and the
-    alternating-ascent estimate (run once, seeded by seed), both
-    certified.  The rank-one stacks are built once per pair.
+    (m_upper - D) / m_upper <= GAP_TOL, and m_lower is the last D.  The
+    rank-one stacks are built once per pair.
     """
     started = time.perf_counter()
     obj = _Objective(pair)
@@ -346,18 +340,13 @@ def optimize(pair: FramePair, seed: int = 0) -> CbBracket:
         if stage_gaps[-1] <= GAP_TOL or b_rel >= B_REL_TOP:
             break
         b_rel *= B_REL_FACTOR
-    ascent_started = time.perf_counter()
-    phi_lower = norm_lower_alternating(pair, seed=seed)
-    ascent_s = time.perf_counter() - ascent_started
     stats = {"stages": len(stage_gaps), "newton_steps": obj.newton_steps,
              "line_search_candidates": obj.candidates,
              "eigh_calls": obj.eigh_calls,
-             "ascent_iterations": phi_lower.iterations, "ascent_s": ascent_s,
              "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
              "stage_gaps": stage_gaps,
              "wall_s": time.perf_counter() - started}
-    return CbBracket(max(dual, phi_lower.value), m_upper, t, f, g, phi_lower,
-                     us, vs, stats)
+    return CbBracket(dual, m_upper, t, f, g, us, vs, stats)
 
 
 @dataclass(frozen=True)

@@ -304,3 +304,24 @@ def test_check_hermitian_symmetrizes():
     a = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]], dtype=complex)
     h = check_hermitian(a)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+def test_check_hermitian_accepts_roundoff_of_a_large_matrix():
+    # a planted spectrum of size 1e5: the roundoff skew of q diag(w) q^H
+    # exceeds 1e-12 in absolute terms but is ~1e-16 of the entries
+    rng = np.random.default_rng(0)
+    q = haar_unitary(rng, 4)
+    planted_w = 1e5 * np.array([1.0, 2.0, 3.0, 4.0])
+    a = (q * planted_w) @ q.conj().T
+    assert np.max(np.abs(a - a.conj().T)) > 1e-12
+    w, _ = eigh(a)
+    assert np.all(np.abs(w - planted_w) <= 1e-12 * planted_w[-1])
+
+
+def test_check_hermitian_refuses_a_tiny_asymmetric_matrix():
+    # every entry is below 1e-12, yet the matrix is far from Hermitian
+    a = 1e-14 * np.random.default_rng(1).standard_normal((3, 3))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigh(a)
+    with pytest.raises(ValueError, match="not Hermitian at stack index 1:"):
+        check_hermitian(np.stack([np.eye(3), a]))

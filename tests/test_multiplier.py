@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from framescale.frames import FramePair, pair_operator
+from framescale.frames import FramePair
 from framescale.instances import (
     gaussian_pair,
     mangle,
@@ -16,7 +16,6 @@ from framescale.multiplier import (
     amplified_input_norm,
     apply_mask,
     assemble_block,
-    cb_lower_sampled,
     check_mask,
     mask_matrix,
     norm_lower_alternating,
@@ -324,34 +323,6 @@ def test_amplified_input_norm():
     assert abs(amplified_input_norm(mats) - 1.0) <= 1e-10
     for c in (1e-200, 1e200):
         assert abs(amplified_input_norm(c * mats) / c - 1.0) <= 1e-10
-
-
-def test_cb_lower_dominates_unmasked_norm_and_witness():
-    rng = np.random.default_rng(62)
-    for _ in range(5):
-        pair = gaussian_pair(rng, 4, 2)
-        t_norm, _, _ = top_singular_triplet(pair_operator(pair))
-        alt = norm_lower_alternating(pair)
-        cb = cb_lower_sampled(pair, m=2, samples=8)
-        assert cb >= t_norm - 1e-9
-        assert cb >= alt.value - 1e-9
-
-
-def test_cb_lower_on_orthonormal_basis_pair_is_one():
-    rng = np.random.default_rng(63)
-    u = haar_unitary(rng, 3)
-    pair = FramePair(u.T, u.T)
-    for m in (1, 2, 3):
-        cb = cb_lower_sampled(pair, m=m, samples=6)
-        assert abs(cb - 1.0) <= 1e-9
-
-
-def test_cb_lower_monotone_in_samples():
-    rng = np.random.default_rng(64)
-    pair = gaussian_pair(rng, 4, 2)
-    few = cb_lower_sampled(pair, m=2, samples=3, seed=5)
-    more = cb_lower_sampled(pair, m=2, samples=9, seed=5)
-    assert more >= few - 1e-12
 
 
 def test_norm_estimates_invariant_under_diagonal_reparameterization():

@@ -256,27 +256,17 @@ def test_bracket_checks_are_relative_to_the_bound():
     CbBracket(1e-9 * (1.0 + 1e-9), 1e-9, np.zeros(4), 1e-9, 1e-9)
 
 
-def test_optimize_reports_its_ascent_and_repeatable_counts():
+def test_optimize_reports_repeatable_counts():
     pair = gaussian_pair(np.random.default_rng(90), 4, 3)
-    first, second = optimize(pair, seed=3), optimize(pair, seed=3)
-    alt = norm_lower_alternating(pair, seed=3)
-    est = first.phi_lower
-    assert est.value == alt.value
-    # the witness replays: value = Re sum_k mask_k <u, y_k> <x_k, v>
-    replay = np.real(np.sum(est.witness_mask * (pair.ys.conj() @ est.witness_u)
-                            * (pair.xs @ est.witness_v.conj())))
-    assert replay == est.value
-    assert first.m_lower >= est.value
-    times = ("wall_s", "ascent_s")
-    counts = {k: v for k, v in first.stats.items() if k not in times}
+    first, second = optimize(pair), optimize(pair)
+    counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
     assert set(counts) == {"stages", "newton_steps",
-                           "line_search_candidates", "eigh_calls",
-                           "ascent_iterations", "stop", "stage_gaps"}
+                           "line_search_candidates", "eigh_calls", "stop",
+                           "stage_gaps"}
     assert all(isinstance(counts[k], int) and counts[k] > 0
                for k in set(counts) - {"stop", "stage_gaps"})
-    assert counts["ascent_iterations"] == est.iterations
-    assert counts == {k: v for k, v in second.stats.items() if k not in times}
-    assert first.stats["wall_s"] >= first.stats["ascent_s"] > 0.0
+    assert counts == {k: v for k, v in second.stats.items() if k != "wall_s"}
+    assert first.stats["wall_s"] > 0.0
 
 
 def _assert_stop_matches_stage_gaps(br):
@@ -326,8 +316,30 @@ def test_dual_certificate_replays():
         bilinear = np.real(vs.reshape(-1).conj() @ block @ us.reshape(-1))
         assert sigma >= bilinear * (1.0 - 1e-12)
         assert sigma >= br.m_lower * (1.0 - 1e-12)
-        best = max(br.phi_lower.value, bilinear)
-        assert abs(br.m_lower - best) <= 1e-12 * br.m_lower
+        assert abs(br.m_lower - bilinear) <= 1e-12 * br.m_lower
+
+
+def test_dual_certificate_dominates_unmasked_norm_and_ascent():
+    # the bracket closes, so D meets the cb norm, which is at least the
+    # norm of the unmasked map and of every scalar mask
+    rng = np.random.default_rng(62)
+    for _ in range(8):
+        pair = gaussian_pair(rng, int(rng.integers(2, 6)),
+                             int(rng.integers(1, 4)))
+        br = optimize(pair)
+        t_norm, _, _ = top_singular_triplet(pair_operator(pair))
+        assert br.m_lower >= t_norm * (1.0 - 1e-12)
+        alt = norm_lower_alternating(pair).value
+        assert br.m_lower >= alt * (1.0 - 1e-12)
+
+
+def test_dual_certificate_on_orthonormal_basis_pair_is_one():
+    rng = np.random.default_rng(63)
+    for d in (1, 2, 3, 5):
+        u = haar_unitary(rng, d)
+        br = optimize(FramePair(u.T, u.T))
+        assert abs(br.m_lower - 1.0) <= 1e-12
+        assert abs(br.m_upper - 1.0) <= 1e-12
 
 
 def test_dual_certificate_closes_a_large_bracket():
