@@ -20,7 +20,7 @@ import numpy as np
 from .frames import FramePair, bessel_and_frame_bounds, pair_operator
 from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh, top_singular_triplet
-from .multiplier import norm_lower_alternating, norm_oracle_grid
+from .multiplier import GRID_MAX_N, norm_lower_alternating, norm_oracle_grid
 from .rescale import build_dilation, extract_scaling, optimize
 from .verify import SUITES, VerificationError, run_suite
 
@@ -229,7 +229,7 @@ def _cmd_gen(args) -> int:
 
 
 def _oracle_allowed(pair: FramePair, phase_steps: int) -> bool:
-    return phase_steps > 0 and pair.n <= 6
+    return phase_steps > 0 and pair.n <= GRID_MAX_N
 
 
 def _timed_ascent(pair: FramePair, seed: int):
@@ -401,6 +401,7 @@ def _cmd_bench(args) -> int:
         if grid_ok:
             norm_oracle_grid(pair, phase_steps=args.phase_steps)
         t_grid = time.perf_counter() - t0
+        masks = args.phase_steps ** (n - 1) if grid_ok else None
         t0 = time.perf_counter()
         bracket = optimize(pair)
         t_opt = time.perf_counter() - t0
@@ -408,10 +409,13 @@ def _cmd_bench(args) -> int:
         rec = {"n": n, "d": d, "workload_checksum": checksum,
                "eig_seconds": t_eig,
                "grid_seconds": t_grid if grid_ok else None,
+               "grid_masks": masks,
+               "grid_ns_per_mask": 1e9 * t_grid / masks if grid_ok else None,
                "optimize_seconds": t_opt, "ascent_seconds": t_ascent,
                "stats": bracket.stats}
         records.append(rec)
-        grid_note = f" grid={t_grid:.4f}s" if grid_ok else ""
+        grid_note = (f" grid={t_grid:.4f}s ({rec['grid_ns_per_mask']:.1f} ns/mask)"
+                     if grid_ok else "")
         print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s{grid_note} "
               f"optimize={t_opt:.4f}s ascent={t_ascent:.4f}s")
     if not records:

@@ -7,9 +7,14 @@ over all m is the completely bounded norm.  This module provides exact
 evaluation, an alternating-ascent lower bound with certified witnesses
 (its restarts run in lockstep, one stacked SVD per iteration), an
 exhaustive phase-grid oracle for small n, and the amplified maps through
-which the dual certificate of rescale.optimize replays.
+which the dual certificate of rescale.optimize replays.  The grid forms
+the Gram rows of each block of masks with one GEMM over phase features
+and takes top eigenvalues in closed form for d <= 3, the same step that
+_op_norm_planes uses; masks whose norms tie to rounding may yield a
+different first maximiser than a LAPACK sweep would.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +148,11 @@ def _pow2_scale(a: np.ndarray) -> float:
     return float(np.ldexp(1.0, -int(np.frexp(big)[1])))
 
 
+def _upper_pairs(d: int):
+    """Index pairs (j, k), j < k, of a d x d upper triangle in row order."""
+    return [(j, k) for j in range(d) for k in range(j + 1, d)]
+
+
 def _gram_re(re: np.ndarray, im: np.ndarray, j: int, k: int) -> np.ndarray:
     """Real part of g_jk = sum_i conj(m_ij) m_ik, per matrix of the planes."""
     out = re[0, j] * re[0, k]
@@ -163,33 +173,54 @@ def _gram_im(re: np.ndarray, im: np.ndarray, j: int, k: int) -> np.ndarray:
     return out
 
 
-def _op_norm_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of d x d matrices held as real planes.
+def _gram_rows(re: np.ndarray, im: np.ndarray) -> list:
+    """Gram rows of a stack of d x d matrices held as real planes.
 
     re and im have shape (d, d, B): entry [i, j, b] is the real or
-    imaginary part of m_ij of matrix b.  The norm is sqrt of the top
-    eigenvalue of the Gram matrix g_jk = sum_i conj(m_ij) m_ik, whose
-    entries are formed in real arithmetic.  d = 1 is |m|, d = 2 takes the
-    larger root of the characteristic polynomial from trace and
-    determinant, d = 3 the trigonometric form of the cubic's roots; larger
-    d falls back to batched LAPACK.  Callers keep the entries near unit
-    size (see _pow2_scale), because the d = 3 form cubes squared entries.
+    imaginary part of m_ij of matrix b.  The d*d rows, each of length B,
+    are the real entries of g_jk = sum_i conj(m_ij) m_ik: the d diagonal
+    entries, then the real and then the imaginary parts of the upper
+    triangle in row order.
     """
     d = re.shape[0]
+    upper = _upper_pairs(d)
+    return ([_gram_re(re, im, j, j) for j in range(d)]
+            + [_gram_re(re, im, j, k) for j, k in upper]
+            + [_gram_im(re, im, j, k) for j, k in upper])
+
+
+def _hermitian_rows(g: np.ndarray) -> np.ndarray:
+    """The rows of _gram_rows, read off a stack of Hermitian (..., d, d)."""
+    ju, ku = np.triu_indices(g.shape[-1], 1)
+    upper = g[..., ju, ku]
+    return np.concatenate([np.diagonal(g, axis1=-2, axis2=-1).real,
+                           upper.real, upper.imag], axis=-1)
+
+
+def _gram_top_norm(rows) -> np.ndarray:
+    """sqrt of the top eigenvalue of each Gram matrix given by its rows.
+
+    rows holds the d*d rows of _gram_rows, as a list or a 2-D array.
+    d = 1 reads the single entry, d = 2 takes the larger root of the
+    characteristic polynomial from trace and determinant, d = 3 the
+    trigonometric form of the cubic's roots; larger d falls back to
+    batched LAPACK.  Rows formed by a GEMM (see norm_oracle_grid) may put
+    a nearly zero eigenvalue a rounding below zero, so the top eigenvalue
+    is clamped at 0 before the root.  Callers keep the matrices' entries
+    near unit size (see _pow2_scale), because the d = 3 form cubes Gram
+    entries.
+    """
+    d = math.isqrt(len(rows))
     if d == 1:
-        return np.hypot(re[0, 0], im[0, 0])
-    if d == 2:
-        g00, g11 = _gram_re(re, im, 0, 0), _gram_re(re, im, 1, 1)
-        cr, ci = _gram_re(re, im, 0, 1), _gram_im(re, im, 0, 1)
+        lam = rows[0]
+    elif d == 2:
+        g00, g11, cr, ci = rows
         # discriminant (tr/2)^2 - det, written without cancellation
         half_gap = 0.5 * (g00 - g11)
         disc = np.sqrt(half_gap * half_gap + cr * cr + ci * ci)
-        return np.sqrt(0.5 * (g00 + g11) + disc)
-    if d == 3:
-        g00, g11, g22 = (_gram_re(re, im, j, j) for j in range(3))
-        upper = ((0, 1), (0, 2), (1, 2))
-        x01, x02, x12 = (_gram_re(re, im, j, k) for j, k in upper)
-        y01, y02, y12 = (_gram_im(re, im, j, k) for j, k in upper)
+        lam = 0.5 * (g00 + g11) + disc
+    elif d == 3:
+        g00, g11, g22, x01, x02, x12, y01, y02, y12 = rows
         q = (g00 + g11 + g22) / 3.0
         b00, b11, b22 = g00 - q, g11 - q, g22 - q
         s01 = x01 * x01 + y01 * y01
@@ -205,15 +236,32 @@ def _op_norm_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         r = np.clip(det / (2.0 * safe * safe * safe), -1.0, 1.0)
         lam = q + 2.0 * safe * np.cos(np.arccos(r) / 3.0)
         lam = np.where(p > 0.0, lam, q)
-        return np.sqrt(np.clip(lam, 0.0, None))
-    # eigvalsh reads only the lower triangle, g_kj = conj(g_jk)
-    gram = np.zeros((re.shape[2], d, d), dtype=np.complex128)
-    for j in range(d):
-        gram[:, j, j] = _gram_re(re, im, j, j)
-        for k in range(j + 1, d):
-            gram[:, k, j].real = _gram_re(re, im, j, k)
-            gram[:, k, j].imag = -_gram_im(re, im, j, k)
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+    else:
+        # eigvalsh reads only the lower triangle, g_kj = conj(g_jk)
+        gram = np.zeros((len(rows[0]), d, d), dtype=np.complex128)
+        upper = _upper_pairs(d)
+        for j in range(d):
+            gram[:, j, j] = rows[j]
+        for r, (j, k) in enumerate(upper, start=d):
+            gram[:, k, j].real = rows[r]
+            gram[:, k, j].imag = -rows[r + len(upper)]
+        lam = np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+def _op_norm_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of d x d matrices held as real planes.
+
+    re and im have shape (d, d, B) as in _gram_rows.  The norm is sqrt
+    of the top eigenvalue of the Gram matrix g_jk = sum_i conj(m_ij)
+    m_ik, whose entries are formed in real arithmetic and whose top
+    eigenvalue comes from _gram_top_norm (closed forms for d <= 3); d = 1
+    is |m| by hypot.  Callers keep the entries near unit size (see
+    _pow2_scale).
+    """
+    if re.shape[0] == 1:
+        return np.hypot(re[0, 0], im[0, 0])
+    return _gram_top_norm(_gram_rows(re, im))
 
 
 def _digit_sums(start: np.ndarray, tables) -> np.ndarray:
@@ -229,6 +277,22 @@ def _digit_sums(start: np.ndarray, tables) -> np.ndarray:
     return out
 
 
+def _offset_weights(basis: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per-offset weights that turn block features into Gram rows.
+
+    The block matrices are I = sum_c f_c basis[c] for real features f
+    with f_0 = 1; basis has shape (C, d, d) and offsets (d, d, P).  Row
+    block o of the (P, d*d, C) result is W_O for O = offsets[..., o]:
+    the rows of G(I + O) = G(I) + (I^H O + O^H I) + G(O) equal those of
+    G(I) plus W_O @ f, since the cross term is real-linear in f and G(O)
+    rides on the constant feature.
+    """
+    half = np.einsum("cij,iko->ocjk", basis.conj(), offsets)
+    cross = half + np.swapaxes(half, -1, -2).conj()
+    cross[:, 0] += np.einsum("ijo,iko->ojk", offsets.conj(), offsets)
+    return np.ascontiguousarray(np.swapaxes(_hermitian_rows(cross), 1, 2))
+
+
 GRID_MAX_N = 6
 GRID_CHUNK = 1 << 18
 
@@ -241,18 +305,24 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     phase_steps equally spaced points.  A global phase never changes the
     norm, so the first coordinate is pinned to 1 and all
     phase_steps^(n-1) masks are swept, coordinate 1 fastest; the first
-    mask of largest norm wins.  The result is the exact maximum over the
-    grid and a replayable lower bound on the multiplier norm, certified
-    by the top singular pair of the chosen mask's matrix.  Cost grows
-    geometrically; n is capped at 6.
+    mask of largest computed norm wins.  Norms that tie to rounding may
+    pick a different first maximiser than a LAPACK sweep would.  The
+    result is the exact maximum over the grid, up to that rounding, and
+    a replayable lower bound on the multiplier norm, certified by the top
+    singular pair of the chosen mask's matrix.  Cost grows geometrically;
+    n is capped at GRID_MAX_N.
 
     The grid is a Cartesian product, so the mask matrices are sums of
-    per-coordinate tables phase * x_k y_k^*.  The fastest coordinates,
-    as many as fit in GRID_CHUNK masks, form one block built once by
-    broadcast sums and held as real and imaginary planes; every setting
-    of the remaining coordinates adds one d x d offset to it.  The tables
-    are first scaled by an exact power of two, so the Gram entries stay
-    inside the float range whenever the tables themselves do.
+    per-coordinate tables phase * x_k y_k^*.  The fastest f coordinates,
+    as many as fit in GRID_CHUNK masks, form one block I that is affine
+    in their phases: I = R_0 + sum_k (Re e_k) R_k + (Im e_k) i R_k.  Every
+    setting of the remaining coordinates adds one d x d offset O, and
+    G(I + O) = G(I) + (I^H O + O^H I) + G(O).  So the Gram rows of I are
+    formed once, and for each offset the rest is one GEMM: a real
+    (d*d, 1 + 2f) weight matrix, built for all offsets in one einsum,
+    times the fixed features [1; Re e_k; Im e_k] of the block.  The
+    tables are first scaled by an exact power of two, so the Gram entries
+    stay inside the float range whenever the tables themselves do.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
@@ -269,17 +339,24 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     inner = _digit_sums(rank_ones[0], tables[fast:0:-1])
     offsets = _digit_sums(np.zeros((d, d), dtype=np.complex128),
                           tables[n - 1:fast:-1])
-    inner_re = np.ascontiguousarray(inner.real)
-    inner_im = np.ascontiguousarray(inner.imag)
-    re = np.empty_like(inner_re)
-    im = np.empty_like(inner_im)
     block = inner.shape[2]
+    feats = np.empty((1 + 2 * fast, block))
+    feats[0] = 1.0
+    digits = np.arange(block)
+    for pos in range(1, fast + 1):
+        digits, dig = np.divmod(digits, phase_steps)
+        feats[pos] = phases.real[dig]
+        feats[fast + pos] = phases.imag[dig]
+    basis = np.concatenate([rank_ones[:fast + 1], 1j * rank_ones[1:fast + 1]])
+    weights = _offset_weights(basis, offsets)
+    base = np.array(_gram_rows(inner.real, inner.imag))
+    rows = np.empty_like(base)
     best_val = -np.inf
     best_idx = 0
     for outer in range(offsets.shape[2]):
-        np.add(inner_re, offsets.real[:, :, outer, None], out=re)
-        np.add(inner_im, offsets.imag[:, :, outer, None], out=im)
-        vals = _op_norm_planes(re, im)
+        np.matmul(weights[outer], feats, out=rows)
+        rows += base
+        vals = _gram_top_norm(rows)
         arg = int(np.argmax(vals))
         if vals[arg] > best_val:
             best_val = float(vals[arg])

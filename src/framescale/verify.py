@@ -603,7 +603,11 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
 
         alt = norm_lower_alternating(pair).value
         alt_drift = abs(norm_lower_alternating(scaled).value - alt) / alt
-        t_drift = float(np.max(np.abs(pair_operator(scaled) - pair_operator(pair))))
+        # relative to sum_k |x_k||y_k|, which mangling leaves unchanged
+        t_scale = float(np.sum(np.linalg.norm(pair.xs, axis=1)
+                               * np.linalg.norm(pair.ys, axis=1)))
+        t_drift = float(np.max(np.abs(pair_operator(scaled)
+                                      - pair_operator(pair)))) / t_scale
         grid_drift = 0.0
         if n <= 4:
             gr = norm_oracle_grid(pair, phase_steps=16).value
@@ -619,7 +623,7 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
         if unitary_drift > 1e-9:
             raise VerificationError(
                 f"instance {i}: unitary drift {unitary_drift:.3e}", record)
-        if alt_drift > 1e-6 or grid_drift > 1e-9 or t_drift > 1e-8:
+        if alt_drift > 1e-6 or grid_drift > 1e-9 or t_drift > 1e-12:
             raise VerificationError(
                 f"instance {i}: estimator symmetry drift", record)
     return {"suite": "invariance", "records": records,

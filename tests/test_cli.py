@@ -296,6 +296,15 @@ def test_bench_checksums_are_deterministic(tmp_path):
     assert counts == {k: v for k, v in rec_b["stats"].items() if k != "wall_s"}
     assert counts["stages"] >= 1
     assert rec_a["ascent_seconds"] > 0.0
+    # the grid's time per mask over 8^2 masks
+    assert rec_a["grid_masks"] == rec_b["grid_masks"] == 64
+    assert rec_a["grid_ns_per_mask"] == 1e9 * rec_a["grid_seconds"] / 64
+    out_c = tmp_path / "c.json"
+    assert cli.main(["bench", "--seed", "3", "--grid", "3x2", "--phase-steps",
+                     "0", "--out", str(out_c)]) == 0
+    rec_c = read_json(str(out_c))["records"][0]
+    assert rec_c["grid_seconds"] is None
+    assert rec_c["grid_masks"] is None and rec_c["grid_ns_per_mask"] is None
 
 
 def test_bench_empty_grid(tmp_path):

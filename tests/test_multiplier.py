@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from framescale import multiplier
 from framescale.frames import FramePair
 from framescale.instances import (
     gaussian_pair,
@@ -21,6 +22,9 @@ from framescale.multiplier import (
     norm_lower_alternating,
     norm_oracle_grid,
     _certify,
+    _gram_rows,
+    _gram_top_norm,
+    _offset_weights,
     _op_norm_planes,
 )
 
@@ -240,9 +244,52 @@ def test_grid_oracle_edge_sizes():
         _assert_grid_matches(pair, steps, norms)
 
 
+def test_grid_oracle_outer_offsets_match_brute_force(monkeypatch):
+    # a block of 8 masks (one fast coordinate) or 64 (two) makes n = 3
+    # and n = 4 at 8 steps sweep 8 or 64 outer offsets; d >= 4 takes the
+    # eigvalsh fallback
+    rng = np.random.default_rng(72)
+    for chunk in (8, 64):
+        monkeypatch.setattr(multiplier, "GRID_CHUNK", chunk)
+        for n in (3, 4):
+            for d in (1, 2, 3, 4, 5):
+                pair = gaussian_pair(rng, n, d)
+                norms = [np.linalg.norm(mask_matrix(pair, eps), 2)
+                         for eps in _swept_masks(n, 8)]
+                _assert_grid_matches(pair, 8, np.array(norms))
+
+
+def test_grid_gram_rows_from_features_match_direct_rows():
+    # G(I + O) = G(I) + W_O f for I = sum_c f_c basis[c], f_0 = 1
+    rng = np.random.default_rng(73)
+    for d in (1, 2, 3, 4, 5):
+        basis = random_complex(rng, 5, d, d)
+        feats = np.vstack([np.ones(64), rng.uniform(-1.0, 1.0, (4, 64))])
+        offsets = random_complex(rng, d, d, 3)
+        block = np.einsum("cb,cij->ijb", feats, basis)
+        base = np.array(_gram_rows(block.real, block.imag))
+        weights = _offset_weights(basis, offsets)
+        assert weights.shape == (3, d * d, 5)
+        for o in range(3):
+            mats = block + offsets[:, :, o, None]
+            direct = np.array(_gram_rows(mats.real, mats.imag))
+            formed = weights[o] @ feats + base
+            assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_gram_top_norm_clamps_rounding_below_zero():
+    # a GEMM-formed Gram row of a zero matrix may read a rounding below 0
+    for d in (1, 2, 3, 4):
+        rows = np.zeros((d * d, 2))
+        rows[:d, 0] = -1e-17
+        rows[:d, 1] = 1.0
+        assert np.array_equal(_gram_top_norm(rows), [0.0, 1.0])
+
+
 def test_grid_oracle_is_scale_equivariant_without_overflow():
     rng = np.random.default_rng(70)
-    for d in (2, 3):
+    # d = 1 and 4 come last so d = 2 and 3 keep their original draws
+    for d in (2, 3, 1, 4):
         pair = gaussian_pair(rng, 4, d)
         base = norm_oracle_grid(pair, phase_steps=16)
         for c in (1e60, 1e100, 1e150):
