@@ -279,7 +279,6 @@ def _cmd_rescale(args) -> int:
     seed = _resolve_seed(args)
     records = []
     failures = 0
-    ratios = []
     for label, pair, _ in corpus:
         bracket = optimize(pair)
         alt, ascent_s = _timed_ascent(pair, seed)
@@ -302,29 +301,23 @@ def _cmd_rescale(args) -> int:
                "phi_norm_lower": alt.value,
                "M_upper": bracket.m_upper, "M_lower": bracket.m_lower,
                "gap": bracket.gap,
+               "ratio": bracket.m_upper / alt.value,
                "weights": [float(t) for t in bracket.log_weights],
                "bessel_x": [scaling.bounds_x.lower, scaling.bounds_x.upper],
                "bessel_y": [scaling.bounds_y.lower, scaling.bounds_y.upper],
                "check_results": checks,
                "stats": {**bracket.stats, "ascent_iterations": alt.iterations,
                          "ascent_s": ascent_s}}
-        if _oracle_allowed(pair, args.phase_steps):
-            oracle = norm_oracle_grid(pair, phase_steps=args.phase_steps).value
-            rec["phi_norm_oracle"] = oracle
-            rec["ratio"] = bracket.m_upper / oracle
-            ratios.append(rec["ratio"])
         ok = all(v for v in checks.values() if isinstance(v, bool))
         if not ok:
             failures += 1
         records.append(rec)
-        ratio_note = f" ratio={rec['ratio']:.4f}" if "ratio" in rec else ""
         print(f"{label}: M_lower={bracket.m_lower:.6g} "
               f"M_upper={bracket.m_upper:.6g} gap={bracket.gap:.2g} "
               f"bessel=({scaling.bounds_x.upper:.6g}, "
-              f"{scaling.bounds_y.upper:.6g}){ratio_note} ok={ok}")
-    summary = {"instances": len(records), "failures": failures}
-    if ratios:
-        summary["max_ratio"] = max(ratios)
+              f"{scaling.bounds_y.upper:.6g}) ratio={rec['ratio']:.4f} ok={ok}")
+    summary = {"instances": len(records), "failures": failures,
+               "max_ratio": max(rec["ratio"] for rec in records)}
     report = {"format_version": FORMAT_VERSION, "command": "rescale",
               "records": records, "summary": summary}
     if args.out:
@@ -335,8 +328,7 @@ def _cmd_rescale(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     try:
-        sizes = ({"instances": args.instances, "phase_steps": args.phase_steps}
-                 if args.suite == "ratio" else {})
+        sizes = {"instances": args.instances} if args.suite == "ratio" else {}
         report = run_suite(args.suite, seed=seed, **sizes)
     except VerificationError as exc:
         failure = {"format_version": FORMAT_VERSION, "command": "verify",
@@ -461,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     rescale.add_argument("--in", dest="infile", required=True,
                          help="instance file or corpus directory")
     rescale.add_argument("--seed", type=int, default=None)
-    rescale.add_argument("--phase-steps", type=int, default=0,
-                         help="also run the grid oracle and report the ratio")
     rescale.add_argument("--dilation", action="store_true",
                          help="also build the dilation and check isometries")
     rescale.add_argument("--out", default=None)
@@ -473,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--instances", type=int, default=200,
                      help="instance count for the ratio suite")
-    ver.add_argument("--phase-steps", type=int, default=48)
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=_cmd_verify)
 

@@ -385,7 +385,8 @@ def check_amplified(mats: np.ndarray, n: int) -> np.ndarray:
 
 def amplified_input_norm(mats: np.ndarray) -> float:
     """max_k of the operator norms of the matrix coefficients."""
-    a = check_amplified(mats, mats.shape[0])
+    a = np.asarray(mats, dtype=np.complex128)
+    a = check_amplified(a, a.shape[0] if a.ndim else 0)
     scale = _pow2_scale(a)
     planes = np.moveaxis(a * scale, 0, -1)
     return float(np.max(_op_norm_planes(planes.real, planes.imag))) / scale

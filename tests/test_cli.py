@@ -125,30 +125,61 @@ def test_rescale_scalar_corpus_hits_closed_form(tmp_path):
     assert cli.main(["gen", "--kind", "d1_scalars", "--n", "3", "--d", "1",
                      "--instances", "2", "--seed", "5",
                      "--out", str(corpus)]) == 0
-    assert cli.main(["rescale", "--in", str(corpus), "--phase-steps", "32",
-                     "--out", str(out)]) == 0
+    assert cli.main(["rescale", "--in", str(corpus), "--out", str(out)]) == 0
     report = read_json(str(out))
     assert report["summary"]["failures"] == 0
-    assert report["summary"]["max_ratio"] <= 1.01
+    # at d = 1 the ascent and the certified bound both meet the closed form
+    assert 1.0 - 1e-12 <= report["summary"]["max_ratio"] <= 1.0 + 1e-6
     for (_, pair, _), rec in zip(cli.load_corpus(str(corpus)),
                                  report["records"]):
         closed = float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
         assert rec["M_upper"] == pytest.approx(closed, rel=1e-6)
-        assert rec["ratio"] == pytest.approx(rec["M_upper"]
-                                             / rec["phi_norm_oracle"])
+        assert rec["phi_norm_lower"] == pytest.approx(closed, rel=1e-12)
         assert rec["check_results"]["bound_respected"]
         assert rec["check_results"]["bracket_ordered"]
 
 
-def test_rescale_without_oracle_omits_ratio(tmp_path):
+def test_rescale_always_reports_ratio(tmp_path):
     inst = tmp_path / "one.frame.json"
     out = tmp_path / "res.json"
     assert cli.main(["gen", "--kind", "gaussian", "--n", "3", "--d", "2",
                      "--seed", "1", "--out", str(inst)]) == 0
     assert cli.main(["rescale", "--in", str(inst), "--out", str(out)]) == 0
-    rec = read_json(str(out))["records"][0]
-    assert "ratio" not in rec and "phi_norm_oracle" not in rec
-    assert "max_ratio" not in read_json(str(out))["summary"]
+    report = read_json(str(out))
+    rec = report["records"][0]
+    assert rec["ratio"] == rec["M_upper"] / rec["phi_norm_lower"]
+    assert rec["ratio"] >= 1.0 - 1e-12
+    assert report["summary"]["max_ratio"] == rec["ratio"]
+    assert "phi_norm_oracle" not in rec
+    header = (tmp_path / "res.csv").read_text().splitlines()[0].split(",")
+    assert "ratio" in header
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "ratio"],
+                                  ["rescale", "--in", "one.frame.json"]],
+                         ids=["verify", "rescale"])
+def test_phase_steps_flag_is_gone(argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--phase-steps", "8"])
+    assert info.value.code == cli.EXIT_USAGE
+
+
+def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
+    out = tmp_path / "ratio.json"
+    assert cli.main(["verify", "--suite", "ratio", "--instances", "4",
+                     "--seed", "0", "--out", str(out)]) == 0
+    report = read_json(str(out))
+    records, summary = report["records"], report["summary"]
+    assert len(records) == summary["instances"] == 4
+    assert summary["max_ratio"] == max(r["ratio"] for r in records)
+    assert summary["max_ratio"] <= 2.1
+    assert summary["pinned"] == sum(r["phi_gap"] <= 1e-9 for r in records)
+    for r in records:
+        assert r["ratio"] == r["m_upper"] / r["phi_norm"] >= 1.0 - 1e-12
+        assert r["phi_gap"] == (r["m_upper"] - r["phi_norm"]) / r["m_upper"]
+        assert r["witness_defect"] <= 1e-12
+    assert summary["failures"] == 0
+    assert capsys.readouterr().out.startswith("PASS ratio in ")
 
 
 def test_rescale_records_stats_and_one_ascent(tmp_path):

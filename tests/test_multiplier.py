@@ -372,6 +372,15 @@ def test_amplified_input_norm():
         assert abs(amplified_input_norm(c * mats) / c - 1.0) <= 1e-10
 
 
+def test_amplified_input_norm_validates_before_use():
+    mats = [[[1.0, 2.0], [3.0, 4.0]], [[0.5, 0.0], [0.0, 0.5]]]
+    assert amplified_input_norm(mats) == amplified_input_norm(np.array(mats))
+    for bad in (1.0, [[1.0, 2.0], [3.0, 4.0]], [[[1.0, 2.0], [3.0]]],
+                np.ones((2, 2, 3))):
+        with pytest.raises(ValueError):
+            amplified_input_norm(bad)
+
+
 def test_norm_estimates_invariant_under_diagonal_reparameterization():
     rng = np.random.default_rng(65)
     pair = gaussian_pair(rng, 3, 2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from framescale.verify import (
     RatioConfig,
     VerificationError,
     end_to_end_rescale_check,
-    exact_phi_norm,
     holder_trace_check,
     key_simple_check,
     khintchine_check,
@@ -28,7 +29,13 @@ from framescale.verify import (
     super_key_check,
     trace_lemma_check,
     trace_pairing_check,
+    witness_defect,
 )
+
+
+def scalar_phi(pair):
+    """Closed-form multiplier norm of a d = 1 pair: sum_k |x_k y_k|."""
+    return float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
 
 
 def test_sign_patterns_enumerates_all():
@@ -126,17 +133,19 @@ def test_key_simple_orthonormal_saturates():
 def test_key_simple_detects_deflated_norm():
     rng = np.random.default_rng(8)
     pair = d1_scalar_pair(rng, 4)
-    phi = exact_phi_norm(pair)
-    u = np.ones(1, dtype=np.complex128)
-    key_simple_check(pair, u, u, phi)
-    with pytest.raises(VerificationError):
-        key_simple_check(pair, u, u, 0.5 * phi)
+    phi = scalar_phi(pair)
+    # at 1e-6 both sides are near 1e-12 phi, so the gate must scale too
+    for scale in (1.0, 1e-6):
+        u = np.full(1, scale, dtype=np.complex128)
+        key_simple_check(pair, u, u, phi)
+        with pytest.raises(VerificationError):
+            key_simple_check(pair, u, u, 0.5 * phi)
 
 
 def test_super_key_chain_runs_below_cap():
     rng = np.random.default_rng(9)
     pair = gaussian_pair(rng, 3, 2)
-    phi = exact_phi_norm(pair, phase_steps=96)
+    phi = norm_lower_alternating(pair).value
     us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     rec = super_key_check(pair, us, vs, phi)
@@ -150,7 +159,7 @@ def test_super_key_chain_runs_below_cap():
 def test_super_key_chain_skipped_above_cap():
     rng = np.random.default_rng(10)
     pair = gaussian_pair(rng, 3, 2)
-    phi = exact_phi_norm(pair, phase_steps=96)
+    phi = norm_lower_alternating(pair).value
     m = 12
     us = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
     vs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
@@ -162,12 +171,13 @@ def test_super_key_chain_skipped_above_cap():
 def test_super_key_detects_deflated_norm():
     rng = np.random.default_rng(11)
     pair = d1_scalar_pair(rng, 3)
-    phi = exact_phi_norm(pair)
+    phi = scalar_phi(pair)
     us = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
     vs = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-    super_key_check(pair, us, vs, phi)
-    with pytest.raises(VerificationError):
-        super_key_check(pair, us, vs, 0.25 * phi)
+    for scale in (1.0, 1e-6):
+        super_key_check(pair, scale * us, scale * vs, phi)
+        with pytest.raises(VerificationError):
+            super_key_check(pair, scale * us, scale * vs, 0.25 * phi)
 
 
 def test_rank_one_block_is_rank_one():
@@ -222,12 +232,25 @@ def test_holder_trace_equality_cases():
     assert abs(rec["slack"]) <= 1e-9
 
 
-def test_exact_phi_matches_alternating_at_d1():
+def test_alternating_matches_closed_form_at_d1():
     rng = np.random.default_rng(15)
     pair = d1_scalar_pair(rng, 5)
-    closed = exact_phi_norm(pair)
     alt = norm_lower_alternating(pair, restarts=2).value
-    assert alt == pytest.approx(closed, rel=1e-9)
+    assert alt == pytest.approx(scalar_phi(pair), rel=1e-9)
+
+
+def test_witness_defect_replays_the_ascent():
+    rng = np.random.default_rng(19)
+    pair = gaussian_pair(rng, 4, 3)
+    est = norm_lower_alternating(pair)
+    assert witness_defect(pair, est) <= 1e-12
+    # an inflated value, a long vector or a mask outside the disc is caught
+    assert witness_defect(pair, replace(est, value=est.value * (1 + 1e-9))) \
+        >= 0.5e-9
+    assert witness_defect(pair, replace(est, witness_u=2 * est.witness_u)) \
+        >= 1.0
+    with pytest.raises(ValueError):
+        witness_defect(pair, replace(est, witness_mask=1.5 * est.witness_mask))
 
 
 def test_end_to_end_check_requires_reproducing_pair():
@@ -256,16 +279,32 @@ def test_end_to_end_canonical_dual_stays_in_envelope():
 
 def test_ratio_experiment_small_run():
     report = ratio_experiment(RatioConfig(instances=6, seed=3))
-    assert len(report["records"]) == 6
+    records, summary = report["records"], report["summary"]
+    assert len(records) == 6
+    assert summary["max_ratio"] <= 2.1
+    assert all(r["m_lower"] <= r["m_upper"] + 1e-8 for r in records)
+    for r in records:
+        assert r["ratio"] == r["m_upper"] / r["phi_norm"] >= 1.0 - 1e-12
+        assert r["phi_gap"] == (r["m_upper"] - r["phi_norm"]) / r["m_upper"]
+        assert r["witness_defect"] <= 1e-12
+    assert summary["pinned"] == sum(r["phi_gap"] <= 1e-9 for r in records)
+
+
+def test_ratio_experiment_beyond_the_old_grid_shapes():
+    report = ratio_experiment(RatioConfig(instances=8, n_max=8, d_max=4,
+                                          seed=1))
+    assert max(r["n"] for r in report["records"]) > 5
+    assert max(r["d"] for r in report["records"]) > 3
     assert report["summary"]["max_ratio"] <= 2.1
-    assert all(r["m_lower"] <= r["m_upper"] + 1e-8 for r in report["records"])
 
 
 def test_ratio_config_validation():
     with pytest.raises(ValueError):
         RatioConfig(instances=0)
     with pytest.raises(ValueError):
-        RatioConfig(n_max=6)
+        RatioConfig(n_max=0)
+    with pytest.raises(ValueError):
+        RatioConfig(d_max=0)
     with pytest.raises(ValueError):
         RatioConfig(scaling_low=0.0)
 
