@@ -113,6 +113,13 @@ def load_instance(path: str):
     return pair, doc.get("metadata", {})
 
 
+def _label(name: str) -> str:
+    """A file name without INSTANCE_SUFFIX, or else without its extension."""
+    if name.endswith(INSTANCE_SUFFIX):
+        return name[:-len(INSTANCE_SUFFIX)]
+    return os.path.splitext(name)[0]
+
+
 def load_corpus(path: str):
     """A file or a directory of files; returns [(label, pair, metadata)].
 
@@ -124,20 +131,9 @@ def load_corpus(path: str):
                        if name.endswith(".json"))
         if not names:
             raise InstanceFormatError(f"{path}: no instance files found")
-        out = []
-        for name in names:
-            pair, metadata = load_instance(os.path.join(path, name))
-            label = name[:-len(INSTANCE_SUFFIX)] if name.endswith(
-                INSTANCE_SUFFIX) else os.path.splitext(name)[0]
-            out.append((label, pair, metadata))
-        return out
-    pair, metadata = load_instance(path)
-    label = os.path.basename(path)
-    if label.endswith(INSTANCE_SUFFIX):
-        label = label[:-len(INSTANCE_SUFFIX)]
-    else:
-        label = os.path.splitext(label)[0]
-    return [(label, pair, metadata)]
+        return [(_label(name), *load_instance(os.path.join(path, name)))
+                for name in names]
+    return [(_label(os.path.basename(path)), *load_instance(path))]
 
 
 def _plain(obj):

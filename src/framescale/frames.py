@@ -13,6 +13,7 @@ import numpy as np
 from .linalg import eigh, top_singular_triplet
 
 MIN_VECTOR_NORM = 1e-14
+FRAME_TOL = 1e-10  # lower frame bound that is_frame must clear
 
 
 def _check_vectors(vectors: np.ndarray, name: str) -> np.ndarray:
@@ -65,17 +66,16 @@ def frame_operator(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ki,kj->ij", v, v.conj())
 
 
-def bessel_and_frame_bounds(vectors: np.ndarray,
-                            frame_tol: float = 1e-10) -> BesselBounds:
+def bessel_and_frame_bounds(vectors: np.ndarray) -> BesselBounds:
     """Optimal Bessel bound and lower frame bound of a vector sequence.
 
     The upper bound is the largest eigenvalue of the frame operator, the
     lower bound the smallest; is_frame reports whether the lower bound
-    clears frame_tol.
+    clears FRAME_TOL.
     """
     w, _ = eigh(frame_operator(vectors))
     lam_min = max(float(w[0]), 0.0)
-    return BesselBounds(lam_min, float(w[-1]), lam_min > frame_tol)
+    return BesselBounds(lam_min, float(w[-1]), lam_min > FRAME_TOL)
 
 
 def pair_operator(pair: FramePair) -> np.ndarray:

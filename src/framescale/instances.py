@@ -9,6 +9,7 @@ from .frames import FramePair, frame_operator, is_schauder_identity
 from .linalg import eigh
 
 GENERATOR_KINDS = ("gaussian", "schauder_mangled", "onb_union", "d1_scalars")
+MIN_CONDITIONING = 0.05  # canonical_dual_pair redraws frames below this
 
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -52,11 +53,10 @@ def gaussian_pair(rng: np.random.Generator, n: int, d: int) -> FramePair:
                      random_complex(rng, n, d) / np.sqrt(2.0 * d))
 
 
-def canonical_dual_pair(rng: np.random.Generator, n: int, d: int,
-                        min_conditioning: float = 0.05) -> FramePair:
+def canonical_dual_pair(rng: np.random.Generator, n: int, d: int) -> FramePair:
     """A random frame together with its canonical dual; reproduces identity.
 
-    Frames with smallest-to-largest eigenvalue ratio below min_conditioning
+    Frames with smallest-to-largest eigenvalue ratio below MIN_CONDITIONING
     are redrawn so the dual is computed accurately.
     """
     if n < d:
@@ -65,7 +65,7 @@ def canonical_dual_pair(rng: np.random.Generator, n: int, d: int,
         xs = random_complex(rng, n, d) / np.sqrt(2.0 * d)
         s = frame_operator(xs)
         w, v = eigh(s)
-        if w[0] > min_conditioning * w[-1]:
+        if w[0] > MIN_CONDITIONING * w[-1]:
             inv = (v / w) @ v.conj().T
             # rows are vectors, so applying S^-1 to each row is a right
             # multiplication by its transpose

@@ -7,11 +7,11 @@ over all m is the completely bounded norm.  This module provides exact
 evaluation, an alternating-ascent lower bound with certified witnesses
 (its restarts run in lockstep, one stacked SVD per iteration), an
 exhaustive phase-grid oracle for small n, and the amplified maps through
-which the dual certificate of rescale.optimize replays.  The grid forms
-the Gram rows of each block of masks with one GEMM over phase features
-and takes top eigenvalues in closed form for d <= 3, the same step that
-_op_norm_planes uses; masks whose norms tie to rounding may yield a
-different first maximiser than a LAPACK sweep would.
+which the dual certificate of rescale.optimize replays.  The grid grows
+the Gram rows of its block of masks one coordinate at a time, then shifts
+the block by each offset, every step one GEMM over phase features, and
+takes top eigenvalues in closed form for d <= 3; masks whose norms tie to
+rounding may yield a different first maximiser than a LAPACK sweep would.
 """
 
 import math
@@ -23,6 +23,8 @@ from .frames import FramePair
 from .linalg import top_singular_triplet
 
 MASK_SLACK = 1e-12
+ASCENT_MAX_ITERS = 300
+ASCENT_RTOL = 1e-12  # a restart stops once its value rises by at most this
 
 
 def check_mask(mask: np.ndarray, n: int, stack: bool = False) -> np.ndarray:
@@ -84,7 +86,6 @@ def mask_matrix(pair: FramePair, mask: np.ndarray) -> np.ndarray:
 
 
 def norm_lower_alternating(pair: FramePair, restarts: int = 8,
-                           max_iters: int = 300, tol: float = 1e-12,
                            seed: int = 0) -> MultiplierNormEstimate:
     """Alternating ascent over masks and unit vectors.
 
@@ -92,9 +93,9 @@ def norm_lower_alternating(pair: FramePair, restarts: int = 8,
     mask matrix; with (u, v) fixed, the best mask aligns each phase so
     every term contributes positively.  Both half-steps are monotone.  The
     first restart starts from the all-ones mask, the rest from random
-    phases.  A restart stops once its aligned value rises by at most tol
-    of itself, or after max_iters steps; the first restart of largest
-    certified value wins.
+    phases.  A restart stops once its aligned value rises by at most
+    ASCENT_RTOL of itself, or after ASCENT_MAX_ITERS steps; the first
+    restart of largest certified value wins.
 
     The restarts run in lockstep: each iteration takes the mask matrices
     of every restart still running from the rank-one tables x_k y_k^* in
@@ -118,7 +119,7 @@ def norm_lower_alternating(pair: FramePair, restarts: int = 8,
     prev = np.full(restarts, -np.inf)
     live = np.arange(restarts)
     iterations = 0
-    while live.size and iterations < max_iters:
+    while live.size and iterations < ASCENT_MAX_ITERS:
         iterations += 1
         a = check_mask(eps[live], pair.n, stack=True)
         mats = (a[:, :, None, None] * rank_ones).sum(axis=1)
@@ -131,7 +132,7 @@ def norm_lower_alternating(pair: FramePair, restarts: int = 8,
         nonzero = mags > 0.0
         phases = np.conj(terms) / np.where(nonzero, mags, 1.0)
         eps[live] = np.where(nonzero, phases, a)
-        running = aligned - prev[live] > tol * aligned
+        running = aligned - prev[live] > ASCENT_RTOL * aligned
         prev[live] = aligned
         live = live[running]
     return max((_certify(pair, eps[r], us[r], vs[r], "alternating", iterations)
@@ -148,59 +149,23 @@ def _pow2_scale(a: np.ndarray) -> float:
     return float(np.ldexp(1.0, -int(np.frexp(big)[1])))
 
 
-def _upper_pairs(d: int):
-    """Index pairs (j, k), j < k, of a d x d upper triangle in row order."""
-    return [(j, k) for j in range(d) for k in range(j + 1, d)]
-
-
-def _gram_re(re: np.ndarray, im: np.ndarray, j: int, k: int) -> np.ndarray:
-    """Real part of g_jk = sum_i conj(m_ij) m_ik, per matrix of the planes."""
-    out = re[0, j] * re[0, k]
-    out += im[0, j] * im[0, k]
-    for i in range(1, re.shape[0]):
-        out += re[i, j] * re[i, k]
-        out += im[i, j] * im[i, k]
-    return out
-
-
-def _gram_im(re: np.ndarray, im: np.ndarray, j: int, k: int) -> np.ndarray:
-    """Imaginary part of g_jk = sum_i conj(m_ij) m_ik, per matrix."""
-    out = re[0, j] * im[0, k]
-    out -= im[0, j] * re[0, k]
-    for i in range(1, re.shape[0]):
-        out += re[i, j] * im[i, k]
-        out -= im[i, j] * re[i, k]
-    return out
-
-
-def _gram_rows(re: np.ndarray, im: np.ndarray) -> list:
-    """Gram rows of a stack of d x d matrices held as real planes.
-
-    re and im have shape (d, d, B): entry [i, j, b] is the real or
-    imaginary part of m_ij of matrix b.  The d*d rows, each of length B,
-    are the real entries of g_jk = sum_i conj(m_ij) m_ik: the d diagonal
-    entries, then the real and then the imaginary parts of the upper
-    triangle in row order.
-    """
-    d = re.shape[0]
-    upper = _upper_pairs(d)
-    return ([_gram_re(re, im, j, j) for j in range(d)]
-            + [_gram_re(re, im, j, k) for j, k in upper]
-            + [_gram_im(re, im, j, k) for j, k in upper])
-
-
 def _hermitian_rows(g: np.ndarray) -> np.ndarray:
-    """The rows of _gram_rows, read off a stack of Hermitian (..., d, d)."""
+    """Gram rows of a stack of Hermitian (..., d, d) matrices g.
+
+    The last axis of the result holds the d*d real entries of each g: the
+    d diagonal entries, then the real and then the imaginary parts of the
+    upper triangle in row order.
+    """
     ju, ku = np.triu_indices(g.shape[-1], 1)
     upper = g[..., ju, ku]
     return np.concatenate([np.diagonal(g, axis1=-2, axis2=-1).real,
                            upper.real, upper.imag], axis=-1)
 
 
-def _gram_top_norm(rows) -> np.ndarray:
+def _gram_top_norm(rows: np.ndarray) -> np.ndarray:
     """sqrt of the top eigenvalue of each Gram matrix given by its rows.
 
-    rows holds the d*d rows of _gram_rows, as a list or a 2-D array.
+    rows has shape (d*d, B): column b holds the _hermitian_rows of matrix b.
     d = 1 reads the single entry, d = 2 takes the larger root of the
     characteristic polynomial from trace and determinant, d = 3 the
     trigonometric form of the cubic's roots; larger d falls back to
@@ -238,30 +203,13 @@ def _gram_top_norm(rows) -> np.ndarray:
         lam = np.where(p > 0.0, lam, q)
     else:
         # eigvalsh reads only the lower triangle, g_kj = conj(g_jk)
-        gram = np.zeros((len(rows[0]), d, d), dtype=np.complex128)
-        upper = _upper_pairs(d)
-        for j in range(d):
-            gram[:, j, j] = rows[j]
-        for r, (j, k) in enumerate(upper, start=d):
-            gram[:, k, j].real = rows[r]
-            gram[:, k, j].imag = -rows[r + len(upper)]
+        ju, ku = np.triu_indices(d, 1)
+        gram = np.zeros((rows.shape[1], d, d), dtype=np.complex128)
+        gram.real[:, np.arange(d), np.arange(d)] = rows[:d].T
+        gram.real[:, ku, ju] = rows[d:d + ju.size].T
+        gram.imag[:, ku, ju] = -rows[d + ju.size:].T
         lam = np.linalg.eigvalsh(gram)[:, -1]
     return np.sqrt(np.maximum(lam, 0.0))
-
-
-def _op_norm_planes(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Operator norms of a stack of d x d matrices held as real planes.
-
-    re and im have shape (d, d, B) as in _gram_rows.  The norm is sqrt
-    of the top eigenvalue of the Gram matrix g_jk = sum_i conj(m_ij)
-    m_ik, whose entries are formed in real arithmetic and whose top
-    eigenvalue comes from _gram_top_norm (closed forms for d <= 3); d = 1
-    is |m| by hypot.  Callers keep the entries near unit size (see
-    _pow2_scale).
-    """
-    if re.shape[0] == 1:
-        return np.hypot(re[0, 0], im[0, 0])
-    return _gram_top_norm(_gram_rows(re, im))
 
 
 def _digit_sums(start: np.ndarray, tables) -> np.ndarray:
@@ -313,16 +261,20 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     n is capped at GRID_MAX_N.
 
     The grid is a Cartesian product, so the mask matrices are sums of
-    per-coordinate tables phase * x_k y_k^*.  The fastest f coordinates,
-    as many as fit in GRID_CHUNK masks, form one block I that is affine
-    in their phases: I = R_0 + sum_k (Re e_k) R_k + (Im e_k) i R_k.  Every
-    setting of the remaining coordinates adds one d x d offset O, and
-    G(I + O) = G(I) + (I^H O + O^H I) + G(O).  So the Gram rows of I are
-    formed once, and for each offset the rest is one GEMM: a real
-    (d*d, 1 + 2f) weight matrix, built for all offsets in one einsum,
-    times the fixed features [1; Re e_k; Im e_k] of the block.  The
-    tables are first scaled by an exact power of two, so the Gram entries
-    stay inside the float range whenever the tables themselves do.
+    per-coordinate tables phase * x_k y_k^*.  The fastest coordinates, as
+    many as fit in GRID_CHUNK masks, form one block I that is affine in
+    their phases: I = R_0 + sum_k (Re e_k) R_k + (Im e_k) i R_k, with real
+    features f = [1; Re e_k; Im e_k].  Adding a d x d offset O to every
+    matrix of a block gives G(I + O) = G(I) + (I^H O + O^H I) + G(O), and
+    the rows of the last two terms are W_O f for a real weight matrix W_O
+    with one column per feature (see _offset_weights).  The block grows
+    from the Gram rows of R_0 by this identity: coordinate k adds one
+    offset e R_k per phase e as the new slowest digit, one GEMM over the
+    features so far.  Every setting of the remaining coordinates then
+    adds one offset to the finished block, again one GEMM, with the
+    weights of all offsets built in one einsum.  The tables are first
+    scaled by an exact power of two, so the Gram entries stay inside the
+    float range whenever the tables themselves do.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
@@ -336,20 +288,24 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     fast = 0
     while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:
         fast += 1
-    inner = _digit_sums(rank_ones[0], tables[fast:0:-1])
+    # grow the block one coordinate at a time, each new one the slowest
+    # digit, by the identity the offsets use below
+    base = _hermitian_rows(rank_ones[0].conj().T @ rank_ones[0])[:, None]
+    basis = rank_ones[:1]
+    feats = np.ones((1, 1))
+    for k in range(1, fast + 1):
+        grown = np.matmul(_offset_weights(basis, tables[k]), feats)
+        grown += base
+        base = np.swapaxes(grown, 0, 1).reshape(d * d, -1)
+        width = feats.shape[1]
+        feats = np.vstack([np.tile(feats, phase_steps),
+                           np.repeat(phases.real, width),
+                           np.repeat(phases.imag, width)])
+        basis = np.concatenate([basis, rank_ones[k:k + 1], 1j * rank_ones[k:k + 1]])
     offsets = _digit_sums(np.zeros((d, d), dtype=np.complex128),
                           tables[n - 1:fast:-1])
-    block = inner.shape[2]
-    feats = np.empty((1 + 2 * fast, block))
-    feats[0] = 1.0
-    digits = np.arange(block)
-    for pos in range(1, fast + 1):
-        digits, dig = np.divmod(digits, phase_steps)
-        feats[pos] = phases.real[dig]
-        feats[fast + pos] = phases.imag[dig]
-    basis = np.concatenate([rank_ones[:fast + 1], 1j * rank_ones[1:fast + 1]])
     weights = _offset_weights(basis, offsets)
-    base = np.array(_gram_rows(inner.real, inner.imag))
+    block = base.shape[1]
     rows = np.empty_like(base)
     best_val = -np.inf
     best_idx = 0
@@ -387,9 +343,7 @@ def amplified_input_norm(mats: np.ndarray) -> float:
     """max_k of the operator norms of the matrix coefficients."""
     a = np.asarray(mats, dtype=np.complex128)
     a = check_amplified(a, a.shape[0] if a.ndim else 0)
-    scale = _pow2_scale(a)
-    planes = np.moveaxis(a * scale, 0, -1)
-    return float(np.max(_op_norm_planes(planes.real, planes.imag))) / scale
+    return float(np.max(top_singular_triplet(a)[0]))
 
 
 def amplified_apply(pair: FramePair, mats: np.ndarray, us: np.ndarray) -> np.ndarray:

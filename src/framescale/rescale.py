@@ -32,6 +32,7 @@ from .linalg import eigh, psd_sqrt
 from .multiplier import check_mask
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
+TIE_RTOL = 1e-9  # subgradient averages f and g branches this close
 # Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
 # at a time in one stacked eigh.  On criterion-01 sized pairs (n <= 5,
 # d <= 3) blocks of 1, 2, 4 and 8 took within 3 % of each other (best of
@@ -118,19 +119,19 @@ def balance(pair: FramePair, t: np.ndarray) -> np.ndarray:
     return _balanced(t, _Objective(pair).spectra(t))
 
 
-def subgradient(pair: FramePair, t: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
+def subgradient(pair: FramePair, t: np.ndarray) -> np.ndarray:
     """A subgradient of h = max(f, g) at t.
 
     On the f branch the component k is e^{t_k} |<v_f, x_k>|^2 for the top
     eigenvector v_f; on the g branch it is -e^{-t_k} |<v_g, y_k>|^2.  When
-    the branches tie within tie_tol (relative) the two halves are
+    the branches tie within TIE_RTOL (relative) the two halves are
     averaged.
     """
     t = _check_weights(t, pair.n)
     f, vf, g, vg = _branch_tops(_Objective(pair), t)
     gx = np.exp(t) * np.abs(pair.xs.conj() @ vf) ** 2
     gy = np.exp(-t) * np.abs(pair.ys.conj() @ vg) ** 2
-    gap = tie_tol * max(f, g)
+    gap = TIE_RTOL * max(f, g)
     if f - g > gap:
         return gx
     if g - f > gap:
@@ -358,8 +359,7 @@ class ScalingResult:
     bounds_y: BesselBounds
 
 
-def extract_scaling(pair: FramePair, log_weights: np.ndarray,
-                    frame_tol: float = 1e-10) -> ScalingResult:
+def extract_scaling(pair: FramePair, log_weights: np.ndarray) -> ScalingResult:
     """Turn log-weights into vector scalars and the scaled frame bounds.
 
     The first family becomes (e^{t_k/2} x_k), the second
@@ -367,8 +367,8 @@ def extract_scaling(pair: FramePair, log_weights: np.ndarray,
     """
     t = _check_weights(log_weights, pair.n)
     alpha = np.exp(0.5 * t)
-    bx = bessel_and_frame_bounds(alpha[:, None] * pair.xs, frame_tol=frame_tol)
-    by = bessel_and_frame_bounds(pair.ys / alpha[:, None], frame_tol=frame_tol)
+    bx = bessel_and_frame_bounds(alpha[:, None] * pair.xs)
+    by = bessel_and_frame_bounds(pair.ys / alpha[:, None])
     return ScalingResult(alpha, bx, by)
 
 

@@ -106,6 +106,20 @@ def test_load_corpus_rejects_empty_directory(tmp_path):
         cli.load_corpus(str(empty))
 
 
+def test_load_corpus_labels_drop_the_suffix(tmp_path):
+    pair = gaussian_pair(np.random.default_rng(3), 3, 2)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a.frame.json", "b.json", "c.v2.json"):
+        cli.save_instance(str(corpus / name), pair)
+    assert [label for label, _, _ in cli.load_corpus(str(corpus))] == \
+        ["a", "b", "c.v2"]
+    for name, label in (("a.frame.json", "a"), ("b.json", "b"),
+                        ("c.v2.json", "c.v2")):
+        [(got, _, _)] = cli.load_corpus(str(corpus / name))
+        assert got == label
+
+
 def test_main_maps_format_errors_to_usage_exit(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("not json")

@@ -22,10 +22,9 @@ from framescale.multiplier import (
     norm_lower_alternating,
     norm_oracle_grid,
     _certify,
-    _gram_rows,
     _gram_top_norm,
+    _hermitian_rows,
     _offset_weights,
-    _op_norm_planes,
 )
 
 from conftest import haar_unitary, random_complex
@@ -177,6 +176,11 @@ def test_alternating_rejects_no_restarts():
             norm_lower_alternating(pair, restarts=restarts)
 
 
+def _gram(mats):
+    """M^H M for each matrix M of a (..., d, d) stack."""
+    return np.swapaxes(mats.conj(), -1, -2) @ mats
+
+
 def test_batched_op_norm_matches_oracle():
     rng = np.random.default_rng(55)
     for d in (1, 2, 3, 4, 5):
@@ -190,8 +194,7 @@ def test_batched_op_norm_matches_oracle():
                       random_complex(rng, 5, d).conj()),
             np.stack([3.0 * u, (u * spread) @ w, (u * spread[::-1]) @ w]),
         ])
-        planes = np.moveaxis(mats, 0, -1)
-        mine = _op_norm_planes(planes.real, planes.imag)
+        mine = _gram_top_norm(_hermitian_rows(_gram(mats)).T)
         oracle = np.array([np.linalg.norm(m, 2) for m in mats])
         assert np.all(np.abs(mine - oracle) <= 1e-12 * oracle)
 
@@ -266,15 +269,41 @@ def test_grid_gram_rows_from_features_match_direct_rows():
         basis = random_complex(rng, 5, d, d)
         feats = np.vstack([np.ones(64), rng.uniform(-1.0, 1.0, (4, 64))])
         offsets = random_complex(rng, d, d, 3)
-        block = np.einsum("cb,cij->ijb", feats, basis)
-        base = np.array(_gram_rows(block.real, block.imag))
+        block = np.einsum("cb,cij->bij", feats, basis)
+        base = _hermitian_rows(_gram(block)).T
         weights = _offset_weights(basis, offsets)
         assert weights.shape == (3, d * d, 5)
         for o in range(3):
-            mats = block + offsets[:, :, o, None]
-            direct = np.array(_gram_rows(mats.real, mats.imag))
+            direct = _hermitian_rows(_gram(block + offsets[:, :, o])).T
             formed = weights[o] @ feats + base
             assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_grid_grown_block_rows_match_direct_rows(monkeypatch):
+    # with n = fast + 1 there are no outer digits, so the one call of the
+    # top-eigenvalue step sees the grown block's rows unchanged
+    seen = []
+    top_norm = multiplier._gram_top_norm
+
+    def spy(rows):
+        seen.append(rows.copy())
+        return top_norm(rows)
+
+    monkeypatch.setattr(multiplier, "_gram_top_norm", spy)
+    rng = np.random.default_rng(74)
+    for fast in (1, 2, 3):
+        monkeypatch.setattr(multiplier, "GRID_CHUNK", 8 ** fast)
+        for d in (1, 2, 3, 4, 5):
+            pair = gaussian_pair(rng, fast + 1, d)
+            seen.clear()
+            norm_oracle_grid(pair, phase_steps=8)
+            mats = np.stack([mask_matrix(pair, eps)
+                             for eps in _swept_masks(fast + 1, 8)])
+            mats *= multiplier._pow2_scale(pair.xs[:, :, None]
+                                           * pair.ys.conj()[:, None, :])
+            direct = _hermitian_rows(_gram(mats)).T
+            assert len(seen) == 1 and seen[0].shape == direct.shape
+            assert np.max(np.abs(seen[0] - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
 def test_gram_top_norm_clamps_rounding_below_zero():

@@ -150,10 +150,24 @@ def test_super_key_chain_runs_below_cap():
     vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     rec = super_key_check(pair, us, vs, phi)
     assert rec["chain_checked"]
-    assert rec["slack"] >= -1e-9 * (1.0 + rec["rhs"])
-    assert rec["khintchine_link"] >= -1e-9 * (1.0 + rec["rhs"])
-    assert rec["masked_bound_link"] >= -1e-9 * (1.0 + rec["rhs"]) * phi
-    assert rec["average_identity"] <= 1e-10 * (1.0 + rec["rhs"])
+    assert rec["slack"] >= -1e-9 * rec["rhs"]
+    assert rec["khintchine_link"] >= -1e-9 * rec["rhs"]
+    assert rec["masked_bound_link"] >= -1e-9 * rec["rhs"] * phi
+    assert rec["average_identity"] <= 1e-10 * rec["rhs"]
+
+
+def test_super_key_masked_link_gate_scales_with_the_tuples():
+    # 0.7 phi still passes the final inequality (constant 2), so only the
+    # masked-norm link can catch it, at every scale of the tuples
+    rng = np.random.default_rng(9)
+    pair = gaussian_pair(rng, 3, 2)
+    phi = norm_lower_alternating(pair).value
+    us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    for scale in (1.0, 1e-6, 1e6):
+        super_key_check(pair, scale * us, scale * vs, phi)
+        with pytest.raises(VerificationError, match="masked-norm link"):
+            super_key_check(pair, scale * us, scale * vs, 0.7 * phi)
 
 
 def test_super_key_chain_skipped_above_cap():
@@ -203,6 +217,24 @@ def test_trace_pairing_routes_agree():
     assert rec["residual"] <= 1e-10 * (1.0 + abs(rec["value"]))
     with pytest.raises(ValueError):
         trace_pairing_check(pair, mats, us[:2], vs)
+
+
+def test_relative_gates_pass_at_every_scale():
+    # no gate carries an absolute term, so tiny and huge data pass alike
+    rng = np.random.default_rng(15)
+    pair = gaussian_pair(rng, 4, 2)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    phi = norm_lower_alternating(pair).value
+    for c in (1e-150, 1.0, 1e150):
+        khintchine_check(c * a[0])
+        trace_lemma_check(c * a[0], b[0])
+        holder_trace_check(c * a, b)
+        trace_pairing_check(pair, mats, c * us, vs)
+        super_key_check(pair, c * us, vs, phi)
 
 
 def test_holder_trace_random_and_identity_case():
