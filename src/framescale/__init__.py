@@ -5,9 +5,9 @@ pairs in C^d.  frames computes Bessel and frame bounds; multiplier
 estimates the masked-combination operator norm from below and evaluates
 its matrix-coefficient (amplified) maps; rescale finds log-weights whose
 balanced Bessel bounds certify the completely bounded norm from above,
-bounds it from below by a dual certificate with a replayable witness,
-and builds the explicit dilation; verify turns every supporting
-inequality into an executable check.
+bounds it and the multiplier norm from below by a dual certificate with
+a replayable witness, and builds the explicit dilation; verify turns
+every supporting inequality into an executable check.
 """
 
 from .frames import (
@@ -36,6 +36,7 @@ from .rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
+    phi_lower,
     subgradient,
 )
 from .verify import (
@@ -80,6 +81,7 @@ __all__ = [
     "norm_oracle_grid",
     "optimize",
     "pair_operator",
+    "phi_lower",
     "ratio_experiment",
     "run_suite",
     "subgradient",

@@ -21,7 +21,7 @@ from .frames import FramePair, bessel_and_frame_bounds, pair_operator
 from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh, top_singular_triplet
 from .multiplier import GRID_MAX_N, norm_lower_alternating, norm_oracle_grid
-from .rescale import build_dilation, extract_scaling, optimize
+from .rescale import build_dilation, extract_scaling, optimize, phi_lower
 from .verify import SUITES, VerificationError, run_suite
 
 FORMAT_VERSION = 1
@@ -30,6 +30,7 @@ SEED_ENV_VAR = "FRAMESCALE_SEED"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+NO_SEED_HELP = "accepted for compatibility; has no effect on this command"
 
 
 class InstanceFormatError(ValueError):
@@ -228,22 +229,27 @@ def _oracle_allowed(pair: FramePair, phase_steps: int) -> bool:
     return phase_steps > 0 and pair.n <= GRID_MAX_N
 
 
-def _timed_ascent(pair: FramePair, seed: int):
-    """norm_lower_alternating(pair, seed=seed) and its wall seconds."""
+def _timed(fn, *args):
+    """fn(*args) and its wall seconds."""
     started = time.perf_counter()
-    alt = norm_lower_alternating(pair, seed=seed)
-    return alt, time.perf_counter() - started
+    out = fn(*args)
+    return out, time.perf_counter() - started
+
+
+def _phi_stats(est, phi_s: float) -> dict:
+    """Route ("pure" or "ascent"), seconds and iterations of a phi bound."""
+    return {"phi_route": "pure" if est.method == "pure" else "ascent",
+            "phi_s": phi_s, "ascent_iterations": est.iterations}
 
 
 def _cmd_analyze(args) -> int:
     corpus = load_corpus(args.infile)
-    seed = _resolve_seed(args)
     records = []
     for label, pair, _ in corpus:
         bx = bessel_and_frame_bounds(pair.xs)
         by = bessel_and_frame_bounds(pair.ys)
         dev, _, _ = top_singular_triplet(pair_operator(pair) - np.eye(pair.dim))
-        alt, ascent_s = _timed_ascent(pair, seed)
+        alt, phi_s = _timed(norm_lower_alternating, pair)
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
                "bessel_x": [bx.lower, bx.upper],
                "bessel_y": [by.lower, by.upper],
@@ -251,8 +257,7 @@ def _cmd_analyze(args) -> int:
                "check_results": {"identity_deviation": float(dev),
                                  "x_is_frame": bx.is_frame,
                                  "y_is_frame": by.is_frame},
-               "stats": {"ascent_iterations": alt.iterations,
-                         "ascent_s": ascent_s}}
+               "stats": _phi_stats(alt, phi_s)}
         if _oracle_allowed(pair, args.phase_steps):
             rec["phi_norm_oracle"] = norm_oracle_grid(
                 pair, phase_steps=args.phase_steps).value
@@ -272,12 +277,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_rescale(args) -> int:
     corpus = load_corpus(args.infile)
-    seed = _resolve_seed(args)
     records = []
     failures = 0
     for label, pair, _ in corpus:
         bracket = optimize(pair)
-        alt, ascent_s = _timed_ascent(pair, seed)
+        phi, phi_s = _timed(phi_lower, pair, bracket)
         scaling = extract_scaling(pair, bracket.log_weights)
         checks = {
             "bound_respected": bool(
@@ -294,16 +298,15 @@ def _cmd_rescale(args) -> int:
                 float(np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye))))
             checks["dilation_isometric"] = checks["dilation_defect"] <= 1e-8
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
-               "phi_norm_lower": alt.value,
+               "phi_norm_lower": phi.value,
                "M_upper": bracket.m_upper, "M_lower": bracket.m_lower,
                "gap": bracket.gap,
-               "ratio": bracket.m_upper / alt.value,
+               "ratio": bracket.m_upper / phi.value,
                "weights": [float(t) for t in bracket.log_weights],
                "bessel_x": [scaling.bounds_x.lower, scaling.bounds_x.upper],
                "bessel_y": [scaling.bounds_y.lower, scaling.bounds_y.upper],
                "check_results": checks,
-               "stats": {**bracket.stats, "ascent_iterations": alt.iterations,
-                         "ascent_s": ascent_s}}
+               "stats": {**bracket.stats, **_phi_stats(phi, phi_s)}}
         ok = all(v for v in checks.values() if isinstance(v, bool))
         if not ok:
             failures += 1
@@ -381,31 +384,25 @@ def _cmd_bench(args) -> int:
         pair = generate("gaussian", rng, n, d)
         checksum = hashlib.sha256(
             serialize_instance(pair).encode("utf-8")).hexdigest()[:16]
-        t0 = time.perf_counter()
-        eigh(pair.xs.conj().T @ pair.xs)
-        t_eig = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        _, t_eig = _timed(eigh, pair.xs.conj().T @ pair.xs)
         grid_ok = _oracle_allowed(pair, args.phase_steps)
-        if grid_ok:
-            norm_oracle_grid(pair, phase_steps=args.phase_steps)
-        t_grid = time.perf_counter() - t0
+        t_grid = (_timed(norm_oracle_grid, pair, args.phase_steps)[1]
+                  if grid_ok else None)
         masks = args.phase_steps ** (n - 1) if grid_ok else None
-        t0 = time.perf_counter()
-        bracket = optimize(pair)
-        t_opt = time.perf_counter() - t0
-        _, t_ascent = _timed_ascent(pair, seed)
+        bracket, t_opt = _timed(optimize, pair)
+        _, t_phi = _timed(phi_lower, pair, bracket)
         rec = {"n": n, "d": d, "workload_checksum": checksum,
                "eig_seconds": t_eig,
-               "grid_seconds": t_grid if grid_ok else None,
+               "grid_seconds": t_grid,
                "grid_masks": masks,
                "grid_ns_per_mask": 1e9 * t_grid / masks if grid_ok else None,
-               "optimize_seconds": t_opt, "ascent_seconds": t_ascent,
+               "optimize_seconds": t_opt, "phi_seconds": t_phi,
                "stats": bracket.stats}
         records.append(rec)
         grid_note = (f" grid={t_grid:.4f}s ({rec['grid_ns_per_mask']:.1f} ns/mask)"
                      if grid_ok else "")
         print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s{grid_note} "
-              f"optimize={t_opt:.4f}s ascent={t_ascent:.4f}s")
+              f"optimize={t_opt:.4f}s phi={t_phi:.4f}s")
     if not records:
         print("empty grid, nothing to time")
     if args.out:
@@ -438,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="frame bounds and multiplier estimates")
     analyze.add_argument("--in", dest="infile", required=True,
                          help="instance file or corpus directory")
-    analyze.add_argument("--seed", type=int, default=None)
+    analyze.add_argument("--seed", type=int, default=None, help=NO_SEED_HELP)
     analyze.add_argument("--phase-steps", type=int, default=0,
                          help="grid oracle resolution; 0 disables the grid")
     analyze.add_argument("--out", default=None)
@@ -448,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="optimize weights and certify the bound")
     rescale.add_argument("--in", dest="infile", required=True,
                          help="instance file or corpus directory")
-    rescale.add_argument("--seed", type=int, default=None)
+    rescale.add_argument("--seed", type=int, default=None, help=NO_SEED_HELP)
     rescale.add_argument("--dilation", action="store_true",
                          help="also build the dilation and check isometries")
     rescale.add_argument("--out", default=None)

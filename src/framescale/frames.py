@@ -13,7 +13,7 @@ import numpy as np
 from .linalg import eigh, top_singular_triplet
 
 MIN_VECTOR_NORM = 1e-14
-FRAME_TOL = 1e-10  # lower frame bound that is_frame must clear
+FRAME_TOL = 1e-10  # is_frame needs lower > FRAME_TOL * upper
 
 
 def _check_vectors(vectors: np.ndarray, name: str) -> np.ndarray:
@@ -70,12 +70,12 @@ def bessel_and_frame_bounds(vectors: np.ndarray) -> BesselBounds:
     """Optimal Bessel bound and lower frame bound of a vector sequence.
 
     The upper bound is the largest eigenvalue of the frame operator, the
-    lower bound the smallest; is_frame reports whether the lower bound
-    clears FRAME_TOL.
+    lower bound the smallest; is_frame reports whether lower exceeds
+    FRAME_TOL * upper, a test that no global scale of the vectors moves.
     """
     w, _ = eigh(frame_operator(vectors))
-    lam_min = max(float(w[0]), 0.0)
-    return BesselBounds(lam_min, float(w[-1]), lam_min > FRAME_TOL)
+    lam_min, upper = max(float(w[0]), 0.0), float(w[-1])
+    return BesselBounds(lam_min, upper, lam_min > FRAME_TOL * upper)
 
 
 def pair_operator(pair: FramePair) -> np.ndarray:

@@ -100,12 +100,12 @@ def trace_norm(mat: np.ndarray) -> float:
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-PSD_CLAMP * (1 + |w|_max), 0) are clamped to zero;
-    anything more negative raises ValueError.
+    Eigenvalues in [-PSD_CLAMP * |w|_max, 0) are clamped to zero;
+    anything more negative raises ValueError, at every scale of mat.
     """
     w, v = eigh(mat)
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if np.min(w) < -PSD_CLAMP * (1.0 + scale):
+    if np.min(w) < -PSD_CLAMP * scale:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {np.min(w):.3e}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

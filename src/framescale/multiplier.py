@@ -4,14 +4,10 @@ A scalar mask a = (a_1, ..., a_n) with |a_k| <= 1 induces the linear map
 u -> sum_k a_k <u, y_k> x_k.  The worst mask norm is the multiplier norm;
 replacing scalars by m x m matrices gives the amplified maps whose supremum
 over all m is the completely bounded norm.  This module provides exact
-evaluation, an alternating-ascent lower bound with certified witnesses
-(its restarts run in lockstep, one stacked SVD per iteration), an
-exhaustive phase-grid oracle for small n, and the amplified maps through
-which the dual certificate of rescale.optimize replays.  The grid grows
-the Gram rows of its block of masks one coordinate at a time, then shifts
-the block by each offset, every step one GEMM over phase features, and
-takes top eigenvalues in closed form for d <= 3; masks whose norms tie to
-rounding may yield a different first maximiser than a LAPACK sweep would.
+evaluation, an alternating-ascent lower bound from one start with a
+certified witness, an exhaustive phase-grid oracle for small n, and the
+amplified maps through which the dual certificate of rescale.optimize
+replays.
 """
 
 import math
@@ -24,17 +20,13 @@ from .linalg import top_singular_triplet
 
 MASK_SLACK = 1e-12
 ASCENT_MAX_ITERS = 300
-ASCENT_RTOL = 1e-12  # a restart stops once its value rises by at most this
+ASCENT_RTOL = 1e-12  # the ascent stops once its value rises by at most this
 
 
-def check_mask(mask: np.ndarray, n: int, stack: bool = False) -> np.ndarray:
-    """Validate a scalar mask: length n, finite, inside the closed unit disc.
-
-    With stack=True the input may also be a stack of masks of shape
-    (..., n); every row gets the same checks in one pass.
-    """
+def check_mask(mask: np.ndarray, n: int) -> np.ndarray:
+    """Validate a scalar mask: length n, finite, inside the closed unit disc."""
     a = np.asarray(mask, dtype=np.complex128)
-    if a.ndim < 1 or a.shape[-1] != n or (a.ndim > 1 and not stack):
+    if a.shape != (n,):
         raise ValueError(f"mask shape {a.shape} does not match n={n}")
     if not np.isfinite(a).all():
         raise ValueError("mask has non-finite entries")
@@ -50,8 +42,7 @@ class MultiplierNormEstimate:
 
     value equals Re sum_k mask_k <u, y_k> <x_k, v> for the stored unit
     witnesses, so any reader can replay the certificate.  iterations
-    counts the stacked SVD steps of the alternating ascent (0 for other
-    methods).
+    counts the SVD steps of the alternating ascent (0 for other methods).
     """
 
     value: float
@@ -85,58 +76,39 @@ def mask_matrix(pair: FramePair, mask: np.ndarray) -> np.ndarray:
     return np.einsum("k,ki,kj->ij", a, pair.xs, pair.ys.conj())
 
 
-def norm_lower_alternating(pair: FramePair, restarts: int = 8,
-                           seed: int = 0) -> MultiplierNormEstimate:
-    """Alternating ascent over masks and unit vectors.
+def _align(pair: FramePair, u: np.ndarray, v: np.ndarray,
+           fallback: np.ndarray):
+    """The mask turning each term <u, y_k> <x_k, v> into its modulus (where
+    a term vanishes, fallback's entry), and the sum of the moduli."""
+    terms = (pair.ys.conj() @ u) * (pair.xs @ v.conj())
+    mags = np.abs(terms)
+    nonzero = mags > 0.0
+    mask = np.where(nonzero, np.conj(terms) / np.where(nonzero, mags, 1.0),
+                    fallback)
+    return mask, float(mags.sum())
+
+
+def norm_lower_alternating(pair: FramePair,
+                           start: np.ndarray | None = None) -> MultiplierNormEstimate:
+    """Alternating ascent over masks and unit vectors, from one start.
 
     With the mask fixed, the best (u, v) is the top singular pair of the
     mask matrix; with (u, v) fixed, the best mask aligns each phase so
     every term contributes positively.  Both half-steps are monotone.  The
-    first restart starts from the all-ones mask, the rest from random
-    phases.  A restart stops once its aligned value rises by at most
-    ASCENT_RTOL of itself, or after ASCENT_MAX_ITERS steps; the first
-    restart of largest certified value wins.
-
-    The restarts run in lockstep: each iteration takes the mask matrices
-    of every restart still running from the rank-one tables x_k y_k^* in
-    one broadcast sum and their top triplets in one stacked SVD.  The sums
-    run over the k axis, never through a GEMM over the block, so a
-    restart's trajectory is bitwise the same whichever other restarts are
-    still running, and the first r restarts of a call give the value that
-    restarts=r gives.
+    ascent starts from start, a mask in the closed unit disc, or from the
+    all-ones mask, and stops once its aligned value rises by at most
+    ASCENT_RTOL of itself, or after ASCENT_MAX_ITERS steps.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    eps = np.ones((restarts, pair.n), dtype=np.complex128)
-    for r in range(1, restarts):
-        rng = np.random.default_rng(seeds[r])
-        eps[r] = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=pair.n))
-    xs, ys_conj = pair.xs, pair.ys.conj()
-    rank_ones = xs[:, :, None] * ys_conj[:, None, :]
-    us = np.zeros((restarts, pair.dim), dtype=np.complex128)
-    vs = np.zeros_like(us)
-    prev = np.full(restarts, -np.inf)
-    live = np.arange(restarts)
-    iterations = 0
-    while live.size and iterations < ASCENT_MAX_ITERS:
-        iterations += 1
-        a = check_mask(eps[live], pair.n, stack=True)
-        mats = (a[:, :, None, None] * rank_ones).sum(axis=1)
-        _, left, right = top_singular_triplet(mats)
-        us[live], vs[live] = right, left
-        terms = ((ys_conj * right[:, None, :]).sum(axis=-1)
-                 * (xs * left.conj()[:, None, :]).sum(axis=-1))
-        mags = np.abs(terms)
-        aligned = mags.sum(axis=-1)
-        nonzero = mags > 0.0
-        phases = np.conj(terms) / np.where(nonzero, mags, 1.0)
-        eps[live] = np.where(nonzero, phases, a)
-        running = aligned - prev[live] > ASCENT_RTOL * aligned
-        prev[live] = aligned
-        live = live[running]
-    return max((_certify(pair, eps[r], us[r], vs[r], "alternating", iterations)
-                for r in range(restarts)), key=lambda est: est.value)
+    eps = np.ones(pair.n) if start is None else check_mask(start, pair.n)
+    ys_conj = pair.ys.conj()
+    prev = -np.inf
+    for iterations in range(1, ASCENT_MAX_ITERS + 1):
+        _, v, u = top_singular_triplet((eps[:, None] * pair.xs).T @ ys_conj)
+        eps, aligned = _align(pair, u, v, eps)
+        if aligned - prev <= ASCENT_RTOL * aligned:
+            break
+        prev = aligned
+    return _certify(pair, eps, u, v, "alternating", iterations)
 
 
 def _pow2_scale(a: np.ndarray) -> float:

@@ -20,6 +20,8 @@ and at most the completely bounded norm, because rank-one unit
 coefficients built from rho and sigma reach it (Haagerup's factorization
 of Schur multipliers; Paulsen, Completely Bounded Maps and Operator
 Algebras, 2002).  h is convex, and the two sides meet at its minimum.
+At pure states D is also the value of a scalar mask, so it bounds the
+multiplier norm phi from below too (phi_lower).
 """
 
 import time
@@ -28,10 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import BesselBounds, FramePair, bessel_and_frame_bounds
-from .linalg import eigh, psd_sqrt
-from .multiplier import check_mask
+from .linalg import PSD_CLAMP, eigh
+from .multiplier import (MultiplierNormEstimate, _align, _certify, check_mask,
+                         norm_lower_alternating)
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
+PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 TIE_RTOL = 1e-9  # subgradient averages f and g branches this close
 # Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
 # at a time in one stacked eigh.  On criterion-01 sized pairs (n <= 5,
@@ -350,6 +354,24 @@ def optimize(pair: FramePair) -> CbBracket:
     return CbBracket(dual, m_upper, t, f, g, us, vs, stats)
 
 
+def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
+    """A certified lower bound on phi, read off bracket = optimize(pair).
+
+    The last rows of the dual tuples are the top eigenvectors v of F and
+    u of G, times a Gibbs weight of at least 1/d; normalised, they give
+    P = sum_k |<x_k, v>| |<y_k, u>| at the mask aligning each term, D at
+    pure states (method "pure").  P is returned if within PINNED_RTOL of
+    m_upper; else one ascent runs from its mask and the larger value wins.
+    """
+    u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
+    mask, _ = _align(pair, u, v, np.ones(pair.n))
+    pure = _certify(pair, mask, u, v, "pure")
+    if bracket.m_upper - pure.value <= PINNED_RTOL * bracket.m_upper:
+        return pure
+    warm = norm_lower_alternating(pair, start=mask)
+    return warm if warm.value >= pure.value else pure
+
+
 @dataclass(frozen=True)
 class ScalingResult:
     """Scalars applied to the pair plus the resulting frame bounds."""
@@ -388,12 +410,24 @@ class Dilation:
     dim: int
 
 
+def _isometry_pad(vecs: np.ndarray, bound: float) -> np.ndarray:
+    """sqrt(I - S / bound), S the frame operator of the rows of vecs, from the
+    spectrum of S: its rounding stays relative to bound where I - S / bound
+    is all rounding (a tight frame).  lam_max(S) > bound (1 + PSD_CLAMP) raises."""
+    w, v = eigh(np.einsum("ki,kj->ij", vecs, vecs.conj()))
+    if w[-1] > bound * (1.0 + PSD_CLAMP):
+        raise ValueError(f"weighted Bessel bound {w[-1]:.12g} exceeds "
+                         f"multiplier_norm {bound:.12g}")
+    root = (v * np.sqrt(np.clip(1.0 - w / bound, 0.0, None))) @ v.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
 def build_dilation(pair: FramePair, log_weights: np.ndarray,
                    multiplier_norm: float) -> Dilation:
     """Assemble the explicit dilation at the given weights and norm bound.
 
     Requires both weighted Bessel bounds to stay below multiplier_norm
-    (within psd_sqrt's clamp) so the isometry paddings exist.
+    (within PSD_CLAMP, relative) so the isometry paddings exist.
     """
     t = _check_weights(log_weights, pair.n)
     if multiplier_norm <= 0.0:
@@ -401,12 +435,9 @@ def build_dilation(pair: FramePair, log_weights: np.ndarray,
     alpha = np.exp(0.5 * t)
     wx = alpha[:, None] * pair.xs
     wy = pair.ys / alpha[:, None]
-    gx = np.einsum("ki,kj->ij", wx, wx.conj())
-    gy = np.einsum("ki,kj->ij", wy, wy.conj())
     d = pair.dim
-    eye = np.eye(d, dtype=np.complex128)
-    pad1 = psd_sqrt(eye - gx / multiplier_norm)
-    pad2 = psd_sqrt(eye - gy / multiplier_norm)
+    pad1 = _isometry_pad(wx, multiplier_norm)
+    pad2 = _isometry_pad(wy, multiplier_norm)
     root = np.sqrt(multiplier_norm)
     zeros = np.zeros((d, d), dtype=np.complex128)
     v1 = np.concatenate([wx.conj() / root, zeros, pad1], axis=0)

@@ -5,9 +5,9 @@ returns a record of the numbers, and raises VerificationError when the
 required slack is violated.  The suites at the bottom run the checks over
 seeded random corpora and aggregate machine-readable reports.
 
-Where the multiplier norm phi has no closed form, the checks take the
-certified lower bound of alternating ascent, which makes no estimate
-easier to pass.
+Where the multiplier norm phi has no closed form, the checks take a
+certified lower bound on it (rescale.phi_lower, or one alternating
+ascent), which makes no estimate easier to pass.
 
 Tolerance policy: exact algebraic identities must hold to 1e-10 relative,
 one-sided inequalities may dip 1e-9 relative below zero slack, and
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FRAME_TOL, FramePair, pair_operator
+from .frames import FramePair, pair_operator
 from .instances import (
     canonical_dual_pair,
     d1_scalar_pair,
@@ -40,12 +40,14 @@ from .multiplier import (
     norm_oracle_grid,
 )
 from .rescale import (
+    PINNED_RTOL,
     _Objective,
     bessel_pair_objective,
     build_dilation,
     dilation_reconstruct,
     extract_scaling,
     optimize,
+    phi_lower,
     subgradient,
 )
 
@@ -53,10 +55,15 @@ IDENTITY_RTOL = 1e-10
 INEQ_RTOL = 1e-9
 SCHAUDER_TOL = 1e-8   # identity deviation of a reproducing pair
 ROUNDING_RTOL = 1e-12  # replays and orderings that hold up to rounding
-PINNED_RTOL = 1e-9     # phi_gap at which the ratio experiment counts phi pinned
 EXPERIMENT_CUSHION = 5e-2
 KHINTCHINE_FACTOR = np.sqrt(0.5)
 MAX_PATTERN_ORDER = 14
+
+
+def _worst(records, *keys) -> dict:
+    """{"worst_" + key: the largest record[key]} for each key."""
+    return {f"worst_{key}": max((r[key] for r in records), default=0.0)
+            for key in keys}
 
 
 class VerificationError(AssertionError):
@@ -324,7 +331,7 @@ def end_to_end_rescale_check(pair: FramePair) -> dict:
         "identity_deviation": float(dev),
         "scaled_identity_deviation": float(sdev),
     }
-    if scaling.bounds_x.lower <= FRAME_TOL or scaling.bounds_y.lower <= FRAME_TOL:
+    if not (scaling.bounds_x.is_frame and scaling.bounds_y.is_frame):
         raise VerificationError(
             "rescaled family lost the lower frame bound", record)
     if scaling.bounds_x.upper > bracket.m_upper * (1.0 + 1e-8) or \
@@ -370,10 +377,11 @@ class RatioConfig:
 def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
     """Certified upper bound against phi's lower bound on mangled instances.
 
-    phi is the ascent's value; its witness must replay, and as phi <=
+    phi is phi_lower's value; its witness must replay, and as phi <=
     ||Phi||_cb <= m_upper, each m_upper / phi must lie in [1, 2 (1 + 5e-2)]
-    up to rounding.  Records carry phi_gap = (m_upper - phi) / m_upper; the
-    summary counts as pinned those with phi_gap <= PINNED_RTOL.
+    up to rounding.  Records carry phi_gap = (m_upper - phi) / m_upper and
+    phi_route ("pure" or "ascent"); the summary counts as pinned those
+    with phi_gap <= PINNED_RTOL, and the records on each route.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2024]))
     limit = 2.0 * (1.0 + EXPERIMENT_CUSHION)
@@ -384,9 +392,10 @@ def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
         pair = mangle(gaussian_pair(rng, n, d),
                       mangling_scalars(rng, n, (cfg.scaling_low, cfg.scaling_high)))
         bracket = optimize(pair)
-        phi = norm_lower_alternating(pair)
+        phi = phi_lower(pair, bracket)
         ratio = bracket.m_upper / phi.value
         rec = {"instance": i, "n": n, "d": d, "phi_norm": phi.value,
+               "phi_route": "pure" if phi.method == "pure" else "ascent",
                "m_upper": bracket.m_upper, "m_lower": bracket.m_lower,
                "ratio": ratio,
                "phi_gap": (bracket.m_upper - phi.value) / bracket.m_upper,
@@ -399,9 +408,6 @@ def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
         if ratio > limit:
             raise VerificationError(
                 f"instance {i}: ratio {ratio:.6f} above {limit:.2f}", rec)
-        if bracket.m_lower > bracket.m_upper * (1.0 + 1e-8):
-            raise VerificationError(
-                f"instance {i}: bracket inverted", rec)
     ratios = np.array([r["ratio"] for r in records])
     return {"suite": "ratio", "records": records,
             "summary": {"instances": cfg.instances,
@@ -409,7 +415,10 @@ def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
                         "mean_ratio": float(np.mean(ratios)),
                         "limit": limit,
                         "pinned": sum(r["phi_gap"] <= PINNED_RTOL
-                                      for r in records)}}
+                                      for r in records),
+                        "phi_routes": {route: sum(r["phi_route"] == route
+                                                  for r in records)
+                                       for route in ("pure", "ascent")}}}
 
 
 def suite_khintchine(seed: int = 0, m_max: int = 12,
@@ -463,12 +472,12 @@ def suite_trace(seed: int = 0, draws: int = 1000, m_max: int = 8) -> dict:
 
 
 def _chain_instances(rng: np.random.Generator):
-    """Pairs with phi: 1 for an orthonormal-basis union, else the ascent's."""
+    """Pairs with phi: 1 for an orthonormal-basis union, else phi_lower's."""
     out = [(onb_union_pair(rng, 3, 3), 1.0)]
     pairs = [d1_scalar_pair(rng, int(rng.integers(2, 6))) for _ in range(2)]
     pairs += [gaussian_pair(rng, n, d)
               for n, d in ((2, 2), (3, 2), (4, 2), (4, 3))]
-    return out + [(pair, norm_lower_alternating(pair).value) for pair in pairs]
+    return out + [(pair, phi_lower(pair, optimize(pair)).value) for pair in pairs]
 
 
 def suite_chain(seed: int = 0, draws: int = 100, chain_m_cap: int = 10) -> dict:
@@ -511,8 +520,6 @@ def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict
     """Isometric dilation reconstruction on random optimized instances."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
     records = []
-    worst_iso = 0.0
-    worst_rec = 0.0
     for i in range(instances):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(1, 4))
@@ -531,8 +538,6 @@ def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict
         record = {"instance": i, "n": n, "d": d, "isometry_defect": iso,
                   "reconstruction_error": rec_err}
         records.append(record)
-        worst_iso = max(worst_iso, iso)
-        worst_rec = max(worst_rec, rec_err)
         if iso > 1e-10:
             raise VerificationError(
                 f"instance {i}: isometry defect {iso:.3e}", record)
@@ -541,8 +546,8 @@ def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict
                 f"instance {i}: reconstruction error {rec_err:.3e}", record)
     return {"suite": "dilation", "records": records,
             "summary": {"instances": instances,
-                        "worst_isometry_defect": worst_iso,
-                        "worst_reconstruction_error": worst_rec}}
+                        **_worst(records, "isometry_defect",
+                                 "reconstruction_error")}}
 
 
 def suite_end_to_end(seed: int = 0, instances: int = 100) -> dict:
@@ -567,8 +572,6 @@ def suite_d1(seed: int = 0, instances: int = 100) -> dict:
     """Scalar pairs: optimized bound vs closed form, weights vs closed form."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 606]))
     records = []
-    worst_bound = 0.0
-    worst_weight = 0.0
     for i in range(instances):
         n = int(rng.integers(1, 7))
         pair = d1_scalar_pair(rng, n)
@@ -583,8 +586,6 @@ def suite_d1(seed: int = 0, instances: int = 100) -> dict:
                   "m_upper": bracket.m_upper, "bound_error": bound_err,
                   "weight_error": weight_err}
         records.append(record)
-        worst_bound = max(worst_bound, bound_err)
-        worst_weight = max(worst_weight, weight_err)
         if bound_err > 1e-6:
             raise VerificationError(
                 f"instance {i}: scalar bound off by {bound_err:.3e}", record)
@@ -592,8 +593,8 @@ def suite_d1(seed: int = 0, instances: int = 100) -> dict:
             raise VerificationError(
                 f"instance {i}: scalar weights off by {weight_err:.3e}", record)
     return {"suite": "d1", "records": records,
-            "summary": {"instances": instances, "worst_bound_error": worst_bound,
-                        "worst_weight_error": worst_weight}}
+            "summary": {"instances": instances,
+                        **_worst(records, "bound_error", "weight_error")}}
 
 
 def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
@@ -640,13 +641,8 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
                 f"instance {i}: estimator symmetry drift", record)
     return {"suite": "invariance", "records": records,
             "summary": {"instances": instances,
-                        "worst_diag_drift": max(r["diag_drift"] for r in records),
-                        "worst_unitary_drift": max(r["unitary_drift"]
-                                                   for r in records),
-                        "worst_alternating_drift": max(r["alternating_drift"]
-                                                       for r in records),
-                        "worst_grid_drift": max(r["grid_drift"]
-                                                for r in records)}}
+                        **_worst(records, "diag_drift", "unitary_drift",
+                                 "alternating_drift", "grid_drift")}}
 
 
 def suite_subgradient_fd(seed: int = 0, points: int = 100,

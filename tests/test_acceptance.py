@@ -38,7 +38,7 @@ RATIO_BUDGET_SECONDS = 300.0
 
 
 def test_criterion_01_certified_bound_within_twice_oracle():
-    # the denominator is the ascent's certified lower bound on phi; the
+    # the denominator is phi_lower's certified lower bound on phi; the
     # suite replays each witness and refuses phi above m_upper
     start = time.monotonic()
     report = ratio_experiment(RatioConfig(instances=200, n_max=5, d_max=3,
@@ -46,6 +46,7 @@ def test_criterion_01_certified_bound_within_twice_oracle():
     elapsed = time.monotonic() - start
     summary, records = report["summary"], report["records"]
     assert summary["max_ratio"] <= 2.0 * 1.05
+    assert summary["pinned"] >= 198
     for rec in records:
         assert rec["witness_defect"] <= 1e-12
         assert rec["ratio"] >= 1.0 - 1e-12

@@ -7,6 +7,7 @@ from framescale import cli
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair
 from framescale.multiplier import norm_lower_alternating
+from framescale.rescale import optimize, phi_lower
 from framescale.verify import VerificationError
 
 
@@ -178,6 +179,19 @@ def test_phase_steps_flag_is_gone(argv):
     assert info.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [["analyze", "--phase-steps", "8"],
+                                     ["rescale", "--dilation"]],
+                         ids=["analyze", "rescale"])
+def test_benchmark_command_lines_still_parse(command, tmp_path):
+    # the benchmark harness passes --seed 0, which these two commands
+    # accept and ignore
+    inst = tmp_path / "one.frame.json"
+    cli.save_instance(str(inst), gaussian_pair(np.random.default_rng(7), 4, 2))
+    argv = [*command, "--in", str(inst), "--seed", "0",
+            "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+
+
 def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
     out = tmp_path / "ratio.json"
     assert cli.main(["verify", "--suite", "ratio", "--instances", "4",
@@ -188,6 +202,9 @@ def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
     assert summary["max_ratio"] == max(r["ratio"] for r in records)
     assert summary["max_ratio"] <= 2.1
     assert summary["pinned"] == sum(r["phi_gap"] <= 1e-9 for r in records)
+    assert summary["phi_routes"] == {
+        route: sum(r["phi_route"] == route for r in records)
+        for route in ("pure", "ascent")}
     for r in records:
         assert r["ratio"] == r["m_upper"] / r["phi_norm"] >= 1.0 - 1e-12
         assert r["phi_gap"] == (r["m_upper"] - r["phi_norm"]) / r["m_upper"]
@@ -204,17 +221,21 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     assert cli.main(["rescale", "--in", str(inst), "--seed", "2",
                      "--out", str(out)]) == 0
     rec = read_json(str(out))["records"][0]
-    assert rec["phi_norm_lower"] == norm_lower_alternating(pair, seed=2).value
+    phi = phi_lower(pair, optimize(pair))
+    assert rec["phi_norm_lower"] == phi.value
     stats = rec["stats"]
-    # the ascent runs once per record, in the CLI, and is timed there
-    assert stats["ascent_iterations"] == norm_lower_alternating(
-        pair, seed=2).iterations
+    # phi is read off the bracket once per record, in the CLI, and timed
+    # there; this pair is pinned, so no ascent runs
+    assert phi.method == "pure"
+    assert stats["phi_route"] == "pure"
+    assert stats["ascent_iterations"] == 0
     assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls",
-                          "ascent_iterations", "ascent_s", "stop",
+                          "phi_route", "phi_s", "ascent_iterations", "stop",
                           "stage_gaps", "wall_s"}
     assert all(v > 0 for k, v in stats.items()
-               if k not in ("stop", "stage_gaps"))
+               if k not in ("stop", "stage_gaps", "phi_route",
+                            "ascent_iterations"))
     assert stats["stop"] == "gap"
     assert len(stats["stage_gaps"]) == stats["stages"]
     assert rec["gap"] == (rec["M_upper"] - rec["M_lower"]) / rec["M_upper"]
@@ -236,11 +257,16 @@ def test_rescale_checks_are_relative_to_the_bound(tmp_path):
     assert checks["bound_respected"] and checks["bracket_ordered"]
 
 
-def test_analyze_writes_report_and_csv(tmp_path):
+def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     inst = tmp_path / "onb.frame.json"
     out = tmp_path / "ana.json"
     assert cli.main(["gen", "--kind", "onb_union", "--n", "4", "--d", "2",
                      "--seed", "2", "--out", str(inst)]) == 0
+
+    def no_optimize(pair):
+        raise AssertionError("analyze must not optimize")
+
+    monkeypatch.setattr(cli, "optimize", no_optimize)
     assert cli.main(["analyze", "--in", str(inst), "--phase-steps", "12",
                      "--seed", "2", "--out", str(out)]) == 0
     rec = read_json(str(out))["records"][0]
@@ -249,15 +275,17 @@ def test_analyze_writes_report_and_csv(tmp_path):
     assert rec["check_results"]["identity_deviation"] <= 1e-10
     assert rec["phi_norm_oracle"] == pytest.approx(1.0, rel=1e-9)
     assert rec["bessel_x"] == pytest.approx([2.0, 2.0], rel=1e-9)
-    alt = norm_lower_alternating(cli.load_instance(str(inst))[0], seed=2)
+    # analyze runs one ascent from the all-ones mask and never optimizes
+    alt = norm_lower_alternating(cli.load_instance(str(inst))[0])
     assert rec["phi_norm_lower"] == alt.value
-    assert set(rec["stats"]) == {"ascent_iterations", "ascent_s"}
+    assert set(rec["stats"]) == {"phi_route", "phi_s", "ascent_iterations"}
+    assert rec["stats"]["phi_route"] == "ascent"
     assert rec["stats"]["ascent_iterations"] == alt.iterations
-    assert rec["stats"]["ascent_s"] > 0.0
+    assert rec["stats"]["phi_s"] > 0.0
     lines = (tmp_path / "ana.csv").read_text().splitlines()
     assert lines[0].startswith("instance,")
     assert "check_results.identity_deviation" in lines[0]
-    assert "stats.ascent_s" in lines[0]
+    assert "stats.phi_s" in lines[0]
     assert len(lines) == 2
 
 
@@ -340,7 +368,7 @@ def test_bench_checksums_are_deterministic(tmp_path):
     counts = {k: v for k, v in rec_a["stats"].items() if k != "wall_s"}
     assert counts == {k: v for k, v in rec_b["stats"].items() if k != "wall_s"}
     assert counts["stages"] >= 1
-    assert rec_a["ascent_seconds"] > 0.0
+    assert rec_a["phi_seconds"] > 0.0
     # the grid's time per mask over 8^2 masks
     assert rec_a["grid_masks"] == rec_b["grid_masks"] == 64
     assert rec_a["grid_ns_per_mask"] == 1e9 * rec_a["grid_seconds"] / 64

@@ -56,6 +56,15 @@ def test_bessel_bound_as_best_constant():
     assert worst >= 0.5 * bounds.upper
 
 
+def test_is_frame_ignores_a_global_scale():
+    xs = canonical_dual_pair(np.random.default_rng(0), 5, 3).xs
+    # a rank-one family: its lower bound is zero up to rounding
+    line = np.outer(np.arange(1.0, 6.0), [1.0, 2.0j, -1.0])
+    for c in (1.0, 1e-6, 1e6):
+        assert bessel_and_frame_bounds(c * xs).is_frame
+        assert not bessel_and_frame_bounds(c * line).is_frame
+
+
 def test_canonical_dual_reproduces_identity():
     rng = np.random.default_rng(33)
     for n, d in ((3, 2), (5, 3), (4, 4)):

@@ -300,6 +300,12 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
 
 
+def test_psd_sqrt_refuses_a_negative_eigenvalue_at_every_scale():
+    for c in (1.0, 1e-12, 1e12):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            psd_sqrt(c * np.diag([1.0, -0.1]).astype(complex))
+
+
 def test_check_hermitian_symmetrizes():
     a = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]], dtype=complex)
     h = check_hermitian(a)

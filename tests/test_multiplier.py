@@ -51,25 +51,9 @@ def test_mask_validation():
         check_mask(np.array([1.0, 2.0, 0.0]), 3)
     with pytest.raises(ValueError):
         apply_mask(pair, np.array([1.0, np.nan, 0.0]), np.zeros(2) + 1.0)
-
-
-def test_stacked_mask_validation_checks_every_row():
-    rng = np.random.default_rng(71)
-    masks = np.exp(2j * np.pi * rng.uniform(size=(5, 3)))
-    assert np.array_equal(check_mask(masks, 3, stack=True), masks)
+    # one mask at a time: a stack of masks is refused
     with pytest.raises(ValueError, match="does not match"):
-        check_mask(masks, 3)
-    with pytest.raises(ValueError, match="does not match"):
-        check_mask(masks, 4, stack=True)
-    outside = masks.copy()
-    outside[3, 1] *= 1.0 + 1e-9
-    with pytest.raises(ValueError, match="unit disc"):
-        check_mask(outside, 3, stack=True)
-    for bad in (np.nan, np.inf):
-        broken = masks.copy()
-        broken[2, 0] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            check_mask(broken, 3, stack=True)
+        check_mask(np.ones((2, 3)), 3)
 
 
 def test_mask_norm_bounded_by_sum_of_rank_one_norms():
@@ -110,52 +94,33 @@ def test_alternating_certificate_replays():
     assert np.max(np.abs(est.witness_mask)) <= 1.0 + 1e-12
 
 
-def _sequential_ascent(pair, restarts=8, max_iters=300, tol=1e-12, seed=0):
-    """One restart after another, one mask matrix and one SVD per step."""
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    best = -np.inf
-    for r in range(restarts):
-        if r == 0:
-            eps = np.ones(pair.n, dtype=complex)
-        else:
-            rng = np.random.default_rng(seeds[r])
-            eps = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=pair.n))
-        prev = -np.inf
-        for _ in range(max_iters):
-            _, left, right = top_singular_triplet(mask_matrix(pair, eps))
-            terms = (pair.ys.conj() @ right) * (pair.xs @ left.conj())
-            mags = np.abs(terms)
-            aligned = float(np.sum(mags))
-            live = mags > 0.0
-            eps = np.where(live, np.conj(terms) / np.where(live, mags, 1.0), eps)
-            if aligned - prev <= tol * aligned:
-                break
-            prev = aligned
-        best = max(best, float(np.real(np.sum(eps * terms))))
-    return best
+def _sequential_ascent(pair, eps, max_iters=300, tol=1e-12):
+    """One mask matrix and one SVD per step, from the mask eps."""
+    prev = -np.inf
+    for _ in range(max_iters):
+        _, left, right = top_singular_triplet(mask_matrix(pair, eps))
+        terms = (pair.ys.conj() @ right) * (pair.xs @ left.conj())
+        mags = np.abs(terms)
+        aligned = float(np.sum(mags))
+        live = mags > 0.0
+        eps = np.where(live, np.conj(terms) / np.where(live, mags, 1.0), eps)
+        if aligned - prev <= tol * aligned:
+            break
+        prev = aligned
+    return float(np.real(np.sum(eps * terms)))
 
 
-def test_lockstep_ascent_matches_sequential_restarts():
+def test_alternating_matches_sequential_reference():
     rng = np.random.default_rng(72)
     for _ in range(60):
         pair = gaussian_pair(rng, int(rng.integers(1, 7)),
                              int(rng.integers(1, 5)))
-        est = norm_lower_alternating(pair)
-        ref = _sequential_ascent(pair)
-        assert abs(est.value - ref) <= 1e-12 * ref
-        assert est.iterations >= 1
-
-
-def test_lockstep_restarts_are_block_independent():
-    # SeedSequence.spawn(R) starts with the same children for every R, so
-    # when no restart's path depends on the others the value can only rise
-    rng = np.random.default_rng(73)
-    for _ in range(12):
-        pair = gaussian_pair(rng, int(rng.integers(2, 7)),
-                             int(rng.integers(1, 5)))
-        values = [norm_lower_alternating(pair, restarts=r).value
-                  for r in range(1, 9)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        for start in (None, np.exp(2j * np.pi * rng.uniform(size=pair.n))):
+            eps = np.ones(pair.n, dtype=complex) if start is None else start
+            est = norm_lower_alternating(pair, start=start)
+            ref = _sequential_ascent(pair, eps)
+            assert abs(est.value - ref) <= 1e-12 * ref
+            assert est.iterations >= 1
 
 
 def test_alternating_value_is_its_certificate_replayed():
@@ -163,17 +128,18 @@ def test_alternating_value_is_its_certificate_replayed():
     for _ in range(10):
         pair = gaussian_pair(rng, int(rng.integers(1, 7)),
                              int(rng.integers(1, 5)))
-        est = norm_lower_alternating(pair, seed=int(rng.integers(100)))
+        start = rng.uniform(size=pair.n) * np.exp(2j * np.pi * rng.uniform(size=pair.n))
+        est = norm_lower_alternating(pair, start=start)
         replay = _certify(pair, est.witness_mask, est.witness_u,
                           est.witness_v, "alternating")
         assert replay.value == est.value
 
 
-def test_alternating_rejects_no_restarts():
+def test_alternating_rejects_start_outside_disc():
     pair = gaussian_pair(np.random.default_rng(75), 3, 2)
-    for restarts in (0, -1):
-        with pytest.raises(ValueError, match="restarts"):
-            norm_lower_alternating(pair, restarts=restarts)
+    for bad in ([1.0, 1.0 + 1e-9, 0.0], [1.0, np.nan, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError):
+            norm_lower_alternating(pair, start=np.array(bad))
 
 
 def _gram(mats):

@@ -7,6 +7,7 @@ import framescale.rescale as rescale
 from framescale.frames import FramePair, bessel_and_frame_bounds, pair_operator
 from framescale.instances import (
     canonical_dual_pair,
+    d1_scalar_pair,
     gaussian_pair,
     generate,
     mangle,
@@ -34,8 +35,10 @@ from framescale.rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
+    phi_lower,
     subgradient,
 )
+from framescale.verify import witness_defect
 
 from conftest import dual_coefficients, haar_unitary, random_complex
 
@@ -438,3 +441,68 @@ def test_union_of_bases_bound_between_one_and_count():
     # can at most double the energy
     assert br.m_lower >= 1.0 - 1e-9
     assert br.m_upper <= 2.0 + 1e-6
+
+
+def test_dilation_is_isometric_on_tight_frames_at_every_scale():
+    # the paddings vanish here, so I - G / m is pure rounding
+    rng = np.random.default_rng(82)
+    for d in (1, 3):
+        u = haar_unitary(rng, d)
+        for c in (1.0, 1e-8, 1e8):
+            pair = FramePair(c * u.T, u.T)
+            br = optimize(pair)
+            dil = build_dilation(pair, br.log_weights, br.m_upper)
+            for v in (dil.v1, dil.v2):
+                assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12
+
+def _pure_value(pair, br):
+    """sum_k |<x_k, v>| |<y_k, u>| at the unit top eigenvectors of F and G."""
+    v = br.dual_vs[-1] / np.linalg.norm(br.dual_vs[-1])
+    u = br.dual_us[-1] / np.linalg.norm(br.dual_us[-1])
+    return float(np.sum(np.abs(pair.xs @ v.conj()) * np.abs(pair.ys.conj() @ u)))
+
+
+def test_phi_lower_witness_replays_below_the_bound():
+    rng = np.random.default_rng(80)
+    for i in range(24):
+        n, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        pair = gaussian_pair(rng, n, d)
+        if i % 2:
+            pair = mangle(pair, mangling_scalars(rng, n, (1e-3, 1e3)))
+        br = optimize(pair)
+        est = phi_lower(pair, br)
+        assert witness_defect(pair, est) <= 1e-12
+        assert est.value <= br.m_upper * (1.0 + 1e-12)
+        assert est.method in ("pure", "alternating")
+        assert (est.method == "pure") == (est.iterations == 0)
+
+
+def test_phi_lower_is_exact_on_closed_form_pairs():
+    rng = np.random.default_rng(81)
+    for d in (1, 2, 3, 5):
+        u = haar_unitary(rng, d)
+        pair = FramePair(u.T, u.T)
+        est = phi_lower(pair, optimize(pair))
+        assert est.method == "pure"
+        assert abs(est.value - 1.0) <= 1e-12
+    for n in (2, 3, 5):
+        pair = d1_scalar_pair(rng, n)
+        est = phi_lower(pair, optimize(pair))
+        closed = float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
+        assert est.method == "pure"
+        assert est.value == pytest.approx(closed, rel=1e-12)
+
+
+def test_phi_lower_warm_ascent_never_falls_below_the_pure_value():
+    # these draws leave the pure value short of m_upper, so the ascent runs
+    for seed in (22, 45, 124, 235):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+        pair = gaussian_pair(rng, n, d)
+        br = optimize(pair)
+        pure = _pure_value(pair, br)
+        assert br.m_upper - pure > rescale.PINNED_RTOL * br.m_upper
+        est = phi_lower(pair, br)
+        assert est.method == "alternating" and est.iterations >= 1
+        assert est.value >= pure
+

@@ -267,7 +267,7 @@ def test_holder_trace_equality_cases():
 def test_alternating_matches_closed_form_at_d1():
     rng = np.random.default_rng(15)
     pair = d1_scalar_pair(rng, 5)
-    alt = norm_lower_alternating(pair, restarts=2).value
+    alt = norm_lower_alternating(pair).value
     assert alt == pytest.approx(scalar_phi(pair), rel=1e-9)
 
 
