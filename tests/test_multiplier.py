@@ -56,6 +56,28 @@ def test_mask_validation():
         check_mask(np.ones((2, 3)), 3)
 
 
+def test_stacked_mask_validation_checks_every_row():
+    # check_mask takes one mask; a stack is checked row by row, and a bad
+    # entry is caught in whichever row it sits
+    rng = np.random.default_rng(71)
+    masks = np.exp(2j * np.pi * rng.uniform(size=(5, 3)))
+    for row in masks:
+        assert np.array_equal(check_mask(row, 3), row)
+    with pytest.raises(ValueError, match="does not match"):
+        check_mask(masks, 3)
+    with pytest.raises(ValueError, match="does not match"):
+        check_mask(masks[0], 4)
+    outside = masks.copy()
+    outside[3, 1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="unit disc"):
+        check_mask(outside[3], 3)
+    for bad in (np.nan, np.inf):
+        broken = masks.copy()
+        broken[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_mask(broken[2], 3)
+
+
 def test_mask_norm_bounded_by_sum_of_rank_one_norms():
     rng = np.random.default_rng(52)
     pair = gaussian_pair(rng, 5, 3)
