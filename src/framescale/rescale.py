@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frames import BesselBounds, FramePair, bessel_and_frame_bounds
-from .linalg import PSD_CLAMP, eigh
+from .linalg import eigh
 from .multiplier import (MultiplierNormEstimate, _align, _certify, check_mask,
                          norm_lower_alternating)
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
+PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
 PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 TIE_RTOL = 1e-9  # subgradient averages f and g branches this close
 # Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
@@ -231,8 +232,13 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
     floored at 1e-12 of the largest eigenvalue, caps the step at 3 in
     every coordinate, and takes the Armijo point of _armijo_step.  Stops
     when the gradient is below 1e-13 of psi (relative, so the rule is
-    the same at every scale of the pair), when no Armijo point passes, or
-    after NEWTON_STEPS steps.  Returns the last point and its spectra.
+    the same at every scale of the pair), when no Armijo point passes,
+    when the Armijo point equals t bitwise, or after NEWTON_STEPS steps.
+    The fixed-point stop matters at high sharpness, where the gradient's
+    rounding floor can sit above 1e-13 of psi and Armijo accepts
+    t + alpha step == t (the sufficient decrease rounds to an equality):
+    every later step would repeat that one, so the stage's result is
+    bitwise the same.  Returns the last point and its spectra.
     """
     h = float(spectra[0][:, -1].max())
     for _ in range(NEWTON_STEPS):
@@ -251,7 +257,7 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
             step = -grad / h
             slope = float(grad @ step)
         found = _armijo_step(obj, t, step, b, psi, slope)
-        if found is None:
+        if found is None or np.array_equal(found[0], t):
             break
         t, spectra = found
     return t, spectra
@@ -286,7 +292,8 @@ class CbBracket:
     eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian),
     stop ("gap" once the duality gap met GAP_TOL, "top_stage" when the
     loop ran out of stages), stage_gaps (the relative gap
-    (m_upper - D) / m_upper after each stage) and wall_s.
+    (m_upper - D) / m_upper after each stage), stage_steps (the Newton
+    steps of each stage; they sum to newton_steps) and wall_s.
     """
 
     m_lower: float
@@ -333,9 +340,12 @@ def optimize(pair: FramePair) -> CbBracket:
     spectra = obj.spectra(t)
     b_rel = B_REL_START
     stage_gaps = []
+    stage_steps = []
     while True:
         b = b_rel / float(spectra[0][:, -1].max())
+        steps_before = obj.newton_steps
         t, spectra = _newton_stage(obj, t, spectra, b)
+        stage_steps.append(obj.newton_steps - steps_before)
         t = _balanced(t, spectra)
         spectra = obj.spectra(t)
         dual, us, vs = _dual_certificate(obj, spectra, b)
@@ -349,7 +359,7 @@ def optimize(pair: FramePair) -> CbBracket:
              "line_search_candidates": obj.candidates,
              "eigh_calls": obj.eigh_calls,
              "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
-             "stage_gaps": stage_gaps,
+             "stage_gaps": stage_gaps, "stage_steps": stage_steps,
              "wall_s": time.perf_counter() - started}
     return CbBracket(dual, m_upper, t, f, g, us, vs, stats)
 

@@ -151,7 +151,6 @@ def test_rescale_scalar_corpus_hits_closed_form(tmp_path):
         assert rec["M_upper"] == pytest.approx(closed, rel=1e-6)
         assert rec["phi_norm_lower"] == pytest.approx(closed, rel=1e-12)
         assert rec["check_results"]["bound_respected"]
-        assert rec["check_results"]["bracket_ordered"]
 
 
 def test_rescale_always_reports_ratio(tmp_path):
@@ -190,6 +189,30 @@ def test_benchmark_command_lines_still_parse(command, tmp_path):
     argv = [*command, "--in", str(inst), "--seed", "0",
             "--out", str(tmp_path / "out.json")]
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("first, second, key", [
+    (["analyze", "--phase-steps", "8"], ["analyze"], "phi_norm_oracle"),
+    (["rescale", "--dilation"], ["rescale"], "dilation_defect")],
+    ids=["analyze", "rescale"])
+def test_main_reuses_one_parser_and_no_options(first, second, key, tmp_path,
+                                               monkeypatch):
+    # main parses with one parser per process; an option given to one call
+    # must not reach the next
+    inst = tmp_path / "one.frame.json"
+    cli.save_instance(str(inst), gaussian_pair(np.random.default_rng(7), 4, 2))
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    assert cli.main([*first, "--in", str(inst), "--out", str(outs[0])]) == 0
+
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert cli.main([*second, "--in", str(inst), "--out", str(outs[1])]) == 0
+    recs = [read_json(str(out))["records"][0] for out in outs]
+    keys = [set(rec) | set(rec["check_results"]) for rec in recs]
+    assert key in keys[0]
+    assert key not in keys[1]
 
 
 def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
@@ -232,12 +255,13 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls",
                           "phi_route", "phi_s", "ascent_iterations", "stop",
-                          "stage_gaps", "wall_s"}
+                          "stage_gaps", "stage_steps", "wall_s"}
     assert all(v > 0 for k, v in stats.items()
-               if k not in ("stop", "stage_gaps", "phi_route",
+               if k not in ("stop", "stage_gaps", "stage_steps", "phi_route",
                             "ascent_iterations"))
     assert stats["stop"] == "gap"
-    assert len(stats["stage_gaps"]) == stats["stages"]
+    assert len(stats["stage_gaps"]) == len(stats["stage_steps"]) == stats["stages"]
+    assert sum(stats["stage_steps"]) == stats["newton_steps"]
     assert rec["gap"] == (rec["M_upper"] - rec["M_lower"]) / rec["M_upper"]
     assert rec["gap"] <= 1e-12
     header = (tmp_path / "res.csv").read_text().splitlines()[0].split(",")
@@ -254,7 +278,7 @@ def test_rescale_checks_are_relative_to_the_bound(tmp_path):
     assert cli.main(["rescale", "--in", str(inst), "--seed", "0",
                      "--out", str(out)]) == 0
     checks = read_json(str(out))["records"][0]["check_results"]
-    assert checks["bound_respected"] and checks["bracket_ordered"]
+    assert checks["bound_respected"]
 
 
 def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
@@ -398,6 +422,28 @@ def test_csv_floats_round_trip(tmp_path):
     assert cells[1] == repr(0.1 + 0.2)
     assert float(cells[1]) == 0.1 + 0.2
     assert cells[2] == "1.5;-2.25"
+
+
+def test_write_report_bytes_match_json_dump(tmp_path):
+    # write_report builds the text with json.dumps (the C encoder); the
+    # bytes are those json.dump streams through the Python encoder
+    report = {"records": [{"instance": "i0", "n": np.int64(3),
+                           "value": np.float64(0.1) + 0.2, "ok": np.bool_(True),
+                           "weights": np.array([1.5, -2.25, 1e-300]),
+                           "nested": [[np.float64(np.pi), 2],
+                                      (np.int32(4), [np.float32(0.5), None])],
+                           "stats": {"stage_steps": [np.int64(3), 4],
+                                     "stop": "gap"}}],
+              "summary": {"label": "phi \u03c6", "max_ratio": np.float64(1.25)}}
+    out = tmp_path / "rep.json"
+    cli.write_report(str(out), report)
+    dumped = tmp_path / "dumped.json"
+    with open(dumped, "w", encoding="utf-8") as fh:
+        json.dump(cli._plain(report), fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
+    assert out.read_bytes() == dumped.read_bytes()
+    header, row = (tmp_path / "rep.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["stats.stage_steps"] == "3;4"
 
 
 def test_seventeen_digit_serialization_round_trips_exactly():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from framescale.linalg import (
     check_hermitian,
     eigh,
-    psd_sqrt,
     singular_values,
     top_singular_triplet,
     trace_norm,
@@ -212,7 +211,6 @@ def test_zero_matrix_through_every_wrapper():
     assert np.max(np.abs(v.conj().T @ v - np.eye(3))) <= 1e-15
     assert np.array_equal(singular_values(z), np.zeros(3))
     assert trace_norm(z) == 0.0
-    assert np.array_equal(psd_sqrt(z), z)
 
 
 def test_singular_values_match_oracle_including_rank_deficient():
@@ -269,41 +267,9 @@ def test_trace_norm_rejects_non_square():
 def test_wrappers_reject_non_finite_input(bad):
     m = np.eye(3, dtype=complex)
     m[1, 1] = bad
-    for wrapper in (eigh, top_singular_triplet, singular_values, trace_norm,
-                    psd_sqrt):
+    for wrapper in (eigh, top_singular_triplet, singular_values, trace_norm):
         with pytest.raises(ValueError, match="non-finite"):
             wrapper(m)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(20)
-    for d in (1, 3, 5):
-        b = random_complex(rng, d + 2, d)
-        g = b.conj().T @ b
-        r = psd_sqrt(g)
-        scale = 1.0 + float(np.max(np.abs(g)))
-        assert np.max(np.abs(r @ r - g)) <= 1e-10 * scale
-        assert np.max(np.abs(r - r.conj().T)) <= 1e-12 * scale
-        assert np.min(np.linalg.eigvalsh(r)) >= -1e-10 * scale
-
-
-def test_psd_sqrt_scaling():
-    rng = np.random.default_rng(21)
-    b = random_complex(rng, 4, 3)
-    g = b.conj().T @ b
-    assert np.max(np.abs(psd_sqrt(4.0 * g) - 2.0 * psd_sqrt(g))) <= 1e-10 * (
-        1.0 + float(np.max(np.abs(g))))
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
-
-
-def test_psd_sqrt_refuses_a_negative_eigenvalue_at_every_scale():
-    for c in (1.0, 1e-12, 1e12):
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            psd_sqrt(c * np.diag([1.0, -0.1]).astype(complex))
 
 
 def test_check_hermitian_symmetrizes():

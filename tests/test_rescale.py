@@ -265,16 +265,19 @@ def test_optimize_reports_repeatable_counts():
     counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
     assert set(counts) == {"stages", "newton_steps",
                            "line_search_candidates", "eigh_calls", "stop",
-                           "stage_gaps"}
+                           "stage_gaps", "stage_steps"}
     assert all(isinstance(counts[k], int) and counts[k] > 0
-               for k in set(counts) - {"stop", "stage_gaps"})
+               for k in set(counts) - {"stop", "stage_gaps", "stage_steps"})
+    assert all(isinstance(steps, int) for steps in counts["stage_steps"])
+    assert sum(counts["stage_steps"]) == counts["newton_steps"]
     assert counts == {k: v for k, v in second.stats.items() if k != "wall_s"}
     assert first.stats["wall_s"] > 0.0
 
 
 def _assert_stop_matches_stage_gaps(br):
     stats = br.stats
-    assert len(stats["stage_gaps"]) == stats["stages"]
+    assert len(stats["stage_gaps"]) == len(stats["stage_steps"]) == stats["stages"]
+    assert sum(stats["stage_steps"]) == stats["newton_steps"]
     assert (stats["stop"] == "gap") == (stats["stage_gaps"][-1] <= rescale.GAP_TOL)
     assert stats["stop"] in ("gap", "top_stage")
     # m_lower is at least D, so the bracket is no wider than the last stage gap
@@ -288,6 +291,40 @@ def test_stats_record_each_stage_gap_and_the_stop_reason():
                                     int(rng.integers(1, 4))))
         _assert_stop_matches_stage_gaps(br)
         assert br.stats["stop"] == "gap"
+
+
+def test_newton_stage_ends_at_its_fixed_point(monkeypatch):
+    # a 3 x 3 mangled Schauder pair with x scaled by 10^-6.81: in its
+    # second stage the gradient stalls at 4.7e-13 psi, above the 1e-13
+    # stop, and Armijo accepts t + alpha step == t from the stage's fourth
+    # step on; without the fixed-point stop the stage repeats that step to
+    # the cap (30 steps in all, against 9)
+    rng = np.random.default_rng(np.random.SeedSequence([2508, 10, 3, 3]))
+    pair = generate("schauder_mangled", rng, 3, 3, scaling_range=(1e-3, 1e3))
+    pair = FramePair(pair.xs * 10.0 ** rng.uniform(-8.0, 0.0), pair.ys)
+    ends = []
+    newton_stage = rescale._newton_stage
+
+    def restarted(obj, t, spectra, b):
+        # a stage restarted from where it ended must not move: every step
+        # the fixed-point stop saves would have left t unchanged
+        t, spectra = newton_stage(obj, t, spectra, b)
+        again, again_spectra = newton_stage(_Objective(pair), t, spectra, b)
+        ends.append(np.array_equal(again, t)
+                    and np.array_equal(again_spectra[0], spectra[0]))
+        return t, spectra
+
+    br = optimize(pair)
+    stats = br.stats
+    _assert_stop_matches_stage_gaps(br)
+    assert stats["stop"] == "gap"
+    assert all(steps < rescale.NEWTON_STEPS for steps in stats["stage_steps"])
+    assert stats["newton_steps"] <= 12
+    monkeypatch.setattr(rescale, "_newton_stage", restarted)
+    spied = optimize(pair)
+    assert ends and all(ends)
+    assert spied.m_upper == br.m_upper and spied.m_lower == br.m_lower
+    assert np.array_equal(spied.log_weights, br.log_weights)
 
 
 def test_optimize_is_equivariant_under_a_tiny_global_scale():
@@ -414,11 +451,16 @@ def test_dilation_identity_mask_gives_pair_operator():
 
 
 def test_dilation_rejects_insufficient_norm():
+    # the refusal is relative to the bound: half of max(f, g) is refused
+    # at every scale of x
     rng = np.random.default_rng(84)
-    pair = gaussian_pair(rng, 4, 2)
-    br = optimize(pair)
-    with pytest.raises(ValueError):
-        build_dilation(pair, br.log_weights, 0.5 * max(br.f, br.g))
+    base = gaussian_pair(rng, 4, 2)
+    for c in (1e-6, 1.0, 1e6):
+        pair = FramePair(c * base.xs, base.ys)
+        br = optimize(pair)
+        with pytest.raises(ValueError, match="exceeds multiplier_norm"):
+            build_dilation(pair, br.log_weights, 0.5 * max(br.f, br.g))
+        build_dilation(pair, br.log_weights, br.m_upper)
 
 
 def test_end_to_end_rescaled_schauder_frame_bounds():
