@@ -42,4 +42,4 @@ print(f"  x family bounds: [{scaling.bounds_x.lower:.4f}, "
 print(f"  y family bounds: [{scaling.bounds_y.lower:.4f}, "
       f"{scaling.bounds_y.upper:.4f}]")
 print(f"  both upper bounds within the certificate: "
-      f"{max(scaling.bounds_x.upper, scaling.bounds_y.upper) <= bracket.m_upper + 1e-8}")
+      f"{scaling.bounds_within(bracket.m_upper)}")

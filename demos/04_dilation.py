@@ -11,6 +11,7 @@ import numpy as np
 from framescale import (
     build_dilation,
     dilation_reconstruct,
+    extract_scaling,
     generate,
     mask_matrix,
     optimize,
@@ -20,16 +21,12 @@ rng = np.random.default_rng(3)
 pair = generate("schauder_mangled", rng, n=4, d=2, scaling_range=(1e-2, 1e2))
 
 bracket = optimize(pair)
-dil = build_dilation(pair, bracket.log_weights, bracket.m_upper)
+dil = build_dilation(extract_scaling(pair, bracket.log_weights), bracket.m_upper)
 print(f"dilation of a 4-vector pair in C^2, certificate M = "
       f"{bracket.m_upper:.6f}")
 print(f"  dilation space dimension: {dil.v1.shape[0]}")
 
-eye = np.eye(2)
-print(f"  v1 isometry defect: "
-      f"{np.max(np.abs(dil.v1.conj().T @ dil.v1 - eye)):.2e}")
-print(f"  v2 isometry defect: "
-      f"{np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye)):.2e}")
+print(f"  isometry defect of v1 and v2: {dil.isometry_defect:.2e}")
 
 worst = 0.0
 for _ in range(20):

@@ -243,8 +243,8 @@ def _timed(fn, *args):
 
 def _phi_stats(est, phi_s: float) -> dict:
     """Route ("pure" or "ascent"), seconds and iterations of a phi bound."""
-    return {"phi_route": "pure" if est.method == "pure" else "ascent",
-            "phi_s": phi_s, "ascent_iterations": est.iterations}
+    return {"phi_route": est.method, "phi_s": phi_s,
+            "ascent_iterations": est.iterations}
 
 
 def _cmd_analyze(args) -> int:
@@ -288,17 +288,10 @@ def _cmd_rescale(args) -> int:
         bracket = optimize(pair)
         phi, phi_s = _timed(phi_lower, pair, bracket)
         scaling = extract_scaling(pair, bracket.log_weights)
-        checks = {
-            "bound_respected": bool(
-                scaling.bounds_x.upper <= bracket.m_upper * (1.0 + 1e-8)
-                and scaling.bounds_y.upper <= bracket.m_upper * (1.0 + 1e-8)),
-        }
+        checks = {"bound_respected": scaling.bounds_within(bracket.m_upper)}
         if args.dilation:
-            dil = build_dilation(pair, bracket.log_weights, bracket.m_upper)
-            eye = np.eye(pair.dim)
-            checks["dilation_defect"] = max(
-                float(np.max(np.abs(dil.v1.conj().T @ dil.v1 - eye))),
-                float(np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye))))
+            dil = build_dilation(scaling, bracket.m_upper)
+            checks["dilation_defect"] = dil.isometry_defect
             checks["dilation_isometric"] = checks["dilation_defect"] <= 1e-8
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
                "phi_norm_lower": phi.value,

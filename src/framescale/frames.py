@@ -66,16 +66,18 @@ def frame_operator(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ki,kj->ij", v, v.conj())
 
 
-def bessel_and_frame_bounds(vectors: np.ndarray) -> BesselBounds:
-    """Optimal Bessel bound and lower frame bound of a vector sequence.
-
-    The upper bound is the largest eigenvalue of the frame operator, the
-    lower bound the smallest; is_frame reports whether lower exceeds
-    FRAME_TOL * upper, a test that no global scale of the vectors moves.
-    """
-    w, _ = eigh(frame_operator(vectors))
+def bounds_from_spectrum(w: np.ndarray) -> BesselBounds:
+    """Bounds from the ascending spectrum w of a frame operator: upper w[-1],
+    lower w[0] clamped at 0, and is_frame when lower > FRAME_TOL * upper,
+    a test that no global scale of the vectors moves."""
     lam_min, upper = max(float(w[0]), 0.0), float(w[-1])
     return BesselBounds(lam_min, upper, lam_min > FRAME_TOL * upper)
+
+
+def bessel_and_frame_bounds(vectors: np.ndarray) -> BesselBounds:
+    """Optimal Bessel bound and lower frame bound of a vector sequence."""
+    w, _ = eigh(frame_operator(vectors))
+    return bounds_from_spectrum(w)
 
 
 def pair_operator(pair: FramePair) -> np.ndarray:

@@ -41,8 +41,8 @@ class MultiplierNormEstimate:
     """A certified lower estimate of the multiplier norm.
 
     value equals Re sum_k mask_k <u, y_k> <x_k, v> for the stored unit
-    witnesses, so any reader can replay the certificate.  iterations
-    counts the SVD steps of the alternating ascent (0 for other methods).
+    witnesses, so any reader can replay the certificate.  method is
+    "ascent", "pure" or "grid"; iterations counts ascent steps (0 otherwise).
     """
 
     value: float
@@ -108,7 +108,7 @@ def norm_lower_alternating(pair: FramePair,
         if aligned - prev <= ASCENT_RTOL * aligned:
             break
         prev = aligned
-    return _certify(pair, eps, u, v, "alternating", iterations)
+    return _certify(pair, eps, u, v, "ascent", iterations)
 
 
 def _pow2_scale(a: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import BesselBounds, FramePair, bessel_and_frame_bounds
+from .frames import BesselBounds, FramePair, bounds_from_spectrum
 from .linalg import eigh
 from .multiplier import (MultiplierNormEstimate, _align, _certify, check_mask,
                          norm_lower_alternating)
@@ -384,24 +384,33 @@ def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Scalars applied to the pair plus the resulting frame bounds."""
+    """The rescaled pair (alpha_k x_k, y_k / alpha_k), its frame bounds, and
+    the eigendecompositions (w, V) of its two frame operators."""
 
     alpha: np.ndarray
     bounds_x: BesselBounds
     bounds_y: BesselBounds
+    scaled: FramePair
+    eig_x: tuple
+    eig_y: tuple
+
+    def bounds_within(self, bound: float) -> bool:
+        """Whether both scaled Bessel bounds are at most bound (1 + BRACKET_SLACK)."""
+        top = bound * (1.0 + BRACKET_SLACK)
+        return self.bounds_x.upper <= top and self.bounds_y.upper <= top
 
 
 def extract_scaling(pair: FramePair, log_weights: np.ndarray) -> ScalingResult:
-    """Turn log-weights into vector scalars and the scaled frame bounds.
-
-    The first family becomes (e^{t_k/2} x_k), the second
-    (e^{-t_k/2} y_k); their upper bounds are exactly f and g.
-    """
+    """Turn log-weights t into the rescaled pair, diagonalising each family's
+    frame operator once.  alpha = e^{t/2}: the families become (e^{t_k/2} x_k)
+    and (e^{-t_k/2} y_k), whose upper bounds are exactly f and g."""
     t = _check_weights(log_weights, pair.n)
     alpha = np.exp(0.5 * t)
-    bx = bessel_and_frame_bounds(alpha[:, None] * pair.xs)
-    by = bessel_and_frame_bounds(pair.ys / alpha[:, None])
-    return ScalingResult(alpha, bx, by)
+    scaled = FramePair(alpha[:, None] * pair.xs, pair.ys / alpha[:, None])
+    eig_x, eig_y = (eigh(np.einsum("ki,kj->ij", v, v.conj()))
+                    for v in (scaled.xs, scaled.ys))
+    return ScalingResult(alpha, bounds_from_spectrum(eig_x[0]),
+                         bounds_from_spectrum(eig_y[0]), scaled, eig_x, eig_y)
 
 
 @dataclass(frozen=True)
@@ -419,12 +428,17 @@ class Dilation:
     n: int
     dim: int
 
+    @property
+    def isometry_defect(self) -> float:
+        """max |v^H v - I| over v1 and v2."""
+        return max(float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
+                   for v in (self.v1, self.v2))
 
-def _isometry_pad(vecs: np.ndarray, bound: float) -> np.ndarray:
-    """sqrt(I - S / bound), S the frame operator of the rows of vecs, from the
-    spectrum of S: its rounding stays relative to bound where I - S / bound
+
+def _isometry_pad(w: np.ndarray, v: np.ndarray, bound: float) -> np.ndarray:
+    """sqrt(I - S / bound) from the eigendecomposition (w, v) of a frame
+    operator S: its rounding stays relative to bound where I - S / bound
     is all rounding (a tight frame).  lam_max(S) > bound (1 + PSD_CLAMP) raises."""
-    w, v = eigh(np.einsum("ki,kj->ij", vecs, vecs.conj()))
     if w[-1] > bound * (1.0 + PSD_CLAMP):
         raise ValueError(f"weighted Bessel bound {w[-1]:.12g} exceeds "
                          f"multiplier_norm {bound:.12g}")
@@ -432,26 +446,21 @@ def _isometry_pad(vecs: np.ndarray, bound: float) -> np.ndarray:
     return 0.5 * (root + root.conj().T)
 
 
-def build_dilation(pair: FramePair, log_weights: np.ndarray,
-                   multiplier_norm: float) -> Dilation:
-    """Assemble the explicit dilation at the given weights and norm bound.
+def build_dilation(scaling: ScalingResult, multiplier_norm: float) -> Dilation:
+    """Assemble the explicit dilation of scaling's rescaled pair at the bound.
 
-    Requires both weighted Bessel bounds to stay below multiplier_norm
+    Requires both scaled Bessel bounds to stay below multiplier_norm
     (within PSD_CLAMP, relative) so the isometry paddings exist.
     """
-    t = _check_weights(log_weights, pair.n)
     if multiplier_norm <= 0.0:
         raise ValueError("multiplier_norm must be positive")
-    alpha = np.exp(0.5 * t)
-    wx = alpha[:, None] * pair.xs
-    wy = pair.ys / alpha[:, None]
-    d = pair.dim
-    pad1 = _isometry_pad(wx, multiplier_norm)
-    pad2 = _isometry_pad(wy, multiplier_norm)
+    pair, d = scaling.scaled, scaling.scaled.dim
+    pad1 = _isometry_pad(*scaling.eig_x, multiplier_norm)
+    pad2 = _isometry_pad(*scaling.eig_y, multiplier_norm)
     root = np.sqrt(multiplier_norm)
     zeros = np.zeros((d, d), dtype=np.complex128)
-    v1 = np.concatenate([wx.conj() / root, zeros, pad1], axis=0)
-    v2 = np.concatenate([wy.conj() / root, pad2, zeros], axis=0)
+    v1 = np.concatenate([pair.xs.conj() / root, zeros, pad1], axis=0)
+    v2 = np.concatenate([pair.ys.conj() / root, pad2, zeros], axis=0)
     return Dilation(v1, v2, float(multiplier_norm), pair.n, d)
 
 

@@ -311,16 +311,14 @@ def end_to_end_rescale_check(pair: FramePair) -> dict:
     pair still reproduces the identity (the scaling is an exact
     reparameterization: the scalars cancel between the two families).
     """
-    t = pair_operator(pair) - np.eye(pair.dim)
-    dev, _, _ = top_singular_triplet(t)
+    dev, _, _ = top_singular_triplet(pair_operator(pair) - np.eye(pair.dim))
     if dev > SCHAUDER_TOL:
         raise ValueError(
             f"not a reproducing (Schauder) pair: identity deviation {dev:.3e}")
     bracket = optimize(pair)
     scaling = extract_scaling(pair, bracket.log_weights)
-    alpha = scaling.alpha[:, None]
-    scaled = FramePair(alpha * pair.xs, pair.ys / alpha)
-    sdev, _, _ = top_singular_triplet(pair_operator(scaled) - np.eye(pair.dim))
+    sdev, _, _ = top_singular_triplet(
+        pair_operator(scaling.scaled) - np.eye(pair.dim))
     record = {
         "m_upper": bracket.m_upper,
         "m_lower": bracket.m_lower,
@@ -334,8 +332,7 @@ def end_to_end_rescale_check(pair: FramePair) -> dict:
     if not (scaling.bounds_x.is_frame and scaling.bounds_y.is_frame):
         raise VerificationError(
             "rescaled family lost the lower frame bound", record)
-    if scaling.bounds_x.upper > bracket.m_upper * (1.0 + 1e-8) or \
-            scaling.bounds_y.upper > bracket.m_upper * (1.0 + 1e-8):
+    if not scaling.bounds_within(bracket.m_upper):
         raise VerificationError(
             "rescaled family exceeds the certified upper bound", record)
     if sdev > SCHAUDER_TOL:
@@ -395,7 +392,7 @@ def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
         phi = phi_lower(pair, bracket)
         ratio = bracket.m_upper / phi.value
         rec = {"instance": i, "n": n, "d": d, "phi_norm": phi.value,
-               "phi_route": "pure" if phi.method == "pure" else "ascent",
+               "phi_route": phi.method,
                "m_upper": bracket.m_upper, "m_lower": bracket.m_lower,
                "ratio": ratio,
                "phi_gap": (bracket.m_upper - phi.value) / bracket.m_upper,
@@ -526,10 +523,9 @@ def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict
         pair = mangle(gaussian_pair(rng, n, d),
                       mangling_scalars(rng, n, (1e-1, 1e1)))
         bracket = optimize(pair)
-        dil = build_dilation(pair, bracket.log_weights, bracket.m_upper)
-        eye = np.eye(d)
-        iso = max(float(np.max(np.abs(dil.v1.conj().T @ dil.v1 - eye))),
-                  float(np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye))))
+        dil = build_dilation(extract_scaling(pair, bracket.log_weights),
+                             bracket.m_upper)
+        iso = dil.isometry_defect
         rec_err = 0.0
         for _ in range(masks):
             a = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
@@ -578,7 +574,7 @@ def suite_d1(seed: int = 0, instances: int = 100) -> dict:
         closed = float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
         bracket = optimize(pair)
         bound_err = abs(bracket.m_upper - closed) / closed
-        alpha = np.exp(0.5 * bracket.log_weights)
+        alpha = extract_scaling(pair, bracket.log_weights).alpha
         target = np.sqrt(np.abs(pair.ys[:, 0]) / np.abs(pair.xs[:, 0]))
         ratio = alpha / target
         weight_err = float(np.max(ratio) / np.min(ratio) - 1.0)

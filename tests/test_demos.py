@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion against the package."""
+"""Every script in demos/ and README's Quick start run against the package."""
 
 import os
 import pathlib
@@ -11,11 +11,23 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs_cleanly(demo):
+def _run(*args):
+    """Run python with args, src on the path; assert it exits 0 and prints."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    done = subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs_cleanly(demo):
+    _run(str(demo))
+
+
+def test_readme_quick_start_runs():
+    # the first ```python block of README.md
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    _run("-c", block)

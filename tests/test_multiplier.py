@@ -153,7 +153,7 @@ def test_alternating_value_is_its_certificate_replayed():
         start = rng.uniform(size=pair.n) * np.exp(2j * np.pi * rng.uniform(size=pair.n))
         est = norm_lower_alternating(pair, start=start)
         replay = _certify(pair, est.witness_mask, est.witness_u,
-                          est.witness_v, "alternating")
+                          est.witness_v, "ascent")
         assert replay.value == est.value
 
 

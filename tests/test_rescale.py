@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import framescale.frames as frames
 import framescale.rescale as rescale
 from framescale.frames import FramePair, bessel_and_frame_bounds, pair_operator
 from framescale.instances import (
@@ -13,6 +14,7 @@ from framescale.instances import (
     mangle,
     mangling_scalars,
     onb_union_pair,
+    random_complex,
 )
 from framescale.linalg import top_singular_triplet
 from framescale.multiplier import (
@@ -25,6 +27,7 @@ from framescale.rescale import (
     ARMIJO_STEPS,
     LINE_SEARCH_BLOCK,
     CbBracket,
+    Dilation,
     _armijo_step,
     _Objective,
     _psi,
@@ -422,6 +425,30 @@ def test_extract_scaling_cross_checks_objective():
     assert abs(sc.bounds_x.upper - br.f) <= 1e-9 * (1.0 + br.f)
     assert abs(sc.bounds_y.upper - br.g) <= 1e-9 * (1.0 + br.g)
     assert np.all(sc.alpha > 0.0)
+    # the scaled pair and its bounds are the ones the families give alone
+    assert np.array_equal(sc.scaled.xs, sc.alpha[:, None] * pair.xs)
+    assert np.array_equal(sc.scaled.ys, pair.ys / sc.alpha[:, None])
+    assert sc.bounds_x == bessel_and_frame_bounds(sc.scaled.xs)
+    assert sc.bounds_y == bessel_and_frame_bounds(sc.scaled.ys)
+    assert sc.bounds_within(br.m_upper)
+    assert not sc.bounds_within(0.5 * br.m_upper)
+
+
+def test_scaling_and_dilation_diagonalise_each_family_once(monkeypatch):
+    rng = np.random.default_rng(81)
+    pair = gaussian_pair(rng, 5, 2)
+    br = optimize(pair)
+    calls = []
+    eigh = rescale.eigh
+
+    def counted(mat):
+        calls.append(np.shape(mat))
+        return eigh(mat)
+
+    monkeypatch.setattr(rescale, "eigh", counted)
+    monkeypatch.setattr(frames, "eigh", counted)
+    build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
+    assert calls == [(2, 2), (2, 2)]
 
 
 def test_dilation_isometries_and_reconstruction():
@@ -429,7 +456,7 @@ def test_dilation_isometries_and_reconstruction():
     for n, d in ((3, 2), (5, 3), (4, 1)):
         pair = gaussian_pair(rng, n, d)
         br = optimize(pair)
-        dil = build_dilation(pair, br.log_weights, br.m_upper)
+        dil = build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
         eye = np.eye(d)
         assert np.max(np.abs(dil.v1.conj().T @ dil.v1 - eye)) <= 1e-10
         assert np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye)) <= 1e-10
@@ -445,7 +472,7 @@ def test_dilation_identity_mask_gives_pair_operator():
     rng = np.random.default_rng(83)
     pair = canonical_dual_pair(rng, 4, 2)
     br = optimize(pair)
-    dil = build_dilation(pair, br.log_weights, br.m_upper)
+    dil = build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
     rec = dilation_reconstruct(dil, np.ones(4))
     assert np.max(np.abs(rec - pair_operator(pair))) <= 1e-10
 
@@ -458,9 +485,10 @@ def test_dilation_rejects_insufficient_norm():
     for c in (1e-6, 1.0, 1e6):
         pair = FramePair(c * base.xs, base.ys)
         br = optimize(pair)
+        sc = extract_scaling(pair, br.log_weights)
         with pytest.raises(ValueError, match="exceeds multiplier_norm"):
-            build_dilation(pair, br.log_weights, 0.5 * max(br.f, br.g))
-        build_dilation(pair, br.log_weights, br.m_upper)
+            build_dilation(sc, 0.5 * max(br.f, br.g))
+        build_dilation(sc, br.m_upper)
 
 
 def test_end_to_end_rescaled_schauder_frame_bounds():
@@ -493,9 +521,29 @@ def test_dilation_is_isometric_on_tight_frames_at_every_scale():
         for c in (1.0, 1e-8, 1e8):
             pair = FramePair(c * u.T, u.T)
             br = optimize(pair)
-            dil = build_dilation(pair, br.log_weights, br.m_upper)
+            dil = build_dilation(extract_scaling(pair, br.log_weights),
+                                 br.m_upper)
             for v in (dil.v1, dil.v2):
                 assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12
+
+
+def test_isometry_defect_is_the_explicit_formula():
+    # on built dilations, and on factors far from isometric where each of
+    # v1 and v2 in turn carries the larger defect
+    rng = np.random.default_rng(87)
+    for n, d in ((3, 2), (5, 3), (4, 1)):
+        pair = gaussian_pair(rng, n, d)
+        br = optimize(pair)
+        built = build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
+        a, b = (random_complex(rng, n + 2 * d, d) for _ in range(2))
+        for dil in (built, Dilation(a, 3.0 * b, 1.0, n, d),
+                    Dilation(3.0 * a, b, 1.0, n, d)):
+            eye = np.eye(d)
+            explicit = max(float(np.max(np.abs(v.conj().T @ v - eye)))
+                           for v in (dil.v1, dil.v2))
+            assert dil.isometry_defect == explicit
+    assert built.isometry_defect <= 1e-10
+
 
 def _pure_value(pair, br):
     """sum_k |<x_k, v>| |<y_k, u>| at the unit top eigenvectors of F and G."""
@@ -515,7 +563,7 @@ def test_phi_lower_witness_replays_below_the_bound():
         est = phi_lower(pair, br)
         assert witness_defect(pair, est) <= 1e-12
         assert est.value <= br.m_upper * (1.0 + 1e-12)
-        assert est.method in ("pure", "alternating")
+        assert est.method in ("pure", "ascent")
         assert (est.method == "pure") == (est.iterations == 0)
 
 
@@ -545,6 +593,6 @@ def test_phi_lower_warm_ascent_never_falls_below_the_pure_value():
         pure = _pure_value(pair, br)
         assert br.m_upper - pure > rescale.PINNED_RTOL * br.m_upper
         est = phi_lower(pair, br)
-        assert est.method == "alternating" and est.iterations >= 1
+        assert est.method == "ascent" and est.iterations >= 1
         assert est.value >= pure
 
