@@ -292,7 +292,7 @@ def _cmd_rescale(args) -> int:
         if args.dilation:
             dil = build_dilation(scaling, bracket.m_upper)
             checks["dilation_defect"] = dil.isometry_defect
-            checks["dilation_isometric"] = checks["dilation_defect"] <= 1e-8
+            checks["dilation_isometric"] = dil.is_isometric
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
                "phi_norm_lower": phi.value,
                "M_upper": bracket.m_upper, "M_lower": bracket.m_lower,

@@ -26,6 +26,7 @@ multiplier norm phi from below too (phi_lower).
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .multiplier import (MultiplierNormEstimate, _align, _certify, check_mask,
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
+ISOMETRY_TOL = 1e-10  # largest isometry_defect of an isometric dilation
 PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 TIE_RTOL = 1e-9  # subgradient averages f and g branches this close
 # Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
@@ -428,11 +430,16 @@ class Dilation:
     n: int
     dim: int
 
-    @property
+    @cached_property
     def isometry_defect(self) -> float:
-        """max |v^H v - I| over v1 and v2."""
+        """max |v^H v - I| over v1 and v2, computed once per dilation."""
         return max(float(np.max(np.abs(v.conj().T @ v - np.eye(self.dim))))
                    for v in (self.v1, self.v2))
+
+    @property
+    def is_isometric(self) -> bool:
+        """isometry_defect is at most ISOMETRY_TOL."""
+        return self.isometry_defect <= ISOMETRY_TOL
 
 
 def _isometry_pad(w: np.ndarray, v: np.ndarray, bound: float) -> np.ndarray:

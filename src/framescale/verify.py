@@ -9,6 +9,13 @@ Where the multiplier norm phi has no closed form, the checks take a
 certified lower bound on it (rescale.phi_lower, or one alternating
 ascent), which makes no estimate easier to pass.
 
+The sign averages (khintchine_check and the chain of super_key_check)
+enumerate one sign vector per class {s, -s}, the 2^(m-1) patterns with
+s_m = +1.  Every quantity they average or minimise is a modulus or a
+norm of a sign combination, so it takes the same value on s and -s:
+the means and minima over these patterns, and over their pairs, are
+those over all 2^m patterns and all sign pairs.
+
 Tolerance policy: exact algebraic identities must hold to 1e-10 relative,
 one-sided inequalities may dip 1e-9 relative below zero slack, and
 statistical experiment thresholds carry an explicit 5 percent cushion.
@@ -76,9 +83,21 @@ class VerificationError(AssertionError):
 
 def sign_patterns(m: int) -> np.ndarray:
     """All 2^m sign vectors in {-1, +1}^m as a (2^m, m) float array."""
+    return _sign_rows(m, halved=False)
+
+
+def _sign_rows(m: int, halved: bool) -> np.ndarray:
+    """The rows of sign_patterns(m); with halved, only its last 2^(m-1)
+    rows, those with s_m = +1.
+
+    Row i of the first half is minus row 2^m - 1 - i of the second, so the
+    halved rows hold one sign vector of each class {s, -s}, and a function
+    even in s takes the same values on them as on all 2^m patterns.
+    """
     if not 1 <= m <= MAX_PATTERN_ORDER:
         raise ValueError(f"m must be in [1, {MAX_PATTERN_ORDER}], got {m}")
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1
+    first = 1 << (m - 1) if halved else 0
+    bits = (np.arange(first, 1 << m)[:, None] >> np.arange(m)[None, :]) & 1
     return 2.0 * bits - 1.0
 
 
@@ -92,14 +111,15 @@ def rademacher_function(k: int, t: np.ndarray) -> np.ndarray:
 def khintchine_check(a: np.ndarray) -> dict:
     """First-moment lower bound: E|sum_k s_k a_k| >= sqrt(1/2) ||a||_2.
 
-    The expectation is exact over all sign patterns; the constant
-    sqrt(1/2) is the best possible, attained at two equal entries.
+    The expectation is exact over all sign patterns.  |s . a| is even in
+    s, so the average runs over one sign vector per class {s, -s}: the
+    2^(m-1) patterns with s_m = +1.  The constant sqrt(1/2) is the best
+    possible, attained at two equal entries.
     """
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     if a.size < 1:
         raise ValueError("need at least one coefficient")
-    signs = sign_patterns(a.size)
-    lhs = float(np.mean(np.abs(signs @ a)))
+    lhs = float(np.mean(np.abs(_sign_rows(a.size, halved=True) @ a)))
     rhs = KHINTCHINE_FACTOR * float(np.sqrt(np.sum(np.abs(a) ** 2)))
     record = {"lhs": lhs, "rhs": rhs,
               "ratio": lhs / rhs if rhs > 0.0 else np.inf, "m": int(a.size)}
@@ -162,6 +182,13 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     patterns: the per-index first-moment bounds, the product-of-averages
     identity, the masked-norm bound at every sign pair, and the
     quadratic-mean step.  Beyond the cap only the final inequality runs.
+
+    Every quantity of the chain (|<u(s), y_k>|, ||u(s)|| and their v
+    counterparts) is even in s, so the enumeration takes one sign vector
+    per class {s, -s}, the 2^(m-1) patterns with s_m = +1.  Each mean over
+    all 2^m patterns is the mean over these, each minimum over all sign
+    pairs ranges over the same values, and the sign-pair matrix is a
+    quarter of the full one.
     """
     us = np.asarray(us, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
@@ -186,8 +213,8 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     if m > chain_m_cap:
         return record
 
-    signs = sign_patterns(m)
-    # per sign pattern: coefficients of the combined vectors
+    signs = _sign_rows(m, halved=True)
+    # per sign class: coefficients of the combined vectors
     p = np.abs(signs @ cu.T)
     q = np.abs(signs @ cv.T)
     mean_p = np.mean(p, axis=0)
@@ -196,13 +223,19 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     # link 1: factored first-moment bounds, per index k
     link1 = float(np.min(2.0 * mean_p * mean_q - norm_u * norm_v))
     # link 2: the double average over independent sign pairs equals the
-    # product of single averages, summed over k
+    # product of single averages, summed over k; averaging the row means
+    # keeps the partial sums within the float range where rhs is
     joint = p @ q.T
-    link2 = abs(float(np.mean(joint)) - float(np.sum(mean_p * mean_q)))
-    # link 3: masked-norm bound at every sign pair
+    link2 = abs(float(np.mean(np.mean(joint, axis=1)))
+                - float(np.sum(mean_p * mean_q)))
+    # link 3: masked-norm bound at every sign pair, phi (nu_s nv_t) - joint
+    # formed in one buffer
     nu = np.sqrt(np.sum(np.abs(signs @ us) ** 2, axis=1))
     nv = np.sqrt(np.sum(np.abs(signs @ vs) ** 2, axis=1))
-    link3 = float(np.min(phi_norm * np.outer(nu, nv) - joint))
+    gap = np.multiply.outer(nu, nv)
+    gap *= phi_norm
+    gap -= joint
+    link3 = float(np.min(gap))
     # link 4: average norm below quadratic mean, and the exact identity
     # mean ||u(s)||^2 = sum_j ||u_j||^2
     l1_u = float(np.mean(nu))
@@ -534,7 +567,7 @@ def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict
         record = {"instance": i, "n": n, "d": d, "isometry_defect": iso,
                   "reconstruction_error": rec_err}
         records.append(record)
-        if iso > 1e-10:
+        if not dil.is_isometric:
             raise VerificationError(
                 f"instance {i}: isometry defect {iso:.3e}", record)
         if rec_err > 1e-10:

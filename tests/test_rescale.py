@@ -545,6 +545,18 @@ def test_isometry_defect_is_the_explicit_formula():
     assert built.isometry_defect <= 1e-10
 
 
+def test_is_isometric_gates_the_defect_at_1e_10():
+    # hand-made factors [diag(sqrt(1 + delta), 1); 0]: v^H v - I has the
+    # single entry delta, so the defect is delta up to rounding
+    n, d = 3, 2
+    for delta, isometric in ((1e-9, False), (1e-11, True)):
+        v = np.zeros((n + 2 * d, d), dtype=np.complex128)
+        v[:d] = np.diag([np.sqrt(1.0 + delta), 1.0])
+        dil = Dilation(v, np.eye(n + 2 * d, d, dtype=np.complex128), 1.0, n, d)
+        assert dil.isometry_defect == pytest.approx(delta, rel=1e-5)
+        assert dil.is_isometric is isometric
+
+
 def _pure_value(pair, br):
     """sum_k |<x_k, v>| |<y_k, u>| at the unit top eigenvectors of F and G."""
     v = br.dual_vs[-1] / np.linalg.norm(br.dual_vs[-1])

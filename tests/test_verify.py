@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +16,10 @@ from framescale.instances import (
 from framescale.linalg import singular_values
 from framescale.multiplier import norm_lower_alternating
 from framescale.verify import (
+    MAX_PATTERN_ORDER,
     RatioConfig,
     VerificationError,
+    _sign_rows,
     end_to_end_rescale_check,
     holder_trace_check,
     key_simple_check,
@@ -192,6 +196,107 @@ def test_super_key_detects_deflated_norm():
         super_key_check(pair, scale * us, scale * vs, phi)
         with pytest.raises(VerificationError):
             super_key_check(pair, scale * us, scale * vs, 0.25 * phi)
+
+
+def test_sign_classes_are_the_mirrored_half():
+    # row i of the first half is minus row 2^m - 1 - i, so the rows with
+    # s_m = +1 hold one pattern of each class {s, -s}
+    for m in range(1, MAX_PATTERN_ORDER + 1):
+        signs, h = sign_patterns(m), 1 << (m - 1)
+        assert np.array_equal(-signs[:h][::-1], signs[h:])
+        assert np.array_equal(_sign_rows(m, halved=True), signs[h:])
+
+
+def _full_chain(pair, us, vs, phi):
+    """super_key_check's numbers over all 2^m x 2^m sign pairs."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=us.shape[0])))
+    cu = pair.ys.conj() @ us.T
+    cv = pair.xs @ vs.conj().T
+    norm_u = np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
+    norm_v = np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))
+    lhs = float(np.sum(norm_u * norm_v))
+    l2_u = float(np.sqrt(np.sum(np.abs(us) ** 2)))
+    l2_v = float(np.sqrt(np.sum(np.abs(vs) ** 2)))
+    rhs = 2.0 * phi * l2_u * l2_v
+    p = np.abs(signs @ cu.T)
+    q = np.abs(signs @ cv.T)
+    mean_p, mean_q = np.mean(p, axis=0), np.mean(q, axis=0)
+    joint = p @ q.T
+    nu = np.sqrt(np.sum(np.abs(signs @ us) ** 2, axis=1))
+    nv = np.sqrt(np.sum(np.abs(signs @ vs) ** 2, axis=1))
+    links = {
+        "khintchine_link": float(np.min(2.0 * mean_p * mean_q - norm_u * norm_v)),
+        # the mean of row means: at tuples x 1e150 the plain sum of the
+        # 2^20 entries of joint overflows
+        "average_identity": abs(float(np.mean(np.mean(joint, axis=1)))
+                                - float(np.sum(mean_p * mean_q))),
+        "masked_bound_link": float(np.min(phi * np.outer(nu, nv) - joint)),
+        "mean_vs_quadratic": min(l2_u - float(np.mean(nu)),
+                                 l2_v - float(np.mean(nv))),
+        "orthogonality_identity": max(
+            abs(float(np.sqrt(np.mean(nu ** 2))) - l2_u),
+            abs(float(np.sqrt(np.mean(nv ** 2))) - l2_v)),
+    }
+    # each link against the scale its gate uses
+    scales = {"khintchine_link": rhs, "average_identity": rhs,
+              "masked_bound_link": phi * float(np.max(nu)) * float(np.max(nv)),
+              "mean_vs_quadratic": max(l2_u, l2_v),
+              "orthogonality_identity": max(l2_u, l2_v)}
+    return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs}, links, scales
+
+
+def test_sign_classes_match_the_full_enumeration():
+    rng = np.random.default_rng(17)
+    gauss = gaussian_pair(rng, 4, 2)
+    scalars = d1_scalar_pair(rng, 4)
+    cases = ((onb_union_pair(rng, 3, 3), 1.0), (scalars, scalar_phi(scalars)),
+             (gauss, norm_lower_alternating(gauss).value))
+    for m in range(1, 11):
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for c in (1e-150, 1.0, 1e150):
+            want = float(np.mean(np.abs(signs @ (c * a))))
+            assert khintchine_check(c * a)["lhs"] == pytest.approx(want, rel=1e-12)
+        for pair, phi in cases:
+            us = rng.standard_normal((m, pair.dim)) + 1j * rng.standard_normal((m, pair.dim))
+            vs = rng.standard_normal((m, pair.dim)) + 1j * rng.standard_normal((m, pair.dim))
+            for c in (1e-150, 1.0, 1e150):
+                rec = super_key_check(pair, c * us, c * vs, phi)
+                final, links, scales = _full_chain(pair, c * us, c * vs, phi)
+                assert rec["chain_checked"]
+                for key, value in final.items():
+                    assert rec[key] == value, (m, c, key)
+                for key, value in links.items():
+                    assert abs(rec[key] - value) <= 1e-12 * scales[key], (m, c, key)
+
+
+def test_super_key_average_identity_stays_finite_near_the_float_limit():
+    # at tuples x 1e151 rhs is near 1e303 and joint's entries near 1e304:
+    # summing all 2^(2m - 2) entries at once overflowed to inf and raised
+    rng = np.random.default_rng(18)
+    pair = gaussian_pair(rng, 4, 2)
+    phi = norm_lower_alternating(pair).value
+    for m in (9, 10):
+        us = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        vs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        rec = super_key_check(pair, 1e151 * us, 1e151 * vs, phi)
+        assert rec["average_identity"] <= 1e-12 * rec["rhs"]
+
+
+def test_super_key_chain_memory_at_m_10():
+    # the parent's full 2^10 x 2^10 sign-pair matrices peaked at 16.4 MB
+    rng = np.random.default_rng(18)
+    pair = gaussian_pair(rng, 4, 2)
+    phi = norm_lower_alternating(pair).value
+    us = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    vs = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    tracemalloc.start()
+    try:
+        assert super_key_check(pair, us, vs, phi)["chain_checked"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_rank_one_block_is_rank_one():
