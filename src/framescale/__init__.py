@@ -30,14 +30,11 @@ from .rescale import (
     CbBracket,
     Dilation,
     ScalingResult,
-    balance,
-    bessel_pair_objective,
     build_dilation,
     dilation_reconstruct,
     extract_scaling,
     optimize,
     phi_lower,
-    subgradient,
 )
 from .verify import (
     RatioConfig,
@@ -63,9 +60,7 @@ __all__ = [
     "ScalingResult",
     "VerificationError",
     "apply_mask",
-    "balance",
     "bessel_and_frame_bounds",
-    "bessel_pair_objective",
     "build_dilation",
     "dilation_reconstruct",
     "end_to_end_rescale_check",
@@ -84,7 +79,6 @@ __all__ = [
     "phi_lower",
     "ratio_experiment",
     "run_suite",
-    "subgradient",
     "super_key_check",
     "trace_lemma_check",
     "__version__",

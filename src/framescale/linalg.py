@@ -93,4 +93,4 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values of a square matrix."""
     a = check_matrix(mat, square=True)
-    return float(np.sum(singular_values(a)))
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))

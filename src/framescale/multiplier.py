@@ -112,13 +112,13 @@ def norm_lower_alternating(pair: FramePair,
 
 
 def _pow2_scale(a: np.ndarray) -> float:
-    """Power of two that puts the largest real or imaginary part in [0.5, 1).
+    """Power of two that puts the largest modulus of a in [0.5, 1), at most
+    2^1023 (subnormal entries).
 
     Multiplying by it is exact, so it changes no comparison, and it keeps
     squared and cubed Gram entries inside the float range.
     """
-    big = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-    return float(np.ldexp(1.0, -int(np.frexp(big)[1])))
+    return math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(a).max()))[1]))
 
 
 def _hermitian_rows(g: np.ndarray) -> np.ndarray:

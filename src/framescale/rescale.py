@@ -39,7 +39,6 @@ BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
 ISOMETRY_TOL = 1e-10  # largest isometry_defect of an isometric dilation
 PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
-TIE_RTOL = 1e-9  # subgradient averages f and g branches this close
 # Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
 # at a time in one stacked eigh.  On criterion-01 sized pairs (n <= 5,
 # d <= 3) blocks of 1, 2, 4 and 8 took within 3 % of each other (best of
@@ -55,6 +54,7 @@ B_REL_FACTOR = 10.0
 B_REL_TOP = 1e10
 NEWTON_STEPS = 25
 GAP_TOL = 1e-13
+SERIES_BAND = 1e-3  # _divided_exp takes its series where |b dl| <= this
 _SIGNS = np.array([[1.0], [-1.0]])  # log-weights of F and G: +t and -t
 
 
@@ -97,53 +97,14 @@ class _Objective:
         return self.eigh((weights[..., None, None] * self.stack).sum(axis=-3))
 
 
-def _branch_tops(obj: _Objective, t: np.ndarray):
-    w, v = obj.spectra(t)
-    return float(w[0, -1]), v[0, :, -1], float(w[1, -1]), v[1, :, -1]
-
-
 def _balanced(t: np.ndarray, spectra) -> np.ndarray:
-    """t shifted as in balance, from the spectra at t."""
+    """t + c, c = (ln g - ln f) / 2, from the spectra at t.
+
+    A common shift c multiplies f by e^c and g by e^{-c}, so this c makes
+    both equal to sqrt(f g), which never increases max(f, g).
+    """
     f, g = spectra[0][:, -1]
     return t + 0.5 * np.log(g / f)
-
-
-def bessel_pair_objective(pair: FramePair, t: np.ndarray):
-    """The two weighted Bessel bounds (f, g) at log-weights t."""
-    t = _check_weights(t, pair.n)
-    f, _, g, _ = _branch_tops(_Objective(pair), t)
-    return f, g
-
-
-def balance(pair: FramePair, t: np.ndarray) -> np.ndarray:
-    """Shift t by the constant that equates the two branches.
-
-    A common shift c multiplies f by e^c and g by e^{-c}, so
-    c = (ln g - ln f) / 2 makes both equal to sqrt(f g), which never
-    increases max(f, g).
-    """
-    t = _check_weights(t, pair.n)
-    return _balanced(t, _Objective(pair).spectra(t))
-
-
-def subgradient(pair: FramePair, t: np.ndarray) -> np.ndarray:
-    """A subgradient of h = max(f, g) at t.
-
-    On the f branch the component k is e^{t_k} |<v_f, x_k>|^2 for the top
-    eigenvector v_f; on the g branch it is -e^{-t_k} |<v_g, y_k>|^2.  When
-    the branches tie within TIE_RTOL (relative) the two halves are
-    averaged.
-    """
-    t = _check_weights(t, pair.n)
-    f, vf, g, vg = _branch_tops(_Objective(pair), t)
-    gx = np.exp(t) * np.abs(pair.xs.conj() @ vf) ** 2
-    gy = np.exp(-t) * np.abs(pair.ys.conj() @ vg) ** 2
-    gap = TIE_RTOL * max(f, g)
-    if f - g > gap:
-        return gx
-    if g - f > gap:
-        return -gy
-    return 0.5 * (gx - gy)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -164,7 +125,7 @@ def _divided_exp(b: float, lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     dl = lam[..., :, None] - lam[..., None, :]
     delta = b * dl
-    small = np.abs(delta) <= 1e-3
+    small = np.abs(delta) <= SERIES_BAND
     safe = np.where(small, 1.0, dl)
     direct = (p[..., :, None] - p[..., None, :]) / safe
     series = b * p[..., None, :] * _phi1(delta)

@@ -40,6 +40,7 @@ from .instances import (
 from .linalg import top_singular_triplet, trace_norm
 from .multiplier import (
     MultiplierNormEstimate,
+    _pow2_scale,
     amplified_apply,
     check_amplified,
     mask_matrix,
@@ -48,14 +49,15 @@ from .multiplier import (
 )
 from .rescale import (
     PINNED_RTOL,
+    SERIES_BAND,
     _Objective,
-    bessel_pair_objective,
+    _psi,
+    _smoothed_state,
     build_dilation,
     dilation_reconstruct,
     extract_scaling,
     optimize,
     phi_lower,
-    subgradient,
 )
 
 IDENTITY_RTOL = 1e-10
@@ -65,6 +67,8 @@ ROUNDING_RTOL = 1e-12  # replays and orderings that hold up to rounding
 EXPERIMENT_CUSHION = 5e-2
 KHINTCHINE_FACTOR = np.sqrt(0.5)
 MAX_PATTERN_ORDER = 14
+PSI_FD_B_RELS = (1e2, 1e4, 1e6, 1e8, 1e10)
+PSI_FD_GATE = 100.0  # largest finite-difference error / (eps b_rel)^(2/3)
 
 
 def _worst(records, *keys) -> dict:
@@ -114,13 +118,16 @@ def khintchine_check(a: np.ndarray) -> dict:
     The expectation is exact over all sign patterns.  |s . a| is even in
     s, so the average runs over one sign vector per class {s, -s}: the
     2^(m-1) patterns with s_m = +1.  The constant sqrt(1/2) is the best
-    possible, attained at two equal entries.
+    possible, attained at two equal entries.  a is scaled by an exact
+    power of two first, as in super_key_check.
     """
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     if a.size < 1:
         raise ValueError("need at least one coefficient")
-    lhs = float(np.mean(np.abs(_sign_rows(a.size, halved=True) @ a)))
-    rhs = KHINTCHINE_FACTOR * float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    scale = _pow2_scale(a)
+    a = a * scale
+    lhs = float(np.mean(np.abs(_sign_rows(a.size, halved=True) @ a))) / scale
+    rhs = KHINTCHINE_FACTOR * float(np.sqrt(np.sum(np.abs(a) ** 2))) / scale
     record = {"lhs": lhs, "rhs": rhs,
               "ratio": lhs / rhs if rhs > 0.0 else np.inf, "m": int(a.size)}
     if lhs < rhs - 1e-12 * rhs:
@@ -189,6 +196,10 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     all 2^m patterns is the mean over these, each minimum over all sign
     pairs ranges over the same values, and the sign-pair matrix is a
     quarter of the full one.
+
+    Each link is homogeneous in each tuple, so the sums are formed with
+    the tuples scaled by exact powers of two su and sv (see _pow2_scale):
+    none overflows or underflows while the inputs and the record do not.
     """
     us = np.asarray(us, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
@@ -197,12 +208,14 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     if us.shape[1] != pair.dim:
         raise ValueError("tuple vectors must live in the pair's space")
     m = us.shape[0]
+    su, sv = _pow2_scale(us), _pow2_scale(vs)
+    us, vs = us * su, vs * sv
     cu, cv = _coeff_tables(pair, us, vs)
     norm_u = np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
     norm_v = np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))
-    lhs = float(np.sum(norm_u * norm_v))
-    l2_u = float(np.sqrt(np.sum(np.abs(us) ** 2)))
-    l2_v = float(np.sqrt(np.sum(np.abs(vs) ** 2)))
+    lhs = float(np.sum(norm_u * norm_v)) / su / sv
+    l2_u = float(np.sqrt(np.sum(np.abs(us) ** 2))) / su
+    l2_v = float(np.sqrt(np.sum(np.abs(vs) ** 2))) / sv
     rhs = 2.0 * phi_norm * l2_u * l2_v
     slack = rhs - lhs
     record = {"lhs": lhs, "rhs": rhs, "slack": slack, "m": int(m),
@@ -221,13 +234,13 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     mean_q = np.mean(q, axis=0)
 
     # link 1: factored first-moment bounds, per index k
-    link1 = float(np.min(2.0 * mean_p * mean_q - norm_u * norm_v))
+    link1 = float(np.min(2.0 * mean_p * mean_q - norm_u * norm_v)) / su / sv
     # link 2: the double average over independent sign pairs equals the
     # product of single averages, summed over k; averaging the row means
     # keeps the partial sums within the float range where rhs is
     joint = p @ q.T
     link2 = abs(float(np.mean(np.mean(joint, axis=1)))
-                - float(np.sum(mean_p * mean_q)))
+                - float(np.sum(mean_p * mean_q))) / su / sv
     # link 3: masked-norm bound at every sign pair, phi (nu_s nv_t) - joint
     # formed in one buffer
     nu = np.sqrt(np.sum(np.abs(signs @ us) ** 2, axis=1))
@@ -235,14 +248,14 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     gap = np.multiply.outer(nu, nv)
     gap *= phi_norm
     gap -= joint
-    link3 = float(np.min(gap))
+    link3 = float(np.min(gap)) / su / sv
     # link 4: average norm below quadratic mean, and the exact identity
     # mean ||u(s)||^2 = sum_j ||u_j||^2
-    l1_u = float(np.mean(nu))
-    l1_v = float(np.mean(nv))
+    l1_u = float(np.mean(nu)) / su
+    l1_v = float(np.mean(nv)) / sv
     link4 = min(l2_u - l1_u, l2_v - l1_v)
-    ms_u = float(np.sqrt(np.mean(nu ** 2)))
-    ms_v = float(np.sqrt(np.mean(nv ** 2)))
+    ms_u = float(np.sqrt(np.mean(nu ** 2))) / su
+    ms_v = float(np.sqrt(np.mean(nv ** 2))) / sv
     link5 = max(abs(ms_u - l2_u), abs(ms_v - l2_v))
 
     # the terms of links 1 and 2 are at most 2 lhs, and the final
@@ -259,7 +272,8 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     if link2 > IDENTITY_RTOL * rhs:
         raise VerificationError(
             f"average-product identity broken: {link2:.3e}", record)
-    if link3 < -INEQ_RTOL * phi_norm * float(np.max(nu)) * float(np.max(nv)):
+    if link3 < -INEQ_RTOL * phi_norm * (float(np.max(nu)) / su) * (
+            float(np.max(nv)) / sv):
         raise VerificationError(
             f"masked-norm link violated: {link3:.3e}", record)
     # links 4 and 5 hold per tuple, each against its own norm
@@ -674,49 +688,78 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
                                  "alternating_drift", "grid_drift")}}
 
 
-def suite_subgradient_fd(seed: int = 0, points: int = 100,
-                         fd_step: float = 1e-5) -> dict:
-    """Subgradient against central differences at smooth points.
+def _psi_fd_ratios(obj: _Objective, t: np.ndarray, b_rel: float):
+    """Errors of _smoothed_state at t, b = b_rel / h, over (eps b_rel)^(2/3).
 
-    Points are drawn so the top eigenvalue of each branch is simple (gap
-    at least 1e-6, in practice far larger) and the two branches are
-    separated, keeping the objective differentiable across the stencil.
+    The gradient error is against central differences of psi, relative to
+    |psi|, the Hessian's against those of the gradient, symmetrised,
+    relative to max |H|.  Each t-derivative brings a factor b h = b_rel, so
+    the step cbrt(eps b_rel) / b_rel puts truncation and rounding near the
+    model.  Also says whether _divided_exp took its series at t.
     """
+    n, eps_b = t.size, float(np.finfo(np.float64).eps) * b_rel
+    spectra = obj.spectra(t)
+    b = b_rel / float(spectra[0][:, -1].max())
+    psi, grad, hess = _smoothed_state(obj, t, b, spectra)
+    delta = np.cbrt(eps_b) / b_rel
+    stencil = np.concatenate([t + delta * np.eye(n), t - delta * np.eye(n)])
+    width = np.diag(stencil[:n] - stencil[n:])  # the steps as rounded into t
+    w, v = obj.spectra(stencil)
+    fd_grad = np.subtract(*_psi(w, b)[0].reshape(2, n)) / width
+    grads = np.array([_smoothed_state(obj, s, b, (w[i], v[i]))[1]
+                      for i, s in enumerate(stencil)])
+    fd_hess = (grads[:n] - grads[n:]) / width[:, None]
+    fd_hess = 0.5 * (fd_hess + fd_hess.T)
+    gaps = np.abs(b * (spectra[0][:, :, None] - spectra[0][:, None, :]))
+    # the 2d diagonal entries always take the series
+    series = np.count_nonzero(gaps <= SERIES_BAND) > 2 * gaps.shape[-1]
+    model = eps_b ** (2.0 / 3.0)
+    grad_err = float(np.max(np.abs(grad - fd_grad))) / abs(psi)
+    hess_err = float(np.max(np.abs(hess - fd_hess)) / np.max(np.abs(hess)))
+    return grad_err / model, hess_err / model, bool(series)
+
+
+def suite_psi_fd(seed: int = 0, pairs: int = 20) -> dict:
+    """psi's gradient and Hessian, as optimize runs them, against central
+    differences at each b_rel of PSI_FD_B_RELS (see _psi_fd_ratios): on
+    pairs gaussian pairs (n 2-6, d 1-4) at random t in [-1, 1]^n and at
+    optimize's weights, where top eigenvalues nearly double, and on
+    pairs // 2 orthonormal-basis unions at t = 0 and (1e-3 / b_rel) z, z
+    standard normal, where eigenvalues cluster.  Gate: PSI_FD_GATE."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 808]))
+    points = []  # (kind, pair, t, whether t shrinks by 1e-3 / b_rel)
+    for _ in range(pairs):
+        pair = gaussian_pair(rng, int(rng.integers(2, 7)),
+                             int(rng.integers(1, 5)))
+        points.append(("gaussian", pair, rng.uniform(-1.0, 1.0, pair.n), False))
+        points.append(("gaussian", pair, optimize(pair).log_weights, False))
+    for _ in range(pairs // 2):
+        d = int(rng.integers(2, 4))
+        pair = onb_union_pair(rng, d * int(rng.integers(2, 4)), d)
+        points.append(("onb_union", pair, np.zeros(pair.n), False))
+        points.append(("onb_union", pair, rng.standard_normal(pair.n), True))
     records = []
-    worst = 0.0
-    produced = 0
-    while produced < points:
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        pair = gaussian_pair(rng, n, d)
-        t = rng.uniform(-1.2, 1.2, n)
-        (wf, wg), _ = _Objective(pair).spectra(t)
-        f, g = wf[-1], wg[-1]
-        gap_f = wf[-1] - wf[-2] if d > 1 else np.inf
-        gap_g = wg[-1] - wg[-2] if d > 1 else np.inf
-        scale = max(f, g)
-        if min(gap_f, gap_g) < max(1e-6, 1e-2 * scale) or \
-                abs(f - g) < 1e-2 * scale:
-            continue
-        produced += 1
-        sub = subgradient(pair, t)
-        fd = np.zeros(n)
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = fd_step
-            fd[k] = (max(bessel_pair_objective(pair, t + e))
-                     - max(bessel_pair_objective(pair, t - e))) / (2.0 * fd_step)
-        err = float(np.max(np.abs(sub - fd))) / (1.0 + scale)
-        records.append({"point": produced - 1, "n": n, "d": d,
-                        "max_component_error": err})
-        worst = max(worst, err)
-        if err > 1e-4:
-            raise VerificationError(
-                f"point {produced - 1}: finite differences off by {err:.3e}",
-                records[-1])
-    return {"suite": "subgradient_fd", "records": records,
-            "summary": {"points": points, "worst_error": worst}}
+    for b_rel in PSI_FD_B_RELS:
+        for kind, pair, t, shrink in points:
+            grad, hess, series = _psi_fd_ratios(
+                _Objective(pair), 1e-3 / b_rel * t if shrink else t, b_rel)
+            records.append({"kind": kind, "n": pair.n, "d": pair.dim,
+                            "b_rel": b_rel, "grad_ratio": grad,
+                            "hess_ratio": hess, "series": series})
+            if max(grad, hess) > PSI_FD_GATE:
+                raise VerificationError(
+                    f"psi derivatives at b_rel {b_rel:.0e} off by "
+                    f"{max(grad, hess):.3g} (eps b_rel)^(2/3)", records[-1])
+
+    def per_b_rel(reduce, key):
+        return [reduce(r[key] for r in records if r["b_rel"] == b_rel)
+                for b_rel in PSI_FD_B_RELS]
+
+    summary = {"points": len(records), "b_rel": list(PSI_FD_B_RELS),
+               "worst_grad_ratio": per_b_rel(max, "grad_ratio"),
+               "worst_hess_ratio": per_b_rel(max, "hess_ratio"),
+               "series_points": per_b_rel(sum, "series")}
+    return {"suite": "psi_fd", "records": records, "summary": summary}
 
 
 SUITES = {
@@ -729,7 +772,7 @@ SUITES = {
     "end_to_end": suite_end_to_end,
     "d1": suite_d1,
     "invariance": suite_invariance,
-    "subgradient_fd": suite_subgradient_fd,
+    "psi_fd": suite_psi_fd,
 }
 
 

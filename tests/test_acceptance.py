@@ -28,7 +28,7 @@ from framescale.verify import (
     suite_end_to_end,
     suite_invariance,
     suite_khintchine,
-    suite_subgradient_fd,
+    suite_psi_fd,
     suite_trace,
 )
 
@@ -153,9 +153,14 @@ def test_criterion_09_bracket_ordering():
           f"instances, largest relative lower-minus-upper {worst_gap:.2e}")
 
 
-def test_criterion_10_subgradient_matches_finite_differences():
-    report = suite_subgradient_fd(seed=0, points=100, fd_step=1e-5)
-    summary = report["summary"]
-    assert summary["worst_error"] <= 1e-4
-    print(f"criterion 10 PASS: worst component error "
-          f"{summary['worst_error']:.2e} at 100 smooth points")
+def test_criterion_10_psi_derivatives_match_finite_differences():
+    # the gradient and Hessian of the smoothed objective that optimize's
+    # Newton steps use, at every sharpness it runs
+    summary = suite_psi_fd(seed=0)["summary"]
+    worst = max(summary["worst_grad_ratio"] + summary["worst_hess_ratio"])
+    assert worst <= 100.0
+    assert min(summary["series_points"]) >= 1
+    print(f"criterion 10 PASS: psi's gradient and Hessian within "
+          f"{worst:.2f} (eps b_rel)^(2/3) of central differences at "
+          f"{summary['points']} points, b_rel 1e2..1e10, series form at "
+          f"{min(summary['series_points'])}+ points per b_rel")

@@ -339,7 +339,7 @@ def test_verify_suite_passes(tmp_path):
 
 
 @pytest.mark.parametrize("suite", ["end_to_end", "d1", "invariance",
-                                   "subgradient_fd"])
+                                   "psi_fd"])
 def test_verify_reaches_every_registered_suite(suite, monkeypatch, capsys):
     calls = []
 

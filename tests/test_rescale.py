@@ -29,28 +29,32 @@ from framescale.rescale import (
     CbBracket,
     Dilation,
     _armijo_step,
+    _balanced,
     _Objective,
     _psi,
     _smoothed_state,
-    balance,
-    bessel_pair_objective,
     build_dilation,
     dilation_reconstruct,
     extract_scaling,
     optimize,
     phi_lower,
-    subgradient,
 )
 from framescale.verify import witness_defect
 
 from conftest import dual_coefficients, haar_unitary, random_complex
 
 
+def _tops(pair, t):
+    """(f, g): the top eigenvalues of F(t) and G(t) from _Objective.spectra."""
+    w, _ = _Objective(pair).spectra(t)
+    return float(w[0, -1]), float(w[1, -1])
+
+
 def test_objective_matches_frame_bounds_of_scaled_families():
     rng = np.random.default_rng(70)
     pair = gaussian_pair(rng, 5, 3)
     t = rng.uniform(-1.0, 1.0, 5)
-    f, g = bessel_pair_objective(pair, t)
+    f, g = _tops(pair, t)
     alpha = np.exp(0.5 * t)
     fx = bessel_and_frame_bounds(alpha[:, None] * pair.xs).upper
     gy = bessel_and_frame_bounds(pair.ys / alpha[:, None]).upper
@@ -62,9 +66,9 @@ def test_objective_homogeneity_under_common_shift():
     rng = np.random.default_rng(71)
     pair = gaussian_pair(rng, 4, 2)
     t = rng.uniform(-1.0, 1.0, 4)
-    f, g = bessel_pair_objective(pair, t)
+    f, g = _tops(pair, t)
     c = 0.7
-    fc, gc = bessel_pair_objective(pair, t + c)
+    fc, gc = _tops(pair, t + c)
     assert abs(fc - np.exp(c) * f) <= 1e-10 * (1.0 + fc)
     assert abs(gc - np.exp(-c) * g) <= 1e-10 * (1.0 + gc)
 
@@ -72,89 +76,62 @@ def test_objective_homogeneity_under_common_shift():
 def test_balance_closed_form_and_fixed_point():
     rng = np.random.default_rng(72)
     pair = gaussian_pair(rng, 4, 2)
+    obj = _Objective(pair)
     t = rng.uniform(-1.0, 1.0, 4)
-    f, g = bessel_pair_objective(pair, t)
-    shifted = balance(pair, t)
+    f, g = _tops(pair, t)
+    shifted = _balanced(t, obj.spectra(t))
     assert np.max(np.abs((shifted - t) - 0.5 * np.log(g / f))) <= 1e-12
-    f2, g2 = bessel_pair_objective(pair, shifted)
+    f2, g2 = _tops(pair, shifted)
     assert abs(f2 - g2) <= 1e-10 * (f2 + g2)
     assert abs(f2 - np.sqrt(f * g)) <= 1e-10 * (1.0 + f2)
-    again = balance(pair, shifted)
+    again = _balanced(shifted, obj.spectra(shifted))
     assert np.max(np.abs(again - shifted)) <= 1e-10
 
 
-def _fd_gradient(pair, t, h=1e-5):
-    out = np.zeros_like(t)
-    for k in range(t.size):
-        e = np.zeros_like(t)
-        e[k] = h
-        fp = max(bessel_pair_objective(pair, t + e))
-        fm = max(bessel_pair_objective(pair, t - e))
-        out[k] = (fp - fm) / (2.0 * h)
-    return out
-
-
-def _smooth_point(rng, pair, spread=1.2):
-    """Draw t where both top eigenvalues are simple and the branches split."""
-    while True:
-        t = rng.uniform(-spread, spread, pair.n)
-        (wf, wg), _ = _Objective(pair).spectra(t)
-        f, g = wf[-1], wg[-1]
-        gap_f = wf[-1] - wf[-2] if pair.dim > 1 else 1.0
-        gap_g = wg[-1] - wg[-2] if pair.dim > 1 else 1.0
-        if gap_f >= 1e-4 and gap_g >= 1e-4 and abs(f - g) >= 1e-3 * max(f, g):
-            return t
-
-
-def test_subgradient_matches_central_differences_at_smooth_points():
-    rng = np.random.default_rng(73)
-    for _ in range(10):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        pair = gaussian_pair(rng, n, d)
-        t = _smooth_point(rng, pair)
-        sub = subgradient(pair, t)
-        fd = _fd_gradient(pair, t)
-        f, g = bessel_pair_objective(pair, t)
-        assert np.max(np.abs(sub - fd)) <= 1e-4 * (1.0 + max(f, g))
-
-
-def test_subgradient_swap_symmetry():
-    rng = np.random.default_rng(74)
-    pair = gaussian_pair(rng, 4, 2)
-    swapped = FramePair(pair.ys, pair.xs)
-    t = rng.uniform(-1.0, 1.0, 4)
-    a = subgradient(pair, t)
-    b = subgradient(swapped, -t)
-    assert np.max(np.abs(a + b)) <= 1e-10 * (1.0 + np.max(np.abs(a)))
-
-
-def test_subgradient_scalar_case_closed_form():
-    pair = FramePair(np.array([[2.0], [1.0]], dtype=complex),
-                     np.array([[1.0], [1.0]], dtype=complex))
-    t = np.array([0.0, 0.0])
-    # f = 5 > g = 2, so the gradient is the f branch: e^{t_k} |x_k|^2
-    sub = subgradient(pair, t)
-    assert np.max(np.abs(sub - np.array([4.0, 1.0]))) <= 1e-12
+def _state_at(pair, t, b_rel):
+    """_smoothed_state of pair at t and sharpness b = b_rel / h."""
+    obj = _Objective(pair)
+    spectra = obj.spectra(t)
+    return _smoothed_state(obj, t, b_rel / float(spectra[0][:, -1].max()),
+                           spectra)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])
-def test_subgradient_is_homogeneous_of_degree_two(c):
-    # scaling both families by c scales f and g by c^2 and leaves the top
-    # eigenvectors alone, so the branch choice and the subgradient follow
+def test_smoothed_state_is_homogeneous_of_degree_two(c):
+    # a factor c on both families scales F, G and h by c^2 and b by c^-2,
+    # so psi, its gradient and its Hessian all scale by c^2
     rng = np.random.default_rng(87)
     pair = gaussian_pair(rng, 4, 2)
-    for _ in range(5):
+    scaled_pair = FramePair(c * pair.xs, c * pair.ys)
+    for b_rel in (1e2, 1e6):
+        for _ in range(3):
+            t = rng.uniform(-1.0, 1.0, 4)
+            base = _state_at(pair, t, b_rel)
+            scaled = _state_at(scaled_pair, t, b_rel)
+            # the Hessian's curvature and outer-product terms cancel to
+            # about 1 / b_rel of their size
+            for got, want, rtol in zip(scaled, base, (1e-14, 1e-13,
+                                                      1e-14 * b_rel)):
+                assert np.max(np.abs(got - c * c * want)) <= (
+                    rtol * c * c * np.max(np.abs(want)))
+
+
+def test_smoothed_state_swap_symmetry():
+    # swapping the families and negating t swaps F and G: psi and the
+    # Hessian stay, and the gradient changes sign
+    rng = np.random.default_rng(74)
+    pair = gaussian_pair(rng, 4, 2)
+    swapped = FramePair(pair.ys, pair.xs)
+    for b_rel in (1e2, 1e6):
         t = rng.uniform(-1.0, 1.0, 4)
-        f, g = bessel_pair_objective(pair, t)
-        assert abs(f - g) >= 1e-2 * max(f, g)
-        base = subgradient(pair, t)
-        scaled = subgradient(FramePair(c * pair.xs, c * pair.ys), t)
-        assert np.max(np.abs(scaled - c * c * base)) <= (
-            1e-12 * c * c * np.max(np.abs(base)))
+        psi, grad, hess = _state_at(pair, t, b_rel)
+        psi_s, grad_s, hess_s = _state_at(swapped, -t, b_rel)
+        assert abs(psi_s - psi) <= 1e-14 * abs(psi)
+        assert np.max(np.abs(grad_s + grad)) <= 1e-12 * np.max(np.abs(grad))
+        assert np.max(np.abs(hess_s - hess)) <= 1e-12 * np.max(np.abs(hess))
 
 
-def test_bessel_pair_objective_makes_one_eigh_call(monkeypatch):
+def test_spectra_makes_one_eigh_call(monkeypatch):
     calls = []
     eigh = rescale.eigh
 
@@ -164,7 +141,7 @@ def test_bessel_pair_objective_makes_one_eigh_call(monkeypatch):
 
     monkeypatch.setattr(rescale, "eigh", counted)
     pair = gaussian_pair(np.random.default_rng(88), 5, 3)
-    bessel_pair_objective(pair, np.zeros(5))
+    _Objective(pair).spectra(np.zeros(5))
     assert calls == [(2, 3, 3)]
 
 
@@ -174,8 +151,9 @@ def test_block_line_search_accepts_the_sequential_step():
     for n, d in ((4, 2), (5, 3), (3, 1)):
         pair = gaussian_pair(rng, n, d)
         obj = _Objective(pair)
-        t = balance(pair, rng.uniform(-1.0, 1.0, n))
-        f, g = bessel_pair_objective(pair, t)
+        t = rng.uniform(-1.0, 1.0, n)
+        t = _balanced(t, obj.spectra(t))
+        f, g = _tops(pair, t)
         b = 1e3 / max(f, g)
         psi, grad, _ = _smoothed_state(obj, t, b, obj.spectra(t))
         for stretch in (1.0, 10.0, 1e3):
@@ -401,7 +379,7 @@ def test_certificate_valid_at_arbitrary_weights():
     pair = gaussian_pair(rng, 4, 2)
     for _ in range(5):
         t = rng.uniform(-1.5, 1.5, 4)
-        f, g = bessel_pair_objective(pair, t)
+        f, g = _tops(pair, t)
         cert = np.sqrt(f * g)
         for m in (1, 2, 3):
             mats = np.stack([haar_unitary(rng, m) for _ in range(4)])

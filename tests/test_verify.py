@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import framescale.rescale as rescale
 from framescale.frames import FramePair, bessel_and_frame_bounds
 from framescale.instances import (
     canonical_dual_pair,
@@ -30,6 +31,7 @@ from framescale.verify import (
     run_suite,
     sign_patterns,
     suite_d1,
+    suite_psi_fd,
     super_key_check,
     trace_lemma_check,
     trace_pairing_check,
@@ -283,6 +285,52 @@ def test_super_key_average_identity_stays_finite_near_the_float_limit():
         assert rec["average_identity"] <= 1e-12 * rec["rhs"]
 
 
+def _scaled_baseline(pair, us, vs, phi, cu, cv):
+    """super_key_check's record at tuples (cu us, cv vs) from its records at
+    scale 1: key -> (value, the scale its gate uses there)."""
+    base = super_key_check(pair, us, vs, phi)
+    want = {key: (cu * cv * base[key], cu * cv * base["rhs"])
+            for key in ("lhs", "rhs", "slack", "khintchine_link",
+                        "average_identity", "masked_bound_link")}
+    # links 4 and 5 hold per tuple; a check of a tuple against itself
+    # reports that tuple's side alone
+    sides = [(c * super_key_check(pair, t, t, phi)[key], c * np.linalg.norm(t))
+             for c, t in ((cu, us), (cv, vs))
+             for key in ("mean_vs_quadratic", "orthogonality_identity")]
+    want["mean_vs_quadratic"] = min(sides[0], sides[2])
+    want["orthogonality_identity"] = max(sides[1], sides[3])
+    return want
+
+
+def test_super_key_record_is_the_scaled_baseline_at_the_float_limits():
+    # both tuples x 1e152 overflowed the average identity to inf, and u
+    # alone x 1e-160 underflowed |u|^2 and broke the orthogonality identity
+    rng = np.random.default_rng(18)
+    pair = gaussian_pair(rng, 4, 2)
+    phi = norm_lower_alternating(pair).value
+    us = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    vs = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    for cu, cv in ((1e152, 1e152), (1e-160, 1.0)):
+        rec = super_key_check(pair, cu * us, cv * vs, phi)
+        assert rec["chain_checked"]
+        for key, (value, scale) in _scaled_baseline(pair, us, vs, phi,
+                                                    cu, cv).items():
+            assert abs(rec[key] - value) <= 1e-15 * scale, (cu, key)
+
+
+def test_khintchine_record_is_the_scaled_baseline_at_the_float_limits():
+    # |a|^2 overflowed at a x 1e154 (ratio 0) and underflowed at 1e-170 (inf)
+    a = np.random.default_rng(19).standard_normal(6) + 1j
+    base = khintchine_check(a)
+    for c in (1e154, 1e-170):
+        rec = khintchine_check(c * a)
+        for key, scale in (("ratio", 1.0), ("lhs", c), ("rhs", c)):
+            want = scale * base[key]
+            assert abs(rec[key] - want) <= 1e-15 * want, (c, key)
+    # subnormal entries: the scale stops at 2^1023 instead of overflowing
+    assert abs(khintchine_check(np.array([1e-310, 1e-310]))["ratio"] - 1.0) <= 1e-12
+
+
 def test_super_key_chain_memory_at_m_10():
     # the parent's full 2^10 x 2^10 sign-pair matrices peaked at 16.4 MB
     rng = np.random.default_rng(18)
@@ -459,3 +507,14 @@ def test_run_suite_dispatch():
     assert report["summary"]["wall_s"] > 0.0
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+def test_psi_fd_catches_a_relative_error_of_1e_6_in_the_curvature(monkeypatch):
+    # the unpatched suite passes and meets the eigenvalue clusters where
+    # _divided_exp takes its series at every sharpness
+    assert min(suite_psi_fd(seed=3, pairs=4)["summary"]["series_points"]) >= 1
+    divided_exp = rescale._divided_exp
+    monkeypatch.setattr(rescale, "_divided_exp",
+                        lambda *args: divided_exp(*args) * (1.0 + 1e-6))
+    with pytest.raises(VerificationError, match="psi derivatives"):
+        suite_psi_fd(seed=3, pairs=4)
