@@ -215,6 +215,42 @@ def _offset_weights(basis: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 GRID_MAX_N = 6
 GRID_CHUNK = 1 << 18
+TRACE_RTOL = 1e-9  # relative margin of the grid's trace floor
+
+
+def _grid_factors(pair: FramePair, phase_steps: int):
+    """The phase grid's Gram rows in factored form.
+
+    Returns phases, base (d*d, B), feats (C, B) and weights (P, d*d, C):
+    the _hermitian_rows of the B mask matrices of outer block o, scaled
+    by an exact power of two, are weights[o] @ feats + base, and column b
+    of block o is mask o * B + b of the sweep (see norm_oracle_grid).
+    """
+    n, d = pair.n, pair.dim
+    phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
+    rank_ones = np.einsum("ki,kj->kij", pair.xs, pair.ys.conj())
+    rank_ones = rank_ones * _pow2_scale(rank_ones)
+    tables = rank_ones[:, :, :, None] * phases
+    fast = 0
+    while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:
+        fast += 1
+    # grow the block one coordinate at a time, each new one the slowest
+    # digit, by the identity the offsets use
+    base = _hermitian_rows(rank_ones[0].conj().T @ rank_ones[0])[:, None]
+    basis = rank_ones[:1]
+    feats = np.ones((1, 1))
+    for k in range(1, fast + 1):
+        grown = np.matmul(_offset_weights(basis, tables[k]), feats)
+        grown += base
+        base = np.swapaxes(grown, 0, 1).reshape(d * d, -1)
+        width = feats.shape[1]
+        feats = np.vstack([np.tile(feats, phase_steps),
+                           np.repeat(phases.real, width),
+                           np.repeat(phases.imag, width)])
+        basis = np.concatenate([basis, rank_ones[k:k + 1], 1j * rank_ones[k:k + 1]])
+    offsets = _digit_sums(np.zeros((d, d), dtype=np.complex128),
+                          tables[n - 1:fast:-1])
+    return phases, base, feats, _offset_weights(basis, offsets)
 
 
 def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEstimate:
@@ -243,52 +279,63 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     from the Gram rows of R_0 by this identity: coordinate k adds one
     offset e R_k per phase e as the new slowest digit, one GEMM over the
     features so far.  Every setting of the remaining coordinates then
-    adds one offset to the finished block, again one GEMM, with the
-    weights of all offsets built in one einsum.  The tables are first
-    scaled by an exact power of two, so the Gram entries stay inside the
-    float range whenever the tables themselves do.
+    adds one offset to the finished block, with the weights of all
+    offsets built in one einsum (see _grid_factors).  The tables are
+    first scaled by an exact power of two, so the Gram entries stay
+    inside the float range whenever the tables themselves do.
+
+    Most masks never reach the top-eigenvalue step.  The top eigenvalue
+    of G = M^H M is at most tr G, and the trace is linear in the
+    features, so each offset first forms every mask's trace with one
+    (1 x C) @ (C x B) product.  Only masks whose trace reaches
+    (1 - TRACE_RTOL) best^2, best the largest norm so far, get their full
+    Gram rows and top eigenvalue; before the first block, best is
+    seeded with the norm of that block's largest-trace mask.  A skipped
+    mask's norm is below best, so under the strict update it could never
+    win, and every mask that ties the final maximum is kept: the first
+    maximiser is the one the full sweep would pick.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
     if phase_steps < 8:
         raise ValueError("phase_steps must be >= 8")
     n, d = pair.n, pair.dim
-    phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
-    rank_ones = np.einsum("ki,kj->kij", pair.xs, pair.ys.conj())
-    rank_ones = rank_ones * _pow2_scale(rank_ones)
-    tables = rank_ones[:, :, :, None] * phases
-    fast = 0
-    while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:
-        fast += 1
-    # grow the block one coordinate at a time, each new one the slowest
-    # digit, by the identity the offsets use below
-    base = _hermitian_rows(rank_ones[0].conj().T @ rank_ones[0])[:, None]
-    basis = rank_ones[:1]
-    feats = np.ones((1, 1))
-    for k in range(1, fast + 1):
-        grown = np.matmul(_offset_weights(basis, tables[k]), feats)
-        grown += base
-        base = np.swapaxes(grown, 0, 1).reshape(d * d, -1)
-        width = feats.shape[1]
-        feats = np.vstack([np.tile(feats, phase_steps),
-                           np.repeat(phases.real, width),
-                           np.repeat(phases.imag, width)])
-        basis = np.concatenate([basis, rank_ones[k:k + 1], 1j * rank_ones[k:k + 1]])
-    offsets = _digit_sums(np.zeros((d, d), dtype=np.complex128),
-                          tables[n - 1:fast:-1])
-    weights = _offset_weights(basis, offsets)
+    phases, base, feats, weights = _grid_factors(pair, phase_steps)
     block = base.shape[1]
-    rows = np.empty_like(base)
+    # _hermitian_rows puts the d diagonal entries first
+    trace_w = weights[:, :d, :].sum(axis=1)
+    trace_base = base[:d].sum(axis=0)
+
+    def gram_rows(outer, trace, cols):
+        if d == 1:
+            # the trace is the whole 1 x 1 Gram matrix
+            return trace[None, cols]
+        return weights[outer] @ feats[:, cols] + base[:, cols]
+
+    # Rounding margin.  Each Gram entry is a short sum of terms of size
+    # at most (sum_k ||R_k||)^2 <= n^2 V^2, V the grid's maximum: R_k is
+    # the average of e^{-i theta_k} M over the grid, so ||R_k|| <= V.  So
+    # the computed trace of a mask that can end as the maximum is within
+    # about 1e-13 V^2 of its exact value for n <= GRID_MAX_N.  The closed
+    # forms of _gram_top_norm lose more only near a doubled top
+    # eigenvalue, where the trace is at least twice the top one.  The
+    # floor is a computed norm, so it exceeds V by a rounding at most, and
+    # TRACE_RTOL keeps every such mask.
+    trace = trace_w[0] @ feats + trace_base
+    floor = float(_gram_top_norm(gram_rows(0, trace, [int(np.argmax(trace))]))[0])
     best_val = -np.inf
     best_idx = 0
-    for outer in range(offsets.shape[2]):
-        np.matmul(weights[outer], feats, out=rows)
-        rows += base
-        vals = _gram_top_norm(rows)
+    for outer in range(weights.shape[0]):
+        trace = trace_w[outer] @ feats + trace_base
+        keep = np.flatnonzero(trace >= (1.0 - TRACE_RTOL) * floor * floor)
+        if not keep.size:
+            continue
+        vals = _gram_top_norm(gram_rows(outer, trace, keep))
         arg = int(np.argmax(vals))
         if vals[arg] > best_val:
             best_val = float(vals[arg])
-            best_idx = outer * block + arg
+            best_idx = outer * block + int(keep[arg])
+            floor = max(floor, best_val)
     eps = np.ones(n, dtype=np.complex128)
     rem = best_idx
     for pos in range(1, n):

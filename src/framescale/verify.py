@@ -67,6 +67,7 @@ ROUNDING_RTOL = 1e-12  # replays and orderings that hold up to rounding
 EXPERIMENT_CUSHION = 5e-2
 KHINTCHINE_FACTOR = np.sqrt(0.5)
 MAX_PATTERN_ORDER = 14
+SIGN_BLOCK = 128  # sign-class rows per block of super_key_check's links 2 and 3
 PSI_FD_B_RELS = (1e2, 1e4, 1e6, 1e8, 1e10)
 PSI_FD_GATE = 100.0  # largest finite-difference error / (eps b_rel)^(2/3)
 
@@ -237,18 +238,24 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     link1 = float(np.min(2.0 * mean_p * mean_q - norm_u * norm_v)) / su / sv
     # link 2: the double average over independent sign pairs equals the
     # product of single averages, summed over k; averaging the row means
-    # keeps the partial sums within the float range where rhs is
-    joint = p @ q.T
-    link2 = abs(float(np.mean(np.mean(joint, axis=1)))
-                - float(np.sum(mean_p * mean_q))) / su / sv
-    # link 3: masked-norm bound at every sign pair, phi (nu_s nv_t) - joint
-    # formed in one buffer
+    # keeps the partial sums within the float range where rhs is.
+    # link 3: masked-norm bound at every sign pair, phi (nu_s nv_t) - joint.
+    # Both run over blocks of SIGN_BLOCK rows of the sign-pair matrix
+    # joint = p @ q.T, each block formed in one buffer.
     nu = np.sqrt(np.sum(np.abs(signs @ us) ** 2, axis=1))
     nv = np.sqrt(np.sum(np.abs(signs @ vs) ** 2, axis=1))
-    gap = np.multiply.outer(nu, nv)
-    gap *= phi_norm
-    gap -= joint
-    link3 = float(np.min(gap)) / su / sv
+    row_means = np.empty(len(signs))
+    gap_min = np.inf
+    for lo in range(0, len(signs), SIGN_BLOCK):
+        joint = p[lo:lo + SIGN_BLOCK] @ q.T
+        np.mean(joint, axis=1, out=row_means[lo:lo + SIGN_BLOCK])
+        gap = np.multiply.outer(nu[lo:lo + SIGN_BLOCK], nv)
+        gap *= phi_norm
+        gap -= joint
+        gap_min = min(gap_min, float(np.min(gap)))
+    link2 = abs(float(np.mean(row_means))
+                - float(np.sum(mean_p * mean_q))) / su / sv
+    link3 = gap_min / su / sv
     # link 4: average norm below quadratic mean, and the exact identity
     # mean ||u(s)||^2 = sum_j ||u_j||^2
     l1_u = float(np.mean(nu)) / su

@@ -22,6 +22,7 @@ from framescale.multiplier import (
     norm_lower_alternating,
     norm_oracle_grid,
     _certify,
+    _grid_factors,
     _gram_top_norm,
     _hermitian_rows,
     _offset_weights,
@@ -236,18 +237,19 @@ def test_grid_oracle_edge_sizes():
 
 
 def test_grid_oracle_outer_offsets_match_brute_force(monkeypatch):
-    # a block of 8 masks (one fast coordinate) or 64 (two) makes n = 3
-    # and n = 4 at 8 steps sweep 8 or 64 outer offsets; d >= 4 takes the
-    # eigvalsh fallback
+    # a block of 8 masks (one fast coordinate) or 64 (two) makes n = 3 to 6
+    # at 8 steps sweep from 8 to 4096 outer offsets, so the trace floor
+    # rises across many blocks; d >= 4 takes the eigvalsh fallback
     rng = np.random.default_rng(72)
     for chunk in (8, 64):
         monkeypatch.setattr(multiplier, "GRID_CHUNK", chunk)
-        for n in (3, 4):
+        for n in (3, 4, 5, 6):
             for d in (1, 2, 3, 4, 5):
                 pair = gaussian_pair(rng, n, d)
-                norms = [np.linalg.norm(mask_matrix(pair, eps), 2)
-                         for eps in _swept_masks(n, 8)]
-                _assert_grid_matches(pair, 8, np.array(norms))
+                mats = np.einsum("bk,ki,kj->bij", _swept_masks(n, 8),
+                                 pair.xs, pair.ys.conj())
+                norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
+                _assert_grid_matches(pair, 8, norms)
 
 
 def test_grid_gram_rows_from_features_match_direct_rows():
@@ -267,31 +269,72 @@ def test_grid_gram_rows_from_features_match_direct_rows():
             assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
-def test_grid_grown_block_rows_match_direct_rows(monkeypatch):
-    # with n = fast + 1 there are no outer digits, so the one call of the
-    # top-eigenvalue step sees the grown block's rows unchanged
-    seen = []
-    top_norm = multiplier._gram_top_norm
-
-    def spy(rows):
-        seen.append(rows.copy())
-        return top_norm(rows)
-
-    monkeypatch.setattr(multiplier, "_gram_top_norm", spy)
+def test_grid_factor_rows_match_direct_rows_at_every_offset(monkeypatch):
+    # n = fast + 2 leaves one outer digit, so every one of the 8 offsets
+    # adds to the grown block
     rng = np.random.default_rng(74)
     for fast in (1, 2, 3):
         monkeypatch.setattr(multiplier, "GRID_CHUNK", 8 ** fast)
         for d in (1, 2, 3, 4, 5):
-            pair = gaussian_pair(rng, fast + 1, d)
-            seen.clear()
-            norm_oracle_grid(pair, phase_steps=8)
+            pair = gaussian_pair(rng, fast + 2, d)
+            _, base, feats, weights = _grid_factors(pair, 8)
+            assert weights.shape[0] == 8 and base.shape[1] == 8 ** fast
+            formed = np.concatenate([w @ feats + base for w in weights], axis=1)
             mats = np.stack([mask_matrix(pair, eps)
-                             for eps in _swept_masks(fast + 1, 8)])
+                             for eps in _swept_masks(fast + 2, 8)])
             mats *= multiplier._pow2_scale(pair.xs[:, :, None]
                                            * pair.ys.conj()[:, None, :])
             direct = _hermitian_rows(_gram(mats)).T
-            assert len(seen) == 1 and seen[0].shape == direct.shape
-            assert np.max(np.abs(seen[0] - direct)) <= 1e-13 * np.max(np.abs(direct))
+            assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def _unpruned_witness(pair, steps):
+    """The first maximiser of the full sweep over _grid_factors' rows."""
+    _, base, feats, weights = _grid_factors(pair, steps)
+    vals = np.concatenate([_gram_top_norm(w @ feats + base) for w in weights])
+    return _swept_masks(pair.n, steps)[int(np.argmax(vals))]
+
+
+def test_grid_oracle_keeps_exact_ties():
+    # y_k = x_k orthonormal: every mask matrix is unitary, so every mask
+    # ties at norm 1 and the trace floor skips none of them
+    eye = np.eye(4, dtype=complex)
+    for steps in (8, 16):
+        est = norm_oracle_grid(FramePair(eye, eye), phase_steps=steps)
+        assert np.array_equal(est.witness_mask, np.ones(4))
+        assert est.value == 1.0
+    # in a rotated basis the norms tie only to rounding; the prune keeps
+    # every tied mask, so the first maximiser is the full sweep's
+    rng = np.random.default_rng(77)
+    for d, steps in ((2, 8), (3, 8), (4, 8), (4, 16)):
+        x = haar_unitary(rng, d).T
+        pair = FramePair(x, x)
+        est = norm_oracle_grid(pair, phase_steps=steps)
+        assert np.array_equal(est.witness_mask, _unpruned_witness(pair, steps))
+
+
+def test_grid_trace_floor_skips_most_masks(monkeypatch):
+    kept = []
+    top_norm = multiplier._gram_top_norm
+
+    def spy(rows):
+        kept.append(rows.shape[1])
+        return top_norm(rows)
+
+    monkeypatch.setattr(multiplier, "_gram_top_norm", spy)
+    # over gaussian 5 x 3 pairs at seeds 0-29 the kept share has median
+    # 2.8 % (largest 33 %); this pair keeps 0.7 %
+    pair = gaussian_pair(np.random.default_rng(0), 5, 3)
+    est = norm_oracle_grid(pair, phase_steps=32)
+    assert sum(kept) <= 0.1 * 32 ** 4
+    # with blocks of 8 masks the floor must rise with the best norm: it
+    # keeps 0.5 % of this grid, and 26 % if it stayed at the seed
+    monkeypatch.setattr(multiplier, "GRID_CHUNK", 8)
+    kept.clear()
+    norm_oracle_grid(gaussian_pair(np.random.default_rng(0), 6, 2), phase_steps=8)
+    assert sum(kept) <= 0.05 * 8 ** 5
+    monkeypatch.undo()
+    assert np.array_equal(est.witness_mask, _unpruned_witness(pair, 32))
 
 
 def test_gram_top_norm_clamps_rounding_below_zero():

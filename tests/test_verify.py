@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import framescale.rescale as rescale
+import framescale.verify as verify
 from framescale.frames import FramePair, bessel_and_frame_bounds
 from framescale.instances import (
     canonical_dual_pair,
@@ -345,6 +346,32 @@ def test_super_key_chain_memory_at_m_10():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+def test_super_key_row_blocks_equal_the_whole_matrix(monkeypatch):
+    # links 2 and 3 over row blocks of the sign-pair matrix give the
+    # numbers of the whole matrix: each row of joint and each minimum
+    # come out the same, and the row means are averaged in one order
+    rng = np.random.default_rng(20)
+    pair = gaussian_pair(rng, 4, 2)
+    phi = norm_lower_alternating(pair).value
+    for block in (verify.SIGN_BLOCK, 100):
+        monkeypatch.setattr(verify, "SIGN_BLOCK", block)
+        for m in (9, 10):
+            us = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+            vs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+            rec = super_key_check(pair, us, vs, phi)
+            signs = _sign_rows(m, halved=True)
+            cu, cv = pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
+            p, q = np.abs(signs @ cu.T), np.abs(signs @ cv.T)
+            joint = p @ q.T
+            nu = np.sqrt(np.sum(np.abs(signs @ us) ** 2, axis=1))
+            nv = np.sqrt(np.sum(np.abs(signs @ vs) ** 2, axis=1))
+            average = abs(float(np.mean(np.mean(joint, axis=1)))
+                          - float(np.sum(np.mean(p, axis=0) * np.mean(q, axis=0))))
+            assert rec["average_identity"] == average, (block, m)
+            assert rec["masked_bound_link"] == float(
+                np.min(np.multiply.outer(nu, nv) * phi - joint)), (block, m)
 
 
 def test_rank_one_block_is_rank_one():
