@@ -185,15 +185,15 @@ def _gram_top_norm(rows: np.ndarray) -> np.ndarray:
 
 
 def _digit_sums(start: np.ndarray, tables) -> np.ndarray:
-    """start plus one column of each (d, d, s) table, for every choice.
+    """start plus one column of each (..., s) table, for every choice.
 
-    The result has shape (d, d, s^len(tables)); the last table's column
-    varies fastest along the last axis.
+    The tables share start's shape in front of their last axis.  The
+    result has shape start.shape + (s^len(tables),); the last table's
+    column varies fastest along the last axis.
     """
-    d = start.shape[0]
-    out = start[:, :, None]
+    out = start[..., None]
     for table in tables:
-        out = (out[:, :, :, None] + table[:, :, None, :]).reshape(d, d, -1)
+        out = (out[..., :, None] + table[..., None, :]).reshape(*start.shape, -1)
     return out
 
 
@@ -218,13 +218,39 @@ GRID_CHUNK = 1 << 18
 TRACE_RTOL = 1e-9  # relative margin of the grid's trace floor
 
 
+def _grid_features(phases: np.ndarray, fast: int,
+                   cols: np.ndarray | None = None) -> np.ndarray:
+    """Real features [1; Re e_1; Im e_1; ...; Re e_f; Im e_f] of block columns.
+
+    Column b of a block of f = fast coordinates has the phase
+    phases[(b // s^(k-1)) % s] at coordinate k, s = phases.size, so
+    coordinate 1 varies fastest.  The result has shape (1 + 2f, K) for
+    the K columns cols, or for all s^f columns when cols is None.
+    """
+    steps = phases.size
+    feats = np.empty((1 + 2 * fast, steps ** fast if cols is None else cols.size))
+    feats[0] = 1.0
+    rem = cols
+    for k in range(fast):
+        re, im = feats[1 + 2 * k], feats[2 + 2 * k]
+        if cols is None:
+            re.reshape(-1, steps, steps ** k)[...] = phases.real[:, None]
+            im.reshape(-1, steps, steps ** k)[...] = phases.imag[:, None]
+        else:
+            rem, dig = np.divmod(rem, steps)
+            np.take(phases.real, dig, out=re)
+            np.take(phases.imag, dig, out=im)
+    return feats
+
+
 def _grid_factors(pair: FramePair, phase_steps: int):
     """The phase grid's Gram rows in factored form.
 
-    Returns phases, base (d*d, B), feats (C, B) and weights (P, d*d, C):
-    the _hermitian_rows of the B mask matrices of outer block o, scaled
-    by an exact power of two, are weights[o] @ feats + base, and column b
-    of block o is mask o * B + b of the sweep (see norm_oracle_grid).
+    Returns phases, base (d*d, B) and weights (P, d*d, 1 + 2f): the
+    _hermitian_rows of the B mask matrices of outer block o, scaled by
+    an exact power of two, are weights[o] @ feats + base, with feats the
+    _grid_features of the block's f fast coordinates, and column b of
+    block o is mask o * B + b of the sweep (see norm_oracle_grid).
     """
     n, d = pair.n, pair.dim
     phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
@@ -235,22 +261,23 @@ def _grid_factors(pair: FramePair, phase_steps: int):
     while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:
         fast += 1
     # grow the block one coordinate at a time, each new one the slowest
-    # digit, by the identity the offsets use
+    # digit, by the identity the offsets use; the GEMM over the features
+    # so far writes its (steps, d*d, width) result straight into the
+    # grown block's rows
     base = _hermitian_rows(rank_ones[0].conj().T @ rank_ones[0])[:, None]
     basis = rank_ones[:1]
-    feats = np.ones((1, 1))
     for k in range(1, fast + 1):
-        grown = np.matmul(_offset_weights(basis, tables[k]), feats)
-        grown += base
-        base = np.swapaxes(grown, 0, 1).reshape(d * d, -1)
-        width = feats.shape[1]
-        feats = np.vstack([np.tile(feats, phase_steps),
-                           np.repeat(phases.real, width),
-                           np.repeat(phases.imag, width)])
+        width = base.shape[1]
+        grown = np.empty((d * d, phase_steps * width))
+        slices = np.swapaxes(grown.reshape(d * d, phase_steps, width), 0, 1)
+        np.matmul(_offset_weights(basis, tables[k]),
+                  _grid_features(phases, k - 1), out=slices)
+        slices += base
+        base = grown
         basis = np.concatenate([basis, rank_ones[k:k + 1], 1j * rank_ones[k:k + 1]])
     offsets = _digit_sums(np.zeros((d, d), dtype=np.complex128),
                           tables[n - 1:fast:-1])
-    return phases, base, feats, _offset_weights(basis, offsets)
+    return phases, base, _offset_weights(basis, offsets)
 
 
 def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEstimate:
@@ -286,57 +313,123 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
 
     Most masks never reach the top-eigenvalue step.  The top eigenvalue
     of G = M^H M is at most tr G, and the trace is linear in the
-    features, so each offset first forms every mask's trace with one
-    (1 x C) @ (C x B) product.  Only masks whose trace reaches
-    (1 - TRACE_RTOL) best^2, best the largest norm so far, get their full
-    Gram rows and top eigenvalue; before the first block, best is
-    seeded with the norm of that block's largest-trace mask.  A skipped
-    mask's norm is below best, so under the strict update it could never
-    win, and every mask that ties the final maximum is kept: the first
-    maximiser is the one the full sweep would pick.
+    features, so the trace of a mask of offset o is t(b) + c_o +
+    sum_k p_ok(e_k): t the trace of the block's own Gram rows and
+    p_ok(e) = w Re e + w' Im e one small table per offset and fast
+    coordinate.  The block splits into rows of phase_steps masks that
+    differ only in coordinate 1, and a row's traces are at most the
+    row's largest t plus its own slow-coordinate tables plus the largest
+    entry of p_o1.  Only rows whose bound reaches (1 - TRACE_RTOL)
+    best^2, best the largest norm so far, get their masks' traces, and
+    only masks whose trace reaches it get their full Gram rows, formed
+    from the features of just those columns; an offset that keeps every
+    mask sweeps its whole block in one GEMM.  At d >= 4 the trace counts
+    all d eigenvalues, so the kept masks next face the sharper bound
+    lambda_max <= tr/d + sqrt((d-1)/d) ||G - (tr/d) I||_F, and only the
+    survivors reach the batched eigvalsh.  Before the first block, best
+    is seeded with the norm of that block's largest-trace mask.  A
+    skipped mask's norm is below best, so under the strict update it
+    could never win, and every mask that ties the final maximum is kept:
+    the first maximiser is the one the full sweep would pick.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
     if phase_steps < 8:
         raise ValueError("phase_steps must be >= 8")
     n, d = pair.n, pair.dim
-    phases, base, feats, weights = _grid_factors(pair, phase_steps)
+    phases, base, weights = _grid_factors(pair, phase_steps)
+    n_outer, fast = weights.shape[0], weights.shape[2] // 2
     block = base.shape[1]
+    run = phase_steps if fast else 1  # masks per row of the block
     # _hermitian_rows puts the d diagonal entries first
+    own = base[:d].sum(axis=0).reshape(-1, run)
+    own_top = own.max(axis=1)
     trace_w = weights[:, :d, :].sum(axis=1)
-    trace_base = base[:d].sum(axis=0)
+    pieces = (trace_w[:, 1::2, None] * phases.real
+              + trace_w[:, 2::2, None] * phases.imag)
+    first = pieces[:, 0] if fast else np.zeros((n_outer, 1))
+    first_top = first.max(axis=1)
+    # the row bounds of span offsets at a time fill at most GRID_CHUNK entries
+    span = GRID_CHUNK // own.shape[0]
+
+    def row_bounds(lo):
+        # c_o plus the tables of coordinates 2..f, coordinate 2 fastest
+        hi = lo + span
+        slow = _digit_sums(trace_w[lo:hi, 0],
+                           pieces[lo:hi, fast - 1:0:-1].swapaxes(0, 1))
+        return slow, own_top + slow + first_top[lo:hi, None]
 
     def gram_rows(outer, cols):
-        # np.take gives C-ordered columns; feats[:, cols] would be
-        # F-ordered, and on a block that keeps most masks the GEMM, the
-        # sum and the closed form then take about twice as long
-        rows = weights[outer] @ np.take(feats, cols, axis=1)
+        rows = weights[outer] @ _grid_features(phases, fast, cols)
         rows += np.take(base, cols, axis=1)
+        return rows
+
+    dense = None
+
+    def block_rows(outer):
+        # an offset that keeps every mask: one GEMM over the whole block,
+        # its features built on first use
+        nonlocal dense
+        if dense is None:
+            dense = _grid_features(phases, fast), np.empty_like(base)
+        feats, rows = dense
+        np.matmul(weights[outer], feats, out=rows)
+        rows += base
         return rows
 
     # Rounding margin.  Each Gram entry is a short sum of terms of size
     # at most (sum_k ||R_k||)^2 <= n^2 V^2, V the grid's maximum: R_k is
     # the average of e^{-i theta_k} M over the grid, so ||R_k|| <= V.  So
     # the computed trace of a mask that can end as the maximum is within
-    # about 1e-13 V^2 of its exact value for n <= GRID_MAX_N.  The closed
-    # forms of _gram_top_norm lose more only near a doubled top
-    # eigenvalue, where the trace is at least twice the top one.  The
-    # floor is a computed norm, so it exceeds V by a rounding at most, and
-    # TRACE_RTOL keeps every such mask.
-    trace = trace_w[0] @ feats + trace_base
-    floor = float(_gram_top_norm(gram_rows(0, [int(np.argmax(trace))]))[0])
+    # about 1e-13 V^2 of its exact value for n <= GRID_MAX_N, whatever
+    # order its terms are summed in; a row bound is a max of such sums,
+    # so it is within the same distance of an exact bound on its row.
+    # The closed forms of _gram_top_norm lose more only near a doubled
+    # top eigenvalue, where the trace is at least twice the top one.  The
+    # d >= 4 bound holds for any Hermitian matrix, so it holds for the
+    # rows eigvalsh is given, and it is formed from the Euclidean norm of
+    # the deviations g_ii - tr/d and the off-diagonal entries, with no
+    # difference of squares that could cancel: it is within a few ulps
+    # of n^2 V^2 of its exact value, and eigvalsh within a few ulps of
+    # the top eigenvalue.  The floor is a computed norm, so it exceeds V
+    # by a rounding at most, and TRACE_RTOL keeps every such mask.
+    slow, bound = row_bounds(0)
+    trace = own + slow[0][:, None] + first[0]
+    floor = float(_gram_top_norm(gram_rows(0, np.array([np.argmax(trace)])))[0])
     best_val = -np.inf
     best_idx = 0
-    for outer in range(weights.shape[0]):
-        trace = trace_w[outer] @ feats + trace_base
-        keep = np.flatnonzero(trace >= (1.0 - TRACE_RTOL) * floor * floor)
-        if not keep.size:
+    for outer in range(n_outer):
+        at = outer % span
+        if outer and not at:
+            slow, bound = row_bounds(outer)
+        thr = (1.0 - TRACE_RTOL) * floor * floor
+        live = np.flatnonzero(bound[at] >= thr)
+        if not live.size:
             continue
-        vals = _gram_top_norm(gram_rows(outer, keep))
+        trace = own[live] + slow[at, live, None] + first[outer]
+        hit = np.flatnonzero(trace >= thr)
+        if not hit.size:
+            continue
+        if hit.size == block:
+            cols, rows = hit, block_rows(outer)
+        else:
+            cols = live[hit // run] * run + hit % run
+            rows = gram_rows(outer, cols)
+        if d >= 4:
+            mean = rows[:d].sum(axis=0) / d
+            dev = rows[:d] - mean
+            dev = (np.einsum("ij,ij->j", dev, dev)
+                   + 2.0 * np.einsum("ij,ij->j", rows[d:], rows[d:]))
+            sel = np.flatnonzero(mean + np.sqrt((d - 1) / d * dev) >= thr)
+            if not sel.size:
+                continue
+            if sel.size < rows.shape[1]:
+                rows, cols = rows[:, sel], cols[sel]
+        vals = _gram_top_norm(rows)
         arg = int(np.argmax(vals))
         if vals[arg] > best_val:
             best_val = float(vals[arg])
-            best_idx = outer * block + int(keep[arg])
+            best_idx = outer * block + int(cols[arg])
             floor = max(floor, best_val)
     eps = np.ones(n, dtype=np.complex128)
     rem = best_idx

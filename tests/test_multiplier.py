@@ -1,5 +1,7 @@
 """Masked maps, norm estimators, and amplified maps."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from framescale.multiplier import (
     norm_oracle_grid,
     _certify,
     _grid_factors,
+    _grid_features,
     _gram_top_norm,
     _hermitian_rows,
     _offset_weights,
@@ -269,6 +272,25 @@ def test_grid_gram_rows_from_features_match_direct_rows():
             assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+def _dense_features(phases, fast):
+    """The block's features built the way a dense sweep would: coordinate
+    k repeats each phase s^(k-1) times and tiles the earlier features."""
+    feats = np.ones((1, 1))
+    for _ in range(fast):
+        width = feats.shape[1]
+        feats = np.vstack([np.tile(feats, phases.size),
+                           np.repeat(phases.real, width),
+                           np.repeat(phases.imag, width)])
+    return feats
+
+
+def _block_rows(pair, steps):
+    """Every mask's Gram rows from _grid_factors, block by block."""
+    phases, base, weights = _grid_factors(pair, steps)
+    feats = _dense_features(phases, weights.shape[2] // 2)
+    return [w @ feats + base for w in weights]
+
+
 def test_grid_factor_rows_match_direct_rows_at_every_offset(monkeypatch):
     # n = fast + 2 leaves one outer digit, so every one of the 8 offsets
     # adds to the grown block
@@ -277,9 +299,9 @@ def test_grid_factor_rows_match_direct_rows_at_every_offset(monkeypatch):
         monkeypatch.setattr(multiplier, "GRID_CHUNK", 8 ** fast)
         for d in (1, 2, 3, 4, 5):
             pair = gaussian_pair(rng, fast + 2, d)
-            _, base, feats, weights = _grid_factors(pair, 8)
-            assert weights.shape[0] == 8 and base.shape[1] == 8 ** fast
-            formed = np.concatenate([w @ feats + base for w in weights], axis=1)
+            blocks = _block_rows(pair, 8)
+            assert len(blocks) == 8 and blocks[0].shape == (d * d, 8 ** fast)
+            formed = np.concatenate(blocks, axis=1)
             mats = np.stack([mask_matrix(pair, eps)
                              for eps in _swept_masks(fast + 2, 8)])
             mats *= multiplier._pow2_scale(pair.xs[:, :, None]
@@ -288,11 +310,44 @@ def test_grid_factor_rows_match_direct_rows_at_every_offset(monkeypatch):
             assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+def test_grid_survivor_features_match_dense_features():
+    # the sweep fills only the kept columns from the per-digit phases;
+    # they must be the dense features' columns bit for bit
+    rng = np.random.default_rng(75)
+    for steps in (8, 12):
+        phases = np.exp(2j * np.pi * np.arange(steps) / steps)
+        for fast in (1, 2, 3):
+            dense = _dense_features(phases, fast)
+            assert np.array_equal(_grid_features(phases, fast), dense)
+            cols = np.sort(rng.choice(steps ** fast, min(40, steps ** fast),
+                                      replace=False))
+            assert np.array_equal(_grid_features(phases, fast, cols),
+                                  np.take(dense, cols, axis=1))
+
+
 def _unpruned_witness(pair, steps):
     """The first maximiser of the full sweep over _grid_factors' rows."""
-    _, base, feats, weights = _grid_factors(pair, steps)
-    vals = np.concatenate([_gram_top_norm(w @ feats + base) for w in weights])
+    vals = np.concatenate([_gram_top_norm(rows) for rows in _block_rows(pair, steps)])
     return _swept_masks(pair.n, steps)[int(np.argmax(vals))]
+
+
+def test_grid_row_bound_and_eigenvalue_bound_keep_the_first_maximiser(monkeypatch):
+    # the row bound prunes whole rows and, at d >= 4, the deviation
+    # bound prunes kept masks before eigvalsh; neither may drop the
+    # full sweep's first maximiser, at any scale (the ties are in
+    # test_grid_oracle_keeps_exact_ties).  FramePair refuses
+    # vector norms at or below MIN_VECTOR_NORM, so x * 1e-150 goes
+    # through a stand-in with the same fields
+    rng = np.random.default_rng(76)
+    for chunk in (64, multiplier.GRID_CHUNK):
+        monkeypatch.setattr(multiplier, "GRID_CHUNK", chunk)
+        for d in (1, 2, 3, 4, 5):
+            pair = gaussian_pair(rng, 4, d)
+            want = _unpruned_witness(pair, 8)
+            for c in (1.0, 1e150, 1e-150):
+                scaled = SimpleNamespace(xs=c * pair.xs, ys=pair.ys, n=4, dim=d)
+                est = norm_oracle_grid(scaled, phase_steps=8)
+                assert np.array_equal(est.witness_mask, want)
 
 
 def test_grid_oracle_keeps_exact_ties():
@@ -303,10 +358,11 @@ def test_grid_oracle_keeps_exact_ties():
         est = norm_oracle_grid(FramePair(eye, eye), phase_steps=steps)
         assert np.array_equal(est.witness_mask, np.ones(4))
         assert est.value == 1.0
-    # in a rotated basis the norms tie only to rounding; the prune keeps
-    # every tied mask, so the first maximiser is the full sweep's
+    # in a rotated basis the norms tie only to rounding; the row bound,
+    # the trace and (d >= 4) the deviation bound keep every tied mask,
+    # so the first maximiser is the full sweep's
     rng = np.random.default_rng(77)
-    for d, steps in ((2, 8), (3, 8), (4, 8), (4, 16)):
+    for d, steps in ((2, 8), (3, 8), (4, 8), (4, 16), (5, 8)):
         x = haar_unitary(rng, d).T
         pair = FramePair(x, x)
         est = norm_oracle_grid(pair, phase_steps=steps)
@@ -327,6 +383,11 @@ def test_grid_trace_floor_skips_most_masks(monkeypatch):
     pair = gaussian_pair(np.random.default_rng(0), 5, 3)
     est = norm_oracle_grid(pair, phase_steps=32)
     assert sum(kept) <= 0.1 * 32 ** 4
+    # at d = 4 the trace alone keeps 56 % of this grid; the deviation
+    # bound sends 1.9 % on to eigvalsh
+    kept.clear()
+    norm_oracle_grid(gaussian_pair(np.random.default_rng(0), 5, 4), phase_steps=32)
+    assert sum(kept) <= 0.05 * 32 ** 4
     # with blocks of 8 masks the floor must rise with the best norm: it
     # keeps 0.5 % of this grid, and 26 % if it stayed at the seed
     monkeypatch.setattr(multiplier, "GRID_CHUNK", 8)
