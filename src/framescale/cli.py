@@ -264,8 +264,11 @@ def _cmd_analyze(args) -> int:
                                  "y_is_frame": by.is_frame},
                "stats": _phi_stats(alt, phi_s)}
         if _oracle_allowed(pair, args.phase_steps):
-            rec["phi_norm_oracle"] = norm_oracle_grid(
-                pair, phase_steps=args.phase_steps).value
+            # the ascent's mask seeds the grid's floor; value and witness
+            # are the unseeded sweep's
+            grid, rec["stats"]["grid_s"] = _timed(
+                norm_oracle_grid, pair, args.phase_steps, alt.witness_mask)
+            rec["phi_norm_oracle"] = grid.value
         records.append(rec)
         oracle = rec.get("phi_norm_oracle")
         extra = f" phi_oracle={oracle:.6g}" if oracle is not None else ""

@@ -280,7 +280,8 @@ def _grid_factors(pair: FramePair, phase_steps: int):
     return phases, base, _offset_weights(basis, offsets)
 
 
-def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEstimate:
+def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
+                     start: np.ndarray | None = None) -> MultiplierNormEstimate:
     """Exhaustive maximum of the mask-matrix norm over a phase grid.
 
     The norm is convex in the mask, so its maximum over the polydisc is
@@ -323,20 +324,33 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     best^2, best the largest norm so far, get their masks' traces, and
     only masks whose trace reaches it get their full Gram rows, formed
     from the features of just those columns; an offset that keeps every
-    mask sweeps its whole block in one GEMM.  At d >= 4 the trace counts
+    mask sweeps its whole block in one GEMM.  At d >= 3 the trace counts
     all d eigenvalues, so the kept masks next face the sharper bound
     lambda_max <= tr/d + sqrt((d-1)/d) ||G - (tr/d) I||_F, and only the
-    survivors reach the batched eigvalsh.  Before the first block, best
-    is seeded with the norm of that block's largest-trace mask.  A
-    skipped mask's norm is below best, so under the strict update it
-    could never win, and every mask that ties the final maximum is kept:
-    the first maximiser is the one the full sweep would pick.
+    survivors reach the closed-form cubic or the batched eigvalsh (at
+    d = 2 the bound is the closed form itself).
+
+    Before the first block, best is seeded with the norm of that block's
+    largest-trace mask and, when start is given (any mask in the closed
+    unit disc, such as an ascent's witness), with the norm of the grid
+    mask nearest to it: start is rotated so that its coordinate 0 is 1
+    (unless that entry is 0), and each phase is rounded to the nearest
+    grid phase, a zero entry counting as phase 0.  A good start lets the
+    bounds skip most masks from the first block on.  Either seed is the
+    computed norm of a grid mask, formed like every swept one, so it is
+    at most the grid's maximum up to rounding.  A skipped mask's norm is
+    below best, so under the strict update it could never win, and every
+    mask that ties the final maximum is kept: the first maximiser, and
+    with it the value, is the one the full sweep would pick, whatever
+    the start.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
     if phase_steps < 8:
         raise ValueError("phase_steps must be >= 8")
     n, d = pair.n, pair.dim
+    if start is not None:
+        start = check_mask(start, n)
     phases, base, weights = _grid_factors(pair, phase_steps)
     n_outer, fast = weights.shape[0], weights.shape[2] // 2
     block = base.shape[1]
@@ -386,16 +400,34 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
     # so it is within the same distance of an exact bound on its row.
     # The closed forms of _gram_top_norm lose more only near a doubled
     # top eigenvalue, where the trace is at least twice the top one.  The
-    # d >= 4 bound holds for any Hermitian matrix, so it holds for the
-    # rows eigvalsh is given, and it is formed from the Euclidean norm of
-    # the deviations g_ii - tr/d and the off-diagonal entries, with no
-    # difference of squares that could cancel: it is within a few ulps
-    # of n^2 V^2 of its exact value, and eigvalsh within a few ulps of
-    # the top eigenvalue.  The floor is a computed norm, so it exceeds V
-    # by a rounding at most, and TRACE_RTOL keeps every such mask.
+    # d >= 3 bound holds for any Hermitian matrix, so it holds for the
+    # rows the closed form or eigvalsh is given, and it is formed from
+    # the Euclidean norm of the deviations g_ii - tr/d and the
+    # off-diagonal entries, with no difference of squares that could
+    # cancel: it is within a few ulps of n^2 V^2 of its exact value.
+    # Near a doubled top eigenvalue the d = 3 cubic loses about sqrt(eps)
+    # of the spread of the eigenvalues, and there the bound lies about a
+    # third of that spread above the top one, so it keeps every mask the
+    # cubic could round up past the floor; eigvalsh is within a few ulps
+    # of the top eigenvalue.  Both floor seeds are computed norms, so the
+    # floor exceeds V by a rounding at most, and TRACE_RTOL keeps every
+    # such mask.
+    def swept_norm(idx):
+        # the norm of sweep mask idx, formed like every swept mask's
+        outer, col = divmod(idx, block)
+        return float(_gram_top_norm(gram_rows(outer, np.array([col])))[0])
+
     slow, bound = row_bounds(0)
     trace = own + slow[0][:, None] + first[0]
-    floor = float(_gram_top_norm(gram_rows(0, np.array([np.argmax(trace)])))[0])
+    floor = swept_norm(int(np.argmax(trace)))
+    if start is not None:
+        # the grid mask nearest to start turned so that coordinate 0 is 1;
+        # coordinate 1 is the lowest digit of the sweep index
+        turned = start[1:] * np.conj(start[0]) if start[0] != 0 else start[1:]
+        turn = np.where(turned != 0, np.angle(turned), 0.0)
+        digits = np.rint(turn * (phase_steps / (2.0 * np.pi))).astype(np.int64)
+        idx = int(np.dot(digits % phase_steps, phase_steps ** np.arange(n - 1)))
+        floor = max(floor, swept_norm(idx))
     best_val = -np.inf
     best_idx = 0
     for outer in range(n_outer):
@@ -415,7 +447,7 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEs
         else:
             cols = live[hit // run] * run + hit % run
             rows = gram_rows(outer, cols)
-        if d >= 4:
+        if d >= 3:
             mean = rows[:d].sum(axis=0) / d
             dev = rows[:d] - mean
             dev = (np.einsum("ij,ij->j", dev, dev)

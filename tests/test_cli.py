@@ -6,7 +6,7 @@ import pytest
 from framescale import cli
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair
-from framescale.multiplier import norm_lower_alternating
+from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
 from framescale.rescale import optimize, phi_lower
 from framescale.verify import VerificationError
 
@@ -302,15 +302,39 @@ def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     # analyze runs one ascent from the all-ones mask and never optimizes
     alt = norm_lower_alternating(cli.load_instance(str(inst))[0])
     assert rec["phi_norm_lower"] == alt.value
-    assert set(rec["stats"]) == {"phi_route", "phi_s", "ascent_iterations"}
+    assert set(rec["stats"]) == {"phi_route", "phi_s", "ascent_iterations",
+                                 "grid_s"}
     assert rec["stats"]["phi_route"] == "ascent"
     assert rec["stats"]["ascent_iterations"] == alt.iterations
     assert rec["stats"]["phi_s"] > 0.0
+    assert rec["stats"]["grid_s"] > 0.0
     lines = (tmp_path / "ana.csv").read_text().splitlines()
     assert lines[0].startswith("instance,")
     assert "check_results.identity_deviation" in lines[0]
     assert "stats.phi_s" in lines[0]
+    assert "stats.grid_s" in lines[0]
     assert len(lines) == 2
+
+
+def test_analyze_times_the_grid_only_when_it_runs(tmp_path):
+    # --phase-steps 0 (the default) and n > GRID_MAX_N skip the grid, and
+    # their records carry neither its value nor grid_s
+    rng = np.random.default_rng(3)
+    small = tmp_path / "small.frame.json"
+    large = tmp_path / "large.frame.json"
+    pair = gaussian_pair(rng, 4, 2)
+    cli.save_instance(str(small), pair)
+    cli.save_instance(str(large), gaussian_pair(rng, cli.GRID_MAX_N + 1, 2))
+    for path, steps in ((small, "0"), (large, "8"), (small, "8")):
+        out = tmp_path / "ana.json"
+        assert cli.main(["analyze", "--in", str(path), "--phase-steps", steps,
+                         "--out", str(out)]) == 0
+        rec = read_json(str(out))["records"][0]
+        ran = path == small and steps != "0"
+        assert ("grid_s" in rec["stats"]) == ran
+        assert ("phi_norm_oracle" in rec) == ran
+    # the grid starts from the ascent's mask, which changes only its cost
+    assert rec["phi_norm_oracle"] == norm_oracle_grid(pair, 8).value
 
 
 def test_verify_failure_writes_replay_file(tmp_path, monkeypatch):
