@@ -11,9 +11,11 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -58,9 +60,36 @@ def serialize_instance(pair: FramePair, metadata=None) -> str:
             % (pair.dim, FORMAT_VERSION, meta, pairs))
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as UTF-8, rewriting an existing file in place.
+
+    The bytes are those open(path, "w") would write, and the file keeps
+    its inode, so links, mode and owner behave as they do under it.
+    The file is not first truncated to zero: ext4 (default
+    auto_da_alloc) starts writeback when such a file is closed.  A
+    longer old file is cut to the new length afterwards, which sets no
+    flush.  Nothing is fsynced; a crash mid-write can leave a torn file,
+    as under open(path, "w").
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        # ftruncate fails on character devices such as os.devnull
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def save_instance(path: str, pair: FramePair, metadata=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(pair, metadata))
+    """Write one pair as an instance file (serialize_instance's text).
+
+    An existing file at path is rewritten in place by _write_text.
+    """
+    _write_text(path, serialize_instance(pair, metadata))
 
 
 def _vector_from_json(entry, dim: int, where: str) -> np.ndarray:
@@ -167,16 +196,16 @@ def write_report(path: str, report: dict) -> None:
 
     The JSON text is built whole by json.dumps, whose C encoder writes
     the same bytes as the pure-Python one that json.dump streams through.
+    The CSV twin is built whole too, and both files are rewritten in
+    place by _write_text, with the bytes open(path, "w") would leave.
     """
     report = _plain(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    _write_text(path,
+                json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     records = report.get("records")
     if not records:
         return
     flat_rows = []
-    fields = []
     for rec in records:
         row = {}
         for key, value in rec.items():
@@ -185,15 +214,15 @@ def write_report(path: str, report: dict) -> None:
                     row[f"{key}.{sub}"] = _flat_cell(subvalue)
             else:
                 row[key] = _flat_cell(value)
-        for key in row:
-            if key not in fields:
-                fields.append(key)
         flat_rows.append(row)
+    # every key in order of first appearance
+    fields = dict.fromkeys(key for row in flat_rows for key in row)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    writer.writerows([row.get(key, "") for key in fields] for row in flat_rows)
     stem, _ = os.path.splitext(path)
-    with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(flat_rows)
+    _write_text(stem + ".csv", buf.getvalue())
 
 
 def _resolve_seed(args) -> int:
@@ -375,15 +404,31 @@ def _parse_grid(text: str):
     return cells
 
 
+def _rewrite_and_load(path: str, pair: FramePair) -> FramePair:
+    """save_instance over an existing file, then load_instance of it."""
+    save_instance(path, pair)
+    return load_instance(path)[0]
+
+
 def _cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
     records = []
+    failures = 0
     for n, d in _parse_grid(args.grid):
         pair = generate("gaussian", rng, n, d)
         checksum = hashlib.sha256(
             serialize_instance(pair).encode("utf-8")).hexdigest()[:16]
         _, t_eig = _timed(eigh, pair.xs.conj().T @ pair.xs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cell" + INSTANCE_SUFFIX)
+            save_instance(path, pair)
+            back, t_io = _timed(_rewrite_and_load, path, pair)
+        if not (np.array_equal(back.xs, pair.xs)
+                and np.array_equal(back.ys, pair.ys)):
+            failures += 1
+            print(f"n={n} d={d}: instance file did not round-trip",
+                  file=sys.stderr)
         grid_ok = _oracle_allowed(pair, args.phase_steps)
         t_grid = (_timed(norm_oracle_grid, pair, args.phase_steps)[1]
                   if grid_ok else None)
@@ -392,6 +437,7 @@ def _cmd_bench(args) -> int:
         _, t_phi = _timed(phi_lower, pair, bracket)
         rec = {"n": n, "d": d, "workload_checksum": checksum,
                "eig_seconds": t_eig,
+               "io_seconds": t_io,
                "grid_seconds": t_grid,
                "grid_masks": masks,
                "grid_ns_per_mask": 1e9 * t_grid / masks if grid_ok else None,
@@ -400,16 +446,16 @@ def _cmd_bench(args) -> int:
         records.append(rec)
         grid_note = (f" grid={t_grid:.4f}s ({rec['grid_ns_per_mask']:.1f} ns/mask)"
                      if grid_ok else "")
-        print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s{grid_note} "
-              f"optimize={t_opt:.4f}s phi={t_phi:.4f}s")
+        print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s io={t_io:.4f}s"
+              f"{grid_note} optimize={t_opt:.4f}s phi={t_phi:.4f}s")
     if not records:
         print("empty grid, nothing to time")
     if args.out:
         write_report(args.out, {"format_version": FORMAT_VERSION,
                                 "command": "bench", "records": records,
                                 "summary": {"cases": len(records),
-                                            "failures": 0}})
-    return EXIT_OK
+                                            "failures": failures}})
+    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

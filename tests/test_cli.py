@@ -1,4 +1,9 @@
+import ast
+import csv
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +422,7 @@ def test_bench_checksums_are_deterministic(tmp_path):
     assert counts == {k: v for k, v in rec_b["stats"].items() if k != "wall_s"}
     assert counts["stages"] >= 1
     assert rec_a["phi_seconds"] > 0.0
+    assert rec_a["io_seconds"] > 0.0
     # the grid's time per mask over 8^2 masks
     assert rec_a["grid_masks"] == rec_b["grid_masks"] == 64
     assert rec_a["grid_ns_per_mask"] == 1e9 * rec_a["grid_seconds"] / 64
@@ -426,6 +432,23 @@ def test_bench_checksums_are_deterministic(tmp_path):
     rec_c = read_json(str(out_c))["records"][0]
     assert rec_c["grid_seconds"] is None
     assert rec_c["grid_masks"] is None and rec_c["grid_ns_per_mask"] is None
+
+
+def test_bench_fails_when_an_instance_file_does_not_round_trip(
+        tmp_path, monkeypatch, capsys):
+    real_load = cli.load_instance
+
+    def lossy_load(path):
+        pair, metadata = real_load(path)
+        return FramePair(pair.xs * (1.0 + 2.0 ** -52), pair.ys), metadata
+
+    monkeypatch.setattr(cli, "load_instance", lossy_load)
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--seed", "3", "--grid", "3x2,2x1",
+                     "--phase-steps", "0", "--out", str(out)]) == \
+        cli.EXIT_CHECK_FAILED
+    assert read_json(str(out))["summary"]["failures"] == 2
+    assert "did not round-trip" in capsys.readouterr().err
 
 
 def test_bench_empty_grid(tmp_path):
@@ -479,3 +502,111 @@ def test_seventeen_digit_serialization_round_trips_exactly():
         for j in range(2):
             re, im = doc["pairs"][k]["x"][j]
             assert complex(re, im) == pair.xs[k, j]
+
+
+def _reference_csv_bytes(records):
+    """The CSV twin as csv.DictWriter wrote it before the in-place writer."""
+    rows, fields = [], []
+    for rec in records:
+        row = {}
+        for key, value in rec.items():
+            if isinstance(value, dict):
+                for sub, subvalue in value.items():
+                    row[f"{key}.{sub}"] = cli._flat_cell(subvalue)
+            else:
+                row[key] = cli._flat_cell(value)
+        fields += [key for key in row if key not in fields]
+        rows.append(row)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _report(count):
+    # later records add keys and leave earlier ones out, so the CSV has
+    # empty cells
+    records = [{"instance": f"i{k}", "value": 0.1 * k + 0.2,
+                "weights": [1.5 * k, -2.25], "label": "phi \u03c6, \"q\"",
+                "stats": {"stage_steps": [k, 4], "stop": "gap"}}
+               for k in range(count)]
+    records[-1]["extra"] = None
+    del records[0]["label"]
+    return {"records": records, "summary": {"instances": count}}
+
+
+def test_rewritten_report_leaves_no_stale_tail(tmp_path):
+    out = tmp_path / "rep.json"
+    fresh = tmp_path / "fresh.json"
+    cli.write_report(str(out), _report(40))
+    long_json = out.read_bytes()
+    cli.write_report(str(out), _report(1))
+    cli.write_report(str(fresh), _report(1))
+    assert len(out.read_bytes()) < len(long_json)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "rep.csv").read_bytes() == \
+        (tmp_path / "fresh.csv").read_bytes()
+    for count in (1, 40):
+        cli.write_report(str(out), _report(count))
+        assert (tmp_path / "rep.csv").read_bytes() == \
+            _reference_csv_bytes(_report(count)["records"])
+
+
+def test_report_through_a_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "target.json"
+    link = tmp_path / "link.json"
+    cli.write_report(str(target), _report(40))
+    link.symlink_to(target)
+    cli.write_report(str(link), _report(1))
+    assert link.is_symlink()
+    cli.write_report(str(tmp_path / "fresh.json"), _report(1))
+    assert target.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_rewritten_report_keeps_its_mode(tmp_path):
+    out = tmp_path / "rep.json"
+    cli.write_report(str(out), _report(40))
+    for path in (out, tmp_path / "rep.csv"):
+        path.chmod(0o600)
+    cli.write_report(str(out), _report(1))
+    for path in (out, tmp_path / "rep.csv"):
+        assert path.stat().st_mode & 0o777 == 0o600
+
+
+def test_save_instance_over_a_longer_file_round_trips(tmp_path):
+    rng = np.random.default_rng(12)
+    path = tmp_path / "inst.frame.json"
+    cli.save_instance(str(path), gaussian_pair(rng, 9, 4),
+                      metadata={"description": "the longer one"})
+    pair = gaussian_pair(rng, 3, 2)
+    cli.save_instance(str(path), pair)
+    assert path.read_text() == cli.serialize_instance(pair)
+    back, metadata = cli.load_instance(str(path))
+    assert metadata == {}
+    assert np.array_equal(back.xs, pair.xs)
+    assert np.array_equal(back.ys, pair.ys)
+
+
+def test_save_instance_to_devnull():
+    cli.save_instance(os.devnull, gaussian_pair(np.random.default_rng(0), 3, 2))
+
+
+def test_package_opens_no_file_for_writing():
+    # every file the package writes goes through cli._write_text, which
+    # rewrites in place; open(path, "w") would truncate to zero first
+    for source in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None:  # open's default mode "r"
+                continue
+            where = f"{source.name}:{node.lineno}"
+            assert isinstance(mode, ast.Constant) and isinstance(
+                mode.value, str), f"{where}: open() mode is not a literal"
+            assert not set(mode.value) & set("wax+"), \
+                f"{where}: open(..., {mode.value!r}) writes; use _write_text"
