@@ -472,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="more than one writes a corpus directory")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--scaling-range", type=float, nargs=2,
-                     default=[1e-3, 1e3], metavar=("LO", "HI"))
+                     default=[1e-3, 1e3], metavar=("LO", "HI"),
+                     help="magnitude range of the mangling scalars; only "
+                          "schauder_mangled reads it")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 

@@ -93,7 +93,11 @@ def d1_scalar_pair(rng: np.random.Generator, n: int,
 
 def generate(kind: str, rng: np.random.Generator, n: int, d: int,
              scaling_range=(1e-3, 1e3)) -> FramePair:
-    """Dispatch by generator kind; see GENERATOR_KINDS."""
+    """Dispatch by generator kind; see GENERATOR_KINDS.
+
+    Only schauder_mangled reads scaling_range, for its mangling scalars;
+    d1_scalars draws from its fixed 1e-1 ... 1e1 and needs d = 1.
+    """
     if kind == "gaussian":
         return gaussian_pair(rng, n, d)
     if kind == "schauder_mangled":
@@ -104,5 +108,7 @@ def generate(kind: str, rng: np.random.Generator, n: int, d: int,
     if kind == "onb_union":
         return onb_union_pair(rng, n, d)
     if kind == "d1_scalars":
+        if d != 1:
+            raise ValueError(f"d1_scalars needs d=1, got d={d}")
         return d1_scalar_pair(rng, n, scaling_range=(1e-1, 1e1))
     raise ValueError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")

@@ -85,11 +85,6 @@ def top_singular_triplet(mat: np.ndarray):
     return sigma, u, v
 
 
-def singular_values(mat: np.ndarray) -> np.ndarray:
-    """All singular values, descending."""
-    return np.linalg.svd(check_matrix(mat, square=False), compute_uv=False)
-
-
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values of a square matrix."""
     a = check_matrix(mat, square=True)

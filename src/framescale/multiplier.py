@@ -323,8 +323,7 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     entry of p_o1.  Only rows whose bound reaches (1 - TRACE_RTOL)
     best^2, best the largest norm so far, get their masks' traces, and
     only masks whose trace reaches it get their full Gram rows, formed
-    from the features of just those columns; an offset that keeps every
-    mask sweeps its whole block in one GEMM.  At d >= 3 the trace counts
+    from the features of just those columns.  At d >= 3 the trace counts
     all d eigenvalues, so the kept masks next face the sharper bound
     lambda_max <= tr/d + sqrt((d-1)/d) ||G - (tr/d) I||_F, and only the
     survivors reach the closed-form cubic or the batched eigvalsh (at
@@ -378,19 +377,6 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
         rows += np.take(base, cols, axis=1)
         return rows
 
-    dense = None
-
-    def block_rows(outer):
-        # an offset that keeps every mask: one GEMM over the whole block,
-        # its features built on first use
-        nonlocal dense
-        if dense is None:
-            dense = _grid_features(phases, fast), np.empty_like(base)
-        feats, rows = dense
-        np.matmul(weights[outer], feats, out=rows)
-        rows += base
-        return rows
-
     # Rounding margin.  Each Gram entry is a short sum of terms of size
     # at most (sum_k ||R_k||)^2 <= n^2 V^2, V the grid's maximum: R_k is
     # the average of e^{-i theta_k} M over the grid, so ||R_k|| <= V.  So
@@ -442,11 +428,8 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
         hit = np.flatnonzero(trace >= thr)
         if not hit.size:
             continue
-        if hit.size == block:
-            cols, rows = hit, block_rows(outer)
-        else:
-            cols = live[hit // run] * run + hit % run
-            rows = gram_rows(outer, cols)
+        cols = live[hit // run] * run + hit % run
+        rows = gram_rows(outer, cols)
         if d >= 3:
             mean = rows[:d].sum(axis=0) / d
             dev = rows[:d] - mean

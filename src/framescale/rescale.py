@@ -39,12 +39,7 @@ BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
 ISOMETRY_TOL = 1e-10  # largest isometry_defect of an isometric dilation
 PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
-# Armijo candidates alpha = 2^-j, j = 0..39, are scored LINE_SEARCH_BLOCK
-# at a time in one stacked eigh.  On criterion-01 sized pairs (n <= 5,
-# d <= 3) blocks of 1, 2, 4 and 8 took within 3 % of each other (best of
-# 12 passes); 4 keeps the longest backtrack to 10 calls
-ARMIJO_STEPS = np.ldexp(1.0, -np.arange(40))
-LINE_SEARCH_BLOCK = 4
+ARMIJO_STEPS = np.ldexp(1.0, -np.arange(40))  # line-search alphas 2^-j
 # Newton stages run at sharpness b = b_rel / h for b_rel = B_REL_START,
 # B_REL_START * B_REL_FACTOR, ... up to B_REL_TOP, at most NEWTON_STEPS
 # steps each; optimize stops after the first stage whose duality gap
@@ -75,10 +70,9 @@ class _Objective:
     at a block of points of shape (B, n), and diagonalises every F and G
     in one validated LAPACK call: w[..., 0, :] is the spectrum of F and
     w[..., 1, :] that of G.  The weighted sum runs over the stack axis,
-    so a point gets bitwise the same F and G whatever block it is in (a
-    tensordot over a block is a GEMM, which rounds differently from the
-    GEMV of a single point), and F and G come out exactly Hermitian.
-    The counters record what optimize reports in CbBracket.stats.
+    adding exactly Hermitian terms, so F and G come out exactly
+    Hermitian.  The counters record what optimize reports in
+    CbBracket.stats.
     """
 
     def __init__(self, pair: FramePair):
@@ -170,21 +164,15 @@ def _armijo_step(obj: _Objective, t: np.ndarray, step: np.ndarray, b: float,
                  psi: float, slope: float):
     """First t + 2^-j step, j = 0..39, passing Armijo, with its spectra.
 
-    Candidates are scored LINE_SEARCH_BLOCK at a time, one stacked eigh
-    per block.  A point's spectra do not depend on its block, so the
-    accepted j is the one a sequential scan accepts, and its spectra are
-    those obj.spectra gives at that point.  None if no candidate passes.
+    Candidates are scored one obj.spectra call each, largest alpha
+    first.  None if no candidate passes.
     """
-    for lo in range(0, ARMIJO_STEPS.size, LINE_SEARCH_BLOCK):
-        alphas = ARMIJO_STEPS[lo:lo + LINE_SEARCH_BLOCK]
-        cands = t + alphas[:, None] * step
-        obj.candidates += alphas.size
-        w, v = obj.spectra(cands)
-        passed = np.flatnonzero(
-            _psi(w, b)[0] <= psi + 1e-4 * alphas * slope)
-        if passed.size:
-            j = passed[0]
-            return cands[j], (w[j], v[j])
+    for alpha in ARMIJO_STEPS:
+        cand = t + alpha * step
+        obj.candidates += 1
+        spectra = obj.spectra(cand)
+        if _psi(spectra[0], b)[0] <= psi + 1e-4 * alpha * slope:
+            return cand, spectra
     return None
 
 

@@ -86,31 +86,18 @@ class VerificationError(AssertionError):
         self.record = record or {}
 
 
-def sign_patterns(m: int) -> np.ndarray:
-    """All 2^m sign vectors in {-1, +1}^m as a (2^m, m) float array."""
-    return _sign_rows(m, halved=False)
+def _sign_rows(m: int) -> np.ndarray:
+    """The 2^(m-1) sign vectors in {-1, +1}^m with s_m = +1, one of each
+    class {s, -s}, as a (2^(m-1), m) float array; s_1 varies fastest.
 
-
-def _sign_rows(m: int, halved: bool) -> np.ndarray:
-    """The rows of sign_patterns(m); with halved, only its last 2^(m-1)
-    rows, those with s_m = +1.
-
-    Row i of the first half is minus row 2^m - 1 - i of the second, so the
-    halved rows hold one sign vector of each class {s, -s}, and a function
-    even in s takes the same values on them as on all 2^m patterns.
+    A function even in s takes the same values on them as on all 2^m
+    patterns.
     """
     if not 1 <= m <= MAX_PATTERN_ORDER:
         raise ValueError(f"m must be in [1, {MAX_PATTERN_ORDER}], got {m}")
-    first = 1 << (m - 1) if halved else 0
-    bits = (np.arange(first, 1 << m)[:, None] >> np.arange(m)[None, :]) & 1
+    rows = np.arange(1 << (m - 1), 1 << m)
+    bits = (rows[:, None] >> np.arange(m)[None, :]) & 1
     return 2.0 * bits - 1.0
-
-
-def rademacher_function(k: int, t: np.ndarray) -> np.ndarray:
-    """sign(sin(2^k pi t)), the k-th square-wave function on [0, 1]."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return np.sign(np.sin((2.0 ** k) * np.pi * np.asarray(t, dtype=np.float64)))
 
 
 def khintchine_check(a: np.ndarray) -> dict:
@@ -127,7 +114,7 @@ def khintchine_check(a: np.ndarray) -> dict:
         raise ValueError("need at least one coefficient")
     scale = _pow2_scale(a)
     a = a * scale
-    lhs = float(np.mean(np.abs(_sign_rows(a.size, halved=True) @ a))) / scale
+    lhs = float(np.mean(np.abs(_sign_rows(a.size) @ a))) / scale
     rhs = KHINTCHINE_FACTOR * float(np.sqrt(np.sum(np.abs(a) ** 2))) / scale
     record = {"lhs": lhs, "rhs": rhs,
               "ratio": lhs / rhs if rhs > 0.0 else np.inf, "m": int(a.size)}
@@ -227,7 +214,7 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     if m > chain_m_cap:
         return record
 
-    signs = _sign_rows(m, halved=True)
+    signs = _sign_rows(m)
     # per sign class: coefficients of the combined vectors
     p = np.abs(signs @ cu.T)
     q = np.abs(signs @ cv.T)

@@ -10,7 +10,7 @@ import pytest
 
 from framescale import cli
 from framescale.frames import FramePair
-from framescale.instances import gaussian_pair
+from framescale.instances import gaussian_pair, generate
 from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
 from framescale.rescale import optimize, phi_lower
 from framescale.verify import VerificationError
@@ -137,6 +137,39 @@ def test_invalid_generator_kind_exits_two(tmp_path):
         cli.main(["gen", "--kind", "nonsense", "--out",
                   str(tmp_path / "x.json")])
     assert info.value.code == 2
+
+
+def test_d1_scalars_refuses_other_dimensions(tmp_path, capsys):
+    # d1_scalars draws scalar pairs, so a larger d is an error, not a
+    # silently one-dimensional file
+    with pytest.raises(ValueError, match="d=3"):
+        generate("d1_scalars", np.random.default_rng(0), 4, 3)
+    out = tmp_path / "x.frame.json"
+    assert cli.main(["gen", "--kind", "d1_scalars", "--n", "4", "--d", "3",
+                     "--out", str(out)]) == 2
+    assert "d1_scalars needs d=1" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["gen", "--kind", "d1_scalars", "--n", "4", "--d", "1",
+                     "--out", str(out)]) == 0
+    assert cli.load_instance(str(out))[0].dim == 1
+
+
+def test_scaling_range_reaches_only_schauder_mangled(tmp_path):
+    # --scaling-range sets the mangling scalars of schauder_mangled and
+    # nothing else; d1_scalars keeps its fixed range
+    def drawn(kind, d, scaling):
+        out = tmp_path / f"{kind}-{'-'.join(scaling)}.frame.json"
+        assert cli.main(["gen", "--kind", kind, "--n", "4", "--d", str(d),
+                         "--seed", "3", "--scaling-range", *scaling,
+                         "--out", str(out)]) == 0
+        return cli.load_instance(str(out))[0]
+
+    for kind, d in (("gaussian", 2), ("onb_union", 2), ("d1_scalars", 1)):
+        a, b = drawn(kind, d, ("1e-3", "1e3")), drawn(kind, d, ("1", "2"))
+        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+    a = drawn("schauder_mangled", 2, ("1e-3", "1e3"))
+    b = drawn("schauder_mangled", 2, ("1", "2"))
+    assert not np.array_equal(a.xs, b.xs)
 
 
 def test_rescale_scalar_corpus_hits_closed_form(tmp_path):

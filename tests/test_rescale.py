@@ -25,7 +25,6 @@ from framescale.multiplier import (
 )
 from framescale.rescale import (
     ARMIJO_STEPS,
-    LINE_SEARCH_BLOCK,
     CbBracket,
     Dilation,
     _armijo_step,
@@ -145,9 +144,12 @@ def test_spectra_makes_one_eigh_call(monkeypatch):
     assert calls == [(2, 3, 3)]
 
 
-def test_block_line_search_accepts_the_sequential_step():
+def test_armijo_step_returns_the_first_passing_alpha():
+    # every earlier alpha fails Armijo, the returned point passes, its
+    # spectra are those obj.spectra gives there, and each candidate is
+    # counted once
     rng = np.random.default_rng(89)
-    crossed = False
+    deepest = 0
     for n, d in ((4, 2), (5, 3), (3, 1)):
         pair = gaussian_pair(rng, n, d)
         obj = _Objective(pair)
@@ -159,17 +161,24 @@ def test_block_line_search_accepts_the_sequential_step():
         for stretch in (1.0, 10.0, 1e3):
             step = -stretch * grad / max(f, g)
             slope = float(grad @ step)
+            before = obj.candidates
             accepted, (w, v) = _armijo_step(obj, t, step, b, psi, slope)
-            for j, alpha in enumerate(ARMIJO_STEPS):
-                cand = t + alpha * step
-                spectra = obj.spectra(cand)
-                if _psi(spectra[0], b)[0] <= psi + 1e-4 * alpha * slope:
-                    break
-            assert np.array_equal(accepted, cand)
+            j = obj.candidates - before - 1
+            for alpha in ARMIJO_STEPS[:j]:
+                w_at = obj.spectra(t + alpha * step)[0]
+                assert _psi(w_at, b)[0] > psi + 1e-4 * alpha * slope
+            alpha = ARMIJO_STEPS[j]
+            assert np.array_equal(accepted, t + alpha * step)
+            assert _psi(w, b)[0] <= psi + 1e-4 * alpha * slope
+            spectra = obj.spectra(accepted)
             assert np.array_equal(w, spectra[0])
             assert np.array_equal(v, spectra[1])
-            crossed |= j >= LINE_SEARCH_BLOCK
-    assert crossed
+            deepest = max(deepest, j)
+        # an ascent direction never passes: all 40 candidates, then None
+        before = obj.candidates
+        assert _armijo_step(obj, t, grad, b, psi, float(grad @ grad)) is None
+        assert obj.candidates - before == ARMIJO_STEPS.size
+    assert deepest > 4
 
 
 def test_optimize_on_orthonormal_pair_is_exact():

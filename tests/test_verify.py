@@ -15,7 +15,6 @@ from framescale.instances import (
     haar_unitary,
     onb_union_pair,
 )
-from framescale.linalg import singular_values
 from framescale.multiplier import norm_lower_alternating
 from framescale.verify import (
     MAX_PATTERN_ORDER,
@@ -26,11 +25,9 @@ from framescale.verify import (
     holder_trace_check,
     key_simple_check,
     khintchine_check,
-    rademacher_function,
     rank_one_block,
     ratio_experiment,
     run_suite,
-    sign_patterns,
     suite_d1,
     suite_psi_fd,
     super_key_check,
@@ -46,45 +43,19 @@ def scalar_phi(pair):
 
 
 def test_sign_patterns_enumerates_all():
-    s = sign_patterns(3)
-    assert s.shape == (8, 3)
-    assert np.all(np.abs(s) == 1.0)
-    assert len({tuple(row) for row in s}) == 8
+    # the sign classes and their negatives are all 2^m patterns, once each
+    s = _sign_rows(3)
+    assert s.shape == (4, 3)
+    assert np.all(s[:, -1] == 1.0)
+    rows = {tuple(row) for row in np.concatenate([s, -s])}
+    assert rows == set(itertools.product((-1.0, 1.0), repeat=3))
 
 
 def test_sign_patterns_bounds():
     with pytest.raises(ValueError):
-        sign_patterns(0)
+        _sign_rows(0)
     with pytest.raises(ValueError):
-        sign_patterns(15)
-
-
-def test_rademacher_functions_realize_every_pattern():
-    # sampling the first m square waves at dyadic midpoints hits each of
-    # the 2^m sign combinations exactly once
-    for m in range(1, 5):
-        t = (np.arange(1 << m) + 0.5) / (1 << m)
-        rows = np.stack([rademacher_function(k, t) for k in range(1, m + 1)],
-                        axis=1)
-        assert np.all(np.abs(rows) == 1.0)
-        got = {tuple(row) for row in rows}
-        want = {tuple(row) for row in sign_patterns(m)}
-        assert got == want
-
-
-def test_rademacher_integral_equals_pattern_average():
-    # the square waves are constant on each dyadic piece, so integrating
-    # |sum a_k r_k| over [0, 1] is the midpoint average, and must agree
-    # with the uniform average over sign patterns
-    rng = np.random.default_rng(11)
-    for m in range(1, 5):
-        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        t = (np.arange(1 << m) + 0.5) / (1 << m)
-        rows = np.stack([rademacher_function(k, t) for k in range(1, m + 1)],
-                        axis=1)
-        integral = float(np.mean(np.abs(rows @ a)))
-        pattern = float(np.mean(np.abs(sign_patterns(m) @ a)))
-        assert integral == pytest.approx(pattern, rel=1e-12)
+        _sign_rows(15)
 
 
 def test_khintchine_equality_at_two_equal_entries():
@@ -202,12 +173,14 @@ def test_super_key_detects_deflated_norm():
 
 
 def test_sign_classes_are_the_mirrored_half():
-    # row i of the first half is minus row 2^m - 1 - i, so the rows with
-    # s_m = +1 hold one pattern of each class {s, -s}
+    # in the 2^m patterns with s_1 fastest, row i of the first half is
+    # minus row 2^m - 1 - i, so the rows with s_m = +1 hold one pattern
+    # of each class {s, -s}
     for m in range(1, MAX_PATTERN_ORDER + 1):
-        signs, h = sign_patterns(m), 1 << (m - 1)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        signs, h = signs[:, ::-1], 1 << (m - 1)
         assert np.array_equal(-signs[:h][::-1], signs[h:])
-        assert np.array_equal(_sign_rows(m, halved=True), signs[h:])
+        assert np.array_equal(_sign_rows(m), signs[h:])
 
 
 def _full_chain(pair, us, vs, phi):
@@ -364,7 +337,7 @@ def test_super_key_row_blocks_equal_the_whole_matrix(monkeypatch):
             us = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
             vs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
             rec = super_key_check(pair, us, vs, phi)
-            signs = _sign_rows(m, halved=True)
+            signs = _sign_rows(m)
             cu, cv = pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
             p, q = np.abs(signs @ cu.T), np.abs(signs @ cv.T)
             joint = p @ q.T
@@ -385,7 +358,7 @@ def test_rank_one_block_is_rank_one():
     us = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     vs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     b = rank_one_block(pair, 2, us, vs)
-    s = singular_values(b)
+    s = np.linalg.svd(b, compute_uv=False)
     assert s[1] <= 1e-12 * (1.0 + s[0])
     with pytest.raises(ValueError):
         rank_one_block(pair, 4, us, vs)
