@@ -23,7 +23,8 @@ import numpy as np
 from .frames import FramePair, bessel_and_frame_bounds, pair_operator
 from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh, top_singular_triplet
-from .multiplier import GRID_MAX_N, norm_lower_alternating, norm_oracle_grid
+from .multiplier import (GRID_MAX_N, GRID_MIN_STEPS, norm_lower_alternating,
+                         norm_oracle_grid)
 from .rescale import build_dilation, extract_scaling, optimize, phi_lower
 from .verify import SUITES, VerificationError, run_suite
 
@@ -447,7 +448,9 @@ def _cmd_bench(args) -> int:
         grid_note = (f" grid={t_grid:.4f}s ({rec['grid_ns_per_mask']:.1f} ns/mask)"
                      if grid_ok else "")
         print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s io={t_io:.4f}s"
-              f"{grid_note} optimize={t_opt:.4f}s phi={t_phi:.4f}s")
+              f"{grid_note} optimize={t_opt:.4f}s "
+              f"steps={bracket.stats['newton_steps']} "
+              f"eigh={bracket.stats['eigh_calls']} phi={t_phi:.4f}s")
     if not records:
         print("empty grid, nothing to time")
     if args.out:
@@ -458,6 +461,31 @@ def _cmd_bench(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _phase_steps(text: str) -> int:
+    """argparse type of --phase-steps: 0 (no grid) or >= GRID_MIN_STEPS."""
+    value = _integer(text)
+    if value != 0 and value < GRID_MIN_STEPS:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 or at least {GRID_MIN_STEPS}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framescale",
@@ -466,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate random instance files")
     gen.add_argument("--kind", choices=GENERATOR_KINDS, default="gaussian")
-    gen.add_argument("--n", type=int, default=4)
-    gen.add_argument("--d", type=int, default=2)
-    gen.add_argument("--instances", type=int, default=1,
+    gen.add_argument("--n", type=_count, default=4)
+    gen.add_argument("--d", type=_count, default=2)
+    gen.add_argument("--instances", type=_count, default=1,
                      help="more than one writes a corpus directory")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--scaling-range", type=float, nargs=2,
@@ -483,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--in", dest="infile", required=True,
                          help="instance file or corpus directory")
     analyze.add_argument("--seed", type=int, default=None, help=NO_SEED_HELP)
-    analyze.add_argument("--phase-steps", type=int, default=0,
+    analyze.add_argument("--phase-steps", type=_phase_steps, default=0,
                          help="grid oracle resolution; 0 disables the grid")
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=_cmd_analyze)
@@ -501,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run an inequality suite")
     ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--instances", type=int, default=200,
+    ver.add_argument("--instances", type=_count, default=200,
                      help="instance count for the ratio suite")
     ver.add_argument("--out", default=None)
     ver.set_defaults(func=_cmd_verify)
@@ -510,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--grid", default="4x2,5x3",
                        help="comma-separated NxD cells; empty for none")
-    bench.add_argument("--phase-steps", type=int, default=24)
+    bench.add_argument("--phase-steps", type=_phase_steps, default=24)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=_cmd_bench)
     return parser

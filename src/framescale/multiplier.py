@@ -214,6 +214,7 @@ def _offset_weights(basis: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 GRID_MAX_N = 6
+GRID_MIN_STEPS = 8  # coarsest phase_steps norm_oracle_grid accepts
 GRID_CHUNK = 1 << 18
 TRACE_RTOL = 1e-9  # relative margin of the grid's trace floor
 
@@ -345,8 +346,8 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
-    if phase_steps < 8:
-        raise ValueError("phase_steps must be >= 8")
+    if phase_steps < GRID_MIN_STEPS:
+        raise ValueError(f"phase_steps must be >= {GRID_MIN_STEPS}")
     n, d = pair.n, pair.dim
     if start is not None:
         start = check_mask(start, n)

@@ -42,14 +42,14 @@ PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 ARMIJO_STEPS = np.ldexp(1.0, -np.arange(40))  # line-search alphas 2^-j
 # Newton stages run at sharpness b = b_rel / h for b_rel = B_REL_START,
 # B_REL_START * B_REL_FACTOR, ... up to B_REL_TOP, at most NEWTON_STEPS
-# steps each; optimize stops after the first stage whose duality gap
+# steps each; a stage ends once sqrt(f g) - D <= GAP_TOL sqrt(f g) at its
+# iterate, and optimize stops after the first stage whose duality gap
 # (m_upper - D) / m_upper is at most GAP_TOL
 B_REL_START = 1e2
 B_REL_FACTOR = 10.0
 B_REL_TOP = 1e10
 NEWTON_STEPS = 25
 GAP_TOL = 1e-13
-SERIES_BAND = 1e-3  # _divided_exp takes its series where |b dl| <= this
 _SIGNS = np.array([[1.0], [-1.0]])  # log-weights of F and G: +t and -t
 
 
@@ -81,6 +81,7 @@ class _Objective:
         self.eigh_calls = 0
         self.newton_steps = 0
         self.candidates = 0
+        self.stage_stops = []
 
     def eigh(self, mat: np.ndarray):
         self.eigh_calls += 1
@@ -101,29 +102,19 @@ def _balanced(t: np.ndarray, spectra) -> np.ndarray:
     return t + 0.5 * np.log(g / f)
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z with the removable singularity filled in."""
-    z = np.clip(z, -2.0, 2.0)
-    out = np.ones_like(z)
-    nz = z != 0.0
-    out[nz] = np.expm1(z[nz]) / z[nz]
-    return out
-
-
 def _divided_exp(b: float, lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Divided differences (p_i - p_j)/(lam_i - lam_j) of p = e^{b(lam-max)}.
 
-    lam and p are spectra of shape (..., d).  Near-coincident eigenvalues
-    switch to the series form b p_j phi1(b dl) to avoid cancellation; the
-    diagonal is the derivative b p_i.
+    lam and p are spectra of shape (..., d).  Since p_i = p_j e^{b(lam_i -
+    lam_j)}, the difference is exactly b max(p_i, p_j) phi1(-b |lam_i -
+    lam_j|), phi1(z) = (e^z - 1)/z with phi1(0) = 1, so the diagonal is the
+    derivative b p_i.  The exponent is never positive, so nothing
+    overflows, and expm1 leaves no subtraction to cancel however close two
+    eigenvalues lie.  The result is exactly symmetric.
     """
-    dl = lam[..., :, None] - lam[..., None, :]
-    delta = b * dl
-    small = np.abs(delta) <= SERIES_BAND
-    safe = np.where(small, 1.0, dl)
-    direct = (p[..., :, None] - p[..., None, :]) / safe
-    series = b * p[..., None, :] * _phi1(delta)
-    return np.where(small, series, direct)
+    z = -b * np.abs(lam[..., :, None] - lam[..., None, :])
+    phi1 = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z < 0.0)
+    return b * np.maximum(p[..., :, None], p[..., None, :]) * phi1
 
 
 def _psi(w: np.ndarray, b: float):
@@ -137,32 +128,60 @@ def _psi(w: np.ndarray, b: float):
     return wmax + np.log(z) / b, p, z
 
 
-def _smoothed_state(obj: _Objective, t: np.ndarray, b: float, spectra):
-    """Value, gradient, and Hessian of the smoothed objective.
+def _dual_value(b: float, w: np.ndarray, overlaps: np.ndarray):
+    """D at rho = e^{bF} / tr e^{bF} and sigma = e^{bG} / tr e^{bG}.
+
+    w is the (2, d) spectra of F and G, and overlaps[0, k, j] =
+    |<x_k, v_j>|^2 and overlaps[1, k, j] = |<y_k, u_j>|^2 for their
+    eigenvectors v_j and u_j.  Each family's Gibbs weights are
+    e^{b (w - w_top)} over their sum, normalised by that family's own top:
+    by the global top, one family's weights can all underflow to 0/0.
+    Returns D and the Gibbs weights, shape (2, d).
+    """
+    p = np.exp(b * (w - w[:, -1:]))
+    p /= p.sum(axis=1, keepdims=True)
+    diag = np.sqrt(np.einsum("skj,sj->sk", overlaps, p))
+    return float(np.sum(diag[0] * diag[1])), p
+
+
+def _smoothed_state(obj: _Objective, t: np.ndarray, b: float, spectra,
+                    smoothed=None):
+    """Value, gradient, dual value and Hessian of the smoothed objective.
 
     The smoothing is psi = (1/b) log(tr e^{bF} + tr e^{bG}), which is
     convex, exceeds h by at most log(2d)/b, and has exact derivatives
     through the eigendecompositions of F and G; spectra is
-    obj.spectra(t).
+    obj.spectra(t), and smoothed, when given, is _psi(spectra[0], b).
+    Returns psi, the gradient, D at the Gibbs states of F and G (see
+    _dual_value), read off the same overlaps as the gradient, and a
+    function of no arguments that forms the Hessian.  Only that function
+    forms the divided differences and the O(n^2 d^2) curvature, so a
+    caller that stops at t never pays for them.
     """
     w, v = spectra
-    psi, p, z = _psi(w, b)
+    psi, p, z = _psi(w, b) if smoothed is None else smoothed
     weights = np.exp(t * _SIGNS)
     amp = obj.vecs.conj() @ v
-    q = weights * np.einsum("skj,sj->sk", np.abs(amp) ** 2, p)
+    overlaps = np.abs(amp) ** 2
+    q = weights * np.einsum("skj,sj->sk", overlaps, p)
     grad = (q[0] - q[1]) / z
-    lam_mat = _divided_exp(b, w, p)
-    scaled = np.sqrt(weights)[:, :, None] * amp.conj()
-    prod = np.einsum("ski,sli->skli", scaled, scaled.conj())
-    curv = np.real(np.einsum("skli,sij,sklj->kl", prod, lam_mat, prod.conj()))
-    hess = (curv + np.diag(q[0] + q[1])) / z - b * np.outer(grad, grad)
-    hess = 0.5 * (hess + hess.T)
-    return float(psi), grad, hess
+
+    def hessian():
+        lam_mat = _divided_exp(b, w, p)
+        scaled = np.sqrt(weights)[:, :, None] * amp.conj()
+        prod = np.einsum("ski,sli->skli", scaled, scaled.conj())
+        curv = np.real(np.einsum("skli,sij,sklj->kl", prod, lam_mat,
+                                 prod.conj()))
+        hess = (curv + np.diag(q[0] + q[1])) / z - b * np.outer(grad, grad)
+        return 0.5 * (hess + hess.T)
+
+    return float(psi), grad, _dual_value(b, w, overlaps)[0], hessian
 
 
 def _armijo_step(obj: _Objective, t: np.ndarray, step: np.ndarray, b: float,
                  psi: float, slope: float):
-    """First t + 2^-j step, j = 0..39, passing Armijo, with its spectra.
+    """First t + 2^-j step, j = 0..39, passing Armijo, with its spectra
+    and its _psi triple (psi, p, z).
 
     Candidates are scored one obj.spectra call each, largest alpha
     first.  None if no candidate passes.
@@ -171,33 +190,51 @@ def _armijo_step(obj: _Objective, t: np.ndarray, step: np.ndarray, b: float,
         cand = t + alpha * step
         obj.candidates += 1
         spectra = obj.spectra(cand)
-        if _psi(spectra[0], b)[0] <= psi + 1e-4 * alpha * slope:
-            return cand, spectra
+        smoothed = _psi(spectra[0], b)
+        if smoothed[0] <= psi + 1e-4 * alpha * slope:
+            return cand, spectra, smoothed
     return None
 
 
 def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
     """Damped Newton steps on the smoothed objective at sharpness b.
 
-    Each step solves with the Hessian's eigendecomposition, its spectrum
-    floored at 1e-12 of the largest eigenvalue, caps the step at 3 in
-    every coordinate, and takes the Armijo point of _armijo_step.  Stops
-    when the gradient is below 1e-13 of psi (relative, so the rule is
-    the same at every scale of the pair), when no Armijo point passes,
-    when the Armijo point equals t bitwise, or after NEWTON_STEPS steps.
+    At each iterate the stage first reads two certified numbers off the
+    spectra: the upper bound sqrt(f g), which holds at any t, and D at
+    the Gibbs states, a dual value at valid density matrices.  It ends
+    ("gap") once sqrt(f g) - D <= GAP_TOL sqrt(f g): no step can then
+    tighten the bracket past the tolerance the outer loop asks for.  It
+    also ends ("gradient") when the gradient is below 1e-13 of psi
+    (relative, so the rule is the same at every scale of the pair).
+    Only then is the Hessian formed.  Each step solves with the
+    Hessian's eigendecomposition, its spectrum floored at 1e-12 of the
+    largest eigenvalue, caps the step at 3 in every coordinate, and
+    takes the Armijo point of _armijo_step.  The stage ends when no
+    Armijo point passes ("no_descent"), when the Armijo point equals t
+    bitwise ("fixed_point"), or after NEWTON_STEPS steps ("steps").
     The fixed-point stop matters at high sharpness, where the gradient's
     rounding floor can sit above 1e-13 of psi and Armijo accepts
     t + alpha step == t (the sufficient decrease rounds to an equality):
     every later step would repeat that one, so the stage's result is
-    bitwise the same.  Returns the last point and its spectra.
+    bitwise the same.  The reason is appended to obj.stage_stops.
+    Returns the last point and its spectra.
     """
     h = float(spectra[0][:, -1].max())
+    smoothed = _psi(spectra[0], b)
+    stop = "steps"
     for _ in range(NEWTON_STEPS):
-        psi, grad, hess = _smoothed_state(obj, t, b, spectra)
+        psi, grad, dual, hessian = _smoothed_state(obj, t, b, spectra,
+                                                   smoothed)
+        f, g = spectra[0][:, -1]
+        upper = float(np.sqrt(f) * np.sqrt(g))
+        if upper - dual <= GAP_TOL * upper:
+            stop = "gap"
+            break
         if float(np.max(np.abs(grad))) <= 1e-13 * abs(psi):
+            stop = "gradient"
             break
         obj.newton_steps += 1
-        w, v = obj.eigh(hess)
+        w, v = obj.eigh(hessian())
         floor = max(1e-12 * float(np.max(np.abs(w))), 1e-300)
         step = -(v @ ((v.conj().T @ grad) / np.maximum(w, floor))).real
         cap = float(np.max(np.abs(step)))
@@ -208,25 +245,28 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
             step = -grad / h
             slope = float(grad @ step)
         found = _armijo_step(obj, t, step, b, psi, slope)
-        if found is None or np.array_equal(found[0], t):
+        if found is None:
+            stop = "no_descent"
             break
-        t, spectra = found
+        if np.array_equal(found[0], t):
+            stop = "fixed_point"
+            break
+        t, spectra, smoothed = found
+    obj.stage_stops.append(stop)
     return t, spectra
 
 
 def _dual_certificate(obj: _Objective, spectra, b: float):
     """D at rho = e^{bF} / tr e^{bF} and sigma = e^{bG} / tr e^{bG}.
 
-    Returns D and the witness tuples us, vs (see CbBracket): row i of vs
-    is sqrt(p_i) times eigenvector i of F, so rho = sum_i vs_i vs_i^*,
-    and likewise us for sigma and G.
+    Returns D (from _dual_value) and the witness tuples us, vs (see
+    CbBracket): row i of vs is sqrt(p_i) times eigenvector i of F, so
+    rho = sum_i vs_i vs_i^*, and likewise us for sigma and G.
     """
     w, v = spectra
-    p = np.exp(b * (w - w[:, -1:]))
-    p /= p.sum(axis=1, keepdims=True)
+    dual, p = _dual_value(b, w, np.abs(obj.vecs.conj() @ v) ** 2)
     tuples = np.sqrt(p)[:, :, None] * np.swapaxes(v, 1, 2)
-    norms = np.linalg.norm(obj.vecs.conj() @ np.swapaxes(tuples, 1, 2), axis=2)
-    return float(np.sum(norms[0] * norms[1])), tuples[1], tuples[0]
+    return dual, tuples[1], tuples[0]
 
 
 @dataclass(frozen=True)
@@ -244,7 +284,9 @@ class CbBracket:
     stop ("gap" once the duality gap met GAP_TOL, "top_stage" when the
     loop ran out of stages), stage_gaps (the relative gap
     (m_upper - D) / m_upper after each stage), stage_steps (the Newton
-    steps of each stage; they sum to newton_steps) and wall_s.
+    steps of each stage; they sum to newton_steps), stage_stops (why
+    each stage ended: "gap", "gradient", "fixed_point", "no_descent" or
+    "steps"; see _newton_stage) and wall_s.
     """
 
     m_lower: float
@@ -311,6 +353,7 @@ def optimize(pair: FramePair) -> CbBracket:
              "eigh_calls": obj.eigh_calls,
              "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
              "stage_gaps": stage_gaps, "stage_steps": stage_steps,
+             "stage_stops": obj.stage_stops,
              "wall_s": time.perf_counter() - started}
     return CbBracket(dual, m_upper, t, f, g, us, vs, stats)
 

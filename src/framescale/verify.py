@@ -49,7 +49,6 @@ from .multiplier import (
 )
 from .rescale import (
     PINNED_RTOL,
-    SERIES_BAND,
     _Objective,
     _psi,
     _smoothed_state,
@@ -70,6 +69,7 @@ MAX_PATTERN_ORDER = 14
 SIGN_BLOCK = 128  # sign-class rows per block of super_key_check's links 2 and 3
 PSI_FD_B_RELS = (1e2, 1e4, 1e6, 1e8, 1e10)
 PSI_FD_GATE = 100.0  # largest finite-difference error / (eps b_rel)^(2/3)
+CLUSTER_BAND = 1e-3  # psi_fd counts a cluster where some b |dl| <= this
 
 
 def _worst(records, *keys) -> dict:
@@ -689,12 +689,14 @@ def _psi_fd_ratios(obj: _Objective, t: np.ndarray, b_rel: float):
     |psi|, the Hessian's against those of the gradient, symmetrised,
     relative to max |H|.  Each t-derivative brings a factor b h = b_rel, so
     the step cbrt(eps b_rel) / b_rel puts truncation and rounding near the
-    model.  Also says whether _divided_exp took its series at t.
+    model.  Also says whether t is a cluster point: some two eigenvalues
+    of F or of G lie within CLUSTER_BAND / b.
     """
     n, eps_b = t.size, float(np.finfo(np.float64).eps) * b_rel
     spectra = obj.spectra(t)
     b = b_rel / float(spectra[0][:, -1].max())
-    psi, grad, hess = _smoothed_state(obj, t, b, spectra)
+    psi, grad, _, hessian = _smoothed_state(obj, t, b, spectra)
+    hess = hessian()
     delta = np.cbrt(eps_b) / b_rel
     stencil = np.concatenate([t + delta * np.eye(n), t - delta * np.eye(n)])
     width = np.diag(stencil[:n] - stencil[n:])  # the steps as rounded into t
@@ -705,12 +707,12 @@ def _psi_fd_ratios(obj: _Objective, t: np.ndarray, b_rel: float):
     fd_hess = (grads[:n] - grads[n:]) / width[:, None]
     fd_hess = 0.5 * (fd_hess + fd_hess.T)
     gaps = np.abs(b * (spectra[0][:, :, None] - spectra[0][:, None, :]))
-    # the 2d diagonal entries always take the series
-    series = np.count_nonzero(gaps <= SERIES_BAND) > 2 * gaps.shape[-1]
+    off_diagonal = ~np.eye(gaps.shape[-1], dtype=bool)
+    cluster = np.any(gaps[:, off_diagonal] <= CLUSTER_BAND)
     model = eps_b ** (2.0 / 3.0)
     grad_err = float(np.max(np.abs(grad - fd_grad))) / abs(psi)
     hess_err = float(np.max(np.abs(hess - fd_hess)) / np.max(np.abs(hess)))
-    return grad_err / model, hess_err / model, bool(series)
+    return grad_err / model, hess_err / model, bool(cluster)
 
 
 def suite_psi_fd(seed: int = 0, pairs: int = 20) -> dict:
@@ -719,7 +721,8 @@ def suite_psi_fd(seed: int = 0, pairs: int = 20) -> dict:
     pairs gaussian pairs (n 2-6, d 1-4) at random t in [-1, 1]^n and at
     optimize's weights, where top eigenvalues nearly double, and on
     pairs // 2 orthonormal-basis unions at t = 0 and (1e-3 / b_rel) z, z
-    standard normal, where eigenvalues cluster.  Gate: PSI_FD_GATE."""
+    standard normal, where eigenvalues cluster.  Gate: PSI_FD_GATE.  The
+    summary counts the cluster points per b_rel (see _psi_fd_ratios)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 808]))
     points = []  # (kind, pair, t, whether t shrinks by 1e-3 / b_rel)
     for _ in range(pairs):
@@ -735,11 +738,11 @@ def suite_psi_fd(seed: int = 0, pairs: int = 20) -> dict:
     records = []
     for b_rel in PSI_FD_B_RELS:
         for kind, pair, t, shrink in points:
-            grad, hess, series = _psi_fd_ratios(
+            grad, hess, cluster = _psi_fd_ratios(
                 _Objective(pair), 1e-3 / b_rel * t if shrink else t, b_rel)
             records.append({"kind": kind, "n": pair.n, "d": pair.dim,
                             "b_rel": b_rel, "grad_ratio": grad,
-                            "hess_ratio": hess, "series": series})
+                            "hess_ratio": hess, "cluster": cluster})
             if max(grad, hess) > PSI_FD_GATE:
                 raise VerificationError(
                     f"psi derivatives at b_rel {b_rel:.0e} off by "
@@ -752,7 +755,7 @@ def suite_psi_fd(seed: int = 0, pairs: int = 20) -> dict:
     summary = {"points": len(records), "b_rel": list(PSI_FD_B_RELS),
                "worst_grad_ratio": per_b_rel(max, "grad_ratio"),
                "worst_hess_ratio": per_b_rel(max, "hess_ratio"),
-               "series_points": per_b_rel(sum, "series")}
+               "cluster_points": per_b_rel(sum, "cluster")}
     return {"suite": "psi_fd", "records": records, "summary": summary}
 
 

@@ -159,8 +159,8 @@ def test_criterion_10_psi_derivatives_match_finite_differences():
     summary = suite_psi_fd(seed=0)["summary"]
     worst = max(summary["worst_grad_ratio"] + summary["worst_hess_ratio"])
     assert worst <= 100.0
-    assert min(summary["series_points"]) >= 1
+    assert min(summary["cluster_points"]) >= 1
     print(f"criterion 10 PASS: psi's gradient and Hessian within "
           f"{worst:.2f} (eps b_rel)^(2/3) of central differences at "
-          f"{summary['points']} points, b_rel 1e2..1e10, series form at "
-          f"{min(summary['series_points'])}+ points per b_rel")
+          f"{summary['points']} points, b_rel 1e2..1e10, eigenvalue "
+          f"clusters at {min(summary['cluster_points'])}+ points per b_rel")

@@ -139,6 +139,37 @@ def test_invalid_generator_kind_exits_two(tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--instances", "0"], "--instances: must be at least 1, got 0"),
+    (["gen", "--n", "0"], "--n: must be at least 1, got 0"),
+    (["gen", "--d", "-2"], "--d: must be at least 1, got -2"),
+    (["gen", "--n", "four"], "--n: expected an integer, got 'four'"),
+    (["verify", "--suite", "ratio", "--instances", "0"],
+     "--instances: must be at least 1, got 0"),
+    (["analyze", "--phase-steps", "-5"], "--phase-steps: must be 0 or at least 8"),
+    (["analyze", "--phase-steps", "4"], "--phase-steps: must be 0 or at least 8"),
+    (["bench", "--phase-steps", "7"], "--phase-steps: must be 0 or at least 8")],
+    ids=["gen-instances", "gen-n", "gen-d", "gen-text", "verify-instances",
+         "analyze-negative", "analyze-coarse", "bench-coarse"])
+def test_bad_counts_exit_two_before_any_work(argv, message, tmp_path, capsys,
+                                             monkeypatch):
+    # each is refused while parsing: no file is written and no ascent runs
+    inst = tmp_path / "one.frame.json"
+    cli.save_instance(str(inst), gaussian_pair(np.random.default_rng(7), 4, 2))
+    monkeypatch.setattr(cli, "norm_lower_alternating", None)
+    out = tmp_path / "out"
+    where = ["--in", str(inst)] if argv[0] == "analyze" else []
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + where + ["--out", str(out)])
+    assert info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: framescale ") and message in err
+    assert not out.exists()
+    # the smallest counts are accepted
+    assert cli.main(["gen", "--n", "1", "--d", "1", "--instances", "1",
+                     "--out", str(out)]) == 0
+
+
 def test_d1_scalars_refuses_other_dimensions(tmp_path, capsys):
     # d1_scalars draws scalar pairs, so a larger d is an error, not a
     # silently one-dimensional file
@@ -293,10 +324,11 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls",
                           "phi_route", "phi_s", "ascent_iterations", "stop",
-                          "stage_gaps", "stage_steps", "wall_s"}
+                          "stage_gaps", "stage_steps", "stage_stops",
+                          "wall_s"}
     assert all(v > 0 for k, v in stats.items()
-               if k not in ("stop", "stage_gaps", "stage_steps", "phi_route",
-                            "ascent_iterations"))
+               if k not in ("stop", "stage_gaps", "stage_steps", "stage_stops",
+                            "phi_route", "ascent_iterations"))
     assert stats["stop"] == "gap"
     assert len(stats["stage_gaps"]) == len(stats["stage_steps"]) == stats["stages"]
     assert sum(stats["stage_steps"]) == stats["newton_steps"]
@@ -304,6 +336,10 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     assert rec["gap"] <= 1e-12
     header = (tmp_path / "res.csv").read_text().splitlines()[0].split(",")
     assert {f"stats.{key}" for key in stats} | {"gap"} <= set(header)
+    assert stats["stage_stops"][-1] == "gap"
+    with open(tmp_path / "res.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["stats.stage_stops"] == ";".join(stats["stage_stops"])
 
 
 def test_rescale_checks_are_relative_to_the_bound(tmp_path):

@@ -29,6 +29,7 @@ from framescale.rescale import (
     Dilation,
     _armijo_step,
     _balanced,
+    _divided_exp,
     _Objective,
     _psi,
     _smoothed_state,
@@ -88,11 +89,13 @@ def test_balance_closed_form_and_fixed_point():
 
 
 def _state_at(pair, t, b_rel):
-    """_smoothed_state of pair at t and sharpness b = b_rel / h."""
+    """psi, gradient and Hessian from _smoothed_state of pair at t and
+    sharpness b = b_rel / h."""
     obj = _Objective(pair)
     spectra = obj.spectra(t)
-    return _smoothed_state(obj, t, b_rel / float(spectra[0][:, -1].max()),
-                           spectra)
+    psi, grad, _, hessian = _smoothed_state(
+        obj, t, b_rel / float(spectra[0][:, -1].max()), spectra)
+    return psi, grad, hessian()
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e6])
@@ -157,12 +160,13 @@ def test_armijo_step_returns_the_first_passing_alpha():
         t = _balanced(t, obj.spectra(t))
         f, g = _tops(pair, t)
         b = 1e3 / max(f, g)
-        psi, grad, _ = _smoothed_state(obj, t, b, obj.spectra(t))
+        psi, grad, _, _ = _smoothed_state(obj, t, b, obj.spectra(t))
         for stretch in (1.0, 10.0, 1e3):
             step = -stretch * grad / max(f, g)
             slope = float(grad @ step)
             before = obj.candidates
-            accepted, (w, v) = _armijo_step(obj, t, step, b, psi, slope)
+            accepted, (w, v), smoothed = _armijo_step(obj, t, step, b, psi,
+                                                      slope)
             j = obj.candidates - before - 1
             for alpha in ARMIJO_STEPS[:j]:
                 w_at = obj.spectra(t + alpha * step)[0]
@@ -170,6 +174,8 @@ def test_armijo_step_returns_the_first_passing_alpha():
             alpha = ARMIJO_STEPS[j]
             assert np.array_equal(accepted, t + alpha * step)
             assert _psi(w, b)[0] <= psi + 1e-4 * alpha * slope
+            assert all(np.array_equal(got, want)
+                       for got, want in zip(smoothed, _psi(w, b)))
             spectra = obj.spectra(accepted)
             assert np.array_equal(w, spectra[0])
             assert np.array_equal(v, spectra[1])
@@ -255,9 +261,10 @@ def test_optimize_reports_repeatable_counts():
     counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
     assert set(counts) == {"stages", "newton_steps",
                            "line_search_candidates", "eigh_calls", "stop",
-                           "stage_gaps", "stage_steps"}
+                           "stage_gaps", "stage_steps", "stage_stops"}
     assert all(isinstance(counts[k], int) and counts[k] > 0
-               for k in set(counts) - {"stop", "stage_gaps", "stage_steps"})
+               for k in set(counts) - {"stop", "stage_gaps", "stage_steps",
+                                       "stage_stops"})
     assert all(isinstance(steps, int) for steps in counts["stage_steps"])
     assert sum(counts["stage_steps"]) == counts["newton_steps"]
     assert counts == {k: v for k, v in second.stats.items() if k != "wall_s"}
@@ -284,11 +291,12 @@ def test_stats_record_each_stage_gap_and_the_stop_reason():
 
 
 def test_newton_stage_ends_at_its_fixed_point(monkeypatch):
-    # a 3 x 3 mangled Schauder pair with x scaled by 10^-6.81: in its
-    # second stage the gradient stalls at 4.7e-13 psi, above the 1e-13
-    # stop, and Armijo accepts t + alpha step == t from the stage's fourth
-    # step on; without the fixed-point stop the stage repeats that step to
-    # the cap (30 steps in all, against 9)
+    # a 3 x 3 mangled Schauder pair with x scaled by 10^-6.81.  Its second
+    # stage starts with the gap certified and ends there (5 steps in all).
+    # Without the gap stop, the stage's gradient stalls at 4.7e-13 psi,
+    # above the 1e-13 stop, and Armijo accepts t + alpha step == t from
+    # its fourth step on; the fixed-point stop then ends it (9 steps in
+    # all, against 30 with neither stop)
     rng = np.random.default_rng(np.random.SeedSequence([2508, 10, 3, 3]))
     pair = generate("schauder_mangled", rng, 3, 3, scaling_range=(1e-3, 1e3))
     pair = FramePair(pair.xs * 10.0 ** rng.uniform(-8.0, 0.0), pair.ys)
@@ -308,6 +316,7 @@ def test_newton_stage_ends_at_its_fixed_point(monkeypatch):
     stats = br.stats
     _assert_stop_matches_stage_gaps(br)
     assert stats["stop"] == "gap"
+    assert stats["stage_stops"] == ["gradient", "gap"]
     assert all(steps < rescale.NEWTON_STEPS for steps in stats["stage_steps"])
     assert stats["newton_steps"] <= 12
     monkeypatch.setattr(rescale, "_newton_stage", restarted)
@@ -315,6 +324,117 @@ def test_newton_stage_ends_at_its_fixed_point(monkeypatch):
     assert ends and all(ends)
     assert spied.m_upper == br.m_upper and spied.m_lower == br.m_lower
     assert np.array_equal(spied.log_weights, br.log_weights)
+
+
+def _stage_pairs(count):
+    """count seeded pairs, n 2-7, d 1-4: gaussian, and mangled Schauder
+    pairs with x scaled by 10^-8 ... 1."""
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence([2525, i]))
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(max(d, 2), 8))
+        if i % 2:
+            pair = generate("schauder_mangled", rng, n, d)
+            yield FramePair(pair.xs * 10.0 ** rng.uniform(-8.0, 0.0), pair.ys)
+        else:
+            yield generate("gaussian", rng, n, d)
+
+
+def _gibbs_dual(pair, spectra, b):
+    """D from the Gibbs density matrices rho and sigma, formed explicitly."""
+    rho, sigma = (v @ np.diag(p / p.sum()) @ v.conj().T
+                  for w, v in zip(*spectra)
+                  for p in [np.exp(b * (w - w[-1]))])
+    a = np.einsum("ki,ij,kj->k", pair.xs.conj(), rho, pair.xs).real
+    c = np.einsum("ki,ij,kj->k", pair.ys.conj(), sigma, pair.ys).real
+    return float(np.sum(np.sqrt(a) * np.sqrt(c)))
+
+
+def test_stage_ends_on_gap_only_where_the_iterate_certifies_it(monkeypatch):
+    # spy on every stage: one that reports "gap" must end at an iterate
+    # whose sqrt(f g) and D, as the stage read them, meet GAP_TOL, and
+    # that D is the Gibbs states' value; restarted from where it ended, a
+    # stage stopped on gap or at a fixed point must not move
+    newton_stage, smoothed_state = rescale._newton_stage, rescale._smoothed_state
+    duals, seen = [], set()
+
+    def recorded(obj, t, b, spectra, smoothed=None):
+        out = smoothed_state(obj, t, b, spectra, smoothed)
+        duals.append(out[2])
+        return out
+
+    def spied(obj, t, spectra, b):
+        start = len(duals)
+        t, spectra = newton_stage(obj, t, spectra, b)
+        stop = obj.stage_stops[-1]
+        seen.add(stop)
+        if stop == "gap":
+            f, g = spectra[0][:, -1]
+            upper = np.sqrt(f) * np.sqrt(g)
+            assert len(duals) > start
+            assert upper - duals[-1] <= rescale.GAP_TOL * upper
+            want = _gibbs_dual(pair, spectra, b)
+            assert abs(duals[-1] - want) <= 1e-13 * want
+        if stop in ("gap", "fixed_point"):
+            again, _ = newton_stage(_Objective(pair), t, spectra, b)
+            assert np.array_equal(again, t)
+        return t, spectra
+
+    monkeypatch.setattr(rescale, "_smoothed_state", recorded)
+    monkeypatch.setattr(rescale, "_newton_stage", spied)
+    for pair in _stage_pairs(50):
+        br = optimize(pair)
+        stops = br.stats["stage_stops"]
+        assert len(stops) == br.stats["stages"]
+        assert set(stops) <= {"gap", "gradient", "fixed_point", "no_descent",
+                              "steps"}
+    assert {"gap", "gradient", "fixed_point"} <= seen
+
+
+def test_a_hessian_is_formed_only_for_a_step(monkeypatch):
+    formed = []
+    divided_exp = rescale._divided_exp
+
+    def counted(*args):
+        formed.append(1)
+        return divided_exp(*args)
+
+    monkeypatch.setattr(rescale, "_divided_exp", counted)
+    for pair in _stage_pairs(50):
+        del formed[:]
+        br = optimize(pair)
+        assert len(formed) == br.stats["newton_steps"]
+
+
+def test_divided_exp_is_exact_symmetric_and_finite():
+    rng = np.random.default_rng(2526)
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        # ascending spectra whose neighbours lie 1e-15 ... 1 apart
+        steps = 10.0 ** rng.uniform(-15.0, 0.0, (2, d - 1))
+        lam = np.cumsum(np.concatenate([rng.standard_normal((2, 1)), steps],
+                                       axis=-1), axis=-1)
+        b = 10.0 ** rng.uniform(0.0, 12.0)
+        p = np.exp(b * (lam - lam[:, -1:].max()))
+        got = _divided_exp(b, lam, p)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+        assert np.array_equal(np.diagonal(got, axis1=-2, axis2=-1), b * p)
+        dl = lam[:, :, None] - lam[:, None, :]
+        far = np.abs(b * dl) >= 1.0
+        direct = (p[:, :, None] - p[:, None, :]) / np.where(far, dl, 1.0)
+        assert np.all(np.abs(got - direct)[far]
+                      <= 1e-12 * np.abs(direct)[far])
+    # weights that underflow to 0, and b |dl| of 1e12
+    lam = np.array([[0.0, 1e-3, 1.0], [-1.0, 0.5, 1.0]])
+    for b in (1e3, 1e12):
+        p = np.exp(b * (lam - 1.0))
+        got = _divided_exp(b, lam, p)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, np.swapaxes(got, -1, -2))
+        assert np.array_equal(np.diagonal(got, axis1=-2, axis2=-1), b * p)
+    # at b = 1e12 only the top weight of the first family survives
+    assert got[0, 0, 1] == 0.0 and got[0, 2, 2] == 1e12
 
 
 def test_optimize_is_equivariant_under_a_tiny_global_scale():

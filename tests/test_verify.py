@@ -515,9 +515,9 @@ def test_run_suite_dispatch():
 
 
 def test_psi_fd_catches_a_relative_error_of_1e_6_in_the_curvature(monkeypatch):
-    # the unpatched suite passes and meets the eigenvalue clusters where
-    # _divided_exp takes its series at every sharpness
-    assert min(suite_psi_fd(seed=3, pairs=4)["summary"]["series_points"]) >= 1
+    # the unpatched suite passes and meets an eigenvalue cluster, some
+    # b |dl| <= CLUSTER_BAND, at every sharpness
+    assert min(suite_psi_fd(seed=3, pairs=4)["summary"]["cluster_points"]) >= 1
     divided_exp = rescale._divided_exp
     monkeypatch.setattr(rescale, "_divided_exp",
                         lambda *args: divided_exp(*args) * (1.0 + 1e-6))
