@@ -37,7 +37,6 @@ from .rescale import (
     phi_lower,
 )
 from .verify import (
-    RatioConfig,
     VerificationError,
     end_to_end_rescale_check,
     khintchine_check,
@@ -56,7 +55,6 @@ __all__ = [
     "FramePair",
     "GENERATOR_KINDS",
     "MultiplierNormEstimate",
-    "RatioConfig",
     "ScalingResult",
     "VerificationError",
     "apply_mask",

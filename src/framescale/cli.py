@@ -20,9 +20,9 @@ import time
 
 import numpy as np
 
-from .frames import FramePair, bessel_and_frame_bounds, pair_operator
+from .frames import FramePair, bessel_and_frame_bounds, identity_deviation
 from .instances import GENERATOR_KINDS, generate
-from .linalg import eigh, top_singular_triplet
+from .linalg import eigh
 from .multiplier import (GRID_MAX_N, GRID_MIN_STEPS, norm_lower_alternating,
                          norm_oracle_grid)
 from .rescale import build_dilation, extract_scaling, optimize, phi_lower
@@ -283,13 +283,13 @@ def _cmd_analyze(args) -> int:
     for label, pair, _ in corpus:
         bx = bessel_and_frame_bounds(pair.xs)
         by = bessel_and_frame_bounds(pair.ys)
-        dev, _, _ = top_singular_triplet(pair_operator(pair) - np.eye(pair.dim))
+        dev = identity_deviation(pair)
         alt, phi_s = _timed(norm_lower_alternating, pair)
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
                "bessel_x": [bx.lower, bx.upper],
                "bessel_y": [by.lower, by.upper],
                "phi_norm_lower": alt.value,
-               "check_results": {"identity_deviation": float(dev),
+               "check_results": {"identity_deviation": dev,
                                  "x_is_frame": bx.is_frame,
                                  "y_is_frame": by.is_frame},
                "stats": _phi_stats(alt, phi_s)}
@@ -356,8 +356,7 @@ def _cmd_rescale(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     try:
-        sizes = {"instances": args.instances} if args.suite == "ratio" else {}
-        report = run_suite(args.suite, seed=seed, **sizes)
+        report = run_suite(args.suite, seed=seed)
     except VerificationError as exc:
         failure = {"format_version": FORMAT_VERSION, "command": "verify",
                    "suite": args.suite, "seed": seed, "error": str(exc),
@@ -486,6 +485,15 @@ def _phase_steps(text: str) -> int:
     return value
 
 
+def _report_path(text: str) -> str:
+    """argparse type of a report's --out: not a .csv path, which the
+    report's CSV twin (see write_report) would overwrite."""
+    if os.path.splitext(text)[1].lower() == ".csv":
+        raise argparse.ArgumentTypeError(
+            f"{text!r} ends in .csv, the name of the report's CSV twin")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framescale",
@@ -513,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--seed", type=int, default=None, help=NO_SEED_HELP)
     analyze.add_argument("--phase-steps", type=_phase_steps, default=0,
                          help="grid oracle resolution; 0 disables the grid")
-    analyze.add_argument("--out", default=None)
+    analyze.add_argument("--out", type=_report_path, default=None)
     analyze.set_defaults(func=_cmd_analyze)
 
     rescale = sub.add_parser("rescale",
@@ -523,15 +531,13 @@ def build_parser() -> argparse.ArgumentParser:
     rescale.add_argument("--seed", type=int, default=None, help=NO_SEED_HELP)
     rescale.add_argument("--dilation", action="store_true",
                          help="also build the dilation and check isometries")
-    rescale.add_argument("--out", default=None)
+    rescale.add_argument("--out", type=_report_path, default=None)
     rescale.set_defaults(func=_cmd_rescale)
 
     ver = sub.add_parser("verify", help="run an inequality suite")
     ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--instances", type=_count, default=200,
-                     help="instance count for the ratio suite")
-    ver.add_argument("--out", default=None)
+    ver.add_argument("--out", type=_report_path, default=None)
     ver.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="time the core operations")
@@ -539,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--grid", default="4x2,5x3",
                        help="comma-separated NxD cells; empty for none")
     bench.add_argument("--phase-steps", type=_phase_steps, default=24)
-    bench.add_argument("--out", default=None)
+    bench.add_argument("--out", type=_report_path, default=None)
     bench.set_defaults(func=_cmd_bench)
     return parser
 

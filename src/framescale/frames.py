@@ -85,10 +85,14 @@ def pair_operator(pair: FramePair) -> np.ndarray:
     return np.einsum("ki,kj->ij", pair.xs, pair.ys.conj())
 
 
+def identity_deviation(pair: FramePair) -> float:
+    """Operator norm of pair_operator(pair) - I: 0 for a reproducing pair."""
+    sigma, _, _ = top_singular_triplet(pair_operator(pair) - np.eye(pair.dim))
+    return sigma
+
+
 def is_schauder_identity(pair: FramePair, tol: float = 1e-10) -> bool:
     """Whether the pair reproduces every vector: sum_k <u, y_k> x_k = u."""
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    t = pair_operator(pair) - np.eye(pair.dim)
-    sigma, _, _ = top_singular_triplet(t)
-    return sigma <= tol
+    return identity_deviation(pair) <= tol

@@ -83,11 +83,10 @@ def onb_union_pair(rng: np.random.Generator, n: int, d: int) -> FramePair:
     return FramePair(xs, xs / q)
 
 
-def d1_scalar_pair(rng: np.random.Generator, n: int,
-                   scaling_range=(1e-1, 1e1)) -> FramePair:
-    """Scalar sequences (d = 1) with log-uniform magnitude spread."""
-    xs = mangling_scalars(rng, n, scaling_range)[:, None]
-    ys = mangling_scalars(rng, n, scaling_range)[:, None]
+def d1_scalar_pair(rng: np.random.Generator, n: int) -> FramePair:
+    """Scalar sequences (d = 1), magnitudes log-uniform in 1e-1 ... 1e1."""
+    xs = mangling_scalars(rng, n, (1e-1, 1e1))[:, None]
+    ys = mangling_scalars(rng, n, (1e-1, 1e1))[:, None]
     return FramePair(xs, ys)
 
 
@@ -110,5 +109,5 @@ def generate(kind: str, rng: np.random.Generator, n: int, d: int,
     if kind == "d1_scalars":
         if d != 1:
             raise ValueError(f"d1_scalars needs d=1, got d={d}")
-        return d1_scalar_pair(rng, n, scaling_range=(1e-1, 1e1))
+        return d1_scalar_pair(rng, n)
     raise ValueError(f"unknown generator kind {kind!r}; choose from {GENERATOR_KINDS}")

@@ -3,7 +3,8 @@
 Each check recomputes both sides of one estimate on concrete data,
 returns a record of the numbers, and raises VerificationError when the
 required slack is violated.  The suites at the bottom run the checks over
-seeded random corpora and aggregate machine-readable reports.
+seeded random corpora of fixed size and aggregate machine-readable
+reports.
 
 Where the multiplier norm phi has no closed form, the checks take a
 certified lower bound on it (rescale.phi_lower, or one alternating
@@ -22,11 +23,10 @@ statistical experiment thresholds carry an explicit 5 percent cushion.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FramePair, pair_operator
+from .frames import FramePair, identity_deviation, pair_operator
 from .instances import (
     canonical_dual_pair,
     d1_scalar_pair,
@@ -70,6 +70,17 @@ SIGN_BLOCK = 128  # sign-class rows per block of super_key_check's links 2 and 3
 PSI_FD_B_RELS = (1e2, 1e4, 1e6, 1e8, 1e10)
 PSI_FD_GATE = 100.0  # largest finite-difference error / (eps b_rel)^(2/3)
 CLUSTER_BAND = 1e-3  # psi_fd counts a cluster where some b |dl| <= this
+CHAIN_M_CAP = 10  # super_key_check enumerates sign patterns up to this m
+
+# the fixed sizes of the suites; each suite takes only a seed
+RATIO_INSTANCES, RATIO_N_MAX, RATIO_D_MAX = 200, 5, 3
+KHINTCHINE_M_MAX, KHINTCHINE_VECTORS = 12, 1000
+TRACE_DRAWS, TRACE_M_MAX = 1000, 8
+CHAIN_DRAWS = 100
+DILATION_INSTANCES, DILATION_MASKS = 100, 20
+END_TO_END_INSTANCES, D1_INSTANCES = 100, 100
+INVARIANCE_INSTANCES = 12
+PSI_FD_PAIRS = 20
 
 
 def _worst(records, *keys) -> dict:
@@ -165,7 +176,7 @@ def key_simple_check(pair: FramePair, u: np.ndarray, v: np.ndarray,
 
 
 def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
-                    phi_norm: float, chain_m_cap: int = 10) -> dict:
+                    phi_norm: float, chain_m_cap: int = CHAIN_M_CAP) -> dict:
     """Block version with constant 2, chained through sign averages.
 
     For tuples (u_j), (v_i) of length m:
@@ -352,14 +363,13 @@ def end_to_end_rescale_check(pair: FramePair) -> dict:
     pair still reproduces the identity (the scaling is an exact
     reparameterization: the scalars cancel between the two families).
     """
-    dev, _, _ = top_singular_triplet(pair_operator(pair) - np.eye(pair.dim))
+    dev = identity_deviation(pair)
     if dev > SCHAUDER_TOL:
         raise ValueError(
             f"not a reproducing (Schauder) pair: identity deviation {dev:.3e}")
     bracket = optimize(pair)
     scaling = extract_scaling(pair, bracket.log_weights)
-    sdev, _, _ = top_singular_triplet(
-        pair_operator(scaling.scaled) - np.eye(pair.dim))
+    sdev = identity_deviation(scaling.scaled)
     record = {
         "m_upper": bracket.m_upper,
         "m_lower": bracket.m_lower,
@@ -367,8 +377,8 @@ def end_to_end_rescale_check(pair: FramePair) -> dict:
         "x_upper": scaling.bounds_x.upper,
         "y_lower": scaling.bounds_y.lower,
         "y_upper": scaling.bounds_y.upper,
-        "identity_deviation": float(dev),
-        "scaled_identity_deviation": float(sdev),
+        "identity_deviation": dev,
+        "scaled_identity_deviation": sdev,
     }
     if not (scaling.bounds_x.is_frame and scaling.bounds_y.is_frame):
         raise VerificationError(
@@ -394,41 +404,24 @@ def witness_defect(pair: FramePair, est: MultiplierNormEstimate) -> float:
                abs(replay - est.value) / est.value)
 
 
-@dataclass(frozen=True)
-class RatioConfig:
-    """Configuration of the certified-bound-versus-phi ratio experiment."""
-
-    instances: int = 200
-    n_max: int = 5
-    d_max: int = 3
-    scaling_low: float = 1e-3
-    scaling_high: float = 1e3
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.instances, self.n_max, self.d_max) < 1:
-            raise ValueError("instances, n_max and d_max must be >= 1")
-        if not 0.0 < self.scaling_low <= self.scaling_high:
-            raise ValueError("bad scaling range")
-
-
-def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
+def ratio_experiment(seed: int = 0) -> dict:
     """Certified upper bound against phi's lower bound on mangled instances.
 
-    phi is phi_lower's value; its witness must replay, and as phi <=
+    RATIO_INSTANCES gaussian pairs, n up to RATIO_N_MAX and d up to
+    RATIO_D_MAX, are mangled by scalars of magnitude 1e-3 to 1e3.  phi is
+    phi_lower's value; its witness must replay, and as phi <=
     ||Phi||_cb <= m_upper, each m_upper / phi must lie in [1, 2 (1 + 5e-2)]
     up to rounding.  Records carry phi_gap = (m_upper - phi) / m_upper and
     phi_route ("pure" or "ascent"); the summary counts as pinned those
     with phi_gap <= PINNED_RTOL, and the records on each route.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2024]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2024]))
     limit = 2.0 * (1.0 + EXPERIMENT_CUSHION)
     records = []
-    for i in range(cfg.instances):
-        n = int(rng.integers(1, cfg.n_max + 1))
-        d = int(rng.integers(1, cfg.d_max + 1))
-        pair = mangle(gaussian_pair(rng, n, d),
-                      mangling_scalars(rng, n, (cfg.scaling_low, cfg.scaling_high)))
+    for i in range(RATIO_INSTANCES):
+        n = int(rng.integers(1, RATIO_N_MAX + 1))
+        d = int(rng.integers(1, RATIO_D_MAX + 1))
+        pair = mangle(gaussian_pair(rng, n, d), mangling_scalars(rng, n))
         bracket = optimize(pair)
         phi = phi_lower(pair, bracket)
         ratio = bracket.m_upper / phi.value
@@ -448,7 +441,7 @@ def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
                 f"instance {i}: ratio {ratio:.6f} above {limit:.2f}", rec)
     ratios = np.array([r["ratio"] for r in records])
     return {"suite": "ratio", "records": records,
-            "summary": {"instances": cfg.instances,
+            "summary": {"instances": len(records),
                         "max_ratio": float(np.max(ratios)),
                         "mean_ratio": float(np.mean(ratios)),
                         "limit": limit,
@@ -459,14 +452,13 @@ def ratio_experiment(cfg: RatioConfig = RatioConfig()) -> dict:
                                        for route in ("pure", "ascent")}}}
 
 
-def suite_khintchine(seed: int = 0, m_max: int = 12,
-                     vectors: int = 1000) -> dict:
+def suite_khintchine(seed: int = 0) -> dict:
     """First-moment bound over exhaustive sign patterns, random vectors."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
-    per_m = -(-vectors // m_max)
+    per_m = -(-KHINTCHINE_VECTORS // KHINTCHINE_M_MAX)
     records = []
     worst = np.inf
-    for m in range(1, m_max + 1):
+    for m in range(1, KHINTCHINE_M_MAX + 1):
         for _ in range(per_m):
             a = random_complex(rng, m)
             if rng.random() < 0.25:
@@ -485,13 +477,13 @@ def suite_khintchine(seed: int = 0, m_max: int = 12,
                         "equality_ratio": equality["ratio"]}}
 
 
-def suite_trace(seed: int = 0, draws: int = 1000, m_max: int = 8) -> dict:
+def suite_trace(seed: int = 0) -> dict:
     """Rank-one trace-norm identity plus trace duality on random data."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 202]))
     records = []
     worst = 0.0
-    for _ in range(draws):
-        m = int(rng.integers(1, m_max + 1))
+    for _ in range(TRACE_DRAWS):
+        m = int(rng.integers(1, TRACE_M_MAX + 1))
         spread = np.exp(rng.uniform(-2.0, 2.0, size=m))
         alpha = random_complex(rng, m) * spread
         beta = random_complex(rng, m)
@@ -518,27 +510,26 @@ def _chain_instances(rng: np.random.Generator):
     return out + [(pair, phi_lower(pair, optimize(pair)).value) for pair in pairs]
 
 
-def suite_chain(seed: int = 0, draws: int = 100, chain_m_cap: int = 10) -> dict:
+def suite_chain(seed: int = 0) -> dict:
     """Key bilinear estimate and its block chain on oracle-backed pairs."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 303]))
     records = []
     worst = np.inf
     for pair, phi in _chain_instances(rng):
-        for _ in range(draws):
+        for _ in range(CHAIN_DRAWS):
             u = random_complex(rng, pair.dim)
             v = random_complex(rng, pair.dim)
             rec = key_simple_check(pair, u, v, phi)
             worst = min(worst, rec["slack"] / rec["rhs"])
-        for m in (1, 2, 3, chain_m_cap):
+        for m in (1, 2, 3, CHAIN_M_CAP):
             us = random_complex(rng, m, pair.dim)
             vs = random_complex(rng, m, pair.dim)
-            rec = super_key_check(pair, us, vs, phi, chain_m_cap=chain_m_cap)
+            rec = super_key_check(pair, us, vs, phi)
             records.append(rec)
             worst = min(worst, rec["slack"] / rec["rhs"])
-        big = chain_m_cap + 2
+        big = CHAIN_M_CAP + 2
         rec = super_key_check(pair, random_complex(rng, big, pair.dim),
-                              random_complex(rng, big, pair.dim), phi,
-                              chain_m_cap=chain_m_cap)
+                              random_complex(rng, big, pair.dim), phi)
         if rec["chain_checked"]:
             raise VerificationError("chain should be skipped above the cap", rec)
         records.append(rec)
@@ -554,11 +545,11 @@ def suite_chain(seed: int = 0, draws: int = 100, chain_m_cap: int = 10) -> dict:
                         "worst_relative_slack": float(worst)}}
 
 
-def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict:
+def suite_dilation(seed: int = 0) -> dict:
     """Isometric dilation reconstruction on random optimized instances."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
     records = []
-    for i in range(instances):
+    for i in range(DILATION_INSTANCES):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(1, 4))
         pair = mangle(gaussian_pair(rng, n, d),
@@ -568,7 +559,7 @@ def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict
                              bracket.m_upper)
         iso = dil.isometry_defect
         rec_err = 0.0
-        for _ in range(masks):
+        for _ in range(DILATION_MASKS):
             a = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
             diff = dilation_reconstruct(dil, a) - mask_matrix(pair, a)
             rec_err = max(rec_err, float(np.max(np.abs(diff))))
@@ -582,34 +573,33 @@ def suite_dilation(seed: int = 0, instances: int = 100, masks: int = 20) -> dict
             raise VerificationError(
                 f"instance {i}: reconstruction error {rec_err:.3e}", record)
     return {"suite": "dilation", "records": records,
-            "summary": {"instances": instances,
+            "summary": {"instances": len(records),
                         **_worst(records, "isometry_defect",
                                  "reconstruction_error")}}
 
 
-def suite_end_to_end(seed: int = 0, instances: int = 100) -> dict:
+def suite_end_to_end(seed: int = 0) -> dict:
     """Mangled reproducing pairs all rescale back to genuine frames."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 505]))
     records = []
-    for i in range(instances):
+    for i in range(END_TO_END_INSTANCES):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(d, 6))
-        pair = mangle(canonical_dual_pair(rng, n, d),
-                      mangling_scalars(rng, n, (1e-3, 1e3)))
+        pair = mangle(canonical_dual_pair(rng, n, d), mangling_scalars(rng, n))
         rec = end_to_end_rescale_check(pair)
         rec.update({"instance": i, "n": n, "d": d})
         records.append(rec)
     return {"suite": "end_to_end", "records": records,
-            "summary": {"instances": instances,
+            "summary": {"instances": len(records),
                         "min_lower_bound": min(min(r["x_lower"], r["y_lower"])
                                                for r in records)}}
 
 
-def suite_d1(seed: int = 0, instances: int = 100) -> dict:
+def suite_d1(seed: int = 0) -> dict:
     """Scalar pairs: optimized bound vs closed form, weights vs closed form."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 606]))
     records = []
-    for i in range(instances):
+    for i in range(D1_INSTANCES):
         n = int(rng.integers(1, 7))
         pair = d1_scalar_pair(rng, n)
         closed = float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
@@ -630,19 +620,19 @@ def suite_d1(seed: int = 0, instances: int = 100) -> dict:
             raise VerificationError(
                 f"instance {i}: scalar weights off by {weight_err:.3e}", record)
     return {"suite": "d1", "records": records,
-            "summary": {"instances": instances,
+            "summary": {"instances": len(records),
                         **_worst(records, "bound_error", "weight_error")}}
 
 
-def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
+def suite_invariance(seed: int = 0) -> dict:
     """Symmetry checks: diagonal reparameterization and common unitaries."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 707]))
     records = []
-    for i in range(instances):
+    for i in range(INVARIANCE_INSTANCES):
         n = int(rng.integers(2, 5))
         d = int(rng.integers(1, 4))
         pair = gaussian_pair(rng, n, d)
-        beta = mangling_scalars(rng, n, (1e-3, 1e3))
+        beta = mangling_scalars(rng, n)
         scaled = mangle(pair, beta)
         u = haar_unitary(rng, d)
         rotated = FramePair(pair.xs @ u.T, pair.ys @ u.T)
@@ -677,7 +667,7 @@ def suite_invariance(seed: int = 0, instances: int = 12) -> dict:
             raise VerificationError(
                 f"instance {i}: estimator symmetry drift", record)
     return {"suite": "invariance", "records": records,
-            "summary": {"instances": instances,
+            "summary": {"instances": len(records),
                         **_worst(records, "diag_drift", "unitary_drift",
                                  "alternating_drift", "grid_drift")}}
 
@@ -715,22 +705,22 @@ def _psi_fd_ratios(obj: _Objective, t: np.ndarray, b_rel: float):
     return grad_err / model, hess_err / model, bool(cluster)
 
 
-def suite_psi_fd(seed: int = 0, pairs: int = 20) -> dict:
+def suite_psi_fd(seed: int = 0) -> dict:
     """psi's gradient and Hessian, as optimize runs them, against central
     differences at each b_rel of PSI_FD_B_RELS (see _psi_fd_ratios): on
-    pairs gaussian pairs (n 2-6, d 1-4) at random t in [-1, 1]^n and at
-    optimize's weights, where top eigenvalues nearly double, and on
-    pairs // 2 orthonormal-basis unions at t = 0 and (1e-3 / b_rel) z, z
+    PSI_FD_PAIRS gaussian pairs (n 2-6, d 1-4) at random t in [-1, 1]^n and
+    at optimize's weights, where top eigenvalues nearly double, and on
+    PSI_FD_PAIRS // 2 orthonormal-basis unions at t = 0 and (1e-3 / b_rel) z, z
     standard normal, where eigenvalues cluster.  Gate: PSI_FD_GATE.  The
     summary counts the cluster points per b_rel (see _psi_fd_ratios)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 808]))
     points = []  # (kind, pair, t, whether t shrinks by 1e-3 / b_rel)
-    for _ in range(pairs):
+    for _ in range(PSI_FD_PAIRS):
         pair = gaussian_pair(rng, int(rng.integers(2, 7)),
                              int(rng.integers(1, 5)))
         points.append(("gaussian", pair, rng.uniform(-1.0, 1.0, pair.n), False))
         points.append(("gaussian", pair, optimize(pair).log_weights, False))
-    for _ in range(pairs // 2):
+    for _ in range(PSI_FD_PAIRS // 2):
         d = int(rng.integers(2, 4))
         pair = onb_union_pair(rng, d * int(rng.integers(2, 4)), d)
         points.append(("onb_union", pair, np.zeros(pair.n), False))
@@ -763,8 +753,7 @@ SUITES = {
     "khintchine": suite_khintchine,
     "trace": suite_trace,
     "chain": suite_chain,
-    "ratio": lambda seed=0, **kw: ratio_experiment(
-        RatioConfig(seed=seed, **kw)),
+    "ratio": ratio_experiment,
     "dilation": suite_dilation,
     "end_to_end": suite_end_to_end,
     "d1": suite_d1,
@@ -773,7 +762,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, **kwargs) -> dict:
+def run_suite(name: str, seed: int = 0) -> dict:
     """Run one named suite; 'all' runs every named suite in order.
 
     Each suite's report summary carries its wall time as wall_s.
@@ -785,6 +774,6 @@ def run_suite(name: str, seed: int = 0, **kwargs) -> dict:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES) + ['all']}")
     start = time.perf_counter()
-    report = SUITES[name](seed=seed, **kwargs)
+    report = SUITES[name](seed=seed)
     report["summary"]["wall_s"] = time.perf_counter() - start
     return report

@@ -9,20 +9,12 @@ test_linalg.py.
 
 import numpy as np
 
-
-def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+from framescale.instances import random_complex
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     a = random_complex(rng, d, d)
     return 0.5 * (a + a.conj().T)
-
-
-def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(rng, d, d))
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
 
 
 def random_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from framescale.multiplier import (
 )
 from framescale.rescale import optimize
 from framescale.verify import (
-    RatioConfig,
     ratio_experiment,
     suite_chain,
     suite_d1,
@@ -41,15 +40,19 @@ def test_criterion_01_certified_bound_within_twice_oracle():
     # the denominator is phi_lower's certified lower bound on phi; the
     # suite replays each witness and refuses phi above m_upper
     start = time.monotonic()
-    report = ratio_experiment(RatioConfig(instances=200, n_max=5, d_max=3,
-                                          seed=0))
+    report = ratio_experiment(seed=0)
     elapsed = time.monotonic() - start
     summary, records = report["summary"], report["records"]
+    assert len(records) == summary["instances"] == 200
+    assert summary["max_ratio"] == max(rec["ratio"] for rec in records)
     assert summary["max_ratio"] <= 2.0 * 1.05
+    assert summary["pinned"] == sum(rec["phi_gap"] <= 1e-9 for rec in records)
     assert summary["pinned"] >= 198
     for rec in records:
+        assert rec["m_lower"] <= rec["m_upper"] + 1e-8
+        assert rec["ratio"] == rec["m_upper"] / rec["phi_norm"] >= 1.0 - 1e-12
+        assert rec["phi_gap"] == (rec["m_upper"] - rec["phi_norm"]) / rec["m_upper"]
         assert rec["witness_defect"] <= 1e-12
-        assert rec["ratio"] >= 1.0 - 1e-12
     assert elapsed < RATIO_BUDGET_SECONDS
     print(f"criterion 01 PASS: max ratio {summary['max_ratio']:.4f} over "
           f"{summary['instances']} instances in {elapsed:.1f}s; phi pinned "
@@ -58,8 +61,9 @@ def test_criterion_01_certified_bound_within_twice_oracle():
 
 
 def test_criterion_02_first_moment_constant():
-    report = suite_khintchine(seed=0, m_max=12, vectors=1000)
+    report = suite_khintchine(seed=0)
     summary = report["summary"]
+    assert summary["checks"] == 1008  # 84 vectors at each m of 1 ... 12
     assert summary["worst_ratio"] >= 1.0 - 1e-12
     assert abs(summary["equality_ratio"] - 1.0) <= 1e-12
     print(f"criterion 02 PASS: worst ratio {summary['worst_ratio']:.6f} "
@@ -67,16 +71,18 @@ def test_criterion_02_first_moment_constant():
 
 
 def test_criterion_03_rank_one_trace_norm():
-    report = suite_trace(seed=0, draws=1000, m_max=8)
+    report = suite_trace(seed=0)
     summary = report["summary"]
+    assert summary["checks"] == 1050  # 1000 rank-one pairs, 50 dualities
     assert summary["worst_relative_error"] <= 1e-10
     print(f"criterion 03 PASS: worst relative error "
           f"{summary['worst_relative_error']:.2e} over 1000 pairs")
 
 
 def test_criterion_04_block_estimate_chain():
-    report = suite_chain(seed=0, draws=100, chain_m_cap=10)
+    report = suite_chain(seed=0)
     summary = report["summary"]
+    assert summary["checks"] == 65  # 5 block checks on 7 pairs, 30 pairings
     assert summary["worst_relative_slack"] >= -1e-9
     print(f"criterion 04 PASS: worst relative slack "
           f"{summary['worst_relative_slack']:.2e} across "
@@ -84,8 +90,9 @@ def test_criterion_04_block_estimate_chain():
 
 
 def test_criterion_05_dilation_reconstruction():
-    report = suite_dilation(seed=0, instances=100, masks=20)
+    report = suite_dilation(seed=0)
     summary = report["summary"]
+    assert summary["instances"] == 100
     assert summary["worst_isometry_defect"] <= 1e-10
     assert summary["worst_reconstruction_error"] <= 1e-10
     print(f"criterion 05 PASS: isometry defect "
@@ -94,16 +101,18 @@ def test_criterion_05_dilation_reconstruction():
 
 
 def test_criterion_06_rescaled_families_are_frames():
-    report = suite_end_to_end(seed=0, instances=100)
+    report = suite_end_to_end(seed=0)
     summary = report["summary"]
+    assert summary["instances"] == 100
     assert summary["min_lower_bound"] > 1e-10
     print(f"criterion 06 PASS: smallest rescaled frame bound "
           f"{summary['min_lower_bound']:.4f} over 100 instances")
 
 
 def test_criterion_07_scalar_closed_form():
-    report = suite_d1(seed=0, instances=100)
+    report = suite_d1(seed=0)
     summary = report["summary"]
+    assert summary["instances"] == 100
     assert summary["worst_bound_error"] <= 1e-6
     assert summary["worst_weight_error"] <= 1e-4
     print(f"criterion 07 PASS: bound error {summary['worst_bound_error']:.2e},"
@@ -111,8 +120,9 @@ def test_criterion_07_scalar_closed_form():
 
 
 def test_criterion_08_reparameterization_invariance():
-    report = suite_invariance(seed=0, instances=12)
+    report = suite_invariance(seed=0)
     summary = report["summary"]
+    assert summary["instances"] == 12
     assert summary["worst_diag_drift"] <= 1e-6
     assert summary["worst_unitary_drift"] <= 1e-9
     assert summary["worst_grid_drift"] <= 1e-9

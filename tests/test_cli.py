@@ -1,14 +1,16 @@
 import ast
 import csv
+import inspect
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framescale import cli
+from framescale import cli, verify
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair, generate
 from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
@@ -144,30 +146,33 @@ def test_invalid_generator_kind_exits_two(tmp_path):
     (["gen", "--n", "0"], "--n: must be at least 1, got 0"),
     (["gen", "--d", "-2"], "--d: must be at least 1, got -2"),
     (["gen", "--n", "four"], "--n: expected an integer, got 'four'"),
-    (["verify", "--suite", "ratio", "--instances", "0"],
-     "--instances: must be at least 1, got 0"),
     (["analyze", "--phase-steps", "-5"], "--phase-steps: must be 0 or at least 8"),
     (["analyze", "--phase-steps", "4"], "--phase-steps: must be 0 or at least 8"),
-    (["bench", "--phase-steps", "7"], "--phase-steps: must be 0 or at least 8")],
-    ids=["gen-instances", "gen-n", "gen-d", "gen-text", "verify-instances",
-         "analyze-negative", "analyze-coarse", "bench-coarse"])
+    (["bench", "--phase-steps", "7"], "--phase-steps: must be 0 or at least 8"),
+    # the CSV twin of a report at res.csv is res.csv itself
+    *[([command, "--out", "res.csv"], "--out: 'res.csv' ends in .csv")
+      for command in ("analyze", "rescale", "verify", "bench")]],
+    ids=["gen-instances", "gen-n", "gen-d", "gen-text", "analyze-negative",
+         "analyze-coarse", "bench-coarse", "analyze-csv", "rescale-csv",
+         "verify-csv", "bench-csv"])
 def test_bad_counts_exit_two_before_any_work(argv, message, tmp_path, capsys,
                                              monkeypatch):
     # each is refused while parsing: no file is written and no ascent runs
     inst = tmp_path / "one.frame.json"
     cli.save_instance(str(inst), gaussian_pair(np.random.default_rng(7), 4, 2))
     monkeypatch.setattr(cli, "norm_lower_alternating", None)
-    out = tmp_path / "out"
-    where = ["--in", str(inst)] if argv[0] == "analyze" else []
+    monkeypatch.chdir(tmp_path)
+    where = ["--in", str(inst)] if argv[0] in ("analyze", "rescale") else []
+    out = [] if "--out" in argv else ["--out", "out"]
     with pytest.raises(SystemExit) as info:
-        cli.main(argv + where + ["--out", str(out)])
+        cli.main(argv + where + out)
     assert info.value.code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage: framescale ") and message in err
-    assert not out.exists()
+    assert os.listdir(tmp_path) == [inst.name]
     # the smallest counts are accepted
     assert cli.main(["gen", "--n", "1", "--d", "1", "--instances", "1",
-                     "--out", str(out)]) == 0
+                     "--out", "out"]) == 0
 
 
 def test_d1_scalars_refuses_other_dimensions(tmp_path, capsys):
@@ -286,11 +291,11 @@ def test_main_reuses_one_parser_and_no_options(first, second, key, tmp_path,
 
 def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
     out = tmp_path / "ratio.json"
-    assert cli.main(["verify", "--suite", "ratio", "--instances", "4",
-                     "--seed", "0", "--out", str(out)]) == 0
+    assert cli.main(["verify", "--suite", "ratio", "--seed", "0",
+                     "--out", str(out)]) == 0
     report = read_json(str(out))
     records, summary = report["records"], report["summary"]
-    assert len(records) == summary["instances"] == 4
+    assert len(records) == summary["instances"] == 200
     assert summary["max_ratio"] == max(r["ratio"] for r in records)
     assert summary["max_ratio"] <= 2.1
     assert summary["pinned"] == sum(r["phi_gap"] <= 1e-9 for r in records)
@@ -412,7 +417,7 @@ def test_analyze_times_the_grid_only_when_it_runs(tmp_path):
 
 
 def test_verify_failure_writes_replay_file(tmp_path, monkeypatch):
-    def explode(name, seed=0, **kwargs):
+    def explode(name, seed=0):
         raise VerificationError("manufactured failure",
                                 {"instance": 3, "ratio": 9.9})
 
@@ -441,7 +446,7 @@ def test_verify_suite_passes(tmp_path):
 def test_verify_reaches_every_registered_suite(suite, monkeypatch, capsys):
     calls = []
 
-    def fake(name, seed=0, **kwargs):
+    def fake(name, seed=0):
         calls.append(name)
         return {"suite": name, "records": [], "summary": {"wall_s": 1.25}}
 
@@ -449,6 +454,28 @@ def test_verify_reaches_every_registered_suite(suite, monkeypatch, capsys):
     assert cli.main(["verify", "--suite", suite, "--seed", "0"]) == 0
     assert calls == [suite]
     assert capsys.readouterr().out.startswith(f"PASS {suite} in 1.2s: ")
+
+
+def test_verify_all_runs_every_suite_in_order(tmp_path, monkeypatch, capsys):
+    # the acceptance criteria run the real suites; stand-ins keep this to
+    # the path of run_suite("all") through main
+    def stand_in(name):
+        return lambda seed=0: {"suite": name, "records": [],
+                               "summary": {"seed": seed}}
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, stand_in(name))
+    out = tmp_path / "all.json"
+    assert cli.main(["verify", "--suite", "all", "--seed", "3",
+                     "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(verify.SUITES)
+    for line, name in zip(lines, verify.SUITES):
+        assert re.match(rf"PASS {name} in \d+\.\ds: ", line), line
+    report = read_json(str(out))
+    assert [sub["suite"] for sub in report["reports"]] == list(verify.SUITES)
+    assert all(sub["summary"]["seed"] == 3 for sub in report["reports"])
+    assert report["summary"]["failures"] == 0
 
 
 def test_verify_reports_suite_wall_time(tmp_path, capsys):
@@ -659,6 +686,15 @@ def test_save_instance_over_a_longer_file_round_trips(tmp_path):
 
 def test_save_instance_to_devnull():
     cli.save_instance(os.devnull, gaussian_pair(np.random.default_rng(0), 3, 2))
+
+
+def test_every_suite_takes_a_seed_and_nothing_else():
+    # a suite's sizes are module constants; a size keyword would let
+    # callers run a check smaller than the acceptance criteria pin
+    only_seed = [("seed", inspect.Parameter.POSITIONAL_OR_KEYWORD, 0)]
+    for name, suite in verify.SUITES.items():
+        params = inspect.signature(suite).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == only_seed, name
 
 
 def test_package_opens_no_file_for_writing():

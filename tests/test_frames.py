@@ -13,12 +13,14 @@ from framescale.frames import (
 from framescale.instances import (
     canonical_dual_pair,
     gaussian_pair,
+    haar_unitary,
     mangle,
     mangling_scalars,
     onb_union_pair,
+    random_complex,
 )
 
-from conftest import haar_unitary, random_complex, random_vectors
+from conftest import random_vectors
 
 
 def test_frame_operator_matches_direct_sum_of_quadratic_forms():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framescale.instances import haar_unitary, random_complex
 from framescale.linalg import (
     check_hermitian,
     eigh,
@@ -18,7 +19,7 @@ from framescale.linalg import (
     trace_norm,
 )
 
-from conftest import haar_unitary, random_complex, random_hermitian
+from conftest import random_hermitian
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 

@@ -9,9 +9,11 @@ from framescale import multiplier
 from framescale.frames import FramePair
 from framescale.instances import (
     gaussian_pair,
+    haar_unitary,
     mangle,
     mangling_scalars,
     onb_union_pair,
+    random_complex,
 )
 from framescale.linalg import top_singular_triplet
 from framescale.multiplier import (
@@ -30,8 +32,6 @@ from framescale.multiplier import (
     _hermitian_rows,
     _offset_weights,
 )
-
-from conftest import haar_unitary, random_complex
 
 
 def test_apply_matches_mask_matrix():

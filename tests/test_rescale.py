@@ -11,6 +11,7 @@ from framescale.instances import (
     d1_scalar_pair,
     gaussian_pair,
     generate,
+    haar_unitary,
     mangle,
     mangling_scalars,
     onb_union_pair,
@@ -41,7 +42,7 @@ from framescale.rescale import (
 )
 from framescale.verify import witness_defect
 
-from conftest import dual_coefficients, haar_unitary, random_complex
+from conftest import dual_coefficients
 
 
 def _tops(pair, t):
