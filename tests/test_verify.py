@@ -468,6 +468,20 @@ def test_end_to_end_canonical_dual_stays_in_envelope():
     assert rec["m_upper"] <= envelope * (1.0 + 1e-6)
 
 
+def test_ratio_experiment_small_run(monkeypatch):
+    monkeypatch.setattr(verify, "RATIO_INSTANCES", 6)
+    report = verify.ratio_experiment(seed=3)
+    records, summary = report["records"], report["summary"]
+    assert len(records) == summary["instances"] == 6
+    assert summary["max_ratio"] <= 2.1
+    assert all(r["m_lower"] <= r["m_upper"] + 1e-8 for r in records)
+    for r in records:
+        assert r["ratio"] == r["m_upper"] / r["phi_norm"] >= 1.0 - 1e-12
+        assert r["phi_gap"] == (r["m_upper"] - r["phi_norm"]) / r["m_upper"]
+        assert r["witness_defect"] <= 1e-12
+    assert summary["pinned"] == sum(r["phi_gap"] <= 1e-9 for r in records)
+
+
 def test_ratio_experiment_beyond_the_old_grid_shapes():
     # the ratio suite draws n <= 5 and d <= 3; the certificate and the
     # witness replay hold on larger mangled pairs too
