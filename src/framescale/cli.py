@@ -199,11 +199,18 @@ def write_report(path: str, report: dict) -> None:
     the same bytes as the pure-Python one that json.dump streams through.
     The CSV twin is built whole too, and both files are rewritten in
     place by _write_text, with the bytes open(path, "w") would leave.
+
+    Its rows are the report's records; a report that keeps them in
+    sub-reports (verify --suite all) gives every sub-report's records in
+    turn, led by a suite column.
     """
     report = _plain(report)
     _write_text(path,
                 json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     records = report.get("records")
+    if records is None and "reports" in report:
+        records = [{"suite": sub["suite"], **rec}
+                   for sub in report["reports"] for rec in sub["records"]]
     if not records:
         return
     flat_rows = []

@@ -15,13 +15,19 @@ enumerate one sign vector per class {s, -s}, the 2^(m-1) patterns with
 s_m = +1.  Every quantity they average or minimise is a modulus or a
 norm of a sign combination, so it takes the same value on s and -s:
 the means and minima over these patterns, and over their pairs, are
-those over all 2^m patterns and all sign pairs.
+those over all 2^m patterns and all sign pairs.  The class matrix of
+each m is built once per process, read-only (_sign_rows), and every
+product with it is a real GEMM against the float64 view of a complex
+table (_signed_sums), so it is never cast to complex.  The chain's
+sign-pair links read one GEMM of augmented factors per block of
+SIGN_BLOCK rows (see super_key_check).
 
 Tolerance policy: exact algebraic identities must hold to 1e-10 relative,
 one-sided inequalities may dip 1e-9 relative below zero slack, and
 statistical experiment thresholds carry an explicit 5 percent cushion.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -97,18 +103,37 @@ class VerificationError(AssertionError):
         self.record = record or {}
 
 
+@functools.cache
 def _sign_rows(m: int) -> np.ndarray:
     """The 2^(m-1) sign vectors in {-1, +1}^m with s_m = +1, one of each
-    class {s, -s}, as a (2^(m-1), m) float array; s_1 varies fastest.
+    class {s, -s}, as a read-only (2^(m-1), m) float array; s_1 varies
+    fastest.
 
     A function even in s takes the same values on them as on all 2^m
-    patterns.
+    patterns.  Each m's matrix is built once per process and shared by
+    every caller, so it is never written; at m = MAX_PATTERN_ORDER it
+    takes 0.9 MB.
     """
     if not 1 <= m <= MAX_PATTERN_ORDER:
         raise ValueError(f"m must be in [1, {MAX_PATTERN_ORDER}], got {m}")
     rows = np.arange(1 << (m - 1), 1 << m)
     bits = (rows[:, None] >> np.arange(m)[None, :]) & 1
-    return 2.0 * bits - 1.0
+    signs = 2.0 * bits - 1.0
+    signs.flags.writeable = False
+    return signs
+
+
+def _signed_sums(table: np.ndarray) -> np.ndarray:
+    """(sum_j s_j table[j])_s over the sign classes of _sign_rows, for a
+    complex table of m rows.
+
+    The real sign matrix multiplies the table's float64 view, one real
+    GEMM, where a complex product would cast it to complex first.
+    """
+    table = np.ascontiguousarray(table, dtype=np.complex128)
+    real = table.view(np.float64).reshape(table.shape[0], -1)
+    sums = _sign_rows(table.shape[0]) @ real
+    return sums.view(np.complex128).reshape(sums.shape[0], *table.shape[1:])
 
 
 def khintchine_check(a: np.ndarray) -> dict:
@@ -116,16 +141,18 @@ def khintchine_check(a: np.ndarray) -> dict:
 
     The expectation is exact over all sign patterns.  |s . a| is even in
     s, so the average runs over one sign vector per class {s, -s}: the
-    2^(m-1) patterns with s_m = +1.  The constant sqrt(1/2) is the best
-    possible, attained at two equal entries.  a is scaled by an exact
-    power of two first, as in super_key_check.
+    2^(m-1) patterns with s_m = +1; the sums s . a come from one real
+    GEMM of the cached sign matrix against a's float64 view.  The
+    constant sqrt(1/2) is the best possible, attained at two equal
+    entries.  a is scaled by an exact power of two first, as in
+    super_key_check.
     """
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     if a.size < 1:
         raise ValueError("need at least one coefficient")
     scale = _pow2_scale(a)
     a = a * scale
-    lhs = float(np.mean(np.abs(_sign_rows(a.size) @ a))) / scale
+    lhs = float(np.mean(np.abs(_signed_sums(a)))) / scale
     rhs = KHINTCHINE_FACTOR * float(np.sqrt(np.sum(np.abs(a) ** 2))) / scale
     record = {"lhs": lhs, "rhs": rhs,
               "ratio": lhs / rhs if rhs > 0.0 else np.inf, "m": int(a.size)}
@@ -188,6 +215,8 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     patterns: the per-index first-moment bounds, the product-of-averages
     identity, the masked-norm bound at every sign pair, and the
     quadratic-mean step.  Beyond the cap only the final inequality runs.
+    The cap must lie in [0, MAX_PATTERN_ORDER]; another raises ValueError
+    before any work.
 
     Every quantity of the chain (|<u(s), y_k>|, ||u(s)|| and their v
     counterparts) is even in s, so the enumeration takes one sign vector
@@ -196,10 +225,21 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     pairs ranges over the same values, and the sign-pair matrix is a
     quarter of the full one.
 
+    The sign sums of the coefficients and of both tuples come from one
+    real GEMM of the cached sign matrix against the float64 view of the
+    stacked table [cu^T | cv^T | us | vs].  Links 2 and 3 need the
+    sign-pair matrix only through gap = [phi nu, -p] @ [nv, q]^T, which
+    is formed one block of SIGN_BLOCK rows at a time in one buffer: link 3
+    is its minimum, and link 2's double average is phi mean(nu) mean(nv)
+    less its mean.
+
     Each link is homogeneous in each tuple, so the sums are formed with
     the tuples scaled by exact powers of two su and sv (see _pow2_scale):
     none overflows or underflows while the inputs and the record do not.
     """
+    if not 0 <= chain_m_cap <= MAX_PATTERN_ORDER:
+        raise ValueError(f"chain_m_cap must be in [0, {MAX_PATTERN_ORDER}], "
+                         f"got {chain_m_cap}")
     us = np.asarray(us, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if us.ndim != 2 or vs.ndim != 2 or us.shape != vs.shape:
@@ -225,39 +265,44 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     if m > chain_m_cap:
         return record
 
-    signs = _sign_rows(m)
-    # per sign class: coefficients of the combined vectors
-    p = np.abs(signs @ cu.T)
-    q = np.abs(signs @ cv.T)
-    mean_p = np.mean(p, axis=0)
-    mean_q = np.mean(q, axis=0)
+    # per sign class: coefficients and norms of the combined vectors, all
+    # from one real GEMM of the sign matrix against [cu^T | cv^T | us | vs]
+    n, d = pair.n, pair.dim
+    sums = _signed_sums(np.concatenate([cu.T, cv.T, us, vs], axis=1))
+    pq = np.abs(sums[:, :2 * n])
+    p, q = pq[:, :n], pq[:, n:]
+    mean_pq = np.mean(pq, axis=0)
+    mean_p, mean_q = mean_pq[:n], mean_pq[n:]
+    # ||u(s)||^2 and ||v(s)||^2: row sums of squares of the float64 view
+    parts = sums[:, 2 * n:].view(np.float64).reshape(len(sums), 2, 2 * d)
+    nu, nv = np.sqrt(np.einsum("sij,sij->is", parts, parts))
 
     # link 1: factored first-moment bounds, per index k
     link1 = float(np.min(2.0 * mean_p * mean_q - norm_u * norm_v)) / su / sv
-    # link 2: the double average over independent sign pairs equals the
-    # product of single averages, summed over k; averaging the row means
-    # keeps the partial sums within the float range where rhs is.
-    # link 3: masked-norm bound at every sign pair, phi (nu_s nv_t) - joint.
-    # Both run over blocks of SIGN_BLOCK rows of the sign-pair matrix
-    # joint = p @ q.T, each block formed in one buffer.
-    nu = np.sqrt(np.sum(np.abs(signs @ us) ** 2, axis=1))
-    nv = np.sqrt(np.sum(np.abs(signs @ vs) ** 2, axis=1))
-    row_means = np.empty(len(signs))
-    gap_min = np.inf
-    for lo in range(0, len(signs), SIGN_BLOCK):
-        joint = p[lo:lo + SIGN_BLOCK] @ q.T
-        np.mean(joint, axis=1, out=row_means[lo:lo + SIGN_BLOCK])
-        gap = np.multiply.outer(nu[lo:lo + SIGN_BLOCK], nv)
-        gap *= phi_norm
-        gap -= joint
-        gap_min = min(gap_min, float(np.min(gap)))
-    link2 = abs(float(np.mean(row_means))
-                - float(np.sum(mean_p * mean_q))) / su / sv
+    # link 3: masked-norm bound at every sign pair (s, t),
+    #   gap[s, t] = phi nu_s nv_t - sum_k p[s, k] q[t, k],
+    # one GEMM of the augmented factors [phi nu, -p] and [nv, q] per block
+    # of SIGN_BLOCK rows.  link 2: the double average of the sign-pair
+    # matrix p @ q.T over independent sign pairs, read off the same blocks
+    # as phi mean(nu) mean(nv) - mean(gap), against the product of single
+    # averages summed over k.
+    left = np.column_stack([phi_norm * nu, -p])
+    right = np.vstack([nv, q.T])
+    buf = np.empty((min(SIGN_BLOCK, len(sums)), len(sums)))
+    gap_min, gap_sum = np.inf, 0.0
+    for lo in range(0, len(sums), SIGN_BLOCK):
+        rows = left[lo:lo + SIGN_BLOCK]
+        gap = np.matmul(rows, right, out=buf[:len(rows)])
+        gap_min = min(gap_min, float(gap.min()))
+        gap_sum += float(gap.sum())
+    mean_nu, mean_nv = float(np.mean(nu)), float(np.mean(nv))
+    joint_mean = phi_norm * mean_nu * mean_nv - gap_sum / len(sums) ** 2
+    link2 = abs(joint_mean - float(np.sum(mean_p * mean_q))) / su / sv
     link3 = gap_min / su / sv
     # link 4: average norm below quadratic mean, and the exact identity
     # mean ||u(s)||^2 = sum_j ||u_j||^2
-    l1_u = float(np.mean(nu)) / su
-    l1_v = float(np.mean(nv)) / sv
+    l1_u = mean_nu / su
+    l1_v = mean_nv / sv
     link4 = min(l2_u - l1_u, l2_v - l1_v)
     ms_u = float(np.sqrt(np.mean(nu ** 2))) / su
     ms_v = float(np.sqrt(np.mean(nv ** 2))) / sv

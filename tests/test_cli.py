@@ -460,7 +460,7 @@ def test_verify_all_runs_every_suite_in_order(tmp_path, monkeypatch, capsys):
     # the acceptance criteria run the real suites; stand-ins keep this to
     # the path of run_suite("all") through main
     def stand_in(name):
-        return lambda seed=0: {"suite": name, "records": [],
+        return lambda seed=0: {"suite": name, "records": [{"seed": seed}],
                                "summary": {"seed": seed}}
 
     for name in verify.SUITES:
@@ -476,6 +476,10 @@ def test_verify_all_runs_every_suite_in_order(tmp_path, monkeypatch, capsys):
     assert [sub["suite"] for sub in report["reports"]] == list(verify.SUITES)
     assert all(sub["summary"]["seed"] == 3 for sub in report["reports"])
     assert report["summary"]["failures"] == 0
+    # the CSV twin holds every suite's records in turn, led by its name
+    with open(tmp_path / "all.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["suite", "seed"]] + [[name, "3"] for name in verify.SUITES]
 
 
 def test_verify_reports_suite_wall_time(tmp_path, capsys):

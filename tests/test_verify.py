@@ -59,6 +59,13 @@ def test_sign_patterns_bounds():
         _sign_rows(15)
 
 
+def test_sign_rows_are_one_shared_read_only_matrix_per_m():
+    s = _sign_rows(6)
+    assert _sign_rows(6) is s
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+
+
 def test_khintchine_equality_at_two_equal_entries():
     rec = khintchine_check(np.array([1.0, 1.0]))
     assert abs(rec["ratio"] - 1.0) <= 1e-12
@@ -159,6 +166,22 @@ def test_super_key_chain_skipped_above_cap():
     rec = super_key_check(pair, us, vs, phi, chain_m_cap=10)
     assert not rec["chain_checked"]
     assert "masked_bound_link" not in rec
+    rec = super_key_check(pair, us[:1], vs[:1], phi, chain_m_cap=0)
+    assert not rec["chain_checked"]
+    assert "masked_bound_link" not in rec
+
+
+def test_super_key_refuses_a_cap_beyond_the_pattern_order():
+    # the cap is checked on entry: a cap above MAX_PATTERN_ORDER would
+    # otherwise fail in _sign_rows only after the final inequality had run
+    rng = np.random.default_rng(10)
+    pair = gaussian_pair(rng, 3, 2)
+    phi = norm_lower_alternating(pair).value
+    us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    for cap in (MAX_PATTERN_ORDER + 1, -1):
+        with pytest.raises(ValueError, match="chain_m_cap"):
+            super_key_check(pair, us, vs, phi, chain_m_cap=cap)
 
 
 def test_super_key_detects_deflated_norm():
@@ -228,7 +251,7 @@ def test_sign_classes_match_the_full_enumeration():
     scalars = d1_scalar_pair(rng, 4)
     cases = ((onb_union_pair(rng, 3, 3), 1.0), (scalars, scalar_phi(scalars)),
              (gauss, norm_lower_alternating(gauss).value))
-    for m in range(1, 11):
+    for m in range(1, 12):
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
         a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for c in (1e-150, 1.0, 1e150):
@@ -238,7 +261,7 @@ def test_sign_classes_match_the_full_enumeration():
             us = rng.standard_normal((m, pair.dim)) + 1j * rng.standard_normal((m, pair.dim))
             vs = rng.standard_normal((m, pair.dim)) + 1j * rng.standard_normal((m, pair.dim))
             for c in (1e-150, 1.0, 1e150):
-                rec = super_key_check(pair, c * us, c * vs, phi)
+                rec = super_key_check(pair, c * us, c * vs, phi, chain_m_cap=m)
                 final, links, scales = _full_chain(pair, c * us, c * vs, phi)
                 assert rec["chain_checked"]
                 for key, value in final.items():
@@ -307,7 +330,8 @@ def test_khintchine_record_is_the_scaled_baseline_at_the_float_limits():
 
 
 def test_super_key_chain_memory_at_m_10():
-    # the parent's full 2^10 x 2^10 sign-pair matrices peaked at 16.4 MB
+    # one 128 x 512 gap block and the sign sums peak at about 0.76 MB, and
+    # the bound is about twice that
     rng = np.random.default_rng(18)
     pair = gaussian_pair(rng, 4, 2)
     phi = norm_lower_alternating(pair).value
@@ -319,25 +343,25 @@ def test_super_key_chain_memory_at_m_10():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= 1.5e6
 
 
 def test_super_key_row_blocks_equal_the_whole_matrix(monkeypatch):
-    # links 2 and 3 over row blocks of the sign-pair matrix give the
-    # numbers of the whole matrix: the row means are averaged in one
-    # order, and each row of joint differs at most by the rounding of a
-    # GEMM on a row slice, which BLAS does not promise to be bitwise that
-    # of the whole product; so the links agree to a few ulps of their
-    # terms' scale
+    # links 2 and 3, read off one GEMM of the augmented factors per row
+    # block, give the numbers of the whole sign-pair matrix joint = p @ q.T:
+    # each gap entry rounds apart from phi nu_s nv_t - joint[s, t], and BLAS
+    # does not promise a row slice's product to be bitwise that of the whole
+    # one; so the links agree to a few ulps of their terms' scale, on full
+    # blocks and on ragged ones
     rng = np.random.default_rng(20)
     pair = gaussian_pair(rng, 4, 2)
     phi = norm_lower_alternating(pair).value
     for block in (verify.SIGN_BLOCK, 100):
         monkeypatch.setattr(verify, "SIGN_BLOCK", block)
-        for m in (9, 10):
+        for m in (9, 10, 11):
             us = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
             vs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-            rec = super_key_check(pair, us, vs, phi)
+            rec = super_key_check(pair, us, vs, phi, chain_m_cap=m)
             signs = _sign_rows(m)
             cu, cv = pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
             p, q = np.abs(signs @ cu.T), np.abs(signs @ cv.T)
