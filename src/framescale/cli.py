@@ -30,7 +30,6 @@ from .verify import SUITES, VerificationError, run_suite
 
 FORMAT_VERSION = 1
 INSTANCE_SUFFIX = ".frame.json"
-SEED_ENV_VAR = "FRAMESCALE_SEED"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -233,25 +232,10 @@ def write_report(path: str, report: dict) -> None:
     _write_text(stem + ".csv", buf.getvalue())
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InstanceFormatError(
-                f"environment variable {SEED_ENV_VAR} must be an integer, "
-                f"got {env!r}") from exc
-    return 0
-
-
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
     scaling = (args.scaling_range[0], args.scaling_range[1])
-    metadata = {"seed": seed, "generator": args.kind,
+    metadata = {"seed": args.seed, "generator": args.kind,
                 "description": f"{args.kind} n={args.n} d={args.d}"}
     pairs = [generate(args.kind, rng, args.n, args.d, scaling_range=scaling)
              for _ in range(args.instances)]
@@ -361,12 +345,11 @@ def _cmd_rescale(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
     try:
-        report = run_suite(args.suite, seed=seed)
+        report = run_suite(args.suite, seed=args.seed)
     except VerificationError as exc:
         failure = {"format_version": FORMAT_VERSION, "command": "verify",
-                   "suite": args.suite, "seed": seed, "error": str(exc),
+                   "suite": args.suite, "seed": args.seed, "error": str(exc),
                    "record": _plain(exc.record),
                    "summary": {"failures": 1}}
         out = args.out or f"verify-{args.suite}-failure.json"
@@ -418,8 +401,7 @@ def _rewrite_and_load(path: str, pair: FramePair) -> FramePair:
 
 
 def _cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
+    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 99]))
     records = []
     failures = 0
     for n, d in _parse_grid(args.grid):
@@ -513,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=_count, default=2)
     gen.add_argument("--instances", type=_count, default=1,
                      help="more than one writes a corpus directory")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--scaling-range", type=float, nargs=2,
                      default=[1e-3, 1e3], metavar=("LO", "HI"),
                      help="magnitude range of the mangling scalars; only "
@@ -543,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run an inequality suite")
     ver.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", type=_report_path, default=None)
     ver.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="time the core operations")
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--grid", default="4x2,5x3",
                        help="comma-separated NxD cells; empty for none")
     bench.add_argument("--phase-steps", type=_phase_steps, default=24)

@@ -85,6 +85,16 @@ def pair_operator(pair: FramePair) -> np.ndarray:
     return np.einsum("ki,kj->ij", pair.xs, pair.ys.conj())
 
 
+def coefficients(pair: FramePair, us: np.ndarray, vs: np.ndarray):
+    """The coefficient tables cu[k, j] = <u_j, y_k> and cv[k, i] = <x_k, v_i>
+    of (m, d) tuples us and vs; 1-D u and v give the (n,) tables of m = 1.
+
+    Every bilinear form of the pair in u and v is read off these two
+    tables.  us and vs are arrays, validated by the caller.
+    """
+    return pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
+
+
 def identity_deviation(pair: FramePair) -> float:
     """Operator norm of pair_operator(pair) - I: 0 for a reproducing pair."""
     sigma, _, _ = top_singular_triplet(pair_operator(pair) - np.eye(pair.dim))

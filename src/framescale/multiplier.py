@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FramePair
+from .frames import FramePair, coefficients
 from .linalg import top_singular_triplet
 
 MASK_SLACK = 1e-12
@@ -56,8 +56,8 @@ class MultiplierNormEstimate:
 def _certify(pair: FramePair, mask: np.ndarray, u: np.ndarray,
              v: np.ndarray, method: str,
              iterations: int = 0) -> MultiplierNormEstimate:
-    coeff = mask * (pair.ys.conj() @ u) * (pair.xs @ v.conj())
-    value = float(np.real(np.sum(coeff)))
+    cu, cv = coefficients(pair, u, v)
+    value = float(np.real(np.sum(mask * cu * cv)))
     return MultiplierNormEstimate(value, u, v, mask, method, iterations)
 
 
@@ -80,7 +80,8 @@ def _align(pair: FramePair, u: np.ndarray, v: np.ndarray,
            fallback: np.ndarray):
     """The mask turning each term <u, y_k> <x_k, v> into its modulus (where
     a term vanishes, fallback's entry), and the sum of the moduli."""
-    terms = (pair.ys.conj() @ u) * (pair.xs @ v.conj())
+    cu, cv = coefficients(pair, u, v)
+    terms = cu * cv
     mags = np.abs(terms)
     nonzero = mags > 0.0
     mask = np.where(nonzero, np.conj(terms) / np.where(nonzero, mags, 1.0),

@@ -294,8 +294,8 @@ class CbBracket:
     log_weights: np.ndarray
     f: float
     g: float
-    dual_us: np.ndarray | None = None
-    dual_vs: np.ndarray | None = None
+    dual_us: np.ndarray
+    dual_vs: np.ndarray
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -6,6 +6,12 @@ required slack is violated.  The suites at the bottom run the checks over
 seeded random corpora of fixed size and aggregate machine-readable
 reports.
 
+The bilinear checks (key_simple_check, super_key_check,
+trace_pairing_check) read the coefficient tables <u_j, y_k> and
+<x_k, v_i> from frames.coefficients, as multiplier's certificates do;
+the rank-one coupling blocks of trace_pairing_check are one broadcast
+product of those tables.
+
 Where the multiplier norm phi has no closed form, the checks take a
 certified lower bound on it (rescale.phi_lower, or one alternating
 ascent), which makes no estimate easier to pass.
@@ -32,7 +38,7 @@ import time
 
 import numpy as np
 
-from .frames import FramePair, identity_deviation, pair_operator
+from .frames import FramePair, coefficients, identity_deviation, pair_operator
 from .instances import (
     canonical_dual_pair,
     d1_scalar_pair,
@@ -48,7 +54,6 @@ from .multiplier import (
     MultiplierNormEstimate,
     _pow2_scale,
     amplified_apply,
-    check_amplified,
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
@@ -179,12 +184,6 @@ def trace_lemma_check(alpha: np.ndarray, beta: np.ndarray) -> dict:
     return record
 
 
-def _coeff_tables(pair: FramePair, us: np.ndarray, vs: np.ndarray):
-    cu = pair.ys.conj() @ us.T
-    cv = pair.xs @ vs.conj().T
-    return cu, cv
-
-
 def key_simple_check(pair: FramePair, u: np.ndarray, v: np.ndarray,
                      phi_norm: float) -> dict:
     """sum_k |<u, y_k>| |<v, x_k>| <= phi_norm ||u|| ||v||."""
@@ -192,7 +191,8 @@ def key_simple_check(pair: FramePair, u: np.ndarray, v: np.ndarray,
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if u.size != pair.dim or v.size != pair.dim:
         raise ValueError("u and v must live in the pair's space")
-    lhs = float(np.sum(np.abs(pair.ys.conj() @ u) * np.abs(pair.xs @ v.conj())))
+    cu, cv = coefficients(pair, u, v)
+    lhs = float(np.sum(np.abs(cu) * np.abs(cv)))
     rhs = phi_norm * float(np.linalg.norm(u) * np.linalg.norm(v))
     slack = rhs - lhs
     record = {"lhs": lhs, "rhs": rhs, "slack": slack}
@@ -215,8 +215,8 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     patterns: the per-index first-moment bounds, the product-of-averages
     identity, the masked-norm bound at every sign pair, and the
     quadratic-mean step.  Beyond the cap only the final inequality runs.
-    The cap must lie in [0, MAX_PATTERN_ORDER]; another raises ValueError
-    before any work.
+    The cap must lie in [0, MAX_PATTERN_ORDER] and the tuples must hold at
+    least one vector; anything else raises ValueError before any work.
 
     Every quantity of the chain (|<u(s), y_k>|, ||u(s)|| and their v
     counterparts) is even in s, so the enumeration takes one sign vector
@@ -247,9 +247,11 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     if us.shape[1] != pair.dim:
         raise ValueError("tuple vectors must live in the pair's space")
     m = us.shape[0]
+    if m < 1:
+        raise ValueError("us and vs need at least one vector")
     su, sv = _pow2_scale(us), _pow2_scale(vs)
     us, vs = us * su, vs * sv
-    cu, cv = _coeff_tables(pair, us, vs)
+    cu, cv = coefficients(pair, us, vs)
     norm_u = np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
     norm_v = np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))
     lhs = float(np.sum(norm_u * norm_v)) / su / sv
@@ -337,39 +339,29 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     return record
 
 
-def rank_one_block(pair: FramePair, k: int, us: np.ndarray,
-                   vs: np.ndarray) -> np.ndarray:
-    """The m x m rank-one coupling matrix (<v_i, x_k><u_j, y_k>)_{ij}."""
-    if not 0 <= k < pair.n:
-        raise ValueError(f"index k={k} outside [0, {pair.n})")
-    us = np.asarray(us, dtype=np.complex128)
-    vs = np.asarray(vs, dtype=np.complex128)
-    bu = us.conj() @ pair.ys[k]
-    bv = vs.conj() @ pair.xs[k]
-    return np.outer(bv, bu.conj())
-
-
 def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
                         vs: np.ndarray) -> dict:
     """Three routes to the amplified sesquilinear form agree.
 
     Route 1 pairs each coefficient matrix with its rank-one coupling
-    block through sum_k tr(A_k B_k^t); route 2 sums the triple products
-    directly; route 3 applies the amplified map and takes inner products
-    with the v tuple.
+    block B_k = (<x_k, v_i> <u_j, y_k>)_{ij} through sum_k tr(A_k B_k^t);
+    route 2 sums the triple products directly; route 3 applies the
+    amplified map and takes inner products with the v tuple.  Route 3
+    runs first, so amplified_apply validates mats and us once for all
+    three.  cu and cv come from frames.coefficients, and route 1's blocks
+    are their broadcast product.
     """
-    a = check_amplified(mats, pair.n)
+    out = amplified_apply(pair, mats, us)
+    a = np.asarray(mats, dtype=np.complex128)
     us = np.asarray(us, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
-    m = a.shape[1]
-    if us.shape != (m, pair.dim) or vs.shape != (m, pair.dim):
+    if vs.shape != us.shape:
         raise ValueError("us and vs must have shape (m, d)")
-    blocks = np.stack([rank_one_block(pair, k, us, vs) for k in range(pair.n)])
+    route3 = complex(np.vdot(vs, out))
+    cu, cv = coefficients(pair, us, vs)
+    blocks = cv[:, :, None] * cu[:, None, :]
     route1 = complex(np.einsum("kij,kij->", a, blocks))
-    cu, cv = _coeff_tables(pair, us, vs)
     route2 = complex(np.einsum("kij,kj,ki->", a, cu, cv))
-    out = amplified_apply(pair, a, us)
-    route3 = complex(np.sum(vs.conj() * out))
     # the routes may cancel, so the scale is the sum of the term sizes
     scale = float(np.einsum("kij,kj,ki->", np.abs(a), np.abs(cu), np.abs(cv)))
     residual = max(abs(route1 - route2), abs(route2 - route3))

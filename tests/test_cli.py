@@ -491,21 +491,16 @@ def test_verify_reports_suite_wall_time(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"PASS d1 in {wall:.1f}s: ")
 
 
-def test_seed_env_var_and_flag_precedence(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-    env_out = tmp_path / "env.frame.json"
-    assert cli.main(["gen", "--n", "2", "--d", "1",
-                     "--out", str(env_out)]) == 0
-    assert read_json(str(env_out))["metadata"]["seed"] == 123
-
+def test_seed_flag_and_its_default(tmp_path):
     flag_out = tmp_path / "flag.frame.json"
     assert cli.main(["gen", "--n", "2", "--d", "1", "--seed", "9",
                      "--out", str(flag_out)]) == 0
     assert read_json(str(flag_out))["metadata"]["seed"] == 9
 
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "not-an-int")
+    default_out = tmp_path / "default.frame.json"
     assert cli.main(["gen", "--n", "2", "--d", "1",
-                     "--out", str(tmp_path / "bad.json")]) == cli.EXIT_USAGE
+                     "--out", str(default_out)]) == 0
+    assert read_json(str(default_out))["metadata"]["seed"] == 0
 
 
 def test_bench_checksums_are_deterministic(tmp_path):
@@ -719,3 +714,19 @@ def test_package_opens_no_file_for_writing():
                 mode.value, str), f"{where}: open() mode is not a literal"
             assert not set(mode.value) & set("wax+"), \
                 f"{where}: open(..., {mode.value!r}) writes; use _write_text"
+
+
+def test_package_reads_no_environment_variable():
+    # every setting is a flag or an argument, so a command line fixes a run
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    for source in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name) and node.value.id == "os":
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert not names & readers, \
+                f"{source.name}:{node.lineno}: reads the environment"

@@ -243,17 +243,22 @@ def test_bracket_fields_consistent():
     assert abs(max(br.f, br.g) - br.m_upper) <= 1e-10 * br.m_upper
     assert abs(br.f - br.g) <= 1e-8 * (br.f + br.g)
     assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
+    tuples = br.dual_us, br.dual_vs
     with pytest.raises(ValueError):
-        CbBracket(2.0, 1.0, np.zeros(4), 1.0, 1.0)
+        CbBracket(2.0, 1.0, np.zeros(4), 1.0, 1.0, *tuples)
+    # m_lower always comes with the tuples that replay it
+    with pytest.raises(TypeError):
+        CbBracket(1.0, 1.0, np.zeros(4), 1.0, 1.0)
 
 
 def test_bracket_checks_are_relative_to_the_bound():
+    tuples = np.ones((1, 2)), np.ones((1, 2))
     # inverted by 50 %, far below any absolute slack
     with pytest.raises(ValueError, match="inverted"):
-        CbBracket(1.5e-9, 1e-9, np.zeros(4), 1e-9, 1e-9)
+        CbBracket(1.5e-9, 1e-9, np.zeros(4), 1e-9, 1e-9, *tuples)
     with pytest.raises(ValueError, match="max"):
-        CbBracket(1e-9, 1e-9, np.zeros(4), 1.01e-9, 1e-9)
-    CbBracket(1e-9 * (1.0 + 1e-9), 1e-9, np.zeros(4), 1e-9, 1e-9)
+        CbBracket(1e-9, 1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples)
+    CbBracket(1e-9 * (1.0 + 1e-9), 1e-9, np.zeros(4), 1e-9, 1e-9, *tuples)
 
 
 def test_optimize_reports_repeatable_counts():

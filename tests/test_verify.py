@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import framescale.multiplier as multiplier
 import framescale.rescale as rescale
 import framescale.verify as verify
 from framescale.frames import FramePair, bessel_and_frame_bounds
@@ -27,7 +28,6 @@ from framescale.verify import (
     holder_trace_check,
     key_simple_check,
     khintchine_check,
-    rank_one_block,
     run_suite,
     suite_d1,
     suite_psi_fd,
@@ -182,6 +182,14 @@ def test_super_key_refuses_a_cap_beyond_the_pattern_order():
     for cap in (MAX_PATTERN_ORDER + 1, -1):
         with pytest.raises(ValueError, match="chain_m_cap"):
             super_key_check(pair, us, vs, phi, chain_m_cap=cap)
+
+
+def test_super_key_refuses_empty_tuples():
+    pair = gaussian_pair(np.random.default_rng(10), 3, 2)
+    empty = np.zeros((0, 2), dtype=np.complex128)
+    for cap in (0, 10):
+        with pytest.raises(ValueError, match="us and vs"):
+            super_key_check(pair, empty, empty, 1.0, chain_m_cap=cap)
 
 
 def test_super_key_detects_deflated_norm():
@@ -377,18 +385,6 @@ def test_super_key_row_blocks_equal_the_whole_matrix(monkeypatch):
                        - float(np.min(gap - joint))) <= ulps, (block, m)
 
 
-def test_rank_one_block_is_rank_one():
-    rng = np.random.default_rng(12)
-    pair = gaussian_pair(rng, 4, 3)
-    us = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    vs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rank_one_block(pair, 2, us, vs)
-    s = np.linalg.svd(b, compute_uv=False)
-    assert s[1] <= 1e-12 * (1.0 + s[0])
-    with pytest.raises(ValueError):
-        rank_one_block(pair, 4, us, vs)
-
-
 def test_trace_pairing_routes_agree():
     rng = np.random.default_rng(13)
     pair = gaussian_pair(rng, 4, 2)
@@ -396,10 +392,38 @@ def test_trace_pairing_routes_agree():
     mats = rng.standard_normal((4, m, m)) + 1j * rng.standard_normal((4, m, m))
     us = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
     vs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-    rec = trace_pairing_check(pair, mats, us, vs)
-    assert rec["residual"] <= 1e-10 * (1.0 + abs(rec["value"]))
+    # the form sum_kij A_kij <x_k, v_i> <u_j, y_k>, one term at a time
+    cu = np.array([[np.vdot(y, u) for u in us] for y in pair.ys])
+    cv = np.array([[np.vdot(v, x) for v in vs] for x in pair.xs])
+    for c in (1e-150, 1.0, 1e150):
+        terms = mats * (c * cv[:, :, None]) * cu[:, None, :]
+        rec = trace_pairing_check(pair, mats, us, c * vs)
+        scale = float(np.sum(np.abs(terms)))
+        assert abs(rec["value"] - complex(np.sum(terms))) <= 1e-14 * scale, c
+        assert rec["residual"] <= 1e-10 * scale, c
     with pytest.raises(ValueError):
         trace_pairing_check(pair, mats, us[:2], vs)
+    with pytest.raises(ValueError):
+        trace_pairing_check(pair, mats, us, vs[:2])
+
+
+def test_trace_pairing_validates_its_coefficients_once(monkeypatch):
+    calls = []
+    check = multiplier.check_amplified
+
+    def spy(mats, n):
+        calls.append(n)
+        return check(mats, n)
+
+    # count the validations wherever verify reaches check_amplified from
+    monkeypatch.setattr(multiplier, "check_amplified", spy)
+    monkeypatch.setattr(verify, "check_amplified", spy, raising=False)
+    rng = np.random.default_rng(13)
+    pair = gaussian_pair(rng, 4, 2)
+    mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    trace_pairing_check(pair, mats, us, us)
+    assert calls == [4]
 
 
 def test_relative_gates_pass_at_every_scale():
