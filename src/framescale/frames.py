@@ -22,7 +22,7 @@ def _check_vectors(vectors: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name}: expected shape (n, d), got {v.shape}")
     if v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError(f"{name}: need at least one vector in dimension >= 1")
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name}: non-finite entries")
     norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
     if np.any(norms <= MIN_VECTOR_NORM):

@@ -3,10 +3,11 @@
 Every routine checks its input (finite entries, and Hermitian symmetry
 where the decomposition assumes it) and then calls numpy.linalg, which
 runs LAPACK.  Matrices are plain complex ndarrays of shape (d, d) with d
-small (tens, not thousands).  check_hermitian, eigh and
-top_singular_triplet also take a stack of shape (..., r, c): every matrix
-in it gets the same checks, and the whole stack goes to LAPACK in one
-call, whose results are bitwise equal to one call per matrix.
+small (tens, not thousands).  check_hermitian, eigh,
+top_singular_triplet and singular_values also take a stack of shape
+(..., r, c): every matrix in it gets the same checks, and the whole stack
+goes to LAPACK in one call, whose results are bitwise equal to one call
+per matrix.
 """
 
 import numpy as np
@@ -83,6 +84,15 @@ def top_singular_triplet(mat: np.ndarray):
     if a.ndim == 2:
         return float(sigma), u, v
     return sigma, u, v
+
+
+def singular_values(mat: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, descending, without singular vectors.
+
+    For an (..., r, c) stack the result has shape (..., min(r, c)).
+    """
+    return np.linalg.svd(check_matrix(mat, square=False, stack=True),
+                         compute_uv=False)
 
 
 def trace_norm(mat: np.ndarray) -> float:

@@ -112,14 +112,19 @@ def norm_lower_alternating(pair: FramePair,
     return _certify(pair, eps, u, v, "ascent", iterations)
 
 
-def _pow2_scale(a: np.ndarray) -> float:
+def _pow2_scale(a: np.ndarray, name: str = "array") -> float:
     """Power of two that puts the largest modulus of a in [0.5, 1), at most
     2^1023 (subnormal entries).
 
     Multiplying by it is exact, so it changes no comparison, and it keeps
-    squared and cubed Gram entries inside the float range.
+    squared and cubed Gram entries inside the float range.  The largest
+    modulus is NaN or inf when an entry is (or when a modulus is beyond
+    the float range), and then ValueError names a as name.
     """
-    return math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(a).max()))[1]))
+    big = float(np.abs(a).max())
+    if not math.isfinite(big):
+        raise ValueError(f"{name} has non-finite entries")
+    return math.ldexp(1.0, min(1023, -math.frexp(big)[1]))
 
 
 def _hermitian_rows(g: np.ndarray) -> np.ndarray:
@@ -465,7 +470,7 @@ def check_amplified(mats: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"expected matrix coefficients of shape (n, m, m), got {a.shape}")
     if a.shape[1] < 1:
         raise ValueError("amplification order m must be >= 1")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix coefficients have non-finite entries")
     return a
 
@@ -480,7 +485,7 @@ def amplified_input_norm(mats: np.ndarray) -> float:
 def amplified_apply(pair: FramePair, mats: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Apply the amplified map to a tuple of vectors.
 
-    Input us has shape (m, d); output row i is
+    Input us is a finite (m, d) array; output row i is
     sum_j sum_k mats[k, i, j] <u_j, y_k> x_k.
     """
     a = check_amplified(mats, pair.n)
@@ -488,6 +493,8 @@ def amplified_apply(pair: FramePair, mats: np.ndarray, us: np.ndarray) -> np.nda
     us = np.asarray(us, dtype=np.complex128)
     if us.shape != (m, pair.dim):
         raise ValueError(f"us has shape {us.shape}, expected ({m}, {pair.dim})")
+    if not np.isfinite(us).all():
+        raise ValueError("us has non-finite entries")
     coeff = us @ pair.ys.conj().T
     return np.einsum("kij,jk,kd->id", a, coeff, pair.xs)
 

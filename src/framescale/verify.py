@@ -28,12 +28,28 @@ table (_signed_sums), so it is never cast to complex.  The chain's
 sign-pair links read one GEMM of augmented factors per block of
 SIGN_BLOCK rows (see super_key_check).
 
+Entry contract: every check validates its input once, before any gate,
+and scales it at most once.  An array argument with a NaN or infinite
+entry, and a phi_norm that is NaN, infinite or negative, raise
+ValueError: every comparison with NaN is false, so a NaN that reached a
+gate would pass it.  khintchine_check, trace_lemma_check,
+holder_trace_check, key_simple_check and super_key_check multiply each
+array argument by its own exact power of two (_scaled), so no square or
+product overflows or underflows while the inputs lie inside the float
+range.  They decide every gate on the scaled numbers and divide the
+powers out of the record, so a gate holds even where a reported number
+lies beyond the float range.  trace_pairing_check's arguments are
+validated (amplified_apply checks mats and us) but not scaled.
+holder_trace_check takes the operator norm of a and the trace norm of
+b from one LAPACK call, the singular values of the stack [a, b].
+
 Tolerance policy: exact algebraic identities must hold to 1e-10 relative,
 one-sided inequalities may dip 1e-9 relative below zero slack, and
 statistical experiment thresholds carry an explicit 5 percent cushion.
 """
 
 import functools
+import math
 import time
 
 import numpy as np
@@ -49,7 +65,7 @@ from .instances import (
     onb_union_pair,
     random_complex,
 )
-from .linalg import top_singular_triplet, trace_norm
+from .linalg import singular_values, trace_norm
 from .multiplier import (
     MultiplierNormEstimate,
     _pow2_scale,
@@ -141,6 +157,27 @@ def _signed_sums(table: np.ndarray) -> np.ndarray:
     return sums.view(np.complex128).reshape(sums.shape[0], *table.shape[1:])
 
 
+def _scaled(a: np.ndarray, name: str):
+    """a times the exact power of two _pow2_scale(a), and that power.
+
+    _pow2_scale raises ValueError, naming a as name, unless a is finite,
+    so this also validates a.
+    """
+    scale = _pow2_scale(a, name)
+    return a * scale, scale
+
+
+def _check_phi(phi_norm: float) -> None:
+    """ValueError unless phi_norm is finite and nonnegative (NaN is not)."""
+    if not 0.0 <= phi_norm < math.inf:
+        raise ValueError(f"phi_norm must be finite and >= 0, got {phi_norm!r}")
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a 1-D complex vector, by numpy.linalg.norm's own formula."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def khintchine_check(a: np.ndarray) -> dict:
     """First-moment lower bound: E|sum_k s_k a_k| >= sqrt(1/2) ||a||_2.
 
@@ -149,19 +186,19 @@ def khintchine_check(a: np.ndarray) -> dict:
     2^(m-1) patterns with s_m = +1; the sums s . a come from one real
     GEMM of the cached sign matrix against a's float64 view.  The
     constant sqrt(1/2) is the best possible, attained at two equal
-    entries.  a is scaled by an exact power of two first, as in
-    super_key_check.
+    entries.
     """
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     if a.size < 1:
         raise ValueError("need at least one coefficient")
-    scale = _pow2_scale(a)
-    a = a * scale
-    lhs = float(np.mean(np.abs(_signed_sums(a)))) / scale
-    rhs = KHINTCHINE_FACTOR * float(np.sqrt(np.sum(np.abs(a) ** 2))) / scale
+    a, scale = _scaled(a, "a")
+    moduli = np.abs(_signed_sums(a))
+    lhs_s = float(moduli.sum()) / moduli.size
+    rhs_s = KHINTCHINE_FACTOR * math.sqrt(float((np.abs(a) ** 2).sum()))
+    lhs, rhs = lhs_s / scale, rhs_s / scale
     record = {"lhs": lhs, "rhs": rhs,
               "ratio": lhs / rhs if rhs > 0.0 else np.inf, "m": int(a.size)}
-    if lhs < rhs - 1e-12 * rhs:
+    if lhs_s < rhs_s - 1e-12 * rhs_s:
         raise VerificationError(
             f"first-moment bound violated: {lhs:.15g} < {rhs:.15g}", record)
     return record
@@ -173,11 +210,14 @@ def trace_lemma_check(alpha: np.ndarray, beta: np.ndarray) -> dict:
     beta = np.asarray(beta, dtype=np.complex128).reshape(-1)
     if alpha.size != beta.size or alpha.size < 1:
         raise ValueError("alpha and beta must be nonempty and of equal length")
-    svd_value = trace_norm(np.outer(alpha, beta))
-    closed = float(np.linalg.norm(alpha) * np.linalg.norm(beta))
+    alpha, sa = _scaled(alpha, "alpha")
+    beta, sb = _scaled(beta, "beta")
+    svd_s = trace_norm(np.outer(alpha, beta))
+    closed_s = _norm(alpha) * _norm(beta)
+    svd_value, closed = svd_s / sa / sb, closed_s / sa / sb
     record = {"closed_form": closed, "svd_value": svd_value,
               "m": int(alpha.size)}
-    if abs(svd_value - closed) > IDENTITY_RTOL * closed:
+    if abs(svd_s - closed_s) > IDENTITY_RTOL * closed_s:
         raise VerificationError(
             f"rank-one trace norm mismatch: {svd_value:.15g} vs {closed:.15g}",
             record)
@@ -187,18 +227,23 @@ def trace_lemma_check(alpha: np.ndarray, beta: np.ndarray) -> dict:
 def key_simple_check(pair: FramePair, u: np.ndarray, v: np.ndarray,
                      phi_norm: float) -> dict:
     """sum_k |<u, y_k>| |<v, x_k>| <= phi_norm ||u|| ||v||."""
+    _check_phi(phi_norm)
     u = np.asarray(u, dtype=np.complex128).reshape(-1)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if u.size != pair.dim or v.size != pair.dim:
         raise ValueError("u and v must live in the pair's space")
+    u, su = _scaled(u, "u")
+    v, sv = _scaled(v, "v")
     cu, cv = coefficients(pair, u, v)
-    lhs = float(np.sum(np.abs(cu) * np.abs(cv)))
-    rhs = phi_norm * float(np.linalg.norm(u) * np.linalg.norm(v))
-    slack = rhs - lhs
-    record = {"lhs": lhs, "rhs": rhs, "slack": slack}
-    if slack < -INEQ_RTOL * rhs:
+    lhs_s = float((np.abs(cu) * np.abs(cv)).sum())
+    rhs_s = phi_norm * (_norm(u) * _norm(v))
+    slack_s = rhs_s - lhs_s
+    record = {"lhs": lhs_s / su / sv, "rhs": rhs_s / su / sv,
+              "slack": slack_s / su / sv}
+    if slack_s < -INEQ_RTOL * rhs_s:
         raise VerificationError(
-            f"bilinear key estimate violated: slack {slack:.3e}", record)
+            f"bilinear key estimate violated: slack {record['slack']:.3e}",
+            record)
     return record
 
 
@@ -231,15 +276,19 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     sign-pair matrix only through gap = [phi nu, -p] @ [nv, q]^T, which
     is formed one block of SIGN_BLOCK rows at a time in one buffer: link 3
     is its minimum, and link 2's double average is phi mean(nu) mean(nv)
-    less its mean.
+    less its mean.  The u-side and v-side norms and means are read off
+    shared arrays, one reduction for both sides.
 
     Each link is homogeneous in each tuple, so the sums are formed with
     the tuples scaled by exact powers of two su and sv (see _pow2_scale):
-    none overflows or underflows while the inputs and the record do not.
+    none overflows or underflows while the inputs do.  Every gate compares
+    these scaled numbers, so it holds even where lhs and rhs themselves
+    lie beyond the float range; the record divides su and sv back out.
     """
     if not 0 <= chain_m_cap <= MAX_PATTERN_ORDER:
         raise ValueError(f"chain_m_cap must be in [0, {MAX_PATTERN_ORDER}], "
                          f"got {chain_m_cap}")
+    _check_phi(phi_norm)
     us = np.asarray(us, dtype=np.complex128)
     vs = np.asarray(vs, dtype=np.complex128)
     if us.ndim != 2 or vs.ndim != 2 or us.shape != vs.shape:
@@ -249,38 +298,45 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     m = us.shape[0]
     if m < 1:
         raise ValueError("us and vs need at least one vector")
-    su, sv = _pow2_scale(us), _pow2_scale(vs)
-    us, vs = us * su, vs * sv
+    us, su = _scaled(us, "us")
+    vs, sv = _scaled(vs, "vs")
+    n, d = pair.n, pair.dim
     cu, cv = coefficients(pair, us, vs)
-    norm_u = np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
-    norm_v = np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))
-    lhs = float(np.sum(norm_u * norm_v)) / su / sv
-    l2_u = float(np.sqrt(np.sum(np.abs(us) ** 2))) / su
-    l2_v = float(np.sqrt(np.sum(np.abs(vs) ** 2))) / sv
+    # per k, ||(<u_j, y_k>)_j|| and ||(<v_i, x_k>)_i|| side by side
+    norms = np.sqrt((np.abs(np.concatenate([cu, cv], axis=1)) ** 2)
+                    .reshape(n, 2, m).sum(axis=2))
+    norm_uv = norms[:, 0] * norms[:, 1]
+    sq_u, sq_v = (np.abs(np.concatenate([us, vs])) ** 2).reshape(2, -1) \
+        .sum(axis=1).tolist()
+    # every gate compares these scaled numbers; the record divides su and
+    # sv back out
+    lhs = float(norm_uv.sum())
+    l2_u, l2_v = math.sqrt(sq_u), math.sqrt(sq_v)
     rhs = 2.0 * phi_norm * l2_u * l2_v
     slack = rhs - lhs
-    record = {"lhs": lhs, "rhs": rhs, "slack": slack, "m": int(m),
-              "chain_checked": False}
+    record = {"lhs": lhs / su / sv, "rhs": rhs / su / sv,
+              "slack": slack / su / sv, "m": int(m), "chain_checked": False}
     if slack < -INEQ_RTOL * rhs:
         raise VerificationError(
-            f"block key estimate violated: slack {slack:.3e}", record)
+            f"block key estimate violated: slack {record['slack']:.3e}",
+            record)
     if m > chain_m_cap:
         return record
 
     # per sign class: coefficients and norms of the combined vectors, all
     # from one real GEMM of the sign matrix against [cu^T | cv^T | us | vs]
-    n, d = pair.n, pair.dim
     sums = _signed_sums(np.concatenate([cu.T, cv.T, us, vs], axis=1))
+    count = len(sums)
     pq = np.abs(sums[:, :2 * n])
-    p, q = pq[:, :n], pq[:, n:]
-    mean_pq = np.mean(pq, axis=0)
-    mean_p, mean_q = mean_pq[:n], mean_pq[n:]
-    # ||u(s)||^2 and ||v(s)||^2: row sums of squares of the float64 view
-    parts = sums[:, 2 * n:].view(np.float64).reshape(len(sums), 2, 2 * d)
-    nu, nv = np.sqrt(np.einsum("sij,sij->is", parts, parts))
+    mean_pq = pq.sum(axis=0) / count
+    products = mean_pq[:n] * mean_pq[n:]  # mean(p) mean(q) per index k
+    # ||u(s)|| and ||v(s)|| as the rows of nuv: row sums of squares of the
+    # float64 view
+    parts = sums[:, 2 * n:].view(np.float64).reshape(count, 2, 2 * d)
+    nuv = np.sqrt(np.einsum("sij,sij->is", parts, parts, order="C"))
 
     # link 1: factored first-moment bounds, per index k
-    link1 = float(np.min(2.0 * mean_p * mean_q - norm_u * norm_v)) / su / sv
+    link1 = float((2.0 * products - norm_uv).min())
     # link 3: masked-norm bound at every sign pair (s, t),
     #   gap[s, t] = phi nu_s nv_t - sum_k p[s, k] q[t, k],
     # one GEMM of the augmented factors [phi nu, -p] and [nv, q] per block
@@ -288,54 +344,57 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     # matrix p @ q.T over independent sign pairs, read off the same blocks
     # as phi mean(nu) mean(nv) - mean(gap), against the product of single
     # averages summed over k.
-    left = np.column_stack([phi_norm * nu, -p])
-    right = np.vstack([nv, q.T])
-    buf = np.empty((min(SIGN_BLOCK, len(sums)), len(sums)))
-    gap_min, gap_sum = np.inf, 0.0
-    for lo in range(0, len(sums), SIGN_BLOCK):
+    left = np.empty((count, n + 1))
+    np.multiply(nuv[0], phi_norm, out=left[:, 0])
+    np.negative(pq[:, :n], out=left[:, 1:])
+    right = np.empty((n + 1, count))
+    right[0] = nuv[1]
+    right[1:] = pq[:, n:].T
+    buf = np.empty((min(SIGN_BLOCK, count), count))
+    link3, gap_sum = np.inf, 0.0
+    for lo in range(0, count, SIGN_BLOCK):
         rows = left[lo:lo + SIGN_BLOCK]
         gap = np.matmul(rows, right, out=buf[:len(rows)])
-        gap_min = min(gap_min, float(gap.min()))
+        link3 = min(link3, float(gap.min()))
         gap_sum += float(gap.sum())
-    mean_nu, mean_nv = float(np.mean(nu)), float(np.mean(nv))
-    joint_mean = phi_norm * mean_nu * mean_nv - gap_sum / len(sums) ** 2
-    link2 = abs(joint_mean - float(np.sum(mean_p * mean_q))) / su / sv
-    link3 = gap_min / su / sv
-    # link 4: average norm below quadratic mean, and the exact identity
-    # mean ||u(s)||^2 = sum_j ||u_j||^2
-    l1_u = mean_nu / su
-    l1_v = mean_nv / sv
-    link4 = min(l2_u - l1_u, l2_v - l1_v)
-    ms_u = float(np.sqrt(np.mean(nu ** 2))) / su
-    ms_v = float(np.sqrt(np.mean(nv ** 2))) / sv
-    link5 = max(abs(ms_u - l2_u), abs(ms_v - l2_v))
+    mean_nu, mean_nv = (nuv.sum(axis=1) / count).tolist()
+    joint_mean = phi_norm * mean_nu * mean_nv - gap_sum / count ** 2
+    link2 = abs(joint_mean - float(products.sum()))
+    # link 4: average norm below quadratic mean, and link 5: the exact
+    # identity mean ||u(s)||^2 = sum_j ||u_j||^2; both hold per tuple,
+    # each against its own norm
+    ms_u, ms_v = np.sqrt((nuv * nuv).sum(axis=1) / count).tolist()
 
     # the terms of links 1 and 2 are at most 2 lhs, and the final
     # inequality has just put lhs below rhs
     record.update({"chain_checked": True,
-                   "khintchine_link": link1,
-                   "average_identity": link2,
-                   "masked_bound_link": link3,
-                   "mean_vs_quadratic": link4,
-                   "orthogonality_identity": link5})
+                   "khintchine_link": link1 / su / sv,
+                   "average_identity": link2 / su / sv,
+                   "masked_bound_link": link3 / su / sv,
+                   "mean_vs_quadratic": min((l2_u - mean_nu) / su,
+                                            (l2_v - mean_nv) / sv),
+                   "orthogonality_identity": max(abs(ms_u - l2_u) / su,
+                                                 abs(ms_v - l2_v) / sv)})
     if link1 < -INEQ_RTOL * rhs:
-        raise VerificationError(
-            f"per-index first-moment link violated: {link1:.3e}", record)
+        raise VerificationError("per-index first-moment link violated: "
+                                f"{record['khintchine_link']:.3e}", record)
     if link2 > IDENTITY_RTOL * rhs:
-        raise VerificationError(
-            f"average-product identity broken: {link2:.3e}", record)
-    if link3 < -INEQ_RTOL * phi_norm * (float(np.max(nu)) / su) * (
-            float(np.max(nv)) / sv):
-        raise VerificationError(
-            f"masked-norm link violated: {link3:.3e}", record)
-    # links 4 and 5 hold per tuple, each against its own norm
-    if l2_u - l1_u < -INEQ_RTOL * l2_u or l2_v - l1_v < -INEQ_RTOL * l2_v:
-        raise VerificationError(
-            f"quadratic-mean link violated: {link4:.3e}", record)
+        raise VerificationError("average-product identity broken: "
+                                f"{record['average_identity']:.3e}", record)
+    # the bound is <= 0, so only a negative link3 needs the norms' maxima
+    if link3 < 0.0 and link3 < -INEQ_RTOL * phi_norm * float(
+            nuv[0].max()) * float(nuv[1].max()):
+        raise VerificationError("masked-norm link violated: "
+                                f"{record['masked_bound_link']:.3e}", record)
+    if l2_u - mean_nu < -INEQ_RTOL * l2_u or \
+            l2_v - mean_nv < -INEQ_RTOL * l2_v:
+        raise VerificationError("quadratic-mean link violated: "
+                                f"{record['mean_vs_quadratic']:.3e}", record)
     if abs(ms_u - l2_u) > IDENTITY_RTOL * l2_u or \
             abs(ms_v - l2_v) > IDENTITY_RTOL * l2_v:
         raise VerificationError(
-            f"sign-average orthogonality identity broken: {link5:.3e}", record)
+            "sign-average orthogonality identity broken: "
+            f"{record['orthogonality_identity']:.3e}", record)
     return record
 
 
@@ -357,13 +416,16 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     vs = np.asarray(vs, dtype=np.complex128)
     if vs.shape != us.shape:
         raise ValueError("us and vs must have shape (m, d)")
+    if not np.isfinite(vs).all():
+        raise ValueError("vs has non-finite entries")
     route3 = complex(np.vdot(vs, out))
     cu, cv = coefficients(pair, us, vs)
     blocks = cv[:, :, None] * cu[:, None, :]
     route1 = complex(np.einsum("kij,kij->", a, blocks))
     route2 = complex(np.einsum("kij,kj,ki->", a, cu, cv))
     # the routes may cancel, so the scale is the sum of the term sizes
-    scale = float(np.einsum("kij,kj,ki->", np.abs(a), np.abs(cu), np.abs(cv)))
+    # |A_kij| |B_kij|
+    scale = float(np.vdot(np.abs(a), np.abs(blocks)))
     residual = max(abs(route1 - route2), abs(route2 - route3))
     record = {"value": route1, "residual": residual}
     if residual > IDENTITY_RTOL * scale:
@@ -373,21 +435,29 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
 
 
 def holder_trace_check(a: np.ndarray, b: np.ndarray) -> dict:
-    """|tr(a b)| <= (operator norm of a) (trace norm of b)."""
+    """|tr(a b)| <= (operator norm of a) (trace norm of b).
+
+    Both norms come from one LAPACK call: the singular values, without
+    vectors, of the stack [a, b] (see linalg.singular_values).
+    """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("a and b must be square matrices of equal shape")
-    lhs = abs(complex(np.trace(a @ b)))
-    op, _, _ = top_singular_triplet(a)
-    rhs = float(op) * trace_norm(b)
-    slack = rhs - lhs
-    record = {"lhs": lhs, "rhs": rhs, "slack": slack}
+    a, sa = _scaled(a, "a")
+    b, sb = _scaled(b, "b")
+    lhs_s = abs(complex((a @ b).trace()))
+    sigma = singular_values(np.array((a, b)))
+    rhs_s = float(sigma[0, 0]) * float(sigma[1].sum())
+    slack_s = rhs_s - lhs_s
+    record = {"lhs": lhs_s / sa / sb, "rhs": rhs_s / sa / sb,
+              "slack": slack_s / sa / sb}
     # equality cases (unitary against its adjoint) land exactly on zero,
     # so the identity tolerance applies rather than the inequality one
-    if slack < -IDENTITY_RTOL * rhs:
+    if slack_s < -IDENTITY_RTOL * rhs_s:
         raise VerificationError(
-            f"trace duality estimate violated: slack {slack:.3e}", record)
+            f"trace duality estimate violated: slack {record['slack']:.3e}",
+            record)
     return record
 
 

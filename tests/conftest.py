@@ -31,3 +31,17 @@ def dual_coefficients(pair, us, vs):
     cu = np.where(live, cu / np.where(live, nu, 1.0), 0.0)
     cv = np.where(live, cv / np.where(live, nv, 1.0), 0.0)
     return np.einsum("ki,kj->kij", cv, cu.conj())
+
+
+# the data arguments of every public verify check, spoiled one at a time by
+# test_verify's non-finite refusal test; test_cli's guard holds every
+# check of framescale.verify to this table
+VERIFY_CHECK_ARGUMENTS = {
+    "khintchine_check": ("a",),
+    "trace_lemma_check": ("alpha", "beta"),
+    "holder_trace_check": ("a", "b"),
+    "key_simple_check": ("pair", "u", "v", "phi_norm"),
+    "super_key_check": ("pair", "us", "vs", "phi_norm"),
+    "trace_pairing_check": ("pair", "mats", "us", "vs"),
+    "end_to_end_rescale_check": ("pair",),
+}

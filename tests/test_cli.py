@@ -17,6 +17,8 @@ from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
 from framescale.rescale import optimize, phi_lower
 from framescale.verify import VerificationError
 
+from conftest import VERIFY_CHECK_ARGUMENTS
+
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
@@ -730,3 +732,18 @@ def test_package_reads_no_environment_variable():
                 continue
             assert not names & readers, \
                 f"{source.name}:{node.lineno}: reads the environment"
+
+
+def test_every_verify_check_is_in_the_non_finite_refusal_test():
+    # a check added to framescale.verify must join VERIFY_CHECK_ARGUMENTS,
+    # with every argument that has no default, so that the refusal test
+    # in test_verify.py feeds it NaN and inf
+    source = Path(verify.__file__)
+    found = {}
+    for node in ast.parse(source.read_text(), str(source)).body:
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_check") \
+                and not node.name.startswith("_"):
+            args = node.args.args
+            found[node.name] = tuple(
+                arg.arg for arg in args[:len(args) - len(node.args.defaults)])
+    assert found == VERIFY_CHECK_ARGUMENTS

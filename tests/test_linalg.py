@@ -15,6 +15,7 @@ from framescale.instances import haar_unitary, random_complex
 from framescale.linalg import (
     check_hermitian,
     eigh,
+    singular_values,
     top_singular_triplet,
     trace_norm,
 )
@@ -204,6 +205,18 @@ def test_top_singular_triplet_stack_rejects_one_bad_matrix(bad):
     top_singular_triplet(np.delete(a, 3, axis=0))
 
 
+def test_singular_values_of_a_stack_are_the_planted_ones():
+    # one LAPACK call for the whole stack, bitwise equal to one per matrix
+    rng = np.random.default_rng(48)
+    want = [np.sort(rng.uniform(0.0, 4.0, 3))[::-1] for _ in range(4)]
+    a = np.array([planted(rng, 3, 5, s) for s in want])
+    s = singular_values(a)
+    assert s.shape == (4, 3)
+    for i, w in enumerate(want):
+        assert np.max(np.abs(s[i] - w)) <= 1e-14 * w[0]
+        assert np.array_equal(s[i], singular_values(a[i]))
+
+
 def test_zero_matrix_through_every_wrapper():
     z = np.zeros((3, 3), dtype=complex)
     w, v = eigh(z)
@@ -253,7 +266,7 @@ def test_trace_norm_rejects_non_square():
 def test_wrappers_reject_non_finite_input(bad):
     m = np.eye(3, dtype=complex)
     m[1, 1] = bad
-    for wrapper in (eigh, top_singular_triplet, trace_norm):
+    for wrapper in (eigh, top_singular_triplet, trace_norm, singular_values):
         with pytest.raises(ValueError, match="non-finite"):
             wrapper(m)
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import framescale.linalg as linalg
 import framescale.multiplier as multiplier
 import framescale.rescale as rescale
 import framescale.verify as verify
@@ -17,6 +18,7 @@ from framescale.instances import (
     mangle,
     mangling_scalars,
     onb_union_pair,
+    random_complex,
 )
 from framescale.multiplier import norm_lower_alternating
 from framescale.rescale import optimize, phi_lower
@@ -36,6 +38,8 @@ from framescale.verify import (
     trace_pairing_check,
     witness_defect,
 )
+
+from conftest import VERIFY_CHECK_ARGUMENTS
 
 
 def scalar_phi(pair):
@@ -120,8 +124,10 @@ def test_key_simple_detects_deflated_norm():
     rng = np.random.default_rng(8)
     pair = d1_scalar_pair(rng, 4)
     phi = scalar_phi(pair)
-    # at 1e-6 both sides are near 1e-12 phi, so the gate must scale too
-    for scale in (1.0, 1e-6):
+    # at 1e-6 both sides are near 1e-12 phi, so the gate must scale too;
+    # at 1e160 they lie beyond the float range, and the gate compares the
+    # scaled sides
+    for scale in (1.0, 1e-6, 1e160):
         u = np.full(1, scale, dtype=np.complex128)
         key_simple_check(pair, u, u, phi)
         with pytest.raises(VerificationError):
@@ -198,7 +204,9 @@ def test_super_key_detects_deflated_norm():
     phi = scalar_phi(pair)
     us = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
     vs = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
-    for scale in (1.0, 1e-6):
+    # at 1e160 lhs and rhs lie beyond the float range; the gates compare
+    # the scaled sides, so they still fire
+    for scale in (1.0, 1e-6, 1e160):
         super_key_check(pair, scale * us, scale * vs, phi)
         with pytest.raises(VerificationError):
             super_key_check(pair, scale * us, scale * vs, 0.25 * phi)
@@ -442,6 +450,124 @@ def test_relative_gates_pass_at_every_scale():
         holder_trace_check(c * a, b)
         trace_pairing_check(pair, mats, c * us, vs)
         super_key_check(pair, c * us, vs, phi)
+
+    def records(c1, c2):
+        """Each two-argument check at its arguments times c1 and c2: name ->
+        (record, the keys that scale by c1 c2)."""
+        return {
+            "trace_lemma": (trace_lemma_check(c1 * a[0], c2 * b[0]),
+                            ("closed_form", "svd_value")),
+            "holder": (holder_trace_check(c1 * a, c2 * b),
+                       ("lhs", "rhs", "slack")),
+            "key_simple": (key_simple_check(pair, c1 * us[0], c2 * vs[0], phi),
+                           ("lhs", "rhs", "slack")),
+            "pairing": (trace_pairing_check(pair, mats, c1 * us, c2 * vs),
+                        ("value",)),
+        }
+
+    # opposite scales: each record stays inside the float range, while a
+    # square of the larger argument overflows and one of the smaller
+    # underflows
+    base = {name: rec for name, (rec, _) in records(1.0, 1.0).items()}
+    # the unit-scale size each check's rounding is measured against; the
+    # pairing's terms may cancel, so its size is the sum of their moduli
+    cu, cv = np.abs(pair.ys.conj() @ us.T), np.abs(pair.xs @ vs.conj().T)
+    sizes = {"trace_lemma": base["trace_lemma"]["closed_form"],
+             "holder": base["holder"]["rhs"],
+             "key_simple": base["key_simple"]["rhs"],
+             "pairing": float(np.sum(np.abs(mats) * cv[:, :, None]
+                                     * cu[:, None, :]))}
+    for c1, c2 in ((1e200, 1e-100), (1e-200, 1e100), (1e170, 1e-170),
+                   (1e-170, 1e170)):
+        for name, (rec, keys) in records(c1, c2).items():
+            for key in keys:
+                assert abs(rec[key] - c1 * c2 * base[name][key]) <= \
+                    1e-14 * c1 * c2 * sizes[name], (c1, c2, name, key)
+        rec = super_key_check(pair, c1 * us, c2 * vs, phi)
+        want = _scaled_baseline(pair, us, vs, phi, c1, c2)
+        # a rounding residual of the larger tuple does not scale from the
+        # baseline's, which may come from the other tuple
+        del want["orthogonality_identity"]
+        for key, (value, scale) in want.items():
+            assert abs(rec[key] - value) <= 1e-14 * scale, (c1, c2, key)
+        assert rec["orthogonality_identity"] <= 1e-14 * max(
+            c1 * np.linalg.norm(us), c2 * np.linalg.norm(vs))
+
+
+def _valid_check_arguments():
+    """Arguments of every check of VERIFY_CHECK_ARGUMENTS that pass it."""
+    rng = np.random.default_rng(23)
+    pair = gaussian_pair(rng, 3, 2)
+    # sum_k ||x_k|| ||y_k|| bounds the multiplier norm from above
+    phi = float(np.sum(np.linalg.norm(pair.xs, axis=1)
+                       * np.linalg.norm(pair.ys, axis=1)))
+    return {
+        "khintchine_check": {"a": random_complex(rng, 4)},
+        "trace_lemma_check": {"alpha": random_complex(rng, 3),
+                              "beta": random_complex(rng, 3)},
+        "holder_trace_check": {"a": random_complex(rng, 3, 3),
+                               "b": random_complex(rng, 3, 3)},
+        "key_simple_check": {"pair": pair, "u": random_complex(rng, 2),
+                             "v": random_complex(rng, 2), "phi_norm": phi},
+        "super_key_check": {"pair": pair, "us": random_complex(rng, 3, 2),
+                            "vs": random_complex(rng, 3, 2), "phi_norm": phi},
+        "trace_pairing_check": {"pair": pair,
+                                "mats": random_complex(rng, 3, 2, 2),
+                                "us": random_complex(rng, 2, 2),
+                                "vs": random_complex(rng, 2, 2)},
+        "end_to_end_rescale_check": {"pair": canonical_dual_pair(rng, 4, 2)},
+    }
+
+
+def _spoiled(value, bad):
+    """value with one entry set to bad: a pair's first x entry, an array's
+    last entry, or phi_norm itself (bad's imaginary part if bad is not real)."""
+    if isinstance(value, FramePair):
+        xs = value.xs.copy()
+        xs[0, 0] = bad
+        return FramePair(xs, value.ys)
+    if isinstance(value, float):
+        return bad.imag if isinstance(bad, complex) else bad
+    out = np.array(value, dtype=np.complex128)
+    out.flat[-1] = bad
+    return out
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf), -np.inf],
+                         ids=["nan", "inf_imag", "-inf"])
+@pytest.mark.parametrize("check,arg", [
+    (check, arg) for check, args in VERIFY_CHECK_ARGUMENTS.items()
+    for arg in args])
+def test_checks_refuse_non_finite_input(check, arg, bad):
+    # every comparison with NaN is false, so a NaN that reached a gate
+    # would pass it; a pair is refused when it is built
+    kwargs = _valid_check_arguments()[check]
+    run = getattr(verify, check)
+    run(**kwargs)
+    with pytest.raises(ValueError):
+        kwargs[arg] = _spoiled(kwargs[arg], bad)
+        run(**kwargs)
+
+
+def test_checks_refuse_a_negative_phi_norm():
+    for check in ("key_simple_check", "super_key_check"):
+        kwargs = _valid_check_arguments()[check]
+        kwargs["phi_norm"] = -1.0
+        with pytest.raises(ValueError, match="phi_norm"):
+            getattr(verify, check)(**kwargs)
+
+
+def test_holder_gate_decides_where_the_record_overflows(monkeypatch):
+    # at a x 1e160 and b x 1e160 both sides are near 1e320, beyond the
+    # float range; the gate compares the scaled sides, so halved singular
+    # values are caught there as at unit scale
+    u = haar_unitary(np.random.default_rng(24), 3)
+    singular_values = linalg.singular_values
+    monkeypatch.setattr(verify, "singular_values",
+                        lambda mat: 0.5 * singular_values(mat))
+    for c in (1.0, 1e160):
+        with pytest.raises(VerificationError, match="trace duality"):
+            holder_trace_check(c * u, c * u.conj().T)
 
 
 def test_holder_trace_random_and_identity_case():
