@@ -24,8 +24,11 @@ def _check_vectors(vectors: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name}: need at least one vector in dimension >= 1")
     if not np.isfinite(v).all():
         raise ValueError(f"{name}: non-finite entries")
-    norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
-    if np.any(norms <= MIN_VECTOR_NORM):
+    # rows and threshold times powers of two: no square overflows, no test moves
+    big = np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=1)
+    scale = np.ldexp(1.0, np.minimum(1023, -np.frexp(big)[1]))[:, None]
+    norms = np.sqrt((np.abs(v * scale) ** 2).sum(axis=1, keepdims=True))
+    if (norms <= MIN_VECTOR_NORM * scale).any():
         raise ValueError(f"{name}: vector norms must exceed {MIN_VECTOR_NORM:g}")
     return v
 
@@ -93,6 +96,21 @@ def coefficients(pair: FramePair, us: np.ndarray, vs: np.ndarray):
     tables.  us and vs are arrays, validated by the caller.
     """
     return pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
+
+
+def dual_terms(cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """The terms ||cu_k|| ||cv_k|| of D for coefficient tables cu and cv:
+    rows of (n, m) tables, entries of (n,) tables."""
+    if cu.ndim == 1:
+        return np.abs(cu) * np.abs(cv)
+    return (np.sqrt((np.abs(cu) ** 2).sum(axis=1))
+            * np.sqrt((np.abs(cv) ** 2).sum(axis=1)))
+
+
+def dual_value(pair: FramePair, us: np.ndarray, vs: np.ndarray) -> float:
+    """D = sum_k ||(<u_j, y_k>)_j|| ||(<x_k, v_i>)_i|| of (m, d) tuples; at
+    unit tuples a lower bound on the cb norm (see rescale.CbBracket)."""
+    return float(dual_terms(*coefficients(pair, us, vs)).sum())
 
 
 def identity_deviation(pair: FramePair) -> float:

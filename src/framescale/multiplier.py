@@ -53,10 +53,9 @@ class MultiplierNormEstimate:
     iterations: int = 0
 
 
-def _certify(pair: FramePair, mask: np.ndarray, u: np.ndarray,
-             v: np.ndarray, method: str,
-             iterations: int = 0) -> MultiplierNormEstimate:
-    cu, cv = coefficients(pair, u, v)
+def _certify(tables, mask: np.ndarray, u: np.ndarray, v: np.ndarray,
+             method: str, iterations: int = 0) -> MultiplierNormEstimate:
+    cu, cv = tables
     value = float(np.real(np.sum(mask * cu * cv)))
     return MultiplierNormEstimate(value, u, v, mask, method, iterations)
 
@@ -76,11 +75,11 @@ def mask_matrix(pair: FramePair, mask: np.ndarray) -> np.ndarray:
     return np.einsum("k,ki,kj->ij", a, pair.xs, pair.ys.conj())
 
 
-def _align(pair: FramePair, u: np.ndarray, v: np.ndarray,
-           fallback: np.ndarray):
-    """The mask turning each term <u, y_k> <x_k, v> into its modulus (where
-    a term vanishes, fallback's entry), and the sum of the moduli."""
-    cu, cv = coefficients(pair, u, v)
+def _align(tables, fallback: np.ndarray):
+    """The mask turning each term <u, y_k> <x_k, v> of tables =
+    coefficients(pair, u, v) into its modulus (where a term vanishes,
+    fallback's entry), and the sum of the moduli."""
+    cu, cv = tables
     terms = cu * cv
     mags = np.abs(terms)
     nonzero = mags > 0.0
@@ -105,11 +104,12 @@ def norm_lower_alternating(pair: FramePair,
     prev = -np.inf
     for iterations in range(1, ASCENT_MAX_ITERS + 1):
         _, v, u = top_singular_triplet((eps[:, None] * pair.xs).T @ ys_conj)
-        eps, aligned = _align(pair, u, v, eps)
+        tables = coefficients(pair, u, v)
+        eps, aligned = _align(tables, eps)
         if aligned - prev <= ASCENT_RTOL * aligned:
             break
         prev = aligned
-    return _certify(pair, eps, u, v, "ascent", iterations)
+    return _certify(tables, eps, u, v, "ascent", iterations)
 
 
 def _pow2_scale(a: np.ndarray, name: str = "array") -> float:
@@ -458,9 +458,8 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     for pos in range(1, n):
         rem, dig = divmod(rem, phase_steps)
         eps[pos] = phases[dig]
-    m = mask_matrix(pair, eps)
-    _, left, right = top_singular_triplet(m)
-    return _certify(pair, eps, right, left, "grid")
+    _, left, right = top_singular_triplet(mask_matrix(pair, eps))
+    return _certify(coefficients(pair, right, left), eps, right, left, "grid")
 
 
 def check_amplified(mats: np.ndarray, n: int) -> np.ndarray:

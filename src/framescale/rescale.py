@@ -30,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .frames import BesselBounds, FramePair, bounds_from_spectrum
+from .frames import (BesselBounds, FramePair, bounds_from_spectrum,
+                     coefficients, dual_terms, dual_value)
 from .linalg import eigh
 from .multiplier import (MultiplierNormEstimate, _align, _certify, check_mask,
                          norm_lower_alternating)
@@ -79,9 +80,7 @@ class _Objective:
         self.vecs = np.stack([pair.xs, pair.ys])
         self.stack = np.einsum("ski,skj->skij", self.vecs, self.vecs.conj())
         self.eigh_calls = 0
-        self.newton_steps = 0
         self.candidates = 0
-        self.stage_stops = []
 
     def eigh(self, mat: np.ndarray):
         self.eigh_calls += 1
@@ -128,20 +127,13 @@ def _psi(w: np.ndarray, b: float):
     return wmax + np.log(z) / b, p, z
 
 
-def _dual_value(b: float, w: np.ndarray, overlaps: np.ndarray):
-    """D at rho = e^{bF} / tr e^{bF} and sigma = e^{bG} / tr e^{bG}.
-
-    w is the (2, d) spectra of F and G, and overlaps[0, k, j] =
-    |<x_k, v_j>|^2 and overlaps[1, k, j] = |<y_k, u_j>|^2 for their
-    eigenvectors v_j and u_j.  Each family's Gibbs weights are
-    e^{b (w - w_top)} over their sum, normalised by that family's own top:
-    by the global top, one family's weights can all underflow to 0/0.
-    Returns D and the Gibbs weights, shape (2, d).
-    """
+def _gibbs_roots(b: float, w: np.ndarray) -> np.ndarray:
+    """Square roots of the Gibbs weights e^{b (w - w_top)} / sum of rho =
+    e^{bF} / tr e^{bF} and sigma = e^{bG} / tr e^{bG}, from the (2, d)
+    spectra w of F and G.  Each family is normalised by its own top: by
+    the global top, one family's weights can all underflow to 0/0."""
     p = np.exp(b * (w - w[:, -1:]))
-    p /= p.sum(axis=1, keepdims=True)
-    diag = np.sqrt(np.einsum("skj,sj->sk", overlaps, p))
-    return float(np.sum(diag[0] * diag[1])), p
+    return np.sqrt(p / p.sum(axis=1, keepdims=True))
 
 
 def _smoothed_state(obj: _Objective, t: np.ndarray, b: float, spectra,
@@ -152,18 +144,17 @@ def _smoothed_state(obj: _Objective, t: np.ndarray, b: float, spectra,
     convex, exceeds h by at most log(2d)/b, and has exact derivatives
     through the eigendecompositions of F and G; spectra is
     obj.spectra(t), and smoothed, when given, is _psi(spectra[0], b).
-    Returns psi, the gradient, D at the Gibbs states of F and G (see
-    _dual_value), read off the same overlaps as the gradient, and a
-    function of no arguments that forms the Hessian.  Only that function
-    forms the divided differences and the O(n^2 d^2) curvature, so a
-    caller that stops at t never pays for them.
+    Returns psi, the gradient, D at the Gibbs states of F and G (from the
+    gradient's amplitudes times _gibbs_roots, the dual tuples' tables up
+    to conjugation), and a function of no arguments that forms the
+    Hessian.  Only that function forms the divided differences and the
+    O(n^2 d^2) curvature, so a caller that stops at t never pays for them.
     """
     w, v = spectra
     psi, p, z = _psi(w, b) if smoothed is None else smoothed
     weights = np.exp(t * _SIGNS)
     amp = obj.vecs.conj() @ v
-    overlaps = np.abs(amp) ** 2
-    q = weights * np.einsum("skj,sj->sk", overlaps, p)
+    q = weights * np.einsum("skj,sj->sk", np.abs(amp) ** 2, p)
     grad = (q[0] - q[1]) / z
 
     def hessian():
@@ -175,7 +166,8 @@ def _smoothed_state(obj: _Objective, t: np.ndarray, b: float, spectra,
         hess = (curv + np.diag(q[0] + q[1])) / z - b * np.outer(grad, grad)
         return 0.5 * (hess + hess.T)
 
-    return float(psi), grad, _dual_value(b, w, overlaps)[0], hessian
+    cv, cu = amp * _gibbs_roots(b, w)[:, None, :]
+    return float(psi), grad, float(dual_terms(cu, cv).sum()), hessian
 
 
 def _armijo_step(obj: _Objective, t: np.ndarray, step: np.ndarray, b: float,
@@ -216,12 +208,12 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
     rounding floor can sit above 1e-13 of psi and Armijo accepts
     t + alpha step == t (the sufficient decrease rounds to an equality):
     every later step would repeat that one, so the stage's result is
-    bitwise the same.  The reason is appended to obj.stage_stops.
-    Returns the last point and its spectra.
+    bitwise the same.  Returns the last point, its spectra, the number of
+    Newton steps (Hessians formed) and the stop reason.
     """
     h = float(spectra[0][:, -1].max())
     smoothed = _psi(spectra[0], b)
-    stop = "steps"
+    stop, steps = "steps", 0
     for _ in range(NEWTON_STEPS):
         psi, grad, dual, hessian = _smoothed_state(obj, t, b, spectra,
                                                    smoothed)
@@ -233,7 +225,7 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
         if float(np.max(np.abs(grad))) <= 1e-13 * abs(psi):
             stop = "gradient"
             break
-        obj.newton_steps += 1
+        steps += 1
         w, v = obj.eigh(hessian())
         floor = max(1e-12 * float(np.max(np.abs(w))), 1e-300)
         step = -(v @ ((v.conj().T @ grad) / np.maximum(w, floor))).real
@@ -252,32 +244,18 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
             stop = "fixed_point"
             break
         t, spectra, smoothed = found
-    obj.stage_stops.append(stop)
-    return t, spectra
-
-
-def _dual_certificate(obj: _Objective, spectra, b: float):
-    """D at rho = e^{bF} / tr e^{bF} and sigma = e^{bG} / tr e^{bG}.
-
-    Returns D (from _dual_value) and the witness tuples us, vs (see
-    CbBracket): row i of vs is sqrt(p_i) times eigenvector i of F, so
-    rho = sum_i vs_i vs_i^*, and likewise us for sigma and G.
-    """
-    w, v = spectra
-    dual, p = _dual_value(b, w, np.abs(obj.vecs.conj() @ v) ** 2)
-    tuples = np.sqrt(p)[:, :, None] * np.swapaxes(v, 1, 2)
-    return dual, tuples[1], tuples[0]
+    return t, spectra, steps, stop
 
 
 @dataclass(frozen=True)
 class CbBracket:
     """Two-sided bracket on the completely bounded multiplier norm.
 
-    m_lower is the dual certificate D, with a witness that replays it:
-    dual_us and dual_vs are its (m, d) tuples.  With cu_k = (y_k^* us_j)_j
-    and cv_k = (x_k^* vs_i)_i, the unit rank-one coefficients
-    A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0 where either
-    vanishes) give an amplified map whose norm is at least
+    m_upper is max(f, g), the Bessel bounds at log_weights.  m_lower is
+    frames.dual_value(pair, dual_us, dual_vs), bitwise.  With cu_k =
+    (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the unit rank-one
+    coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0
+    where either vanishes) give an amplified map whose norm is at least
     sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
     newton_steps, line_search_candidates (Armijo points scored),
     eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian),
@@ -290,7 +268,6 @@ class CbBracket:
     """
 
     m_lower: float
-    m_upper: float
     log_weights: np.ndarray
     f: float
     g: float
@@ -299,13 +276,15 @@ class CbBracket:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        scale = abs(self.m_upper)
-        if self.m_lower > self.m_upper + BRACKET_SLACK * scale:
+        if self.m_lower > self.m_upper + BRACKET_SLACK * abs(self.m_upper):
             raise ValueError(
                 f"bracket inverted: lower {self.m_lower:.12g} above upper "
                 f"{self.m_upper:.12g}")
-        if abs(max(self.f, self.g) - self.m_upper) > 1e-10 * scale:
-            raise ValueError("m_upper must equal max(f, g) at the stored weights")
+
+    @property
+    def m_upper(self) -> float:
+        """max(f, g): the certified upper bound at log_weights."""
+        return max(self.f, self.g)
 
     @property
     def gap(self) -> float:
@@ -319,9 +298,9 @@ def optimize(pair: FramePair) -> CbBracket:
     One loop: from the balanced equalizer start, Newton stages on the
     smoothed objective at b_rel = B_REL_START, times B_REL_FACTOR each
     stage, up to B_REL_TOP.  After each stage t is balanced and the Gibbs
-    states of F and G give the dual value D; the loop stops once
-    (m_upper - D) / m_upper <= GAP_TOL, and m_lower is the last D.  The
-    rank-one stacks are built once per pair.
+    states of F and G give the dual tuples, whose dual_value is D; the
+    loop stops once (m_upper - D) / m_upper <= GAP_TOL, and m_lower is
+    the last D.  The rank-one stacks are built once per pair.
     """
     started = time.perf_counter()
     obj = _Objective(pair)
@@ -332,30 +311,30 @@ def optimize(pair: FramePair) -> CbBracket:
     t = _balanced(t, obj.spectra(t))
     spectra = obj.spectra(t)
     b_rel = B_REL_START
-    stage_gaps = []
-    stage_steps = []
+    stage_gaps, stage_steps, stage_stops = [], [], []
     while True:
         b = b_rel / float(spectra[0][:, -1].max())
-        steps_before = obj.newton_steps
-        t, spectra = _newton_stage(obj, t, spectra, b)
-        stage_steps.append(obj.newton_steps - steps_before)
+        t, spectra, steps, stop = _newton_stage(obj, t, spectra, b)
+        stage_steps.append(steps)
+        stage_stops.append(stop)
         t = _balanced(t, spectra)
-        spectra = obj.spectra(t)
-        dual, us, vs = _dual_certificate(obj, spectra, b)
-        f, g = (float(top) for top in spectra[0][:, -1])
-        m_upper = max(f, g)
-        stage_gaps.append((m_upper - dual) / m_upper)
+        w, v = spectra = obj.spectra(t)
+        # row i of vs is root i times eigenvector i of F: rho = sum vs_i vs_i^*
+        vs, us = _gibbs_roots(b, w)[:, :, None] * np.swapaxes(v, 1, 2)
+        dual = dual_value(pair, us, vs)
+        f, g = (float(top) for top in w[:, -1])
+        stage_gaps.append((max(f, g) - dual) / max(f, g))
         if stage_gaps[-1] <= GAP_TOL or b_rel >= B_REL_TOP:
             break
         b_rel *= B_REL_FACTOR
-    stats = {"stages": len(stage_gaps), "newton_steps": obj.newton_steps,
+    stats = {"stages": len(stage_gaps), "newton_steps": sum(stage_steps),
              "line_search_candidates": obj.candidates,
              "eigh_calls": obj.eigh_calls,
              "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
              "stage_gaps": stage_gaps, "stage_steps": stage_steps,
-             "stage_stops": obj.stage_stops,
+             "stage_stops": stage_stops,
              "wall_s": time.perf_counter() - started}
-    return CbBracket(dual, m_upper, t, f, g, us, vs, stats)
+    return CbBracket(dual, t, f, g, us, vs, stats)
 
 
 def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
@@ -368,8 +347,9 @@ def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
     m_upper; else one ascent runs from its mask and the larger value wins.
     """
     u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
-    mask, _ = _align(pair, u, v, np.ones(pair.n))
-    pure = _certify(pair, mask, u, v, "pure")
+    tables = coefficients(pair, u, v)
+    mask, _ = _align(tables, np.ones(pair.n))
+    pure = _certify(tables, mask, u, v, "pure")
     if bracket.m_upper - pure.value <= PINNED_RTOL * bracket.m_upper:
         return pure
     warm = norm_lower_alternating(pair, start=mask)

@@ -33,13 +33,13 @@ and scales it at most once.  An array argument with a NaN or infinite
 entry, and a phi_norm that is NaN, infinite or negative, raise
 ValueError: every comparison with NaN is false, so a NaN that reached a
 gate would pass it.  khintchine_check, trace_lemma_check,
-holder_trace_check, key_simple_check and super_key_check multiply each
-array argument by its own exact power of two (_scaled), so no square or
-product overflows or underflows while the inputs lie inside the float
-range.  They decide every gate on the scaled numbers and divide the
-powers out of the record, so a gate holds even where a reported number
-lies beyond the float range.  trace_pairing_check's arguments are
-validated (amplified_apply checks mats and us) but not scaled.
+holder_trace_check, key_simple_check, super_key_check and
+trace_pairing_check multiply each array argument (and
+trace_pairing_check each family of the pair) by its own exact power of
+two, so no square or product overflows or underflows while the inputs
+lie inside the float range.  They decide every gate on the scaled
+numbers and divide the powers out of the record, so a gate holds even
+where a reported number lies beyond the float range.
 holder_trace_check takes the operator norm of a and the trace norm of
 b from one LAPACK call, the singular values of the stack [a, b].
 
@@ -54,7 +54,8 @@ import time
 
 import numpy as np
 
-from .frames import FramePair, coefficients, identity_deviation, pair_operator
+from .frames import (FramePair, coefficients, dual_terms, identity_deviation,
+                     pair_operator)
 from .instances import (
     canonical_dual_pair,
     d1_scalar_pair,
@@ -234,8 +235,7 @@ def key_simple_check(pair: FramePair, u: np.ndarray, v: np.ndarray,
         raise ValueError("u and v must live in the pair's space")
     u, su = _scaled(u, "u")
     v, sv = _scaled(v, "v")
-    cu, cv = coefficients(pair, u, v)
-    lhs_s = float((np.abs(cu) * np.abs(cv)).sum())
+    lhs_s = float(dual_terms(*coefficients(pair, u, v)).sum())
     rhs_s = phi_norm * (_norm(u) * _norm(v))
     slack_s = rhs_s - lhs_s
     record = {"lhs": lhs_s / su / sv, "rhs": rhs_s / su / sv,
@@ -302,10 +302,7 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     vs, sv = _scaled(vs, "vs")
     n, d = pair.n, pair.dim
     cu, cv = coefficients(pair, us, vs)
-    # per k, ||(<u_j, y_k>)_j|| and ||(<v_i, x_k>)_i|| side by side
-    norms = np.sqrt((np.abs(np.concatenate([cu, cv], axis=1)) ** 2)
-                    .reshape(n, 2, m).sum(axis=2))
-    norm_uv = norms[:, 0] * norms[:, 1]
+    norm_uv = dual_terms(cu, cv)  # ||(<u_j, y_k>)_j|| ||(<v_i, x_k>)_i||
     sq_u, sq_v = (np.abs(np.concatenate([us, vs])) ** 2).reshape(2, -1) \
         .sum(axis=1).tolist()
     # every gate compares these scaled numbers; the record divides su and
@@ -405,21 +402,24 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     Route 1 pairs each coefficient matrix with its rank-one coupling
     block B_k = (<x_k, v_i> <u_j, y_k>)_{ij} through sum_k tr(A_k B_k^t);
     route 2 sums the triple products directly; route 3 applies the
-    amplified map and takes inner products with the v tuple.  Route 3
-    runs first, so amplified_apply validates mats and us once for all
-    three.  cu and cv come from frames.coefficients, and route 1's blocks
-    are their broadcast product.
+    amplified map and takes inner products with the v tuple.  cu and cv
+    come from frames.coefficients, and route 1's blocks are their
+    broadcast product.  The form is linear in each argument and in each
+    family of the pair, so each is scaled first; route 3 runs next, so
+    amplified_apply checks mats and us once.
     """
-    out = amplified_apply(pair, mats, us)
-    a = np.asarray(mats, dtype=np.complex128)
-    us = np.asarray(us, dtype=np.complex128)
-    vs = np.asarray(vs, dtype=np.complex128)
+    a, sa = _scaled(np.asarray(mats, dtype=np.complex128), "mats")
+    us, su = _scaled(np.asarray(us, dtype=np.complex128), "us")
+    vs, sv = _scaled(np.asarray(vs, dtype=np.complex128), "vs")
+    sx, sy = _pow2_scale(pair.xs), _pow2_scale(pair.ys)
+    # powers of two keep vectors nonzero; MIN_VECTOR_NORM could refuse them
+    scaled = object.__new__(FramePair)
+    scaled.__dict__.update(xs=pair.xs * sx, ys=pair.ys * sy)
+    out = amplified_apply(scaled, a, us)
     if vs.shape != us.shape:
         raise ValueError("us and vs must have shape (m, d)")
-    if not np.isfinite(vs).all():
-        raise ValueError("vs has non-finite entries")
     route3 = complex(np.vdot(vs, out))
-    cu, cv = coefficients(pair, us, vs)
+    cu, cv = coefficients(scaled, us, vs)
     blocks = cv[:, :, None] * cu[:, None, :]
     route1 = complex(np.einsum("kij,kij->", a, blocks))
     route2 = complex(np.einsum("kij,kj,ki->", a, cu, cv))
@@ -427,10 +427,11 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     # |A_kij| |B_kij|
     scale = float(np.vdot(np.abs(a), np.abs(blocks)))
     residual = max(abs(route1 - route2), abs(route2 - route3))
-    record = {"value": route1, "residual": residual}
-    if residual > IDENTITY_RTOL * scale:
+    record = {"value": route1 / sa / su / sv / sx / sy,
+              "residual": residual / sa / su / sv / sx / sy}
+    if not residual <= IDENTITY_RTOL * scale:
         raise VerificationError(
-            f"trace pairing routes disagree by {residual:.3e}", record)
+            f"trace pairing residual {record['residual']:.3e}", record)
     return record
 
 

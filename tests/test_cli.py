@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -732,6 +733,23 @@ def test_package_reads_no_environment_variable():
                 continue
             assert not names & readers, \
                 f"{source.name}:{node.lineno}: reads the environment"
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy alone, so an import of any other
+    # installed package would pass here and fail on a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "framescale"}
+    for source in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, \
+                    f"{source.name}:{node.lineno}: imports {name}"
 
 
 def test_every_verify_check_is_in_the_non_finite_refusal_test():

@@ -1,9 +1,12 @@
 """Frame operator, bounds, and reproducing-pair checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from framescale.frames import (
+    MIN_VECTOR_NORM,
     FramePair,
     bessel_and_frame_bounds,
     frame_operator,
@@ -123,6 +126,31 @@ def test_frame_pair_validation():
         FramePair(np.ones((2, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         FramePair(np.array([[np.inf, 0.0]]), np.array([[1.0, 0.0]]))
+
+
+def test_frame_pair_decides_vector_norms_without_overflow():
+    # squared entries of a 1e160 family overflowed to inf norms, with a
+    # warning; no step may overflow now, and the threshold still decides
+    pair = gaussian_pair(np.random.default_rng(3), 3, 2)
+    unit = pair.xs / np.linalg.norm(pair.xs, axis=1)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        FramePair(1e160 * pair.xs, 1e160 * pair.ys)
+        FramePair(np.array([[1.5e308 + 1.5e308j, 0.0]]), np.ones((1, 2)))
+        for big in (1.0, 1e300):
+            for norm, accepted in ((0.5 * MIN_VECTOR_NORM, False),
+                                   (MIN_VECTOR_NORM, False),
+                                   (2.0 * MIN_VECTOR_NORM, True)):
+                xs = unit.copy()
+                xs[0] *= big
+                xs[1] *= norm
+                if accepted:
+                    FramePair(xs, pair.ys)
+                else:
+                    with pytest.raises(ValueError, match="must exceed"):
+                        FramePair(xs, pair.ys)
+        with pytest.raises(ValueError, match="must exceed"):
+            FramePair(np.array([[5e-324, 0.0]]), np.ones((1, 2)))
 
 
 def test_pair_operator_matches_apply_convention():

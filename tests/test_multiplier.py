@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from framescale import multiplier
-from framescale.frames import FramePair
+from framescale.frames import FramePair, coefficients
 from framescale.instances import (
     gaussian_pair,
     haar_unitary,
@@ -156,8 +156,9 @@ def test_alternating_value_is_its_certificate_replayed():
                              int(rng.integers(1, 5)))
         start = rng.uniform(size=pair.n) * np.exp(2j * np.pi * rng.uniform(size=pair.n))
         est = norm_lower_alternating(pair, start=start)
-        replay = _certify(pair, est.witness_mask, est.witness_u,
-                          est.witness_v, "ascent")
+        u, v = est.witness_u, est.witness_v
+        replay = _certify(coefficients(pair, u, v), est.witness_mask, u, v,
+                          "ascent")
         assert replay.value == est.value
 
 

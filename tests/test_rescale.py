@@ -5,7 +5,8 @@ import pytest
 
 import framescale.frames as frames
 import framescale.rescale as rescale
-from framescale.frames import FramePair, bessel_and_frame_bounds, pair_operator
+from framescale.frames import (FramePair, bessel_and_frame_bounds, dual_value,
+                               pair_operator)
 from framescale.instances import (
     canonical_dual_pair,
     d1_scalar_pair,
@@ -40,7 +41,8 @@ from framescale.rescale import (
     optimize,
     phi_lower,
 )
-from framescale.verify import witness_defect
+from framescale.verify import (RATIO_D_MAX, RATIO_INSTANCES, RATIO_N_MAX,
+                               witness_defect)
 
 from conftest import dual_coefficients
 
@@ -245,20 +247,21 @@ def test_bracket_fields_consistent():
     assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
     tuples = br.dual_us, br.dual_vs
     with pytest.raises(ValueError):
-        CbBracket(2.0, 1.0, np.zeros(4), 1.0, 1.0, *tuples)
+        CbBracket(2.0, np.zeros(4), 1.0, 1.0, *tuples)
     # m_lower always comes with the tuples that replay it
     with pytest.raises(TypeError):
-        CbBracket(1.0, 1.0, np.zeros(4), 1.0, 1.0)
+        CbBracket(1.0, np.zeros(4), 1.0, 1.0)
 
 
 def test_bracket_checks_are_relative_to_the_bound():
     tuples = np.ones((1, 2)), np.ones((1, 2))
     # inverted by 50 %, far below any absolute slack
     with pytest.raises(ValueError, match="inverted"):
-        CbBracket(1.5e-9, 1e-9, np.zeros(4), 1e-9, 1e-9, *tuples)
-    with pytest.raises(ValueError, match="max"):
-        CbBracket(1e-9, 1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples)
-    CbBracket(1e-9 * (1.0 + 1e-9), 1e-9, np.zeros(4), 1e-9, 1e-9, *tuples)
+        CbBracket(1.5e-9, np.zeros(4), 1e-9, 1e-9, *tuples)
+    CbBracket(1e-9 * (1.0 + 1e-9), np.zeros(4), 1e-9, 1e-9, *tuples)
+    # m_upper is max(f, g) by construction, not a field to keep in step
+    assert CbBracket(1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples).m_upper \
+        == 1.01e-9
 
 
 def test_optimize_reports_repeatable_counts():
@@ -312,11 +315,12 @@ def test_newton_stage_ends_at_its_fixed_point(monkeypatch):
     def restarted(obj, t, spectra, b):
         # a stage restarted from where it ended must not move: every step
         # the fixed-point stop saves would have left t unchanged
-        t, spectra = newton_stage(obj, t, spectra, b)
-        again, again_spectra = newton_stage(_Objective(pair), t, spectra, b)
+        t, spectra, steps, stop = newton_stage(obj, t, spectra, b)
+        again, again_spectra, _, _ = newton_stage(_Objective(pair), t,
+                                                  spectra, b)
         ends.append(np.array_equal(again, t)
                     and np.array_equal(again_spectra[0], spectra[0]))
-        return t, spectra
+        return t, spectra, steps, stop
 
     br = optimize(pair)
     stats = br.stats
@@ -371,8 +375,7 @@ def test_stage_ends_on_gap_only_where_the_iterate_certifies_it(monkeypatch):
 
     def spied(obj, t, spectra, b):
         start = len(duals)
-        t, spectra = newton_stage(obj, t, spectra, b)
-        stop = obj.stage_stops[-1]
+        t, spectra, steps, stop = newton_stage(obj, t, spectra, b)
         seen.add(stop)
         if stop == "gap":
             f, g = spectra[0][:, -1]
@@ -382,9 +385,9 @@ def test_stage_ends_on_gap_only_where_the_iterate_certifies_it(monkeypatch):
             want = _gibbs_dual(pair, spectra, b)
             assert abs(duals[-1] - want) <= 1e-13 * want
         if stop in ("gap", "fixed_point"):
-            again, _ = newton_stage(_Objective(pair), t, spectra, b)
+            again = newton_stage(_Objective(pair), t, spectra, b)[0]
             assert np.array_equal(again, t)
-        return t, spectra
+        return t, spectra, steps, stop
 
     monkeypatch.setattr(rescale, "_smoothed_state", recorded)
     monkeypatch.setattr(rescale, "_newton_stage", spied)
@@ -473,6 +476,22 @@ def test_dual_certificate_replays():
         assert sigma >= bilinear * (1.0 - 1e-12)
         assert sigma >= br.m_lower * (1.0 - 1e-12)
         assert abs(br.m_lower - bilinear) <= 1e-12 * br.m_lower
+
+
+def test_m_lower_is_the_replay_of_its_witness():
+    # criterion 01's pairs: m_lower is D of the returned tuples, bitwise,
+    # by the formula a reader would write from the CbBracket docstring
+    rng = np.random.default_rng(np.random.SeedSequence([0, 2024]))
+    for _ in range(RATIO_INSTANCES):
+        n = int(rng.integers(1, RATIO_N_MAX + 1))
+        d = int(rng.integers(1, RATIO_D_MAX + 1))
+        pair = mangle(gaussian_pair(rng, n, d), mangling_scalars(rng, n))
+        br = optimize(pair)
+        us, vs = br.dual_us, br.dual_vs
+        cu, cv = pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
+        replay = float(np.sum(np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
+                              * np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))))
+        assert br.m_lower == replay == dual_value(pair, us, vs)
 
 
 def test_dual_certificate_dominates_unmasked_norm_and_ascent():

@@ -493,6 +493,19 @@ def test_relative_gates_pass_at_every_scale():
         assert rec["orthogonality_identity"] <= 1e-14 * max(
             c1 * np.linalg.norm(us), c2 * np.linalg.norm(vs))
 
+    # both families x 1e160 with mats x 1e-150: route 1's blocks overflowed,
+    # the record read NaN, and the gate passed
+    small = gaussian_pair(np.random.default_rng(3), 3, 2)
+    huge = FramePair(1e160 * small.xs, 1e160 * small.ys)
+    units = np.eye(2)
+    pmats = mats[:3, :2, :2]
+    base = trace_pairing_check(small, pmats, units, units)
+    rec = trace_pairing_check(huge, 1e-150 * pmats, units, units)
+    size = float(np.sum(np.abs(pmats) * np.abs(small.xs)[:, :, None]
+                        * np.abs(small.ys)[:, None, :]))
+    assert abs(rec["value"] - 1e170 * base["value"]) <= 1e-14 * 1e170 * size
+    assert rec["residual"] <= 1e-14 * 1e170 * size
+
 
 def _valid_check_arguments():
     """Arguments of every check of VERIFY_CHECK_ARGUMENTS that pass it."""
