@@ -99,6 +99,7 @@ PSI_FD_B_RELS = (1e2, 1e4, 1e6, 1e8, 1e10)
 PSI_FD_GATE = 100.0  # largest finite-difference error / (eps b_rel)^(2/3)
 CLUSTER_BAND = 1e-3  # psi_fd counts a cluster where some b |dl| <= this
 CHAIN_M_CAP = 10  # super_key_check enumerates sign patterns up to this m
+MODERATE_SQ_NORM = (2.0 ** -64, 2.0 ** 64)  # see _scaled_unless_moderate
 
 # the fixed sizes of the suites; each suite takes only a seed
 RATIO_INSTANCES, RATIO_N_MAX, RATIO_D_MAX = 200, 5, 3
@@ -166,6 +167,15 @@ def _scaled(a: np.ndarray, name: str):
     """
     scale = _pow2_scale(a, name)
     return a * scale, scale
+
+
+def _scaled_unless_moderate(a, name: str):
+    """a as complex and the power 1.0 if ||a||^2 lies in MODERATE_SQ_NORM,
+    where no product of five such arrays leaves the float range and one
+    np.vdot costs less than _scaled; else _scaled(a, name)."""
+    a = np.asarray(a, dtype=np.complex128)
+    lo, hi = MODERATE_SQ_NORM
+    return (a, 1.0) if lo <= np.vdot(a, a).real <= hi else _scaled(a, name)
 
 
 def _check_phi(phi_norm: float) -> None:
@@ -405,16 +415,17 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     amplified map and takes inner products with the v tuple.  cu and cv
     come from frames.coefficients, and route 1's blocks are their
     broadcast product.  The form is linear in each argument and in each
-    family of the pair, so each is scaled first; route 3 runs next, so
-    amplified_apply checks mats and us once.
+    family of the pair, so each is scaled first (_scaled_unless_moderate);
+    route 3 runs next, so amplified_apply checks mats and us once.
     """
-    a, sa = _scaled(np.asarray(mats, dtype=np.complex128), "mats")
-    us, su = _scaled(np.asarray(us, dtype=np.complex128), "us")
-    vs, sv = _scaled(np.asarray(vs, dtype=np.complex128), "vs")
-    sx, sy = _pow2_scale(pair.xs), _pow2_scale(pair.ys)
+    a, sa = _scaled_unless_moderate(mats, "mats")
+    us, su = _scaled_unless_moderate(us, "us")
+    vs, sv = _scaled_unless_moderate(vs, "vs")
+    xs, sx = _scaled_unless_moderate(pair.xs, "xs")
+    ys, sy = _scaled_unless_moderate(pair.ys, "ys")
     # powers of two keep vectors nonzero; MIN_VECTOR_NORM could refuse them
     scaled = object.__new__(FramePair)
-    scaled.__dict__.update(xs=pair.xs * sx, ys=pair.ys * sy)
+    scaled.__dict__.update(xs=xs, ys=ys)
     out = amplified_apply(scaled, a, us)
     if vs.shape != us.shape:
         raise ValueError("us and vs must have shape (m, d)")

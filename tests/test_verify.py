@@ -415,6 +415,28 @@ def test_trace_pairing_routes_agree():
         trace_pairing_check(pair, mats, us, vs[:2])
 
 
+def test_trace_pairing_moderate_arguments_match_the_scaled_route():
+    # an argument of moderate squared norm is used as given, one beyond
+    # MODERATE_SQ_NORM is scaled first: powers of two are exact, so both
+    # records agree bitwise after the power is divided out
+    rng = np.random.default_rng(13)
+    pair = gaussian_pair(rng, 4, 2)
+    mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    base = trace_pairing_check(pair, mats, us, vs)
+    lo, hi = verify.MODERATE_SQ_NORM
+    for c in (2.0 ** 70, 2.0 ** -40):
+        for a in (us, pair.xs):
+            assert not lo <= np.vdot(c * a, c * a).real <= hi, c
+        rec = trace_pairing_check(pair, mats, c * us, vs)
+        assert rec["value"] == c * base["value"], c
+        assert rec["residual"] == c * base["residual"], c
+        far = FramePair(c * pair.xs, pair.ys)
+        assert trace_pairing_check(far, mats, us, vs)["value"] == \
+            c * base["value"], c
+
+
 def test_trace_pairing_validates_its_coefficients_once(monkeypatch):
     calls = []
     check = multiplier.check_amplified
