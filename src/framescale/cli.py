@@ -30,6 +30,7 @@ from .verify import SUITES, VerificationError, run_suite
 
 FORMAT_VERSION = 1
 INSTANCE_SUFFIX = ".frame.json"
+_REAL = {int, float}  # the types json.load gives numbers (not bool or str)
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
@@ -92,22 +93,6 @@ def save_instance(path: str, pair: FramePair, metadata=None) -> None:
     _write_text(path, serialize_instance(pair, metadata))
 
 
-def _vector_from_json(entry, dim: int, where: str) -> np.ndarray:
-    if not isinstance(entry, list) or len(entry) != dim:
-        raise InstanceFormatError(
-            f"{where}: expected {dim} coordinates, got "
-            f"{len(entry) if isinstance(entry, list) else type(entry).__name__}")
-    out = np.zeros(dim, dtype=np.complex128)
-    for j, part in enumerate(entry):
-        if (not isinstance(part, list) or len(part) != 2
-                or not all(isinstance(p, (int, float))
-                           and not isinstance(p, bool) for p in part)):
-            raise InstanceFormatError(
-                f"{where}[{j}]: expected a [real, imag] number pair")
-        out[j] = complex(part[0], part[1])
-    return out
-
-
 def load_instance(path: str):
     """Read one instance file; returns (pair, metadata)."""
     try:
@@ -129,14 +114,25 @@ def load_instance(path: str):
     raw = doc.get("pairs")
     if not isinstance(raw, list) or not raw:
         raise InstanceFormatError(f"{path}: 'pairs' must be a nonempty list")
-    xs = np.zeros((len(raw), dim), dtype=np.complex128)
-    ys = np.zeros((len(raw), dim), dtype=np.complex128)
+    rows = ([], [])  # the x and the y vectors, each coordinate checked once
     for k, item in enumerate(raw):
         where = f"{path}: pairs[{k}]"
         if not isinstance(item, dict):
             raise InstanceFormatError(f"{where}: expected an object")
-        xs[k] = _vector_from_json(item.get("x"), dim, f"{where}.x")
-        ys[k] = _vector_from_json(item.get("y"), dim, f"{where}.y")
+        for side, vectors in zip("xy", rows):
+            entry = item.get(side)
+            if not isinstance(entry, list) or len(entry) != dim:
+                raise InstanceFormatError(
+                    f"{where}.{side}: expected {dim} coordinates, got "
+                    f"{len(entry) if isinstance(entry, list) else type(entry).__name__}")
+            for j, part in enumerate(entry):
+                # type, not isinstance: a bool is an int to isinstance
+                if type(part) is not list or len(part) != 2 or not {
+                        type(part[0]), type(part[1])} <= _REAL:
+                    raise InstanceFormatError(
+                        f"{where}.{side}[{j}]: expected a [real, imag] number pair")
+            vectors.append(entry)
+    xs, ys = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
     try:
         pair = FramePair(xs, ys)
     except ValueError as exc:

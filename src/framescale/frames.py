@@ -5,6 +5,8 @@ inner product convention is linear in the first slot: <a, b> = sum a_i
 conj(b_i).  Vectors are stored as rows of (n, d) arrays.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,7 +18,22 @@ MIN_VECTOR_NORM = 1e-14
 FRAME_TOL = 1e-10  # is_frame needs lower > FRAME_TOL * upper
 
 
-def _check_vectors(vectors: np.ndarray, name: str) -> np.ndarray:
+def pow2_scale(a: np.ndarray, name: str = "array") -> float:
+    """The power of two, at most 2^1023, that puts the largest |Re| or
+    |Im| of a (read off its float64 view) in [0.5, 1); 1 if a is zero.
+
+    Multiplying by it is exact, so it moves no comparison, and squares
+    and cubes of the scaled entries stay in the float range.  ValueError
+    names a as name unless a is finite.
+    """
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    big = float(np.abs(parts).max())
+    if not math.isfinite(big):
+        raise ValueError(f"{name} has non-finite entries")
+    return math.ldexp(1.0, min(1023, -math.frexp(big)[1]))
+
+
+def _check_vectors(vectors: np.ndarray, name: str):
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise ValueError(f"{name}: expected shape (n, d), got {v.shape}")
@@ -30,23 +47,38 @@ def _check_vectors(vectors: np.ndarray, name: str) -> np.ndarray:
     norms = np.sqrt((np.abs(v * scale) ** 2).sum(axis=1, keepdims=True))
     if (norms <= MIN_VECTOR_NORM * scale).any():
         raise ValueError(f"{name}: vector norms must exceed {MIN_VECTOR_NORM:g}")
-    return v
+    return v, float(scale.min())  # v's pow2_scale: its smallest row scale
 
 
 @dataclass(frozen=True)
 class FramePair:
-    """Two equal-length sequences of nonzero vectors in the same C^d."""
+    """Two equal-length sequences of nonzero vectors in the same C^d, and
+    scale_x and scale_y, the pow2_scale of xs and of ys (see scaled)."""
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = _check_vectors(self.xs, "xs")
-        ys = _check_vectors(self.ys, "ys")
+        xs, scale_x = _check_vectors(self.xs, "xs")
+        ys, scale_y = _check_vectors(self.ys, "ys")
         if xs.shape != ys.shape:
             raise ValueError(f"shape mismatch: xs {xs.shape} vs ys {ys.shape}")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self.__dict__.update(xs=xs, ys=ys, scale_x=scale_x, scale_y=scale_y)
+
+    @functools.cached_property
+    def scaled(self) -> "FramePair":
+        """The pair (scale_x xs, scale_y ys), built once, on first use.
+
+        It skips the constructor's checks, which is safe: its families are
+        validated ones times exact powers of two, so they stay finite and
+        exact (short of an entry 2^1021 below its family's largest, which
+        turns subnormal), and its scales are 1.  Only MIN_VECTOR_NORM, an
+        absolute floor, could refuse it, and no check holds it to that.
+        """
+        scaled = object.__new__(FramePair)
+        scaled.__dict__.update(xs=self.xs * self.scale_x, scale_x=1.0,
+                               ys=self.ys * self.scale_y, scale_y=1.0)
+        return scaled
 
     @property
     def n(self) -> int:
@@ -65,7 +97,7 @@ class BesselBounds(NamedTuple):
 
 def frame_operator(vectors: np.ndarray) -> np.ndarray:
     """Sum of rank-one maps v_k v_k^*; Hermitian positive semidefinite."""
-    v = _check_vectors(vectors, "vectors")
+    v, _ = _check_vectors(vectors, "vectors")
     return np.einsum("ki,kj->ij", v, v.conj())
 
 

@@ -2,8 +2,8 @@
 
 Every routine checks its input (finite entries, and Hermitian symmetry
 where the decomposition assumes it) and then calls numpy.linalg, which
-runs LAPACK.  Matrices are plain complex ndarrays of shape (d, d) with d
-small (tens, not thousands).  check_hermitian, eigh,
+runs LAPACK.  Matrices are complex (or real float64) ndarrays of shape
+(d, d) with d small (tens, not thousands).  check_hermitian, eigh,
 top_singular_triplet and singular_values also take a stack of shape
 (..., r, c): every matrix in it gets the same checks, and the whole stack
 goes to LAPACK in one call, whose results are bitwise equal to one call
@@ -17,11 +17,12 @@ HERMITIAN_RTOL = 1e-12
 
 def check_matrix(mat: np.ndarray, square: bool = True,
                  stack: bool = False) -> np.ndarray:
-    """Validate a finite complex matrix and return it as complex128.
+    """Validate a finite matrix; return it as complex128 unless float64.
 
     With stack=True the input may also be a stack of shape (..., r, c).
     """
-    a = np.asarray(mat, dtype=np.complex128)
+    a = np.asarray(mat)
+    a = a if a.dtype == np.float64 else a.astype(np.complex128, copy=False)
     if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a 2d matrix, got shape {a.shape}")
     if square and a.shape[-2] != a.shape[-1]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FramePair, coefficients
+from .frames import FramePair, coefficients, pow2_scale
 from .linalg import top_singular_triplet
 
 MASK_SLACK = 1e-12
@@ -112,21 +112,6 @@ def norm_lower_alternating(pair: FramePair,
     return _certify(tables, eps, u, v, "ascent", iterations)
 
 
-def _pow2_scale(a: np.ndarray, name: str = "array") -> float:
-    """Power of two that puts the largest modulus of a in [0.5, 1), at most
-    2^1023 (subnormal entries).
-
-    Multiplying by it is exact, so it changes no comparison, and it keeps
-    squared and cubed Gram entries inside the float range.  The largest
-    modulus is NaN or inf when an entry is (or when a modulus is beyond
-    the float range), and then ValueError names a as name.
-    """
-    big = float(np.abs(a).max())
-    if not math.isfinite(big):
-        raise ValueError(f"{name} has non-finite entries")
-    return math.ldexp(1.0, min(1023, -math.frexp(big)[1]))
-
-
 def _hermitian_rows(g: np.ndarray) -> np.ndarray:
     """Gram rows of a stack of Hermitian (..., d, d) matrices g.
 
@@ -150,7 +135,7 @@ def _gram_top_norm(rows: np.ndarray) -> np.ndarray:
     batched LAPACK.  Rows formed by a GEMM (see norm_oracle_grid) may put
     a nearly zero eigenvalue a rounding below zero, so the top eigenvalue
     is clamped at 0 before the root.  Callers keep the matrices' entries
-    near unit size (see _pow2_scale), because the d = 3 form cubes Gram
+    near unit size (see frames.pow2_scale), because the d = 3 form cubes Gram
     entries.
     """
     d = math.isqrt(len(rows))
@@ -262,7 +247,7 @@ def _grid_factors(pair: FramePair, phase_steps: int):
     n, d = pair.n, pair.dim
     phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
     rank_ones = np.einsum("ki,kj->kij", pair.xs, pair.ys.conj())
-    rank_ones = rank_ones * _pow2_scale(rank_ones)
+    rank_ones = rank_ones * pow2_scale(rank_ones)
     tables = rank_ones[:, :, :, None] * phases
     fast = 0
     while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:

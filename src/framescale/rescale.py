@@ -198,7 +198,7 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
     tighten the bracket past the tolerance the outer loop asks for.  It
     also ends ("gradient") when the gradient is below 1e-13 of psi
     (relative, so the rule is the same at every scale of the pair).
-    Only then is the Hessian formed.  Each step solves with the
+    Only then is the Hessian formed.  Each step solves with the real
     Hessian's eigendecomposition, its spectrum floored at 1e-12 of the
     largest eigenvalue, caps the step at 3 in every coordinate, and
     takes the Armijo point of _armijo_step.  The stage ends when no
@@ -228,7 +228,7 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
         steps += 1
         w, v = obj.eigh(hessian())
         floor = max(1e-12 * float(np.max(np.abs(w))), 1e-300)
-        step = -(v @ ((v.conj().T @ grad) / np.maximum(w, floor))).real
+        step = -(v @ ((v.T @ grad) / np.maximum(w, floor)))
         cap = float(np.max(np.abs(step)))
         if cap > 3.0:
             step *= 3.0 / cap

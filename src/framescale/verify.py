@@ -32,14 +32,13 @@ Entry contract: every check validates its input once, before any gate,
 and scales it at most once.  An array argument with a NaN or infinite
 entry, and a phi_norm that is NaN, infinite or negative, raise
 ValueError: every comparison with NaN is false, so a NaN that reached a
-gate would pass it.  khintchine_check, trace_lemma_check,
-holder_trace_check, key_simple_check, super_key_check and
-trace_pairing_check multiply each array argument (and
-trace_pairing_check each family of the pair) by its own exact power of
-two, so no square or product overflows or underflows while the inputs
-lie inside the float range.  They decide every gate on the scaled
-numbers and divide the powers out of the record, so a gate holds even
-where a reported number lies beyond the float range.
+gate would pass it.  The six inequality checks multiply each array
+argument by its own power of two (frames.pow2_scale); the bilinear ones read
+pair.scaled, with phi_norm times the pair's scales.  So no square or
+product overflows or underflows while the inputs lie inside the float
+range.  They decide every gate on the scaled numbers and divide the
+powers out of the record, so a gate holds even where a reported number
+lies beyond the float range.
 holder_trace_check takes the operator norm of a and the trace norm of
 b from one LAPACK call, the singular values of the stack [a, b].
 
@@ -55,7 +54,7 @@ import time
 import numpy as np
 
 from .frames import (FramePair, coefficients, dual_terms, identity_deviation,
-                     pair_operator)
+                     pair_operator, pow2_scale)
 from .instances import (
     canonical_dual_pair,
     d1_scalar_pair,
@@ -69,7 +68,6 @@ from .instances import (
 from .linalg import singular_values, trace_norm
 from .multiplier import (
     MultiplierNormEstimate,
-    _pow2_scale,
     amplified_apply,
     mask_matrix,
     norm_lower_alternating,
@@ -99,7 +97,6 @@ PSI_FD_B_RELS = (1e2, 1e4, 1e6, 1e8, 1e10)
 PSI_FD_GATE = 100.0  # largest finite-difference error / (eps b_rel)^(2/3)
 CLUSTER_BAND = 1e-3  # psi_fd counts a cluster where some b |dl| <= this
 CHAIN_M_CAP = 10  # super_key_check enumerates sign patterns up to this m
-MODERATE_SQ_NORM = (2.0 ** -64, 2.0 ** 64)  # see _scaled_unless_moderate
 
 # the fixed sizes of the suites; each suite takes only a seed
 RATIO_INSTANCES, RATIO_N_MAX, RATIO_D_MAX = 200, 5, 3
@@ -159,23 +156,12 @@ def _signed_sums(table: np.ndarray) -> np.ndarray:
     return sums.view(np.complex128).reshape(sums.shape[0], *table.shape[1:])
 
 
-def _scaled(a: np.ndarray, name: str):
-    """a times the exact power of two _pow2_scale(a), and that power.
-
-    _pow2_scale raises ValueError, naming a as name, unless a is finite,
-    so this also validates a.
-    """
-    scale = _pow2_scale(a, name)
-    return a * scale, scale
-
-
-def _scaled_unless_moderate(a, name: str):
-    """a as complex and the power 1.0 if ||a||^2 lies in MODERATE_SQ_NORM,
-    where no product of five such arrays leaves the float range and one
-    np.vdot costs less than _scaled; else _scaled(a, name)."""
+def _scaled(a, name: str):
+    """a as complex times pow2_scale(a, name), which validates a, and
+    that power."""
     a = np.asarray(a, dtype=np.complex128)
-    lo, hi = MODERATE_SQ_NORM
-    return (a, 1.0) if lo <= np.vdot(a, a).real <= hi else _scaled(a, name)
+    scale = pow2_scale(a, name)
+    return a * scale, scale
 
 
 def _check_phi(phi_norm: float) -> None:
@@ -245,11 +231,11 @@ def key_simple_check(pair: FramePair, u: np.ndarray, v: np.ndarray,
         raise ValueError("u and v must live in the pair's space")
     u, su = _scaled(u, "u")
     v, sv = _scaled(v, "v")
-    lhs_s = float(dual_terms(*coefficients(pair, u, v)).sum())
-    rhs_s = phi_norm * (_norm(u) * _norm(v))
+    lhs_s = float(dual_terms(*coefficients(pair.scaled, u, v)).sum())
+    rhs_s = phi_norm * pair.scale_x * pair.scale_y * (_norm(u) * _norm(v))
     slack_s = rhs_s - lhs_s
-    record = {"lhs": lhs_s / su / sv, "rhs": rhs_s / su / sv,
-              "slack": slack_s / su / sv}
+    unit = su * sv * pair.scale_x * pair.scale_y
+    record = {"lhs": lhs_s / unit, "rhs": rhs_s / unit, "slack": slack_s / unit}
     if slack_s < -INEQ_RTOL * rhs_s:
         raise VerificationError(
             f"bilinear key estimate violated: slack {record['slack']:.3e}",
@@ -289,11 +275,9 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     less its mean.  The u-side and v-side norms and means are read off
     shared arrays, one reduction for both sides.
 
-    Each link is homogeneous in each tuple, so the sums are formed with
-    the tuples scaled by exact powers of two su and sv (see _pow2_scale):
-    none overflows or underflows while the inputs do.  Every gate compares
-    these scaled numbers, so it holds even where lhs and rhs themselves
-    lie beyond the float range; the record divides su and sv back out.
+    Each link is homogeneous in each tuple and in each family, so the
+    sums are formed on the tuples times powers of two su and sv and on
+    pair.scaled, as the module's entry contract says.
     """
     if not 0 <= chain_m_cap <= MAX_PATTERN_ORDER:
         raise ValueError(f"chain_m_cap must be in [0, {MAX_PATTERN_ORDER}], "
@@ -311,18 +295,18 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     us, su = _scaled(us, "us")
     vs, sv = _scaled(vs, "vs")
     n, d = pair.n, pair.dim
-    cu, cv = coefficients(pair, us, vs)
+    phi = phi_norm * pair.scale_x * pair.scale_y  # the norm of pair.scaled
+    unit = su * sv * pair.scale_x * pair.scale_y
+    cu, cv = coefficients(pair.scaled, us, vs)
     norm_uv = dual_terms(cu, cv)  # ||(<u_j, y_k>)_j|| ||(<v_i, x_k>)_i||
     sq_u, sq_v = (np.abs(np.concatenate([us, vs])) ** 2).reshape(2, -1) \
         .sum(axis=1).tolist()
-    # every gate compares these scaled numbers; the record divides su and
-    # sv back out
     lhs = float(norm_uv.sum())
     l2_u, l2_v = math.sqrt(sq_u), math.sqrt(sq_v)
-    rhs = 2.0 * phi_norm * l2_u * l2_v
+    rhs = 2.0 * phi * l2_u * l2_v
     slack = rhs - lhs
-    record = {"lhs": lhs / su / sv, "rhs": rhs / su / sv,
-              "slack": slack / su / sv, "m": int(m), "chain_checked": False}
+    record = {"lhs": lhs / unit, "rhs": rhs / unit, "slack": slack / unit,
+              "m": int(m), "chain_checked": False}
     if slack < -INEQ_RTOL * rhs:
         raise VerificationError(
             f"block key estimate violated: slack {record['slack']:.3e}",
@@ -352,7 +336,7 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     # as phi mean(nu) mean(nv) - mean(gap), against the product of single
     # averages summed over k.
     left = np.empty((count, n + 1))
-    np.multiply(nuv[0], phi_norm, out=left[:, 0])
+    np.multiply(nuv[0], phi, out=left[:, 0])
     np.negative(pq[:, :n], out=left[:, 1:])
     right = np.empty((n + 1, count))
     right[0] = nuv[1]
@@ -365,7 +349,7 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
         link3 = min(link3, float(gap.min()))
         gap_sum += float(gap.sum())
     mean_nu, mean_nv = (nuv.sum(axis=1) / count).tolist()
-    joint_mean = phi_norm * mean_nu * mean_nv - gap_sum / count ** 2
+    joint_mean = phi * mean_nu * mean_nv - gap_sum / count ** 2
     link2 = abs(joint_mean - float(products.sum()))
     # link 4: average norm below quadratic mean, and link 5: the exact
     # identity mean ||u(s)||^2 = sum_j ||u_j||^2; both hold per tuple,
@@ -375,9 +359,9 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     # the terms of links 1 and 2 are at most 2 lhs, and the final
     # inequality has just put lhs below rhs
     record.update({"chain_checked": True,
-                   "khintchine_link": link1 / su / sv,
-                   "average_identity": link2 / su / sv,
-                   "masked_bound_link": link3 / su / sv,
+                   "khintchine_link": link1 / unit,
+                   "average_identity": link2 / unit,
+                   "masked_bound_link": link3 / unit,
                    "mean_vs_quadratic": min((l2_u - mean_nu) / su,
                                             (l2_v - mean_nv) / sv),
                    "orthogonality_identity": max(abs(ms_u - l2_u) / su,
@@ -389,7 +373,7 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
         raise VerificationError("average-product identity broken: "
                                 f"{record['average_identity']:.3e}", record)
     # the bound is <= 0, so only a negative link3 needs the norms' maxima
-    if link3 < 0.0 and link3 < -INEQ_RTOL * phi_norm * float(
+    if link3 < 0.0 and link3 < -INEQ_RTOL * phi * float(
             nuv[0].max()) * float(nuv[1].max()):
         raise VerificationError("masked-norm link violated: "
                                 f"{record['masked_bound_link']:.3e}", record)
@@ -415,17 +399,13 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     amplified map and takes inner products with the v tuple.  cu and cv
     come from frames.coefficients, and route 1's blocks are their
     broadcast product.  The form is linear in each argument and in each
-    family of the pair, so each is scaled first (_scaled_unless_moderate);
+    family, so it is formed on scaled ones (see the entry contract);
     route 3 runs next, so amplified_apply checks mats and us once.
     """
-    a, sa = _scaled_unless_moderate(mats, "mats")
-    us, su = _scaled_unless_moderate(us, "us")
-    vs, sv = _scaled_unless_moderate(vs, "vs")
-    xs, sx = _scaled_unless_moderate(pair.xs, "xs")
-    ys, sy = _scaled_unless_moderate(pair.ys, "ys")
-    # powers of two keep vectors nonzero; MIN_VECTOR_NORM could refuse them
-    scaled = object.__new__(FramePair)
-    scaled.__dict__.update(xs=xs, ys=ys)
+    a, sa = _scaled(mats, "mats")
+    us, su = _scaled(us, "us")
+    vs, sv = _scaled(vs, "vs")
+    scaled = pair.scaled
     out = amplified_apply(scaled, a, us)
     if vs.shape != us.shape:
         raise ValueError("us and vs must have shape (m, d)")
@@ -438,8 +418,8 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     # |A_kij| |B_kij|
     scale = float(np.vdot(np.abs(a), np.abs(blocks)))
     residual = max(abs(route1 - route2), abs(route2 - route3))
-    record = {"value": route1 / sa / su / sv / sx / sy,
-              "residual": residual / sa / su / sv / sx / sy}
+    unit = sa * su * sv * pair.scale_x * pair.scale_y
+    record = {"value": route1 / unit, "residual": residual / unit}
     if not residual <= IDENTITY_RTOL * scale:
         raise VerificationError(
             f"trace pairing residual {record['residual']:.3e}", record)

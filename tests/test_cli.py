@@ -82,14 +82,20 @@ def test_load_reports_json_position(tmp_path):
 
 
 def test_load_reports_field_path(tmp_path):
-    doc = {"format_version": 1, "dim": 2,
-           "pairs": [{"x": [[0.0, 0.0], [1.0]],
-                      "y": [[1.0, 0.0], [0.0, 0.0]]}],
-           "metadata": {}}
-    path = tmp_path / "field.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(cli.InstanceFormatError, match=r"pairs\[0\].x\[1\]"):
-        cli.load_instance(str(path))
+    # a coordinate is an int or a float: json's true is a bool and "1.0"
+    # a string, and either is refused at its place
+    for x, y, where in (([[0.0, 0.0], [1.0]], [[1.0, 0.0], [0.0, 0.0]],
+                         r"pairs\[0\].x\[1\]"),
+                        ([[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, True]],
+                         r"pairs\[0\].y\[1\]"),
+                        ([[1.0, 0.0], ["1.0", 0.0]], [[1.0, 0.0], [0.0, 1]],
+                         r"pairs\[0\].x\[1\]")):
+        doc = {"format_version": 1, "dim": 2, "pairs": [{"x": x, "y": y}],
+               "metadata": {}}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cli.InstanceFormatError, match=where):
+            cli.load_instance(str(path))
 
 
 def test_load_rejects_zero_vector(tmp_path):
@@ -733,6 +739,22 @@ def test_package_reads_no_environment_variable():
                 continue
             assert not names & readers, \
                 f"{source.name}:{node.lineno}: reads the environment"
+
+
+def test_only_frames_decides_a_power_of_two_scale():
+    # frames.pow2_scale and FramePair own the choice of scale; another
+    # frexp would be a second rule for it.  rescale.ARMIJO_STEPS' ldexp
+    # only lists step lengths
+    for source in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if source.name == "frames.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                assert name != "frexp", \
+                    f"{source.name}:{node.lineno}: calls frexp"
 
 
 def test_package_imports_only_numpy_and_the_standard_library():

@@ -1,5 +1,6 @@
 """Frame operator, bounds, and reproducing-pair checks."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from framescale.frames import (
     frame_operator,
     is_schauder_identity,
     pair_operator,
+    pow2_scale,
 )
 from framescale.instances import (
     canonical_dual_pair,
@@ -151,6 +153,30 @@ def test_frame_pair_decides_vector_norms_without_overflow():
                         FramePair(xs, pair.ys)
         with pytest.raises(ValueError, match="must exceed"):
             FramePair(np.array([[5e-324, 0.0]]), np.ones((1, 2)))
+
+
+def test_frame_pair_scales_each_family_by_a_power_of_two():
+    # each family's largest |Re| or |Im| times its scale lies in [0.5, 1),
+    # and pair.scaled, built once, holds both families at those scales
+    pair = gaussian_pair(np.random.default_rng(5), 4, 3)
+    for c in (1e-10, 1.0, 1e300):
+        far = FramePair(c * pair.xs, pair.ys / 3.0)
+        assert far.scaled is far.scaled
+        assert (far.scaled.scale_x, far.scaled.scale_y) == (1.0, 1.0)
+        for fam, scale, scaled in ((far.xs, far.scale_x, far.scaled.xs),
+                                   (far.ys, far.scale_y, far.scaled.ys)):
+            assert math.frexp(scale)[0] == 0.5, c
+            assert scale == pow2_scale(fam)
+            big = max(np.abs(fam.real).max(), np.abs(fam.imag).max())
+            assert 0.5 <= big * scale < 1.0, c
+            assert np.array_equal(scaled, scale * fam), c
+    # the largest part, not the largest modulus, and any memory layout
+    assert pow2_scale(np.array([0.75 + 0.75j])) == 1.0
+    assert pow2_scale(pair.xs.T) == pow2_scale(pair.xs)
+    assert pow2_scale(np.zeros(3)) == 1.0
+    assert pow2_scale(np.array([1e-310])) == 2.0 ** 1023
+    with pytest.raises(ValueError, match="u has non-finite"):
+        pow2_scale(np.array([1.0, complex(0.0, np.nan)]), "u")
 
 
 def test_pair_operator_matches_apply_convention():

@@ -77,6 +77,20 @@ def test_extreme_eig_rejects_non_hermitian():
         eigh(np.ones((2, 3)))
 
 
+def test_eigh_keeps_a_real_matrix_real():
+    # a float64 matrix goes to LAPACK's real routine: real eigenvectors,
+    # and the planted spectrum as on the complex route
+    rng = np.random.default_rng(31)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    planted_w = np.array([-2.0, -0.5, 0.25, 1.0, 3.0])
+    a = (q * planted_w) @ q.T
+    w, v = eigh(a)
+    assert w.dtype == v.dtype == np.float64
+    assert np.max(np.abs(w - planted_w)) <= 1e-14 * 3.0
+    assert np.max(np.abs(a @ v - v * w)) <= 1e-14 * 3.0
+    assert np.max(np.abs(eigh(a.astype(complex))[0] - w)) <= 1e-14 * 3.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.integers(1, 6), st.integers(-150, 150), st.integers(0, 3))
 def test_eigh_is_scale_equivariant(seed, d, exponent, count):

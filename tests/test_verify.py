@@ -415,26 +415,34 @@ def test_trace_pairing_routes_agree():
         trace_pairing_check(pair, mats, us, vs[:2])
 
 
-def test_trace_pairing_moderate_arguments_match_the_scaled_route():
-    # an argument of moderate squared norm is used as given, one beyond
-    # MODERATE_SQ_NORM is scaled first: powers of two are exact, so both
-    # records agree bitwise after the power is divided out
+def test_bilinear_checks_are_exact_at_power_of_two_scales():
+    # the bilinear checks form their numbers on the tuples and on the
+    # pair's families times exact powers of two, so a family or a tuple
+    # times 2^70 or 2^-40 gives the unit-scale record times that power,
+    # bit for bit; links 4 and 5 hold per tuple and do not move
     rng = np.random.default_rng(13)
     pair = gaussian_pair(rng, 4, 2)
     mats = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
     us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    base = trace_pairing_check(pair, mats, us, vs)
-    lo, hi = verify.MODERATE_SQ_NORM
+    phi = norm_lower_alternating(pair).value
+
+    def records(p, phi_norm):
+        return {"pairing": trace_pairing_check(p, mats, us, vs),
+                "key_simple": key_simple_check(p, us[0], vs[0], phi_norm),
+                "super_key": super_key_check(p, us, vs, phi_norm)}
+
+    base = records(pair, phi)
+    assert base["super_key"]["chain_checked"]
+    fixed = {"m", "chain_checked", "mean_vs_quadratic", "orthogonality_identity"}
     for c in (2.0 ** 70, 2.0 ** -40):
-        for a in (us, pair.xs):
-            assert not lo <= np.vdot(c * a, c * a).real <= hi, c
+        for far in (FramePair(c * pair.xs, pair.ys),
+                    FramePair(pair.xs, c * pair.ys)):
+            for name, rec in records(far, c * phi).items():
+                assert rec == {key: value if key in fixed else c * value
+                               for key, value in base[name].items()}, (c, name)
         rec = trace_pairing_check(pair, mats, c * us, vs)
-        assert rec["value"] == c * base["value"], c
-        assert rec["residual"] == c * base["residual"], c
-        far = FramePair(c * pair.xs, pair.ys)
-        assert trace_pairing_check(far, mats, us, vs)["value"] == \
-            c * base["value"], c
+        assert rec == {key: c * value for key, value in base["pairing"].items()}
 
 
 def test_trace_pairing_validates_its_coefficients_once(monkeypatch):
@@ -456,6 +464,7 @@ def test_trace_pairing_validates_its_coefficients_once(monkeypatch):
     assert calls == [4]
 
 
+@pytest.mark.filterwarnings("error")
 def test_relative_gates_pass_at_every_scale():
     # no gate carries an absolute term, so tiny and huge data pass alike
     rng = np.random.default_rng(15)
@@ -527,6 +536,33 @@ def test_relative_gates_pass_at_every_scale():
                         * np.abs(small.ys)[:, None, :]))
     assert abs(rec["value"] - 1e170 * base["value"]) <= 1e-14 * 1e170 * size
     assert rec["residual"] <= 1e-14 * 1e170 * size
+
+    # one family x 1e200 squared entries of cv near 1e200 in
+    # super_key_check's dual terms: lhs read inf and the check failed.
+    # MIN_VECTOR_NORM refuses a family x 1e-200, so the small family is
+    # x 1e-12
+    rng = np.random.default_rng(18)
+    pair = gaussian_pair(rng, 4, 2)
+    phi = norm_lower_alternating(pair).value
+    us = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    vs = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    base = {"key_simple": key_simple_check(pair, us[0], vs[0], phi),
+            "super_key": super_key_check(pair, us, vs, phi)}
+    tuple_only = {"m", "chain_checked", "mean_vs_quadratic",
+                  "orthogonality_identity"}
+    for c, far in ((1e200, FramePair(1e200 * pair.xs, pair.ys)),
+                   (1e200, FramePair(pair.xs, 1e200 * pair.ys)),
+                   (1e-12, FramePair(pair.xs, 1e-12 * pair.ys))):
+        recs = {"key_simple": key_simple_check(far, us[0], vs[0], c * phi),
+                "super_key": super_key_check(far, us, vs, c * phi)}
+        for name, rec in recs.items():
+            assert rec.keys() == base[name].keys()
+            for key, value in base[name].items():
+                if key in tuple_only:
+                    assert rec[key] == value, (c, name, key)
+                else:
+                    assert abs(rec[key] - c * value) <= \
+                        1e-14 * c * base[name]["rhs"], (c, name, key)
 
 
 def _valid_check_arguments():
