@@ -20,7 +20,8 @@ import time
 
 import numpy as np
 
-from .frames import FramePair, bessel_and_frame_bounds, identity_deviation
+from .frames import (FramePair, bounds_from_spectrum, frame_eigh,
+                     identity_deviation)
 from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh
 from .multiplier import (GRID_MAX_N, GRID_MIN_STEPS, norm_lower_alternating,
@@ -163,26 +164,20 @@ def load_corpus(path: str):
     return [(_label(os.path.basename(path)), *load_instance(path))]
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+def _numpy_value(obj):
+    """json.dumps's default: numpy arrays, bools, integers and floats as
+    Python values (np.float64 is a float, so the encoder takes it)."""
+    if isinstance(obj, (np.ndarray, np.bool_, np.integer, np.floating)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _flat_cell(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ";".join(str(_flat_cell(v)) for v in value)
     return value
 
@@ -191,7 +186,8 @@ def write_report(path: str, report: dict) -> None:
     """Write a JSON report; a flat CSV twin lands next to it.
 
     The JSON text is built whole by json.dumps, whose C encoder writes
-    the same bytes as the pure-Python one that json.dump streams through.
+    the same bytes as the pure-Python one that json.dump streams through,
+    and converts numpy values as it meets them (_numpy_value).
     The CSV twin is built whole too, and both files are rewritten in
     place by _write_text, with the bytes open(path, "w") would leave.
 
@@ -199,9 +195,8 @@ def write_report(path: str, report: dict) -> None:
     sub-reports (verify --suite all) gives every sub-report's records in
     turn, led by a suite column.
     """
-    report = _plain(report)
-    _write_text(path,
-                json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_text(path, json.dumps(report, sort_keys=True, separators=(",", ":"),
+                                 default=_numpy_value) + "\n")
     records = report.get("records")
     if records is None and "reports" in report:
         records = [{"suite": sub["suite"], **rec}
@@ -268,8 +263,7 @@ def _cmd_analyze(args) -> int:
     corpus = load_corpus(args.infile)
     records = []
     for label, pair, _ in corpus:
-        bx = bessel_and_frame_bounds(pair.xs)
-        by = bessel_and_frame_bounds(pair.ys)
+        bx, by = map(bounds_from_spectrum, frame_eigh(pair)[0])
         dev = identity_deviation(pair)
         alt, phi_s = _timed(norm_lower_alternating, pair)
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
@@ -346,7 +340,7 @@ def _cmd_verify(args) -> int:
     except VerificationError as exc:
         failure = {"format_version": FORMAT_VERSION, "command": "verify",
                    "suite": args.suite, "seed": args.seed, "error": str(exc),
-                   "record": _plain(exc.record),
+                   "record": exc.record,
                    "summary": {"failures": 1}}
         out = args.out or f"verify-{args.suite}-failure.json"
         write_report(out, failure)
@@ -366,7 +360,7 @@ def _cmd_verify(args) -> int:
         write_report(args.out, report)
     for sub in printable:
         print(f"PASS {sub['suite']} in {sub['summary']['wall_s']:.1f}s: "
-              f"{json.dumps(_plain(sub['summary']))}")
+              f"{json.dumps(sub['summary'], default=_numpy_value)}")
     return EXIT_OK
 
 

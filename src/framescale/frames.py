@@ -96,9 +96,17 @@ class BesselBounds(NamedTuple):
 
 
 def frame_operator(vectors: np.ndarray) -> np.ndarray:
-    """Sum of rank-one maps v_k v_k^*; Hermitian positive semidefinite."""
+    """Sum of rank-one maps v_k v_k^*; Hermitian positive semidefinite.
+    frame_eigh diagonalises both of a pair's at once."""
     v, _ = _check_vectors(vectors, "vectors")
     return np.einsum("ki,kj->ij", v, v.conj())
+
+
+def frame_eigh(pair: FramePair):
+    """(w, V) of the frame operators of xs and ys, formed as frame_operator
+    forms them, stacked (2, d, d) into one LAPACK call; not re-validated."""
+    vecs = np.stack([pair.xs, pair.ys])
+    return eigh(np.einsum("ski,skj->sij", vecs, vecs.conj()))
 
 
 def bounds_from_spectrum(w: np.ndarray) -> BesselBounds:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .frames import (BesselBounds, FramePair, bounds_from_spectrum,
-                     coefficients, dual_terms, dual_value)
+                     coefficients, dual_terms, dual_value, frame_eigh)
 from .linalg import eigh
 from .multiplier import (MultiplierNormEstimate, _align, _certify, check_mask,
                          norm_lower_alternating)
@@ -375,16 +375,14 @@ class ScalingResult:
 
 
 def extract_scaling(pair: FramePair, log_weights: np.ndarray) -> ScalingResult:
-    """Turn log-weights t into the rescaled pair, diagonalising each family's
-    frame operator once.  alpha = e^{t/2}: the families become (e^{t_k/2} x_k)
-    and (e^{-t_k/2} y_k), whose upper bounds are exactly f and g."""
+    """Turn log-weights t into the rescaled pair; one frame_eigh call
+    diagonalises its frame operators.  alpha = e^{t/2}: the families become
+    (e^{t_k/2} x_k) and (e^{-t_k/2} y_k), with upper bounds exactly f and g."""
     t = _check_weights(log_weights, pair.n)
     alpha = np.exp(0.5 * t)
     scaled = FramePair(alpha[:, None] * pair.xs, pair.ys / alpha[:, None])
-    eig_x, eig_y = (eigh(np.einsum("ki,kj->ij", v, v.conj()))
-                    for v in (scaled.xs, scaled.ys))
-    return ScalingResult(alpha, bounds_from_spectrum(eig_x[0]),
-                         bounds_from_spectrum(eig_y[0]), scaled, eig_x, eig_y)
+    w, v = frame_eigh(scaled)
+    return ScalingResult(alpha, *map(bounds_from_spectrum, w), scaled, *zip(w, v))
 
 
 @dataclass(frozen=True)

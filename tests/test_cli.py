@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framescale import cli, verify
+from framescale import cli, frames, rescale, verify
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair, generate
 from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
@@ -319,6 +319,40 @@ def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS ratio in ")
 
 
+def test_analyze_diagonalises_and_validates_each_pair_once(tmp_path,
+                                                          monkeypatch):
+    # one stacked LAPACK call per record for the two frame operators, and
+    # no family checked again after load_instance built the pair
+    corpus = tmp_path / "corpus"
+    assert cli.main(["gen", "--kind", "gaussian", "--n", "4", "--d", "3",
+                     "--instances", "3", "--out", str(corpus)]) == 0
+    events = []
+    eigh, check_vectors = frames.eigh, frames._check_vectors
+    load_instance = cli.load_instance
+
+    def counted(mat):
+        events.append(("eigh", np.shape(mat)))
+        return eigh(mat)
+
+    def checked(vectors, name):
+        events.append(("check", name))
+        return check_vectors(vectors, name)
+
+    def loaded(path):
+        out = load_instance(path)
+        events.append(("loaded", None))
+        return out
+
+    for module in (cli, frames, rescale):
+        monkeypatch.setattr(module, "eigh", counted)
+    monkeypatch.setattr(frames, "_check_vectors", checked)
+    monkeypatch.setattr(cli, "load_instance", loaded)
+    assert cli.main(["analyze", "--in", str(corpus),
+                     "--out", str(tmp_path / "an.json")]) == 0
+    assert events == 3 * [("check", "xs"), ("check", "ys"), ("loaded", None)] \
+        + 3 * [("eigh", (2, 3, 3))]
+
+
 def test_rescale_records_stats_and_one_ascent(tmp_path):
     pair = gaussian_pair(np.random.default_rng(6), 4, 2)
     inst = tmp_path / "one.frame.json"
@@ -575,14 +609,37 @@ def test_csv_floats_round_trip(tmp_path):
     assert cells[2] == "1.5;-2.25"
 
 
+def _plain(obj):
+    """The report with every numpy value made a Python one, by a walk that
+    write_report does not run: the reference for its bytes."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    return obj
+
+
 def test_write_report_bytes_match_json_dump(tmp_path):
-    # write_report builds the text with json.dumps (the C encoder); the
-    # bytes are those json.dump streams through the Python encoder
+    # write_report builds the text with json.dumps (the C encoder), which
+    # converts numpy values as it meets them; the bytes are those
+    # json.dump streams through the Python encoder from a plain copy
     report = {"records": [{"instance": "i0", "n": np.int64(3),
                            "value": np.float64(0.1) + 0.2, "ok": np.bool_(True),
                            "weights": np.array([1.5, -2.25, 1e-300]),
                            "nested": [[np.float64(np.pi), 2],
                                       (np.int32(4), [np.float32(0.5), None])],
+                           "pair": (np.float64(0.1), 2),
+                           "single": np.float32(0.1),
+                           "scalar": np.array(np.pi),
+                           "grid": np.array([[1.0, 0.5], [np.nan, -0.0]]),
                            "stats": {"stage_steps": [np.int64(3), 4],
                                      "stop": "gap"}}],
               "summary": {"label": "phi \u03c6", "max_ratio": np.float64(1.25)}}
@@ -590,11 +647,18 @@ def test_write_report_bytes_match_json_dump(tmp_path):
     cli.write_report(str(out), report)
     dumped = tmp_path / "dumped.json"
     with open(dumped, "w", encoding="utf-8") as fh:
-        json.dump(cli._plain(report), fh, sort_keys=True, separators=(",", ":"))
+        json.dump(_plain(report), fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
     assert out.read_bytes() == dumped.read_bytes()
     header, row = (tmp_path / "rep.csv").read_text().splitlines()
-    assert dict(zip(header.split(","), row.split(",")))["stats.stage_steps"] == "3;4"
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["stats.stage_steps"] == "3;4"
+    assert cells["value"] == repr(0.1 + 0.2)
+    assert cells["pair"] == "0.1;2"
+    assert cells["single"] == repr(float(np.float32(0.1)))
+    assert cells["scalar"] == repr(np.pi)
+    assert cells["grid"] == "1.0;0.5;nan;-0.0"
+    assert cells["ok"] == "True" and cells["n"] == "3"
 
 
 def test_seventeen_digit_serialization_round_trips_exactly():

@@ -580,7 +580,7 @@ def test_scaling_and_dilation_diagonalise_each_family_once(monkeypatch):
     monkeypatch.setattr(rescale, "eigh", counted)
     monkeypatch.setattr(frames, "eigh", counted)
     build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
-    assert calls == [(2, 2), (2, 2)]
+    assert calls == [(2, 2, 2)]
 
 
 def test_dilation_isometries_and_reconstruction():
