@@ -252,11 +252,12 @@ class CbBracket:
     """Two-sided bracket on the completely bounded multiplier norm.
 
     m_upper is max(f, g), the Bessel bounds at log_weights.  m_lower is
-    frames.dual_value(pair, dual_us, dual_vs), bitwise.  With cu_k =
-    (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the unit rank-one
-    coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0
-    where either vanishes) give an amplified map whose norm is at least
-    sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
+    frames.dual_value(pair, dual_us, dual_vs), bitwise.  optimize returns
+    the best stage end for each, and the two may come from different
+    stages.  With cu_k = (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the
+    unit rank-one coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T
+    (A_k = 0 where either vanishes) give an amplified map whose norm is at
+    least sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
     newton_steps, line_search_candidates (Armijo points scored),
     eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian),
     stop ("gap" once the duality gap met GAP_TOL, "top_stage" when the
@@ -264,7 +265,9 @@ class CbBracket:
     (m_upper - D) / m_upper after each stage), stage_steps (the Newton
     steps of each stage; they sum to newton_steps), stage_stops (why
     each stage ended: "gap", "gradient", "fixed_point", "no_descent" or
-    "steps"; see _newton_stage) and wall_s.
+    "steps"; see _newton_stage), best_lower_stage and best_upper_stage
+    (the stages, numbered from 1, whose ends gave m_lower and m_upper)
+    and wall_s.
     """
 
     m_lower: float
@@ -295,23 +298,32 @@ class CbBracket:
 def optimize(pair: FramePair) -> CbBracket:
     """Minimize max(f, g) over log-weights and bracket the cb norm.
 
-    One loop: from the balanced equalizer start, Newton stages on the
-    smoothed objective at b_rel = B_REL_START, times B_REL_FACTOR each
-    stage, up to B_REL_TOP.  After each stage t is balanced and the Gibbs
-    states of F and G give the dual tuples, whose dual_value is D; the
-    loop stops once (m_upper - D) / m_upper <= GAP_TOL, and m_lower is
-    the last D.  The rank-one stacks are built once per pair.
+    One loop on pair.scaled, each family at its exact power of two: from
+    the balanced equalizer start, Newton stages on the smoothed objective
+    at b_rel = B_REL_START, times B_REL_FACTOR each stage, up to
+    B_REL_TOP.  After each stage t is balanced and the Gibbs states of F
+    and G give the dual tuples, whose dual_value is D; the loop stops
+    once that stage's (m_upper - D) / m_upper <= GAP_TOL.  The bracket is
+    the best seen: m_lower is the largest D, with its tuples, and m_upper
+    the smallest max(f, g), with its weights, f and g, each from the stage
+    that gave it.  f, g and D are divided by scale_x scale_y, and t is
+    shifted by ln(scale_x / scale_y), the weights of the caller's pair;
+    powers of two are exact, so m_lower is still dual_value(pair, dual_us,
+    dual_vs) bitwise.  The rank-one stacks are built once per pair.
     """
     started = time.perf_counter()
-    obj = _Objective(pair)
+    scaled = pair.scaled
+    obj = _Objective(scaled)
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
-    t = np.log(np.linalg.norm(pair.ys, axis=1) / np.linalg.norm(pair.xs, axis=1))
+    t = np.log(np.linalg.norm(scaled.ys, axis=1)
+               / np.linalg.norm(scaled.xs, axis=1))
     t = _balanced(t, obj.spectra(t))
     spectra = obj.spectra(t)
     b_rel = B_REL_START
     stage_gaps, stage_steps, stage_stops = [], [], []
+    lower = upper = None  # the best (D, us, vs) and (max(f, g), t, f, g)
     while True:
         b = b_rel / float(spectra[0][:, -1].max())
         t, spectra, steps, stop = _newton_stage(obj, t, spectra, b)
@@ -321,9 +333,13 @@ def optimize(pair: FramePair) -> CbBracket:
         w, v = spectra = obj.spectra(t)
         # row i of vs is root i times eigenvector i of F: rho = sum vs_i vs_i^*
         vs, us = _gibbs_roots(b, w)[:, :, None] * np.swapaxes(v, 1, 2)
-        dual = dual_value(pair, us, vs)
+        dual = dual_value(scaled, us, vs)
         f, g = (float(top) for top in w[:, -1])
         stage_gaps.append((max(f, g) - dual) / max(f, g))
+        if lower is None or dual > lower[0]:
+            lower, best_lower = (dual, us, vs), len(stage_gaps)
+        if upper is None or max(f, g) < upper[0]:
+            upper, best_upper = (max(f, g), t, f, g), len(stage_gaps)
         if stage_gaps[-1] <= GAP_TOL or b_rel >= B_REL_TOP:
             break
         b_rel *= B_REL_FACTOR
@@ -332,9 +348,13 @@ def optimize(pair: FramePair) -> CbBracket:
              "eigh_calls": obj.eigh_calls,
              "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
              "stage_gaps": stage_gaps, "stage_steps": stage_steps,
-             "stage_stops": stage_stops,
+             "stage_stops": stage_stops, "best_lower_stage": best_lower,
+             "best_upper_stage": best_upper,
              "wall_s": time.perf_counter() - started}
-    return CbBracket(dual, t, f, g, us, vs, stats)
+    unit = pair.scale_x * pair.scale_y
+    (dual, us, vs), (_, t, f, g) = lower, upper
+    return CbBracket(dual / unit, t + np.log(pair.scale_x / pair.scale_y),
+                     f / unit, g / unit, us, vs, stats)
 
 
 def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:

@@ -373,7 +373,7 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
                           "line_search_candidates", "eigh_calls",
                           "phi_route", "phi_s", "ascent_iterations", "stop",
                           "stage_gaps", "stage_steps", "stage_stops",
-                          "wall_s"}
+                          "best_lower_stage", "best_upper_stage", "wall_s"}
     assert all(v > 0 for k, v in stats.items()
                if k not in ("stop", "stage_gaps", "stage_steps", "stage_stops",
                             "phi_route", "ascent_iterations"))

@@ -219,12 +219,15 @@ def test_optimize_invariant_under_diagonal_reparameterization():
     a = optimize(pair)
     b = optimize(scaled)
     assert abs(a.m_upper - b.m_upper) <= 1e-6 * a.m_upper
-    # a global factor c on either family scales both bounds by exactly c
-    for c in (1e-6, 1e6):
-        for xs, ys in ((c * pair.xs, pair.ys), (pair.xs, c * pair.ys)):
-            br = optimize(FramePair(xs, ys))
-            assert abs(br.m_upper - c * a.m_upper) <= 1e-12 * c * a.m_upper
-            assert abs(br.m_lower - c * a.m_lower) <= 1e-12 * c * a.m_lower
+    # a global factor on either family, or on both, scales both bounds by
+    # their product c, to rounding, and nothing overflows
+    xs, ys = pair.xs, pair.ys
+    for cx, cy in ((1e-6, 1.0), (1e6, 1.0), (1.0, 1e-6), (1.0, 1e6),
+                   (1e150, 1.0), (1.0, 1e150), (1e150, 1e150), (1e300, 1.0)):
+        br = optimize(FramePair(cx * xs, cy * ys))
+        c = cx * cy
+        assert abs(br.m_upper - c * a.m_upper) <= 1e-14 * c * a.m_upper
+        assert abs(br.m_lower - c * a.m_lower) <= 1e-14 * c * a.m_lower
 
 
 def test_optimize_invariant_under_common_unitary():
@@ -270,7 +273,8 @@ def test_optimize_reports_repeatable_counts():
     counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
     assert set(counts) == {"stages", "newton_steps",
                            "line_search_candidates", "eigh_calls", "stop",
-                           "stage_gaps", "stage_steps", "stage_stops"}
+                           "stage_gaps", "stage_steps", "stage_stops",
+                           "best_lower_stage", "best_upper_stage"}
     assert all(isinstance(counts[k], int) and counts[k] > 0
                for k in set(counts) - {"stop", "stage_gaps", "stage_steps",
                                        "stage_stops"})
@@ -382,10 +386,10 @@ def test_stage_ends_on_gap_only_where_the_iterate_certifies_it(monkeypatch):
             upper = np.sqrt(f) * np.sqrt(g)
             assert len(duals) > start
             assert upper - duals[-1] <= rescale.GAP_TOL * upper
-            want = _gibbs_dual(pair, spectra, b)
+            want = _gibbs_dual(pair.scaled, spectra, b)
             assert abs(duals[-1] - want) <= 1e-13 * want
         if stop in ("gap", "fixed_point"):
-            again = newton_stage(_Objective(pair), t, spectra, b)[0]
+            again = newton_stage(_Objective(pair.scaled), t, spectra, b)[0]
             assert np.array_equal(again, t)
         return t, spectra, steps, stop
 
@@ -492,6 +496,7 @@ def test_m_lower_is_the_replay_of_its_witness():
         replay = float(np.sum(np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
                               * np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))))
         assert br.m_lower == replay == dual_value(pair, us, vs)
+        assert br.gap <= min(br.stats["stage_gaps"])
 
 
 def test_dual_certificate_dominates_unmasked_norm_and_ascent():
