@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framescale import cli, frames, rescale, verify
+from framescale import cli, frames, verify
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair, generate
 from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
@@ -343,7 +343,7 @@ def test_analyze_diagonalises_and_validates_each_pair_once(tmp_path,
         events.append(("loaded", None))
         return out
 
-    for module in (cli, frames, rescale):
+    for module in (cli, frames):
         monkeypatch.setattr(module, "eigh", counted)
     monkeypatch.setattr(frames, "_check_vectors", checked)
     monkeypatch.setattr(cli, "load_instance", loaded)
