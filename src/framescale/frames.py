@@ -14,7 +14,6 @@ import numpy as np
 
 from .linalg import eigh, top_singular_triplet
 
-MIN_VECTOR_NORM = 1e-14
 FRAME_TOL = 1e-10  # is_frame needs lower > FRAME_TOL * upper
 
 
@@ -39,21 +38,19 @@ def _check_vectors(vectors: np.ndarray, name: str):
         raise ValueError(f"{name}: expected shape (n, d), got {v.shape}")
     if v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError(f"{name}: need at least one vector in dimension >= 1")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name}: non-finite entries")
-    # rows and threshold times powers of two: no square overflows, no test moves
-    big = np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=1)
-    scale = np.ldexp(1.0, np.minimum(1023, -np.frexp(big)[1]))[:, None]
-    norms = np.sqrt((np.abs(v * scale) ** 2).sum(axis=1, keepdims=True))
-    if (norms <= MIN_VECTOR_NORM * scale).any():
-        raise ValueError(f"{name}: vector norms must exceed {MIN_VECTOR_NORM:g}")
-    return v, float(scale.min())  # v's pow2_scale: its smallest row scale
+    scale = pow2_scale(v, name)
+    # the norms optimize starts from on pair.scaled: none may be zero
+    if not np.linalg.norm(v * scale, axis=1).all():
+        raise ValueError(f"{name}: every vector must be nonzero at its "
+                         f"family's power-of-two scale {scale:g}")
+    return v, scale
 
 
 @dataclass(frozen=True)
 class FramePair:
-    """Two equal-length sequences of nonzero vectors in the same C^d, and
-    scale_x and scale_y, the pow2_scale of xs and of ys (see scaled)."""
+    """Two equal-length sequences of vectors in the same C^d, and scale_x
+    and scale_y, the pow2_scale of xs and of ys (see scaled).  Each
+    vector's norm at its family's scale must be nonzero."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -69,16 +66,9 @@ class FramePair:
     def scaled(self) -> "FramePair":
         """The pair (scale_x xs, scale_y ys), built once, on first use.
 
-        It skips the constructor's checks, which is safe: its families are
-        validated ones times exact powers of two, so they stay finite and
-        exact (short of an entry 2^1021 below its family's largest, which
-        turns subnormal), and its scales are 1.  Only MIN_VECTOR_NORM, an
-        absolute floor, could refuse it, and no check holds it to that.
-        """
-        scaled = object.__new__(FramePair)
-        scaled.__dict__.update(xs=self.xs * self.scale_x, scale_x=1.0,
-                               ys=self.ys * self.scale_y, scale_y=1.0)
-        return scaled
+        Its scales are 1 unless a family's largest part is below 2^-1023,
+        where pow2_scale stops at 2^1023."""
+        return FramePair(self.xs * self.scale_x, self.ys * self.scale_y)
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import FramePair, coefficients, pow2_scale
-from .linalg import top_singular_triplet
+from .linalg import singular_values, top_singular_triplet
 
 MASK_SLACK = 1e-12
 ASCENT_MAX_ITERS = 300
@@ -463,7 +463,7 @@ def amplified_input_norm(mats: np.ndarray) -> float:
     """max_k of the operator norms of the matrix coefficients."""
     a = np.asarray(mats, dtype=np.complex128)
     a = check_amplified(a, a.shape[0] if a.ndim else 0)
-    return float(np.max(top_singular_triplet(a)[0]))
+    return float(singular_values(a)[:, 0].max())
 
 
 def amplified_apply(pair: FramePair, mats: np.ndarray, us: np.ndarray) -> np.ndarray:

@@ -65,7 +65,7 @@ from .instances import (
     onb_union_pair,
     random_complex,
 )
-from .linalg import singular_values, trace_norm
+from .linalg import singular_values
 from .multiplier import (
     MultiplierNormEstimate,
     amplified_apply,
@@ -209,7 +209,7 @@ def trace_lemma_check(alpha: np.ndarray, beta: np.ndarray) -> dict:
         raise ValueError("alpha and beta must be nonempty and of equal length")
     alpha, sa = _scaled(alpha, "alpha")
     beta, sb = _scaled(beta, "beta")
-    svd_s = trace_norm(np.outer(alpha, beta))
+    svd_s = float(singular_values(np.outer(alpha, beta)).sum())
     closed_s = _norm(alpha) * _norm(beta)
     svd_value, closed = svd_s / sa / sb, closed_s / sa / sb
     record = {"closed_form": closed, "svd_value": svd_value,

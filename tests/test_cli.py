@@ -805,20 +805,31 @@ def test_package_reads_no_environment_variable():
                 f"{source.name}:{node.lineno}: reads the environment"
 
 
-def test_only_frames_decides_a_power_of_two_scale():
-    # frames.pow2_scale and FramePair own the choice of scale; another
-    # frexp would be a second rule for it.  rescale.ARMIJO_STEPS' ldexp
-    # only lists step lengths
+def _package_calls():
+    """(file name, line, called name) of every call in the package."""
     for source in sorted(Path(cli.__file__).parent.glob("*.py")):
-        if source.name == "frames.py":
-            continue
         for node in ast.walk(ast.parse(source.read_text(), str(source))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else \
                     getattr(func, "id", None)
-                assert name != "frexp", \
-                    f"{source.name}:{node.lineno}: calls frexp"
+                yield source.name, node.lineno, name
+
+
+def test_only_frames_decides_a_power_of_two_scale():
+    # frames.pow2_scale and FramePair own the choice of scale; another
+    # frexp would be a second rule for it.  rescale.ARMIJO_STEPS' ldexp
+    # only lists step lengths
+    for source, line, name in _package_calls():
+        assert source == "frames.py" or name != "frexp", \
+            f"{source}:{line}: calls frexp"
+
+
+def test_every_object_is_built_by_its_constructor():
+    # a __new__ call would build a FramePair, or anything else, past the
+    # checks its constructor makes
+    for source, line, name in _package_calls():
+        assert name != "__new__", f"{source}:{line}: calls __new__"
 
 
 def test_package_imports_only_numpy_and_the_standard_library():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from framescale.frames import (
-    MIN_VECTOR_NORM,
     FramePair,
     bessel_and_frame_bounds,
     frame_operator,
@@ -131,28 +130,31 @@ def test_frame_pair_validation():
 
 
 def test_frame_pair_decides_vector_norms_without_overflow():
-    # squared entries of a 1e160 family overflowed to inf norms, with a
-    # warning; no step may overflow now, and the threshold still decides
+    # a row is refused only when its norm at its family's power of two is
+    # zero, and no step overflows or warns.  Each case is (the family's
+    # largest entry, the probe row's entries, accepted): 1e-170 below the
+    # largest, the probe's squares underflow at the family's scale, 1e-150
+    # below they do not, and under a family at 1e-300 even the smallest
+    # subnormal is only about 1e-24 below it
     pair = gaussian_pair(np.random.default_rng(3), 3, 2)
-    unit = pair.xs / np.linalg.norm(pair.xs, axis=1)[:, None]
+    cases = ((1e-300, 0.0, False), (1e-300, 5e-324, True),
+             (1.0, 0.0, False), (1.0, 1e-170, False), (1.0, 1e-150, True),
+             (1e300, 0.0, False), (1e300, 1e130, False), (1e300, 1e150, True))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         FramePair(1e160 * pair.xs, 1e160 * pair.ys)
         FramePair(np.array([[1.5e308 + 1.5e308j, 0.0]]), np.ones((1, 2)))
-        for big in (1.0, 1e300):
-            for norm, accepted in ((0.5 * MIN_VECTOR_NORM, False),
-                                   (MIN_VECTOR_NORM, False),
-                                   (2.0 * MIN_VECTOR_NORM, True)):
-                xs = unit.copy()
-                xs[0] *= big
-                xs[1] *= norm
-                if accepted:
-                    FramePair(xs, pair.ys)
-                else:
-                    with pytest.raises(ValueError, match="must exceed"):
-                        FramePair(xs, pair.ys)
-        with pytest.raises(ValueError, match="must exceed"):
-            FramePair(np.array([[5e-324, 0.0]]), np.ones((1, 2)))
+        FramePair(np.array([[5e-324, 0.0]]), np.ones((1, 2)))
+        for big, probe, accepted in cases:
+            fam = np.array([[big, 0.0], [0.0, 1j * big], [probe, probe]])
+            if accepted:
+                FramePair(fam, pair.ys)
+                FramePair(pair.xs, fam)
+            else:
+                with pytest.raises(ValueError, match="xs: every vector"):
+                    FramePair(fam, pair.ys)
+                with pytest.raises(ValueError, match="ys: every vector"):
+                    FramePair(pair.xs, fam)
 
 
 def test_frame_pair_scales_each_family_by_a_power_of_two():

@@ -17,7 +17,6 @@ from framescale.linalg import (
     eigh,
     singular_values,
     top_singular_triplet,
-    trace_norm,
 )
 
 from conftest import random_hermitian
@@ -180,43 +179,9 @@ def test_top_singular_triplet_zero_matrix():
         assert np.array_equal(u, np.eye(shape[0])[0])
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
         assert np.array_equal(m @ v, sigma * u)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-def test_top_singular_triplet_stack_is_bitwise_equal_to_single_calls(d):
-    rng = np.random.default_rng(40 + d)
-    for shape in ((3, 4, d, d), (6, d, d + 2)):
-        a = random_complex(rng, *shape)
-        sigma, u, v = top_singular_triplet(a)
-        assert sigma.shape == shape[:-2]
-        assert u.shape == shape[:-1] and v.shape == shape[:-2] + shape[-1:]
-        for idx in np.ndindex(*shape[:-2]):
-            si, ui, vi = top_singular_triplet(a[idx])
-            assert sigma[idx] == si
-            assert np.array_equal(u[idx], ui) and np.array_equal(v[idx], vi)
-
-
-def test_top_singular_triplet_zero_matrix_inside_a_stack():
-    rng = np.random.default_rng(46)
-    a = random_complex(rng, 4, 3, 2)
-    a[2] = 0.0
-    sigma, u, v = top_singular_triplet(a)
-    assert sigma[2] == 0.0
-    assert np.array_equal(u[2], np.eye(3)[0])
-    assert abs(np.linalg.norm(v[2]) - 1.0) <= 1e-14
-    assert np.all(sigma[[0, 1, 3]] > 0.0)
-    for i in (0, 1, 3):
-        assert np.linalg.norm(a[i] @ v[i] - sigma[i] * u[i]) <= 1e-13 * sigma[i]
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_top_singular_triplet_stack_rejects_one_bad_matrix(bad):
-    rng = np.random.default_rng(47)
-    a = random_complex(rng, 5, 3, 3)
-    a[3, 1, 2] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        top_singular_triplet(a)
-    top_singular_triplet(np.delete(a, 3, axis=0))
+    # one matrix only: a stack is refused
+    with pytest.raises(ValueError, match="2d matrix"):
+        top_singular_triplet(np.zeros((2, 3, 3), dtype=complex))
 
 
 def test_singular_values_of_a_stack_are_the_planted_ones():
@@ -236,7 +201,7 @@ def test_zero_matrix_through_every_wrapper():
     w, v = eigh(z)
     assert np.array_equal(w, np.zeros(3))
     assert np.max(np.abs(v.conj().T @ v - np.eye(3))) <= 1e-15
-    assert trace_norm(z) == 0.0
+    assert singular_values(z).sum() == 0.0
 
 
 def test_trace_norm_rank_one_equality():
@@ -247,7 +212,7 @@ def test_trace_norm_rank_one_equality():
         y = random_complex(rng, d)
         b = np.outer(x, y.conj())
         expected = np.linalg.norm(x) * np.linalg.norm(y)
-        assert abs(trace_norm(b) - expected) <= 1e-12 * (1.0 + expected)
+        assert abs(singular_values(b).sum() - expected) <= 1e-12 * (1.0 + expected)
 
 
 def test_trace_norm_dominates_operator_norm():
@@ -255,11 +220,11 @@ def test_trace_norm_dominates_operator_norm():
     rng = np.random.default_rng(18)
     for _ in range(10):
         m = random_complex(rng, 4, 4)
-        tn = trace_norm(m)
+        tn = singular_values(m).sum()
         on, _, _ = top_singular_triplet(m)
         assert on * (1.0 - 1e-14) <= tn <= 2.0 * np.linalg.norm(m) * (1.0 + 1e-14)
         s = rng.uniform(0.0, 4.0, 4)
-        assert abs(trace_norm(planted(rng, 4, 4, s)) - np.sum(s)) <= 1e-13 * np.sum(s)
+        assert abs(singular_values(planted(rng, 4, 4, s)).sum() - np.sum(s)) <= 1e-13 * np.sum(s)
 
 
 def test_trace_norm_unitary_invariance():
@@ -267,20 +232,15 @@ def test_trace_norm_unitary_invariance():
     m = random_complex(rng, 4, 4)
     u = haar_unitary(rng, 4)
     w = haar_unitary(rng, 4)
-    base = trace_norm(m)
-    assert abs(trace_norm(u @ m @ w) - base) <= 1e-11 * (1.0 + base)
-
-
-def test_trace_norm_rejects_non_square():
-    with pytest.raises(ValueError):
-        trace_norm(np.ones((2, 3)))
+    base = singular_values(m).sum()
+    assert abs(singular_values(u @ m @ w).sum() - base) <= 1e-11 * (1.0 + base)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_wrappers_reject_non_finite_input(bad):
     m = np.eye(3, dtype=complex)
     m[1, 1] = bad
-    for wrapper in (eigh, top_singular_triplet, trace_norm, singular_values):
+    for wrapper in (eigh, top_singular_triplet, singular_values):
         with pytest.raises(ValueError, match="non-finite"):
             wrapper(m)
 

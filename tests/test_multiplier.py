@@ -1,7 +1,5 @@
 """Masked maps, norm estimators, and amplified maps."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -335,9 +333,7 @@ def test_grid_row_bound_and_eigenvalue_bound_keep_the_first_maximiser(monkeypatc
     # the row bound prunes whole rows and, at d >= 4, the deviation
     # bound prunes kept masks before eigvalsh; neither may drop the
     # full sweep's first maximiser, at any scale (the ties are in
-    # test_grid_oracle_keeps_exact_ties).  FramePair refuses
-    # vector norms at or below MIN_VECTOR_NORM, so x * 1e-150 goes
-    # through a stand-in with the same fields
+    # test_grid_oracle_keeps_exact_ties)
     rng = np.random.default_rng(76)
     for chunk in (64, multiplier.GRID_CHUNK):
         monkeypatch.setattr(multiplier, "GRID_CHUNK", chunk)
@@ -345,7 +341,7 @@ def test_grid_row_bound_and_eigenvalue_bound_keep_the_first_maximiser(monkeypatc
             pair = gaussian_pair(rng, 4, d)
             want = _unpruned_witness(pair, 8)
             for c in (1.0, 1e150, 1e-150):
-                scaled = SimpleNamespace(xs=c * pair.xs, ys=pair.ys, n=4, dim=d)
+                scaled = FramePair(c * pair.xs, pair.ys)
                 est = norm_oracle_grid(scaled, phase_steps=8)
                 assert np.array_equal(est.witness_mask, want)
 
@@ -385,7 +381,7 @@ def test_grid_start_changes_nothing_but_the_cost(monkeypatch):
     for d in (1, 2, 3, 4, 5):
         pair = gaussian_pair(big, 4, d)
         for c in (1e150, 1e-150):
-            scaled = SimpleNamespace(xs=c * pair.xs, ys=pair.ys, n=4, dim=d)
+            scaled = FramePair(c * pair.xs, pair.ys)
             _assert_start_changes_nothing(scaled, 8, rng)
     offsets = np.random.default_rng(72)
     for chunk in (8, 64):

@@ -219,15 +219,23 @@ def test_optimize_invariant_under_diagonal_reparameterization():
     a = optimize(pair)
     b = optimize(scaled)
     assert abs(a.m_upper - b.m_upper) <= 1e-6 * a.m_upper
-    # a global factor on either family, or on both, scales both bounds by
-    # their product c, to rounding, and nothing overflows
+    # a global factor on either family, or on both, scales both bounds and
+    # phi by their product c, to rounding, and nothing overflows; the
+    # rescaled pair stays within the bracket and its dilation isometric
     xs, ys = pair.xs, pair.ys
+    phi = phi_lower(pair, a).value
     for cx, cy in ((1e-6, 1.0), (1e6, 1.0), (1.0, 1e-6), (1.0, 1e6),
-                   (1e150, 1.0), (1.0, 1e150), (1e150, 1e150), (1e300, 1.0)):
-        br = optimize(FramePair(cx * xs, cy * ys))
+                   (1e150, 1.0), (1.0, 1e150), (1e150, 1e150), (1e300, 1.0),
+                   (1e-150, 1.0), (1.0, 1e-150), (1e-150, 1e-150)):
+        far = FramePair(cx * xs, cy * ys)
+        br = optimize(far)
         c = cx * cy
         assert abs(br.m_upper - c * a.m_upper) <= 1e-14 * c * a.m_upper
         assert abs(br.m_lower - c * a.m_lower) <= 1e-14 * c * a.m_lower
+        assert abs(phi_lower(far, br).value - c * phi) <= 1e-14 * c * phi
+        scaling = extract_scaling(far, br.log_weights)
+        assert scaling.bounds_within(br.m_upper), (cx, cy)
+        assert build_dilation(scaling, br.m_upper).is_isometric, (cx, cy)
 
 
 def test_optimize_invariant_under_common_unitary():
