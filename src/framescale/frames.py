@@ -33,42 +33,80 @@ def pow2_scale(a: np.ndarray, name: str = "array") -> float:
 
 
 def _check_vectors(vectors: np.ndarray, name: str):
+    """vectors as an (n, d) complex array, and the largest |Re| or |Im| of
+    each row, read off its float64 view.  ValueError names vectors as
+    name unless every row is finite and nonzero."""
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise ValueError(f"{name}: expected shape (n, d), got {v.shape}")
     if v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError(f"{name}: need at least one vector in dimension >= 1")
-    scale = pow2_scale(v, name)
-    # the norms optimize starts from on pair.scaled: none may be zero
-    if not np.linalg.norm(v * scale, axis=1).all():
-        raise ValueError(f"{name}: every vector must be nonzero at its "
-                         f"family's power-of-two scale {scale:g}")
-    return v, scale
+    tops = np.abs(np.ascontiguousarray(v).view(np.float64)).max(axis=1)
+    if not np.isfinite(tops).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if not tops.all():
+        raise ValueError(f"{name}: every vector must be nonzero")
+    return v, tops
+
+
+def _shifted(v: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Row k of v times 2^shifts[k], by ldexp on the float64 view."""
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return np.ldexp(parts, shifts[:, None]).view(np.complex128)
 
 
 @dataclass(frozen=True)
 class FramePair:
-    """Two equal-length sequences of vectors in the same C^d, and scale_x
-    and scale_y, the pow2_scale of xs and of ys (see scaled).  Each
-    vector's norm at its family's scale must be nonzero."""
+    """Two equal-length sequences of vectors in the same C^d, each index
+    balanced by exact powers of two on construction.
+
+    With ex_k and ey_k the frexp exponents of the largest |Re| or |Im| of
+    x_k and y_k, balance holds e_k = floor((ex_k - ey_k) / 2) per index,
+    and one power of two c puts the largest part of the balanced pair
+    (c 2^-e_k x_k, c 2^e_k y_k) in [0.5, 1).  unit = c^2 is exact: each
+    balanced x_k y_k^* is unit x_k y_k^*, so phi, the cb norm, masks and
+    dilations of the balanced pair are those of the pair, times unit.
+    A pair is refused (ValueError) when a row is zero or not finite, when
+    unit is not a normal float (its products x_k y_k^* lie beyond what a
+    float bracket can report), and when an index's balanced y_k, the
+    smaller of its two rows, has its largest part below 2^-511, where its
+    square is subnormal: that is, when ||x_k|| ||y_k|| lies below about
+    2^-1022 of the largest such product.  The last two rules read the
+    integer exponents alone.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs, scale_x = _check_vectors(self.xs, "xs")
-        ys, scale_y = _check_vectors(self.ys, "ys")
+        xs, top_x = _check_vectors(self.xs, "xs")
+        ys, top_y = _check_vectors(self.ys, "ys")
         if xs.shape != ys.shape:
             raise ValueError(f"shape mismatch: xs {xs.shape} vs ys {ys.shape}")
-        self.__dict__.update(xs=xs, ys=ys, scale_x=scale_x, scale_y=scale_y)
+        ex, ey = np.frexp(np.array([top_x, top_y]))[1]
+        balance = (ex - ey) // 2
+        # exponents of the balanced rows' largest parts before c: the x
+        # row's is the y row's or one above it
+        low = ey + balance
+        top = int((ex - balance).max())
+        if not -511 <= top <= 511:
+            raise ValueError(
+                f"the products x_k y_k^* leave the float range: the balanced "
+                f"pair's unit 2^{-2 * top} is not a normal float")
+        if int(low.min()) - top < -510:
+            k = int(np.argmin(low))
+            raise ValueError(
+                f"index {k}: ||x_k|| ||y_k|| is below about 2^-1022 of the "
+                f"largest product, so its balanced squares are subnormal")
+        self.__dict__.update(xs=xs, ys=ys, balance=balance,
+                             unit=math.ldexp(1.0, -2 * top), _lift=-top)
 
     @functools.cached_property
-    def scaled(self) -> "FramePair":
-        """The pair (scale_x xs, scale_y ys), built once, on first use.
-
-        Its scales are 1 unless a family's largest part is below 2^-1023,
-        where pow2_scale stops at 2^1023."""
-        return FramePair(self.xs * self.scale_x, self.ys * self.scale_y)
+    def balanced(self) -> "FramePair":
+        """The pair (c 2^-e_k x_k, c 2^e_k y_k), built once, on first use;
+        its balance is 0 and its unit 1."""
+        return FramePair(_shifted(self.xs, self._lift - self.balance),
+                         _shifted(self.ys, self._lift + self.balance))
 
     @property
     def n(self) -> int:

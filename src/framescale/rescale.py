@@ -298,27 +298,29 @@ class CbBracket:
 def optimize(pair: FramePair) -> CbBracket:
     """Minimize max(f, g) over log-weights and bracket the cb norm.
 
-    One loop on pair.scaled, each family at its exact power of two: from
-    the balanced equalizer start, Newton stages on the smoothed objective
-    at b_rel = B_REL_START, times B_REL_FACTOR each stage, up to
-    B_REL_TOP.  After each stage t is balanced and the Gibbs states of F
-    and G give the dual tuples, whose dual_value is D; the loop stops
+    One loop on pair.balanced, each index at its exact powers of two:
+    from the balanced equalizer start, Newton stages on the smoothed
+    objective at b_rel = B_REL_START, times B_REL_FACTOR each stage, up
+    to B_REL_TOP.  After each stage t is balanced and the Gibbs states of
+    F and G give the dual tuples, whose dual_value is D; the loop stops
     once that stage's (m_upper - D) / m_upper <= GAP_TOL.  The bracket is
     the best seen: m_lower is the largest D, with its tuples, and m_upper
     the smallest max(f, g), with its weights, f and g, each from the stage
-    that gave it.  f, g and D are divided by scale_x scale_y, and t is
-    shifted by ln(scale_x / scale_y), the weights of the caller's pair;
-    powers of two are exact, so m_lower is still dual_value(pair, dual_us,
-    dual_vs) bitwise.  The rank-one stacks are built once per pair.
+    that gave it.  f, g and D are divided by pair.unit, and t becomes
+    t - 2 ln 2 pair.balance, the weights of the caller's pair; powers of
+    two are exact, so m_lower is still dual_value(pair, dual_us, dual_vs)
+    bitwise, and a mangling of the pair by powers of two gives the same
+    bracket and dual tuples bitwise.  The rank-one stacks are built once
+    per pair.
     """
     started = time.perf_counter()
-    scaled = pair.scaled
-    obj = _Objective(scaled)
+    balanced = pair.balanced
+    obj = _Objective(balanced)
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
-    t = np.log(np.linalg.norm(scaled.ys, axis=1)
-               / np.linalg.norm(scaled.xs, axis=1))
+    t = np.log(np.linalg.norm(balanced.ys, axis=1)
+               / np.linalg.norm(balanced.xs, axis=1))
     t = _balanced(t, obj.spectra(t))
     spectra = obj.spectra(t)
     b_rel = B_REL_START
@@ -333,7 +335,7 @@ def optimize(pair: FramePair) -> CbBracket:
         w, v = spectra = obj.spectra(t)
         # row i of vs is root i times eigenvector i of F: rho = sum vs_i vs_i^*
         vs, us = _gibbs_roots(b, w)[:, :, None] * np.swapaxes(v, 1, 2)
-        dual = dual_value(scaled, us, vs)
+        dual = dual_value(balanced, us, vs)
         f, g = (float(top) for top in w[:, -1])
         stage_gaps.append((max(f, g) - dual) / max(f, g))
         if lower is None or dual > lower[0]:
@@ -351,9 +353,9 @@ def optimize(pair: FramePair) -> CbBracket:
              "stage_stops": stage_stops, "best_lower_stage": best_lower,
              "best_upper_stage": best_upper,
              "wall_s": time.perf_counter() - started}
-    unit = pair.scale_x * pair.scale_y
+    unit = pair.unit
     (dual, us, vs), (_, t, f, g) = lower, upper
-    return CbBracket(dual / unit, t + np.log(pair.scale_x / pair.scale_y),
+    return CbBracket(dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
                      f / unit, g / unit, us, vs, stats)
 
 

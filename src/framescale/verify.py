@@ -34,7 +34,8 @@ entry, and a phi_norm that is NaN, infinite or negative, raise
 ValueError: every comparison with NaN is false, so a NaN that reached a
 gate would pass it.  The six inequality checks multiply each array
 argument by its own power of two (frames.pow2_scale); the bilinear ones read
-pair.scaled, with phi_norm times the pair's scales.  So no square or
+pair.balanced, each index at the powers of two FramePair fixed, with
+phi_norm times pair.unit.  So no square or
 product overflows or underflows while the inputs lie inside the float
 range.  They decide every gate on the scaled numbers and divide the
 powers out of the record, so a gate holds even where a reported number
@@ -231,10 +232,10 @@ def key_simple_check(pair: FramePair, u: np.ndarray, v: np.ndarray,
         raise ValueError("u and v must live in the pair's space")
     u, su = _scaled(u, "u")
     v, sv = _scaled(v, "v")
-    lhs_s = float(dual_terms(*coefficients(pair.scaled, u, v)).sum())
-    rhs_s = phi_norm * pair.scale_x * pair.scale_y * (_norm(u) * _norm(v))
+    lhs_s = float(dual_terms(*coefficients(pair.balanced, u, v)).sum())
+    rhs_s = phi_norm * pair.unit * (_norm(u) * _norm(v))
     slack_s = rhs_s - lhs_s
-    unit = su * sv * pair.scale_x * pair.scale_y
+    unit = su * sv * pair.unit
     record = {"lhs": lhs_s / unit, "rhs": rhs_s / unit, "slack": slack_s / unit}
     if slack_s < -INEQ_RTOL * rhs_s:
         raise VerificationError(
@@ -275,9 +276,10 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     less its mean.  The u-side and v-side norms and means are read off
     shared arrays, one reduction for both sides.
 
-    Each link is homogeneous in each tuple and in each family, so the
-    sums are formed on the tuples times powers of two su and sv and on
-    pair.scaled, as the module's entry contract says.
+    Each link is homogeneous in each tuple, and each term k depends on
+    the pair only through x_k y_k^*, so the sums are formed on the tuples
+    times powers of two su and sv and on pair.balanced, as the module's
+    entry contract says.
     """
     if not 0 <= chain_m_cap <= MAX_PATTERN_ORDER:
         raise ValueError(f"chain_m_cap must be in [0, {MAX_PATTERN_ORDER}], "
@@ -295,9 +297,9 @@ def super_key_check(pair: FramePair, us: np.ndarray, vs: np.ndarray,
     us, su = _scaled(us, "us")
     vs, sv = _scaled(vs, "vs")
     n, d = pair.n, pair.dim
-    phi = phi_norm * pair.scale_x * pair.scale_y  # the norm of pair.scaled
-    unit = su * sv * pair.scale_x * pair.scale_y
-    cu, cv = coefficients(pair.scaled, us, vs)
+    phi = phi_norm * pair.unit  # the norm of pair.balanced
+    unit = su * sv * pair.unit
+    cu, cv = coefficients(pair.balanced, us, vs)
     norm_uv = dual_terms(cu, cv)  # ||(<u_j, y_k>)_j|| ||(<v_i, x_k>)_i||
     sq_u, sq_v = (np.abs(np.concatenate([us, vs])) ** 2).reshape(2, -1) \
         .sum(axis=1).tolist()
@@ -398,19 +400,20 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     route 2 sums the triple products directly; route 3 applies the
     amplified map and takes inner products with the v tuple.  cu and cv
     come from frames.coefficients, and route 1's blocks are their
-    broadcast product.  The form is linear in each argument and in each
-    family, so it is formed on scaled ones (see the entry contract);
+    broadcast product.  The form is linear in each argument and reads the
+    pair only through each x_k y_k^*, so it is formed on scaled arguments
+    and on pair.balanced (see the entry contract);
     route 3 runs next, so amplified_apply checks mats and us once.
     """
     a, sa = _scaled(mats, "mats")
     us, su = _scaled(us, "us")
     vs, sv = _scaled(vs, "vs")
-    scaled = pair.scaled
-    out = amplified_apply(scaled, a, us)
+    balanced = pair.balanced
+    out = amplified_apply(balanced, a, us)
     if vs.shape != us.shape:
         raise ValueError("us and vs must have shape (m, d)")
     route3 = complex(np.vdot(vs, out))
-    cu, cv = coefficients(scaled, us, vs)
+    cu, cv = coefficients(balanced, us, vs)
     blocks = cv[:, :, None] * cu[:, None, :]
     route1 = complex(np.einsum("kij,kij->", a, blocks))
     route2 = complex(np.einsum("kij,kj,ki->", a, cu, cv))
@@ -418,7 +421,7 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     # |A_kij| |B_kij|
     scale = float(np.vdot(np.abs(a), np.abs(blocks)))
     residual = max(abs(route1 - route2), abs(route2 - route3))
-    unit = sa * su * sv * pair.scale_x * pair.scale_y
+    unit = sa * su * sv * pair.unit
     record = {"value": route1 / unit, "residual": residual / unit}
     if not residual <= IDENTITY_RTOL * scale:
         raise VerificationError(

@@ -9,6 +9,7 @@ test_linalg.py.
 
 import numpy as np
 
+from framescale.frames import FramePair
 from framescale.instances import random_complex
 
 
@@ -19,6 +20,14 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return random_complex(rng, n, d) / np.sqrt(d)
+
+
+def pow2_mangled(pair, shifts: np.ndarray) -> FramePair:
+    """(2^shifts[k] x_k, 2^-shifts[k] y_k), exactly."""
+    def shifted(rows, e):
+        return np.ldexp(rows.real, e[:, None]) + 1j * np.ldexp(rows.imag,
+                                                               e[:, None])
+    return FramePair(shifted(pair.xs, shifts), shifted(pair.ys, -shifts))
 
 
 def dual_coefficients(pair, us, vs):

@@ -274,6 +274,37 @@ def test_benchmark_command_lines_still_parse(command, tmp_path):
     assert cli.main(argv) == 0
 
 
+def test_rescale_dilation_runs_on_an_index_mangled_by_ten_to_the_80(tmp_path):
+    # a mangling by 10^80 and 10^-80 leaves every x_k y_k^*; the balanced
+    # pair is the unmangled one's, so the bracket and dilation still build
+    pair = generate("gaussian", np.random.default_rng(3), 6, 3)
+    beta = np.array([1e80, 1.0, 1.0, 1.0, 1.0, 1e-80])
+    inst = tmp_path / "mangled.frame.json"
+    cli.save_instance(str(inst), FramePair(beta[:, None] * pair.xs,
+                                           pair.ys / beta[:, None]))
+    out = tmp_path / "res.json"
+    assert cli.main(["rescale", "--dilation", "--in", str(inst),
+                     "--out", str(out)]) == 0
+    rec = read_json(str(out))["records"][0]
+    assert rec["check_results"]["dilation_isometric"]
+    want = optimize(pair).m_upper
+    assert abs(rec["M_upper"] - want) <= 1e-14 * want
+
+
+def test_rescale_refuses_a_pair_whose_bracket_is_no_float(tmp_path, capsys):
+    # x_1 y_1^* near 2^1025: no bracket of it is a float, so the instance
+    # is refused on load rather than reported as inf
+    doc = {"format_version": 1, "dim": 2,
+           "pairs": [{"x": [[1.5e308, 1.5e308], [0.0, 0.0]],
+                      "y": [[1.0, 0.0], [1.0, 0.0]]}],
+           "metadata": {}}
+    inst = tmp_path / "huge.frame.json"
+    inst.write_text(json.dumps(doc))
+    assert cli.main(["rescale", "--dilation", "--in", str(inst),
+                     "--out", str(tmp_path / "res.json")]) == cli.EXIT_USAGE
+    assert "not a normal float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("first, second, key", [
     (["analyze", "--phase-steps", "8"], ["analyze"], "phi_norm_oracle"),
     (["rescale", "--dilation"], ["rescale"], "dilation_defect")],

@@ -24,7 +24,7 @@ from framescale.instances import (
     random_complex,
 )
 
-from conftest import random_vectors
+from conftest import pow2_mangled, random_vectors
 
 
 def test_frame_operator_matches_direct_sum_of_quadratic_forms():
@@ -130,49 +130,124 @@ def test_frame_pair_validation():
 
 
 def test_frame_pair_decides_vector_norms_without_overflow():
-    # a row is refused only when its norm at its family's power of two is
-    # zero, and no step overflows or warns.  Each case is (the family's
-    # largest entry, the probe row's entries, accepted): 1e-170 below the
-    # largest, the probe's squares underflow at the family's scale, 1e-150
-    # below they do not, and under a family at 1e-300 even the smallest
-    # subnormal is only about 1e-24 below it
+    # a row is refused when it is zero, or when its index's product
+    # ||x_k|| ||y_k|| lies about 2^-1022 below the largest, and no step
+    # overflows or warns.  Each case is (the family's largest entry, the
+    # probe row's entries, accepted): against the other family near 1, a
+    # probe row of 1e-170 or 1e-150 balances to rows near 1e-85 and 1e-75,
+    # one of 1e-310 to rows near 1e-155, below 2^-511, and even the
+    # smallest subnormal under a family at 1e-300 is only about 1e-12
+    # below it once balanced
     pair = gaussian_pair(np.random.default_rng(3), 3, 2)
     cases = ((1e-300, 0.0, False), (1e-300, 5e-324, True),
-             (1.0, 0.0, False), (1.0, 1e-170, False), (1.0, 1e-150, True),
-             (1e300, 0.0, False), (1e300, 1e130, False), (1e300, 1e150, True))
+             (1.0, 0.0, False), (1.0, 1e-170, True), (1.0, 1e-150, True),
+             (1.0, 1e-310, False),
+             (1e300, 0.0, False), (1e300, 1e130, True), (1e300, 1e150, True))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        FramePair(1e160 * pair.xs, 1e160 * pair.ys)
-        FramePair(np.array([[1.5e308 + 1.5e308j, 0.0]]), np.ones((1, 2)))
-        FramePair(np.array([[5e-324, 0.0]]), np.ones((1, 2)))
         for big, probe, accepted in cases:
             fam = np.array([[big, 0.0], [0.0, 1j * big], [probe, probe]])
             if accepted:
                 FramePair(fam, pair.ys)
                 FramePair(pair.xs, fam)
-            else:
+            elif probe == 0.0:
                 with pytest.raises(ValueError, match="xs: every vector"):
                     FramePair(fam, pair.ys)
                 with pytest.raises(ValueError, match="ys: every vector"):
                     FramePair(pair.xs, fam)
+            else:
+                for xs, ys in ((fam, pair.ys), (pair.xs, fam)):
+                    with pytest.raises(ValueError,
+                                       match="index 2: .* subnormal"):
+                        FramePair(xs, ys)
+        # products whose bracket is no normal float are refused up front:
+        # both families x 1e160 (products near 1e320), x 1e-170 (1e-340), a
+        # single product near 2^1025, and the smallest subnormal times 1
+        for xs, ys in ((1e160 * pair.xs, 1e160 * pair.ys),
+                       (1e-170 * pair.xs, 1e-170 * pair.ys),
+                       (np.array([[1.5e308 + 1.5e308j, 0.0]]), np.ones((1, 2))),
+                       (np.array([[5e-324, 0.0]]), np.ones((1, 2)))):
+            with pytest.raises(ValueError, match="not a normal float"):
+                FramePair(xs, ys)
+        # one index 1e-160 on both families sits 1e-320 below the others;
+        # at 1e-150 it is 1e-300 below them and kept
+        for tiny, accepted in ((1e-160, False), (1e-150, True)):
+            rows = np.array([1.0, 1.0, tiny])[:, None]
+            if accepted:
+                FramePair(rows * pair.xs, rows * pair.ys)
+            else:
+                with pytest.raises(ValueError, match="index 2: .* subnormal"):
+                    FramePair(rows * pair.xs, rows * pair.ys)
 
 
-def test_frame_pair_scales_each_family_by_a_power_of_two():
-    # each family's largest |Re| or |Im| times its scale lies in [0.5, 1),
-    # and pair.scaled, built once, holds both families at those scales
-    pair = gaussian_pair(np.random.default_rng(5), 4, 3)
-    for c in (1e-10, 1.0, 1e300):
-        far = FramePair(c * pair.xs, pair.ys / 3.0)
-        assert far.scaled is far.scaled
-        assert (far.scaled.scale_x, far.scaled.scale_y) == (1.0, 1.0)
-        for fam, scale, scaled in ((far.xs, far.scale_x, far.scaled.xs),
-                                   (far.ys, far.scale_y, far.scaled.ys)):
-            assert math.frexp(scale)[0] == 0.5, c
-            assert scale == pow2_scale(fam)
-            big = max(np.abs(fam.real).max(), np.abs(fam.imag).max())
-            assert 0.5 <= big * scale < 1.0, c
-            assert np.array_equal(scaled, scale * fam), c
-    # the largest part, not the largest modulus, and any memory layout
+def test_frame_pair_refusals_sit_at_their_exponent_bounds():
+    # in [0.5, 1) times 2^e, each boundary is one exponent step wide: the
+    # unit 2^-2B of a pair whose balanced largest exponent is B must be
+    # normal, and an index whose balanced y row lies 511 exponents below
+    # B has subnormal squares, while at 510 its squares are normal
+    one = np.array([[0.75]])
+    for e, accepted in ((511, True), (512, False), (-511, True),
+                        (-512, False)):
+        part = math.ldexp(0.75, e)
+        if accepted:
+            pair = FramePair(part * one, part * one)
+            assert pair.unit == math.ldexp(1.0, -2 * e)
+        else:
+            with pytest.raises(ValueError, match="not a normal float"):
+                FramePair(part * one, part * one)
+    for e, accepted in ((-510, True), (-511, False)):
+        rows = np.array([[0.75], [math.ldexp(0.75, e)]])
+        if accepted:
+            low = FramePair(rows, rows).balanced.ys[1, 0].real
+            assert low ** 2 >= np.finfo(np.float64).tiny
+        else:
+            with pytest.raises(ValueError, match="index 1: .* subnormal"):
+                FramePair(rows, rows)
+
+
+def _part_exponent(rows: np.ndarray) -> np.ndarray:
+    """frexp exponent of the largest |Re| or |Im| of each row."""
+    tops = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1)
+    return np.array([math.frexp(float(top))[1] for top in tops])
+
+
+def test_frame_pair_balances_each_index_by_a_power_of_two():
+    # e_k = floor((ex_k - ey_k) / 2) from the rows' largest parts, one
+    # power of two c puts the balanced pair's largest part in [0.5, 1),
+    # each balanced x_k y_k^* is exactly unit x_k y_k^*, and
+    # pair.balanced, built once, is balanced already
+    rng = np.random.default_rng(5)
+    pair = gaussian_pair(rng, 4, 3)
+    for cx, cy in ((1e-10, 1.0 / 3.0), (1.0, 1.0), (1e300, 1.0 / 3.0),
+                   (1e-150, 1e-150)):
+        far = FramePair(cx * pair.xs, cy * pair.ys)
+        bal = far.balanced
+        assert bal is far.balanced
+        assert not bal.balance.any() and bal.unit == 1.0
+        ex, ey = _part_exponent(far.xs), _part_exponent(far.ys)
+        assert np.array_equal(far.balance, (ex - ey) // 2)
+        parts = np.abs(np.concatenate([bal.xs, bal.ys]).view(np.float64))
+        assert 0.5 <= parts.max() < 1.0, (cx, cy)
+        c = math.sqrt(far.unit)
+        assert math.frexp(c)[0] == 0.5
+        for k, e in enumerate(far.balance.tolist()):
+            assert np.array_equal(bal.xs[k],
+                                  far.xs[k] * math.ldexp(c, -e)), (cx, cy)
+            assert np.array_equal(bal.ys[k],
+                                  far.ys[k] * math.ldexp(c, e)), (cx, cy)
+            assert np.array_equal(np.outer(bal.xs[k], bal.ys[k].conj()),
+                                  far.unit * np.outer(far.xs[k],
+                                                      far.ys[k].conj()))
+    # a mangling by powers of two shifts e_k by its exponent and leaves
+    # the balanced pair bitwise
+    shifts = rng.integers(-300, 301, size=4)
+    mangled = pow2_mangled(pair, shifts)
+    assert np.array_equal(mangled.balance, pair.balance + shifts)
+    assert mangled.unit == pair.unit
+    assert np.array_equal(mangled.balanced.xs, pair.balanced.xs)
+    assert np.array_equal(mangled.balanced.ys, pair.balanced.ys)
+    # pow2_scale, the verify layer's rule for one array: the largest part,
+    # not the largest modulus, and any memory layout
     assert pow2_scale(np.array([0.75 + 0.75j])) == 1.0
     assert pow2_scale(pair.xs.T) == pow2_scale(pair.xs)
     assert pow2_scale(np.zeros(3)) == 1.0

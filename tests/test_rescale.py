@@ -44,7 +44,7 @@ from framescale.rescale import (
 from framescale.verify import (RATIO_D_MAX, RATIO_INSTANCES, RATIO_N_MAX,
                                witness_defect)
 
-from conftest import dual_coefficients
+from conftest import dual_coefficients, pow2_mangled
 
 
 def _tops(pair, t):
@@ -236,6 +236,69 @@ def test_optimize_invariant_under_diagonal_reparameterization():
         scaling = extract_scaling(far, br.log_weights)
         assert scaling.bounds_within(br.m_upper), (cx, cy)
         assert build_dilation(scaling, br.m_upper).is_isometric, (cx, cy)
+    # a mangling that moves one index up by 10^s and another down by it
+    # leaves every x_k y_k^*, so the bracket and phi stay, to rounding;
+    # the rows are built one by one, since 10^300 squared is not a float
+    for s in (80, 150, 300):
+        for beta in (np.array([10.0 ** s, 1.0, 1.0, 10.0 ** -s]),
+                     np.array([10.0 ** -s, 1.0, 1.0, 10.0 ** s])):
+            far = FramePair(beta[:, None] * xs, ys / beta[:, None])
+            br = optimize(far)
+            assert abs(br.m_upper - a.m_upper) <= 1e-14 * a.m_upper, s
+            assert abs(br.m_lower - a.m_lower) <= 1e-14 * a.m_lower, s
+            assert abs(phi_lower(far, br).value - phi) <= 1e-14 * phi, s
+            scaling = extract_scaling(far, br.log_weights)
+            assert scaling.bounds_within(br.m_upper), s
+            assert build_dilation(scaling, br.m_upper).is_isometric, s
+
+
+def test_optimize_is_bitwise_under_power_of_two_mangling():
+    # FramePair balances each index before optimize sees it, so a mangling
+    # by powers of two gives the same balanced pair and the same bracket
+    rng = np.random.default_rng(79)
+    for kind, n, d in (("gaussian", 6, 3), ("schauder_mangled", 8, 2),
+                       ("onb_union", 6, 3)):
+        pair = generate(kind, rng, n, d)
+        base = optimize(pair)
+        for spread in (3, 60, 300):
+            br = optimize(pow2_mangled(pair, rng.integers(-spread, spread + 1,
+                                                           size=n)))
+            assert br.m_upper == base.m_upper, (kind, spread)
+            assert br.m_lower == base.m_lower, (kind, spread)
+            assert np.array_equal(br.dual_us, base.dual_us), (kind, spread)
+            assert np.array_equal(br.dual_vs, base.dual_vs), (kind, spread)
+
+
+def _symmetric_images(pair: FramePair, rng: np.random.Generator):
+    """The pair with its indices relabelled, with x and y swapped, and with
+    both families conjugated; each has the pair's cb norm."""
+    perm = rng.permutation(pair.n)
+    return {"relabel": FramePair(pair.xs[perm], pair.ys[perm]),
+            "swap": FramePair(pair.ys, pair.xs),
+            "conjugate": FramePair(pair.xs.conj(), pair.ys.conj())}
+
+
+def test_optimize_brackets_agree_under_relabelling_swap_and_conjugation():
+    # each image's bracket overlaps the pair's; where both stop on "gap",
+    # m_upper agrees to 1e-14.  A "top_stage" pair's m_upper is only as
+    # sharp as its smoothing bias, so it is not held to 1e-14.  Swapping
+    # flips the parity of ex_k - ey_k, so e_k's floor rounds the other way
+    rng = np.random.default_rng(80)
+    gated = 0
+    for kind in ("gaussian", "schauder_mangled", "onb_union"):
+        for n, d in ((6, 3), (8, 2), (12, 4)):
+            pair = generate(kind, rng, n, d)
+            base = optimize(pair)
+            for name, image in _symmetric_images(pair, rng).items():
+                br = optimize(image)
+                slack = 1.0 + 1e-14
+                assert base.m_lower <= br.m_upper * slack, (kind, n, name)
+                assert br.m_lower <= base.m_upper * slack, (kind, n, name)
+                if base.stats["stop"] == br.stats["stop"] == "gap":
+                    gated += 1
+                    assert abs(br.m_upper - base.m_upper) <= \
+                        1e-14 * base.m_upper, (kind, n, name)
+    assert gated >= 15
 
 
 def test_optimize_invariant_under_common_unitary():
@@ -394,10 +457,10 @@ def test_stage_ends_on_gap_only_where_the_iterate_certifies_it(monkeypatch):
             upper = np.sqrt(f) * np.sqrt(g)
             assert len(duals) > start
             assert upper - duals[-1] <= rescale.GAP_TOL * upper
-            want = _gibbs_dual(pair.scaled, spectra, b)
+            want = _gibbs_dual(pair.balanced, spectra, b)
             assert abs(duals[-1] - want) <= 1e-13 * want
         if stop in ("gap", "fixed_point"):
-            again = newton_stage(_Objective(pair.scaled), t, spectra, b)[0]
+            again = newton_stage(_Objective(pair.balanced), t, spectra, b)[0]
             assert np.array_equal(again, t)
         return t, spectra, steps, stop
 

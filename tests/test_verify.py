@@ -134,6 +134,24 @@ def test_key_simple_detects_deflated_norm():
             key_simple_check(pair, u, u, 0.5 * phi)
 
 
+def test_key_simple_gate_sits_at_its_relative_tolerance():
+    # with phi0 = lhs / (||u|| ||v||) the two sides are equal; phi0 less
+    # 10 rtol of itself must fail, and less 0.1 rtol must pass.  rtol is
+    # the module's documented 1e-9 for one-sided inequalities, written out
+    # so that a looser INEQ_RTOL fails here
+    rtol = 1e-9
+    rng = np.random.default_rng(8)
+    pair = gaussian_pair(rng, 4, 2)
+    u, v = random_complex(rng, 2), random_complex(rng, 2)
+    phi = norm_lower_alternating(pair).value
+    lhs = key_simple_check(pair, u, v, phi)["lhs"]
+    phi0 = lhs / (np.linalg.norm(u) * np.linalg.norm(v))
+    key_simple_check(pair, u, v, phi0 * (1.0 - 0.1 * rtol))
+    with pytest.raises(VerificationError,
+                       match="bilinear key estimate violated"):
+        key_simple_check(pair, u, v, phi0 * (1.0 - 10.0 * rtol))
+
+
 def test_super_key_chain_runs_below_cap():
     rng = np.random.default_rng(9)
     pair = gaussian_pair(rng, 3, 2)
@@ -208,8 +226,26 @@ def test_super_key_detects_deflated_norm():
     # the scaled sides, so they still fire
     for scale in (1.0, 1e-6, 1e160):
         super_key_check(pair, scale * us, scale * vs, phi)
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError,
+                           match="block key estimate violated"):
             super_key_check(pair, scale * us, scale * vs, 0.25 * phi)
+
+
+def test_super_key_chain_detects_a_broken_first_moment_link(monkeypatch):
+    # sign sums shrunk to 0.4 of their size leave the final inequality as
+    # it was, but put 2 mean(p) mean(q) below some ||cu_k|| ||cv_k||: the
+    # per-index link is the first gate of the chain to see it
+    rng = np.random.default_rng(9)
+    pair = gaussian_pair(rng, 3, 2)
+    phi = norm_lower_alternating(pair).value
+    us = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    vs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    super_key_check(pair, us, vs, phi)
+    signed_sums = verify._signed_sums
+    monkeypatch.setattr(verify, "_signed_sums",
+                        lambda table: 0.4 * signed_sums(table))
+    with pytest.raises(VerificationError, match="per-index first-moment link"):
+        super_key_check(pair, us, vs, phi)
 
 
 def test_sign_classes_are_the_mirrored_half():
@@ -524,18 +560,19 @@ def test_relative_gates_pass_at_every_scale():
         assert rec["orthogonality_identity"] <= 1e-14 * max(
             c1 * np.linalg.norm(us), c2 * np.linalg.norm(vs))
 
-    # both families x 1e160 with mats x 1e-150: route 1's blocks overflowed,
-    # the record read NaN, and the gate passed
+    # both families x 1e150 and one tuple x 1e10 with mats x 1e-150:
+    # unscaled, route 1's blocks would overflow, the record would read
+    # NaN, and the gate would pass
     small = gaussian_pair(np.random.default_rng(3), 3, 2)
-    huge = FramePair(1e160 * small.xs, 1e160 * small.ys)
+    huge = FramePair(1e150 * small.xs, 1e150 * small.ys)
     units = np.eye(2)
     pmats = mats[:3, :2, :2]
     base = trace_pairing_check(small, pmats, units, units)
-    rec = trace_pairing_check(huge, 1e-150 * pmats, units, units)
+    rec = trace_pairing_check(huge, 1e-150 * pmats, 1e10 * units, units)
     size = float(np.sum(np.abs(pmats) * np.abs(small.xs)[:, :, None]
                         * np.abs(small.ys)[:, None, :]))
-    assert abs(rec["value"] - 1e170 * base["value"]) <= 1e-14 * 1e170 * size
-    assert rec["residual"] <= 1e-14 * 1e170 * size
+    assert abs(rec["value"] - 1e160 * base["value"]) <= 1e-14 * 1e160 * size
+    assert rec["residual"] <= 1e-14 * 1e160 * size
 
     # one family x 1e200 squared entries of cv near 1e200 in
     # super_key_check's dual terms: lhs read inf and the check failed
