@@ -301,10 +301,10 @@ def _cmd_rescale(args) -> int:
     for label, pair, _ in corpus:
         bracket = optimize(pair)
         phi, phi_s = _timed(phi_lower, pair, bracket)
-        scaling = extract_scaling(pair, bracket.log_weights)
-        checks = {"bound_respected": scaling.bounds_within(bracket.m_upper)}
+        scaling = extract_scaling(pair, bracket)
+        checks = {"bound_respected": scaling.bounds_within()}
         if args.dilation:
-            dil = build_dilation(scaling, bracket.m_upper)
+            dil = build_dilation(scaling)
             checks["dilation_defect"] = dil.isometry_defect
             checks["dilation_isometric"] = dil.is_isometric
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
@@ -318,8 +318,7 @@ def _cmd_rescale(args) -> int:
                "check_results": checks,
                "stats": {**bracket.stats, **_phi_stats(phi, phi_s)}}
         ok = all(v for v in checks.values() if isinstance(v, bool))
-        if not ok:
-            failures += 1
+        failures += not ok
         records.append(rec)
         print(f"{label}: M_lower={bracket.m_lower:.6g} "
               f"M_upper={bracket.m_upper:.6g} gap={bracket.gap:.2g} "

@@ -132,9 +132,15 @@ def frame_operator(vectors: np.ndarray) -> np.ndarray:
 
 def frame_eigh(pair: FramePair):
     """(w, V) of the frame operators of xs and ys, formed as frame_operator
-    forms them, stacked (2, d, d) into one LAPACK call; not re-validated."""
+    forms them, stacked (2, d, d) into one LAPACK call; not re-validated.
+    ValueError names each family whose frame operator is not finite."""
     vecs = np.stack([pair.xs, pair.ys])
-    return eigh(np.einsum("ski,skj->sij", vecs, vecs.conj()))
+    ops = np.einsum("ski,skj->sij", vecs, vecs.conj())
+    far = [name for name, op in zip(("xs", "ys"), ops) if not np.isfinite(op).all()]
+    if far:
+        raise ValueError(f"the frame operator of {' and of '.join(far)} "
+                         "leaves the float range")
+    return eigh(ops)
 
 
 def bounds_from_spectrum(w: np.ndarray) -> BesselBounds:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FramePair, coefficients, pow2_scale
+from .frames import FramePair, coefficients
 from .linalg import singular_values, top_singular_triplet
 
 MASK_SLACK = 1e-12
@@ -135,8 +135,8 @@ def _gram_top_norm(rows: np.ndarray) -> np.ndarray:
     batched LAPACK.  Rows formed by a GEMM (see norm_oracle_grid) may put
     a nearly zero eigenvalue a rounding below zero, so the top eigenvalue
     is clamped at 0 before the root.  Callers keep the matrices' entries
-    near unit size (see frames.pow2_scale), because the d = 3 form cubes Gram
-    entries.
+    near unit size (see frames.FramePair.balanced), because the d = 3 form
+    cubes Gram entries.
     """
     d = math.isqrt(len(rows))
     if d == 1:
@@ -239,15 +239,15 @@ def _grid_factors(pair: FramePair, phase_steps: int):
     """The phase grid's Gram rows in factored form.
 
     Returns phases, base (d*d, B) and weights (P, d*d, 1 + 2f): the
-    _hermitian_rows of the B mask matrices of outer block o, scaled by
-    an exact power of two, are weights[o] @ feats + base, with feats the
+    _hermitian_rows of the B mask matrices of outer block o, times
+    pair.unit, are weights[o] @ feats + base, with feats the
     _grid_features of the block's f fast coordinates, and column b of
     block o is mask o * B + b of the sweep (see norm_oracle_grid).
     """
     n, d = pair.n, pair.dim
     phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
-    rank_ones = np.einsum("ki,kj->kij", pair.xs, pair.ys.conj())
-    rank_ones = rank_ones * pow2_scale(rank_ones)
+    balanced = pair.balanced  # each x_k y_k^* times pair.unit, exactly
+    rank_ones = np.einsum("ki,kj->kij", balanced.xs, balanced.ys.conj())
     tables = rank_ones[:, :, :, None] * phases
     fast = 0
     while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:
@@ -301,8 +301,8 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     features so far.  Every setting of the remaining coordinates then
     adds one offset to the finished block, with the weights of all
     offsets built in one einsum (see _grid_factors).  The tables are
-    first scaled by an exact power of two, so the Gram entries stay
-    inside the float range whenever the tables themselves do.
+    read off pair.balanced, exact powers of two away from the pair's, so
+    the Gram entries stay inside the float range whenever the tables do.
 
     Most masks never reach the top-eigenvalue step.  The top eigenvalue
     of G = M^H M is at most tr G, and the trace is linear in the

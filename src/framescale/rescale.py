@@ -54,15 +54,6 @@ GAP_TOL = 1e-13
 _SIGNS = np.array([[1.0], [-1.0]])  # log-weights of F and G: +t and -t
 
 
-def _check_weights(t: np.ndarray, n: int) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (n,):
-        raise ValueError(f"weights shape {t.shape} does not match n={n}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("weights must be finite")
-    return t
-
-
 class _Objective:
     """F(t) and G(t) of one pair, from rank-one stacks built once.
 
@@ -158,11 +149,12 @@ def _smoothed_state(obj: _Objective, t: np.ndarray, b: float, spectra,
     grad = (q[0] - q[1]) / z
 
     def hessian():
-        lam_mat = _divided_exp(b, w, p)
+        # P_s, rows vec(a_k a_k^*) as floats: Re((P_s o vec Lam_s) P_s^*)
         scaled = np.sqrt(weights)[:, :, None] * amp.conj()
-        prod = np.einsum("ski,sli->skli", scaled, scaled.conj())
-        curv = np.real(np.einsum("skli,sij,sklj->kl", prod, lam_mat,
-                                 prod.conj()))
+        outer = np.einsum("ski,skj->skij", scaled, scaled.conj()).reshape(
+            2, t.size, -1).view(np.float64)
+        lam = np.repeat(_divided_exp(b, w, p).reshape(2, 1, -1), 2, axis=-1)
+        curv = ((outer * lam) @ np.swapaxes(outer, 1, 2)).sum(axis=0)
         hess = (curv + np.diag(q[0] + q[1])) / z - b * np.outer(grad, grad)
         return 0.5 * (hess + hess.T)
 
@@ -251,13 +243,14 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
 class CbBracket:
     """Two-sided bracket on the completely bounded multiplier norm.
 
-    m_upper is max(f, g), the Bessel bounds at log_weights.  m_lower is
-    frames.dual_value(pair, dual_us, dual_vs), bitwise.  optimize returns
-    the best stage end for each, and the two may come from different
-    stages.  With cu_k = (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the
-    unit rank-one coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T
-    (A_k = 0 where either vanishes) give an amplified map whose norm is at
-    least sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
+    m_upper is max(f, g), the Bessel bounds at log_weights (or, for
+    pair.balanced, at balanced_weights).  m_lower is frames.dual_value(pair,
+    dual_us, dual_vs), bitwise.  optimize returns the best stage end for
+    each, and the two may come from different stages.  With cu_k =
+    (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the unit rank-one
+    coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0
+    where either vanishes) give an amplified map whose norm is at least
+    sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
     newton_steps, line_search_candidates (Armijo points scored),
     eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian),
     stop ("gap" once the duality gap met GAP_TOL, "top_stage" when the
@@ -276,6 +269,7 @@ class CbBracket:
     g: float
     dual_us: np.ndarray
     dual_vs: np.ndarray
+    balanced_weights: np.ndarray
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -306,12 +300,12 @@ def optimize(pair: FramePair) -> CbBracket:
     once that stage's (m_upper - D) / m_upper <= GAP_TOL.  The bracket is
     the best seen: m_lower is the largest D, with its tuples, and m_upper
     the smallest max(f, g), with its weights, f and g, each from the stage
-    that gave it.  f, g and D are divided by pair.unit, and t becomes
-    t - 2 ln 2 pair.balance, the weights of the caller's pair; powers of
-    two are exact, so m_lower is still dual_value(pair, dual_us, dual_vs)
-    bitwise, and a mangling of the pair by powers of two gives the same
-    bracket and dual tuples bitwise.  The rank-one stacks are built once
-    per pair.
+    that gave it.  f, g and D are divided by pair.unit, and t, kept as
+    balanced_weights, gives log_weights t - 2 ln 2 pair.balance, those of
+    the caller's pair; powers of two are exact, so m_lower is still
+    dual_value(pair, dual_us, dual_vs) bitwise, and a mangling of the pair
+    by powers of two gives the same bracket and dual tuples bitwise.  The
+    rank-one stacks are built once per pair.
     """
     started = time.perf_counter()
     balanced = pair.balanced
@@ -356,7 +350,7 @@ def optimize(pair: FramePair) -> CbBracket:
     unit = pair.unit
     (dual, us, vs), (_, t, f, g) = lower, upper
     return CbBracket(dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
-                     f / unit, g / unit, us, vs, stats)
+                     f / unit, g / unit, us, vs, t, stats)
 
 
 def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
@@ -380,31 +374,40 @@ def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """The rescaled pair (alpha_k x_k, y_k / alpha_k), its frame bounds, and
-    the eigendecompositions (w, V) of its two frame operators."""
+    """The rescaled pair (e^{t_k/2} x_k, e^{-t_k/2} y_k) at a bracket's
+    log_weights t, its frame bounds, the eigendecompositions (w, V) of its
+    two frame operators, and the bracket's m_upper."""
 
-    alpha: np.ndarray
+    m_upper: float
     bounds_x: BesselBounds
     bounds_y: BesselBounds
     scaled: FramePair
     eig_x: tuple
     eig_y: tuple
 
-    def bounds_within(self, bound: float) -> bool:
-        """Whether both scaled Bessel bounds are at most bound (1 + BRACKET_SLACK)."""
-        top = bound * (1.0 + BRACKET_SLACK)
+    def bounds_within(self) -> bool:
+        """Whether both scaled Bessel bounds are at most m_upper (1 + BRACKET_SLACK)."""
+        top = self.m_upper * (1.0 + BRACKET_SLACK)
         return self.bounds_x.upper <= top and self.bounds_y.upper <= top
 
 
-def extract_scaling(pair: FramePair, log_weights: np.ndarray) -> ScalingResult:
-    """Turn log-weights t into the rescaled pair; one frame_eigh call
-    diagonalises its frame operators.  alpha = e^{t/2}: the families become
-    (e^{t_k/2} x_k) and (e^{-t_k/2} y_k), with upper bounds exactly f and g."""
-    t = _check_weights(log_weights, pair.n)
-    alpha = np.exp(0.5 * t)
-    scaled = FramePair(alpha[:, None] * pair.xs, pair.ys / alpha[:, None])
+def extract_scaling(pair: FramePair, bracket: CbBracket) -> ScalingResult:
+    """The rescaled pair of bracket = optimize(pair), with Bessel bounds f
+    and g; one frame_eigh call diagonalises its frame operators.  Its rows
+    are e^{+-t_k/2} times pair.balanced's, t = bracket.balanced_weights,
+    moved to the caller's units by the pair's one power of two (ldexp), so
+    nothing overflows or loses |log_weights| eps, and a mangling of the
+    pair by powers of two gives the same rows bitwise."""
+    t = bracket.balanced_weights
+    if t.shape != (pair.n,):
+        raise ValueError(f"bracket weights {t.shape} do not match n={pair.n}")
+    rows = np.exp(0.5 * t * _SIGNS)[:, :, None] * np.stack(
+        [pair.balanced.xs, pair.balanced.ys])
+    scaled = FramePair(*np.ldexp(rows.view(np.float64), -pair._lift).view(
+        np.complex128))
     w, v = frame_eigh(scaled)
-    return ScalingResult(alpha, *map(bounds_from_spectrum, w), scaled, *zip(w, v))
+    return ScalingResult(bracket.m_upper, *map(bounds_from_spectrum, w),
+                         scaled, *zip(w, v))
 
 
 @dataclass(frozen=True)
@@ -440,27 +443,23 @@ def _isometry_pad(w: np.ndarray, v: np.ndarray, bound: float) -> np.ndarray:
     is all rounding (a tight frame).  lam_max(S) > bound (1 + PSD_CLAMP) raises."""
     if w[-1] > bound * (1.0 + PSD_CLAMP):
         raise ValueError(f"weighted Bessel bound {w[-1]:.12g} exceeds "
-                         f"multiplier_norm {bound:.12g}")
+                         f"m_upper {bound:.12g}")
     root = (v * np.sqrt(np.clip(1.0 - w / bound, 0.0, None))) @ v.conj().T
     return 0.5 * (root + root.conj().T)
 
 
-def build_dilation(scaling: ScalingResult, multiplier_norm: float) -> Dilation:
-    """Assemble the explicit dilation of scaling's rescaled pair at the bound.
-
-    Requires both scaled Bessel bounds to stay below multiplier_norm
-    (within PSD_CLAMP, relative) so the isometry paddings exist.
-    """
-    if multiplier_norm <= 0.0:
-        raise ValueError("multiplier_norm must be positive")
-    pair, d = scaling.scaled, scaling.scaled.dim
-    pad1 = _isometry_pad(*scaling.eig_x, multiplier_norm)
-    pad2 = _isometry_pad(*scaling.eig_y, multiplier_norm)
-    root = np.sqrt(multiplier_norm)
+def build_dilation(scaling: ScalingResult) -> Dilation:
+    """The explicit dilation of scaling's rescaled pair at its m_upper, the
+    dilation's multiplier_norm.  The isometry paddings need both scaled
+    Bessel bounds below m_upper (within PSD_CLAMP, relative)."""
+    pair, d, bound = scaling.scaled, scaling.scaled.dim, scaling.m_upper
+    pad1 = _isometry_pad(*scaling.eig_x, bound)
+    pad2 = _isometry_pad(*scaling.eig_y, bound)
+    root = np.sqrt(bound)
     zeros = np.zeros((d, d), dtype=np.complex128)
-    v1 = np.concatenate([pair.xs.conj() / root, zeros, pad1], axis=0)
-    v2 = np.concatenate([pair.ys.conj() / root, pad2, zeros], axis=0)
-    return Dilation(v1, v2, float(multiplier_norm), pair.n, d)
+    v1 = np.concatenate([pair.xs.conj() / root, zeros, pad1])
+    v2 = np.concatenate([pair.ys.conj() / root, pad2, zeros])
+    return Dilation(v1, v2, bound, pair.n, d)
 
 
 def dilation_reconstruct(dil: Dilation, mask: np.ndarray) -> np.ndarray:

@@ -470,22 +470,16 @@ def end_to_end_rescale_check(pair: FramePair) -> dict:
         raise ValueError(
             f"not a reproducing (Schauder) pair: identity deviation {dev:.3e}")
     bracket = optimize(pair)
-    scaling = extract_scaling(pair, bracket.log_weights)
+    scaling = extract_scaling(pair, bracket)
     sdev = identity_deviation(scaling.scaled)
-    record = {
-        "m_upper": bracket.m_upper,
-        "m_lower": bracket.m_lower,
-        "x_lower": scaling.bounds_x.lower,
-        "x_upper": scaling.bounds_x.upper,
-        "y_lower": scaling.bounds_y.lower,
-        "y_upper": scaling.bounds_y.upper,
-        "identity_deviation": dev,
-        "scaled_identity_deviation": sdev,
-    }
+    record = {"m_upper": bracket.m_upper, "m_lower": bracket.m_lower,
+              "x_lower": scaling.bounds_x.lower, "x_upper": scaling.bounds_x.upper,
+              "y_lower": scaling.bounds_y.lower, "y_upper": scaling.bounds_y.upper,
+              "identity_deviation": dev, "scaled_identity_deviation": sdev}
     if not (scaling.bounds_x.is_frame and scaling.bounds_y.is_frame):
         raise VerificationError(
             "rescaled family lost the lower frame bound", record)
-    if not scaling.bounds_within(bracket.m_upper):
+    if not scaling.bounds_within():
         raise VerificationError(
             "rescaled family exceeds the certified upper bound", record)
     if sdev > SCHAUDER_TOL:
@@ -657,8 +651,7 @@ def suite_dilation(seed: int = 0) -> dict:
         pair = mangle(gaussian_pair(rng, n, d),
                       mangling_scalars(rng, n, (1e-1, 1e1)))
         bracket = optimize(pair)
-        dil = build_dilation(extract_scaling(pair, bracket.log_weights),
-                             bracket.m_upper)
+        dil = build_dilation(extract_scaling(pair, bracket))
         iso = dil.isometry_defect
         rec_err = 0.0
         for _ in range(DILATION_MASKS):
@@ -707,10 +700,9 @@ def suite_d1(seed: int = 0) -> dict:
         closed = float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
         bracket = optimize(pair)
         bound_err = abs(bracket.m_upper - closed) / closed
-        alpha = extract_scaling(pair, bracket.log_weights).alpha
-        target = np.sqrt(np.abs(pair.ys[:, 0]) / np.abs(pair.xs[:, 0]))
-        ratio = alpha / target
-        weight_err = float(np.max(ratio) / np.min(ratio) - 1.0)
+        # the closed form is t_k = ln(|y_k| / |x_k|) up to a common shift
+        miss = bracket.log_weights - np.log(np.abs(pair.ys[:, 0] / pair.xs[:, 0]))
+        weight_err = float(np.expm1(0.5 * np.ptp(miss)))
         record = {"instance": i, "n": n, "closed_form": closed,
                   "m_upper": bracket.m_upper, "bound_error": bound_err,
                   "weight_error": weight_err}
@@ -727,7 +719,9 @@ def suite_d1(seed: int = 0) -> dict:
 
 
 def suite_invariance(seed: int = 0) -> dict:
-    """Symmetry checks: diagonal reparameterization and common unitaries."""
+    """Symmetry checks: diagonal reparameterization, and the images of the
+    pair under a common unitary, relabelling (the indices reversed),
+    swapping x and y, and conjugating both families."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 707]))
     records = []
     for i in range(INVARIANCE_INSTANCES):
@@ -737,11 +731,15 @@ def suite_invariance(seed: int = 0) -> dict:
         beta = mangling_scalars(rng, n)
         scaled = mangle(pair, beta)
         u = haar_unitary(rng, d)
-        rotated = FramePair(pair.xs @ u.T, pair.ys @ u.T)
+        images = {"diag": scaled,
+                  "unitary": FramePair(pair.xs @ u.T, pair.ys @ u.T),
+                  "relabel": FramePair(pair.xs[::-1], pair.ys[::-1]),
+                  "swap": FramePair(pair.ys, pair.xs),
+                  "conjugate": FramePair(pair.xs.conj(), pair.ys.conj())}
 
         base = optimize(pair)
-        diag_drift = abs(optimize(scaled).m_upper - base.m_upper) / base.m_upper
-        unitary_drift = abs(optimize(rotated).m_upper - base.m_upper) / base.m_upper
+        drifts = {f"{name}_drift": abs(optimize(image).m_upper - base.m_upper)
+                  / base.m_upper for name, image in images.items()}
 
         alt = norm_lower_alternating(pair).value
         alt_drift = abs(norm_lower_alternating(scaled).value - alt) / alt
@@ -755,23 +753,20 @@ def suite_invariance(seed: int = 0) -> dict:
             gr = norm_oracle_grid(pair, phase_steps=16).value
             grid_drift = abs(norm_oracle_grid(scaled, phase_steps=16).value
                              - gr) / gr
-        record = {"instance": i, "n": n, "d": d, "diag_drift": diag_drift,
-                  "unitary_drift": unitary_drift, "alternating_drift": alt_drift,
+        record = {"instance": i, "n": n, "d": d, **drifts,
+                  "alternating_drift": alt_drift,
                   "pair_operator_drift": t_drift, "grid_drift": grid_drift}
         records.append(record)
-        if diag_drift > 1e-6:
-            raise VerificationError(
-                f"instance {i}: reparameterization drift {diag_drift:.3e}", record)
-        if unitary_drift > 1e-9:
-            raise VerificationError(
-                f"instance {i}: unitary drift {unitary_drift:.3e}", record)
+        for name, drift in drifts.items():
+            if drift > (1e-6 if name == "diag_drift" else 1e-9):
+                raise VerificationError(f"instance {i}: {name} {drift:.3e}", record)
         if alt_drift > 1e-6 or grid_drift > 1e-9 or t_drift > 1e-12:
             raise VerificationError(
                 f"instance {i}: estimator symmetry drift", record)
     return {"suite": "invariance", "records": records,
             "summary": {"instances": len(records),
-                        **_worst(records, "diag_drift", "unitary_drift",
-                                 "alternating_drift", "grid_drift")}}
+                        **_worst(records, *drifts, "alternating_drift",
+                                 "grid_drift")}}
 
 
 def _psi_fd_ratios(obj: _Objective, t: np.ndarray, b_rel: float):

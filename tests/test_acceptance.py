@@ -125,10 +125,16 @@ def test_criterion_08_reparameterization_invariance():
     assert summary["instances"] == 12
     assert summary["worst_diag_drift"] <= 1e-6
     assert summary["worst_unitary_drift"] <= 1e-9
+    # relabelling, swapping x and y, and conjugating both families
+    for name in ("relabel", "swap", "conjugate"):
+        assert summary[f"worst_{name}_drift"] <= 1e-9, name
     assert summary["worst_grid_drift"] <= 1e-9
     print(f"criterion 08 PASS: diagonal drift "
           f"{summary['worst_diag_drift']:.2e}, unitary drift "
-          f"{summary['worst_unitary_drift']:.2e}, alternating drift "
+          f"{summary['worst_unitary_drift']:.2e}, relabel, swap and "
+          f"conjugate drifts {summary['worst_relabel_drift']:.2e}, "
+          f"{summary['worst_swap_drift']:.2e} and "
+          f"{summary['worst_conjugate_drift']:.2e}, alternating drift "
           f"{summary['worst_alternating_drift']:.2e} (limit 1e-6), grid drift "
           f"{summary['worst_grid_drift']:.2e} (limit 1e-9)")
 

@@ -291,6 +291,45 @@ def test_rescale_dilation_runs_on_an_index_mangled_by_ten_to_the_80(tmp_path):
     assert abs(rec["M_upper"] - want) <= 1e-14 * want
 
 
+def test_rescale_dilation_runs_where_a_weight_passes_e_to_the_1400(tmp_path):
+    # x_0 y_0^* of size 1e-20 balances to e_0 = -1030, so the caller's
+    # log-weight t_0 is about 1427 and e^{t_0 / 2} is no float; the
+    # rescaled pair is read off the balanced rows instead
+    pair = generate("gaussian", np.random.default_rng(3), 6, 3)
+    xs, ys = pair.xs.copy(), pair.ys.copy()
+    xs[0] *= 1e-320
+    ys[0] *= 1e300
+    inst = tmp_path / "far.frame.json"
+    cli.save_instance(str(inst), FramePair(xs, ys))
+    out = tmp_path / "res.json"
+    assert cli.main(["rescale", "--dilation", "--in", str(inst),
+                     "--out", str(out)]) == 0
+    rec = read_json(str(out))["records"][0]
+    assert rec["weights"][0] > 1420.0
+    assert rec["check_results"]["bound_respected"]
+    assert rec["check_results"]["dilation_isometric"]
+
+
+@pytest.mark.parametrize("beta, names", [
+    ((1e300, 1.0, 1.0, 1.0, 1.0, 1.0), "xs"),
+    ((1e300, 1.0, 1.0, 1.0, 1.0, 1e-300), "xs and of ys")],
+    ids=["xs", "both"])
+def test_analyze_names_the_family_whose_frame_operator_is_no_float(
+        beta, names, tmp_path, capsys):
+    # the pair is a mangling of a gaussian one, so rescale runs on it; its
+    # frame bounds in the caller's units are near 1e600, which analyze
+    # refuses, naming each family that overflows
+    pair = generate("gaussian", np.random.default_rng(3), 6, 3)
+    beta = np.array(beta)
+    inst = tmp_path / "far.frame.json"
+    cli.save_instance(str(inst), FramePair(beta[:, None] * pair.xs,
+                                           pair.ys / beta[:, None]))
+    assert cli.main(["analyze", "--in", str(inst)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"the frame operator of {names} leaves the float range" in err
+    assert cli.main(["rescale", "--dilation", "--in", str(inst)]) == 0
+
+
 def test_rescale_refuses_a_pair_whose_bracket_is_no_float(tmp_path, capsys):
     # x_1 y_1^* near 2^1025: no bracket of it is a float, so the instance
     # is refused on load rather than reported as inf
@@ -850,10 +889,13 @@ def _package_calls():
 def test_only_frames_decides_a_power_of_two_scale():
     # frames.pow2_scale and FramePair own the choice of scale; another
     # frexp would be a second rule for it.  rescale.ARMIJO_STEPS' ldexp
-    # only lists step lengths
+    # only lists step lengths.  Only verify's tuples and matrices, which
+    # belong to no pair, take pow2_scale; the rest read pair.balanced
     for source, line, name in _package_calls():
         assert source == "frames.py" or name != "frexp", \
             f"{source}:{line}: calls frexp"
+        assert source in ("frames.py", "verify.py") or name != "pow2_scale", \
+            f"{source}:{line}: calls pow2_scale"
 
 
 def test_every_object_is_built_by_its_constructor():

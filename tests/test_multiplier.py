@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framescale import multiplier
-from framescale.frames import FramePair, coefficients, pow2_scale
+from framescale.frames import FramePair, coefficients
 from framescale.instances import (
     gaussian_pair,
     haar_unitary,
@@ -303,7 +303,7 @@ def test_grid_factor_rows_match_direct_rows_at_every_offset(monkeypatch):
             formed = np.concatenate(blocks, axis=1)
             mats = np.stack([mask_matrix(pair, eps)
                              for eps in _swept_masks(fast + 2, 8)])
-            mats *= pow2_scale(pair.xs[:, :, None] * pair.ys.conj()[:, None, :])
+            mats *= pair.unit  # the tables are read off pair.balanced
             direct = _hermitian_rows(_gram(mats)).T
             assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
 

@@ -1,5 +1,7 @@
 """Weight optimization, certificates, and the explicit dilation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,35 @@ def test_smoothed_state_is_homogeneous_of_degree_two(c):
                     rtol * c * c * np.max(np.abs(want)))
 
 
+def test_newton_curvature_matches_the_entrywise_sum():
+    # the reference: Re sum_s sum_ij a_ki conj(a_li) Lam_ij conj(a_kj) a_lj,
+    # a_k the weighted amplitudes, in one einsum over the (2, n, n, d)
+    # products, against the Hessian's one GEMM per family
+    rng = np.random.default_rng(73)
+    for n, d in ((5, 3), (12, 4), (3, 1)):
+        pair = gaussian_pair(rng, n, d)
+        for b_rel in (1e2, 1e6):
+            t = rng.uniform(-1.0, 1.0, n)
+            obj = _Objective(pair)
+            w, v = spectra = obj.spectra(t)
+            b = b_rel / float(w[:, -1].max())
+            _, grad, _, hessian = _smoothed_state(obj, t, b, spectra)
+            _, p, z = _psi(w, b)
+            weights = np.exp(t * np.array([[1.0], [-1.0]]))
+            amp = obj.vecs.conj() @ v
+            q = weights * np.einsum("skj,sj->sk", np.abs(amp) ** 2, p)
+            scaled = np.sqrt(weights)[:, :, None] * amp.conj()
+            prod = np.einsum("ski,sli->skli", scaled, scaled.conj())
+            curv = np.real(np.einsum("skli,sij,sklj->kl", prod,
+                                     _divided_exp(b, w, p), prod.conj()))
+            # compared before the outer-product term, which cancels the
+            # curvature to about 1 / b_rel of its size
+            want = (curv + np.diag(q[0] + q[1])) / z
+            got = hessian() + b * np.outer(grad, grad)
+            assert np.max(np.abs(got - 0.5 * (want + want.T))) <= \
+                1e-13 * np.max(np.abs(want)), (n, d, b_rel)
+
+
 def test_smoothed_state_swap_symmetry():
     # swapping the families and negating t swaps F and G: psi and the
     # Hessian stay, and the gradient changes sign
@@ -206,8 +237,8 @@ def test_optimize_scalar_pair_closed_form():
                      np.array([[1.0], [1.0]], dtype=complex))
     br = optimize(pair)
     assert abs(br.m_upper - 10.1) <= 1e-6 * 10.1
-    sc = extract_scaling(pair, br.log_weights)
-    ratio = sc.alpha / sc.alpha[0]
+    t = br.log_weights
+    ratio = np.exp(0.5 * (t - t[0]))
     expected = np.array([1.0, np.sqrt(10.0) / np.sqrt(0.1)])
     assert np.max(np.abs(ratio - expected) / expected) <= 1e-4
 
@@ -233,9 +264,9 @@ def test_optimize_invariant_under_diagonal_reparameterization():
         assert abs(br.m_upper - c * a.m_upper) <= 1e-14 * c * a.m_upper
         assert abs(br.m_lower - c * a.m_lower) <= 1e-14 * c * a.m_lower
         assert abs(phi_lower(far, br).value - c * phi) <= 1e-14 * c * phi
-        scaling = extract_scaling(far, br.log_weights)
-        assert scaling.bounds_within(br.m_upper), (cx, cy)
-        assert build_dilation(scaling, br.m_upper).is_isometric, (cx, cy)
+        scaling = extract_scaling(far, br)
+        assert scaling.bounds_within(), (cx, cy)
+        assert build_dilation(scaling).is_isometric, (cx, cy)
     # a mangling that moves one index up by 10^s and another down by it
     # leaves every x_k y_k^*, so the bracket and phi stay, to rounding;
     # the rows are built one by one, since 10^300 squared is not a float
@@ -247,26 +278,42 @@ def test_optimize_invariant_under_diagonal_reparameterization():
             assert abs(br.m_upper - a.m_upper) <= 1e-14 * a.m_upper, s
             assert abs(br.m_lower - a.m_lower) <= 1e-14 * a.m_lower, s
             assert abs(phi_lower(far, br).value - phi) <= 1e-14 * phi, s
-            scaling = extract_scaling(far, br.log_weights)
-            assert scaling.bounds_within(br.m_upper), s
-            assert build_dilation(scaling, br.m_upper).is_isometric, s
+            scaling = extract_scaling(far, br)
+            assert scaling.bounds_within(), s
+            assert build_dilation(scaling).is_isometric, s
 
 
 def test_optimize_is_bitwise_under_power_of_two_mangling():
     # FramePair balances each index before optimize sees it, so a mangling
-    # by powers of two gives the same balanced pair and the same bracket
+    # by powers of two gives the same balanced pair and the same bracket;
+    # the rescaled pair (alpha_k x_k, y_k / alpha_k) does not move under a
+    # mangling, and extract_scaling reads it off those, so it is bitwise too
     rng = np.random.default_rng(79)
     for kind, n, d in (("gaussian", 6, 3), ("schauder_mangled", 8, 2),
                        ("onb_union", 6, 3)):
         pair = generate(kind, rng, n, d)
         base = optimize(pair)
+        rows = extract_scaling(pair, base).scaled
         for spread in (3, 60, 300):
-            br = optimize(pow2_mangled(pair, rng.integers(-spread, spread + 1,
-                                                           size=n)))
+            far = pow2_mangled(pair, rng.integers(-spread, spread + 1, size=n))
+            br = optimize(far)
             assert br.m_upper == base.m_upper, (kind, spread)
             assert br.m_lower == base.m_lower, (kind, spread)
             assert np.array_equal(br.dual_us, base.dual_us), (kind, spread)
             assert np.array_equal(br.dual_vs, base.dual_vs), (kind, spread)
+            scaled = extract_scaling(far, br).scaled
+            assert np.array_equal(scaled.xs, rows.xs), (kind, spread)
+            assert np.array_equal(scaled.ys, rows.ys), (kind, spread)
+
+
+def test_dilation_defect_does_not_grow_with_the_log_weights():
+    # x * c shifts the caller's log-weights by -ln c, up to |t| near 692
+    # at 1e300, yet the dilation is built from the balanced rows
+    pair = generate("gaussian", np.random.default_rng(3), 5, 3)
+    for c in (1.0, 1e-10, 1e150, 1e300):
+        far = FramePair(c * pair.xs, pair.ys)
+        dil = build_dilation(extract_scaling(far, optimize(far)))
+        assert dil.isometry_defect <= 1e-15, c
 
 
 def _symmetric_images(pair: FramePair, rng: np.random.Generator):
@@ -321,7 +368,7 @@ def test_bracket_fields_consistent():
     assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
     tuples = br.dual_us, br.dual_vs
     with pytest.raises(ValueError):
-        CbBracket(2.0, np.zeros(4), 1.0, 1.0, *tuples)
+        CbBracket(2.0, np.zeros(4), 1.0, 1.0, *tuples, np.zeros(4))
     # m_lower always comes with the tuples that replay it
     with pytest.raises(TypeError):
         CbBracket(1.0, np.zeros(4), 1.0, 1.0)
@@ -331,10 +378,12 @@ def test_bracket_checks_are_relative_to_the_bound():
     tuples = np.ones((1, 2)), np.ones((1, 2))
     # inverted by 50 %, far below any absolute slack
     with pytest.raises(ValueError, match="inverted"):
-        CbBracket(1.5e-9, np.zeros(4), 1e-9, 1e-9, *tuples)
-    CbBracket(1e-9 * (1.0 + 1e-9), np.zeros(4), 1e-9, 1e-9, *tuples)
+        CbBracket(1.5e-9, np.zeros(4), 1e-9, 1e-9, *tuples, np.zeros(4))
+    CbBracket(1e-9 * (1.0 + 1e-9), np.zeros(4), 1e-9, 1e-9, *tuples,
+              np.zeros(4))
     # m_upper is max(f, g) by construction, not a field to keep in step
-    assert CbBracket(1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples).m_upper \
+    assert CbBracket(1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples,
+                     np.zeros(4)).m_upper \
         == 1.01e-9
 
 
@@ -629,17 +678,22 @@ def test_extract_scaling_cross_checks_objective():
     rng = np.random.default_rng(81)
     pair = gaussian_pair(rng, 5, 2)
     br = optimize(pair)
-    sc = extract_scaling(pair, br.log_weights)
+    sc = extract_scaling(pair, br)
+    assert sc.m_upper == br.m_upper
     assert abs(sc.bounds_x.upper - br.f) <= 1e-9 * (1.0 + br.f)
     assert abs(sc.bounds_y.upper - br.g) <= 1e-9 * (1.0 + br.g)
-    assert np.all(sc.alpha > 0.0)
-    # the scaled pair and its bounds are the ones the families give alone
-    assert np.array_equal(sc.scaled.xs, sc.alpha[:, None] * pair.xs)
-    assert np.array_equal(sc.scaled.ys, pair.ys / sc.alpha[:, None])
+    # the scaled pair is the caller's at the bracket's log_weights, to
+    # rounding, and its bounds are the ones the families give alone
+    alpha = np.exp(0.5 * br.log_weights)[:, None]
+    assert np.allclose(sc.scaled.xs, alpha * pair.xs, rtol=1e-14, atol=0.0)
+    assert np.allclose(sc.scaled.ys, pair.ys / alpha, rtol=1e-14, atol=0.0)
     assert sc.bounds_x == bessel_and_frame_bounds(sc.scaled.xs)
     assert sc.bounds_y == bessel_and_frame_bounds(sc.scaled.ys)
-    assert sc.bounds_within(br.m_upper)
-    assert not sc.bounds_within(0.5 * br.m_upper)
+    assert sc.bounds_within()
+    assert not replace(sc, m_upper=0.5 * br.m_upper).bounds_within()
+    # a bracket of another n is refused
+    with pytest.raises(ValueError, match="do not match n=4"):
+        extract_scaling(gaussian_pair(rng, 4, 2), br)
 
 
 def test_scaling_and_dilation_diagonalise_each_family_once(monkeypatch):
@@ -655,7 +709,7 @@ def test_scaling_and_dilation_diagonalise_each_family_once(monkeypatch):
 
     monkeypatch.setattr(rescale, "eigh", counted)
     monkeypatch.setattr(frames, "eigh", counted)
-    build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
+    build_dilation(extract_scaling(pair, br))
     assert calls == [(2, 2, 2)]
 
 
@@ -664,7 +718,7 @@ def test_dilation_isometries_and_reconstruction():
     for n, d in ((3, 2), (5, 3), (4, 1)):
         pair = gaussian_pair(rng, n, d)
         br = optimize(pair)
-        dil = build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
+        dil = build_dilation(extract_scaling(pair, br))
         eye = np.eye(d)
         assert np.max(np.abs(dil.v1.conj().T @ dil.v1 - eye)) <= 1e-10
         assert np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye)) <= 1e-10
@@ -680,7 +734,7 @@ def test_dilation_identity_mask_gives_pair_operator():
     rng = np.random.default_rng(83)
     pair = canonical_dual_pair(rng, 4, 2)
     br = optimize(pair)
-    dil = build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
+    dil = build_dilation(extract_scaling(pair, br))
     rec = dilation_reconstruct(dil, np.ones(4))
     assert np.max(np.abs(rec - pair_operator(pair))) <= 1e-10
 
@@ -693,10 +747,10 @@ def test_dilation_rejects_insufficient_norm():
     for c in (1e-6, 1.0, 1e6):
         pair = FramePair(c * base.xs, base.ys)
         br = optimize(pair)
-        sc = extract_scaling(pair, br.log_weights)
-        with pytest.raises(ValueError, match="exceeds multiplier_norm"):
-            build_dilation(sc, 0.5 * max(br.f, br.g))
-        build_dilation(sc, br.m_upper)
+        sc = extract_scaling(pair, br)
+        with pytest.raises(ValueError, match="exceeds m_upper"):
+            build_dilation(replace(sc, m_upper=0.5 * max(br.f, br.g)))
+        build_dilation(sc)
 
 
 def test_end_to_end_rescaled_schauder_frame_bounds():
@@ -704,7 +758,7 @@ def test_end_to_end_rescaled_schauder_frame_bounds():
     pair = mangle(canonical_dual_pair(rng, 5, 3),
                   mangling_scalars(rng, 5, (1e-3, 1e3)))
     br = optimize(pair)
-    sc = extract_scaling(pair, br.log_weights)
+    sc = extract_scaling(pair, br)
     assert sc.bounds_x.lower > 1e-10
     assert sc.bounds_y.lower > 1e-10
     assert sc.bounds_x.upper <= br.m_upper + 1e-8
@@ -729,8 +783,7 @@ def test_dilation_is_isometric_on_tight_frames_at_every_scale():
         for c in (1.0, 1e-8, 1e8):
             pair = FramePair(c * u.T, u.T)
             br = optimize(pair)
-            dil = build_dilation(extract_scaling(pair, br.log_weights),
-                                 br.m_upper)
+            dil = build_dilation(extract_scaling(pair, br))
             for v in (dil.v1, dil.v2):
                 assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12
 
@@ -742,7 +795,7 @@ def test_isometry_defect_is_the_explicit_formula():
     for n, d in ((3, 2), (5, 3), (4, 1)):
         pair = gaussian_pair(rng, n, d)
         br = optimize(pair)
-        built = build_dilation(extract_scaling(pair, br.log_weights), br.m_upper)
+        built = build_dilation(extract_scaling(pair, br))
         a, b = (random_complex(rng, n + 2 * d, d) for _ in range(2))
         for dil in (built, Dilation(a, 3.0 * b, 1.0, n, d),
                     Dilation(3.0 * a, b, 1.0, n, d)):
