@@ -1,7 +1,11 @@
 """Random pair generators used by the experiment suites and the CLI.
 
 All generators are deterministic given a numpy Generator; callers seed.
+The annotations stay unevaluated, so importing this module does not load
+numpy.random; the first draw does.
 """
+
+from __future__ import annotations
 
 import numpy as np
 

@@ -40,8 +40,8 @@ def check_hermitian(mat: np.ndarray) -> np.ndarray:
     """
     a = check_matrix(mat)
     ah = np.swapaxes(a.conj(), -1, -2)
-    # F, G and the Newton Hessian arrive exactly Hermitian; they skip the
-    # per-matrix norms below
+    # F and G (einsum products, see rescale._Objective) and the symmetrised
+    # Newton Hessian arrive exactly Hermitian; they skip the norms below
     if (a != ah).any():
         drift = np.abs(a - ah).max(axis=(-2, -1))
         size = np.abs(a).max(axis=(-2, -1))

@@ -57,7 +57,10 @@ _SIGNS = np.array([[1.0], [-1.0]])  # log-weights of F and G: +t and -t
 class _Objective:
     """F(t) and G(t) of one pair, from rank-one stacks built once.
 
-    stack[0] holds x_k x_k^* and stack[1] holds y_k y_k^*.  spectra(t)
+    stack[0] holds x_k x_k^* and stack[1] holds y_k y_k^*, formed by an
+    einsum, not a broadcast product: x[:, :, None] * x.conj()[:, None, :]
+    need not be exactly conjugate-symmetric under numpy's vectorised
+    complex multiply, while each einsum term is.  spectra(t)
     weights them by e^{t_k} and e^{-t_k} at one point t of shape (n,) or
     at a block of points of shape (B, n), and diagonalises every F and G
     in one validated LAPACK call: w[..., 0, :] is the spectrum of F and

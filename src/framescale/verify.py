@@ -48,6 +48,8 @@ one-sided inequalities may dip 1e-9 relative below zero slack, and
 statistical experiment thresholds carry an explicit 5 percent cushion.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 import time
@@ -157,10 +159,9 @@ def _signed_sums(table: np.ndarray) -> np.ndarray:
     return sums.view(np.complex128).reshape(sums.shape[0], *table.shape[1:])
 
 
-def _scaled(a, name: str):
-    """a as complex times pow2_scale(a, name), which validates a, and
-    that power."""
-    a = np.asarray(a, dtype=np.complex128)
+def _scaled(a: np.ndarray, name: str):
+    """a, a complex128 array its caller converted, times pow2_scale(a,
+    name), which validates a, and that power."""
     scale = pow2_scale(a, name)
     return a * scale, scale
 
@@ -405,9 +406,9 @@ def trace_pairing_check(pair: FramePair, mats: np.ndarray, us: np.ndarray,
     and on pair.balanced (see the entry contract);
     route 3 runs next, so amplified_apply checks mats and us once.
     """
-    a, sa = _scaled(mats, "mats")
-    us, su = _scaled(us, "us")
-    vs, sv = _scaled(vs, "vs")
+    a, sa = _scaled(np.asarray(mats, dtype=np.complex128), "mats")
+    us, su = _scaled(np.asarray(us, dtype=np.complex128), "us")
+    vs, sv = _scaled(np.asarray(vs, dtype=np.complex128), "vs")
     balanced = pair.balanced
     out = amplified_apply(balanced, a, us)
     if vs.shape != us.shape:

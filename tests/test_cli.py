@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -657,6 +658,67 @@ def test_bench_fails_when_an_instance_file_does_not_round_trip(
         cli.EXIT_CHECK_FAILED
     assert read_json(str(out))["summary"]["failures"] == 2
     assert "did not round-trip" in capsys.readouterr().err
+
+
+def test_bench_times_the_median_of_repeats_after_an_untimed_call(
+        tmp_path, monkeypatch):
+    calls = {}
+    eig_inputs = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "eigh":
+                eig_inputs.append(args[0])
+            return fn(*args)
+        return wrapper
+
+    layers = ("eigh", "_rewrite_and_load", "norm_oracle_grid", "optimize",
+              "phi_lower")
+    for name in layers:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--seed", "3", "--grid", "4x2", "--phase-steps",
+                     "8", "--out", str(out)]) == 0
+    assert cli.BENCH_REPEATS == 3
+    assert calls == {name: 1 + cli.BENCH_REPEATS for name in layers}
+    assert read_json(str(out))["records"][0]["repeats"] == 3
+    # the eig cell diagonalises the frame operator, which is exactly
+    # Hermitian, so it times LAPACK and not check_hermitian's repair path
+    for s in eig_inputs:
+        assert np.array_equal(s, s.conj().T)
+
+
+def test_bench_timed_keeps_the_last_result_and_the_median(monkeypatch):
+    seconds = iter([0.5, 0.1, 0.3])
+    results = iter(["untimed", "first", "second", "last"])
+    monkeypatch.setattr(cli, "_timed", lambda fn, *args: (fn(*args),
+                                                          next(seconds)))
+    assert cli._bench_timed(lambda: next(results)) == ("last", 0.3)
+
+
+def test_startup_loads_neither_numpy_random_nor_hashlib(tmp_path):
+    # only gen, bench and the verify suites draw, and only bench hashes:
+    # importing the package and running analyze and rescale in a fresh
+    # interpreter must load neither module
+    path = tmp_path / "p.frame.json"
+    cli.save_instance(str(path), gaussian_pair(np.random.default_rng(5), 4, 2))
+    probe = ("import sys\n"
+             "import framescale, framescale.cli, framescale.verify\n"
+             "loaded = [sorted(m for m in ('numpy.random', 'hashlib')\n"
+             "                 if m in sys.modules)]\n"
+             f"framescale.cli.main(['analyze', '--in', {str(path)!r},\n"
+             "                      '--phase-steps', '8'])\n"
+             f"framescale.cli.main(['rescale', '--in', {str(path)!r},\n"
+             "                      '--dilation'])\n"
+             "loaded.append(sorted(m for m in ('numpy.random', 'hashlib')\n"
+             "                     if m in sys.modules))\n"
+             "print(loaded)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.strip().splitlines()[-1] == "[[], []]"
 
 
 def test_bench_empty_grid(tmp_path):

@@ -11,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framescale.instances import haar_unitary, random_complex
+import framescale.linalg as linalg
+from framescale.frames import bessel_and_frame_bounds, frame_eigh
+from framescale.instances import (canonical_dual_pair, generate, haar_unitary,
+                                  random_complex)
 from framescale.linalg import (
     check_hermitian,
     eigh,
     singular_values,
     top_singular_triplet,
 )
+from framescale.rescale import extract_scaling, optimize
 
 from conftest import random_hermitian
 
@@ -270,3 +274,28 @@ def test_check_hermitian_refuses_a_tiny_asymmetric_matrix():
         eigh(a)
     with pytest.raises(ValueError, match="not Hermitian at stack index 1:"):
         check_hermitian(np.stack([np.eye(3), a]))
+
+
+def test_every_eigh_input_of_the_pipeline_is_exactly_hermitian(monkeypatch):
+    # check_hermitian's fast path: the frame operators, F and G (einsum
+    # products, not broadcast ones) and the symmetrised Newton Hessian
+    # equal their conjugate transposes bitwise, so none is repaired
+    seen = []
+    real = linalg.check_hermitian
+
+    def spy(mat):
+        a = np.asarray(mat)
+        seen.append(np.array_equal(a, np.swapaxes(a.conj(), -1, -2)))
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "check_hermitian", spy)
+    rng = np.random.default_rng(38)
+    for n, d in ((4, 2), (12, 3), (40, 8)):
+        canonical_dual_pair(rng, n, d)
+        for kind in ("gaussian", "schauder_mangled", "onb_union"):
+            pair = generate(kind, rng, n, d)
+            bessel_and_frame_bounds(pair.xs)
+            bessel_and_frame_bounds(pair.ys)
+            frame_eigh(pair)
+            extract_scaling(pair, optimize(pair))
+    assert len(seen) > 100 and all(seen), seen.count(False)

@@ -250,37 +250,44 @@ def test_optimize_invariant_under_diagonal_reparameterization():
     a = optimize(pair)
     b = optimize(scaled)
     assert abs(a.m_upper - b.m_upper) <= 1e-6 * a.m_upper
-    # a global factor on either family, or on both, scales both bounds and
-    # phi by their product c, to rounding, and nothing overflows; the
-    # rescaled pair stays within the bracket and its dilation isometric
     xs, ys = pair.xs, pair.ys
     phi = phi_lower(pair, a).value
+    masks = [rng.uniform(0.0, 1.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+             for _ in range(5)]
+
+    def check(far, c, case):
+        # the bracket and phi move by c, to rounding; phi's witness replays
+        # on far; the rescaled pair stays within the bracket, and its
+        # dilation is isometric and gives far's masked maps
+        br = optimize(far)
+        assert abs(br.m_upper - c * a.m_upper) <= 1e-14 * c * a.m_upper, case
+        assert abs(br.m_lower - c * a.m_lower) <= 1e-14 * c * a.m_lower, case
+        est = phi_lower(far, br)
+        assert abs(est.value - c * phi) <= 1e-14 * c * phi, case
+        assert witness_defect(far, est) <= 1e-12, case
+        scaling = extract_scaling(far, br)
+        assert scaling.bounds_within(), case
+        dil = build_dilation(scaling)
+        assert dil.is_isometric, case
+        for mask in masks:
+            want = mask_matrix(far, mask)
+            miss = np.abs(dilation_reconstruct(dil, mask) - want).max()
+            assert miss <= 1e-12 * np.abs(want).max(), case
+
+    # a global factor on either family, or on both, scales both bounds and
+    # phi by their product c, and nothing overflows
     for cx, cy in ((1e-6, 1.0), (1e6, 1.0), (1.0, 1e-6), (1.0, 1e6),
                    (1e150, 1.0), (1.0, 1e150), (1e150, 1e150), (1e300, 1.0),
                    (1e-150, 1.0), (1.0, 1e-150), (1e-150, 1e-150)):
-        far = FramePair(cx * xs, cy * ys)
-        br = optimize(far)
-        c = cx * cy
-        assert abs(br.m_upper - c * a.m_upper) <= 1e-14 * c * a.m_upper
-        assert abs(br.m_lower - c * a.m_lower) <= 1e-14 * c * a.m_lower
-        assert abs(phi_lower(far, br).value - c * phi) <= 1e-14 * c * phi
-        scaling = extract_scaling(far, br)
-        assert scaling.bounds_within(), (cx, cy)
-        assert build_dilation(scaling).is_isometric, (cx, cy)
+        check(FramePair(cx * xs, cy * ys), cx * cy, (cx, cy))
     # a mangling that moves one index up by 10^s and another down by it
     # leaves every x_k y_k^*, so the bracket and phi stay, to rounding;
     # the rows are built one by one, since 10^300 squared is not a float
     for s in (80, 150, 300):
         for beta in (np.array([10.0 ** s, 1.0, 1.0, 10.0 ** -s]),
                      np.array([10.0 ** -s, 1.0, 1.0, 10.0 ** s])):
-            far = FramePair(beta[:, None] * xs, ys / beta[:, None])
-            br = optimize(far)
-            assert abs(br.m_upper - a.m_upper) <= 1e-14 * a.m_upper, s
-            assert abs(br.m_lower - a.m_lower) <= 1e-14 * a.m_lower, s
-            assert abs(phi_lower(far, br).value - phi) <= 1e-14 * phi, s
-            scaling = extract_scaling(far, br)
-            assert scaling.bounds_within(), s
-            assert build_dilation(scaling).is_isometric, s
+            check(FramePair(beta[:, None] * xs, ys / beta[:, None]), 1.0,
+                  (s, beta[0]))
 
 
 def test_optimize_is_bitwise_under_power_of_two_mangling():
