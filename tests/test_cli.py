@@ -703,22 +703,21 @@ def test_startup_loads_neither_numpy_random_nor_hashlib(tmp_path):
     # interpreter must load neither module
     path = tmp_path / "p.frame.json"
     cli.save_instance(str(path), gaussian_pair(np.random.default_rng(5), 4, 2))
-    probe = ("import sys\n"
-             "import framescale, framescale.cli, framescale.verify\n"
-             "loaded = [sorted(m for m in ('numpy.random', 'hashlib')\n"
-             "                 if m in sys.modules)]\n"
-             f"framescale.cli.main(['analyze', '--in', {str(path)!r},\n"
-             "                      '--phase-steps', '8'])\n"
-             f"framescale.cli.main(['rescale', '--in', {str(path)!r},\n"
-             "                      '--dilation'])\n"
-             "loaded.append(sorted(m for m in ('numpy.random', 'hashlib')\n"
-             "                     if m in sys.modules))\n"
-             "print(loaded)\n")
+    probe = "\n".join([
+        "import sys",
+        "import framescale, framescale.cli, framescale.verify",
+        "def loaded():",
+        "    return [m for m in ('numpy.random', 'hashlib') if m in sys.modules]",
+        "print(loaded())",
+        f"framescale.cli.main(['analyze', '--in', {str(path)!r}, '--phase-steps', '8'])",
+        f"framescale.cli.main(['rescale', '--in', {str(path)!r}, '--dilation'])",
+        "print(loaded())"])
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=120, check=True,
                           env=dict(os.environ, PYTHONPATH=str(src)))
-    assert done.stdout.strip().splitlines()[-1] == "[[], []]"
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]", lines
 
 
 def test_bench_empty_grid(tmp_path):
