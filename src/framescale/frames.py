@@ -15,10 +15,6 @@ import numpy as np
 from .linalg import eigh, top_singular_triplet
 
 FRAME_TOL = 1e-10  # is_frame needs lower > FRAME_TOL * upper
-# prebuilt dtypes: a view or conversion to one skips numpy's lookup of a
-# type object, about 0.2 us of a few-microsecond check
-_COMPLEX = np.dtype(np.complex128)
-_FLOAT64 = np.dtype(np.float64)
 
 
 def pow2_scale(a: np.ndarray, name: str = "array") -> float:
@@ -29,7 +25,7 @@ def pow2_scale(a: np.ndarray, name: str = "array") -> float:
     and cubes of the scaled entries stay in the float range.  ValueError
     names a as name unless a is finite.
     """
-    parts = np.ascontiguousarray(a, dtype=_COMPLEX).view(_FLOAT64)
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     big = float(np.abs(parts).max())
     if not math.isfinite(big):
         raise ValueError(f"{name} has non-finite entries")
@@ -40,12 +36,12 @@ def _check_vectors(vectors: np.ndarray, name: str):
     """vectors as an (n, d) complex array, and the largest |Re| or |Im| of
     each row, read off its float64 view.  ValueError names vectors as
     name unless every row is finite and nonzero."""
-    v = np.asarray(vectors, dtype=_COMPLEX)
+    v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise ValueError(f"{name}: expected shape (n, d), got {v.shape}")
     if v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError(f"{name}: need at least one vector in dimension >= 1")
-    tops = np.abs(np.ascontiguousarray(v).view(_FLOAT64)).max(axis=1)
+    tops = np.abs(np.ascontiguousarray(v).view(np.float64)).max(axis=1)
     if not np.isfinite(tops).all():
         raise ValueError(f"{name} has non-finite entries")
     if not tops.all():
@@ -55,8 +51,8 @@ def _check_vectors(vectors: np.ndarray, name: str):
 
 def _shifted(v: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Row k of v times 2^shifts[k], by ldexp on the float64 view."""
-    parts = np.ascontiguousarray(v).view(_FLOAT64)
-    return np.ldexp(parts, shifts[:, None]).view(_COMPLEX)
+    parts = np.ascontiguousarray(v).view(np.float64)
+    return np.ldexp(parts, shifts[:, None]).view(np.complex128)
 
 
 @dataclass(frozen=True)

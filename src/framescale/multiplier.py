@@ -130,13 +130,10 @@ def _gram_top_norm(rows: np.ndarray) -> np.ndarray:
 
     rows has shape (d*d, B): column b holds the _hermitian_rows of matrix b.
     d = 1 reads the single entry, d = 2 takes the larger root of the
-    characteristic polynomial from trace and determinant, d = 3 the
-    trigonometric form of the cubic's roots; larger d falls back to
-    batched LAPACK.  Rows formed by a GEMM (see norm_oracle_grid) may put
-    a nearly zero eigenvalue a rounding below zero, so the top eigenvalue
-    is clamped at 0 before the root.  Callers keep the matrices' entries
-    near unit size (see frames.FramePair.balanced), because the d = 3 form
-    cubes Gram entries.
+    characteristic polynomial from trace and determinant; larger d falls
+    back to batched LAPACK.  Rows formed by a GEMM (see norm_oracle_grid)
+    may put a nearly zero eigenvalue a rounding below zero, so the top
+    eigenvalue is clamped at 0 before the root.
     """
     d = math.isqrt(len(rows))
     if d == 1:
@@ -147,23 +144,6 @@ def _gram_top_norm(rows: np.ndarray) -> np.ndarray:
         half_gap = 0.5 * (g00 - g11)
         disc = np.sqrt(half_gap * half_gap + cr * cr + ci * ci)
         lam = 0.5 * (g00 + g11) + disc
-    elif d == 3:
-        g00, g11, g22, x01, x02, x12, y01, y02, y12 = rows
-        q = (g00 + g11 + g22) / 3.0
-        b00, b11, b22 = g00 - q, g11 - q, g22 - q
-        s01 = x01 * x01 + y01 * y01
-        s02 = x02 * x02 + y02 * y02
-        s12 = x12 * x12 + y12 * y12
-        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
-                     + 2.0 * (s01 + s02 + s12)) / 6.0)
-        safe = np.where(p > 0.0, p, 1.0)
-        # det(G - qI); the cyclic term is 2 Re(g01 g12 conj(g02))
-        det = (b00 * b11 * b22 - b00 * s12 - b11 * s02 - b22 * s01
-               + 2.0 * ((x01 * x12 - y01 * y12) * x02
-                        + (x01 * y12 + y01 * x12) * y02))
-        r = np.clip(det / (2.0 * safe * safe * safe), -1.0, 1.0)
-        lam = q + 2.0 * safe * np.cos(np.arccos(r) / 3.0)
-        lam = np.where(p > 0.0, lam, q)
     else:
         # eigvalsh reads only the lower triangle, g_kj = conj(g_jk)
         ju, ku = np.triu_indices(d, 1)
@@ -210,28 +190,21 @@ GRID_CHUNK = 1 << 18
 TRACE_RTOL = 1e-9  # relative margin of the grid's trace floor
 
 
-def _grid_features(phases: np.ndarray, fast: int,
-                   cols: np.ndarray | None = None) -> np.ndarray:
+def _grid_features(phases: np.ndarray, fast: int, cols: np.ndarray) -> np.ndarray:
     """Real features [1; Re e_1; Im e_1; ...; Re e_f; Im e_f] of block columns.
 
     Column b of a block of f = fast coordinates has the phase
     phases[(b // s^(k-1)) % s] at coordinate k, s = phases.size, so
     coordinate 1 varies fastest.  The result has shape (1 + 2f, K) for
-    the K columns cols, or for all s^f columns when cols is None.
+    the K columns cols.
     """
-    steps = phases.size
-    feats = np.empty((1 + 2 * fast, steps ** fast if cols is None else cols.size))
+    feats = np.empty((1 + 2 * fast, cols.size))
     feats[0] = 1.0
     rem = cols
     for k in range(fast):
-        re, im = feats[1 + 2 * k], feats[2 + 2 * k]
-        if cols is None:
-            re.reshape(-1, steps, steps ** k)[...] = phases.real[:, None]
-            im.reshape(-1, steps, steps ** k)[...] = phases.imag[:, None]
-        else:
-            rem, dig = np.divmod(rem, steps)
-            np.take(phases.real, dig, out=re)
-            np.take(phases.imag, dig, out=im)
+        rem, dig = np.divmod(rem, phases.size)
+        np.take(phases.real, dig, out=feats[1 + 2 * k])
+        np.take(phases.imag, dig, out=feats[2 + 2 * k])
     return feats
 
 
@@ -263,7 +236,7 @@ def _grid_factors(pair: FramePair, phase_steps: int):
         grown = np.empty((d * d, phase_steps * width))
         slices = np.swapaxes(grown.reshape(d * d, phase_steps, width), 0, 1)
         np.matmul(_offset_weights(basis, tables[k]),
-                  _grid_features(phases, k - 1), out=slices)
+                  _grid_features(phases, k - 1, np.arange(width)), out=slices)
         slices += base
         base = grown
         basis = np.concatenate([basis, rank_ones[k:k + 1], 1j * rank_ones[k:k + 1]])
@@ -318,8 +291,8 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     from the features of just those columns.  At d >= 3 the trace counts
     all d eigenvalues, so the kept masks next face the sharper bound
     lambda_max <= tr/d + sqrt((d-1)/d) ||G - (tr/d) I||_F, and only the
-    survivors reach the closed-form cubic or the batched eigvalsh (at
-    d = 2 the bound is the closed form itself).
+    survivors reach the batched eigvalsh (at d = 2 the bound is the
+    closed form itself).
 
     Before the first block, best is seeded with the norm of that block's
     largest-trace mask and, when start is given (any mask in the closed
@@ -376,20 +349,16 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     # about 1e-13 V^2 of its exact value for n <= GRID_MAX_N, whatever
     # order its terms are summed in; a row bound is a max of such sums,
     # so it is within the same distance of an exact bound on its row.
-    # The closed forms of _gram_top_norm lose more only near a doubled
-    # top eigenvalue, where the trace is at least twice the top one.  The
-    # d >= 3 bound holds for any Hermitian matrix, so it holds for the
-    # rows the closed form or eigvalsh is given, and it is formed from
-    # the Euclidean norm of the deviations g_ii - tr/d and the
-    # off-diagonal entries, with no difference of squares that could
-    # cancel: it is within a few ulps of n^2 V^2 of its exact value.
-    # Near a doubled top eigenvalue the d = 3 cubic loses about sqrt(eps)
-    # of the spread of the eigenvalues, and there the bound lies about a
-    # third of that spread above the top one, so it keeps every mask the
-    # cubic could round up past the floor; eigvalsh is within a few ulps
-    # of the top eigenvalue.  Both floor seeds are computed norms, so the
-    # floor exceeds V by a rounding at most, and TRACE_RTOL keeps every
-    # such mask.
+    # The d = 2 closed form of _gram_top_norm loses more only near a
+    # doubled top eigenvalue, where the trace is at least twice the top
+    # one.  The d >= 3 bound holds for any Hermitian matrix, so it holds
+    # for the rows eigvalsh is given, and it is formed from the Euclidean
+    # norm of the deviations g_ii - tr/d and the off-diagonal entries,
+    # with no difference of squares that could cancel: it is within a
+    # few ulps of n^2 V^2 of its exact value, and eigvalsh is within a
+    # few ulps of the top eigenvalue.  Both floor seeds are computed
+    # norms, so the floor exceeds V by a rounding at most, and
+    # TRACE_RTOL keeps every such mask.
     def swept_norm(idx):
         # the norm of sweep mask idx, formed like every swept mask's
         outer, col = divmod(idx, block)

@@ -241,7 +241,7 @@ def test_grid_oracle_edge_sizes():
 def test_grid_oracle_outer_offsets_match_brute_force(monkeypatch):
     # a block of 8 masks (one fast coordinate) or 64 (two) makes n = 3 to 6
     # at 8 steps sweep from 8 to 4096 outer offsets, so the trace floor
-    # rises across many blocks; d >= 4 takes the eigvalsh fallback
+    # rises across many blocks; d >= 3 takes eigvalsh
     rng = np.random.default_rng(72)
     for chunk in (8, 64):
         monkeypatch.setattr(multiplier, "GRID_CHUNK", chunk)
@@ -316,7 +316,8 @@ def test_grid_survivor_features_match_dense_features():
         phases = np.exp(2j * np.pi * np.arange(steps) / steps)
         for fast in (1, 2, 3):
             dense = _dense_features(phases, fast)
-            assert np.array_equal(_grid_features(phases, fast), dense)
+            assert np.array_equal(
+                _grid_features(phases, fast, np.arange(steps ** fast)), dense)
             cols = np.sort(rng.choice(steps ** fast, min(40, steps ** fast),
                                       replace=False))
             assert np.array_equal(_grid_features(phases, fast, cols),
@@ -330,7 +331,7 @@ def _unpruned_witness(pair, steps):
 
 
 def test_grid_row_bound_and_eigenvalue_bound_keep_the_first_maximiser(monkeypatch):
-    # the row bound prunes whole rows and, at d >= 4, the deviation
+    # the row bound prunes whole rows and, at d >= 3, the deviation
     # bound prunes kept masks before eigvalsh; neither may drop the
     # full sweep's first maximiser, at any scale (the ties are in
     # test_grid_oracle_keeps_exact_ties)
@@ -404,7 +405,7 @@ def test_grid_oracle_keeps_exact_ties():
         assert np.array_equal(est.witness_mask, np.ones(4))
         assert est.value == 1.0
     # in a rotated basis the norms tie only to rounding; the row bound,
-    # the trace and (d >= 4) the deviation bound keep every tied mask,
+    # the trace and (d >= 3) the deviation bound keep every tied mask,
     # so the first maximiser is the full sweep's
     rng = np.random.default_rng(77)
     for d, steps in ((2, 8), (3, 8), (4, 8), (4, 16), (5, 8)):
@@ -434,14 +435,14 @@ def test_grid_trace_floor_skips_most_masks(monkeypatch):
     norm_oracle_grid(gaussian_pair(np.random.default_rng(0), 5, 4), phase_steps=32)
     assert sum(kept) <= 0.05 * 32 ** 4
     # at d = 3 the trace alone keeps 12.0 % of this grid; the deviation
-    # bound sends 0.29 % on to the closed-form cubic, and 0.09 % once the
-    # floor starts from the grid mask nearest to the ascent's witness
-    cubic = gaussian_pair(np.random.default_rng(1), 5, 3)
+    # bound sends 0.29 % on to eigvalsh, and 0.09 % once the floor
+    # starts from the grid mask nearest to the ascent's witness
+    three = gaussian_pair(np.random.default_rng(1), 5, 3)
     kept.clear()
-    norm_oracle_grid(cubic, phase_steps=32)
+    norm_oracle_grid(three, phase_steps=32)
     assert sum(kept) <= 0.01 * 32 ** 4
     kept.clear()
-    norm_oracle_grid(cubic, 32, start=norm_lower_alternating(cubic).witness_mask)
+    norm_oracle_grid(three, 32, start=norm_lower_alternating(three).witness_mask)
     assert sum(kept) <= 0.002 * 32 ** 4
     # with blocks of 8 masks the floor must rise with the best norm: it
     # keeps 0.5 % of this grid, and 26 % if it stayed at the seed

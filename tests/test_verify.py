@@ -94,6 +94,17 @@ def test_khintchine_random_never_below_one():
     assert worst >= 1.0 - 1e-12
 
 
+def test_khintchine_gate_refuses_a_factor_above_the_best_constant(monkeypatch):
+    # E|s . a| <= ||a||_2, with equality only where |s . a| is the same for
+    # every s: factor 1 must fail at two equal entries and at random ones
+    rng = np.random.default_rng(19)
+    monkeypatch.setattr(verify, "KHINTCHINE_FACTOR", 1.0)
+    cases = [np.array([1.0, 1.0])] + [random_complex(rng, m) for m in (2, 3, 5, 8)]
+    for a in cases:
+        with pytest.raises(VerificationError, match="first-moment bound violated"):
+            khintchine_check(a)
+
+
 def test_trace_lemma_matches_closed_form():
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -107,6 +118,17 @@ def test_trace_lemma_matches_closed_form():
 def test_trace_lemma_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         trace_lemma_check(np.ones(3), np.ones(4))
+
+
+def test_trace_lemma_gate_refuses_singular_values_one_percent_off(monkeypatch):
+    rng = np.random.default_rng(20)
+    alpha, beta = random_complex(rng, 4), random_complex(rng, 4)
+    trace_lemma_check(alpha, beta)
+    singular_values = verify.singular_values
+    monkeypatch.setattr(verify, "singular_values",
+                        lambda mat: 1.01 * singular_values(mat))
+    with pytest.raises(VerificationError, match="rank-one trace norm mismatch"):
+        trace_lemma_check(alpha, beta)
 
 
 def test_key_simple_orthonormal_saturates():
@@ -245,6 +267,23 @@ def test_super_key_chain_detects_a_broken_first_moment_link(monkeypatch):
     monkeypatch.setattr(verify, "_signed_sums",
                         lambda table: 0.4 * signed_sums(table))
     with pytest.raises(VerificationError, match="per-index first-moment link"):
+        super_key_check(pair, us, vs, phi)
+
+
+def test_super_key_orthogonality_gate_refuses_a_sign_class_counted_twice(monkeypatch):
+    # one sign class listed twice leaves links 1 to 3 standing (2 and 3
+    # hold for any set of sign vectors), but its ||u(s)||^2 then weighs
+    # twice in the mean, which misses sum_j ||u_j||^2
+    rng = np.random.default_rng(9)
+    pair = gaussian_pair(rng, 3, 2)
+    phi = norm_lower_alternating(pair).value
+    us, vs = random_complex(rng, 3, 2), random_complex(rng, 3, 2)
+    super_key_check(pair, us, vs, phi)
+    sign_rows = verify._sign_rows
+    monkeypatch.setattr(verify, "_sign_rows",
+                        lambda m: np.vstack([sign_rows(m), sign_rows(m)[:1]]))
+    with pytest.raises(VerificationError,
+                       match="sign-average orthogonality identity broken"):
         super_key_check(pair, us, vs, phi)
 
 
@@ -449,6 +488,19 @@ def test_trace_pairing_routes_agree():
         trace_pairing_check(pair, mats, us[:2], vs)
     with pytest.raises(ValueError):
         trace_pairing_check(pair, mats, us, vs[:2])
+
+
+def test_trace_pairing_gate_refuses_a_route_one_percent_off(monkeypatch):
+    rng = np.random.default_rng(13)
+    pair = gaussian_pair(rng, 4, 2)
+    mats = random_complex(rng, 4, 3, 3)
+    us, vs = random_complex(rng, 3, 2), random_complex(rng, 3, 2)
+    trace_pairing_check(pair, mats, us, vs)
+    amplified_apply = verify.amplified_apply
+    monkeypatch.setattr(verify, "amplified_apply",
+                        lambda *args: 1.01 * amplified_apply(*args))
+    with pytest.raises(VerificationError, match="trace pairing residual"):
+        trace_pairing_check(pair, mats, us, vs)
 
 
 def test_bilinear_checks_are_exact_at_power_of_two_scales():
@@ -746,6 +798,23 @@ def test_end_to_end_canonical_dual_stays_in_envelope():
     envelope = np.sqrt(bx.upper / bx.lower)
     rec = end_to_end_rescale_check(pair)
     assert rec["m_upper"] <= envelope * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda s: replace(s, bounds_y=s.bounds_y._replace(is_frame=False)),
+     "lost the lower frame bound"),
+    (lambda s: replace(s, m_upper=0.99 * s.m_upper),
+     "exceeds the certified upper bound"),
+    (lambda s: replace(s, scaled=FramePair(2.0 * s.scaled.xs, s.scaled.ys)),
+     "broke the reproducing identity"),
+], ids=["no_frame", "above_the_certified_bound", "identity_broken"])
+def test_end_to_end_gates_refuse_a_spoiled_scaling(monkeypatch, spoil, message):
+    pair = canonical_dual_pair(np.random.default_rng(16), 4, 2)
+    extract_scaling = verify.extract_scaling
+    monkeypatch.setattr(verify, "extract_scaling",
+                        lambda pair, bracket: spoil(extract_scaling(pair, bracket)))
+    with pytest.raises(VerificationError, match=message):
+        end_to_end_rescale_check(pair)
 
 
 def test_ratio_experiment_small_run(monkeypatch):
