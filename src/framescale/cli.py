@@ -1,7 +1,7 @@
 """Command line interface: generate, analyze, rescale, verify, bench.
 
 An instance file holds one vector-sequence pair as JSON with [real,
-imag] coordinate entries printed to 17 significant digits, so files
+imag] coordinate entries written as float reprs, -0.0 included, so files
 round-trip bit-exactly; corpora are directories of such files.  Reports
 are JSON with a flat comma-separated twin next to them.  Exit codes:
 0 all checks passed, 1 a check failed, 2 bad usage or input.
@@ -42,24 +42,14 @@ class InstanceFormatError(ValueError):
     """An instance file is malformed; the message carries the location."""
 
 
-def _fmt(v: float) -> str:
-    # 17 significant digits round-trip any double exactly
-    return "%.17g" % v
-
-
 def serialize_instance(pair: FramePair, metadata=None) -> str:
-    """Render one pair as instance-file text; deterministic per value."""
-
-    def vec(v):
-        return ("["
-                + ",".join(f"[{_fmt(z.real)},{_fmt(z.imag)}]" for z in v)
-                + "]")
-
-    pairs = ",".join('{"x":%s,"y":%s}' % (vec(pair.xs[k]), vec(pair.ys[k]))
-                     for k in range(pair.n))
-    meta = json.dumps(metadata or {}, sort_keys=True, separators=(",", ":"))
-    return ('{"dim":%d,"format_version":%d,"metadata":%s,"pairs":[%s]}\n'
-            % (pair.dim, FORMAT_VERSION, meta, pairs))
+    """Render one pair as instance-file text: floats as reprs, -0.0 kept."""
+    vecs = np.stack([pair.xs, pair.ys], axis=1)
+    parts = np.stack([vecs.real, vecs.imag], axis=-1).tolist()
+    doc = {"dim": pair.dim, "format_version": FORMAT_VERSION,
+           "metadata": metadata or {},
+           "pairs": [{"x": x, "y": y} for x, y in parts]}
+    return _json_text(doc)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -172,6 +162,12 @@ def _numpy_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _json_text(doc) -> str:
+    """doc as the compact, key-sorted JSON text of instances and reports."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      default=_numpy_value) + "\n"
+
+
 def _flat_cell(value):
     if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
@@ -195,8 +191,7 @@ def write_report(path: str, report: dict) -> None:
     sub-reports (verify --suite all) gives every sub-report's records in
     turn, led by a suite column.
     """
-    _write_text(path, json.dumps(report, sort_keys=True, separators=(",", ":"),
-                                 default=_numpy_value) + "\n")
+    _write_text(path, _json_text(report))
     records = report.get("records")
     if records is None and "reports" in report:
         records = [{"suite": sub["suite"], **rec}
@@ -412,8 +407,9 @@ def _cmd_bench(args) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cell" + INSTANCE_SUFFIX)
             back, t_io = _bench_timed(_rewrite_and_load, path, pair)
-        if not (np.array_equal(back.xs, pair.xs)
-                and np.array_equal(back.ys, pair.ys)):
+        # bytes, not values: -0.0 == 0.0, but a flipped sign is a miss
+        if (back.xs.tobytes() != pair.xs.tobytes()
+                or back.ys.tobytes() != pair.ys.tobytes()):
             failures += 1
             print(f"n={n} d={d}: instance file did not round-trip",
                   file=sys.stderr)

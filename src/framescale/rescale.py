@@ -196,9 +196,10 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
     Only then is the Hessian formed.  Each step solves with the real
     Hessian's eigendecomposition, its spectrum floored at 1e-12 of the
     largest eigenvalue, caps the step at 3 in every coordinate, and
-    takes the Armijo point of _armijo_step.  The stage ends when no
-    Armijo point passes ("no_descent"), when the Armijo point equals t
-    bitwise ("fixed_point"), or after NEWTON_STEPS steps ("steps").
+    takes the Armijo point of _armijo_step.  The stage ends when the
+    step does not descend or no Armijo point passes ("no_descent"),
+    when the Armijo point equals t bitwise ("fixed_point"), or after
+    NEWTON_STEPS steps ("steps").
     The fixed-point stop matters at high sharpness, where the gradient's
     rounding floor can sit above 1e-13 of psi and Armijo accepts
     t + alpha step == t (the sufficient decrease rounds to an equality):
@@ -206,7 +207,6 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
     bitwise the same.  Returns the last point, its spectra, the number of
     Newton steps (Hessians formed) and the stop reason.
     """
-    h = float(spectra[0][:, -1].max())
     smoothed = _psi(spectra[0], b)
     stop, steps = "steps", 0
     for _ in range(NEWTON_STEPS):
@@ -228,10 +228,8 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
         if cap > 3.0:
             step *= 3.0 / cap
         slope = float(grad @ step)
-        if slope >= 0.0:
-            step = -grad / h
-            slope = float(grad @ step)
-        found = _armijo_step(obj, t, step, b, psi, slope)
+        found = (None if slope >= 0.0
+                 else _armijo_step(obj, t, step, b, psi, slope))
         if found is None:
             stop = "no_descent"
             break

@@ -52,15 +52,20 @@ def test_gen_corpus_directory(tmp_path):
 
 def test_instance_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    pair = gaussian_pair(rng, 4, 3)
-    path = tmp_path / "inst.frame.json"
-    cli.save_instance(str(path), pair, metadata={"description": "round trip"})
-    back, metadata = cli.load_instance(str(path))
-    assert metadata == {"description": "round trip"}
-    assert np.array_equal(pair.xs, back.xs)
-    assert np.array_equal(pair.ys, back.ys)
-    # re-serialization is bit-identical
-    assert cli.serialize_instance(back, metadata) == path.read_text()
+    # -0.0 == 0.0, so only the bytes show a lost sign of zero
+    zeros = FramePair(
+        np.array([[complex(-0.0, -0.0), 1.0], [complex(1.0, -0.0), 0.5j]]),
+        np.array([[complex(-0.0, 2.0), 1.0], [1.0, complex(0.25, -0.0)]]))
+    for pair in (gaussian_pair(rng, 4, 3), zeros):
+        path = tmp_path / "inst.frame.json"
+        cli.save_instance(str(path), pair,
+                          metadata={"description": "round trip"})
+        back, metadata = cli.load_instance(str(path))
+        assert metadata == {"description": "round trip"}
+        assert back.xs.tobytes() == pair.xs.tobytes()
+        assert back.ys.tobytes() == pair.ys.tobytes()
+        # re-serialization is bit-identical
+        assert cli.serialize_instance(back, metadata) == path.read_text()
 
 
 def test_instance_file_layout_one_vector_pair_per_entry(tmp_path):
@@ -645,17 +650,33 @@ def test_bench_checksums_are_deterministic(tmp_path):
 
 def test_bench_fails_when_an_instance_file_does_not_round_trip(
         tmp_path, monkeypatch, capsys):
-    real_load = cli.load_instance
+    real_load, real_generate = cli.load_instance, cli.generate
 
     def lossy_load(path):
         pair, metadata = real_load(path)
         return FramePair(pair.xs * (1.0 + 2.0 ** -52), pair.ys), metadata
 
-    monkeypatch.setattr(cli, "load_instance", lossy_load)
+    def sign_flipping_load(path):
+        # the bench pairs below are real, so conj flips only zeros' signs
+        pair, metadata = real_load(path)
+        return FramePair(pair.xs.conj(), pair.ys), metadata
+
+    def real_pair(kind, rng, n, d):
+        pair = real_generate(kind, rng, n, d)
+        return FramePair(pair.xs.real + 0j, pair.ys.real + 0j)
+
     out = tmp_path / "bench.json"
-    assert cli.main(["bench", "--seed", "3", "--grid", "3x2,2x1",
-                     "--phase-steps", "0", "--out", str(out)]) == \
-        cli.EXIT_CHECK_FAILED
+    argv = ["bench", "--seed", "3", "--grid", "3x2,2x1", "--phase-steps", "0",
+            "--out", str(out)]
+    monkeypatch.setattr(cli, "load_instance", lossy_load)
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+    assert read_json(str(out))["summary"]["failures"] == 2
+    assert "did not round-trip" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "generate", real_pair)
+    monkeypatch.setattr(cli, "load_instance", real_load)
+    assert cli.main(argv) == cli.EXIT_OK
+    monkeypatch.setattr(cli, "load_instance", sign_flipping_load)
+    assert cli.main(argv) == cli.EXIT_CHECK_FAILED
     assert read_json(str(out))["summary"]["failures"] == 2
     assert "did not round-trip" in capsys.readouterr().err
 
@@ -792,7 +813,7 @@ def test_write_report_bytes_match_json_dump(tmp_path):
     assert cells["ok"] == "True" and cells["n"] == "3"
 
 
-def test_seventeen_digit_serialization_round_trips_exactly():
+def test_float_repr_serialization_round_trips_exactly():
     rng = np.random.default_rng(0)
     pair = gaussian_pair(rng, 2, 2)
     text = cli.serialize_instance(pair)
@@ -996,3 +1017,58 @@ def test_every_verify_check_is_in_the_non_finite_refusal_test():
             found[node.name] = tuple(
                 arg.arg for arg in args[:len(args) - len(node.args.defaults)])
     assert found == VERIFY_CHECK_ARGUMENTS
+
+
+def _match_patterns():
+    """Every match= pattern in tests/: a literal, or, for a name, every
+    string in its test's decorators (a parametrize list)."""
+    patterns = set()
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(source.read_text(), str(source))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            listed = {node.value for dec in func.decorator_list
+                      for node in ast.walk(dec)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)}
+            for node in ast.walk(func):
+                if isinstance(node, ast.keyword) and node.arg == "match":
+                    if isinstance(node.value, ast.Constant):
+                        patterns.add(node.value.value)
+                    elif isinstance(node.value, ast.Name):
+                        patterns |= listed
+    return patterns
+
+
+def test_every_verification_gate_has_a_test_that_trips_it():
+    # each raise VerificationError(...) in verify.py names its gate by the
+    # leading literal of its message (after a suite's "instance {i}: "),
+    # and some test's match= pattern must match the message from within
+    # that literal on, each formatted value read as 0.  Link 2 is exempt:
+    # its two sides differ by rounding alone for any input, so no test
+    # can trip it (CHANGES.md, "Link 2 keeps its gate and gets no test")
+    exempt = {"average-product identity broken"}
+    patterns = _match_patterns()
+    source = Path(verify.__file__)
+    gates = []
+    for node in ast.walk(ast.parse(source.read_text(), str(source))):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "VerificationError"):
+            continue
+        message = node.exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) \
+            else [message]
+        text = "".join(part.value if isinstance(part, ast.Constant) else "\0"
+                       for part in parts).removeprefix("instance \0: ")
+        literal = text.partition("\0")[0].rstrip(": ")
+        where = f"verify.py:{node.lineno}"
+        assert literal, f"{where}: the message leads with no literal"
+        gates.append(literal)
+        if literal in exempt:
+            continue
+        sample = text.replace("\0", "0")
+        assert any((found := re.search(pattern, sample))
+                   and found.start() < len(literal) for pattern in patterns), \
+            f"{where}: no test matches {literal!r}"
+    assert exempt <= set(gates)
+    assert len(gates) == len(set(gates)), "two gates share a literal"

@@ -467,6 +467,48 @@ def test_newton_stage_ends_at_its_fixed_point(monkeypatch):
     assert np.array_equal(spied.log_weights, br.log_weights)
 
 
+def test_a_newton_step_longer_than_three_is_capped(monkeypatch):
+    # one Newton step of this 12 x 4 pair passes 3 in some coordinate.
+    # Capped, optimize takes 13 Newton steps and scores 19 Armijo
+    # candidates; uncapped, it takes 18 steps and scores 134
+    pair = generate("gaussian", np.random.default_rng(45), 12, 4)
+    lengths = []
+    armijo_step = rescale._armijo_step
+
+    def spied(obj, t, step, b, psi, slope):
+        lengths.append(float(np.max(np.abs(step))))
+        return armijo_step(obj, t, step, b, psi, slope)
+
+    monkeypatch.setattr(rescale, "_armijo_step", spied)
+    stats = optimize(pair).stats
+    assert max(lengths) == 3.0
+    assert stats["line_search_candidates"] <= 40
+
+
+def test_a_newton_step_that_does_not_descend_ends_the_stage(monkeypatch):
+    # with the Hessian's eigenvectors zeroed every Newton step is 0, so
+    # its slope grad . step is 0: each stage ends on "no_descent" after
+    # one step and scores no Armijo point, and the bracket stays certified
+    pair = generate("gaussian", np.random.default_rng(45), 12, 4)
+    eigh = rescale.eigh
+
+    def flat(mat):
+        w, v = eigh(mat)
+        # the Newton Hessian is the one 2-D matrix optimize diagonalises
+        return (w, np.zeros_like(v)) if mat.ndim == 2 else (w, v)
+
+    monkeypatch.setattr(rescale, "eigh", flat)
+    br = optimize(pair)
+    stats = br.stats
+    assert stats["stage_stops"] == ["no_descent"] * stats["stages"]
+    assert stats["stage_steps"] == [1] * stats["stages"]
+    assert stats["line_search_candidates"] == 0
+    assert abs(max(_tops(pair, br.log_weights)) - br.m_upper) \
+        <= 1e-12 * br.m_upper
+    assert br.m_lower == dual_value(pair, br.dual_us, br.dual_vs)
+    assert br.m_lower <= br.m_upper
+
+
 def _stage_pairs(count):
     """count seeded pairs, n 2-7, d 1-4: gaussian, and mangled Schauder
     pairs with x scaled by 10^-8 ... 1."""

@@ -9,7 +9,8 @@ import framescale.linalg as linalg
 import framescale.multiplier as multiplier
 import framescale.rescale as rescale
 import framescale.verify as verify
-from framescale.frames import FramePair, bessel_and_frame_bounds
+from framescale.frames import (FramePair, bessel_and_frame_bounds,
+                               frame_operator)
 from framescale.instances import (
     canonical_dual_pair,
     d1_scalar_pair,
@@ -841,6 +842,68 @@ def test_ratio_experiment_beyond_the_old_grid_shapes():
         phi = phi_lower(pair, bracket)
         assert 1.0 - 1e-12 <= bracket.m_upper / phi.value <= 2.1
         assert witness_defect(pair, phi) <= 1e-12
+
+
+def _spoil(name, wrap, module=verify):
+    """A provocation: module.name replaced by wrap(its current value)."""
+    def apply(monkeypatch):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    return apply
+
+
+def _inflated(optimize):
+    """optimize with f and g, so m_upper, 1 % high."""
+    def run(pair):
+        br = optimize(pair)
+        return replace(br, f=1.01 * br.f, g=1.01 * br.g)
+    return run
+
+
+def _ramped(optimize):
+    """optimize with a log-weight ramp of spread 1e-3 added."""
+    def run(pair):
+        br = optimize(pair)
+        return replace(br, log_weights=br.log_weights
+                       + np.linspace(0.0, 1e-3, pair.n))
+    return run
+
+
+@pytest.mark.parametrize("suite, provoke, message", [
+    ("ratio", _spoil("witness_defect", lambda _: lambda pair, est: 1.0),
+     "phi's witness fails to replay"),
+    ("ratio", _spoil("EXPERIMENT_CUSHION", lambda _: -0.6),
+     r"ratio \S+ above 0\.80"),
+    ("khintchine", _spoil("KHINTCHINE_FACTOR", lambda c: c * (1.0 - 1e-9)),
+     "equality case drifted"),
+    ("dilation", _spoil("ISOMETRY_TOL", lambda _: 0.0, rescale),
+     "isometry defect"),
+    ("dilation", _spoil("dilation_reconstruct",
+                        lambda f: lambda dil, a: f(dil, a) * (1.0 + 1e-9)),
+     "reconstruction error"),
+    ("d1", _spoil("optimize", _inflated), "scalar bound off"),
+    ("d1", _spoil("optimize", _ramped), "scalar weights off"),
+    ("invariance", _spoil("haar_unitary",
+                          lambda f: lambda rng, d: 2.0 * f(rng, d)),
+     "image drift"),
+    ("invariance", _spoil("pair_operator", lambda f: lambda pair: f(pair)
+                          + 1e-9 * frame_operator(pair.xs)),
+     "estimator symmetry drift"),
+], ids=["ratio_witness", "ratio_limit", "khintchine_equality",
+        "dilation_isometry", "dilation_reconstruction", "d1_bound",
+        "d1_weights", "invariance_image", "invariance_estimators"])
+def test_suite_gates_refuse_a_spoiled_run(suite, provoke, message,
+                                          monkeypatch):
+    # each suite gate fails on a run spoiled through a name its suite
+    # looks up at call time, and only then; the runs are cut short
+    for name, size in (("RATIO_INSTANCES", 2), ("KHINTCHINE_VECTORS", 24),
+                       ("DILATION_INSTANCES", 3), ("D1_INSTANCES", 5),
+                       ("INVARIANCE_INSTANCES", 1)):
+        monkeypatch.setattr(verify, name, size)
+    run = verify.SUITES[suite]
+    run(seed=0)
+    provoke(monkeypatch)
+    with pytest.raises(VerificationError, match=message):
+        run(seed=0)
 
 
 def test_suite_d1_deterministic():
