@@ -95,12 +95,14 @@ def load_instance(path: str):
             f"{exc.msg}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
+    # type checks, here and for dim: json's true loads as True, which
+    # isinstance(..., int) and == 1 both accept
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InstanceFormatError(
             f"{path}: format_version must be {FORMAT_VERSION}, got {version!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InstanceFormatError(f"{path}: 'dim' must be a positive integer")
     raw = doc.get("pairs")
     if not isinstance(raw, list) or not raw:
@@ -394,15 +396,18 @@ def _bench_timed(fn, *args):
 
 
 def _cmd_bench(args) -> int:
-    import hashlib  # bench is its only user; other commands skip the import
+    # bench is their only user; other commands skip the imports
+    import hashlib
+    import platform
 
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 99]))
     records = []
     failures = 0
     for n, d in _parse_grid(args.grid):
         pair = generate("gaussian", rng, n, d)
+        # the arrays' bytes, so the file encoder cannot move the checksum
         checksum = hashlib.sha256(
-            serialize_instance(pair).encode("utf-8")).hexdigest()[:16]
+            pair.xs.tobytes() + pair.ys.tobytes()).hexdigest()[:16]
         _, t_eig = _bench_timed(eigh, frame_operator(pair.xs))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cell" + INSTANCE_SUFFIX)
@@ -438,10 +443,17 @@ def _cmd_bench(args) -> int:
     if not records:
         print("empty grid, nothing to time")
     if args.out:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        machine = {"cpu_count": os.cpu_count(),
+                   "python": platform.python_version(),
+                   "numpy": np.__version__, "arch": platform.machine(),
+                   "blas": blas.get("name"),
+                   "blas_version": blas.get("version")}
         write_report(args.out, {"format_version": FORMAT_VERSION,
                                 "command": "bench", "records": records,
                                 "summary": {"cases": len(records),
-                                            "failures": failures}})
+                                            "failures": failures,
+                                            "machine": machine}})
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 

@@ -30,13 +30,12 @@ def check_matrix(mat: np.ndarray, square: bool = True) -> np.ndarray:
 
 
 def check_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Validate Hermitian symmetry entrywise and return the symmetrized copy.
+    """Validate Hermitian symmetry entrywise and return the matrix checked.
 
     mat is one (d, d) matrix or a (..., d, d) stack; every matrix must
     satisfy max |a - a^H| <= HERMITIAN_RTOL * max |a|, a rule that a
-    global scale of the matrix leaves unchanged.  The symmetrized copy
-    (mat + mat^H)/2 removes roundoff-level asymmetry, so the
-    decomposition sees an exactly Hermitian matrix.
+    global scale of the matrix leaves unchanged.  No symmetrized copy is
+    made: LAPACK's eigh reads only the lower triangle.
     """
     a = check_matrix(mat)
     ah = np.swapaxes(a.conj(), -1, -2)
@@ -51,7 +50,7 @@ def check_hermitian(mat: np.ndarray) -> np.ndarray:
             at = f" at stack index {','.join(map(str, where))}" if where else ""
             raise ValueError(f"matrix is not Hermitian{at}: max |a - a^H| = "
                              f"{drift[where]:.3e}, max |a| = {size[where]:.3e}")
-    return 0.5 * (a + ah)
+    return a
 
 
 def eigh(mat: np.ndarray):

@@ -294,19 +294,19 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     survivors reach the batched eigvalsh (at d = 2 the bound is the
     closed form itself).
 
-    Before the first block, best is seeded with the norm of that block's
-    largest-trace mask and, when start is given (any mask in the closed
-    unit disc, such as an ascent's witness), with the norm of the grid
-    mask nearest to it: start is rotated so that its coordinate 0 is 1
-    (unless that entry is 0), and each phase is rounded to the nearest
-    grid phase, a zero entry counting as phase 0.  A good start lets the
-    bounds skip most masks from the first block on.  Either seed is the
-    computed norm of a grid mask, formed like every swept one, so it is
-    at most the grid's maximum up to rounding.  A skipped mask's norm is
-    below best, so under the strict update it could never win, and every
-    mask that ties the final maximum is kept: the first maximiser, and
-    with it the value, is the one the full sweep would pick, whatever
-    the start.
+    Before the first block, best is seeded with the norm of one grid
+    mask: when start is given (any mask in the closed unit disc, such as
+    an ascent's witness), the grid mask nearest to it, else the first
+    block's largest-trace mask.  start is rotated so that its coordinate
+    0 is 1 (unless that entry is 0), and each phase is rounded to the
+    nearest grid phase, a zero entry counting as phase 0.  A good start
+    lets the bounds skip most masks from the first block on.  The seed
+    is the computed norm of a grid mask, formed like every swept one, so
+    it is at most the grid's maximum up to rounding.  A skipped mask's
+    norm is below best, so under the strict update it could never win,
+    and every mask that ties the final maximum is kept: the first
+    maximiser, and with it the value, is the one the full sweep would
+    pick, whatever the start.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
@@ -356,25 +356,22 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     # norm of the deviations g_ii - tr/d and the off-diagonal entries,
     # with no difference of squares that could cancel: it is within a
     # few ulps of n^2 V^2 of its exact value, and eigvalsh is within a
-    # few ulps of the top eigenvalue.  Both floor seeds are computed
-    # norms, so the floor exceeds V by a rounding at most, and
+    # few ulps of the top eigenvalue.  The floor's seed is a computed
+    # norm, so the floor exceeds V by a rounding at most, and
     # TRACE_RTOL keeps every such mask.
-    def swept_norm(idx):
-        # the norm of sweep mask idx, formed like every swept mask's
-        outer, col = divmod(idx, block)
-        return float(_gram_top_norm(gram_rows(outer, np.array([col])))[0])
-
     slow, bound = row_bounds(0)
-    trace = own + slow[0][:, None] + first[0]
-    floor = swept_norm(int(np.argmax(trace)))
-    if start is not None:
+    if start is None:
+        seed = int(np.argmax(own + slow[0][:, None] + first[0]))
+    else:
         # the grid mask nearest to start turned so that coordinate 0 is 1;
         # coordinate 1 is the lowest digit of the sweep index
         turned = start[1:] * np.conj(start[0]) if start[0] != 0 else start[1:]
         turn = np.where(turned != 0, np.angle(turned), 0.0)
         digits = np.rint(turn * (phase_steps / (2.0 * np.pi))).astype(np.int64)
-        idx = int(np.dot(digits % phase_steps, phase_steps ** np.arange(n - 1)))
-        floor = max(floor, swept_norm(idx))
+        seed = int(np.dot(digits % phase_steps, phase_steps ** np.arange(n - 1)))
+    # the seed's norm, formed like every swept mask's
+    outer, col = divmod(seed, block)
+    floor = float(_gram_top_norm(gram_rows(outer, np.array([col])))[0])
     best_val = -np.inf
     best_idx = 0
     for outer in range(n_outer):

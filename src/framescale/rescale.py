@@ -261,7 +261,8 @@ class CbBracket:
     each stage ended: "gap", "gradient", "fixed_point", "no_descent" or
     "steps"; see _newton_stage), best_lower_stage and best_upper_stage
     (the stages, numbered from 1, whose ends gave m_lower and m_upper)
-    and wall_s.
+    and wall_s.  A non-finite m_lower, f or g, or m_lower above m_upper
+    by more than BRACKET_SLACK of it, raises ValueError.
     """
 
     m_lower: float
@@ -274,6 +275,10 @@ class CbBracket:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        far = [name for name in ("m_lower", "f", "g")
+               if not np.isfinite(getattr(self, name))]
+        if far:
+            raise ValueError(f"bracket end {' and '.join(far)} is not finite")
         if self.m_lower > self.m_upper + BRACKET_SLACK * abs(self.m_upper):
             raise ValueError(
                 f"bracket inverted: lower {self.m_lower:.12g} above upper "

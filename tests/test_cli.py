@@ -1,9 +1,11 @@
 import ast
 import csv
+import hashlib
 import inspect
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -120,6 +122,34 @@ def test_load_rejects_wrong_version(tmp_path):
                                 "pairs": [], "metadata": {}}))
     with pytest.raises(cli.InstanceFormatError, match="format_version"):
         cli.load_instance(str(path))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "top level must be an object"),
+    ({"format_version": 1, "dim": 0, "pairs": []},
+     "'dim' must be a positive integer"),
+    ({"format_version": 1, "dim": "2", "pairs": []},
+     "'dim' must be a positive integer"),
+    ({"format_version": 1, "dim": True, "pairs": [{"x": [[1.0, 0.0]],
+                                                   "y": [[1.0, 0.0]]}]},
+     "'dim' must be a positive integer"),
+    ({"format_version": True, "dim": 1, "pairs": [{"x": [[1.0, 0.0]],
+                                                   "y": [[1.0, 0.0]]}]},
+     "format_version must be 1, got True"),
+    ({"format_version": 1, "dim": 1, "pairs": []},
+     "'pairs' must be a nonempty list"),
+    ({"format_version": 1, "dim": 1, "pairs": {"x": [[1.0, 0.0]]}},
+     "'pairs' must be a nonempty list"),
+    ({"format_version": 1, "dim": 1, "pairs": [[[1.0, 0.0]]]},
+     r"pairs\[0\]: expected an object"),
+], ids=["top_level", "dim_zero", "dim_text", "dim_true", "version_true",
+        "pairs_empty", "pairs_object", "pair_list"])
+def test_analyze_exits_two_on_a_malformed_instance_file(doc, message,
+                                                        tmp_path, capsys):
+    path = tmp_path / "bad.frame.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--in", str(path)]) == cli.EXIT_USAGE
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_load_corpus_rejects_empty_directory(tmp_path):
@@ -648,6 +678,36 @@ def test_bench_checksums_are_deterministic(tmp_path):
     assert rec_c["grid_masks"] is None and rec_c["grid_ns_per_mask"] is None
 
 
+def test_bench_checksum_hashes_the_arrays_not_the_file(tmp_path,
+                                                     monkeypatch):
+    # the checksum is the cell pair's bytes, so an encoder that writes the
+    # same numbers as other text moves no checksum
+    pair = generate("gaussian", np.random.default_rng(
+        np.random.SeedSequence([3, 99])), 3, 2)
+    want = hashlib.sha256(pair.xs.tobytes() + pair.ys.tobytes()).hexdigest()
+    argv = ["bench", "--seed", "3", "--grid", "3x2", "--phase-steps", "0"]
+    out = tmp_path / "bench.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert read_json(str(out))["records"][0]["workload_checksum"] == want[:16]
+    json_text = cli._json_text
+    monkeypatch.setattr(cli, "_json_text",
+                        lambda doc: json_text(doc).replace(",", ", "))
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert read_json(str(out))["records"][0]["workload_checksum"] == want[:16]
+
+
+def test_bench_summary_names_the_machine(tmp_path):
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--grid", "", "--out", str(out)]) == 0
+    machine = read_json(str(out))["summary"]["machine"]
+    assert machine["cpu_count"] == os.cpu_count()
+    assert machine["python"] == platform.python_version()
+    assert machine["numpy"] == np.__version__
+    assert machine["arch"] == platform.machine()
+    assert isinstance(machine["blas"], str) and machine["blas"]
+    assert isinstance(machine["blas_version"], str)
+
+
 def test_bench_fails_when_an_instance_file_does_not_round_trip(
         tmp_path, monkeypatch, capsys):
     real_load, real_generate = cli.load_instance, cli.generate
@@ -705,7 +765,7 @@ def test_bench_times_the_median_of_repeats_after_an_untimed_call(
     assert calls == {name: 1 + cli.BENCH_REPEATS for name in layers}
     assert read_json(str(out))["records"][0]["repeats"] == 3
     # the eig cell diagonalises the frame operator, which is exactly
-    # Hermitian, so it times LAPACK and not check_hermitian's repair path
+    # Hermitian, so check_hermitian skips its norms
     for s in eig_inputs:
         assert np.array_equal(s, s.conj().T)
 
@@ -739,6 +799,15 @@ def test_startup_loads_neither_numpy_random_nor_hashlib(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(src)))
     lines = done.stdout.strip().splitlines()
     assert lines[0] == lines[-1] == "[]", lines
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("3x", "expected integers"), ("ax2", "expected integers"),
+    ("4x2,0x1", "need n, d >= 1"), ("3x-1", "need n, d >= 1")])
+def test_bench_refuses_a_bad_grid_cell(grid, message, capsys):
+    assert cli.main(["bench", "--grid", grid]) == cli.EXIT_USAGE
+    assert f"bad grid cell {grid.split(',')[-1]!r}; {message}" in \
+        capsys.readouterr().err
 
 
 def test_bench_empty_grid(tmp_path):
@@ -1040,6 +1109,20 @@ def _match_patterns():
     return patterns
 
 
+def _fails_closed(test) -> bool:
+    """Whether a gate condition is written to fail closed: a negated <=
+    comparison, which a NaN makes true, a negated predicate with no
+    comparison inside, or an and/or of such conditions."""
+    if isinstance(test, ast.BoolOp):
+        return all(map(_fails_closed, test.values))
+    if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)):
+        return False
+    inner = test.operand
+    if isinstance(inner, ast.Compare):
+        return all(isinstance(op, ast.LtE) for op in inner.ops)
+    return not any(isinstance(node, ast.Compare) for node in ast.walk(inner))
+
+
 def test_every_verification_gate_has_a_test_that_trips_it():
     # each raise VerificationError(...) in verify.py names its gate by the
     # leading literal of its message (after a suite's "instance {i}: "),
@@ -1047,14 +1130,21 @@ def test_every_verification_gate_has_a_test_that_trips_it():
     # that literal on, each formatted value read as 0.  Link 2 is exempt:
     # its two sides differ by rounding alone for any input, so no test
     # can trip it (CHANGES.md, "Link 2 keeps its gate and gets no test")
+    # Every gate's condition must hold on a NaN: each comparison in it
+    # is a negated <=, and a predicate without one is negated too
     exempt = {"average-product identity broken"}
     patterns = _match_patterns()
     source = Path(verify.__file__)
+    tree = ast.parse(source.read_text(), str(source))
+    conditions = {id(stmt): node.test for node in ast.walk(tree)
+                  if isinstance(node, ast.If) for stmt in node.body}
     gates = []
-    for node in ast.walk(ast.parse(source.read_text(), str(source))):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                 and getattr(node.exc.func, "id", None) == "VerificationError"):
             continue
+        assert _fails_closed(conditions.get(id(node))), \
+            f"verify.py:{node.lineno}: a NaN would pass this gate"
         message = node.exc.args[0]
         parts = message.values if isinstance(message, ast.JoinedStr) \
             else [message]

@@ -264,3 +264,18 @@ def test_pair_operator_matches_apply_convention():
         u = random_complex(rng, 3)
         direct = np.sum((pair.ys.conj() @ u)[:, None] * pair.xs, axis=0)
         assert np.linalg.norm(t @ u - direct) <= 1e-12 * (1.0 + np.linalg.norm(direct))
+
+
+def test_frame_pair_refuses_a_flat_or_empty_family():
+    with pytest.raises(ValueError, match=r"xs: expected shape \(n, d\)"):
+        FramePair(np.ones(3), np.ones((3, 1)))
+    for empty in (np.ones((0, 2)), np.ones((2, 0))):
+        with pytest.raises(ValueError, match="ys: need at least one vector"):
+            FramePair(np.ones((2, 2)), empty)
+
+
+def test_is_schauder_identity_refuses_a_negative_tolerance():
+    pair = canonical_dual_pair(np.random.default_rng(31), 4, 2)
+    assert is_schauder_identity(pair, tol=1e-10)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        is_schauder_identity(pair, tol=-1e-12)

@@ -6,13 +6,15 @@ or singular values planted through random unitaries, a 2x2 or rank-one
 closed form, or an inequality and invariance every correct result obeys.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framescale.linalg as linalg
-from framescale.frames import bessel_and_frame_bounds, frame_eigh
+from framescale.frames import FramePair, bessel_and_frame_bounds, frame_eigh
 from framescale.instances import (canonical_dual_pair, generate, haar_unitary,
                                   random_complex)
 from framescale.linalg import (
@@ -249,10 +251,27 @@ def test_wrappers_reject_non_finite_input(bad):
             wrapper(m)
 
 
-def test_check_hermitian_symmetrizes():
-    a = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]], dtype=complex)
-    h = check_hermitian(a)
-    assert np.max(np.abs(h - h.conj().T)) == 0.0
+def test_check_hermitian_returns_the_matrix_it_checked():
+    # LAPACK reads one triangle, so eigh needs no symmetrized copy: an
+    # exactly Hermitian stack, complex or real, comes back as itself
+    rng = np.random.default_rng(12)
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    assert check_hermitian(stack) is stack
+    real = np.ascontiguousarray(stack.real)
+    assert check_hermitian(real) is real
+
+
+def test_frame_eigh_of_a_frame_operator_near_the_top_of_the_float_range():
+    # x x^* has entries up to 1.44e308, so (a + a^H)/2 would overflow to
+    # inf and LAPACK would return NaN; the rank-one spectrum is {0, |x|^2}
+    pair = FramePair([[1.2e154, 0.3e154]], [[1e-154, 2e-154]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, _ = frame_eigh(pair)
+    assert np.isfinite(w).all()
+    assert abs(w[0, 0]) <= 1e-15 * 1.53e308
+    assert w[0, 1] == pytest.approx(1.53e308, rel=1e-15)
+    assert w[1, 1] == pytest.approx(5e-308, rel=1e-15)
 
 
 def test_check_hermitian_accepts_roundoff_of_a_large_matrix():
@@ -279,7 +298,8 @@ def test_check_hermitian_refuses_a_tiny_asymmetric_matrix():
 def test_every_eigh_input_of_the_pipeline_is_exactly_hermitian(monkeypatch):
     # check_hermitian's fast path: the frame operators, F and G (einsum
     # products, not broadcast ones) and the symmetrised Newton Hessian
-    # equal their conjugate transposes bitwise, so none is repaired
+    # equal their conjugate transposes bitwise, so LAPACK, which reads
+    # one triangle, is handed the matrix itself
     seen = []
     real = linalg.check_hermitian
 

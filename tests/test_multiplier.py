@@ -396,6 +396,28 @@ def test_grid_start_changes_nothing_but_the_cost(monkeypatch):
             norm_oracle_grid(pair, 8, start=bad)
 
 
+def test_grid_computes_one_seed_norm(monkeypatch):
+    # n = 3 at 8 steps is one block, so the sweep makes one _gram_top_norm
+    # call; the floor's seed is one more, from the start's grid mask when
+    # a start is given and from the largest-trace mask otherwise
+    calls = []
+    top_norm = multiplier._gram_top_norm
+
+    def spy(rows):
+        calls.append(rows.shape[1])
+        return top_norm(rows)
+
+    monkeypatch.setattr(multiplier, "_gram_top_norm", spy)
+    rng = np.random.default_rng(79)
+    for d in (1, 2, 3, 4):
+        pair = gaussian_pair(rng, 3, d)
+        for start in (None, norm_lower_alternating(pair).witness_mask,
+                      np.zeros(3)):
+            calls.clear()
+            norm_oracle_grid(pair, 8, start=start)
+            assert len(calls) == 2 and calls[0] == 1, (d, calls)
+
+
 def test_grid_oracle_keeps_exact_ties():
     # y_k = x_k orthonormal: every mask matrix is unitary, so every mask
     # ties at norm 1 and the trace floor skips none of them

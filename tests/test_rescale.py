@@ -394,6 +394,16 @@ def test_bracket_checks_are_relative_to_the_bound():
         == 1.01e-9
 
 
+@pytest.mark.parametrize("end", ["m_lower", "f", "g"])
+def test_bracket_refuses_a_non_finite_end(end):
+    # m_upper = max(f, g) drops a NaN g, and m_lower > nan is False, so
+    # without its own check a NaN bracket would pass the inversion test
+    br = optimize(gaussian_pair(np.random.default_rng(78), 4, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"bracket end {end} is not finite"):
+            replace(br, **{end: bad})
+
+
 def test_optimize_reports_repeatable_counts():
     pair = gaussian_pair(np.random.default_rng(90), 4, 3)
     first, second = optimize(pair), optimize(pair)

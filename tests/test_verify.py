@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -708,6 +709,47 @@ def test_checks_refuse_non_finite_input(check, arg, bad):
         run(**kwargs)
 
 
+@pytest.mark.parametrize("check, name, message", [
+    ("khintchine_check", "_signed_sums", "first-moment bound violated"),
+    ("trace_lemma_check", "singular_values", "rank-one trace norm mismatch"),
+    ("holder_trace_check", "singular_values", "trace duality estimate"),
+    ("key_simple_check", "dual_terms", "bilinear key estimate violated"),
+    ("super_key_check", "dual_terms", "block key estimate violated"),
+    ("super_key_check", "_signed_sums", "per-index first-moment link"),
+    ("trace_pairing_check", "amplified_apply", "trace pairing residual"),
+])
+def test_check_gates_refuse_a_nan(check, name, message, monkeypatch):
+    # a NaN that reaches a gate, here through a name the check looks up
+    # at call time, fails it
+    kwargs = _valid_check_arguments()[check]
+    run = getattr(verify, check)
+    run(**kwargs)
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: np.nan * real(*args))
+    with pytest.raises(VerificationError, match=message):
+        run(**kwargs)
+
+
+@pytest.mark.parametrize("check, changes, message", [
+    ("khintchine_check", {"a": np.zeros(0)}, "need at least one coefficient"),
+    ("key_simple_check", {"u": np.ones(3)}, "u and v must live in the pair"),
+    ("key_simple_check", {"v": np.ones(1)}, "u and v must live in the pair"),
+    ("super_key_check", {"us": np.ones(2)}, r"us and vs must be \(m, d\)"),
+    ("super_key_check", {"us": np.ones((2, 2))}, r"us and vs must be \(m, d\)"),
+    ("super_key_check", {"us": np.ones((3, 3)), "vs": np.ones((3, 3))},
+     "tuple vectors must live in the pair"),
+    ("holder_trace_check", {"b": np.ones((3, 2))}, "a and b must be square"),
+    ("holder_trace_check", {"a": np.ones((2, 3)), "b": np.ones((2, 3))},
+     "a and b must be square"),
+], ids=["khintchine_empty", "key_simple_u", "key_simple_v", "super_key_1d",
+        "super_key_lengths", "super_key_dimension", "holder_shapes",
+        "holder_not_square"])
+def test_checks_refuse_arguments_of_the_wrong_shape(check, changes, message):
+    kwargs = {**_valid_check_arguments()[check], **changes}
+    with pytest.raises(ValueError, match=message):
+        getattr(verify, check)(**kwargs)
+
+
 def test_checks_refuse_a_negative_phi_norm():
     for check in ("key_simple_check", "super_key_check"):
         kwargs = _valid_check_arguments()[check]
@@ -868,36 +910,95 @@ def _ramped(optimize):
     return run
 
 
+def _nan_upper(optimize):
+    """optimize with m_upper read as NaN, on a stand-in for the bracket,
+    since a CbBracket refuses a non-finite end."""
+    def run(pair):
+        return SimpleNamespace(m_upper=np.nan,
+                               log_weights=optimize(pair).log_weights)
+    return run
+
+
+def _nan_after_first(f):
+    """f, but NaN from its second call on."""
+    calls = itertools.count()
+    return lambda *args: f(*args) if next(calls) == 0 else np.nan
+
+
+def _nan_entry(index):
+    """A wrap of a function that returns a tuple: entry index read as NaN."""
+    def wrap(f):
+        def run(*args):
+            out = list(f(*args))
+            out[index] = np.nan
+            return tuple(out)
+        return run
+    return wrap
+
+
+def _nan_value(f):
+    """f with the value of the estimate it returns read as NaN."""
+    return lambda *args: replace(f(*args), value=np.nan)
+
+
 @pytest.mark.parametrize("suite, provoke, message", [
     ("ratio", _spoil("witness_defect", lambda _: lambda pair, est: 1.0),
+     "phi's witness fails to replay"),
+    ("ratio", _spoil("witness_defect", lambda _: lambda pair, est: np.nan),
+     "phi's witness fails to replay"),
+    ("ratio", _spoil("phi_lower", _nan_value),
      "phi's witness fails to replay"),
     ("ratio", _spoil("EXPERIMENT_CUSHION", lambda _: -0.6),
      r"ratio \S+ above 0\.80"),
     ("khintchine", _spoil("KHINTCHINE_FACTOR", lambda c: c * (1.0 - 1e-9)),
+     "equality case drifted"),
+    ("khintchine", _spoil("khintchine_check",
+                          lambda f: lambda a: {**f(a), "ratio": np.nan}),
      "equality case drifted"),
     ("dilation", _spoil("ISOMETRY_TOL", lambda _: 0.0, rescale),
      "isometry defect"),
     ("dilation", _spoil("dilation_reconstruct",
                         lambda f: lambda dil, a: f(dil, a) * (1.0 + 1e-9)),
      "reconstruction error"),
+    ("end_to_end", _spoil("identity_deviation", _nan_after_first),
+     "broke the reproducing identity"),
     ("d1", _spoil("optimize", _inflated), "scalar bound off"),
+    ("d1", _spoil("optimize", _nan_upper), "scalar bound off"),
     ("d1", _spoil("optimize", _ramped), "scalar weights off"),
+    ("d1", _spoil("optimize", lambda f: lambda pair: replace(
+        f(pair), log_weights=np.full(pair.n, np.nan))), "scalar weights off"),
     ("invariance", _spoil("haar_unitary",
                           lambda f: lambda rng, d: 2.0 * f(rng, d)),
      "image drift"),
+    ("invariance", _spoil("optimize", _nan_upper), "image drift"),
     ("invariance", _spoil("pair_operator", lambda f: lambda pair: f(pair)
                           + 1e-9 * frame_operator(pair.xs)),
      "estimator symmetry drift"),
-], ids=["ratio_witness", "ratio_limit", "khintchine_equality",
-        "dilation_isometry", "dilation_reconstruction", "d1_bound",
-        "d1_weights", "invariance_image", "invariance_estimators"])
+    ("invariance", _spoil("pair_operator",
+                          lambda f: lambda pair: np.nan * f(pair)),
+     "estimator symmetry drift"),
+    ("invariance", _spoil("norm_lower_alternating", _nan_value),
+     "estimator symmetry drift"),
+    ("invariance", _spoil("norm_oracle_grid", _nan_value),
+     "estimator symmetry drift"),
+    ("psi_fd", _spoil("_psi_fd_ratios", _nan_entry(0)), "psi derivatives"),
+    ("psi_fd", _spoil("_psi_fd_ratios", _nan_entry(1)), "psi derivatives"),
+], ids=["ratio_witness", "ratio_witness_nan", "ratio_phi_nan", "ratio_limit",
+        "khintchine_equality", "khintchine_equality_nan",
+        "dilation_isometry", "dilation_reconstruction",
+        "end_to_end_identity_nan", "d1_bound", "d1_bound_nan", "d1_weights",
+        "d1_weights_nan", "invariance_image", "invariance_image_nan",
+        "invariance_estimators", "invariance_pair_operator_nan",
+        "invariance_ascent_nan", "invariance_grid_nan", "psi_fd_grad_nan",
+        "psi_fd_hess_nan"])
 def test_suite_gates_refuse_a_spoiled_run(suite, provoke, message,
                                           monkeypatch):
     # each suite gate fails on a run spoiled through a name its suite
     # looks up at call time, and only then; the runs are cut short
     for name, size in (("RATIO_INSTANCES", 2), ("KHINTCHINE_VECTORS", 24),
-                       ("DILATION_INSTANCES", 3), ("D1_INSTANCES", 5),
-                       ("INVARIANCE_INSTANCES", 1)):
+                       ("DILATION_INSTANCES", 3), ("END_TO_END_INSTANCES", 1),
+                       ("D1_INSTANCES", 5), ("INVARIANCE_INSTANCES", 1),
+                       ("PSI_FD_PAIRS", 2)):
         monkeypatch.setattr(verify, name, size)
     run = verify.SUITES[suite]
     run(seed=0)
