@@ -251,9 +251,11 @@ def _timed(fn, *args):
 
 
 def _phi_stats(est, phi_s: float) -> dict:
-    """Route ("pure" or "ascent"), seconds and iterations of a phi bound."""
+    """Route ("pure" or "ascent"), seconds, SVDs and kept extrapolations
+    of a phi bound."""
     return {"phi_route": est.method, "phi_s": phi_s,
-            "ascent_iterations": est.iterations}
+            "ascent_iterations": est.iterations,
+            "ascent_extrapolations": est.extrapolations}
 
 
 def _cmd_analyze(args) -> int:

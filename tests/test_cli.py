@@ -475,14 +475,17 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     assert phi.method == "pure"
     assert stats["phi_route"] == "pure"
     assert stats["ascent_iterations"] == 0
+    assert stats["ascent_extrapolations"] == 0
     assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls",
-                          "phi_route", "phi_s", "ascent_iterations", "stop",
+                          "phi_route", "phi_s", "ascent_iterations",
+                          "ascent_extrapolations", "stop",
                           "stage_gaps", "stage_steps", "stage_stops",
                           "best_lower_stage", "best_upper_stage", "wall_s"}
     assert all(v > 0 for k, v in stats.items()
                if k not in ("stop", "stage_gaps", "stage_steps", "stage_stops",
-                            "phi_route", "ascent_iterations"))
+                            "phi_route", "ascent_iterations",
+                            "ascent_extrapolations"))
     assert stats["stop"] == "gap"
     assert len(stats["stage_gaps"]) == len(stats["stage_steps"]) == stats["stages"]
     assert sum(stats["stage_steps"]) == stats["newton_steps"]
@@ -531,9 +534,10 @@ def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     alt = norm_lower_alternating(cli.load_instance(str(inst))[0])
     assert rec["phi_norm_lower"] == alt.value
     assert set(rec["stats"]) == {"phi_route", "phi_s", "ascent_iterations",
-                                 "grid_s"}
+                                 "ascent_extrapolations", "grid_s"}
     assert rec["stats"]["phi_route"] == "ascent"
     assert rec["stats"]["ascent_iterations"] == alt.iterations
+    assert rec["stats"]["ascent_extrapolations"] == alt.extrapolations
     assert rec["stats"]["phi_s"] > 0.0
     assert rec["stats"]["grid_s"] > 0.0
     lines = (tmp_path / "ana.csv").read_text().splitlines()

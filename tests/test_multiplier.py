@@ -7,6 +7,7 @@ from framescale import multiplier
 from framescale.frames import FramePair, coefficients
 from framescale.instances import (
     gaussian_pair,
+    generate,
     haar_unitary,
     mangle,
     mangling_scalars,
@@ -30,6 +31,7 @@ from framescale.multiplier import (
     _hermitian_rows,
     _offset_weights,
 )
+from framescale.rescale import optimize
 
 
 def test_apply_matches_mask_matrix():
@@ -119,9 +121,10 @@ def test_alternating_certificate_replays():
 
 
 def _sequential_ascent(pair, eps, max_iters=300, tol=1e-12):
-    """One mask matrix and one SVD per step, from the mask eps."""
+    """One mask matrix and one SVD per step, from the mask eps: the value
+    and the number of steps."""
     prev = -np.inf
-    for _ in range(max_iters):
+    for steps in range(1, max_iters + 1):
         _, left, right = top_singular_triplet(mask_matrix(pair, eps))
         terms = (pair.ys.conj() @ right) * (pair.xs @ left.conj())
         mags = np.abs(terms)
@@ -131,20 +134,66 @@ def _sequential_ascent(pair, eps, max_iters=300, tol=1e-12):
         if aligned - prev <= tol * aligned:
             break
         prev = aligned
-    return float(np.real(np.sum(eps * terms)))
+    return float(np.real(np.sum(eps * terms))), steps
 
 
 def test_alternating_matches_sequential_reference():
+    # the extrapolated ascent may end nearer the fixed point than the plain
+    # one's stop, so it may read above the reference, never above the
+    # certified upper bound: phi <= ||Phi||_cb <= m_upper
     rng = np.random.default_rng(72)
     for _ in range(60):
         pair = gaussian_pair(rng, int(rng.integers(1, 7)),
                              int(rng.integers(1, 5)))
+        m_upper = optimize(pair).m_upper
         for start in (None, np.exp(2j * np.pi * rng.uniform(size=pair.n))):
             eps = np.ones(pair.n, dtype=complex) if start is None else start
             est = norm_lower_alternating(pair, start=start)
-            ref = _sequential_ascent(pair, eps)
-            assert abs(est.value - ref) <= 1e-12 * ref
+            ref, _ = _sequential_ascent(pair, eps)
+            assert est.value >= ref * (1.0 - 1e-12)
+            assert est.value <= m_upper * (1.0 + 1e-12)
             assert est.iterations >= 1
+
+
+def test_alternating_extrapolation_saves_steps():
+    # holds the 40 x 3 seed-5 pair on which an ungated step fell 5.7e-4
+    ours = plain = 0
+    for seed in range(6):
+        for n, d in ((5, 2), (5, 3), (40, 3)):
+            pair = generate("gaussian", np.random.default_rng([seed, n, d]), n, d)
+            est = norm_lower_alternating(pair)
+            ref, steps = _sequential_ascent(pair, np.ones(n, dtype=complex))
+            assert est.value >= ref * (1.0 - 1e-12)
+            assert 0 <= est.extrapolations < est.iterations
+            ours += est.iterations
+            plain += steps
+    assert ours <= 0.75 * plain
+
+
+def test_alternating_counts_trial_steps_against_the_cap(monkeypatch):
+    pair = generate("gaussian", np.random.default_rng([5, 40, 3]), 40, 3)
+    full = norm_lower_alternating(pair)
+    assert full.extrapolations > 0
+    for cap in range(1, full.iterations + 1):
+        monkeypatch.setattr(multiplier, "ASCENT_MAX_ITERS", cap)
+        est = norm_lower_alternating(pair)
+        assert est.iterations == cap
+        assert est.value <= full.value * (1.0 + 1e-12)
+
+
+def test_alternating_keeps_a_trial_step_only_when_it_rises(monkeypatch):
+    # a trial from the all-ones start lands below the tail, so none is
+    # kept and the plain steps run as without extrapolation
+    pair = generate("gaussian", np.random.default_rng([5, 40, 3]), 40, 3)
+    monkeypatch.setattr(multiplier, "ASCENT_EXTRAPOLATION_GATE", 0.0)
+    plain = norm_lower_alternating(pair)
+    monkeypatch.setattr(multiplier, "ASCENT_EXTRAPOLATION_GATE", 1e-4)
+    monkeypatch.setattr(multiplier, "_extrapolate",
+                        lambda m0, m1, m2: np.ones(pair.n))
+    est = norm_lower_alternating(pair)
+    assert est.extrapolations == 0
+    assert est.iterations > plain.iterations
+    assert est.value == plain.value
 
 
 def test_alternating_value_is_its_certificate_replayed():
