@@ -278,6 +278,10 @@ def _cmd_analyze(args) -> int:
             # are the unseeded sweep's
             grid, rec["stats"]["grid_s"] = _timed(
                 norm_oracle_grid, pair, args.phase_steps, alt.witness_mask)
+            # exact counts: rows past the eigenvalue row bound, masks
+            # whose top eigenvalue is computed
+            rec["stats"].update(grid_rows_kept=grid.rows_kept,
+                                grid_masks_evaluated=grid.masks_evaluated)
             rec["phi_norm_oracle"] = grid.value
         records.append(rec)
         oracle = rec.get("phi_norm_oracle")
@@ -421,8 +425,8 @@ def _cmd_bench(args) -> int:
             print(f"n={n} d={d}: instance file did not round-trip",
                   file=sys.stderr)
         grid_ok = _oracle_allowed(pair, args.phase_steps)
-        t_grid = (_bench_timed(norm_oracle_grid, pair, args.phase_steps)[1]
-                  if grid_ok else None)
+        grid, t_grid = (_bench_timed(norm_oracle_grid, pair, args.phase_steps)
+                        if grid_ok else (None, None))
         masks = args.phase_steps ** (n - 1) if grid_ok else None
         bracket, t_opt = _bench_timed(optimize, pair)
         _, t_phi = _bench_timed(phi_lower, pair, bracket)
@@ -433,6 +437,8 @@ def _cmd_bench(args) -> int:
                "grid_seconds": t_grid,
                "grid_masks": masks,
                "grid_ns_per_mask": 1e9 * t_grid / masks if grid_ok else None,
+               "grid_rows_kept": grid.rows_kept if grid_ok else None,
+               "grid_masks_evaluated": grid.masks_evaluated if grid_ok else None,
                "optimize_seconds": t_opt, "phi_seconds": t_phi,
                "stats": bracket.stats}
         records.append(rec)

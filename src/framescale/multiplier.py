@@ -50,8 +50,10 @@ class MultiplierNormEstimate:
     value equals Re sum_k mask_k <u, y_k> <x_k, v> for the stored unit
     witnesses, so any reader can replay the certificate.  method is
     "ascent", "pure" or "grid"; iterations counts the ascent's SVDs, its
-    trial steps included, and extrapolations its accepted trial steps (both
-    0 otherwise).
+    trial steps included, and extrapolations its accepted trial steps;
+    rows_kept and masks_evaluated count the grid's rows and masks that
+    reach its per-mask work (see norm_oracle_grid).  Each count is 0
+    where its method does not run.
     """
 
     value: float
@@ -61,15 +63,18 @@ class MultiplierNormEstimate:
     method: str
     iterations: int = 0
     extrapolations: int = 0
+    rows_kept: int = 0
+    masks_evaluated: int = 0
 
 
 def _certify(tables, mask: np.ndarray, u: np.ndarray, v: np.ndarray,
-             method: str, iterations: int = 0,
-             extrapolations: int = 0) -> MultiplierNormEstimate:
+             method: str, unit: float = 1.0, **counts) -> MultiplierNormEstimate:
+    """The estimate whose value replays mask and (u, v) on the pair of
+    tables = coefficients(pair, u, v), divided by unit: pair.unit when
+    the tables are read off pair.balanced."""
     cu, cv = tables
-    value = float(np.real(np.sum(mask * cu * cv)))
-    return MultiplierNormEstimate(value, u, v, mask, method, iterations,
-                                  extrapolations)
+    value = float(np.real(np.sum(mask * cu * cv))) / unit
+    return MultiplierNormEstimate(value, u, v, mask, method, **counts)
 
 
 def apply_mask(pair: FramePair, mask: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -139,13 +144,19 @@ def norm_lower_alternating(pair: FramePair,
     the steep early path, where it can land on a lower local maximum.
     iterations counts every SVD, trial steps included, and extrapolations
     the kept trial steps.
+
+    The ascent runs on pair.balanced, whose terms <u, y_k> <x_k, v> are
+    pair.unit times the pair's, and divides its value by pair.unit: the
+    witness is the same, and terms too small or too large to align in
+    the caller's units cannot overflow.
     """
     eps = np.ones(pair.n) if start is None else check_mask(start, pair.n)
-    ys_conj = pair.ys.conj()
+    balanced = pair.balanced
+    ys_conj = balanced.ys.conj()
 
     def step(mask):
-        _, v, u = top_singular_triplet((mask[:, None] * pair.xs).T @ ys_conj)
-        tables = coefficients(pair, u, v)
+        _, v, u = top_singular_triplet((mask[:, None] * balanced.xs).T @ ys_conj)
+        tables = coefficients(balanced, u, v)
         return (*_align(tables, mask), u, v, tables)
 
     prev = -np.inf
@@ -170,7 +181,8 @@ def norm_lower_alternating(pair: FramePair,
                 eps, prev, u, v, tables = trial
                 extrapolations += 1
         recent = [eps]
-    return _certify(tables, eps, u, v, "ascent", iterations, extrapolations)
+    return _certify(tables, eps, u, v, "ascent", pair.unit,
+                    iterations=iterations, extrapolations=extrapolations)
 
 
 @functools.cache
@@ -253,65 +265,89 @@ def _offset_weights(basis: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(_hermitian_rows(cross), 1, 2))
 
 
+def _row_bound(forms: np.ndarray, trace: np.ndarray, d: int) -> np.ndarray:
+    """A bound on lambda_max(A + B cos + C sin) over the whole circle.
+
+    forms stacks the Gram rows of A, B and C, (3, d*d, L), and trace is a
+    bound on the rows' traces over the circle.  With a, b, c the
+    deviations of A, B and C from their trace parts, the bound of
+    Wolkowicz and Styan, lambda_max <= tr/d + sqrt((d-1)/d) ||G - (tr/d)
+    I||_F, takes ||a + b cos + c sin||_F^2 at most ||a||^2 + (||b||^2 +
+    ||c||^2)/2 + hypot(2<a,b>, 2<a,c>) + hypot((||b||^2 - ||c||^2)/2,
+    <b,c>), the cos 2theta and sin 2theta parts at their amplitude.  The
+    hypots are formed as square roots of sums of squares: the rows are in
+    balanced units, where no square overflows and one that underflows is
+    far below the grid's rounding margin.
+    """
+    if d == 1:
+        return trace
+    dev = forms.copy()
+    dev[:, :d] -= dev[:, :d].sum(axis=1, keepdims=True) / d
+    dev[:, d:] *= math.sqrt(2.0)  # each off-diagonal entry counts twice
+    g = np.einsum("pil,qil->pql", dev, dev)
+    half = 0.5 * (g[1, 1] - g[2, 2])
+    spread = (g[0, 0] + 0.5 * (g[1, 1] + g[2, 2])
+              + 2.0 * np.sqrt(g[0, 1] * g[0, 1] + g[0, 2] * g[0, 2])
+              + np.sqrt(half * half + g[1, 2] * g[1, 2]))
+    return trace / d + np.sqrt((d - 1) / d * spread)
+
+
 GRID_MAX_N = 6
 GRID_MIN_STEPS = 8  # coarsest phase_steps norm_oracle_grid accepts
 GRID_CHUNK = 1 << 18
-TRACE_RTOL = 1e-9  # relative margin of the grid's trace floor
+TRACE_RTOL = 1e-9  # relative margin of the grid's bounds
 
 
-def _grid_features(phases: np.ndarray, fast: int, cols: np.ndarray) -> np.ndarray:
-    """Real features [1; Re e_1; Im e_1; ...; Re e_f; Im e_f] of block columns.
+def _grid_rows(pair: FramePair, phase_steps: int):
+    """The phase grid's Gram rows as affine forms in coordinate 1's phase.
 
-    Column b of a block of f = fast coordinates has the phase
-    phases[(b // s^(k-1)) % s] at coordinate k, s = phases.size, so
-    coordinate 1 varies fastest.  The result has shape (1 + 2f, K) for
-    the K columns cols.
-    """
-    feats = np.empty((1 + 2 * fast, cols.size))
-    feats[0] = 1.0
-    rem = cols
-    for k in range(fast):
-        rem, dig = np.divmod(rem, phases.size)
-        np.take(phases.real, dig, out=feats[1 + 2 * k])
-        np.take(phases.imag, dig, out=feats[2 + 2 * k])
-    return feats
-
-
-def _grid_factors(pair: FramePair, phase_steps: int):
-    """The phase grid's Gram rows in factored form.
-
-    Returns phases, base (d*d, B) and weights (P, d*d, 1 + 2f): the
-    _hermitian_rows of the B mask matrices of outer block o, times
-    pair.unit, are weights[o] @ feats + base, with feats the
-    _grid_features of the block's f fast coordinates, and column b of
-    block o is mask o * B + b of the sweep (see norm_oracle_grid).
+    The block of fast coordinates 1..f splits into R = s^(f-1) rows of s
+    masks that differ only in coordinate 1, s = phase_steps.  Returns
+    phases, feats (1 + 2(f-1), R), the row triple (3, d*d, R) and weights
+    (P, d*d, 3 + 2(f-1)).  feats holds [1; Re e_2; Im e_2; ...; Re e_f;
+    Im e_f] of each row, coordinate 2 fastest.  With K_r the row's matrix
+    without coordinate 1, the triple (A_r, B_r, C_r) gives the rows of
+    G(K_r + e R_1) = A_r + B_r Re e + C_r Im e; outer offset o adds
+    weights[o] @ [feats; Re e; Im e].  Everything is times pair.unit,
+    and mask o * R * s + r * s + j of the sweep (see norm_oracle_grid)
+    is row r of offset o at the phase phases[j] of coordinate 1.
     """
     n, d = pair.n, pair.dim
     phases = np.exp(2j * np.pi * np.arange(phase_steps) / phase_steps)
     balanced = pair.balanced  # each x_k y_k^* times pair.unit, exactly
     rank_ones = np.einsum("ki,kj->kij", balanced.xs, balanced.ys.conj())
     tables = rank_ones[:, :, :, None] * phases
-    fast = 0
+    fast = min(1, n - 1)
     while fast < n - 1 and phase_steps ** (fast + 1) <= GRID_CHUNK:
         fast += 1
-    # grow the block one coordinate at a time, each new one the slowest
+    # grow the rows one coordinate at a time, each new one the slowest
     # digit, by the identity the offsets use; the GEMM over the features
     # so far writes its (steps, d*d, width) result straight into the
-    # grown block's rows
-    base = _hermitian_rows(rank_ones[0].conj().T @ rank_ones[0])[:, None]
+    # grown rows
+    rows = _hermitian_rows(rank_ones[0].conj().T @ rank_ones[0])[:, None]
+    feats = np.ones((1, 1))
     basis = rank_ones[:1]
-    for k in range(1, fast + 1):
-        width = base.shape[1]
+    for k in range(2, fast + 1):
+        width = rows.shape[1]
         grown = np.empty((d * d, phase_steps * width))
         slices = np.swapaxes(grown.reshape(d * d, phase_steps, width), 0, 1)
-        np.matmul(_offset_weights(basis, tables[k]),
-                  _grid_features(phases, k - 1, np.arange(width)), out=slices)
-        slices += base
-        base = grown
+        np.matmul(_offset_weights(basis, tables[k]), feats, out=slices)
+        slices += rows
+        rows = grown
+        feats = np.vstack([np.tile(feats, phase_steps),
+                           np.repeat(phases.real, width),
+                           np.repeat(phases.imag, width)])
         basis = np.concatenate([basis, rank_ones[k:k + 1], 1j * rank_ones[k:k + 1]])
+    # coordinate 1 as the offsets R_1 and i R_1 (zero when n = 1): their
+    # weights, less the G(R_1) they carry, are the cross terms B and C
+    r_one = rank_ones[1] if n > 1 else np.zeros((d, d), dtype=np.complex128)
+    turns = np.stack([r_one, 1j * r_one])
+    g_one = _hermitian_rows(r_one.conj().T @ r_one)[:, None]
+    cross = _offset_weights(basis, np.moveaxis(turns, 0, -1)) @ feats - g_one
     offsets = _digit_sums(np.zeros((d, d), dtype=np.complex128),
                           tables[n - 1:fast:-1])
-    return phases, base, _offset_weights(basis, offsets)
+    weights = _offset_weights(np.concatenate([basis, turns]), offsets)
+    return phases, feats, np.stack([rows + g_one, *cross]), weights
 
 
 def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
@@ -328,54 +364,57 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     result is the exact maximum over the grid, up to that rounding, and
     a replayable lower bound on the multiplier norm, certified by the top
     singular pair of the chosen mask's matrix.  Cost grows geometrically;
-    n is capped at GRID_MAX_N.
+    n is capped at GRID_MAX_N.  rows_kept and masks_evaluated of the
+    result count the rows that pass the eigenvalue row bound below and
+    the masks whose top eigenvalue is computed, the seed's included.
 
     The grid is a Cartesian product, so the mask matrices are sums of
     per-coordinate tables phase * x_k y_k^*.  The fastest coordinates, as
-    many as fit in GRID_CHUNK masks, form one block I that is affine in
-    their phases: I = R_0 + sum_k (Re e_k) R_k + (Im e_k) i R_k, with real
-    features f = [1; Re e_k; Im e_k].  Adding a d x d offset O to every
-    matrix of a block gives G(I + O) = G(I) + (I^H O + O^H I) + G(O), and
-    the rows of the last two terms are W_O f for a real weight matrix W_O
-    with one column per feature (see _offset_weights).  The block grows
-    from the Gram rows of R_0 by this identity: coordinate k adds one
-    offset e R_k per phase e as the new slowest digit, one GEMM over the
-    features so far.  Every setting of the remaining coordinates then
-    adds one offset to the finished block, with the weights of all
-    offsets built in one einsum (see _grid_factors).  The tables are
+    many as fit in GRID_CHUNK masks, form one block, and the block splits
+    into rows of phase_steps masks that differ only in coordinate 1.  A
+    row's matrix is K + e R_1 for the unimodular phase e of coordinate 1,
+    and |e| = 1, so its Gram matrix is affine in (Re e, Im e): G(K + e
+    R_1) = A + B Re e + C Im e, with A = G(K) + G(R_1) and B, C the cross
+    terms of K with R_1 and i R_1.  Adding a d x d offset O to a matrix
+    I = sum_c f_c basis[c] with real features f, f_0 = 1, gives G(I + O)
+    = G(I) + (I^H O + O^H I) + G(O), and the rows of the last two terms
+    are W_O f for a real weight matrix W_O with one column per feature
+    (see _offset_weights).  The rows' K grow from R_0 by this identity,
+    one coordinate at a time; the cross terms are the weights of the
+    offsets R_1 and i R_1; and every setting of the remaining coordinates
+    adds one outer offset to each row's (A, B, C), with the weights of
+    all offsets built in one einsum (see _grid_rows).  The tables are
     read off pair.balanced, exact powers of two away from the pair's, so
     the Gram entries stay inside the float range whenever the tables do.
 
-    Most masks never reach the top-eigenvalue step.  The top eigenvalue
-    of G = M^H M is at most tr G, and the trace is linear in the
-    features, so the trace of a mask of offset o is t(b) + c_o +
-    sum_k p_ok(e_k): t the trace of the block's own Gram rows and
-    p_ok(e) = w Re e + w' Im e one small table per offset and fast
-    coordinate.  The block splits into rows of phase_steps masks that
-    differ only in coordinate 1, and a row's traces are at most the
-    row's largest t plus its own slow-coordinate tables plus the largest
-    entry of p_o1.  Only rows whose bound reaches (1 - TRACE_RTOL)
-    best^2, best the largest norm so far, get their masks' traces, and
-    only masks whose trace reaches it get their full Gram rows, formed
-    from the features of just those columns.  At d >= 3 the trace counts
-    all d eigenvalues, so the kept masks next face the sharper bound
-    lambda_max <= tr/d + sqrt((d-1)/d) ||G - (tr/d) I||_F, and only the
-    survivors reach the batched eigvalsh (at d = 2 the bound is the
-    closed form itself).
+    Most rows never reach the top-eigenvalue step; best is the largest
+    norm so far, and a row or mask is kept while a bound on its top
+    eigenvalue reaches (1 - TRACE_RTOL) best^2.  The top eigenvalue of G =
+    M^H M is at most tr G, and a row's trace alpha + beta Re e + gamma Im
+    e is at most alpha + hypot(beta, gamma) over the whole circle; the
+    traces of span offsets at a time are one GEMM.  The rows that pass,
+    at most one block's rows at a time, face the trace-and-deviation
+    bound of Wolkowicz and Styan ("Bounds for eigenvalues using traces",
+    Linear Algebra Appl. 29 (1980)) maximised over the row (see
+    _row_bound); at d = 2 it is the exact eigenvalue formula, maximised
+    over the circle.  Only the masks of rows that pass get their Gram
+    rows, A + B cos + C sin; at d >= 3 each then faces the same bound on
+    its own matrix, and only the survivors reach the batched eigvalsh
+    (at d <= 2 _gram_top_norm is a closed form).
 
-    Before the first block, best is seeded with the norm of one grid
-    mask: when start is given (any mask in the closed unit disc, such as
-    an ascent's witness), the grid mask nearest to it, else the first
-    block's largest-trace mask.  start is rotated so that its coordinate
-    0 is 1 (unless that entry is 0), and each phase is rounded to the
-    nearest grid phase, a zero entry counting as phase 0.  A good start
-    lets the bounds skip most masks from the first block on.  The seed
-    is the computed norm of a grid mask, formed like every swept one, so
-    it is at most the grid's maximum up to rounding.  A skipped mask's
-    norm is below best, so under the strict update it could never win,
-    and every mask that ties the final maximum is kept: the first
-    maximiser, and with it the value, is the one the full sweep would
-    pick, whatever the start.
+    Before the sweep, best is seeded with the norm of one grid mask: when
+    start is given (any mask in the closed unit disc, such as an ascent's
+    witness), the grid mask nearest to it, else the largest-trace mask of
+    the row with the largest trace bound among the first span of offsets.
+    start is rotated so that its coordinate 0 is 1 (unless that entry is
+    0), and each phase is rounded to the nearest grid phase, a zero entry
+    counting as phase 0.  A good start lets the bounds skip most rows
+    from the first offset on.  The seed is the computed norm of a grid
+    mask, formed like every swept one, so it is at most the grid's
+    maximum up to rounding.  A skipped mask's norm is below best, so
+    under the strict update it could never win, and every mask that ties
+    the final maximum is kept: the first maximiser, and with it the
+    value, is the one the full sweep would pick, whatever the start.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
@@ -384,53 +423,63 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     n, d = pair.n, pair.dim
     if start is not None:
         start = check_mask(start, n)
-    phases, base, weights = _grid_factors(pair, phase_steps)
-    n_outer, fast = weights.shape[0], weights.shape[2] // 2
-    block = base.shape[1]
-    run = phase_steps if fast else 1  # masks per row of the block
+    phases, feats, triple, weights = _grid_rows(pair, phase_steps)
+    run = phase_steps if n > 1 else 1  # masks per row
+    cos, sin = phases.real[:run], phases.imag[:run]
+    n_feats, n_rows = feats.shape
+    block = n_rows * run
     # _hermitian_rows puts the d diagonal entries first
-    own = base[:d].sum(axis=0).reshape(-1, run)
-    own_top = own.max(axis=1)
-    trace_w = weights[:, :d, :].sum(axis=1)
-    pieces = (trace_w[:, 1::2, None] * phases.real
-              + trace_w[:, 2::2, None] * phases.imag)
-    first = pieces[:, 0] if fast else np.zeros((n_outer, 1))
-    first_top = first.max(axis=1)
-    # the row bounds of span offsets at a time fill at most GRID_CHUNK entries
-    span = GRID_CHUNK // own.shape[0]
+    traces = triple[:, :d].sum(axis=1)
+    trace_w = weights[:, :d].sum(axis=1)
+    # the trace bounds of span offsets at a time fill at most GRID_CHUNK
+    # entries; the rows that pass go on n_rows at a time
+    span = max(1, GRID_CHUNK // n_rows)
 
-    def row_bounds(lo):
-        # c_o plus the tables of coordinates 2..f, coordinate 2 fastest
-        hi = lo + span
-        slow = _digit_sums(trace_w[lo:hi, 0],
-                           pieces[lo:hi, fast - 1:0:-1].swapaxes(0, 1))
-        return slow, own_top + slow + first_top[lo:hi, None]
+    def trace_bounds(lo):
+        # alpha + hypot(beta, gamma) of each row's trace alpha + beta Re e
+        # + gamma Im e at offsets lo..lo+span-1
+        w = trace_w[lo:lo + span]
+        beta = traces[1] + w[:, n_feats, None]
+        gamma = traces[2] + w[:, n_feats + 1, None]
+        bound = w[:, :n_feats] @ feats
+        bound += traces[0]
+        bound += np.sqrt(beta * beta + gamma * gamma)
+        return bound
 
-    def gram_rows(outer, cols):
-        rows = weights[outer] @ _grid_features(phases, fast, cols)
-        rows += np.take(base, cols, axis=1)
-        return rows
+    def row_forms(outers, rows):
+        # (A, B, C) of each row at its offset, stacked (3, d*d, L)
+        w = weights[outers]
+        forms = triple[:, :, rows]
+        forms[0] += np.einsum("lic,cl->il", w[:, :, :n_feats], feats[:, rows])
+        forms[1:] += np.transpose(w[:, :, n_feats:], (2, 1, 0))
+        return forms
+
+    def mask_rows(forms, j=slice(None)):
+        # the Gram rows of the rows' masks at phases j, row by row
+        a, b, c = forms[..., None]
+        return (a + b * cos[j] + c * sin[j]).reshape(d * d, -1)
 
     # Rounding margin.  Each Gram entry is a short sum of terms of size
     # at most (sum_k ||R_k||)^2 <= n^2 V^2, V the grid's maximum: R_k is
     # the average of e^{-i theta_k} M over the grid, so ||R_k|| <= V.  So
     # the computed trace of a mask that can end as the maximum is within
     # about 1e-13 V^2 of its exact value for n <= GRID_MAX_N, whatever
-    # order its terms are summed in; a row bound is a max of such sums,
-    # so it is within the same distance of an exact bound on its row.
-    # The d = 2 closed form of _gram_top_norm loses more only near a
-    # doubled top eigenvalue, where the trace is at least twice the top
-    # one.  The d >= 3 bound holds for any Hermitian matrix, so it holds
-    # for the rows eigvalsh is given, and it is formed from the Euclidean
-    # norm of the deviations g_ii - tr/d and the off-diagonal entries,
-    # with no difference of squares that could cancel: it is within a
-    # few ulps of n^2 V^2 of its exact value, and eigvalsh is within a
-    # few ulps of the top eigenvalue.  The floor's seed is a computed
-    # norm, so the floor exceeds V by a rounding at most, and
-    # TRACE_RTOL keeps every such mask.
-    slow, bound = row_bounds(0)
+    # order its terms are summed in.  Both row bounds are sums of
+    # nonnegative terms and hypots of such entries and of their products,
+    # with no difference of squares that could cancel, so each is within
+    # a few ulps of n^2 V^2 of an exact bound on its row.  The d = 2
+    # closed form of _gram_top_norm loses more only near a doubled top
+    # eigenvalue, where the trace is at least twice the top one.  The
+    # mask bound at d >= 3 holds for any Hermitian matrix, so it holds for
+    # the rows eigvalsh is given, and eigvalsh is within a few ulps of
+    # the top eigenvalue.  The floor's seed is a computed norm, so the
+    # floor exceeds V by a rounding at most, and TRACE_RTOL keeps every
+    # mask that can win.
+    bound = trace_bounds(0)
     if start is None:
-        seed = int(np.argmax(own + slow[0][:, None] + first[0]))
+        outer, row = divmod(int(np.argmax(bound)), n_rows)
+        _, beta, gamma = row_forms([outer], [row])[:, :d].sum(axis=1)
+        phase = int(np.argmax(beta * cos + gamma * sin))
     else:
         # the grid mask nearest to start turned so that coordinate 0 is 1;
         # coordinate 1 is the lowest digit of the sweep index
@@ -438,48 +487,59 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
         turn = np.where(turned != 0, np.angle(turned), 0.0)
         digits = np.rint(turn * (phase_steps / (2.0 * np.pi))).astype(np.int64)
         seed = int(np.dot(digits % phase_steps, phase_steps ** np.arange(n - 1)))
+        outer, col = divmod(seed, block)
+        row, phase = divmod(col, run)
     # the seed's norm, formed like every swept mask's
-    outer, col = divmod(seed, block)
-    floor = float(_gram_top_norm(gram_rows(outer, np.array([col])))[0])
+    seed_rows = mask_rows(row_forms([outer], [row]), [phase])
+    floor = float(_gram_top_norm(seed_rows)[0])
     best_val = -np.inf
     best_idx = 0
-    for outer in range(n_outer):
-        at = outer % span
-        if outer and not at:
-            slow, bound = row_bounds(outer)
-        thr = (1.0 - TRACE_RTOL) * floor * floor
-        live = np.flatnonzero(bound[at] >= thr)
-        if not live.size:
-            continue
-        trace = own[live] + slow[at, live, None] + first[outer]
-        hit = np.flatnonzero(trace >= thr)
-        if not hit.size:
-            continue
-        cols = live[hit // run] * run + hit % run
-        rows = gram_rows(outer, cols)
-        if d >= 3:
-            mean = rows[:d].sum(axis=0) / d
-            dev = rows[:d] - mean
-            dev = (np.einsum("ij,ij->j", dev, dev)
-                   + 2.0 * np.einsum("ij,ij->j", rows[d:], rows[d:]))
-            sel = np.flatnonzero(mean + np.sqrt((d - 1) / d * dev) >= thr)
-            if not sel.size:
-                continue
-            if sel.size < rows.shape[1]:
-                rows, cols = rows[:, sel], cols[sel]
-        vals = _gram_top_norm(rows)
-        arg = int(np.argmax(vals))
-        if vals[arg] > best_val:
-            best_val = float(vals[arg])
-            best_idx = outer * block + int(cols[arg])
-            floor = max(floor, best_val)
+    rows_kept, masks_evaluated = 0, 1
+    for lo in range(0, weights.shape[0], span):
+        if lo:
+            bound = trace_bounds(lo)
+        live = np.flatnonzero(bound >= (1.0 - TRACE_RTOL) * floor * floor)
+        for at in range(0, live.size, n_rows):
+            outers, rows = np.divmod(live[at:at + n_rows], n_rows)
+            top = bound[outers, rows]
+            outers += lo
+            forms = row_forms(outers, rows)
+            top = _row_bound(forms, top, d)
+            # the offsets in sweep order, each against the floor so far
+            thr = (1.0 - TRACE_RTOL) * floor * floor
+            for outer in sorted(set(outers[top >= thr].tolist())):
+                thr = (1.0 - TRACE_RTOL) * floor * floor
+                sel = np.flatnonzero((outers == outer) & (top >= thr))
+                if not sel.size:
+                    continue
+                rows_kept += sel.size
+                masks = mask_rows(forms[:, :, sel])
+                cols = (rows[sel, None] * run + np.arange(run)).ravel()
+                if d >= 3:
+                    mean = masks[:d].sum(axis=0) / d
+                    dev = masks[:d] - mean
+                    dev = (np.einsum("ij,ij->j", dev, dev)
+                           + 2.0 * np.einsum("ij,ij->j", masks[d:], masks[d:]))
+                    keep = np.flatnonzero(mean + np.sqrt((d - 1) / d * dev) >= thr)
+                    if not keep.size:
+                        continue
+                    if keep.size < masks.shape[1]:
+                        masks, cols = masks[:, keep], cols[keep]
+                masks_evaluated += cols.size
+                vals = _gram_top_norm(masks)
+                arg = int(np.argmax(vals))
+                if vals[arg] > best_val:
+                    best_val = float(vals[arg])
+                    best_idx = int(outer) * block + int(cols[arg])
+                    floor = max(floor, best_val)
     eps = np.ones(n, dtype=np.complex128)
     rem = best_idx
     for pos in range(1, n):
         rem, dig = divmod(rem, phase_steps)
         eps[pos] = phases[dig]
     _, left, right = top_singular_triplet(mask_matrix(pair, eps))
-    return _certify(coefficients(pair, right, left), eps, right, left, "grid")
+    return _certify(coefficients(pair, right, left), eps, right, left, "grid",
+                    rows_kept=rows_kept, masks_evaluated=masks_evaluated)
 
 
 def check_amplified(mats: np.ndarray, n: int) -> np.ndarray:

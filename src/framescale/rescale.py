@@ -367,11 +367,13 @@ def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
     P = sum_k |<x_k, v>| |<y_k, u>| at the mask aligning each term, D at
     pure states (method "pure").  P is returned if within PINNED_RTOL of
     m_upper; else one ascent runs from its mask and the larger value wins.
+    Both are read off pair.balanced and divided by pair.unit, as optimize
+    works, so no term overflows in the caller's units.
     """
     u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
-    tables = coefficients(pair, u, v)
+    tables = coefficients(pair.balanced, u, v)
     mask, _ = _align(tables, np.ones(pair.n))
-    pure = _certify(tables, mask, u, v, "pure")
+    pure = _certify(tables, mask, u, v, "pure", pair.unit)
     if bracket.m_upper - pure.value <= PINNED_RTOL * bracket.m_upper:
         return pure
     warm = norm_lower_alternating(pair, start=mask)

@@ -428,7 +428,9 @@ def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
 def test_analyze_diagonalises_and_validates_each_pair_once(tmp_path,
                                                           monkeypatch):
     # one stacked LAPACK call per record for the two frame operators, and
-    # no family checked again after load_instance built the pair
+    # no family checked again after load_instance built the pair; the
+    # ascent builds the pair's balanced pair, whose two families are
+    # checked once
     corpus = tmp_path / "corpus"
     assert cli.main(["gen", "--kind", "gaussian", "--n", "4", "--d", "3",
                      "--instances", "3", "--out", str(corpus)]) == 0
@@ -456,7 +458,7 @@ def test_analyze_diagonalises_and_validates_each_pair_once(tmp_path,
     assert cli.main(["analyze", "--in", str(corpus),
                      "--out", str(tmp_path / "an.json")]) == 0
     assert events == 3 * [("check", "xs"), ("check", "ys"), ("loaded", None)] \
-        + 3 * [("eigh", (2, 3, 3))]
+        + 3 * [("eigh", (2, 3, 3)), ("check", "xs"), ("check", "ys")]
 
 
 def test_rescale_records_stats_and_one_ascent(tmp_path):
@@ -512,6 +514,28 @@ def test_rescale_checks_are_relative_to_the_bound(tmp_path):
     assert checks["bound_respected"]
 
 
+def test_analyze_and_rescale_accept_a_pair_with_subnormal_terms(tmp_path):
+    # x and y times 1e-154 put each term <u, y_k> <x_k, v> near 1e-308;
+    # the pair is accepted (its unit is 4.5e307), so phi's ascent and pure
+    # route must align the balanced terms, not overflow on these
+    pair = generate("gaussian", np.random.default_rng(3), 5, 3)
+    tiny = FramePair(1e-154 * pair.xs, 1e-154 * pair.ys)
+    reports = {}
+    for name, p in (("unit", pair), ("tiny", tiny)):
+        inst = tmp_path / f"{name}.frame.json"
+        cli.save_instance(str(inst), p)
+        for command in ("analyze", "rescale"):
+            out = tmp_path / f"{name}-{command}.json"
+            assert cli.main([command, "--in", str(inst), "--out", str(out)]) == 0
+            reports[name, command] = read_json(str(out))["records"][0]
+    for command, keys in (("analyze", ("phi_norm_lower",)),
+                          ("rescale", ("phi_norm_lower", "M_upper", "M_lower"))):
+        for key in keys:
+            want = reports["unit", command][key] * 1e-308
+            got = reports["tiny", command][key]
+            assert abs(got - want) <= 1e-12 * want, (command, key)
+
+
 def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     inst = tmp_path / "onb.frame.json"
     out = tmp_path / "ana.json"
@@ -534,12 +558,16 @@ def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     alt = norm_lower_alternating(cli.load_instance(str(inst))[0])
     assert rec["phi_norm_lower"] == alt.value
     assert set(rec["stats"]) == {"phi_route", "phi_s", "ascent_iterations",
-                                 "ascent_extrapolations", "grid_s"}
+                                 "ascent_extrapolations", "grid_s",
+                                 "grid_rows_kept", "grid_masks_evaluated"}
     assert rec["stats"]["phi_route"] == "ascent"
     assert rec["stats"]["ascent_iterations"] == alt.iterations
     assert rec["stats"]["ascent_extrapolations"] == alt.extrapolations
     assert rec["stats"]["phi_s"] > 0.0
     assert rec["stats"]["grid_s"] > 0.0
+    grid = norm_oracle_grid(cli.load_instance(str(inst))[0], 12, alt.witness_mask)
+    assert rec["stats"]["grid_rows_kept"] == grid.rows_kept
+    assert rec["stats"]["grid_masks_evaluated"] == grid.masks_evaluated >= 1
     lines = (tmp_path / "ana.csv").read_text().splitlines()
     assert lines[0].startswith("instance,")
     assert "check_results.identity_deviation" in lines[0]
@@ -674,12 +702,18 @@ def test_bench_checksums_are_deterministic(tmp_path):
     # the grid's time per mask over 8^2 masks
     assert rec_a["grid_masks"] == rec_b["grid_masks"] == 64
     assert rec_a["grid_ns_per_mask"] == 1e9 * rec_a["grid_seconds"] / 64
+    grid = norm_oracle_grid(generate("gaussian", np.random.default_rng(
+        np.random.SeedSequence([3, 99])), 3, 2), 8)
+    assert rec_a["grid_rows_kept"] == rec_b["grid_rows_kept"] == grid.rows_kept
+    assert (rec_a["grid_masks_evaluated"] == rec_b["grid_masks_evaluated"]
+            == grid.masks_evaluated)
     out_c = tmp_path / "c.json"
     assert cli.main(["bench", "--seed", "3", "--grid", "3x2", "--phase-steps",
                      "0", "--out", str(out_c)]) == 0
     rec_c = read_json(str(out_c))["records"][0]
     assert rec_c["grid_seconds"] is None
     assert rec_c["grid_masks"] is None and rec_c["grid_ns_per_mask"] is None
+    assert rec_c["grid_rows_kept"] is None and rec_c["grid_masks_evaluated"] is None
 
 
 def test_bench_checksum_hashes_the_arrays_not_the_file(tmp_path,

@@ -25,8 +25,7 @@ from framescale.multiplier import (
     norm_lower_alternating,
     norm_oracle_grid,
     _certify,
-    _grid_factors,
-    _grid_features,
+    _grid_rows,
     _gram_top_norm,
     _hermitian_rows,
     _offset_weights,
@@ -320,28 +319,29 @@ def test_grid_gram_rows_from_features_match_direct_rows():
             assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
-def _dense_features(phases, fast):
-    """The block's features built the way a dense sweep would: coordinate
-    k repeats each phase s^(k-1) times and tiles the earlier features."""
-    feats = np.ones((1, 1))
-    for _ in range(fast):
-        width = feats.shape[1]
-        feats = np.vstack([np.tile(feats, phases.size),
-                           np.repeat(phases.real, width),
-                           np.repeat(phases.imag, width)])
-    return feats
+def _row_forms(pair, steps):
+    """Each row's (A, B, C) at each offset, (P, 3, d*d, R), from _grid_rows."""
+    phases, feats, triple, weights = _grid_rows(pair, steps)
+    c = feats.shape[0]
+    return np.stack([np.stack([w[:, :c] @ feats + triple[0],
+                               triple[1] + w[:, c, None],
+                               triple[2] + w[:, c + 1, None]])
+                     for w in weights])
 
 
 def _block_rows(pair, steps):
-    """Every mask's Gram rows from _grid_factors, block by block."""
-    phases, base, weights = _grid_factors(pair, steps)
-    feats = _dense_features(phases, weights.shape[2] // 2)
-    return [w @ feats + base for w in weights]
+    """Every mask's Gram rows from the row forms, block by block."""
+    d = pair.dim
+    run = steps if pair.n > 1 else 1
+    phases = np.exp(2j * np.pi * np.arange(run) / steps)
+    return [(a[:, :, None] + b[:, :, None] * phases.real
+             + c[:, :, None] * phases.imag).reshape(d * d, -1)
+            for a, b, c in _row_forms(pair, steps)]
 
 
 def test_grid_factor_rows_match_direct_rows_at_every_offset(monkeypatch):
     # n = fast + 2 leaves one outer digit, so every one of the 8 offsets
-    # adds to the grown block
+    # adds to the rows' forms
     rng = np.random.default_rng(74)
     for fast in (1, 2, 3):
         monkeypatch.setattr(multiplier, "GRID_CHUNK", 8 ** fast)
@@ -357,24 +357,49 @@ def test_grid_factor_rows_match_direct_rows_at_every_offset(monkeypatch):
             assert np.max(np.abs(formed - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
-def test_grid_survivor_features_match_dense_features():
-    # the sweep fills only the kept columns from the per-digit phases;
-    # they must be the dense features' columns bit for bit
+def test_grid_row_features_are_the_row_digits(monkeypatch):
+    # row r holds coordinates 2..fast at the digits of r, coordinate 2
+    # fastest; its features are 1 and the cosine and sine of each
     rng = np.random.default_rng(75)
     for steps in (8, 12):
         phases = np.exp(2j * np.pi * np.arange(steps) / steps)
         for fast in (1, 2, 3):
-            dense = _dense_features(phases, fast)
-            assert np.array_equal(
-                _grid_features(phases, fast, np.arange(steps ** fast)), dense)
-            cols = np.sort(rng.choice(steps ** fast, min(40, steps ** fast),
-                                      replace=False))
-            assert np.array_equal(_grid_features(phases, fast, cols),
-                                  np.take(dense, cols, axis=1))
+            monkeypatch.setattr(multiplier, "GRID_CHUNK", steps ** fast)
+            feats = _grid_rows(gaussian_pair(rng, fast + 1, 2), steps)[1]
+            assert feats.shape == (2 * fast - 1, steps ** (fast - 1))
+            assert np.array_equal(feats[0], np.ones(feats.shape[1]))
+            rem = np.arange(feats.shape[1])
+            for k in range(fast - 1):
+                rem, dig = np.divmod(rem, steps)
+                assert np.array_equal(feats[1 + 2 * k], phases.real[dig])
+                assert np.array_equal(feats[2 + 2 * k], phases.imag[dig])
+
+
+def test_grid_row_bounds_bound_every_mask_of_their_row():
+    # the trace bound alpha + hypot(beta, gamma) and the eigenvalue bound
+    # hold for every phase of coordinate 1, at any scale of the pair
+    rng = np.random.default_rng(80)
+    for d in (1, 2, 3, 4, 5):
+        pair = gaussian_pair(rng, 4, d)
+        start = norm_lower_alternating(pair).witness_mask
+        for c in (1.0, 1e150, 1e-150):
+            scaled = FramePair(c * pair.xs, pair.ys)
+            forms = _row_forms(scaled, 8)
+            tops = np.stack([_gram_top_norm(rows) ** 2
+                             for rows in _block_rows(scaled, 8)])
+            tops = tops.reshape(len(forms), -1, 8).max(axis=2)
+            for (a, b, cc), top in zip(forms, tops):
+                alpha, beta, gamma = (f[:d].sum(axis=0) for f in (a, b, cc))
+                trace = alpha + np.hypot(beta, gamma)
+                eigen = multiplier._row_bound(np.stack([a, b, cc]), trace, d)
+                assert np.all(top <= trace * (1.0 + 1e-12))
+                assert np.all(top <= eigen * (1.0 + 1e-12))
+            est = norm_oracle_grid(scaled, 8, start=start)
+            assert est.rows_kept >= 1 and est.masks_evaluated >= 2
 
 
 def _unpruned_witness(pair, steps):
-    """The first maximiser of the full sweep over _grid_factors' rows."""
+    """The first maximiser of the full sweep over the row forms' rows."""
     vals = np.concatenate([_gram_top_norm(rows) for rows in _block_rows(pair, steps)])
     return _swept_masks(pair.n, steps)[int(np.argmax(vals))]
 
@@ -448,7 +473,8 @@ def test_grid_start_changes_nothing_but_the_cost(monkeypatch):
 def test_grid_computes_one_seed_norm(monkeypatch):
     # n = 3 at 8 steps is one block, so the sweep makes one _gram_top_norm
     # call; the floor's seed is one more, from the start's grid mask when
-    # a start is given and from the largest-trace mask otherwise
+    # a start is given and otherwise from the largest-trace mask of
+    # the row with the largest trace bound
     calls = []
     top_norm = multiplier._gram_top_norm
 
@@ -494,33 +520,35 @@ def test_grid_trace_floor_skips_most_masks(monkeypatch):
         kept.append(rows.shape[1])
         return top_norm(rows)
 
+    def swept(pair, steps, start=None):
+        # masks sent to _gram_top_norm, which the estimate counts exactly
+        kept.clear()
+        est = norm_oracle_grid(pair, steps, start=start)
+        assert est.masks_evaluated == sum(kept)
+        return est
+
     monkeypatch.setattr(multiplier, "_gram_top_norm", spy)
-    # over gaussian 5 x 3 pairs at seeds 0-29 the kept share has median
-    # 2.8 % (largest 33 %); this pair keeps 0.7 %
+    # seeded from the row with the largest trace bound, this pair sends 6
+    # masks to _gram_top_norm
     pair = gaussian_pair(np.random.default_rng(0), 5, 3)
-    est = norm_oracle_grid(pair, phase_steps=32)
-    assert sum(kept) <= 0.1 * 32 ** 4
-    # at d = 4 the trace alone keeps 56 % of this grid; the deviation
-    # bound sends 1.9 % on to eigvalsh
-    kept.clear()
-    norm_oracle_grid(gaussian_pair(np.random.default_rng(0), 5, 4), phase_steps=32)
-    assert sum(kept) <= 0.05 * 32 ** 4
-    # at d = 3 the trace alone keeps 12.0 % of this grid; the deviation
-    # bound sends 0.29 % on to eigvalsh, and 0.09 % once the floor
-    # starts from the grid mask nearest to the ascent's witness
+    est = swept(pair, 32)
+    assert sum(kept) <= 0.001 * 32 ** 4
+    # at d = 4 the row bounds send 1.8 % of this grid on to eigvalsh
+    swept(gaussian_pair(np.random.default_rng(0), 5, 4), 32)
+    assert sum(kept) <= 0.03 * 32 ** 4
+    # at d = 3 the trace alone keeps 12.0 % of this grid; the row bounds
+    # and the mask bound send 0.12 % on to eigvalsh, and 0.09 % once the
+    # floor starts from the grid mask nearest to the ascent's witness
     three = gaussian_pair(np.random.default_rng(1), 5, 3)
-    kept.clear()
-    norm_oracle_grid(three, phase_steps=32)
-    assert sum(kept) <= 0.01 * 32 ** 4
-    kept.clear()
-    norm_oracle_grid(three, 32, start=norm_lower_alternating(three).witness_mask)
+    swept(three, 32)
     assert sum(kept) <= 0.002 * 32 ** 4
-    # with blocks of 8 masks the floor must rise with the best norm: it
-    # keeps 0.5 % of this grid, and 26 % if it stayed at the seed
+    swept(three, 32, start=norm_lower_alternating(three).witness_mask)
+    assert sum(kept) <= 0.0015 * 32 ** 4
+    # with blocks of 8 masks, one row each, the floor must rise with the
+    # best norm: it keeps 2.2 % of this grid
     monkeypatch.setattr(multiplier, "GRID_CHUNK", 8)
-    kept.clear()
-    norm_oracle_grid(gaussian_pair(np.random.default_rng(0), 6, 2), phase_steps=8)
-    assert sum(kept) <= 0.05 * 8 ** 5
+    swept(gaussian_pair(np.random.default_rng(0), 6, 2), 8)
+    assert sum(kept) <= 0.03 * 8 ** 5
     monkeypatch.undo()
     assert np.array_equal(est.witness_mask, _unpruned_witness(pair, 32))
 
