@@ -24,8 +24,8 @@ from .frames import (FramePair, bounds_from_spectrum, frame_eigh,
 from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh
 from .multiplier import (GRID_MAX_N, GRID_MIN_STEPS, norm_lower_alternating,
-                         norm_oracle_grid)
-from .rescale import build_dilation, extract_scaling, optimize, phi_lower
+                         norm_oracle_grid, phi_lower)
+from .rescale import build_dilation, extract_scaling, optimize
 from .verify import SUITES, VerificationError, run_suite
 
 FORMAT_VERSION = 1
@@ -191,15 +191,14 @@ def write_report(path: str, report: dict) -> None:
 
     Its rows are the report's records; a report that keeps them in
     sub-reports (verify --suite all) gives every sub-report's records in
-    turn, led by a suite column.
+    turn, led by a suite column.  A report with no records (a verify
+    failure, an empty bench grid) gets an empty twin.
     """
     _write_text(path, _json_text(report))
     records = report.get("records")
-    if records is None and "reports" in report:
+    if records is None:
         records = [{"suite": sub["suite"], **rec}
-                   for sub in report["reports"] for rec in sub["records"]]
-    if not records:
-        return
+                   for sub in report.get("reports", ()) for rec in sub["records"]]
     flat_rows = []
     for rec in records:
         row = {}
@@ -214,7 +213,8 @@ def write_report(path: str, report: dict) -> None:
     fields = dict.fromkeys(key for row in flat_rows for key in row)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(fields)
+    if fields:
+        writer.writerow(fields)
     writer.writerows([row.get(key, "") for key in fields] for row in flat_rows)
     stem, _ = os.path.splitext(path)
     _write_text(stem + ".csv", buf.getvalue())

@@ -5,9 +5,10 @@ u -> sum_k a_k <u, y_k> x_k.  The worst mask norm is the multiplier norm;
 replacing scalars by m x m matrices gives the amplified maps whose supremum
 over all m is the completely bounded norm.  This module provides exact
 evaluation, an alternating-ascent lower bound from one start with a
-certified witness, an exhaustive phase-grid oracle for small n, and the
-amplified maps through which the dual certificate of rescale.optimize
-replays.
+certified witness, the lower bound phi_lower read off a bracket, an
+exhaustive phase-grid oracle for small n, and the amplified maps through
+which the dual certificate of rescale.optimize replays.  _certify forms
+every estimate's value, on pair.balanced.
 """
 
 import functools
@@ -28,6 +29,7 @@ ASCENT_RTOL = 1e-12  # the ascent stops once its value rises by at most this
 # step jumped to a lower local maximum on a gaussian 40 x 3 pair and ended
 # 5.7e-4 below the plain ascent.
 ASCENT_EXTRAPOLATION_GATE = 1e-4
+PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 
 
 def check_mask(mask: np.ndarray, n: int) -> np.ndarray:
@@ -67,13 +69,14 @@ class MultiplierNormEstimate:
     masks_evaluated: int = 0
 
 
-def _certify(tables, mask: np.ndarray, u: np.ndarray, v: np.ndarray,
-             method: str, unit: float = 1.0, **counts) -> MultiplierNormEstimate:
-    """The estimate whose value replays mask and (u, v) on the pair of
-    tables = coefficients(pair, u, v), divided by unit: pair.unit when
-    the tables are read off pair.balanced."""
-    cu, cv = tables
-    value = float(np.real(np.sum(mask * cu * cv))) / unit
+def _certify(pair: FramePair, mask: np.ndarray, u: np.ndarray, v: np.ndarray,
+             method: str, **counts) -> MultiplierNormEstimate:
+    """The estimate whose value replays mask and (u, v) on pair: the sum
+    is formed on pair.balanced, whose terms are pair.unit times the
+    pair's, and divided by pair.unit, so no term leaves the float range
+    in the caller's units.  Every route's estimate is built here."""
+    cu, cv = coefficients(pair.balanced, u, v)
+    value = float(np.real(np.sum(mask * cu * cv))) / pair.unit
     return MultiplierNormEstimate(value, u, v, mask, method, **counts)
 
 
@@ -148,7 +151,7 @@ def norm_lower_alternating(pair: FramePair,
     The ascent runs on pair.balanced, whose terms <u, y_k> <x_k, v> are
     pair.unit times the pair's, and divides its value by pair.unit: the
     witness is the same, and terms too small or too large to align in
-    the caller's units cannot overflow.
+    the caller's units cannot overflow (see _certify).
     """
     eps = np.ones(pair.n) if start is None else check_mask(start, pair.n)
     balanced = pair.balanced
@@ -156,14 +159,13 @@ def norm_lower_alternating(pair: FramePair,
 
     def step(mask):
         _, v, u = top_singular_triplet((mask[:, None] * balanced.xs).T @ ys_conj)
-        tables = coefficients(balanced, u, v)
-        return (*_align(tables, mask), u, v, tables)
+        return (*_align(coefficients(balanced, u, v), mask), u, v)
 
     prev = -np.inf
     recent = []  # aligned masks since the gate opened or the last trial
     iterations = extrapolations = 0
     while iterations < ASCENT_MAX_ITERS:
-        eps, aligned, u, v, tables = step(eps)
+        eps, aligned, u, v = step(eps)
         iterations += 1
         rise = aligned - prev
         if rise <= ASCENT_RTOL * aligned:
@@ -178,11 +180,31 @@ def norm_lower_alternating(pair: FramePair,
             trial = step(trial_mask)
             iterations += 1
             if trial[1] > aligned:
-                eps, prev, u, v, tables = trial
+                eps, prev, u, v = trial
                 extrapolations += 1
         recent = [eps]
-    return _certify(tables, eps, u, v, "ascent", pair.unit,
+    return _certify(pair, eps, u, v, "ascent",
                     iterations=iterations, extrapolations=extrapolations)
+
+
+def phi_lower(pair: FramePair, bracket) -> MultiplierNormEstimate:
+    """A certified lower bound on phi, read off bracket =
+    rescale.optimize(pair).
+
+    The last rows of the dual tuples are the top eigenvectors v of F and
+    u of G, times a Gibbs weight of at least 1/d; normalised, they give
+    P = sum_k |<x_k, v>| |<y_k, u>| at the mask aligning each term, D at
+    pure states (method "pure").  P is returned if within PINNED_RTOL of
+    m_upper; else one ascent runs from its mask and the larger value wins.
+    The mask aligns the terms of pair.balanced, as the ascent does.
+    """
+    u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
+    mask, _ = _align(coefficients(pair.balanced, u, v), np.ones(pair.n))
+    pure = _certify(pair, mask, u, v, "pure")
+    if bracket.m_upper - pure.value <= PINNED_RTOL * bracket.m_upper:
+        return pure
+    warm = norm_lower_alternating(pair, start=mask)
+    return warm if warm.value >= pure.value else pure
 
 
 @functools.cache
@@ -363,10 +385,11 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     pick a different first maximiser than a LAPACK sweep would.  The
     result is the exact maximum over the grid, up to that rounding, and
     a replayable lower bound on the multiplier norm, certified by the top
-    singular pair of the chosen mask's matrix.  Cost grows geometrically;
-    n is capped at GRID_MAX_N.  rows_kept and masks_evaluated of the
-    result count the rows that pass the eigenvalue row bound below and
-    the masks whose top eigenvalue is computed, the seed's included.
+    singular pair of the chosen mask's matrix on pair.balanced.  Cost
+    grows geometrically; n is capped at GRID_MAX_N.  rows_kept and
+    masks_evaluated of the result count the rows that pass the
+    eigenvalue row bound below and the masks whose top eigenvalue is
+    computed, the seed's included.
 
     The grid is a Cartesian product, so the mask matrices are sums of
     per-coordinate tables phase * x_k y_k^*.  The fastest coordinates, as
@@ -537,8 +560,8 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     for pos in range(1, n):
         rem, dig = divmod(rem, phase_steps)
         eps[pos] = phases[dig]
-    _, left, right = top_singular_triplet(mask_matrix(pair, eps))
-    return _certify(coefficients(pair, right, left), eps, right, left, "grid",
+    _, left, right = top_singular_triplet(mask_matrix(pair.balanced, eps))
+    return _certify(pair, eps, right, left, "grid",
                     rows_kept=rows_kept, masks_evaluated=masks_evaluated)
 
 

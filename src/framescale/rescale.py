@@ -21,7 +21,7 @@ coefficients built from rho and sigma reach it (Haagerup's factorization
 of Schur multipliers; Paulsen, Completely Bounded Maps and Operator
 Algebras, 2002).  h is convex, and the two sides meet at its minimum.
 At pure states D is also the value of a scalar mask, so it bounds the
-multiplier norm phi from below too (phi_lower).
+multiplier norm phi from below too (multiplier.phi_lower).
 """
 
 import time
@@ -31,15 +31,13 @@ from functools import cached_property
 import numpy as np
 
 from .frames import (BesselBounds, FramePair, bounds_from_spectrum,
-                     coefficients, dual_terms, dual_value, frame_eigh)
+                     dual_terms, dual_value, frame_eigh)
 from .linalg import eigh
-from .multiplier import (MultiplierNormEstimate, _align, _certify, check_mask,
-                         norm_lower_alternating)
+from .multiplier import check_mask
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
 ISOMETRY_TOL = 1e-10  # largest isometry_defect of an isometric dilation
-PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 ARMIJO_STEPS = np.ldexp(1.0, -np.arange(40))  # line-search alphas 2^-j
 # Newton stages run at sharpness b = b_rel / h for b_rel = B_REL_START,
 # B_REL_START * B_REL_FACTOR, ... up to B_REL_TOP, at most NEWTON_STEPS
@@ -357,27 +355,6 @@ def optimize(pair: FramePair) -> CbBracket:
     (dual, us, vs), (_, t, f, g) = lower, upper
     return CbBracket(dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
                      f / unit, g / unit, us, vs, t, stats)
-
-
-def phi_lower(pair: FramePair, bracket: CbBracket) -> MultiplierNormEstimate:
-    """A certified lower bound on phi, read off bracket = optimize(pair).
-
-    The last rows of the dual tuples are the top eigenvectors v of F and
-    u of G, times a Gibbs weight of at least 1/d; normalised, they give
-    P = sum_k |<x_k, v>| |<y_k, u>| at the mask aligning each term, D at
-    pure states (method "pure").  P is returned if within PINNED_RTOL of
-    m_upper; else one ascent runs from its mask and the larger value wins.
-    Both are read off pair.balanced and divided by pair.unit, as optimize
-    works, so no term overflows in the caller's units.
-    """
-    u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
-    tables = coefficients(pair.balanced, u, v)
-    mask, _ = _align(tables, np.ones(pair.n))
-    pure = _certify(tables, mask, u, v, "pure", pair.unit)
-    if bracket.m_upper - pure.value <= PINNED_RTOL * bracket.m_upper:
-        return pure
-    warm = norm_lower_alternating(pair, start=mask)
-    return warm if warm.value >= pure.value else pure
 
 
 @dataclass(frozen=True)

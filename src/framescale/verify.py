@@ -13,7 +13,7 @@ the rank-one coupling blocks of trace_pairing_check are one broadcast
 product of those tables.
 
 Where the multiplier norm phi has no closed form, the checks take a
-certified lower bound on it (rescale.phi_lower, or one alternating
+certified lower bound on it (multiplier.phi_lower, or one alternating
 ascent), which makes no estimate easier to pass.
 
 The sign averages (khintchine_check and the chain of super_key_check)
@@ -74,14 +74,15 @@ from .instances import (
 )
 from .linalg import singular_values
 from .multiplier import (
+    PINNED_RTOL,
     MultiplierNormEstimate,
     amplified_apply,
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
+    phi_lower,
 )
 from .rescale import (
-    PINNED_RTOL,
     _Objective,
     _psi,
     _smoothed_state,
@@ -89,7 +90,6 @@ from .rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
-    phi_lower,
 )
 
 IDENTITY_RTOL = 1e-10

@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framescale import cli, frames, verify
+from framescale import cli, frames, multiplier, verify
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair, generate
-from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
-from framescale.rescale import optimize, phi_lower
+from framescale.multiplier import (norm_lower_alternating, norm_oracle_grid,
+                                   phi_lower)
+from framescale.rescale import optimize
 from framescale.verify import VerificationError
 
 from conftest import VERIFY_CHECK_ARGUMENTS
@@ -514,7 +515,8 @@ def test_rescale_checks_are_relative_to_the_bound(tmp_path):
     assert checks["bound_respected"]
 
 
-def test_analyze_and_rescale_accept_a_pair_with_subnormal_terms(tmp_path):
+def test_analyze_and_rescale_accept_a_pair_with_subnormal_terms(tmp_path,
+                                                                monkeypatch):
     # x and y times 1e-154 put each term <u, y_k> <x_k, v> near 1e-308;
     # the pair is accepted (its unit is 4.5e307), so phi's ascent and pure
     # route must align the balanced terms, not overflow on these
@@ -534,6 +536,22 @@ def test_analyze_and_rescale_accept_a_pair_with_subnormal_terms(tmp_path):
             want = reports["unit", command][key] * 1e-308
             got = reports["tiny", command][key]
             assert abs(got - want) <= 1e-12 * want, (command, key)
+    # x times 2^400 and y times 2^-1070: the grid's witness, certified on
+    # the balanced pair, replays to the value analyze reports
+    scaled = FramePair(pair.xs * 2.0 ** 400, pair.ys * 2.0 ** -1070)
+    inst, out = tmp_path / "scaled.frame.json", tmp_path / "scaled.json"
+    cli.save_instance(str(inst), scaled)
+    grids = []
+
+    def grid(*args):
+        grids.append(norm_oracle_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "norm_oracle_grid", grid)
+    assert cli.main(["analyze", "--in", str(inst), "--phase-steps", "16",
+                     "--out", str(out)]) == 0
+    assert read_json(str(out))["records"][0]["phi_norm_oracle"] == grids[0].value
+    assert verify.witness_defect(scaled, grids[0]) <= 1e-12
 
 
 def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
@@ -855,6 +873,30 @@ def test_bench_empty_grid(tmp_path):
     assert cli.main(["bench", "--grid", "3y2"]) == cli.EXIT_USAGE
 
 
+def test_report_without_records_empties_its_csv_twin(tmp_path, monkeypatch):
+    # the twin is rewritten whatever the report holds, so no earlier
+    # run's rows outlive a report that has none
+    out, twin = tmp_path / "b.json", tmp_path / "b.csv"
+    assert cli.main(["bench", "--grid", "3x2", "--phase-steps", "8",
+                     "--out", str(out)]) == 0
+    assert len(twin.read_text().splitlines()) == 2
+    assert cli.main(["bench", "--grid", "", "--out", str(out)]) == 0
+    assert twin.read_bytes() == b""
+
+    def explode(name, seed=0):
+        raise VerificationError("manufactured failure", {"ratio": 9.9})
+
+    out, twin = tmp_path / "v.json", tmp_path / "v.csv"
+    monkeypatch.setattr(cli, "run_suite", lambda name, seed=0: {
+        "suite": name, "records": [{"ratio": 1.0}], "summary": {"wall_s": 0.0}})
+    assert cli.main(["verify", "--suite", "trace", "--out", str(out)]) == 0
+    assert twin.read_text().splitlines() == ["ratio", "1.0"]
+    monkeypatch.setattr(cli, "run_suite", explode)
+    assert cli.main(["verify", "--suite", "trace", "--out", str(out)]) == \
+        cli.EXIT_CHECK_FAILED
+    assert twin.read_bytes() == b""
+
+
 def test_csv_floats_round_trip(tmp_path):
     report = {"records": [{"instance": "i0", "value": 0.1 + 0.2,
                            "weights": [1.5, -2.25]}],
@@ -1085,6 +1127,23 @@ def test_only_frames_decides_a_power_of_two_scale():
             f"{source}:{line}: calls frexp"
         assert source in ("frames.py", "verify.py") or name != "pow2_scale", \
             f"{source}:{line}: calls pow2_scale"
+
+
+def test_only_certify_forms_a_phi_estimate():
+    # multiplier._certify forms every phi estimate's value, on
+    # pair.balanced; an estimate built elsewhere, or a _certify or _align
+    # call outside multiplier, would be a second certificate path
+    tree = ast.parse(Path(multiplier.__file__).read_text())
+    certify = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_certify")
+    for source, line, name in _package_calls():
+        if name == "MultiplierNormEstimate":
+            assert source == "multiplier.py" and \
+                certify.lineno <= line <= certify.end_lineno, \
+                f"{source}:{line}: builds a MultiplierNormEstimate"
+        assert source == "multiplier.py" or name not in ("_certify", "_align"), \
+            f"{source}:{line}: calls {name}"
 
 
 def test_every_object_is_built_by_its_constructor():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framescale import multiplier
-from framescale.frames import FramePair, coefficients
+from framescale.frames import FramePair
 from framescale.instances import (
     gaussian_pair,
     generate,
@@ -24,6 +24,7 @@ from framescale.multiplier import (
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
+    phi_lower,
     _certify,
     _grid_rows,
     _gram_top_norm,
@@ -31,6 +32,7 @@ from framescale.multiplier import (
     _offset_weights,
 )
 from framescale.rescale import optimize
+from framescale.verify import witness_defect
 
 
 def test_apply_matches_mask_matrix():
@@ -203,8 +205,7 @@ def test_alternating_value_is_its_certificate_replayed():
         start = rng.uniform(size=pair.n) * np.exp(2j * np.pi * rng.uniform(size=pair.n))
         est = norm_lower_alternating(pair, start=start)
         u, v = est.witness_u, est.witness_v
-        replay = _certify(coefficients(pair, u, v), est.witness_mask, u, v,
-                          "ascent")
+        replay = _certify(pair, est.witness_mask, u, v, "ascent")
         assert replay.value == est.value
 
 
@@ -573,6 +574,16 @@ def test_grid_oracle_is_scale_equivariant_without_overflow():
                                    phase_steps=16)
             assert np.array_equal(est.witness_mask, base.witness_mask)
             assert abs(est.value / c - base.value) <= 1e-12 * base.value
+    # powers of two that leave the pair's terms near the bottom of the
+    # float range: every route certifies on pair.balanced, so each
+    # witness replays to its value
+    pair = generate("gaussian", np.random.default_rng(3), 5, 3)
+    for a, b in ((1000, -1000), (500, -1060), (400, -1070)):
+        scaled = FramePair(pair.xs * 2.0 ** a, pair.ys * 2.0 ** b)
+        for est in (norm_oracle_grid(scaled, phase_steps=16),
+                    norm_lower_alternating(scaled),
+                    phi_lower(scaled, optimize(scaled))):
+            assert witness_defect(scaled, est) <= 1e-12, (a, b, est.method)
 
 
 def test_grid_oracle_on_scalar_pair():

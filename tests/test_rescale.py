@@ -22,10 +22,12 @@ from framescale.instances import (
 )
 from framescale.linalg import top_singular_triplet
 from framescale.multiplier import (
+    PINNED_RTOL,
     amplified_input_norm,
     assemble_block,
     mask_matrix,
     norm_lower_alternating,
+    phi_lower,
 )
 from framescale.rescale import (
     ARMIJO_STEPS,
@@ -41,7 +43,6 @@ from framescale.rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
-    phi_lower,
 )
 from framescale.verify import (RATIO_D_MAX, RATIO_INSTANCES, RATIO_N_MAX,
                                witness_defect)
@@ -923,7 +924,7 @@ def test_phi_lower_warm_ascent_never_falls_below_the_pure_value():
         pair = gaussian_pair(rng, n, d)
         br = optimize(pair)
         pure = _pure_value(pair, br)
-        assert br.m_upper - pure > rescale.PINNED_RTOL * br.m_upper
+        assert br.m_upper - pure > PINNED_RTOL * br.m_upper
         est = phi_lower(pair, br)
         assert est.method == "ascent" and est.iterations >= 1
         assert est.value >= pure

@@ -22,8 +22,8 @@ from framescale.instances import (
     onb_union_pair,
     random_complex,
 )
-from framescale.multiplier import norm_lower_alternating
-from framescale.rescale import optimize, phi_lower
+from framescale.multiplier import norm_lower_alternating, phi_lower
+from framescale.rescale import optimize
 from framescale.verify import (
     MAX_PATTERN_ORDER,
     VerificationError,
