@@ -274,10 +274,8 @@ def _cmd_analyze(args) -> int:
                                  "y_is_frame": by.is_frame},
                "stats": _phi_stats(alt, phi_s)}
         if _oracle_allowed(pair, args.phase_steps):
-            # the ascent's mask seeds the grid's floor; value and witness
-            # are the unseeded sweep's
             grid, rec["stats"]["grid_s"] = _timed(
-                norm_oracle_grid, pair, args.phase_steps, alt.witness_mask)
+                norm_oracle_grid, pair, args.phase_steps)
             # exact counts: rows past the eigenvalue row bound, masks
             # whose top eigenvalue is computed
             rec["stats"].update(grid_rows_kept=grid.rows_kept,

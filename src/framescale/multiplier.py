@@ -372,8 +372,7 @@ def _grid_rows(pair: FramePair, phase_steps: int):
     return phases, feats, np.stack([rows + g_one, *cross]), weights
 
 
-def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
-                     start: np.ndarray | None = None) -> MultiplierNormEstimate:
+def norm_oracle_grid(pair: FramePair, phase_steps: int = 48) -> MultiplierNormEstimate:
     """Exhaustive maximum of the mask-matrix norm over a phase grid.
 
     The norm is convex in the mask, so its maximum over the polydisc is
@@ -425,27 +424,20 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     its own matrix, and only the survivors reach the batched eigvalsh
     (at d <= 2 _gram_top_norm is a closed form).
 
-    Before the sweep, best is seeded with the norm of one grid mask: when
-    start is given (any mask in the closed unit disc, such as an ascent's
-    witness), the grid mask nearest to it, else the largest-trace mask of
-    the row with the largest trace bound among the first span of offsets.
-    start is rotated so that its coordinate 0 is 1 (unless that entry is
-    0), and each phase is rounded to the nearest grid phase, a zero entry
-    counting as phase 0.  A good start lets the bounds skip most rows
-    from the first offset on.  The seed is the computed norm of a grid
-    mask, formed like every swept one, so it is at most the grid's
-    maximum up to rounding.  A skipped mask's norm is below best, so
-    under the strict update it could never win, and every mask that ties
-    the final maximum is kept: the first maximiser, and with it the
-    value, is the one the full sweep would pick, whatever the start.
+    Before the sweep, best is seeded with the norm of one grid mask: the
+    largest-trace mask of the row with the largest trace bound among the
+    first span of offsets.  The seed is the computed norm of a grid mask,
+    formed like every swept one, so it is at most the grid's maximum up
+    to rounding.  A skipped mask's norm is below best, so under the
+    strict update it could never win, and every mask that ties the final
+    maximum is kept: the first maximiser, and with it the value, is the
+    one the full sweep would pick.
     """
     if pair.n > GRID_MAX_N:
         raise ValueError(f"grid oracle supports n <= {GRID_MAX_N}, got n={pair.n}")
     if phase_steps < GRID_MIN_STEPS:
         raise ValueError(f"phase_steps must be >= {GRID_MIN_STEPS}")
     n, d = pair.n, pair.dim
-    if start is not None:
-        start = check_mask(start, n)
     phases, feats, triple, weights = _grid_rows(pair, phase_steps)
     run = phase_steps if n > 1 else 1  # masks per row
     cos, sin = phases.real[:run], phases.imag[:run]
@@ -499,22 +491,12 @@ def norm_oracle_grid(pair: FramePair, phase_steps: int = 48,
     # floor exceeds V by a rounding at most, and TRACE_RTOL keeps every
     # mask that can win.
     bound = trace_bounds(0)
-    if start is None:
-        outer, row = divmod(int(np.argmax(bound)), n_rows)
-        _, beta, gamma = row_forms([outer], [row])[:, :d].sum(axis=1)
-        phase = int(np.argmax(beta * cos + gamma * sin))
-    else:
-        # the grid mask nearest to start turned so that coordinate 0 is 1;
-        # coordinate 1 is the lowest digit of the sweep index
-        turned = start[1:] * np.conj(start[0]) if start[0] != 0 else start[1:]
-        turn = np.where(turned != 0, np.angle(turned), 0.0)
-        digits = np.rint(turn * (phase_steps / (2.0 * np.pi))).astype(np.int64)
-        seed = int(np.dot(digits % phase_steps, phase_steps ** np.arange(n - 1)))
-        outer, col = divmod(seed, block)
-        row, phase = divmod(col, run)
+    outer, row = divmod(int(np.argmax(bound)), n_rows)
+    seed_forms = row_forms([outer], [row])
+    _, beta, gamma = seed_forms[:, :d].sum(axis=1)
+    phase = int(np.argmax(beta * cos + gamma * sin))
     # the seed's norm, formed like every swept mask's
-    seed_rows = mask_rows(row_forms([outer], [row]), [phase])
-    floor = float(_gram_top_norm(seed_rows)[0])
+    floor = float(_gram_top_norm(mask_rows(seed_forms, [phase]))[0])
     best_val = -np.inf
     best_idx = 0
     rows_kept, masks_evaluated = 0, 1

@@ -723,9 +723,12 @@ def suite_d1(seed: int = 0) -> dict:
 
 def suite_invariance(seed: int = 0) -> dict:
     """Symmetry checks: diagonal reparameterization, and the images of the
-    pair under a common unitary, relabelling (the indices reversed),
-    swapping x and y, and conjugating both families."""
+    pair under a common unitary, independent unitaries U on x and V on
+    y, relabelling (the indices reversed), swapping x and y, and
+    conjugating both families."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 707]))
+    # V has its own stream, so the other images keep their draws
+    v_rng = np.random.default_rng(np.random.SeedSequence([seed, 708]))
     records = []
     for i in range(INVARIANCE_INSTANCES):
         n = int(rng.integers(2, 5))
@@ -736,6 +739,8 @@ def suite_invariance(seed: int = 0) -> dict:
         u = haar_unitary(rng, d)
         images = {"diag": scaled,
                   "unitary": FramePair(pair.xs @ u.T, pair.ys @ u.T),
+                  "independent_unitary": FramePair(
+                      pair.xs @ u.T, pair.ys @ haar_unitary(v_rng, d).T),
                   "relabel": FramePair(pair.xs[::-1], pair.ys[::-1]),
                   "swap": FramePair(pair.ys, pair.xs),
                   "conjugate": FramePair(pair.xs.conj(), pair.ys.conj())}
@@ -752,11 +757,8 @@ def suite_invariance(seed: int = 0) -> dict:
                                * np.linalg.norm(pair.ys, axis=1)))
         t_drift = float(np.max(np.abs(pair_operator(scaled)
                                       - pair_operator(pair)))) / t_scale
-        # the ascents' witnesses seed the grids, as framescale analyze's
-        # does; the values are the unseeded sweeps'
-        gr = norm_oracle_grid(pair, 16, alt.witness_mask).value
-        grid_drift = abs(norm_oracle_grid(
-            scaled, 16, alt_scaled.witness_mask).value - gr) / gr
+        gr = norm_oracle_grid(pair, 16).value
+        grid_drift = abs(norm_oracle_grid(scaled, 16).value - gr) / gr
         record = {"instance": i, "n": n, "d": d, **drifts,
                   "alternating_drift": alt_drift,
                   "pair_operator_drift": t_drift, "grid_drift": grid_drift}

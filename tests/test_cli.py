@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import framescale
 from framescale import cli, frames, multiplier, verify
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair, generate
@@ -583,7 +584,7 @@ def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     assert rec["stats"]["ascent_extrapolations"] == alt.extrapolations
     assert rec["stats"]["phi_s"] > 0.0
     assert rec["stats"]["grid_s"] > 0.0
-    grid = norm_oracle_grid(cli.load_instance(str(inst))[0], 12, alt.witness_mask)
+    grid = norm_oracle_grid(cli.load_instance(str(inst))[0], 12)
     assert rec["stats"]["grid_rows_kept"] == grid.rows_kept
     assert rec["stats"]["grid_masks_evaluated"] == grid.masks_evaluated >= 1
     lines = (tmp_path / "ana.csv").read_text().splitlines()
@@ -611,7 +612,6 @@ def test_analyze_times_the_grid_only_when_it_runs(tmp_path):
         ran = path == small and steps != "0"
         assert ("grid_s" in rec["stats"]) == ran
         assert ("phi_norm_oracle" in rec) == ran
-    # the grid starts from the ascent's mask, which changes only its cost
     assert rec["phi_norm_oracle"] == norm_oracle_grid(pair, 8).value
 
 
@@ -1168,6 +1168,31 @@ def test_package_imports_only_numpy_and_the_standard_library():
             for name in names:
                 assert name.partition(".")[0] in allowed, \
                     f"{source.name}:{node.lineno}: imports {name}"
+
+
+def test_readme_signatures_match_the_code():
+    # a backticked name(args) in README.md, for a name framescale exports
+    # and args that are each an identifier or identifier=literal,
+    # documents that function's signature: its parameter names and
+    # defaults must be the code's
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    checked = set()
+    for form in re.findall(r"`([A-Za-z_]\w*\([^`()]*\))`", readme):
+        call = ast.parse(" ".join(form.split()), mode="eval").body
+        if call.func.id not in framescale.__all__ or not all(
+                isinstance(arg, ast.Name) for arg in call.args):
+            continue
+        try:
+            defaults = [ast.literal_eval(kw.value) for kw in call.keywords]
+        except ValueError:
+            continue
+        documented = [(arg.id, inspect.Parameter.empty) for arg in call.args]
+        documented += [(kw.arg, value)
+                       for kw, value in zip(call.keywords, defaults)]
+        params = inspect.signature(getattr(framescale, call.func.id)).parameters
+        assert documented == [(p.name, p.default) for p in params.values()], form
+        checked.add(call.func.id)
+    assert len(checked) >= 5, checked
 
 
 def test_every_verify_check_is_in_the_non_finite_refusal_test():

@@ -221,7 +221,7 @@ def _gram(mats):
     return np.swapaxes(mats.conj(), -1, -2) @ mats
 
 
-def test_batched_op_norm_matches_oracle():
+def test_gram_top_norm_matches_the_operator_norm():
     rng = np.random.default_rng(55)
     for d in (1, 2, 3, 4, 5):
         u, w = haar_unitary(rng, d), haar_unitary(rng, d)
@@ -382,7 +382,6 @@ def test_grid_row_bounds_bound_every_mask_of_their_row():
     rng = np.random.default_rng(80)
     for d in (1, 2, 3, 4, 5):
         pair = gaussian_pair(rng, 4, d)
-        start = norm_lower_alternating(pair).witness_mask
         for c in (1.0, 1e150, 1e-150):
             scaled = FramePair(c * pair.xs, pair.ys)
             forms = _row_forms(scaled, 8)
@@ -395,7 +394,7 @@ def test_grid_row_bounds_bound_every_mask_of_their_row():
                 eigen = multiplier._row_bound(np.stack([a, b, cc]), trace, d)
                 assert np.all(top <= trace * (1.0 + 1e-12))
                 assert np.all(top <= eigen * (1.0 + 1e-12))
-            est = norm_oracle_grid(scaled, 8, start=start)
+            est = norm_oracle_grid(scaled, 8)
             assert est.rows_kept >= 1 and est.masks_evaluated >= 2
 
 
@@ -422,60 +421,10 @@ def test_grid_row_bound_and_eigenvalue_bound_keep_the_first_maximiser(monkeypatc
                 assert np.array_equal(est.witness_mask, want)
 
 
-def _assert_start_changes_nothing(pair, steps, rng):
-    """Seed the grid's floor with the ascent's witness, the grid's own,
-    two random unimodular masks, all zeros, and a random mask inside the
-    disc whose coordinate 0 is 0; none may change the unseeded answer."""
-    n = pair.n
-    want = norm_oracle_grid(pair, phase_steps=steps)
-    inside = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-    inside[0] = 0.0
-    starts = [norm_lower_alternating(pair).witness_mask, want.witness_mask,
-              *np.exp(2j * np.pi * rng.uniform(size=(2, n))), np.zeros(n), inside]
-    for start in starts:
-        est = norm_oracle_grid(pair, steps, start=start)
-        assert est.value == want.value
-        assert np.array_equal(est.witness_mask, want.witness_mask)
-
-
-def test_grid_start_changes_nothing_but_the_cost(monkeypatch):
-    # the start only raises the floor, by the computed norm of a real
-    # grid mask, so the value and the first maximiser stay the sweep's
-    rng = np.random.default_rng(78)
-    brute = np.random.default_rng(68)
-    for n in (1, 2, 3, 4):
-        for d in (1, 2, 3, 4):
-            _assert_start_changes_nothing(gaussian_pair(brute, n, d), 8, rng)
-    eye = np.eye(4, dtype=complex)
-    for steps in (8, 16):
-        _assert_start_changes_nothing(FramePair(eye, eye), steps, rng)
-    tie_rng = np.random.default_rng(77)
-    for d, steps in ((2, 8), (3, 8), (4, 8), (4, 16), (5, 8)):
-        x = haar_unitary(tie_rng, d).T
-        _assert_start_changes_nothing(FramePair(x, x), steps, rng)
-    big = np.random.default_rng(76)
-    for d in (1, 2, 3, 4, 5):
-        pair = gaussian_pair(big, 4, d)
-        for c in (1e150, 1e-150):
-            scaled = FramePair(c * pair.xs, pair.ys)
-            _assert_start_changes_nothing(scaled, 8, rng)
-    offsets = np.random.default_rng(72)
-    for chunk in (8, 64):
-        monkeypatch.setattr(multiplier, "GRID_CHUNK", chunk)
-        for n in (3, 4, 5, 6):
-            for d in (1, 2, 3, 4, 5):
-                _assert_start_changes_nothing(gaussian_pair(offsets, n, d), 8, rng)
-    pair = gaussian_pair(rng, 3, 2)
-    for bad in (np.ones(2), np.ones(4), np.array([1.0, 1.5, 0.0])):
-        with pytest.raises(ValueError):
-            norm_oracle_grid(pair, 8, start=bad)
-
-
 def test_grid_computes_one_seed_norm(monkeypatch):
     # n = 3 at 8 steps is one block, so the sweep makes one _gram_top_norm
-    # call; the floor's seed is one more, from the start's grid mask when
-    # a start is given and otherwise from the largest-trace mask of
-    # the row with the largest trace bound
+    # call; the floor's seed is one more, the largest-trace mask of the
+    # row with the largest trace bound
     calls = []
     top_norm = multiplier._gram_top_norm
 
@@ -486,31 +435,39 @@ def test_grid_computes_one_seed_norm(monkeypatch):
     monkeypatch.setattr(multiplier, "_gram_top_norm", spy)
     rng = np.random.default_rng(79)
     for d in (1, 2, 3, 4):
-        pair = gaussian_pair(rng, 3, d)
-        for start in (None, norm_lower_alternating(pair).witness_mask,
-                      np.zeros(3)):
-            calls.clear()
-            norm_oracle_grid(pair, 8, start=start)
-            assert len(calls) == 2 and calls[0] == 1, (d, calls)
+        calls.clear()
+        norm_oracle_grid(gaussian_pair(rng, 3, d), 8)
+        assert len(calls) == 2 and calls[0] == 1, (d, calls)
 
 
-def test_grid_oracle_keeps_exact_ties():
+def test_grid_oracle_keeps_exact_ties(monkeypatch):
     # y_k = x_k orthonormal: every mask matrix is unitary, so every mask
-    # ties at norm 1 and the trace floor skips none of them
-    eye = np.eye(4, dtype=complex)
-    for steps in (8, 16):
-        est = norm_oracle_grid(FramePair(eye, eye), phase_steps=steps)
-        assert np.array_equal(est.witness_mask, np.ones(4))
-        assert est.value == 1.0
-    # in a rotated basis the norms tie only to rounding; the row bound,
-    # the trace and (d >= 3) the deviation bound keep every tied mask,
-    # so the first maximiser is the full sweep's
+    # ties at norm 1 and the trace floor skips none of them.  In a rotated
+    # basis the norms tie only to rounding; the row bound, the trace and
+    # (d >= 3) the deviation bound keep every tied mask, so the first
+    # maximiser is the full sweep's.  Blocks of 8 masks (one row) or 64
+    # (eight rows) spread the ties over many spans and outer offsets,
+    # each offset against the floor so far
     rng = np.random.default_rng(77)
-    for d, steps in ((2, 8), (3, 8), (4, 8), (4, 16), (5, 8)):
-        x = haar_unitary(rng, d).T
-        pair = FramePair(x, x)
-        est = norm_oracle_grid(pair, phase_steps=steps)
-        assert np.array_equal(est.witness_mask, _unpruned_witness(pair, steps))
+    for chunk, eyes, rotated in (
+            (multiplier.GRID_CHUNK, ((4, 8), (4, 16)),
+             ((2, 8), (3, 8), (4, 8), (4, 16), (5, 8))),
+            (8, ((3, 8), (3, 16), (4, 8), (4, 16), (5, 8)),
+             ((4, 8), (4, 8), (4, 16), (5, 8), (5, 8))),
+            (64, ((3, 8), (3, 16), (4, 8), (4, 16), (5, 8)),
+             ((4, 8), (4, 8), (4, 16), (5, 8), (5, 8)))):
+        monkeypatch.setattr(multiplier, "GRID_CHUNK", chunk)
+        for n, steps in eyes:
+            eye = np.eye(n, dtype=complex)
+            est = norm_oracle_grid(FramePair(eye, eye), phase_steps=steps)
+            assert np.array_equal(est.witness_mask, np.ones(n)), (chunk, n, steps)
+            assert est.value == 1.0, (chunk, n, steps)
+        for d, steps in rotated:
+            x = haar_unitary(rng, d).T
+            pair = FramePair(x, x)
+            est = norm_oracle_grid(pair, phase_steps=steps)
+            assert np.array_equal(est.witness_mask, _unpruned_witness(
+                pair, steps)), (chunk, d, steps)
 
 
 def test_grid_trace_floor_skips_most_masks(monkeypatch):
@@ -521,10 +478,10 @@ def test_grid_trace_floor_skips_most_masks(monkeypatch):
         kept.append(rows.shape[1])
         return top_norm(rows)
 
-    def swept(pair, steps, start=None):
+    def swept(pair, steps):
         # masks sent to _gram_top_norm, which the estimate counts exactly
         kept.clear()
-        est = norm_oracle_grid(pair, steps, start=start)
+        est = norm_oracle_grid(pair, steps)
         assert est.masks_evaluated == sum(kept)
         return est
 
@@ -538,13 +495,9 @@ def test_grid_trace_floor_skips_most_masks(monkeypatch):
     swept(gaussian_pair(np.random.default_rng(0), 5, 4), 32)
     assert sum(kept) <= 0.03 * 32 ** 4
     # at d = 3 the trace alone keeps 12.0 % of this grid; the row bounds
-    # and the mask bound send 0.12 % on to eigvalsh, and 0.09 % once the
-    # floor starts from the grid mask nearest to the ascent's witness
-    three = gaussian_pair(np.random.default_rng(1), 5, 3)
-    swept(three, 32)
+    # and the mask bound send 0.12 % on to eigvalsh
+    swept(gaussian_pair(np.random.default_rng(1), 5, 3), 32)
     assert sum(kept) <= 0.002 * 32 ** 4
-    swept(three, 32, start=norm_lower_alternating(three).witness_mask)
-    assert sum(kept) <= 0.0015 * 32 ** 4
     # with blocks of 8 masks, one row each, the floor must rise with the
     # best norm: it keeps 2.2 % of this grid
     monkeypatch.setattr(multiplier, "GRID_CHUNK", 8)

@@ -45,7 +45,7 @@ from framescale.rescale import (
     optimize,
 )
 from framescale.verify import (RATIO_D_MAX, RATIO_INSTANCES, RATIO_N_MAX,
-                               witness_defect)
+                               ROUNDING_RTOL, witness_defect)
 
 from conftest import dual_coefficients, pow2_mangled
 
@@ -364,6 +364,62 @@ def test_optimize_invariant_under_common_unitary():
     a = optimize(pair)
     b = optimize(rotated)
     assert abs(a.m_upper - b.m_upper) <= 1e-9 * a.m_upper
+
+
+def test_optimize_invariant_under_independent_unitaries():
+    # the bracket reads only the Gram matrices of x and of y, which
+    # x_k -> U x_k and y_k -> V y_k keep for any two unitaries.  phi is
+    # left out: phi_lower is not equivariant on onb_union pairs (ROADMAP
+    # item 2)
+    for kind in ("gaussian", "schauder_mangled", "onb_union"):
+        for n, d in ((6, 3), (12, 4), (8, 2), (24, 6)):
+            for seed in range(4):
+                rng = np.random.default_rng([seed, n, d])
+                pair = generate(kind, rng, n, d)
+                u, v = haar_unitary(rng, d), haar_unitary(rng, d)
+                a = optimize(pair)
+                b = optimize(FramePair(pair.xs @ u.T, pair.ys @ v.T))
+                for end in ("m_upper", "m_lower"):
+                    assert abs(getattr(b, end) - getattr(a, end)) <= \
+                        ROUNDING_RTOL * getattr(a, end), (kind, n, seed, end)
+
+
+def test_dropping_an_index_cannot_raise_the_cb_norm():
+    # a sub-pair's map is a restriction of the pair's, so its cb norm is
+    # at most the pair's: its certified lower end stays below the pair's
+    # certified upper end
+    for kind in ("gaussian", "schauder_mangled", "onb_union"):
+        for n, d in ((4, 2), (6, 3), (12, 4)):
+            pair = generate(kind, np.random.default_rng([n, d]), n, d)
+            m_upper = optimize(pair).m_upper
+            for k in range(n):
+                keep = np.arange(n) != k
+                sub = optimize(FramePair(pair.xs[keep], pair.ys[keep]))
+                assert sub.m_lower <= m_upper * (1.0 + ROUNDING_RTOL), \
+                    (kind, n, k)
+
+
+def test_direct_sum_brackets_the_larger_part():
+    # two pairs on disjoint indices and orthogonal coordinate blocks: the
+    # sum's cb norm is the larger of the parts', so each bracket
+    # overlaps the larger part's
+    rng = np.random.default_rng(81)
+    for _ in range(8):
+        parts = []
+        for kind in rng.choice(["gaussian", "schauder_mangled", "onb_union"], 2):
+            d = int(rng.integers(1, 4))
+            parts.append(generate(str(kind), rng, d * int(rng.integers(1, 4)), d))
+        p, q = parts
+        xs = np.zeros((p.n + q.n, p.dim + q.dim), dtype=complex)
+        ys = np.zeros_like(xs)
+        xs[:p.n, :p.dim], ys[:p.n, :p.dim] = p.xs, p.ys
+        xs[p.n:, p.dim:], ys[p.n:, p.dim:] = q.xs, q.ys
+        total = optimize(FramePair(xs, ys))
+        brackets = [optimize(p), optimize(q)]
+        top = max(br.m_upper for br in brackets)
+        assert total.m_lower <= top * (1.0 + ROUNDING_RTOL)
+        assert max(br.m_lower for br in brackets) <= \
+            total.m_upper * (1.0 + ROUNDING_RTOL)
 
 
 def test_bracket_fields_consistent():
