@@ -7,8 +7,8 @@ estimators: alternating ascent (fast lower bound) and the phase grid
 (near-exact for small n).  The optimizer brackets the completely bounded
 refinement, which replaces scalar masks by matrix coefficients and so
 sits above both; its top eigenvectors also give a lower bound on the
-multiplier norm (phi_lower), which meets the bracket when the optimal
-states are pure.
+multiplier norm (phi_lower, which reads the pair off the bracket), and
+that bound meets the bracket when the optimal states are pure.
 """
 
 import numpy as np
@@ -50,5 +50,5 @@ bracket = optimize(pair)
 print("\ncompletely bounded norm, certified on both sides")
 print(f"  [m_lower, m_upper] = [{bracket.m_lower:.6f}, {bracket.m_upper:.6f}]")
 print(f"  scalar ascent value: {alt.value:.6f}")
-phi = phi_lower(pair, bracket)
+phi = phi_lower(bracket)
 print(f"  read off the bracket ({phi.method}): {phi.value:.6f}")

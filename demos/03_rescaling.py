@@ -5,7 +5,8 @@ combination unchanged but can destroy the frame bounds of the separate
 families.  The optimizer finds log-weights t whose balanced weighted
 Bessel bounds certify the multiplier norm from above; e^{t_k/2} then
 rescales both families into frames whose bounds stay below the
-certificate.  extract_scaling reads the rescaled pair off the bracket.
+certificate.  extract_scaling reads the rescaled pair off the bracket,
+which carries the pair it was optimized for.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ print(f"  dual lower bound:      {bracket.m_lower:.6f}")
 print(f"  relative gap:          {bracket.gap:.1e}")
 print(f"  balanced branches: f = {bracket.f:.6f}, g = {bracket.g:.6f}")
 
-scaling = extract_scaling(pair, bracket)
+scaling = extract_scaling(bracket)
 print("\nrescaled families")
 print(f"  x family bounds: [{scaling.bounds_x.lower:.4f}, "
       f"{scaling.bounds_x.upper:.4f}]")

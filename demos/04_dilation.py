@@ -4,8 +4,8 @@ At optimized weights with certificate M, two isometries v1, v2 into
 C^n (+) C^d (+) C^d represent every masked combination as
 M v1^H pi(a) v2 with pi(a) diagonal.  The padding blocks exist exactly
 because both weighted Bessel bounds stay below M.  The pipeline reads
-each step off the last: optimize(pair), extract_scaling(pair, bracket),
-build_dilation(scaling).
+each step off the last alone: optimize(pair), extract_scaling(bracket),
+build_dilation(scaling); the bracket carries the pair.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ rng = np.random.default_rng(3)
 pair = generate("schauder_mangled", rng, n=4, d=2, scaling_range=(1e-2, 1e2))
 
 bracket = optimize(pair)
-dil = build_dilation(extract_scaling(pair, bracket))
+dil = build_dilation(extract_scaling(bracket))
 print(f"dilation of a 4-vector pair in C^2, certificate M = "
       f"{bracket.m_upper:.6f}")
 print(f"  dilation space dimension: {dil.v1.shape[0]}")

@@ -301,8 +301,8 @@ def _cmd_rescale(args) -> int:
     failures = 0
     for label, pair, _ in corpus:
         bracket = optimize(pair)
-        phi, phi_s = _timed(phi_lower, pair, bracket)
-        scaling = extract_scaling(pair, bracket)
+        phi, phi_s = _timed(phi_lower, bracket)
+        scaling = extract_scaling(bracket)
         checks = {"bound_respected": scaling.bounds_within()}
         if args.dilation:
             dil = build_dilation(scaling)
@@ -349,16 +349,10 @@ def _cmd_verify(args) -> int:
         return EXIT_CHECK_FAILED
     report = {"format_version": FORMAT_VERSION, "command": "verify",
               **report}
-    subs = report.get("reports")
-    if subs is None:
-        report.setdefault("summary", {})["failures"] = 0
-        printable = [report]
-    else:
-        printable = subs
-        report["summary"] = {"failures": 0}
+    report.setdefault("summary", {})["failures"] = 0
     if args.out:
         write_report(args.out, report)
-    for sub in printable:
+    for sub in report.get("reports", [report]):
         print(f"PASS {sub['suite']} in {sub['summary']['wall_s']:.1f}s: "
               f"{json.dumps(sub['summary'], default=_numpy_value)}")
     return EXIT_OK
@@ -427,7 +421,7 @@ def _cmd_bench(args) -> int:
                         if grid_ok else (None, None))
         masks = args.phase_steps ** (n - 1) if grid_ok else None
         bracket, t_opt = _bench_timed(optimize, pair)
-        _, t_phi = _bench_timed(phi_lower, pair, bracket)
+        _, t_phi = _bench_timed(phi_lower, bracket)
         rec = {"n": n, "d": d, "workload_checksum": checksum,
                "repeats": BENCH_REPEATS,
                "eig_seconds": t_eig,

@@ -135,7 +135,9 @@ def norm_lower_alternating(pair: FramePair,
     every term contributes positively.  Both half-steps are monotone.  The
     ascent starts from start, a mask in the closed unit disc, or from the
     all-ones mask, and stops once its aligned value rises by at most
-    ASCENT_RTOL of itself, or after ASCENT_MAX_ITERS SVDs.
+    ASCENT_RTOL of itself, or after ASCENT_MAX_ITERS SVDs.  At a zero mask
+    matrix, where every unit pair is top, u and v lie along y_k and x_k
+    of the largest ||x_k|| ||y_k||, so the ascent cannot stall at 0.
 
     The ascent converges linearly, so near a fixed point it extrapolates
     its phases: once a step rises by at most ASCENT_EXTRAPOLATION_GATE of
@@ -158,7 +160,10 @@ def norm_lower_alternating(pair: FramePair,
     ys_conj = balanced.ys.conj()
 
     def step(mask):
-        _, v, u = top_singular_triplet((mask[:, None] * balanced.xs).T @ ys_conj)
+        sigma, v, u = top_singular_triplet((mask[:, None] * balanced.xs).T @ ys_conj)
+        if sigma == 0.0:
+            k = np.argmax(np.linalg.norm([balanced.xs, ys_conj], axis=2).prod(0))
+            u, v = (w[k] / np.linalg.norm(w[k]) for w in (balanced.ys, balanced.xs))
         return (*_align(coefficients(balanced, u, v), mask), u, v)
 
     prev = -np.inf
@@ -187,9 +192,9 @@ def norm_lower_alternating(pair: FramePair,
                     iterations=iterations, extrapolations=extrapolations)
 
 
-def phi_lower(pair: FramePair, bracket) -> MultiplierNormEstimate:
-    """A certified lower bound on phi, read off bracket =
-    rescale.optimize(pair).
+def phi_lower(bracket) -> MultiplierNormEstimate:
+    """A certified lower bound on phi of pair = bracket.pair, read off
+    bracket = rescale.optimize(pair).
 
     The last rows of the dual tuples are the top eigenvectors v of F and
     u of G, times a Gibbs weight of at least 1/d; normalised, they give
@@ -198,6 +203,7 @@ def phi_lower(pair: FramePair, bracket) -> MultiplierNormEstimate:
     m_upper; else one ascent runs from its mask and the larger value wins.
     The mask aligns the terms of pair.balanced, as the ascent does.
     """
+    pair = bracket.pair
     u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
     mask, _ = _align(coefficients(pair.balanced, u, v), np.ones(pair.n))
     pure = _certify(pair, mask, u, v, "pure")

@@ -240,8 +240,9 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
 
 @dataclass(frozen=True)
 class CbBracket:
-    """Two-sided bracket on the completely bounded multiplier norm.
+    """Two-sided bracket on the completely bounded multiplier norm of pair.
 
+    pair is the caller's pair (not pair.balanced), read off by later steps.
     m_upper is max(f, g), the Bessel bounds at log_weights (or, for
     pair.balanced, at balanced_weights).  m_lower is frames.dual_value(pair,
     dual_us, dual_vs), bitwise.  optimize returns the best stage end for
@@ -263,6 +264,7 @@ class CbBracket:
     by more than BRACKET_SLACK of it, raises ValueError.
     """
 
+    pair: FramePair
     m_lower: float
     log_weights: np.ndarray
     f: float
@@ -309,7 +311,7 @@ def optimize(pair: FramePair) -> CbBracket:
     the caller's pair; powers of two are exact, so m_lower is still
     dual_value(pair, dual_us, dual_vs) bitwise, and a mangling of the pair
     by powers of two gives the same bracket and dual tuples bitwise.  The
-    rank-one stacks are built once per pair.
+    bracket keeps pair; the rank-one stacks are built once per pair.
     """
     started = time.perf_counter()
     balanced = pair.balanced
@@ -353,7 +355,7 @@ def optimize(pair: FramePair) -> CbBracket:
              "wall_s": time.perf_counter() - started}
     unit = pair.unit
     (dual, us, vs), (_, t, f, g) = lower, upper
-    return CbBracket(dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
+    return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
                      f / unit, g / unit, us, vs, t, stats)
 
 
@@ -376,16 +378,14 @@ class ScalingResult:
         return self.bounds_x.upper <= top and self.bounds_y.upper <= top
 
 
-def extract_scaling(pair: FramePair, bracket: CbBracket) -> ScalingResult:
-    """The rescaled pair of bracket = optimize(pair), with Bessel bounds f
-    and g; one frame_eigh call diagonalises its frame operators.  Its rows
-    are e^{+-t_k/2} times pair.balanced's, t = bracket.balanced_weights,
-    moved to the caller's units by the pair's one power of two (ldexp), so
-    nothing overflows or loses |log_weights| eps, and a mangling of the
-    pair by powers of two gives the same rows bitwise."""
-    t = bracket.balanced_weights
-    if t.shape != (pair.n,):
-        raise ValueError(f"bracket weights {t.shape} do not match n={pair.n}")
+def extract_scaling(bracket: CbBracket) -> ScalingResult:
+    """The rescaled pair of bracket = optimize(pair), pair = bracket.pair,
+    with Bessel bounds f and g; one frame_eigh call diagonalises its frame
+    operators.  Its rows are e^{+-t_k/2} times pair.balanced's, t =
+    bracket.balanced_weights, moved to the caller's units by the pair's one
+    power of two (ldexp), so nothing overflows or loses |log_weights| eps,
+    and a mangling of the pair by powers of two gives the same rows bitwise."""
+    pair, t = bracket.pair, bracket.balanced_weights
     rows = np.exp(0.5 * t * _SIGNS)[:, :, None] * np.stack(
         [pair.balanced.xs, pair.balanced.ys])
     scaled = FramePair(*np.ldexp(rows.view(np.float64), -pair._lift).view(

@@ -470,7 +470,7 @@ def end_to_end_rescale_check(pair: FramePair) -> dict:
         raise ValueError(
             f"not a reproducing (Schauder) pair: identity deviation {dev:.3e}")
     bracket = optimize(pair)
-    scaling = extract_scaling(pair, bracket)
+    scaling = extract_scaling(bracket)
     sdev = identity_deviation(scaling.scaled)
     record = {"m_upper": bracket.m_upper, "m_lower": bracket.m_lower,
               "x_lower": scaling.bounds_x.lower, "x_upper": scaling.bounds_x.upper,
@@ -520,7 +520,7 @@ def ratio_experiment(seed: int = 0) -> dict:
         d = int(rng.integers(1, RATIO_D_MAX + 1))
         pair = mangle(gaussian_pair(rng, n, d), mangling_scalars(rng, n))
         bracket = optimize(pair)
-        phi = phi_lower(pair, bracket)
+        phi = phi_lower(bracket)
         ratio = bracket.m_upper / phi.value
         rec = {"instance": i, "n": n, "d": d, "phi_norm": phi.value,
                "phi_route": phi.method,
@@ -605,7 +605,7 @@ def _chain_instances(rng: np.random.Generator):
     pairs = [d1_scalar_pair(rng, int(rng.integers(2, 6))) for _ in range(2)]
     pairs += [gaussian_pair(rng, n, d)
               for n, d in ((2, 2), (3, 2), (4, 2), (4, 3))]
-    return out + [(pair, phi_lower(pair, optimize(pair)).value) for pair in pairs]
+    return out + [(pair, phi_lower(optimize(pair)).value) for pair in pairs]
 
 
 def suite_chain(seed: int = 0) -> dict:
@@ -652,7 +652,7 @@ def suite_dilation(seed: int = 0) -> dict:
         pair = mangle(gaussian_pair(rng, n, d),
                       mangling_scalars(rng, n, (1e-1, 1e1)))
         bracket = optimize(pair)
-        dil = build_dilation(extract_scaling(pair, bracket))
+        dil = build_dilation(extract_scaling(bracket))
         iso = dil.isometry_defect
         rec_err = 0.0
         for _ in range(DILATION_MASKS):

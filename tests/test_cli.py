@@ -108,6 +108,30 @@ def test_load_reports_field_path(tmp_path):
             cli.load_instance(str(path))
 
 
+def test_load_refuses_a_side_that_is_not_dim_coordinates(tmp_path):
+    # each side of a pair is a list of exactly dim coordinates; the
+    # message names the side and what it holds instead
+    for pairs, where in (([{"x": [[1.0, 0.0]], "y": [[1.0, 0.0], [0.0, 0.0]]}],
+                          r"pairs\[0\]\.x: expected 2 coordinates, got 1"),
+                         ([{"x": [[1.0, 0.0], [0.0, 0.0]], "y": "01"}],
+                          r"pairs\[0\]\.y: expected 2 coordinates, got str"),
+                         ([{"x": [[1.0, 0.0], [0.0, 0.0]]}],
+                          r"pairs\[0\]\.y: expected 2 coordinates, got NoneType")):
+        path = tmp_path / "side.json"
+        path.write_text(json.dumps({"format_version": 1, "dim": 2,
+                                    "pairs": pairs}))
+        with pytest.raises(cli.InstanceFormatError, match=where):
+            cli.load_instance(str(path))
+
+
+def test_reports_refuse_a_value_json_cannot_hold():
+    assert cli._numpy_value(np.float32(0.5)) == 0.5
+    with pytest.raises(TypeError, match="complex is not JSON serializable"):
+        cli._numpy_value(1j)
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli._json_text({"value": object()})
+
+
 def test_load_rejects_zero_vector(tmp_path):
     doc = {"format_version": 1, "dim": 1,
            "pairs": [{"x": [[0.0, 0.0]], "y": [[1.0, 0.0]]}],
@@ -471,7 +495,7 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     assert cli.main(["rescale", "--in", str(inst), "--seed", "2",
                      "--out", str(out)]) == 0
     rec = read_json(str(out))["records"][0]
-    phi = phi_lower(pair, optimize(pair))
+    phi = phi_lower(optimize(pair))
     assert rec["phi_norm_lower"] == phi.value
     stats = rec["stats"]
     # phi is read off the bracket once per record, in the CLI, and timed
@@ -613,6 +637,20 @@ def test_analyze_times_the_grid_only_when_it_runs(tmp_path):
         assert ("grid_s" in rec["stats"]) == ran
         assert ("phi_norm_oracle" in rec) == ran
     assert rec["phi_norm_oracle"] == norm_oracle_grid(pair, 8).value
+
+
+def test_analyze_ascent_leaves_a_vanishing_mask_matrix(tmp_path):
+    # x = (e1, -e1), y = (e2, e2): the all-ones mask matrix is 0, yet the
+    # ascent from it must reach phi = 2, the grid's value
+    e1, e2 = np.eye(2, dtype=complex)
+    inst, out = tmp_path / "flip.frame.json", tmp_path / "flip.json"
+    cli.save_instance(str(inst), FramePair(np.array([e1, -e1]),
+                                           np.array([e2, e2])))
+    assert cli.main(["analyze", "--in", str(inst), "--phase-steps", "8",
+                     "--out", str(out)]) == 0
+    rec = read_json(str(out))["records"][0]
+    assert rec["phi_norm_lower"] == pytest.approx(2.0, rel=1e-12)
+    assert rec["phi_norm_oracle"] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_verify_failure_writes_replay_file(tmp_path, monkeypatch):
@@ -1144,6 +1182,21 @@ def test_only_certify_forms_a_phi_estimate():
                 f"{source}:{line}: builds a MultiplierNormEstimate"
         assert source == "multiplier.py" or name not in ("_certify", "_align"), \
             f"{source}:{line}: calls {name}"
+
+
+def test_no_function_takes_a_pair_beside_its_bracket():
+    # a CbBracket carries the pair it was optimized for, so a function
+    # that takes a bracket reads the pair off it; a pair parameter beside
+    # it would be a second, possibly different, copy of the same input
+    for source in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                names = {arg.arg for arg in (*args.posonlyargs, *args.args,
+                                             *args.kwonlyargs)}
+                assert not {"pair", "bracket"} <= names, \
+                    f"{source.name}:{node.lineno}: takes a pair and a bracket"
 
 
 def test_every_object_is_built_by_its_constructor():

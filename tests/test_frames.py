@@ -17,6 +17,7 @@ from framescale.frames import (
 from framescale.instances import (
     canonical_dual_pair,
     gaussian_pair,
+    generate,
     haar_unitary,
     mangle,
     mangling_scalars,
@@ -78,6 +79,24 @@ def test_canonical_dual_reproduces_identity():
         t = pair_operator(pair)
         assert np.max(np.abs(t - np.eye(d))) <= 1e-11
         assert is_schauder_identity(pair, tol=1e-10)
+
+
+def test_generators_refuse_what_they_cannot_draw():
+    rng = np.random.default_rng(35)
+    pair = gaussian_pair(rng, 3, 2)
+    for lo, hi in ((0.0, 1.0), (2.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="bad scaling range"):
+            mangling_scalars(rng, 3, (lo, hi))
+    for beta in (np.ones(2), np.array([1.0, 0.0, 1.0])):
+        with pytest.raises(ValueError, match="length-n vector of nonzero"):
+            mangle(pair, beta)
+    with pytest.raises(ValueError, match="need n >= d for a frame, got n=2, d=3"):
+        canonical_dual_pair(rng, 2, 3)
+    with pytest.raises(ValueError, match="n divisible by d, got n=5, d=2"):
+        onb_union_pair(rng, 5, 2)
+    # the CLI's --kind choices stop an unknown kind before generate
+    with pytest.raises(ValueError, match="unknown generator kind 'frame'"):
+        generate("frame", rng, 3, 2)
 
 
 def test_schauder_property_survives_adversarial_scaling():

@@ -177,6 +177,12 @@ def test_top_singular_triplet_dominates_every_bilinear_value(seed, rows, cols):
         assert value <= sigma * (1.0 + 1e-13)
 
 
+def test_check_matrix_refuses_a_vector():
+    for vector in (np.ones(3), np.ones(3, dtype=complex), 1.0):
+        with pytest.raises(ValueError, match="expected a 2d matrix"):
+            linalg.check_matrix(vector)
+
+
 def test_top_singular_triplet_zero_matrix():
     for shape in ((3, 3), (2, 4), (4, 1)):
         m = np.zeros(shape, dtype=complex)
@@ -317,5 +323,5 @@ def test_every_eigh_input_of_the_pipeline_is_exactly_hermitian(monkeypatch):
             bessel_and_frame_bounds(pair.xs)
             bessel_and_frame_bounds(pair.ys)
             frame_eigh(pair)
-            extract_scaling(pair, optimize(pair))
+            extract_scaling(optimize(pair))
     assert len(seen) > 100 and all(seen), seen.count(False)

@@ -20,12 +20,14 @@ from framescale.multiplier import (
     amplified_input_norm,
     apply_mask,
     assemble_block,
+    check_amplified,
     check_mask,
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
     phi_lower,
     _certify,
+    _extrapolate,
     _grid_rows,
     _gram_top_norm,
     _hermitian_rows,
@@ -207,6 +209,35 @@ def test_alternating_value_is_its_certificate_replayed():
         u, v = est.witness_u, est.witness_v
         replay = _certify(pair, est.witness_mask, u, v, "ascent")
         assert replay.value == est.value
+
+
+def test_alternating_leaves_a_vanishing_mask_matrix():
+    # x_k = e1 and y_k = (-1)^k e2: the all-ones mask matrix is 0, so its
+    # top singular pair says nothing; the ascent takes the largest term's
+    # x_k and y_k instead of stalling at 0, and phi = n
+    e1, e2 = np.eye(2, dtype=complex)
+    for n in (2, 4, 6):
+        pair = FramePair(np.tile(e1, (n, 1)),
+                         np.array([(-1) ** k * e2 for k in range(n)]))
+        est = norm_lower_alternating(pair)
+        assert abs(est.value - n) <= 1e-12 * n, n
+        assert est.iterations == 2, n
+        assert witness_defect(pair, est) <= 1e-12, n
+        # the zero start mask, which lies in the closed disc, too
+        zero = norm_lower_alternating(pair, start=np.zeros(n))
+        assert abs(zero.value - n) <= 1e-12 * n, n
+    pair = FramePair(np.array([e1, -e1]), np.array([e2, e2]))
+    assert abs(norm_lower_alternating(pair).value - 2.0) <= 1e-12
+
+
+def test_extrapolate_refuses_a_null_or_undefined_step():
+    # r = 0 (two equal masks) leaves no step; w = 0 (a phase ramp with a
+    # constant rise) leaves alpha undefined
+    ones = np.ones(3, dtype=complex)
+    assert _extrapolate(ones, ones, 1j * ones) is None
+    ramp = np.array([1.0, 1j, -1.0])
+    assert _extrapolate(ones, ramp, ramp * ramp) is None
+    assert _extrapolate(ones, ramp, ramp) is not None
 
 
 def test_alternating_rejects_start_outside_disc():
@@ -535,7 +566,7 @@ def test_grid_oracle_is_scale_equivariant_without_overflow():
         scaled = FramePair(pair.xs * 2.0 ** a, pair.ys * 2.0 ** b)
         for est in (norm_oracle_grid(scaled, phase_steps=16),
                     norm_lower_alternating(scaled),
-                    phi_lower(scaled, optimize(scaled))):
+                    phi_lower(optimize(scaled))):
             assert witness_defect(scaled, est) <= 1e-12, (a, b, est.method)
 
 
@@ -557,6 +588,26 @@ def test_grid_oracle_cross_validates_alternating():
         # finer grids only increase the certified value
         coarse = norm_oracle_grid(pair, phase_steps=12)
         assert coarse.value <= alt.value * (1.0 + 1e-9)
+
+
+def test_grid_over_cos_bounds_phi_from_above():
+    # the regular s-gon of phases contains the disc of radius cos(pi/s),
+    # and the mask norm is convex and homogeneous, so phi <= grid /
+    # cos(pi/s); phi_lower's value lies above the bare grid on most of
+    # these pairs, so the cos factor is needed
+    rng = np.random.default_rng(28)
+    above = 0
+    for kind, n, d in (("gaussian", 3, 2), ("gaussian", 5, 3),
+                       ("gaussian", 4, 1), ("schauder_mangled", 4, 2),
+                       ("schauder_mangled", 5, 3), ("onb_union", 4, 2),
+                       ("onb_union", 3, 1)):
+        pair = generate(kind, rng, n, d)
+        phi = phi_lower(optimize(pair)).value
+        for s in (8, 12, 16):
+            grid = norm_oracle_grid(pair, s).value
+            assert phi <= grid / np.cos(np.pi / s) * (1.0 + 1e-12), (kind, s)
+            above += phi > grid
+    assert above >= 1
 
 
 def test_grid_oracle_rejects_large_n():
@@ -609,6 +660,22 @@ def test_amplified_input_norm():
     assert abs(amplified_input_norm(mats) - 1.0) <= 1e-10
     for c in (1e-200, 1e200):
         assert abs(amplified_input_norm(c * mats) / c - 1.0) <= 1e-10
+
+
+def test_masked_and_amplified_maps_refuse_bad_input():
+    pair = gaussian_pair(np.random.default_rng(61), 3, 2)
+    with pytest.raises(ValueError, match=r"u has shape \(3,\), expected \(2,\)"):
+        apply_mask(pair, np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="amplification order m must be >= 1"):
+        check_amplified(np.zeros((3, 0, 0)), 3)
+    mats = np.ones((3, 2, 2), dtype=complex)
+    mats[1, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="coefficients have non-finite"):
+        check_amplified(mats, 3)
+    us = np.ones((2, 2), dtype=complex)
+    us[1, 1] = np.nan
+    with pytest.raises(ValueError, match="us has non-finite entries"):
+        amplified_apply(pair, np.ones((3, 2, 2)), us)
 
 
 def test_amplified_input_norm_validates_before_use():

@@ -252,7 +252,7 @@ def test_optimize_invariant_under_diagonal_reparameterization():
     b = optimize(scaled)
     assert abs(a.m_upper - b.m_upper) <= 1e-6 * a.m_upper
     xs, ys = pair.xs, pair.ys
-    phi = phi_lower(pair, a).value
+    phi = phi_lower(a).value
     masks = [rng.uniform(0.0, 1.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
              for _ in range(5)]
 
@@ -263,10 +263,10 @@ def test_optimize_invariant_under_diagonal_reparameterization():
         br = optimize(far)
         assert abs(br.m_upper - c * a.m_upper) <= 1e-14 * c * a.m_upper, case
         assert abs(br.m_lower - c * a.m_lower) <= 1e-14 * c * a.m_lower, case
-        est = phi_lower(far, br)
+        est = phi_lower(br)
         assert abs(est.value - c * phi) <= 1e-14 * c * phi, case
         assert witness_defect(far, est) <= 1e-12, case
-        scaling = extract_scaling(far, br)
+        scaling = extract_scaling(br)
         assert scaling.bounds_within(), case
         dil = build_dilation(scaling)
         assert dil.is_isometric, case
@@ -301,7 +301,7 @@ def test_optimize_is_bitwise_under_power_of_two_mangling():
                        ("onb_union", 6, 3)):
         pair = generate(kind, rng, n, d)
         base = optimize(pair)
-        rows = extract_scaling(pair, base).scaled
+        rows = extract_scaling(base).scaled
         for spread in (3, 60, 300):
             far = pow2_mangled(pair, rng.integers(-spread, spread + 1, size=n))
             br = optimize(far)
@@ -309,7 +309,7 @@ def test_optimize_is_bitwise_under_power_of_two_mangling():
             assert br.m_lower == base.m_lower, (kind, spread)
             assert np.array_equal(br.dual_us, base.dual_us), (kind, spread)
             assert np.array_equal(br.dual_vs, base.dual_vs), (kind, spread)
-            scaled = extract_scaling(far, br).scaled
+            scaled = extract_scaling(br).scaled
             assert np.array_equal(scaled.xs, rows.xs), (kind, spread)
             assert np.array_equal(scaled.ys, rows.ys), (kind, spread)
 
@@ -320,7 +320,7 @@ def test_dilation_defect_does_not_grow_with_the_log_weights():
     pair = generate("gaussian", np.random.default_rng(3), 5, 3)
     for c in (1.0, 1e-10, 1e150, 1e300):
         far = FramePair(c * pair.xs, pair.ys)
-        dil = build_dilation(extract_scaling(far, optimize(far)))
+        dil = build_dilation(extract_scaling(optimize(far)))
         assert dil.isometry_defect <= 1e-15, c
 
 
@@ -432,21 +432,33 @@ def test_bracket_fields_consistent():
     assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
     tuples = br.dual_us, br.dual_vs
     with pytest.raises(ValueError):
-        CbBracket(2.0, np.zeros(4), 1.0, 1.0, *tuples, np.zeros(4))
+        CbBracket(pair, 2.0, np.zeros(4), 1.0, 1.0, *tuples, np.zeros(4))
     # m_lower always comes with the tuples that replay it
     with pytest.raises(TypeError):
-        CbBracket(1.0, np.zeros(4), 1.0, 1.0)
+        CbBracket(pair, 1.0, np.zeros(4), 1.0, 1.0)
+
+
+def test_bracket_carries_the_callers_pair():
+    # phi_lower divides by pair.unit and extract_scaling moves rows by the
+    # pair's power of two, so the bracket must keep the caller's pair, not
+    # the balanced one, even where the two differ
+    rng = np.random.default_rng(78)
+    pair = mangle(gaussian_pair(rng, 4, 2), mangling_scalars(rng, 4))
+    pair = FramePair(1e100 * pair.xs, pair.ys)
+    assert pair.unit != 1.0 and pair.balance.any()
+    assert optimize(pair).pair is pair
 
 
 def test_bracket_checks_are_relative_to_the_bound():
+    pair = gaussian_pair(np.random.default_rng(78), 4, 2)
     tuples = np.ones((1, 2)), np.ones((1, 2))
     # inverted by 50 %, far below any absolute slack
     with pytest.raises(ValueError, match="inverted"):
-        CbBracket(1.5e-9, np.zeros(4), 1e-9, 1e-9, *tuples, np.zeros(4))
-    CbBracket(1e-9 * (1.0 + 1e-9), np.zeros(4), 1e-9, 1e-9, *tuples,
+        CbBracket(pair, 1.5e-9, np.zeros(4), 1e-9, 1e-9, *tuples, np.zeros(4))
+    CbBracket(pair, 1e-9 * (1.0 + 1e-9), np.zeros(4), 1e-9, 1e-9, *tuples,
               np.zeros(4))
     # m_upper is max(f, g) by construction, not a field to keep in step
-    assert CbBracket(1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples,
+    assert CbBracket(pair, 1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples,
                      np.zeros(4)).m_upper \
         == 1.01e-9
 
@@ -794,7 +806,7 @@ def test_extract_scaling_cross_checks_objective():
     rng = np.random.default_rng(81)
     pair = gaussian_pair(rng, 5, 2)
     br = optimize(pair)
-    sc = extract_scaling(pair, br)
+    sc = extract_scaling(br)
     assert sc.m_upper == br.m_upper
     assert abs(sc.bounds_x.upper - br.f) <= 1e-9 * (1.0 + br.f)
     assert abs(sc.bounds_y.upper - br.g) <= 1e-9 * (1.0 + br.g)
@@ -807,9 +819,6 @@ def test_extract_scaling_cross_checks_objective():
     assert sc.bounds_y == bessel_and_frame_bounds(sc.scaled.ys)
     assert sc.bounds_within()
     assert not replace(sc, m_upper=0.5 * br.m_upper).bounds_within()
-    # a bracket of another n is refused
-    with pytest.raises(ValueError, match="do not match n=4"):
-        extract_scaling(gaussian_pair(rng, 4, 2), br)
 
 
 def test_scaling_and_dilation_diagonalise_each_family_once(monkeypatch):
@@ -825,7 +834,7 @@ def test_scaling_and_dilation_diagonalise_each_family_once(monkeypatch):
 
     monkeypatch.setattr(rescale, "eigh", counted)
     monkeypatch.setattr(frames, "eigh", counted)
-    build_dilation(extract_scaling(pair, br))
+    build_dilation(extract_scaling(br))
     assert calls == [(2, 2, 2)]
 
 
@@ -834,7 +843,7 @@ def test_dilation_isometries_and_reconstruction():
     for n, d in ((3, 2), (5, 3), (4, 1)):
         pair = gaussian_pair(rng, n, d)
         br = optimize(pair)
-        dil = build_dilation(extract_scaling(pair, br))
+        dil = build_dilation(extract_scaling(br))
         eye = np.eye(d)
         assert np.max(np.abs(dil.v1.conj().T @ dil.v1 - eye)) <= 1e-10
         assert np.max(np.abs(dil.v2.conj().T @ dil.v2 - eye)) <= 1e-10
@@ -850,7 +859,7 @@ def test_dilation_identity_mask_gives_pair_operator():
     rng = np.random.default_rng(83)
     pair = canonical_dual_pair(rng, 4, 2)
     br = optimize(pair)
-    dil = build_dilation(extract_scaling(pair, br))
+    dil = build_dilation(extract_scaling(br))
     rec = dilation_reconstruct(dil, np.ones(4))
     assert np.max(np.abs(rec - pair_operator(pair))) <= 1e-10
 
@@ -863,7 +872,7 @@ def test_dilation_rejects_insufficient_norm():
     for c in (1e-6, 1.0, 1e6):
         pair = FramePair(c * base.xs, base.ys)
         br = optimize(pair)
-        sc = extract_scaling(pair, br)
+        sc = extract_scaling(br)
         with pytest.raises(ValueError, match="exceeds m_upper"):
             build_dilation(replace(sc, m_upper=0.5 * max(br.f, br.g)))
         build_dilation(sc)
@@ -874,7 +883,7 @@ def test_end_to_end_rescaled_schauder_frame_bounds():
     pair = mangle(canonical_dual_pair(rng, 5, 3),
                   mangling_scalars(rng, 5, (1e-3, 1e3)))
     br = optimize(pair)
-    sc = extract_scaling(pair, br)
+    sc = extract_scaling(br)
     assert sc.bounds_x.lower > 1e-10
     assert sc.bounds_y.lower > 1e-10
     assert sc.bounds_x.upper <= br.m_upper + 1e-8
@@ -899,7 +908,7 @@ def test_dilation_is_isometric_on_tight_frames_at_every_scale():
         for c in (1.0, 1e-8, 1e8):
             pair = FramePair(c * u.T, u.T)
             br = optimize(pair)
-            dil = build_dilation(extract_scaling(pair, br))
+            dil = build_dilation(extract_scaling(br))
             for v in (dil.v1, dil.v2):
                 assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12
 
@@ -911,7 +920,7 @@ def test_isometry_defect_is_the_explicit_formula():
     for n, d in ((3, 2), (5, 3), (4, 1)):
         pair = gaussian_pair(rng, n, d)
         br = optimize(pair)
-        built = build_dilation(extract_scaling(pair, br))
+        built = build_dilation(extract_scaling(br))
         a, b = (random_complex(rng, n + 2 * d, d) for _ in range(2))
         for dil in (built, Dilation(a, 3.0 * b, 1.0, n, d),
                     Dilation(3.0 * a, b, 1.0, n, d)):
@@ -949,7 +958,7 @@ def test_phi_lower_witness_replays_below_the_bound():
         if i % 2:
             pair = mangle(pair, mangling_scalars(rng, n, (1e-3, 1e3)))
         br = optimize(pair)
-        est = phi_lower(pair, br)
+        est = phi_lower(br)
         assert witness_defect(pair, est) <= 1e-12
         assert est.value <= br.m_upper * (1.0 + 1e-12)
         assert est.method in ("pure", "ascent")
@@ -961,12 +970,12 @@ def test_phi_lower_is_exact_on_closed_form_pairs():
     for d in (1, 2, 3, 5):
         u = haar_unitary(rng, d)
         pair = FramePair(u.T, u.T)
-        est = phi_lower(pair, optimize(pair))
+        est = phi_lower(optimize(pair))
         assert est.method == "pure"
         assert abs(est.value - 1.0) <= 1e-12
     for n in (2, 3, 5):
         pair = d1_scalar_pair(rng, n)
-        est = phi_lower(pair, optimize(pair))
+        est = phi_lower(optimize(pair))
         closed = float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
         assert est.method == "pure"
         assert est.value == pytest.approx(closed, rel=1e-12)
@@ -981,7 +990,7 @@ def test_phi_lower_warm_ascent_never_falls_below_the_pure_value():
         br = optimize(pair)
         pure = _pure_value(pair, br)
         assert br.m_upper - pure > PINNED_RTOL * br.m_upper
-        est = phi_lower(pair, br)
+        est = phi_lower(br)
         assert est.method == "ascent" and est.iterations >= 1
         assert est.value >= pure
 

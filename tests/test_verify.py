@@ -855,7 +855,7 @@ def test_end_to_end_gates_refuse_a_spoiled_scaling(monkeypatch, spoil, message):
     pair = canonical_dual_pair(np.random.default_rng(16), 4, 2)
     extract_scaling = verify.extract_scaling
     monkeypatch.setattr(verify, "extract_scaling",
-                        lambda pair, bracket: spoil(extract_scaling(pair, bracket)))
+                        lambda bracket: spoil(extract_scaling(bracket)))
     with pytest.raises(VerificationError, match=message):
         end_to_end_rescale_check(pair)
 
@@ -881,7 +881,7 @@ def test_ratio_experiment_beyond_the_old_grid_shapes():
     for n in (6, 7, 8):
         pair = mangle(gaussian_pair(rng, n, 4), mangling_scalars(rng, n))
         bracket = optimize(pair)
-        phi = phi_lower(pair, bracket)
+        phi = phi_lower(bracket)
         assert 1.0 - 1e-12 <= bracket.m_upper / phi.value <= 2.1
         assert witness_defect(pair, phi) <= 1e-12
 
