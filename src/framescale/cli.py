@@ -438,6 +438,7 @@ def _cmd_bench(args) -> int:
                      if grid_ok else "")
         print(f"n={n} d={d} [{checksum}]: eig={t_eig:.4f}s io={t_io:.4f}s"
               f"{grid_note} optimize={t_opt:.4f}s "
+              f"stop={bracket.stats['stop']} "
               f"steps={bracket.stats['newton_steps']} "
               f"eigh={bracket.stats['eigh_calls']} phi={t_phi:.4f}s")
     if not records:

@@ -55,7 +55,7 @@ def _shifted(v: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return np.ldexp(parts, shifts[:, None]).view(np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramePair:
     """Two equal-length sequences of vectors in the same C^d, each index
     balanced by exact powers of two on construction.

@@ -31,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .frames import (BesselBounds, FramePair, bounds_from_spectrum,
-                     dual_terms, dual_value, frame_eigh)
+                     coefficients, dual_terms, dual_value, frame_eigh)
 from .linalg import eigh
-from .multiplier import check_mask
+from .multiplier import check_mask, norm_lower_alternating
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
@@ -73,6 +73,7 @@ class _Objective:
         self.stack = np.einsum("ski,skj->skij", self.vecs, self.vecs.conj())
         self.eigh_calls = 0
         self.candidates = 0
+        self.pure_svds = 0
 
     def eigh(self, mat: np.ndarray):
         self.eigh_calls += 1
@@ -238,30 +239,37 @@ def _newton_stage(obj: _Objective, t: np.ndarray, spectra, b: float):
     return t, spectra, steps, stop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CbBracket:
     """Two-sided bracket on the completely bounded multiplier norm of pair.
 
     pair is the caller's pair (not pair.balanced), read off by later steps.
     m_upper is max(f, g), the Bessel bounds at log_weights (or, for
     pair.balanced, at balanced_weights).  m_lower is frames.dual_value(pair,
-    dual_us, dual_vs), bitwise.  optimize returns the best stage end for
-    each, and the two may come from different stages.  With cu_k =
-    (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the unit rank-one
-    coefficients A_k = (cv_k / |cv_k|)(conj cu_k / |cu_k|)^T (A_k = 0
-    where either vanishes) give an amplified map whose norm is at least
-    sum_k |cv_k| |cu_k| = D.  stats counts what optimize did: stages,
-    newton_steps, line_search_candidates (Armijo points scored),
-    eigh_calls (stacked LAPACK calls on F, G and the Newton Hessian),
-    stop ("gap" once the duality gap met GAP_TOL, "top_stage" when the
-    loop ran out of stages), stage_gaps (the relative gap
+    dual_us, dual_vs), bitwise.  On the pure route (stop "pure") the
+    tuples are the one-row (u) and (v) of the ascent's witness and the
+    weights are its closed form; on the Newton route they are the Gibbs
+    tuples of a stage end, d rows each, and optimize returns the best
+    stage end for each of m_lower and m_upper, which may come from
+    different stages.  With cu_k = (y_k^* us_j)_j and cv_k = (x_k^*
+    vs_i)_i, the unit rank-one coefficients A_k = (cv_k / |cv_k|)(conj
+    cu_k / |cu_k|)^T (A_k = 0 where either vanishes) give an amplified
+    map whose norm is at least sum_k |cv_k| |cu_k| = D.  stats counts
+    what optimize did: stages, newton_steps, line_search_candidates
+    (Armijo points scored), eigh_calls (stacked LAPACK calls on F, G and
+    the Newton Hessian), pure_svds (the SVDs of the pure route's ascent,
+    spent on both routes), stop ("pure" when the pure route closed the
+    bracket, "gap" once a stage's duality gap met GAP_TOL, "top_stage"
+    when the loop ran out of stages), stage_gaps (the relative gap
     (m_upper - D) / m_upper after each stage), stage_steps (the Newton
     steps of each stage; they sum to newton_steps), stage_stops (why
     each stage ended: "gap", "gradient", "fixed_point", "no_descent" or
     "steps"; see _newton_stage), best_lower_stage and best_upper_stage
     (the stages, numbered from 1, whose ends gave m_lower and m_upper)
-    and wall_s.  A non-finite m_lower, f or g, or m_lower above m_upper
-    by more than BRACKET_SLACK of it, raises ValueError.
+    and wall_s.  A pure bracket has no stages: stages, newton_steps and
+    both best stages are 0 and the stage lists are empty.  A non-finite
+    m_lower, f or g, or m_lower above m_upper by more than BRACKET_SLACK
+    of it, raises ValueError.
     """
 
     pair: FramePair
@@ -295,27 +303,86 @@ class CbBracket:
         return (self.m_upper - self.m_lower) / self.m_upper
 
 
+def _bracket(pair: FramePair, lower, upper, stats: dict) -> CbBracket:
+    """The CbBracket of pair from (D, us, vs) and (t, f, g) of
+    pair.balanced: f, g and D are divided by pair.unit, and t, kept as
+    balanced_weights, gives log_weights t - 2 ln 2 pair.balance, those of
+    the caller's pair.  Powers of two are exact, so m_lower is still
+    dual_value(pair, us, vs) bitwise."""
+    unit = pair.unit
+    (dual, us, vs), (t, f, g) = lower, upper
+    return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
+                     f / unit, g / unit, us, vs, t, stats)
+
+
+def _pure_bracket(pair: FramePair, obj: _Objective):
+    """The bracket at pure dual states from one ascent, or None.
+
+    norm_lower_alternating(pair) from the all-ones mask ends at unit
+    (u, v).  With a_k = |<x_k, v>|^2 and c_k = |<u, y_k>|^2 on
+    pair.balanced, the weights t_k = (1/2) ln(c_k / a_k) give e^{t_k} a_k
+    = e^{-t_k} c_k = sqrt(a_k c_k), so <F_t v, v> = <G_t u, u> = D, the
+    dual value of the one-row tuples (u) and (v), and f, g >= D.  One
+    obj.spectra call gives f and g; where max(f, g) - D <= GAP_TOL
+    max(f, g) the bracket [D, max(f, g)] is closed with no Newton loop.
+    None where some a_k or c_k is 0 (its weight would be infinite) or the
+    gap stays open.  t is formed as ln(|<u, y_k>| / |<x_k, v>|), whose
+    quotient stays in the float range where a_k and c_k are positive.
+    obj.pure_svds records the ascent's SVDs either way.
+    """
+    est = norm_lower_alternating(pair)
+    obj.pure_svds = est.iterations
+    balanced, u, v = pair.balanced, est.witness_u, est.witness_v
+    cu, cv = (np.abs(table) for table in coefficients(balanced, u, v))
+    if not ((cv * cv).all() and (cu * cu).all()):  # every a_k and c_k > 0
+        return None
+    t = np.log(cu / cv)
+    w, _ = obj.spectra(t)
+    f, g = (float(top) for top in w[:, -1])
+    us, vs = u[None], v[None]
+    dual = dual_value(balanced, us, vs)
+    if max(f, g) - dual > GAP_TOL * max(f, g):
+        return None
+    stats = {"stages": 0, "newton_steps": 0,
+             "line_search_candidates": obj.candidates,
+             "eigh_calls": obj.eigh_calls, "pure_svds": obj.pure_svds,
+             "stop": "pure", "stage_gaps": [], "stage_steps": [],
+             "stage_stops": [], "best_lower_stage": 0, "best_upper_stage": 0}
+    return _bracket(pair, (dual, us, vs), (t, f, g), stats)
+
+
 def optimize(pair: FramePair) -> CbBracket:
     """Minimize max(f, g) over log-weights and bracket the cb norm.
 
-    One loop on pair.balanced, each index at its exact powers of two:
-    from the balanced equalizer start, Newton stages on the smoothed
-    objective at b_rel = B_REL_START, times B_REL_FACTOR each stage, up
-    to B_REL_TOP.  After each stage t is balanced and the Gibbs states of
-    F and G give the dual tuples, whose dual_value is D; the loop stops
-    once that stage's (m_upper - D) / m_upper <= GAP_TOL.  The bracket is
-    the best seen: m_lower is the largest D, with its tuples, and m_upper
-    the smallest max(f, g), with its weights, f and g, each from the stage
-    that gave it.  f, g and D are divided by pair.unit, and t, kept as
-    balanced_weights, gives log_weights t - 2 ln 2 pair.balance, those of
-    the caller's pair; powers of two are exact, so m_lower is still
-    dual_value(pair, dual_us, dual_vs) bitwise, and a mangling of the pair
-    by powers of two gives the same bracket and dual tuples bitwise.  The
-    bracket keeps pair; the rank-one stacks are built once per pair.
+    Everything runs on pair.balanced, each index at its exact powers of
+    two, from rank-one stacks built once per pair.  The pure route comes
+    first (_pure_bracket): one ascent from the all-ones mask, whose
+    witness (u, v) gives closed-form weights and, where max(f, g) meets
+    its dual value D to GAP_TOL, the bracket at once (stop "pure").
+    Otherwise one loop runs, from the balanced equalizer start: Newton
+    stages on the smoothed objective at b_rel = B_REL_START, times
+    B_REL_FACTOR each stage, up to B_REL_TOP.  After each stage t is
+    balanced and the Gibbs states of F and G give the dual tuples, whose
+    dual_value is D; the loop stops once that stage's (m_upper - D) /
+    m_upper <= GAP_TOL.  The bracket is the best seen: m_lower is the
+    largest D, with its tuples, and m_upper the smallest max(f, g), with
+    its weights, f and g, each from the stage that gave it.  Either
+    route's bracket is moved to the caller's units by _bracket, so a
+    mangling of the pair by powers of two gives the same bracket and
+    dual tuples bitwise.  The bracket keeps pair.
     """
     started = time.perf_counter()
+    obj = _Objective(pair.balanced)
+    bracket = _pure_bracket(pair, obj)
+    if bracket is None:
+        bracket = _newton_bracket(pair, obj)
+    bracket.stats["wall_s"] = time.perf_counter() - started
+    return bracket
+
+
+def _newton_bracket(pair: FramePair, obj: _Objective) -> CbBracket:
+    """The Newton stages of optimize on obj = _Objective(pair.balanced)."""
     balanced = pair.balanced
-    obj = _Objective(balanced)
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
@@ -347,19 +414,15 @@ def optimize(pair: FramePair) -> CbBracket:
         b_rel *= B_REL_FACTOR
     stats = {"stages": len(stage_gaps), "newton_steps": sum(stage_steps),
              "line_search_candidates": obj.candidates,
-             "eigh_calls": obj.eigh_calls,
+             "eigh_calls": obj.eigh_calls, "pure_svds": obj.pure_svds,
              "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
              "stage_gaps": stage_gaps, "stage_steps": stage_steps,
              "stage_stops": stage_stops, "best_lower_stage": best_lower,
-             "best_upper_stage": best_upper,
-             "wall_s": time.perf_counter() - started}
-    unit = pair.unit
-    (dual, us, vs), (_, t, f, g) = lower, upper
-    return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
-                     f / unit, g / unit, us, vs, t, stats)
+             "best_upper_stage": best_upper}
+    return _bracket(pair, lower, upper[1:], stats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingResult:
     """The rescaled pair (e^{t_k/2} x_k, e^{-t_k/2} y_k) at a bracket's
     log_weights t, its frame bounds, the eigendecompositions (w, V) of its
@@ -395,7 +458,7 @@ def extract_scaling(bracket: CbBracket) -> ScalingResult:
                          scaled, *zip(w, v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dilation:
     """Row and column isometric factors through a larger space.
 

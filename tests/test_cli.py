@@ -498,33 +498,34 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     phi = phi_lower(optimize(pair))
     assert rec["phi_norm_lower"] == phi.value
     stats = rec["stats"]
-    # phi is read off the bracket once per record, in the CLI, and timed
-    # there; this pair is pinned, so no ascent runs
+    # the one ascent is optimize's pure route, which closes this pair's
+    # bracket with no Newton stage; phi is read off the bracket once per
+    # record, in the CLI, and timed there, and being pinned runs no ascent
     assert phi.method == "pure"
     assert stats["phi_route"] == "pure"
     assert stats["ascent_iterations"] == 0
     assert stats["ascent_extrapolations"] == 0
     assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls",
-                          "phi_route", "phi_s", "ascent_iterations",
-                          "ascent_extrapolations", "stop",
-                          "stage_gaps", "stage_steps", "stage_stops",
+                          "pure_svds", "phi_route", "phi_s",
+                          "ascent_iterations", "ascent_extrapolations",
+                          "stop", "stage_gaps", "stage_steps", "stage_stops",
                           "best_lower_stage", "best_upper_stage", "wall_s"}
-    assert all(v > 0 for k, v in stats.items()
-               if k not in ("stop", "stage_gaps", "stage_steps", "stage_stops",
-                            "phi_route", "ascent_iterations",
-                            "ascent_extrapolations"))
-    assert stats["stop"] == "gap"
-    assert len(stats["stage_gaps"]) == len(stats["stage_steps"]) == stats["stages"]
-    assert sum(stats["stage_steps"]) == stats["newton_steps"]
+    assert stats["stop"] == "pure"
+    assert stats["pure_svds"] > 0 and stats["eigh_calls"] == 1
+    assert stats["wall_s"] > 0.0 and stats["phi_s"] > 0.0
+    assert stats["stages"] == stats["newton_steps"] == 0
+    assert stats["line_search_candidates"] == 0
+    assert stats["best_lower_stage"] == stats["best_upper_stage"] == 0
+    assert stats["stage_gaps"] == stats["stage_steps"] == \
+        stats["stage_stops"] == []
     assert rec["gap"] == (rec["M_upper"] - rec["M_lower"]) / rec["M_upper"]
     assert rec["gap"] <= 1e-12
     header = (tmp_path / "res.csv").read_text().splitlines()[0].split(",")
     assert {f"stats.{key}" for key in stats} | {"gap"} <= set(header)
-    assert stats["stage_stops"][-1] == "gap"
     with open(tmp_path / "res.csv", newline="") as fh:
         row = next(csv.DictReader(fh))
-    assert row["stats.stage_stops"] == ";".join(stats["stage_stops"])
+    assert row["stats.stop"] == "pure" and row["stats.stage_stops"] == ""
 
 
 def test_rescale_checks_are_relative_to_the_bound(tmp_path):
@@ -740,11 +741,12 @@ def test_seed_flag_and_its_default(tmp_path):
     assert read_json(str(default_out))["metadata"]["seed"] == 0
 
 
-def test_bench_checksums_are_deterministic(tmp_path):
+def test_bench_checksums_are_deterministic(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
     argv = ["bench", "--seed", "3", "--grid", "3x2", "--phase-steps", "8"]
     assert cli.main(argv + ["--out", str(out_a)]) == 0
+    assert " stop=pure steps=0 eigh=1 " in capsys.readouterr().out
     assert cli.main(argv + ["--out", str(out_b)]) == 0
     rec_a = read_json(str(out_a))["records"][0]
     rec_b = read_json(str(out_b))["records"][0]
@@ -752,7 +754,7 @@ def test_bench_checksums_are_deterministic(tmp_path):
     # the optimizer's counts repeat; only its wall time may differ
     counts = {k: v for k, v in rec_a["stats"].items() if k != "wall_s"}
     assert counts == {k: v for k, v in rec_b["stats"].items() if k != "wall_s"}
-    assert counts["stages"] >= 1
+    assert counts["stop"] == "pure" and counts["pure_svds"] >= 1
     assert rec_a["phi_seconds"] > 0.0
     assert rec_a["io_seconds"] > 0.0
     # the grid's time per mask over 8^2 masks

@@ -222,6 +222,55 @@ def test_armijo_step_returns_the_first_passing_alpha():
     assert deepest > 4
 
 
+def _force_newton(monkeypatch):
+    """Send optimize down its Newton route through its one seam: the pure
+    route still runs its ascent, which pure_svds counts, and closes nothing."""
+    pure_bracket = rescale._pure_bracket
+
+    def declined(pair, obj):
+        pure_bracket(pair, obj)
+
+    monkeypatch.setattr(rescale, "_pure_bracket", declined)
+
+
+def _criterion_01_pairs(seed=0):
+    """The RATIO_INSTANCES mangled pairs of verify.ratio_experiment(seed)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2024]))
+    for _ in range(RATIO_INSTANCES):
+        n = int(rng.integers(1, RATIO_N_MAX + 1))
+        d = int(rng.integers(1, RATIO_D_MAX + 1))
+        yield mangle(gaussian_pair(rng, n, d), mangling_scalars(rng, n))
+
+
+POOL_SHAPES = ((3, 1), (5, 1), (3, 2), (4, 2), (5, 2), (3, 3))
+
+
+def _pool_pairs(workload):
+    """The 12 pool pairs of the benchmark workload "rescale-small" or
+    "oracle-grid", drawn as its pools draw them (pool seed 2508)."""
+    if workload == "rescale-small":
+        strata = [(kind, n, d, (j + k) % 2 == 1)
+                  for j, (n, d) in enumerate(POOL_SHAPES)
+                  for k, kind in enumerate(("schauder_mangled", "gaussian"))]
+    else:
+        strata = [("gaussian", 5, d, False) for _ in range(6) for d in (2, 3)]
+    for i, (kind, n, d, scaled) in enumerate(strata):
+        rng = np.random.default_rng(np.random.SeedSequence([2508, i, n, d]))
+        pair = generate(kind, rng, n, d, scaling_range=(1e-3, 1e3))
+        if kind == "gaussian" and workload == "rescale-small":
+            pair = mangle(pair, mangling_scalars(rng, n, (1e-3, 1e3)))
+        if scaled:
+            pair = FramePair(pair.xs * 10.0 ** rng.uniform(-8.0, 0.0), pair.ys)
+        yield pair
+
+
+def _small_pair_sets():
+    """{name: pairs} of both benchmark pools and criterion 01."""
+    return {"rescale-small": list(_pool_pairs("rescale-small")),
+            "oracle-grid": list(_pool_pairs("oracle-grid")),
+            "criterion 01": list(_criterion_01_pairs())}
+
+
 def test_optimize_on_orthonormal_pair_is_exact():
     rng = np.random.default_rng(75)
     u = haar_unitary(rng, 3)
@@ -334,10 +383,11 @@ def _symmetric_images(pair: FramePair, rng: np.random.Generator):
 
 
 def test_optimize_brackets_agree_under_relabelling_swap_and_conjugation():
-    # each image's bracket overlaps the pair's; where both stop on "gap",
-    # m_upper agrees to 1e-14.  A "top_stage" pair's m_upper is only as
-    # sharp as its smoothing bias, so it is not held to 1e-14.  Swapping
-    # flips the parity of ex_k - ey_k, so e_k's floor rounds the other way
+    # each image's bracket overlaps the pair's; where both close (stop
+    # "gap" or "pure"), m_upper agrees to 1e-14.  A "top_stage" pair's
+    # m_upper is only as sharp as its smoothing bias, so it is not held
+    # to 1e-14.  Swapping flips the parity of ex_k - ey_k, so e_k's floor
+    # rounds the other way
     rng = np.random.default_rng(80)
     gated = 0
     for kind in ("gaussian", "schauder_mangled", "onb_union"):
@@ -349,7 +399,7 @@ def test_optimize_brackets_agree_under_relabelling_swap_and_conjugation():
                 slack = 1.0 + 1e-14
                 assert base.m_lower <= br.m_upper * slack, (kind, n, name)
                 assert br.m_lower <= base.m_upper * slack, (kind, n, name)
-                if base.stats["stop"] == br.stats["stop"] == "gap":
+                if {base.stats["stop"], br.stats["stop"]} <= {"gap", "pure"}:
                     gated += 1
                     assert abs(br.m_upper - base.m_upper) <= \
                         1e-14 * base.m_upper, (kind, n, name)
@@ -368,9 +418,10 @@ def test_optimize_invariant_under_common_unitary():
 
 def test_optimize_invariant_under_independent_unitaries():
     # the bracket reads only the Gram matrices of x and of y, which
-    # x_k -> U x_k and y_k -> V y_k keep for any two unitaries.  phi is
-    # left out: phi_lower is not equivariant on onb_union pairs (ROADMAP
-    # item 2)
+    # x_k -> U x_k and y_k -> V y_k keep for any two unitaries, and so
+    # does phi on the tight onb_union pairs: their brackets close on the
+    # pure route, whose ascent picks no eigenvector out of a degenerate
+    # top eigenspace of the weighted frame operator
     for kind in ("gaussian", "schauder_mangled", "onb_union"):
         for n, d in ((6, 3), (12, 4), (8, 2), (24, 6)):
             for seed in range(4):
@@ -382,6 +433,10 @@ def test_optimize_invariant_under_independent_unitaries():
                 for end in ("m_upper", "m_lower"):
                     assert abs(getattr(b, end) - getattr(a, end)) <= \
                         ROUNDING_RTOL * getattr(a, end), (kind, n, seed, end)
+                if kind == "onb_union":
+                    phi = phi_lower(a).value
+                    assert abs(phi_lower(b).value - phi) <= ROUNDING_RTOL * phi, \
+                        (n, seed)
 
 
 def test_dropping_an_index_cannot_raise_the_cb_norm():
@@ -473,12 +528,14 @@ def test_bracket_refuses_a_non_finite_end(end):
             replace(br, **{end: bad})
 
 
-def test_optimize_reports_repeatable_counts():
+def test_optimize_reports_repeatable_counts(monkeypatch):
+    _force_newton(monkeypatch)
     pair = gaussian_pair(np.random.default_rng(90), 4, 3)
     first, second = optimize(pair), optimize(pair)
     counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
     assert set(counts) == {"stages", "newton_steps",
-                           "line_search_candidates", "eigh_calls", "stop",
+                           "line_search_candidates", "eigh_calls",
+                           "pure_svds", "stop",
                            "stage_gaps", "stage_steps", "stage_stops",
                            "best_lower_stage", "best_upper_stage"}
     assert all(isinstance(counts[k], int) and counts[k] > 0
@@ -500,7 +557,8 @@ def _assert_stop_matches_stage_gaps(br):
     assert br.gap <= stats["stage_gaps"][-1]
 
 
-def test_stats_record_each_stage_gap_and_the_stop_reason():
+def test_stats_record_each_stage_gap_and_the_stop_reason(monkeypatch):
+    _force_newton(monkeypatch)
     rng = np.random.default_rng(92)
     for _ in range(8):
         br = optimize(gaussian_pair(rng, int(rng.integers(2, 7)),
@@ -521,6 +579,7 @@ def test_newton_stage_ends_at_its_fixed_point(monkeypatch):
     pair = FramePair(pair.xs * 10.0 ** rng.uniform(-8.0, 0.0), pair.ys)
     ends = []
     newton_stage = rescale._newton_stage
+    _force_newton(monkeypatch)
 
     def restarted(obj, t, spectra, b):
         # a stage restarted from where it ended must not move: every step
@@ -550,6 +609,7 @@ def test_a_newton_step_longer_than_three_is_capped(monkeypatch):
     # one Newton step of this 12 x 4 pair passes 3 in some coordinate.
     # Capped, optimize takes 13 Newton steps and scores 19 Armijo
     # candidates; uncapped, it takes 18 steps and scores 134
+    _force_newton(monkeypatch)
     pair = generate("gaussian", np.random.default_rng(45), 12, 4)
     lengths = []
     armijo_step = rescale._armijo_step
@@ -617,6 +677,7 @@ def test_stage_ends_on_gap_only_where_the_iterate_certifies_it(monkeypatch):
     # whose sqrt(f g) and D, as the stage read them, meet GAP_TOL, and
     # that D is the Gibbs states' value; restarted from where it ended, a
     # stage stopped on gap or at a fixed point must not move
+    _force_newton(monkeypatch)
     newton_stage, smoothed_state = rescale._newton_stage, rescale._smoothed_state
     duals, seen = [], set()
 
@@ -709,7 +770,9 @@ def test_optimize_is_equivariant_under_a_tiny_global_scale():
         assert abs(br.m_lower / c ** 2 - base.m_lower) <= 1e-12 * base.m_lower
 
 
-def test_dual_certificate_replays():
+def test_dual_certificate_replays(monkeypatch):
+    # the Newton route's tuples: d rows each
+    _force_newton(monkeypatch)
     rng = np.random.default_rng(91)
     for _ in range(12):
         d = int(rng.integers(1, 4))
@@ -730,21 +793,23 @@ def test_dual_certificate_replays():
         assert abs(br.m_lower - bilinear) <= 1e-12 * br.m_lower
 
 
-def test_m_lower_is_the_replay_of_its_witness():
+def test_m_lower_is_the_replay_of_its_witness(monkeypatch):
     # criterion 01's pairs: m_lower is D of the returned tuples, bitwise,
-    # by the formula a reader would write from the CbBracket docstring
-    rng = np.random.default_rng(np.random.SeedSequence([0, 2024]))
-    for _ in range(RATIO_INSTANCES):
-        n = int(rng.integers(1, RATIO_N_MAX + 1))
-        d = int(rng.integers(1, RATIO_D_MAX + 1))
-        pair = mangle(gaussian_pair(rng, n, d), mangling_scalars(rng, n))
-        br = optimize(pair)
-        us, vs = br.dual_us, br.dual_vs
-        cu, cv = pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
-        replay = float(np.sum(np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
-                              * np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))))
-        assert br.m_lower == replay == dual_value(pair, us, vs)
-        assert br.gap <= min(br.stats["stage_gaps"])
+    # by the formula a reader would write from the CbBracket docstring,
+    # on both routes; a Newton bracket is no wider than any stage's gap
+    pairs = list(_criterion_01_pairs())
+    for newton in (False, True):
+        if newton:
+            _force_newton(monkeypatch)
+        for pair in pairs:
+            br = optimize(pair)
+            us, vs = br.dual_us, br.dual_vs
+            cu, cv = pair.ys.conj() @ us.T, pair.xs @ vs.conj().T
+            replay = float(np.sum(np.sqrt(np.sum(np.abs(cu) ** 2, axis=1))
+                                  * np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))))
+            assert br.m_lower == replay == dual_value(pair, us, vs)
+            if newton:
+                assert br.gap <= min(br.stats["stage_gaps"])
 
 
 def test_dual_certificate_dominates_unmasked_norm_and_ascent():
@@ -994,3 +1059,106 @@ def test_phi_lower_warm_ascent_never_falls_below_the_pure_value():
         assert est.method == "ascent" and est.iterations >= 1
         assert est.value >= pure
 
+
+def test_pure_route_closes_the_pools_and_criterion_01():
+    # a lost or weakened pure route fails here, not only in the benchmark
+    closed = {name: sum(optimize(pair).stats["stop"] == "pure"
+                        for pair in pairs)
+              for name, pairs in _small_pair_sets().items()}
+    assert closed["rescale-small"] == 12
+    assert closed["oracle-grid"] == 12
+    assert closed["criterion 01"] >= 197
+
+
+def test_pure_weights_equalise_each_term():
+    # on pair.balanced, e^{t_k} a_k = e^{-t_k} c_k = sqrt(a_k c_k) for
+    # a_k = |<x_k, v>|^2 and c_k = |<u, y_k>|^2 of the one-row tuples
+    checked = 0
+    for name, pairs in _small_pair_sets().items():
+        for pair in pairs:
+            br = optimize(pair)
+            if br.stats["stop"] != "pure":
+                continue
+            checked += 1
+            assert br.dual_us.shape == br.dual_vs.shape == (1, pair.dim)
+            t = br.balanced_weights
+            cu, cv = frames.coefficients(pair.balanced, br.dual_us[0],
+                                         br.dual_vs[0])
+            left = np.exp(t) * np.abs(cv) ** 2
+            right = np.exp(-t) * np.abs(cu) ** 2
+            assert np.all(np.abs(left - right) <= 1e-14 * left), name
+            assert max(_tops(pair.balanced, t)) == br.m_upper * pair.unit
+    assert checked >= 12 + 12 + 197
+
+
+def test_pure_bracket_replays_and_gives_phi(monkeypatch):
+    # m_lower is D of the tuples bitwise, phi_lower rebuilds the same
+    # (u, v) without a second ascent, and the Newton route run on the
+    # same pair agrees with the pure bracket and overlaps it
+    pure = {name: [optimize(pair) for pair in pairs]
+            for name, pairs in _small_pair_sets().items()}
+    _force_newton(monkeypatch)
+    for name, brackets in pure.items():
+        for br in brackets:
+            if br.stats["stop"] != "pure":
+                continue
+            pair = br.pair
+            assert br.m_lower == dual_value(pair, br.dual_us, br.dual_vs)
+            assert br.stats["pure_svds"] > 0 and br.stats["eigh_calls"] == 1
+            assert br.gap <= rescale.GAP_TOL
+            est = phi_lower(br)
+            assert est.method == "pure" and est.iterations == 0
+            assert abs(est.value - br.m_lower) <= 2e-15 * br.m_lower, name
+            newton = optimize(pair)
+            assert newton.stats["stop"] in ("gap", "top_stage")
+            assert abs(newton.m_upper - br.m_upper) <= 1e-12 * br.m_upper, name
+            assert br.m_lower <= newton.m_upper * (1.0 + 1e-14), name
+            assert newton.m_lower <= br.m_upper * (1.0 + 1e-14), name
+
+
+def test_a_zero_coefficient_or_a_degenerate_start_takes_newton():
+    # the ascent's witness of x = diag(2, 1), y = I is u = v = e_1, up
+    # to a phase, so x_2 = e_2 has a_2 = 0 and its weight would be infinite
+    pair = FramePair(np.diag([2.0, 1.0]).astype(complex), np.eye(2, dtype=complex))
+    est = norm_lower_alternating(pair)
+    assert frames.coefficients(pair, est.witness_u, est.witness_v)[1][1] == 0.0
+    br = optimize(pair)
+    assert br.stats["stop"] == "gap" and br.stats["pure_svds"] > 0
+    # summing pairs: every singular value of sum_k x_k y_k^* is 1, so the
+    # all-ones ascent stops at 1, far below the cb norm
+    n = 32
+    xs = np.tril(np.ones((n, n))).astype(complex)
+    ys = (np.eye(n) - np.eye(n, k=1)).astype(complex)
+    br = optimize(FramePair(xs, ys))
+    assert br.stats["stop"] in ("gap", "top_stage")
+    assert br.stats["pure_svds"] == 2
+    assert br.m_lower > 1.5
+
+
+def test_pure_bracket_is_bitwise_under_power_of_two_mangling():
+    rng = np.random.default_rng(82)
+    for pair in _pool_pairs("rescale-small"):
+        base = optimize(pair)
+        assert base.stats["stop"] == "pure"
+        far = pow2_mangled(pair, rng.integers(-300, 301, size=pair.n))
+        br = optimize(far)
+        assert br.stats["stop"] == "pure"
+        assert (br.m_upper, br.m_lower, br.f, br.g) == \
+            (base.m_upper, base.m_lower, base.f, base.g)
+        for key in ("dual_us", "dual_vs", "balanced_weights"):
+            assert np.array_equal(getattr(br, key), getattr(base, key)), key
+
+
+def test_results_compare_and_hash_by_identity():
+    # the frozen result types hold arrays, so field-wise equality would be
+    # ambiguous; each compares and hashes as itself
+    pair = gaussian_pair(np.random.default_rng(1), 4, 2)
+    br = optimize(pair)
+    scaling = extract_scaling(br)
+    for a, b in ((pair, FramePair(pair.xs, pair.ys)), (br, optimize(pair)),
+                 (phi_lower(br), phi_lower(br)),
+                 (norm_lower_alternating(pair), norm_lower_alternating(pair)),
+                 (scaling, extract_scaling(br)),
+                 (build_dilation(scaling), build_dilation(scaling))):
+        assert a == a and a != b, type(a).__name__
+        assert len({a, b}) == 2, type(a).__name__
