@@ -73,7 +73,6 @@ class _Objective:
         self.stack = np.einsum("ski,skj->skij", self.vecs, self.vecs.conj())
         self.eigh_calls = 0
         self.candidates = 0
-        self.pure_svds = 0
 
     def eigh(self, mat: np.ndarray):
         self.eigh_calls += 1
@@ -315,11 +314,11 @@ def _bracket(pair: FramePair, lower, upper, stats: dict) -> CbBracket:
                      f / unit, g / unit, us, vs, t, stats)
 
 
-def _pure_bracket(pair: FramePair, obj: _Objective):
+def _pure_bracket(pair: FramePair, obj: _Objective, est):
     """The bracket at pure dual states from one ascent, or None.
 
-    norm_lower_alternating(pair) from the all-ones mask ends at unit
-    (u, v).  With a_k = |<x_k, v>|^2 and c_k = |<u, y_k>|^2 on
+    est = norm_lower_alternating(pair), from the all-ones mask, ends at
+    unit (u, v).  With a_k = |<x_k, v>|^2 and c_k = |<u, y_k>|^2 on
     pair.balanced, the weights t_k = (1/2) ln(c_k / a_k) give e^{t_k} a_k
     = e^{-t_k} c_k = sqrt(a_k c_k), so <F_t v, v> = <G_t u, u> = D, the
     dual value of the one-row tuples (u) and (v), and f, g >= D.  One
@@ -328,10 +327,7 @@ def _pure_bracket(pair: FramePair, obj: _Objective):
     None where some a_k or c_k is 0 (its weight would be infinite) or the
     gap stays open.  t is formed as ln(|<u, y_k>| / |<x_k, v>|), whose
     quotient stays in the float range where a_k and c_k are positive.
-    obj.pure_svds records the ascent's SVDs either way.
     """
-    est = norm_lower_alternating(pair)
-    obj.pure_svds = est.iterations
     balanced, u, v = pair.balanced, est.witness_u, est.witness_v
     cu, cv = (np.abs(table) for table in coefficients(balanced, u, v))
     if not ((cv * cv).all() and (cu * cu).all()):  # every a_k and c_k > 0
@@ -345,8 +341,7 @@ def _pure_bracket(pair: FramePair, obj: _Objective):
         return None
     stats = {"stages": 0, "newton_steps": 0,
              "line_search_candidates": obj.candidates,
-             "eigh_calls": obj.eigh_calls, "pure_svds": obj.pure_svds,
-             "stop": "pure", "stage_gaps": [], "stage_steps": [],
+             "eigh_calls": obj.eigh_calls, "stop": "pure", "stage_gaps": [], "stage_steps": [],
              "stage_stops": [], "best_lower_stage": 0, "best_upper_stage": 0}
     return _bracket(pair, (dual, us, vs), (t, f, g), stats)
 
@@ -373,9 +368,11 @@ def optimize(pair: FramePair) -> CbBracket:
     """
     started = time.perf_counter()
     obj = _Objective(pair.balanced)
-    bracket = _pure_bracket(pair, obj)
+    est = norm_lower_alternating(pair)
+    bracket = _pure_bracket(pair, obj, est)
     if bracket is None:
         bracket = _newton_bracket(pair, obj)
+    bracket.stats["pure_svds"] = est.iterations
     bracket.stats["wall_s"] = time.perf_counter() - started
     return bracket
 
@@ -414,7 +411,7 @@ def _newton_bracket(pair: FramePair, obj: _Objective) -> CbBracket:
         b_rel *= B_REL_FACTOR
     stats = {"stages": len(stage_gaps), "newton_steps": sum(stage_steps),
              "line_search_candidates": obj.candidates,
-             "eigh_calls": obj.eigh_calls, "pure_svds": obj.pure_svds,
+             "eigh_calls": obj.eigh_calls,
              "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
              "stage_gaps": stage_gaps, "stage_steps": stage_steps,
              "stage_stops": stage_stops, "best_lower_stage": best_lower,

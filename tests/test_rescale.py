@@ -223,14 +223,11 @@ def test_armijo_step_returns_the_first_passing_alpha():
 
 
 def _force_newton(monkeypatch):
-    """Send optimize down its Newton route through its one seam: the pure
-    route still runs its ascent, which pure_svds counts, and closes nothing."""
-    pure_bracket = rescale._pure_bracket
-
-    def declined(pair, obj):
-        pure_bracket(pair, obj)
-
-    monkeypatch.setattr(rescale, "_pure_bracket", declined)
+    """Send optimize down its Newton route through its one seam: the
+    ascent still runs, and pure_svds counts it, but the pure route closes
+    nothing.  A test of the Newton loop asserts stages >= 1, so a later
+    change of route cannot leave it checking empty stage lists."""
+    monkeypatch.setattr(rescale, "_pure_bracket", lambda pair, obj, est: None)
 
 
 def _criterion_01_pairs(seed=0):
@@ -247,7 +244,10 @@ POOL_SHAPES = ((3, 1), (5, 1), (3, 2), (4, 2), (5, 2), (3, 3))
 
 def _pool_pairs(workload):
     """The 12 pool pairs of the benchmark workload "rescale-small" or
-    "oracle-grid", drawn as its pools draw them (pool seed 2508)."""
+    "oracle-grid", drawn as its pools draw them (pool seed 2508).  This
+    copies the recipe of perfbench/workloads.py (POOL_SEED, the strata of
+    RescaleSmall and OracleGrid, CliWorkload.make_pool) and must be kept
+    in step with it."""
     if workload == "rescale-small":
         strata = [(kind, n, d, (j + k) % 2 == 1)
                   for j, (n, d) in enumerate(POOL_SHAPES)
@@ -340,27 +340,35 @@ def test_optimize_invariant_under_diagonal_reparameterization():
                   (s, beta[0]))
 
 
-def test_optimize_is_bitwise_under_power_of_two_mangling():
+def test_optimize_is_bitwise_under_power_of_two_mangling(monkeypatch):
     # FramePair balances each index before optimize sees it, so a mangling
     # by powers of two gives the same balanced pair and the same bracket;
     # the rescaled pair (alpha_k x_k, y_k / alpha_k) does not move under a
-    # mangling, and extract_scaling reads it off those, so it is bitwise too
-    rng = np.random.default_rng(79)
-    for kind, n, d in (("gaussian", 6, 3), ("schauder_mangled", 8, 2),
-                       ("onb_union", 6, 3)):
-        pair = generate(kind, rng, n, d)
-        base = optimize(pair)
-        rows = extract_scaling(base).scaled
-        for spread in (3, 60, 300):
-            far = pow2_mangled(pair, rng.integers(-spread, spread + 1, size=n))
-            br = optimize(far)
-            assert br.m_upper == base.m_upper, (kind, spread)
-            assert br.m_lower == base.m_lower, (kind, spread)
-            assert np.array_equal(br.dual_us, base.dual_us), (kind, spread)
-            assert np.array_equal(br.dual_vs, base.dual_vs), (kind, spread)
-            scaled = extract_scaling(br).scaled
-            assert np.array_equal(scaled.xs, rows.xs), (kind, spread)
-            assert np.array_equal(scaled.ys, rows.ys), (kind, spread)
+    # mangling, and extract_scaling reads it off those, so it is bitwise
+    # too.  Both routes: the pairs as they fall, then the Newton route forced
+    for newton in (False, True):
+        if newton:
+            _force_newton(monkeypatch)
+        rng = np.random.default_rng(79)
+        for kind, n, d in (("gaussian", 6, 3), ("schauder_mangled", 8, 2),
+                           ("onb_union", 6, 3)):
+            pair = generate(kind, rng, n, d)
+            base = optimize(pair)
+            assert base.stats["stages"] >= 1 or not newton, kind
+            rows = extract_scaling(base).scaled
+            for spread in (3, 60, 300):
+                far = pow2_mangled(pair,
+                                   rng.integers(-spread, spread + 1, size=n))
+                br = optimize(far)
+                key = (newton, kind, spread)
+                assert br.stats["stop"] == base.stats["stop"], key
+                assert br.m_upper == base.m_upper, key
+                assert br.m_lower == base.m_lower, key
+                assert np.array_equal(br.dual_us, base.dual_us), key
+                assert np.array_equal(br.dual_vs, base.dual_vs), key
+                scaled = extract_scaling(br).scaled
+                assert np.array_equal(scaled.xs, rows.xs), key
+                assert np.array_equal(scaled.ys, rows.ys), key
 
 
 def test_dilation_defect_does_not_grow_with_the_log_weights():
@@ -549,6 +557,7 @@ def test_optimize_reports_repeatable_counts(monkeypatch):
 
 def _assert_stop_matches_stage_gaps(br):
     stats = br.stats
+    assert stats["stages"] >= 1
     assert len(stats["stage_gaps"]) == len(stats["stage_steps"]) == stats["stages"]
     assert sum(stats["stage_steps"]) == stats["newton_steps"]
     assert (stats["stop"] == "gap") == (stats["stage_gaps"][-1] <= rescale.GAP_TOL)
@@ -620,6 +629,7 @@ def test_a_newton_step_longer_than_three_is_capped(monkeypatch):
 
     monkeypatch.setattr(rescale, "_armijo_step", spied)
     stats = optimize(pair).stats
+    assert stats["stages"] >= 1
     assert max(lengths) == 3.0
     assert stats["line_search_candidates"] <= 40
 
@@ -628,6 +638,7 @@ def test_a_newton_step_that_does_not_descend_ends_the_stage(monkeypatch):
     # with the Hessian's eigenvectors zeroed every Newton step is 0, so
     # its slope grad . step is 0: each stage ends on "no_descent" after
     # one step and scores no Armijo point, and the bracket stays certified
+    _force_newton(monkeypatch)
     pair = generate("gaussian", np.random.default_rng(45), 12, 4)
     eigh = rescale.eigh
 
@@ -639,6 +650,7 @@ def test_a_newton_step_that_does_not_descend_ends_the_stage(monkeypatch):
     monkeypatch.setattr(rescale, "eigh", flat)
     br = optimize(pair)
     stats = br.stats
+    assert stats["stages"] >= 1
     assert stats["stage_stops"] == ["no_descent"] * stats["stages"]
     assert stats["stage_steps"] == [1] * stats["stages"]
     assert stats["line_search_candidates"] == 0
@@ -707,13 +719,15 @@ def test_stage_ends_on_gap_only_where_the_iterate_certifies_it(monkeypatch):
     for pair in _stage_pairs(50):
         br = optimize(pair)
         stops = br.stats["stage_stops"]
-        assert len(stops) == br.stats["stages"]
+        assert len(stops) == br.stats["stages"] >= 1
         assert set(stops) <= {"gap", "gradient", "fixed_point", "no_descent",
                               "steps"}
     assert {"gap", "gradient", "fixed_point"} <= seen
 
 
 def test_a_hessian_is_formed_only_for_a_step(monkeypatch):
+    # on both routes: the pure route forms none, the forced Newton route
+    # one per step
     formed = []
     divided_exp = rescale._divided_exp
 
@@ -722,10 +736,14 @@ def test_a_hessian_is_formed_only_for_a_step(monkeypatch):
         return divided_exp(*args)
 
     monkeypatch.setattr(rescale, "_divided_exp", counted)
-    for pair in _stage_pairs(50):
-        del formed[:]
-        br = optimize(pair)
-        assert len(formed) == br.stats["newton_steps"]
+    for newton in (False, True):
+        if newton:
+            _force_newton(monkeypatch)
+        for pair in _stage_pairs(50):
+            del formed[:]
+            br = optimize(pair)
+            assert len(formed) == br.stats["newton_steps"]
+            assert br.stats["stages"] >= 1 or not newton
 
 
 def test_divided_exp_is_exact_symmetric_and_finite():
@@ -778,6 +796,7 @@ def test_dual_certificate_replays(monkeypatch):
         d = int(rng.integers(1, 4))
         pair = gaussian_pair(rng, int(rng.integers(1, 7)), d)
         br = optimize(pair)
+        assert br.stats["stages"] >= 1
         us, vs = br.dual_us, br.dual_vs
         assert us.shape == vs.shape == (d, d)
         # each tuple is a unit vector of C^d (x) C^d: a density matrix's root
@@ -809,6 +828,7 @@ def test_m_lower_is_the_replay_of_its_witness(monkeypatch):
                                   * np.sqrt(np.sum(np.abs(cv) ** 2, axis=1))))
             assert br.m_lower == replay == dual_value(pair, us, vs)
             if newton:
+                assert br.stats["stages"] >= 1
                 assert br.gap <= min(br.stats["stage_gaps"])
 
 
@@ -1060,26 +1080,22 @@ def test_phi_lower_warm_ascent_never_falls_below_the_pure_value():
         assert est.value >= pure
 
 
-def test_pure_route_closes_the_pools_and_criterion_01():
-    # a lost or weakened pure route fails here, not only in the benchmark
-    closed = {name: sum(optimize(pair).stats["stop"] == "pure"
-                        for pair in pairs)
-              for name, pairs in _small_pair_sets().items()}
-    assert closed["rescale-small"] == 12
-    assert closed["oracle-grid"] == 12
-    assert closed["criterion 01"] >= 197
-
-
-def test_pure_weights_equalise_each_term():
-    # on pair.balanced, e^{t_k} a_k = e^{-t_k} c_k = sqrt(a_k c_k) for
-    # a_k = |<x_k, v>|^2 and c_k = |<u, y_k>|^2 of the one-row tuples
-    checked = 0
+def test_pure_route_closes_the_pools_and_criterion_01(monkeypatch):
+    # each pair optimized once per route.  The pure route closes 12/12,
+    # 12/12 and >= 197/200 (a lost or weakened route fails here, not only
+    # in the benchmark); on pair.balanced its weights give e^{t_k} a_k =
+    # e^{-t_k} c_k = sqrt(a_k c_k) for a_k = |<x_k, v>|^2 and c_k =
+    # |<u, y_k>|^2 of the one-row tuples; m_lower is D of the tuples
+    # bitwise; phi_lower rebuilds the same (u, v) without a second ascent;
+    # and the forced Newton route agrees with the pure bracket and overlaps it
+    closed = {}
     for name, pairs in _small_pair_sets().items():
+        closed[name] = 0
         for pair in pairs:
             br = optimize(pair)
             if br.stats["stop"] != "pure":
                 continue
-            checked += 1
+            closed[name] += 1
             assert br.dual_us.shape == br.dual_vs.shape == (1, pair.dim)
             t = br.balanced_weights
             cu, cv = frames.coefficients(pair.balanced, br.dual_us[0],
@@ -1088,32 +1104,22 @@ def test_pure_weights_equalise_each_term():
             right = np.exp(-t) * np.abs(cu) ** 2
             assert np.all(np.abs(left - right) <= 1e-14 * left), name
             assert max(_tops(pair.balanced, t)) == br.m_upper * pair.unit
-    assert checked >= 12 + 12 + 197
-
-
-def test_pure_bracket_replays_and_gives_phi(monkeypatch):
-    # m_lower is D of the tuples bitwise, phi_lower rebuilds the same
-    # (u, v) without a second ascent, and the Newton route run on the
-    # same pair agrees with the pure bracket and overlaps it
-    pure = {name: [optimize(pair) for pair in pairs]
-            for name, pairs in _small_pair_sets().items()}
-    _force_newton(monkeypatch)
-    for name, brackets in pure.items():
-        for br in brackets:
-            if br.stats["stop"] != "pure":
-                continue
-            pair = br.pair
             assert br.m_lower == dual_value(pair, br.dual_us, br.dual_vs)
             assert br.stats["pure_svds"] > 0 and br.stats["eigh_calls"] == 1
             assert br.gap <= rescale.GAP_TOL
             est = phi_lower(br)
             assert est.method == "pure" and est.iterations == 0
             assert abs(est.value - br.m_lower) <= 2e-15 * br.m_lower, name
-            newton = optimize(pair)
+            with monkeypatch.context() as patch:
+                _force_newton(patch)
+                newton = optimize(pair)
             assert newton.stats["stop"] in ("gap", "top_stage")
             assert abs(newton.m_upper - br.m_upper) <= 1e-12 * br.m_upper, name
             assert br.m_lower <= newton.m_upper * (1.0 + 1e-14), name
             assert newton.m_lower <= br.m_upper * (1.0 + 1e-14), name
+    assert closed["rescale-small"] == 12
+    assert closed["oracle-grid"] == 12
+    assert closed["criterion 01"] >= 197
 
 
 def test_a_zero_coefficient_or_a_degenerate_start_takes_newton():
