@@ -250,12 +250,11 @@ def _timed(fn, *args):
     return out, time.perf_counter() - started
 
 
-def _phi_stats(est, phi_s: float) -> dict:
-    """Route ("pure" or "ascent"), seconds, SVDs and kept extrapolations
-    of a phi bound."""
-    return {"phi_route": est.method, "phi_s": phi_s,
-            "ascent_iterations": est.iterations,
-            "ascent_extrapolations": est.extrapolations}
+def _ascent_stats(ascent) -> dict:
+    """SVDs, trial steps included, and kept extrapolations of a record's
+    one ascent: optimize's, kept on the bracket, or analyze's own."""
+    return {"ascent_iterations": ascent.iterations,
+            "ascent_extrapolations": ascent.extrapolations}
 
 
 def _cmd_analyze(args) -> int:
@@ -272,7 +271,8 @@ def _cmd_analyze(args) -> int:
                "check_results": {"identity_deviation": dev,
                                  "x_is_frame": bx.is_frame,
                                  "y_is_frame": by.is_frame},
-               "stats": _phi_stats(alt, phi_s)}
+               "stats": {"phi_route": alt.method, "phi_s": phi_s,
+                         **_ascent_stats(alt)}}
         if _oracle_allowed(pair, args.phase_steps):
             grid, rec["stats"]["grid_s"] = _timed(
                 norm_oracle_grid, pair, args.phase_steps)
@@ -317,7 +317,8 @@ def _cmd_rescale(args) -> int:
                "bessel_x": [scaling.bounds_x.lower, scaling.bounds_x.upper],
                "bessel_y": [scaling.bounds_y.lower, scaling.bounds_y.upper],
                "check_results": checks,
-               "stats": {**bracket.stats, **_phi_stats(phi, phi_s)}}
+               "stats": {**bracket.stats, "phi_route": phi.method,
+                         "phi_s": phi_s, **_ascent_stats(bracket.ascent)}}
         ok = all(v for v in checks.values() if isinstance(v, bool))
         failures += not ok
         records.append(rec)
@@ -432,7 +433,7 @@ def _cmd_bench(args) -> int:
                "grid_rows_kept": grid.rows_kept if grid_ok else None,
                "grid_masks_evaluated": grid.masks_evaluated if grid_ok else None,
                "optimize_seconds": t_opt, "phi_seconds": t_phi,
-               "stats": bracket.stats}
+               "stats": {**bracket.stats, **_ascent_stats(bracket.ascent)}}
         records.append(rec)
         grid_note = (f" grid={t_grid:.4f}s ({rec['grid_ns_per_mask']:.1f} ns/mask)"
                      if grid_ok else "")

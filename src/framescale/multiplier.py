@@ -4,8 +4,8 @@ A scalar mask a = (a_1, ..., a_n) with |a_k| <= 1 induces the linear map
 u -> sum_k a_k <u, y_k> x_k.  The worst mask norm is the multiplier norm;
 replacing scalars by m x m matrices gives the amplified maps whose supremum
 over all m is the completely bounded norm.  This module provides exact
-evaluation, an alternating-ascent lower bound from one start with a
-certified witness, the lower bound phi_lower read off a bracket, an
+evaluation, an alternating-ascent lower bound from the all-ones mask
+with a certified witness, the lower bound phi_lower read off a bracket, an
 exhaustive phase-grid oracle for small n, and the amplified maps through
 which the dual certificate of rescale.optimize replays.  _certify forms
 every estimate's value, on pair.balanced.
@@ -29,7 +29,6 @@ ASCENT_RTOL = 1e-14  # the ascent stops once its value rises by at most this
 # step jumped to a lower local maximum on a gaussian 40 x 3 pair and ended
 # 5.7e-4 below the plain ascent.
 ASCENT_EXTRAPOLATION_GATE = 1e-4
-PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 
 
 def check_mask(mask: np.ndarray, n: int) -> np.ndarray:
@@ -126,16 +125,16 @@ def _extrapolate(m0: np.ndarray, m1: np.ndarray, m2: np.ndarray):
     return np.exp(1j * (np.angle(m0) - 2.0 * alpha * r + alpha * alpha * w))
 
 
-def norm_lower_alternating(pair: FramePair,
-                           start: np.ndarray | None = None) -> MultiplierNormEstimate:
-    """Alternating ascent over masks and unit vectors, from one start.
+def norm_lower_alternating(pair: FramePair) -> MultiplierNormEstimate:
+    """Alternating ascent over masks and unit vectors, from the all-ones mask.
 
     With the mask fixed, the best (u, v) is the top singular pair of the
     mask matrix; with (u, v) fixed, the best mask aligns each phase so
     every term contributes positively.  Both half-steps are monotone.  The
-    ascent starts from start, a mask in the closed unit disc, or from the
-    all-ones mask, and stops once its aligned value rises by at most
-    ASCENT_RTOL of itself, or after ASCENT_MAX_ITERS SVDs.  The stop is
+    ascent has one start, the all-ones mask, and stops once its aligned
+    value rises by at most ASCENT_RTOL of itself, or after
+    ASCENT_MAX_ITERS SVDs.  rescale.optimize runs it once per pair and
+    keeps it on the bracket, where phi_lower reads it.  The stop is
     tight because rescale.optimize's pure route reads its weights off the
     witness: under a mangling of two indices by 10^80 and 10^-80, its
     m_upper drifted 1.1e-14 relative at 1e-12 and 2.8e-15 at 1e-14.  At
@@ -159,7 +158,7 @@ def norm_lower_alternating(pair: FramePair,
     witness is the same, and terms too small or too large to align in
     the caller's units cannot overflow (see _certify).
     """
-    eps = np.ones(pair.n) if start is None else check_mask(start, pair.n)
+    eps = np.ones(pair.n)
     balanced = pair.balanced
     ys_conj = balanced.ys.conj()
 
@@ -198,26 +197,26 @@ def norm_lower_alternating(pair: FramePair,
 
 def phi_lower(bracket) -> MultiplierNormEstimate:
     """A certified lower bound on phi of pair = bracket.pair, read off
-    bracket = rescale.optimize(pair).
+    bracket = rescale.optimize(pair) with no ascent of its own.
 
-    On a Newton bracket the last rows of the dual tuples are the top
-    eigenvectors v of F and u of G, times a Gibbs weight of at least 1/d;
-    on a pure bracket (stats["stop"] "pure") their one rows are the
-    witness of optimize's own ascent.  Normalised, they give P = sum_k
-    |<x_k, v>| |<y_k, u>| at the mask aligning each term, D at pure
-    states (method "pure").  P is returned if within PINNED_RTOL of
-    m_upper, as it always is on a pure bracket, where it is m_lower to
-    rounding; else one ascent runs from its mask and the larger value
-    wins.  The mask aligns the terms of pair.balanced, as the ascent does.
+    On a pure bracket (stats["stop"] "pure") the dual tuples are the one
+    rows of the witness of optimize's ascent, so phi is bracket.ascent
+    itself (method "ascent").  On a Newton bracket the last rows of the
+    dual tuples are the top eigenvectors v of F and u of G, times a Gibbs
+    weight of at least 1/d.  Normalised, they give P = sum_k |<x_k, v>|
+    |<y_k, u>| at the mask aligning each term, D at pure states (method
+    "pure"), and the larger of P and bracket.ascent is returned, the
+    ascent on a tie.  The mask aligns the terms of pair.balanced, as the
+    ascent does.
     """
+    ascent = bracket.ascent
+    if bracket.stats.get("stop") == "pure":
+        return ascent
     pair = bracket.pair
     u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
     mask, _ = _align(coefficients(pair.balanced, u, v), np.ones(pair.n))
     pure = _certify(pair, mask, u, v, "pure")
-    if bracket.m_upper - pure.value <= PINNED_RTOL * bracket.m_upper:
-        return pure
-    warm = norm_lower_alternating(pair, start=mask)
-    return warm if warm.value >= pure.value else pure
+    return ascent if ascent.value >= pure.value else pure
 
 
 @functools.cache

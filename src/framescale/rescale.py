@@ -33,7 +33,8 @@ import numpy as np
 from .frames import (BesselBounds, FramePair, bounds_from_spectrum,
                      coefficients, dual_terms, dual_value, frame_eigh)
 from .linalg import eigh
-from .multiplier import check_mask, norm_lower_alternating
+from .multiplier import (MultiplierNormEstimate, check_mask,
+                         norm_lower_alternating)
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
@@ -245,19 +246,19 @@ class CbBracket:
     pair is the caller's pair (not pair.balanced), read off by later steps.
     m_upper is max(f, g), the Bessel bounds at log_weights (or, for
     pair.balanced, at balanced_weights).  m_lower is frames.dual_value(pair,
-    dual_us, dual_vs), bitwise.  On the pure route (stop "pure") the
-    tuples are the one-row (u) and (v) of the ascent's witness and the
-    weights are its closed form; on the Newton route they are the Gibbs
-    tuples of a stage end, d rows each, and optimize returns the best
-    stage end for each of m_lower and m_upper, which may come from
-    different stages.  With cu_k = (y_k^* us_j)_j and cv_k = (x_k^*
+    dual_us, dual_vs), bitwise.  ascent is optimize's one ascent,
+    norm_lower_alternating(pair), kept on both routes for phi_lower.  On
+    the pure route (stop "pure") the tuples are the one-row (u) and (v)
+    of the ascent's witness and the weights are its closed form; on the
+    Newton route they are the Gibbs tuples of a stage end, d rows each,
+    and optimize returns the best stage end for each of m_lower and
+    m_upper, which may come from different stages.  With cu_k = (y_k^* us_j)_j and cv_k = (x_k^*
     vs_i)_i, the unit rank-one coefficients A_k = (cv_k / |cv_k|)(conj
     cu_k / |cu_k|)^T (A_k = 0 where either vanishes) give an amplified
     map whose norm is at least sum_k |cv_k| |cu_k| = D.  stats counts
     what optimize did: stages, newton_steps, line_search_candidates
     (Armijo points scored), eigh_calls (stacked LAPACK calls on F, G and
-    the Newton Hessian), pure_svds (the SVDs of the pure route's ascent,
-    spent on both routes), stop ("pure" when the pure route closed the
+    the Newton Hessian), stop ("pure" when the pure route closed the
     bracket, "gap" once a stage's duality gap met GAP_TOL, "top_stage"
     when the loop ran out of stages), stage_gaps (the relative gap
     (m_upper - D) / m_upper after each stage), stage_steps (the Newton
@@ -279,6 +280,7 @@ class CbBracket:
     dual_us: np.ndarray
     dual_vs: np.ndarray
     balanced_weights: np.ndarray
+    ascent: MultiplierNormEstimate
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -302,33 +304,23 @@ class CbBracket:
         return (self.m_upper - self.m_lower) / self.m_upper
 
 
-def _bracket(pair: FramePair, lower, upper, stats: dict) -> CbBracket:
-    """The CbBracket of pair from (D, us, vs) and (t, f, g) of
-    pair.balanced: f, g and D are divided by pair.unit, and t, kept as
-    balanced_weights, gives log_weights t - 2 ln 2 pair.balance, those of
-    the caller's pair.  Powers of two are exact, so m_lower is still
-    dual_value(pair, us, vs) bitwise."""
-    unit = pair.unit
-    (dual, us, vs), (t, f, g) = lower, upper
-    return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
-                     f / unit, g / unit, us, vs, t, stats)
-
-
-def _pure_bracket(pair: FramePair, obj: _Objective, est):
+def _pure_bracket(balanced: FramePair, obj: _Objective, est):
     """The bracket at pure dual states from one ascent, or None.
 
     est = norm_lower_alternating(pair), from the all-ones mask, ends at
     unit (u, v).  With a_k = |<x_k, v>|^2 and c_k = |<u, y_k>|^2 on
-    pair.balanced, the weights t_k = (1/2) ln(c_k / a_k) give e^{t_k} a_k
-    = e^{-t_k} c_k = sqrt(a_k c_k), so <F_t v, v> = <G_t u, u> = D, the
-    dual value of the one-row tuples (u) and (v), and f, g >= D.  One
-    obj.spectra call gives f and g; where max(f, g) - D <= GAP_TOL
-    max(f, g) the bracket [D, max(f, g)] is closed with no Newton loop.
-    None where some a_k or c_k is 0 (its weight would be infinite) or the
-    gap stays open.  t is formed as ln(|<u, y_k>| / |<x_k, v>|), whose
-    quotient stays in the float range where a_k and c_k are positive.
+    balanced = pair.balanced, the weights t_k = (1/2) ln(c_k / a_k) give
+    e^{t_k} a_k = e^{-t_k} c_k = sqrt(a_k c_k), so <F_t v, v> = <G_t u,
+    u> = D, the dual value of the one-row tuples (u) and (v), and f, g
+    >= D.  One obj.spectra call gives f and g; where max(f, g) - D <=
+    GAP_TOL max(f, g) the bracket [D, max(f, g)] is closed with no
+    Newton loop, and returned as (D, us, vs), (t, f, g) and stats.
+    None where some a_k or c_k is 0 (its weight would be infinite) or
+    the gap stays open.  t is formed as ln(|<u, y_k>| / |<x_k, v>|),
+    whose quotient stays in the float range where a_k and c_k are
+    positive.
     """
-    balanced, u, v = pair.balanced, est.witness_u, est.witness_v
+    u, v = est.witness_u, est.witness_v
     cu, cv = (np.abs(table) for table in coefficients(balanced, u, v))
     if not ((cv * cv).all() and (cu * cu).all()):  # every a_k and c_k > 0
         return None
@@ -343,7 +335,7 @@ def _pure_bracket(pair: FramePair, obj: _Objective, est):
              "line_search_candidates": obj.candidates,
              "eigh_calls": obj.eigh_calls, "stop": "pure", "stage_gaps": [], "stage_steps": [],
              "stage_stops": [], "best_lower_stage": 0, "best_upper_stage": 0}
-    return _bracket(pair, (dual, us, vs), (t, f, g), stats)
+    return (dual, us, vs), (t, f, g), stats
 
 
 def optimize(pair: FramePair) -> CbBracket:
@@ -362,24 +354,28 @@ def optimize(pair: FramePair) -> CbBracket:
     m_upper <= GAP_TOL.  The bracket is the best seen: m_lower is the
     largest D, with its tuples, and m_upper the smallest max(f, g), with
     its weights, f and g, each from the stage that gave it.  Either
-    route's bracket is moved to the caller's units by _bracket, so a
-    mangling of the pair by powers of two gives the same bracket and
-    dual tuples bitwise.  The bracket keeps pair.
+    route gives (D, us, vs) and (t, f, g) of pair.balanced, moved to the
+    caller's units here: f, g and D are divided by pair.unit, and t, kept
+    as balanced_weights, gives log_weights t - 2 ln 2 pair.balance.
+    Powers of two are exact, so m_lower is still dual_value(pair, us, vs)
+    bitwise, and a mangling of the pair by powers of two gives the same
+    bracket and dual tuples bitwise.  The bracket keeps pair and, on both
+    routes, the ascent, the only one optimize runs.
     """
     started = time.perf_counter()
-    obj = _Objective(pair.balanced)
-    est = norm_lower_alternating(pair)
-    bracket = _pure_bracket(pair, obj, est)
-    if bracket is None:
-        bracket = _newton_bracket(pair, obj)
-    bracket.stats["pure_svds"] = est.iterations
-    bracket.stats["wall_s"] = time.perf_counter() - started
-    return bracket
+    balanced, unit = pair.balanced, pair.unit
+    obj = _Objective(balanced)
+    ascent = norm_lower_alternating(pair)
+    (dual, us, vs), (t, f, g), stats = (_pure_bracket(balanced, obj, ascent)
+                                        or _newton_bracket(balanced, obj))
+    stats["wall_s"] = time.perf_counter() - started
+    return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
+                     f / unit, g / unit, us, vs, t, ascent, stats)
 
 
-def _newton_bracket(pair: FramePair, obj: _Objective) -> CbBracket:
-    """The Newton stages of optimize on obj = _Objective(pair.balanced)."""
-    balanced = pair.balanced
+def _newton_bracket(balanced: FramePair, obj: _Objective):
+    """The Newton stages of optimize on obj = _Objective(balanced), as
+    (D, us, vs), (t, f, g) and stats."""
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
@@ -416,7 +412,7 @@ def _newton_bracket(pair: FramePair, obj: _Objective) -> CbBracket:
              "stage_gaps": stage_gaps, "stage_steps": stage_steps,
              "stage_stops": stage_stops, "best_lower_stage": best_lower,
              "best_upper_stage": best_upper}
-    return _bracket(pair, lower, upper[1:], stats)
+    return lower, upper[1:], stats
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,8 +13,9 @@ the rank-one coupling blocks of trace_pairing_check are one broadcast
 product of those tables.
 
 Where the multiplier norm phi has no closed form, the checks take a
-certified lower bound on it (multiplier.phi_lower, or one alternating
-ascent), which makes no estimate easier to pass.
+certified lower bound on it, read off a bracket of rescale.optimize
+(multiplier.phi_lower, or the one ascent the bracket keeps), which
+makes no estimate easier to pass.
 
 The sign averages (khintchine_check and the chain of super_key_check)
 enumerate one sign vector per class {s, -s}, the 2^(m-1) patterns with
@@ -74,11 +75,9 @@ from .instances import (
 )
 from .linalg import singular_values
 from .multiplier import (
-    PINNED_RTOL,
     MultiplierNormEstimate,
     amplified_apply,
     mask_matrix,
-    norm_lower_alternating,
     norm_oracle_grid,
     phi_lower,
 )
@@ -96,6 +95,7 @@ IDENTITY_RTOL = 1e-10
 INEQ_RTOL = 1e-9
 SCHAUDER_TOL = 1e-8   # identity deviation of a reproducing pair
 ROUNDING_RTOL = 1e-12  # replays and orderings that hold up to rounding
+PINNED_RTOL = 1e-9  # (m_upper - phi) / m_upper at which phi counts as pinned
 EXPERIMENT_CUSHION = 5e-2
 KHINTCHINE_FACTOR = np.sqrt(0.5)
 MAX_PATTERN_ORDER = 14
@@ -509,8 +509,10 @@ def ratio_experiment(seed: int = 0) -> dict:
     phi_lower's value; its witness must replay, and as phi <=
     ||Phi||_cb <= m_upper, each m_upper / phi must lie in [1, 2 (1 + 5e-2)]
     up to rounding.  Records carry phi_gap = (m_upper - phi) / m_upper and
-    phi_route ("pure" or "ascent"); the summary counts as pinned those
-    with phi_gap <= PINNED_RTOL, and the records on each route.
+    phi_route: "ascent" where phi is optimize's one ascent, kept on the
+    bracket, and "pure" where the top eigenvectors of a Newton bracket's
+    F and G beat it.  The summary counts as pinned those with phi_gap <=
+    PINNED_RTOL, and the records on each route.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2024]))
     limit = 2.0 * (1.0 + EXPERIMENT_CUSHION)
@@ -746,11 +748,12 @@ def suite_invariance(seed: int = 0) -> dict:
                   "conjugate": FramePair(pair.xs.conj(), pair.ys.conj())}
 
         base = optimize(pair)
-        drifts = {f"{name}_drift": abs(optimize(image).m_upper - base.m_upper)
-                  / base.m_upper for name, image in images.items()}
+        brackets = {name: optimize(image) for name, image in images.items()}
+        drifts = {f"{name}_drift": abs(br.m_upper - base.m_upper)
+                  / base.m_upper for name, br in brackets.items()}
 
-        alt = norm_lower_alternating(pair)
-        alt_scaled = norm_lower_alternating(scaled)
+        # the ascents optimize ran on the pair and on its diagonal image
+        alt, alt_scaled = base.ascent, brackets["diag"].ascent
         alt_drift = abs(alt_scaled.value - alt.value) / alt.value
         # relative to sum_k |x_k||y_k|, which mangling leaves unchanged
         t_scale = float(np.sum(np.linalg.norm(pair.xs, axis=1)

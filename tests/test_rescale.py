@@ -1,12 +1,15 @@
 """Weight optimization, certificates, and the explicit dilation."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import framescale.frames as frames
+import framescale.multiplier as multiplier
 import framescale.rescale as rescale
+from framescale import cli
 from framescale.frames import (FramePair, bessel_and_frame_bounds, dual_value,
                                pair_operator)
 from framescale.instances import (
@@ -22,7 +25,6 @@ from framescale.instances import (
 )
 from framescale.linalg import top_singular_triplet
 from framescale.multiplier import (
-    PINNED_RTOL,
     amplified_input_norm,
     assemble_block,
     mask_matrix,
@@ -224,7 +226,7 @@ def test_armijo_step_returns_the_first_passing_alpha():
 
 def _force_newton(monkeypatch):
     """Send optimize down its Newton route through its one seam: the
-    ascent still runs, and pure_svds counts it, but the pure route closes
+    ascent still runs, and the bracket keeps it, but the pure route closes
     nothing.  A test of the Newton loop asserts stages >= 1, so a later
     change of route cannot leave it checking empty stage lists."""
     monkeypatch.setattr(rescale, "_pure_bracket", lambda pair, obj, est: None)
@@ -495,10 +497,11 @@ def test_bracket_fields_consistent():
     assert br.gap == (br.m_upper - br.m_lower) / br.m_upper
     tuples = br.dual_us, br.dual_vs
     with pytest.raises(ValueError):
-        CbBracket(pair, 2.0, np.zeros(4), 1.0, 1.0, *tuples, np.zeros(4))
+        CbBracket(pair, 2.0, np.zeros(4), 1.0, 1.0, *tuples, np.zeros(4),
+                  br.ascent)
     # m_lower always comes with the tuples that replay it
     with pytest.raises(TypeError):
-        CbBracket(pair, 1.0, np.zeros(4), 1.0, 1.0)
+        CbBracket(pair, 1.0, np.zeros(4), 1.0, 1.0, ascent=br.ascent)
 
 
 def test_bracket_carries_the_callers_pair():
@@ -515,14 +518,16 @@ def test_bracket_carries_the_callers_pair():
 def test_bracket_checks_are_relative_to_the_bound():
     pair = gaussian_pair(np.random.default_rng(78), 4, 2)
     tuples = np.ones((1, 2)), np.ones((1, 2))
+    est = norm_lower_alternating(pair)
     # inverted by 50 %, far below any absolute slack
     with pytest.raises(ValueError, match="inverted"):
-        CbBracket(pair, 1.5e-9, np.zeros(4), 1e-9, 1e-9, *tuples, np.zeros(4))
+        CbBracket(pair, 1.5e-9, np.zeros(4), 1e-9, 1e-9, *tuples, np.zeros(4),
+                  est)
     CbBracket(pair, 1e-9 * (1.0 + 1e-9), np.zeros(4), 1e-9, 1e-9, *tuples,
-              np.zeros(4))
+              np.zeros(4), est)
     # m_upper is max(f, g) by construction, not a field to keep in step
     assert CbBracket(pair, 1e-9, np.zeros(4), 1.01e-9, 1e-9, *tuples,
-                     np.zeros(4)).m_upper \
+                     np.zeros(4), est).m_upper \
         == 1.01e-9
 
 
@@ -542,8 +547,7 @@ def test_optimize_reports_repeatable_counts(monkeypatch):
     first, second = optimize(pair), optimize(pair)
     counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
     assert set(counts) == {"stages", "newton_steps",
-                           "line_search_candidates", "eigh_calls",
-                           "pure_svds", "stop",
+                           "line_search_candidates", "eigh_calls", "stop",
                            "stage_gaps", "stage_steps", "stage_stops",
                            "best_lower_stage", "best_upper_stage"}
     assert all(isinstance(counts[k], int) and counts[k] > 0
@@ -1055,29 +1059,75 @@ def test_phi_lower_is_exact_on_closed_form_pairs():
     for d in (1, 2, 3, 5):
         u = haar_unitary(rng, d)
         pair = FramePair(u.T, u.T)
-        est = phi_lower(optimize(pair))
-        assert est.method == "pure"
+        br = optimize(pair)
+        est = phi_lower(br)
+        assert est is br.ascent and est.method == "ascent"
         assert abs(est.value - 1.0) <= 1e-12
     for n in (2, 3, 5):
         pair = d1_scalar_pair(rng, n)
-        est = phi_lower(optimize(pair))
+        br = optimize(pair)
+        est = phi_lower(br)
         closed = float(np.sum(np.abs(pair.xs[:, 0] * pair.ys[:, 0])))
-        assert est.method == "pure"
+        assert est is br.ascent and est.method == "ascent"
         assert est.value == pytest.approx(closed, rel=1e-12)
 
 
-def test_phi_lower_warm_ascent_never_falls_below_the_pure_value():
-    # these draws leave the pure value short of m_upper, so the ascent runs
-    for seed in (22, 45, 124, 235):
-        rng = np.random.default_rng(seed)
-        n, d = int(rng.integers(3, 6)), int(rng.integers(2, 4))
-        pair = gaussian_pair(rng, n, d)
+def _summing_pair(n=32):
+    """x_k = e_1 + ... + e_k and y_k = e_k - e_(k+1) (y_n = e_n): every
+    singular value of sum_k x_k y_k^* is 1, so the all-ones ascent stops
+    at 1, far below the cb norm."""
+    return FramePair(np.tril(np.ones((n, n))).astype(complex),
+                     (np.eye(n) - np.eye(n, k=1)).astype(complex))
+
+
+def test_phi_lower_takes_the_larger_of_the_ascent_and_the_pure_value():
+    # a Newton bracket keeps optimize's ascent, and phi_lower runs none of
+    # its own: phi is the larger of that ascent and P, the value of the
+    # top eigenvectors of F and G.  P wins on criterion 01's instance 96
+    # and on the summing pair; the ascent on instances 107 and 151
+    pairs = list(_criterion_01_pairs())
+    for pair, route in ((pairs[96], "pure"), (_summing_pair(), "pure"),
+                        (pairs[107], "ascent"), (pairs[151], "ascent")):
         br = optimize(pair)
-        pure = _pure_value(pair, br)
-        assert br.m_upper - pure > PINNED_RTOL * br.m_upper
+        assert br.stats["stop"] in ("gap", "top_stage")
         est = phi_lower(br)
-        assert est.method == "ascent" and est.iterations >= 1
-        assert est.value >= pure
+        assert est.method == route
+        assert (est is br.ascent) == (route == "ascent")
+        assert est.value >= br.ascent.value
+        assert est.value >= _pure_value(pair, br) * (1.0 - 1e-14)
+        assert witness_defect(pair, est) <= 1e-12
+
+
+def test_each_rescale_record_runs_one_ascent(tmp_path, monkeypatch):
+    # optimize runs the record's one ascent and keeps it on the bracket,
+    # whose counts the record reports; phi_lower runs none, on either
+    # route: the pool closes on the pure route, the gaussian 8 x 3 pair
+    # stops at its top stage and the summing pair at its gap
+    ascents = []
+
+    def spy(pair):
+        ascents.append(norm_lower_alternating(pair))
+        return ascents[-1]
+
+    for module in (rescale, multiplier):
+        monkeypatch.setattr(module, "norm_lower_alternating", spy)
+    inputs = {"pure": list(_pool_pairs("rescale-small")),
+              "top_stage": [generate("gaussian", np.random.default_rng(0), 8, 3)],
+              "gap": [_summing_pair()]}
+    for stop, pairs in inputs.items():
+        corpus = tmp_path / stop
+        corpus.mkdir()
+        for i, pair in enumerate(pairs):
+            cli.save_instance(str(corpus / f"{i:02d}.frame.json"), pair)
+        ascents.clear()
+        out = tmp_path / f"{stop}.json"
+        assert cli.main(["rescale", "--dilation", "--in", str(corpus),
+                         "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(ascents) == len(records) == len(pairs), stop
+        assert {rec["stats"]["stop"] for rec in records} == {stop}
+        assert [rec["stats"]["ascent_iterations"] for rec in records] == \
+            [est.iterations for est in ascents], stop
 
 
 def test_pure_route_closes_the_pools_and_criterion_01(monkeypatch):
@@ -1086,7 +1136,7 @@ def test_pure_route_closes_the_pools_and_criterion_01(monkeypatch):
     # in the benchmark); on pair.balanced its weights give e^{t_k} a_k =
     # e^{-t_k} c_k = sqrt(a_k c_k) for a_k = |<x_k, v>|^2 and c_k =
     # |<u, y_k>|^2 of the one-row tuples; m_lower is D of the tuples
-    # bitwise; phi_lower rebuilds the same (u, v) without a second ascent;
+    # bitwise; phi_lower returns the bracket's ascent, whose witness they are;
     # and the forced Newton route agrees with the pure bracket and overlaps it
     closed = {}
     for name, pairs in _small_pair_sets().items():
@@ -1105,10 +1155,10 @@ def test_pure_route_closes_the_pools_and_criterion_01(monkeypatch):
             assert np.all(np.abs(left - right) <= 1e-14 * left), name
             assert max(_tops(pair.balanced, t)) == br.m_upper * pair.unit
             assert br.m_lower == dual_value(pair, br.dual_us, br.dual_vs)
-            assert br.stats["pure_svds"] > 0 and br.stats["eigh_calls"] == 1
+            assert br.ascent.iterations > 0 and br.stats["eigh_calls"] == 1
             assert br.gap <= rescale.GAP_TOL
             est = phi_lower(br)
-            assert est.method == "pure" and est.iterations == 0
+            assert est is br.ascent
             assert abs(est.value - br.m_lower) <= 2e-15 * br.m_lower, name
             with monkeypatch.context() as patch:
                 _force_newton(patch)
@@ -1129,15 +1179,11 @@ def test_a_zero_coefficient_or_a_degenerate_start_takes_newton():
     est = norm_lower_alternating(pair)
     assert frames.coefficients(pair, est.witness_u, est.witness_v)[1][1] == 0.0
     br = optimize(pair)
-    assert br.stats["stop"] == "gap" and br.stats["pure_svds"] > 0
-    # summing pairs: every singular value of sum_k x_k y_k^* is 1, so the
-    # all-ones ascent stops at 1, far below the cb norm
-    n = 32
-    xs = np.tril(np.ones((n, n))).astype(complex)
-    ys = (np.eye(n) - np.eye(n, k=1)).astype(complex)
-    br = optimize(FramePair(xs, ys))
+    assert br.stats["stop"] == "gap" and br.ascent.iterations > 0
+    # the summing pair's all-ones ascent stops at 1 after 2 SVDs
+    br = optimize(_summing_pair())
     assert br.stats["stop"] in ("gap", "top_stage")
-    assert br.stats["pure_svds"] == 2
+    assert br.ascent.iterations == 2
     assert br.m_lower > 1.5
 
 
@@ -1162,7 +1208,7 @@ def test_results_compare_and_hash_by_identity():
     br = optimize(pair)
     scaling = extract_scaling(br)
     for a, b in ((pair, FramePair(pair.xs, pair.ys)), (br, optimize(pair)),
-                 (phi_lower(br), phi_lower(br)),
+                 (phi_lower(br), phi_lower(optimize(pair))),
                  (norm_lower_alternating(pair), norm_lower_alternating(pair)),
                  (scaling, extract_scaling(br)),
                  (build_dilation(scaling), build_dilation(scaling))):

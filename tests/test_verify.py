@@ -911,11 +911,13 @@ def _ramped(optimize):
 
 
 def _nan_upper(optimize):
-    """optimize with m_upper read as NaN, on a stand-in for the bracket,
-    since a CbBracket refuses a non-finite end."""
+    """optimize with m_upper read as NaN, on a stand-in for the bracket
+    that keeps its log_weights and ascent, since a CbBracket refuses a
+    non-finite end."""
     def run(pair):
-        return SimpleNamespace(m_upper=np.nan,
-                               log_weights=optimize(pair).log_weights)
+        br = optimize(pair)
+        return SimpleNamespace(m_upper=np.nan, log_weights=br.log_weights,
+                               ascent=br.ascent)
     return run
 
 
@@ -977,7 +979,7 @@ def _nan_value(f):
     ("invariance", _spoil("pair_operator",
                           lambda f: lambda pair: np.nan * f(pair)),
      "estimator symmetry drift"),
-    ("invariance", _spoil("norm_lower_alternating", _nan_value),
+    ("invariance", _spoil("norm_lower_alternating", _nan_value, rescale),
      "estimator symmetry drift"),
     ("invariance", _spoil("norm_oracle_grid", _nan_value),
      "estimator symmetry drift"),
