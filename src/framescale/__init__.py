@@ -25,7 +25,6 @@ from .multiplier import (
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
-    phi_lower,
 )
 from .rescale import (
     CbBracket,
@@ -35,6 +34,7 @@ from .rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
+    phi_lower,
 )
 from .verify import (
     VerificationError,

@@ -24,8 +24,8 @@ from .frames import (FramePair, bounds_from_spectrum, frame_eigh,
 from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh
 from .multiplier import (GRID_MAX_N, GRID_MIN_STEPS, norm_lower_alternating,
-                         norm_oracle_grid, phi_lower)
-from .rescale import build_dilation, extract_scaling, optimize
+                         norm_oracle_grid)
+from .rescale import build_dilation, extract_scaling, optimize, phi_lower
 from .verify import SUITES, VerificationError, run_suite
 
 FORMAT_VERSION = 1
@@ -263,7 +263,7 @@ def _cmd_analyze(args) -> int:
     for label, pair, _ in corpus:
         bx, by = map(bounds_from_spectrum, frame_eigh(pair)[0])
         dev = identity_deviation(pair)
-        alt, phi_s = _timed(norm_lower_alternating, pair)
+        alt, ascent_s = _timed(norm_lower_alternating, pair)
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
                "bessel_x": [bx.lower, bx.upper],
                "bessel_y": [by.lower, by.upper],
@@ -271,7 +271,7 @@ def _cmd_analyze(args) -> int:
                "check_results": {"identity_deviation": dev,
                                  "x_is_frame": bx.is_frame,
                                  "y_is_frame": by.is_frame},
-               "stats": {"phi_route": alt.method, "phi_s": phi_s,
+               "stats": {"phi_route": alt.method, "ascent_s": ascent_s,
                          **_ascent_stats(alt)}}
         if _oracle_allowed(pair, args.phase_steps):
             grid, rec["stats"]["grid_s"] = _timed(
@@ -301,7 +301,7 @@ def _cmd_rescale(args) -> int:
     failures = 0
     for label, pair, _ in corpus:
         bracket = optimize(pair)
-        phi, phi_s = _timed(phi_lower, bracket)
+        phi = phi_lower(bracket)
         scaling = extract_scaling(bracket)
         checks = {"bound_respected": scaling.bounds_within()}
         if args.dilation:
@@ -318,7 +318,7 @@ def _cmd_rescale(args) -> int:
                "bessel_y": [scaling.bounds_y.lower, scaling.bounds_y.upper],
                "check_results": checks,
                "stats": {**bracket.stats, "phi_route": phi.method,
-                         "phi_s": phi_s, **_ascent_stats(bracket.ascent)}}
+                         **_ascent_stats(bracket.ascent)}}
         ok = all(v for v in checks.values() if isinstance(v, bool))
         failures += not ok
         records.append(rec)
@@ -422,7 +422,6 @@ def _cmd_bench(args) -> int:
                         if grid_ok else (None, None))
         masks = args.phase_steps ** (n - 1) if grid_ok else None
         bracket, t_opt = _bench_timed(optimize, pair)
-        _, t_phi = _bench_timed(phi_lower, bracket)
         rec = {"n": n, "d": d, "workload_checksum": checksum,
                "repeats": BENCH_REPEATS,
                "eig_seconds": t_eig,
@@ -432,7 +431,7 @@ def _cmd_bench(args) -> int:
                "grid_ns_per_mask": 1e9 * t_grid / masks if grid_ok else None,
                "grid_rows_kept": grid.rows_kept if grid_ok else None,
                "grid_masks_evaluated": grid.masks_evaluated if grid_ok else None,
-               "optimize_seconds": t_opt, "phi_seconds": t_phi,
+               "optimize_seconds": t_opt,
                "stats": {**bracket.stats, **_ascent_stats(bracket.ascent)}}
         records.append(rec)
         grid_note = (f" grid={t_grid:.4f}s ({rec['grid_ns_per_mask']:.1f} ns/mask)"
@@ -441,7 +440,8 @@ def _cmd_bench(args) -> int:
               f"{grid_note} optimize={t_opt:.4f}s "
               f"stop={bracket.stats['stop']} "
               f"steps={bracket.stats['newton_steps']} "
-              f"eigh={bracket.stats['eigh_calls']} phi={t_phi:.4f}s")
+              f"eigh={bracket.stats['eigh_calls']} "
+              f"ascent={bracket.stats['ascent_s']:.4f}s")
     if not records:
         print("empty grid, nothing to time")
     if args.out:

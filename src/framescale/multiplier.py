@@ -5,10 +5,12 @@ u -> sum_k a_k <u, y_k> x_k.  The worst mask norm is the multiplier norm;
 replacing scalars by m x m matrices gives the amplified maps whose supremum
 over all m is the completely bounded norm.  This module provides exact
 evaluation, an alternating-ascent lower bound from the all-ones mask
-with a certified witness, the lower bound phi_lower read off a bracket, an
-exhaustive phase-grid oracle for small n, and the amplified maps through
-which the dual certificate of rescale.optimize replays.  _certify forms
-every estimate's value, on pair.balanced.
+with a certified witness, the certified value of the aligned mask at a
+given unit pair (aligned_estimate), an exhaustive phase-grid oracle for
+small n, and the amplified maps through which the dual certificate of
+rescale.optimize replays.  Every function takes a pair, never a bracket:
+rescale.phi_lower reads phi off a bracket.  _certify forms every
+estimate's value, on pair.balanced.
 """
 
 import functools
@@ -50,11 +52,12 @@ class MultiplierNormEstimate:
 
     value equals Re sum_k mask_k <u, y_k> <x_k, v> for the stored unit
     witnesses, so any reader can replay the certificate.  method is
-    "ascent", "pure" or "grid"; iterations counts the ascent's SVDs, its
-    trial steps included, and extrapolations its accepted trial steps;
-    rows_kept and masks_evaluated count the grid's rows and masks that
-    reach its per-mask work (see norm_oracle_grid).  Each count is 0
-    where its method does not run.
+    "ascent", "grid", or the label a caller gives aligned_estimate
+    (rescale.phi_lower's "eigenvectors"); iterations counts the ascent's
+    SVDs, its trial steps included, and extrapolations its accepted
+    trial steps; rows_kept and masks_evaluated count the grid's rows and
+    masks that reach its per-mask work (see norm_oracle_grid).  Each
+    count is 0 where its method does not run.
     """
 
     value: float
@@ -134,9 +137,9 @@ def norm_lower_alternating(pair: FramePair) -> MultiplierNormEstimate:
     ascent has one start, the all-ones mask, and stops once its aligned
     value rises by at most ASCENT_RTOL of itself, or after
     ASCENT_MAX_ITERS SVDs.  rescale.optimize runs it once per pair and
-    keeps it on the bracket, where phi_lower reads it.  The stop is
-    tight because rescale.optimize's pure route reads its weights off the
-    witness: under a mangling of two indices by 10^80 and 10^-80, its
+    keeps it on the bracket, where rescale.phi_lower reads it.  The stop
+    is tight because rescale.optimize's pure route reads its weights off
+    the witness: under a mangling of two indices by 10^80 and 10^-80, its
     m_upper drifted 1.1e-14 relative at 1e-12 and 2.8e-15 at 1e-14.  At
     a zero mask matrix, where every unit pair is top, u and v lie along
     y_k and x_k of the largest ||x_k|| ||y_k||, so the ascent cannot
@@ -195,28 +198,13 @@ def norm_lower_alternating(pair: FramePair) -> MultiplierNormEstimate:
                     iterations=iterations, extrapolations=extrapolations)
 
 
-def phi_lower(bracket) -> MultiplierNormEstimate:
-    """A certified lower bound on phi of pair = bracket.pair, read off
-    bracket = rescale.optimize(pair) with no ascent of its own.
-
-    On a pure bracket (stats["stop"] "pure") the dual tuples are the one
-    rows of the witness of optimize's ascent, so phi is bracket.ascent
-    itself (method "ascent").  On a Newton bracket the last rows of the
-    dual tuples are the top eigenvectors v of F and u of G, times a Gibbs
-    weight of at least 1/d.  Normalised, they give P = sum_k |<x_k, v>|
-    |<y_k, u>| at the mask aligning each term, D at pure states (method
-    "pure"), and the larger of P and bracket.ascent is returned, the
-    ascent on a tie.  The mask aligns the terms of pair.balanced, as the
-    ascent does.
-    """
-    ascent = bracket.ascent
-    if bracket.stats.get("stop") == "pure":
-        return ascent
-    pair = bracket.pair
-    u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
+def aligned_estimate(pair: FramePair, u: np.ndarray, v: np.ndarray,
+                     method: str) -> MultiplierNormEstimate:
+    """The estimate at unit (u, v) of the mask that aligns each term
+    <u, y_k> <x_k, v> of pair.balanced, as the ascent does (1 where a term
+    vanishes): its value is sum_k |<u, y_k>| |<x_k, v>|, labelled method."""
     mask, _ = _align(coefficients(pair.balanced, u, v), np.ones(pair.n))
-    pure = _certify(pair, mask, u, v, "pure")
-    return ascent if ascent.value >= pure.value else pure
+    return _certify(pair, mask, u, v, method)
 
 
 @functools.cache

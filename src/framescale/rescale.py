@@ -21,7 +21,8 @@ coefficients built from rho and sigma reach it (Haagerup's factorization
 of Schur multipliers; Paulsen, Completely Bounded Maps and Operator
 Algebras, 2002).  h is convex, and the two sides meet at its minimum.
 At pure states D is also the value of a scalar mask, so it bounds the
-multiplier norm phi from below too (multiplier.phi_lower).
+multiplier norm phi from below too.  phi_lower reads phi off a bracket;
+it is the one reader of the routes' stop names and tuple layout.
 """
 
 import time
@@ -33,8 +34,8 @@ import numpy as np
 from .frames import (BesselBounds, FramePair, bounds_from_spectrum,
                      coefficients, dual_terms, dual_value, frame_eigh)
 from .linalg import eigh
-from .multiplier import (MultiplierNormEstimate, check_mask,
-                         norm_lower_alternating)
+from .multiplier import (MultiplierNormEstimate, aligned_estimate,
+                         check_mask, norm_lower_alternating)
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
@@ -265,9 +266,11 @@ class CbBracket:
     steps of each stage; they sum to newton_steps), stage_stops (why
     each stage ended: "gap", "gradient", "fixed_point", "no_descent" or
     "steps"; see _newton_stage), best_lower_stage and best_upper_stage
-    (the stages, numbered from 1, whose ends gave m_lower and m_upper)
-    and wall_s.  A pure bracket has no stages: stages, newton_steps and
-    both best stages are 0 and the stage lists are empty.  A non-finite
+    (the stages, numbered from 1, whose ends gave m_lower and m_upper),
+    ascent_s (the wall seconds of the ascent) and wall_s.  optimize
+    builds the record once, from either route's stop and stage lists: a
+    pure bracket has no stages, so stages, newton_steps and both best
+    stages are 0 and the stage lists are empty.  A non-finite
     m_lower, f or g, or m_lower above m_upper by more than BRACKET_SLACK
     of it, raises ValueError.
     """
@@ -314,7 +317,8 @@ def _pure_bracket(balanced: FramePair, obj: _Objective, est):
     u> = D, the dual value of the one-row tuples (u) and (v), and f, g
     >= D.  One obj.spectra call gives f and g; where max(f, g) - D <=
     GAP_TOL max(f, g) the bracket [D, max(f, g)] is closed with no
-    Newton loop, and returned as (D, us, vs), (t, f, g) and stats.
+    Newton loop, and returned as (D, us, vs), (t, f, g) and the route
+    ("pure", no stages; see _newton_bracket).
     None where some a_k or c_k is 0 (its weight would be infinite) or
     the gap stays open.  t is formed as ln(|<u, y_k>| / |<x_k, v>|),
     whose quotient stays in the float range where a_k and c_k are
@@ -331,11 +335,7 @@ def _pure_bracket(balanced: FramePair, obj: _Objective, est):
     dual = dual_value(balanced, us, vs)
     if max(f, g) - dual > GAP_TOL * max(f, g):
         return None
-    stats = {"stages": 0, "newton_steps": 0,
-             "line_search_candidates": obj.candidates,
-             "eigh_calls": obj.eigh_calls, "stop": "pure", "stage_gaps": [], "stage_steps": [],
-             "stage_stops": [], "best_lower_stage": 0, "best_upper_stage": 0}
-    return (dual, us, vs), (t, f, g), stats
+    return (dual, us, vs), (t, f, g), ("pure", [], [], [], 0, 0)
 
 
 def optimize(pair: FramePair) -> CbBracket:
@@ -360,22 +360,33 @@ def optimize(pair: FramePair) -> CbBracket:
     Powers of two are exact, so m_lower is still dual_value(pair, us, vs)
     bitwise, and a mangling of the pair by powers of two gives the same
     bracket and dual tuples bitwise.  The bracket keeps pair and, on both
-    routes, the ascent, the only one optimize runs.
+    routes, the ascent, the only one optimize runs.  Its stats are built
+    here, once, from the route's stop and stage lists.
     """
     started = time.perf_counter()
+    ascent = norm_lower_alternating(pair)
+    ascent_s = time.perf_counter() - started
     balanced, unit = pair.balanced, pair.unit
     obj = _Objective(balanced)
-    ascent = norm_lower_alternating(pair)
-    (dual, us, vs), (t, f, g), stats = (_pure_bracket(balanced, obj, ascent)
+    (dual, us, vs), (t, f, g), route = (_pure_bracket(balanced, obj, ascent)
                                         or _newton_bracket(balanced, obj))
-    stats["wall_s"] = time.perf_counter() - started
+    stop, stage_gaps, stage_steps, stage_stops, best_lower, best_upper = route
+    stats = {"stages": len(stage_gaps), "newton_steps": sum(stage_steps),
+             "line_search_candidates": obj.candidates,
+             "eigh_calls": obj.eigh_calls, "stop": stop,
+             "stage_gaps": stage_gaps, "stage_steps": stage_steps,
+             "stage_stops": stage_stops, "best_lower_stage": best_lower,
+             "best_upper_stage": best_upper, "ascent_s": ascent_s,
+             "wall_s": time.perf_counter() - started}
     return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
                      f / unit, g / unit, us, vs, t, ascent, stats)
 
 
 def _newton_bracket(balanced: FramePair, obj: _Objective):
     """The Newton stages of optimize on obj = _Objective(balanced), as
-    (D, us, vs), (t, f, g) and stats."""
+    (D, us, vs), (t, f, g) and the route: its stop ("gap" or
+    "top_stage"), stage_gaps, stage_steps, stage_stops, and the stages
+    that gave D and t."""
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
@@ -405,14 +416,30 @@ def _newton_bracket(balanced: FramePair, obj: _Objective):
         if stage_gaps[-1] <= GAP_TOL or b_rel >= B_REL_TOP:
             break
         b_rel *= B_REL_FACTOR
-    stats = {"stages": len(stage_gaps), "newton_steps": sum(stage_steps),
-             "line_search_candidates": obj.candidates,
-             "eigh_calls": obj.eigh_calls,
-             "stop": "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage",
-             "stage_gaps": stage_gaps, "stage_steps": stage_steps,
-             "stage_stops": stage_stops, "best_lower_stage": best_lower,
-             "best_upper_stage": best_upper}
-    return lower, upper[1:], stats
+    stop = "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage"
+    return lower, upper[1:], (stop, stage_gaps, stage_steps, stage_stops,
+                              best_lower, best_upper)
+
+
+def phi_lower(bracket: CbBracket) -> MultiplierNormEstimate:
+    """A certified lower bound on phi of pair = bracket.pair, read off
+    bracket = optimize(pair) with no ascent of its own.
+
+    On a pure bracket (stats["stop"] "pure") the dual tuples are the one
+    rows of the witness of optimize's ascent, so phi is bracket.ascent
+    itself (method "ascent").  On a Newton bracket the last rows of the
+    dual tuples are the top eigenvectors v of F and u of G (eigh sorts
+    ascending), times a Gibbs weight of at least 1/d.  Normalised, they
+    give P = sum_k |<x_k, v>| |<y_k, u>| at the mask aligning each term,
+    D at pure states (method "eigenvectors"), and the larger of P and
+    bracket.ascent is returned, the ascent on a tie.
+    """
+    ascent = bracket.ascent
+    if bracket.stats.get("stop") == "pure":
+        return ascent
+    u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
+    top = aligned_estimate(bracket.pair, u, v, "eigenvectors")
+    return ascent if ascent.value >= top.value else top
 
 
 @dataclass(frozen=True, eq=False)

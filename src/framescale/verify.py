@@ -14,8 +14,8 @@ product of those tables.
 
 Where the multiplier norm phi has no closed form, the checks take a
 certified lower bound on it, read off a bracket of rescale.optimize
-(multiplier.phi_lower, or the one ascent the bracket keeps), which
-makes no estimate easier to pass.
+(rescale.phi_lower, or the one ascent the bracket keeps), which makes
+no estimate easier to pass.
 
 The sign averages (khintchine_check and the chain of super_key_check)
 enumerate one sign vector per class {s, -s}, the 2^(m-1) patterns with
@@ -79,7 +79,6 @@ from .multiplier import (
     amplified_apply,
     mask_matrix,
     norm_oracle_grid,
-    phi_lower,
 )
 from .rescale import (
     _Objective,
@@ -89,6 +88,7 @@ from .rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
+    phi_lower,
 )
 
 IDENTITY_RTOL = 1e-10
@@ -510,9 +510,9 @@ def ratio_experiment(seed: int = 0) -> dict:
     ||Phi||_cb <= m_upper, each m_upper / phi must lie in [1, 2 (1 + 5e-2)]
     up to rounding.  Records carry phi_gap = (m_upper - phi) / m_upper and
     phi_route: "ascent" where phi is optimize's one ascent, kept on the
-    bracket, and "pure" where the top eigenvectors of a Newton bracket's
-    F and G beat it.  The summary counts as pinned those with phi_gap <=
-    PINNED_RTOL, and the records on each route.
+    bracket, and "eigenvectors" where the top eigenvectors of a Newton
+    bracket's F and G beat it.  The summary counts as pinned those with
+    phi_gap <= PINNED_RTOL, and the records on each route.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2024]))
     limit = 2.0 * (1.0 + EXPERIMENT_CUSHION)
@@ -547,9 +547,9 @@ def ratio_experiment(seed: int = 0) -> dict:
                         "limit": limit,
                         "pinned": sum(r["phi_gap"] <= PINNED_RTOL
                                       for r in records),
-                        "phi_routes": {route: sum(r["phi_route"] == route
-                                                  for r in records)
-                                       for route in ("pure", "ascent")}}}
+                        "phi_routes": {
+                            route: sum(r["phi_route"] == route for r in records)
+                            for route in ("ascent", "eigenvectors")}}}
 
 
 def suite_khintchine(seed: int = 0) -> dict:

@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 import framescale
-from framescale import cli, frames, multiplier, verify
+from framescale import cli, frames, multiplier, rescale, verify
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair, generate
-from framescale.multiplier import (norm_lower_alternating, norm_oracle_grid,
-                                   phi_lower)
-from framescale.rescale import optimize
+from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
+from framescale.rescale import optimize, phi_lower
 from framescale.verify import VerificationError
 
 from conftest import VERIFY_CHECK_ARGUMENTS
@@ -228,10 +227,12 @@ def test_invalid_generator_kind_exits_two(tmp_path):
          "verify-csv", "bench-csv"])
 def test_bad_counts_exit_two_before_any_work(argv, message, tmp_path, capsys,
                                              monkeypatch):
-    # each is refused while parsing: no file is written and no ascent runs
+    # each is refused while parsing: no file is written and no ascent runs,
+    # neither analyze's own nor the one rescale reaches through optimize
     inst = tmp_path / "one.frame.json"
     cli.save_instance(str(inst), gaussian_pair(np.random.default_rng(7), 4, 2))
-    monkeypatch.setattr(cli, "norm_lower_alternating", None)
+    for module in (cli, rescale):
+        monkeypatch.setattr(module, "norm_lower_alternating", None)
     monkeypatch.chdir(tmp_path)
     where = ["--in", str(inst)] if argv[0] in ("analyze", "rescale") else []
     out = [] if "--out" in argv else ["--out", "out"]
@@ -442,7 +443,7 @@ def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
     assert summary["pinned"] == sum(r["phi_gap"] <= 1e-9 for r in records)
     assert summary["phi_routes"] == {
         route: sum(r["phi_route"] == route for r in records)
-        for route in ("pure", "ascent")}
+        for route in ("ascent", "eigenvectors")}
     for r in records:
         assert r["ratio"] == r["m_upper"] / r["phi_norm"] >= 1.0 - 1e-12
         assert r["phi_gap"] == (r["m_upper"] - r["phi_norm"]) / r["m_upper"]
@@ -501,20 +502,20 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
     stats = rec["stats"]
     # the one ascent is optimize's pure route, which closes this pair's
     # bracket with no Newton stage; phi is that ascent, read off the
-    # bracket once per record, in the CLI, and timed there, and the
-    # record counts the ascent once
+    # bracket once per record, and the record counts and times the
+    # ascent once, under optimize's stats
     assert phi is br.ascent and phi.method == "ascent"
     assert stats["phi_route"] == "ascent"
     assert stats["ascent_iterations"] == br.ascent.iterations > 0
     assert stats["ascent_extrapolations"] == br.ascent.extrapolations
     assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls",
-                          "phi_route", "phi_s",
+                          "phi_route", "ascent_s",
                           "ascent_iterations", "ascent_extrapolations",
                           "stop", "stage_gaps", "stage_steps", "stage_stops",
                           "best_lower_stage", "best_upper_stage", "wall_s"}
     assert stats["stop"] == "pure" and stats["eigh_calls"] == 1
-    assert stats["wall_s"] > 0.0 and stats["phi_s"] > 0.0
+    assert 0.0 < stats["ascent_s"] < stats["wall_s"]
     assert stats["stages"] == stats["newton_steps"] == 0
     assert stats["line_search_candidates"] == 0
     assert stats["best_lower_stage"] == stats["best_upper_stage"] == 0
@@ -602,13 +603,13 @@ def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     # analyze runs one ascent from the all-ones mask and never optimizes
     alt = norm_lower_alternating(cli.load_instance(str(inst))[0])
     assert rec["phi_norm_lower"] == alt.value
-    assert set(rec["stats"]) == {"phi_route", "phi_s", "ascent_iterations",
+    assert set(rec["stats"]) == {"phi_route", "ascent_s", "ascent_iterations",
                                  "ascent_extrapolations", "grid_s",
                                  "grid_rows_kept", "grid_masks_evaluated"}
     assert rec["stats"]["phi_route"] == "ascent"
     assert rec["stats"]["ascent_iterations"] == alt.iterations
     assert rec["stats"]["ascent_extrapolations"] == alt.extrapolations
-    assert rec["stats"]["phi_s"] > 0.0
+    assert rec["stats"]["ascent_s"] > 0.0
     assert rec["stats"]["grid_s"] > 0.0
     grid = norm_oracle_grid(cli.load_instance(str(inst))[0], 12)
     assert rec["stats"]["grid_rows_kept"] == grid.rows_kept
@@ -616,7 +617,7 @@ def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     lines = (tmp_path / "ana.csv").read_text().splitlines()
     assert lines[0].startswith("instance,")
     assert "check_results.identity_deviation" in lines[0]
-    assert "stats.phi_s" in lines[0]
+    assert "stats.ascent_s" in lines[0]
     assert "stats.grid_s" in lines[0]
     assert len(lines) == 2
 
@@ -747,16 +748,21 @@ def test_bench_checksums_are_deterministic(tmp_path, capsys):
     out_b = tmp_path / "b.json"
     argv = ["bench", "--seed", "3", "--grid", "3x2", "--phase-steps", "8"]
     assert cli.main(argv + ["--out", str(out_a)]) == 0
-    assert " stop=pure steps=0 eigh=1 " in capsys.readouterr().out
+    printed = capsys.readouterr().out
     assert cli.main(argv + ["--out", str(out_b)]) == 0
     rec_a = read_json(str(out_a))["records"][0]
     rec_b = read_json(str(out_b))["records"][0]
+    assert f" stop=pure steps=0 eigh=1 ascent={rec_a['stats']['ascent_s']:.4f}s" \
+        in printed
     assert rec_a["workload_checksum"] == rec_b["workload_checksum"]
-    # the optimizer's counts repeat; only its wall time may differ
-    counts = {k: v for k, v in rec_a["stats"].items() if k != "wall_s"}
-    assert counts == {k: v for k, v in rec_b["stats"].items() if k != "wall_s"}
+    # the optimizer's counts repeat; only its timings may differ
+    timings = {"ascent_s", "wall_s"}
+    counts = {k: v for k, v in rec_a["stats"].items() if k not in timings}
+    assert counts == {k: v for k, v in rec_b["stats"].items()
+                      if k not in timings}
     assert counts["stop"] == "pure" and counts["ascent_iterations"] >= 1
-    assert rec_a["phi_seconds"] > 0.0
+    assert 0.0 < rec_a["stats"]["ascent_s"] < rec_a["stats"]["wall_s"]
+    assert "phi_seconds" not in rec_a
     assert rec_a["io_seconds"] > 0.0
     # the grid's time per mask over 8^2 masks
     assert rec_a["grid_masks"] == rec_b["grid_masks"] == 64
@@ -851,8 +857,7 @@ def test_bench_times_the_median_of_repeats_after_an_untimed_call(
             return fn(*args)
         return wrapper
 
-    layers = ("eigh", "_rewrite_and_load", "norm_oracle_grid", "optimize",
-              "phi_lower")
+    layers = ("eigh", "_rewrite_and_load", "norm_oracle_grid", "optimize")
     for name in layers:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     out = tmp_path / "bench.json"
@@ -1207,6 +1212,22 @@ def test_only_certify_forms_a_phi_estimate():
                 f"{source}:{line}: builds a MultiplierNormEstimate"
         assert source == "multiplier.py" or name not in ("_certify", "_align"), \
             f"{source}:{line}: calls {name}"
+
+
+def test_multiplier_reads_no_bracket():
+    # multiplier holds estimates of a pair; the route names and the tuple
+    # layout of a bracket are rescale's, so rescale alone decodes them
+    source = Path(multiplier.__file__)
+    for node in ast.walk(ast.parse(source.read_text(), str(source))):
+        where = f"multiplier.py:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            names = {arg.arg for arg in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)}
+            assert "bracket" not in names, f"{where}: takes a bracket"
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("stats", "dual_us", "dual_vs", "ascent"), \
+                f"{where}: reads .{node.attr}"
 
 
 def test_no_function_takes_a_pair_beside_its_bracket():

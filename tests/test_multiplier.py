@@ -25,7 +25,6 @@ from framescale.multiplier import (
     mask_matrix,
     norm_lower_alternating,
     norm_oracle_grid,
-    phi_lower,
     _certify,
     _extrapolate,
     _grid_rows,
@@ -33,7 +32,7 @@ from framescale.multiplier import (
     _hermitian_rows,
     _offset_weights,
 )
-from framescale.rescale import optimize
+from framescale.rescale import optimize, phi_lower
 from framescale.verify import witness_defect
 
 

@@ -29,7 +29,6 @@ from framescale.multiplier import (
     assemble_block,
     mask_matrix,
     norm_lower_alternating,
-    phi_lower,
 )
 from framescale.rescale import (
     ARMIJO_STEPS,
@@ -45,6 +44,7 @@ from framescale.rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
+    phi_lower,
 )
 from framescale.verify import (RATIO_D_MAX, RATIO_INSTANCES, RATIO_N_MAX,
                                ROUNDING_RTOL, witness_defect)
@@ -545,7 +545,8 @@ def test_optimize_reports_repeatable_counts(monkeypatch):
     _force_newton(monkeypatch)
     pair = gaussian_pair(np.random.default_rng(90), 4, 3)
     first, second = optimize(pair), optimize(pair)
-    counts = {k: v for k, v in first.stats.items() if k != "wall_s"}
+    timings = {"ascent_s", "wall_s"}
+    counts = {k: v for k, v in first.stats.items() if k not in timings}
     assert set(counts) == {"stages", "newton_steps",
                            "line_search_candidates", "eigh_calls", "stop",
                            "stage_gaps", "stage_steps", "stage_stops",
@@ -555,8 +556,10 @@ def test_optimize_reports_repeatable_counts(monkeypatch):
                                        "stage_stops"})
     assert all(isinstance(steps, int) for steps in counts["stage_steps"])
     assert sum(counts["stage_steps"]) == counts["newton_steps"]
-    assert counts == {k: v for k, v in second.stats.items() if k != "wall_s"}
-    assert first.stats["wall_s"] > 0.0
+    assert counts == {k: v for k, v in second.stats.items()
+                      if k not in timings}
+    assert list(first.stats)[-2:] == ["ascent_s", "wall_s"]
+    assert 0.0 < first.stats["ascent_s"] < first.stats["wall_s"]
 
 
 def _assert_stop_matches_stage_gaps(br):
@@ -1050,8 +1053,8 @@ def test_phi_lower_witness_replays_below_the_bound():
         est = phi_lower(br)
         assert witness_defect(pair, est) <= 1e-12
         assert est.value <= br.m_upper * (1.0 + 1e-12)
-        assert est.method in ("pure", "ascent")
-        assert (est.method == "pure") == (est.iterations == 0)
+        assert est.method in ("eigenvectors", "ascent")
+        assert (est.method == "eigenvectors") == (est.iterations == 0)
 
 
 def test_phi_lower_is_exact_on_closed_form_pairs():
@@ -1083,10 +1086,12 @@ def _summing_pair(n=32):
 def test_phi_lower_takes_the_larger_of_the_ascent_and_the_pure_value():
     # a Newton bracket keeps optimize's ascent, and phi_lower runs none of
     # its own: phi is the larger of that ascent and P, the value of the
-    # top eigenvectors of F and G.  P wins on criterion 01's instance 96
-    # and on the summing pair; the ascent on instances 107 and 151
+    # top eigenvectors of F and G (method "eigenvectors").  P wins on
+    # criterion 01's instance 96 and on the summing pair; the ascent on
+    # instances 107 and 151
     pairs = list(_criterion_01_pairs())
-    for pair, route in ((pairs[96], "pure"), (_summing_pair(), "pure"),
+    for pair, route in ((pairs[96], "eigenvectors"),
+                        (_summing_pair(), "eigenvectors"),
                         (pairs[107], "ascent"), (pairs[151], "ascent")):
         br = optimize(pair)
         assert br.stats["stop"] in ("gap", "top_stage")
