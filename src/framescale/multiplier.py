@@ -52,8 +52,8 @@ class MultiplierNormEstimate:
 
     value equals Re sum_k mask_k <u, y_k> <x_k, v> for the stored unit
     witnesses, so any reader can replay the certificate.  method is
-    "ascent", "grid", or the label a caller gives aligned_estimate
-    (rescale.phi_lower's "eigenvectors"); iterations counts the ascent's
+    "ascent" (norm_lower_alternating), "eigenvectors" (aligned_estimate)
+    or "grid" (norm_oracle_grid); iterations counts the ascent's
     SVDs, its trial steps included, and extrapolations its accepted
     trial steps; rows_kept and masks_evaluated count the grid's rows and
     masks that reach its per-mask work (see norm_oracle_grid).  Each
@@ -198,13 +198,15 @@ def norm_lower_alternating(pair: FramePair) -> MultiplierNormEstimate:
                     iterations=iterations, extrapolations=extrapolations)
 
 
-def aligned_estimate(pair: FramePair, u: np.ndarray, v: np.ndarray,
-                     method: str) -> MultiplierNormEstimate:
+def aligned_estimate(pair: FramePair, u: np.ndarray,
+                     v: np.ndarray) -> MultiplierNormEstimate:
     """The estimate at unit (u, v) of the mask that aligns each term
     <u, y_k> <x_k, v> of pair.balanced, as the ascent does (1 where a term
-    vanishes): its value is sum_k |<u, y_k>| |<x_k, v>|, labelled method."""
+    vanishes): its value is sum_k |<u, y_k>| |<x_k, v>|.  Its method is
+    "eigenvectors": rescale.phi_lower calls it at the top eigenvectors of
+    a Newton bracket's Gibbs states."""
     mask, _ = _align(coefficients(pair.balanced, u, v), np.ones(pair.n))
-    return _certify(pair, mask, u, v, method)
+    return _certify(pair, mask, u, v, "eigenvectors")
 
 
 @functools.cache

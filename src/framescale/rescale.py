@@ -28,6 +28,7 @@ it is the one reader of the routes' stop names and tuple layout.
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -317,8 +318,7 @@ def _pure_bracket(balanced: FramePair, obj: _Objective, est):
     u> = D, the dual value of the one-row tuples (u) and (v), and f, g
     >= D.  One obj.spectra call gives f and g; where max(f, g) - D <=
     GAP_TOL max(f, g) the bracket [D, max(f, g)] is closed with no
-    Newton loop, and returned as (D, us, vs), (t, f, g) and the route
-    ("pure", no stages; see _newton_bracket).
+    Newton loop, and returned as (D, us, vs) and (t, f, g).
     None where some a_k or c_k is 0 (its weight would be infinite) or
     the gap stays open.  t is formed as ln(|<u, y_k>| / |<x_k, v>|),
     whose quotient stays in the float range where a_k and c_k are
@@ -335,7 +335,19 @@ def _pure_bracket(balanced: FramePair, obj: _Objective, est):
     dual = dual_value(balanced, us, vs)
     if max(f, g) - dual > GAP_TOL * max(f, g):
         return None
-    return (dual, us, vs), (t, f, g), ("pure", [], [], [], 0, 0)
+    return (dual, us, vs), (t, f, g)
+
+
+class _Route(NamedTuple):
+    """How optimize closed its bracket; its fields are stats keys, in
+    the record's order (see CbBracket)."""
+
+    stop: str
+    stage_gaps: list
+    stage_steps: list
+    stage_stops: list
+    best_lower_stage: int
+    best_upper_stage: int
 
 
 def optimize(pair: FramePair) -> CbBracket:
@@ -361,32 +373,32 @@ def optimize(pair: FramePair) -> CbBracket:
     bitwise, and a mangling of the pair by powers of two gives the same
     bracket and dual tuples bitwise.  The bracket keeps pair and, on both
     routes, the ascent, the only one optimize runs.  Its stats are built
-    here, once, from the route's stop and stage lists.
+    here, once, from the route's _Route: the pure route has no stages.
     """
     started = time.perf_counter()
     ascent = norm_lower_alternating(pair)
     ascent_s = time.perf_counter() - started
     balanced, unit = pair.balanced, pair.unit
     obj = _Objective(balanced)
-    (dual, us, vs), (t, f, g), route = (_pure_bracket(balanced, obj, ascent)
-                                        or _newton_bracket(balanced, obj))
-    stop, stage_gaps, stage_steps, stage_stops, best_lower, best_upper = route
-    stats = {"stages": len(stage_gaps), "newton_steps": sum(stage_steps),
+    pure = _pure_bracket(balanced, obj, ascent)
+    if pure is None:
+        (dual, us, vs), (t, f, g), route = _newton_bracket(balanced, obj)
+    else:
+        (dual, us, vs), (t, f, g) = pure
+        route = _Route(stop="pure", stage_gaps=[], stage_steps=[],
+                       stage_stops=[], best_lower_stage=0, best_upper_stage=0)
+    stats = {"stages": len(route.stage_gaps),
+             "newton_steps": sum(route.stage_steps),
              "line_search_candidates": obj.candidates,
-             "eigh_calls": obj.eigh_calls, "stop": stop,
-             "stage_gaps": stage_gaps, "stage_steps": stage_steps,
-             "stage_stops": stage_stops, "best_lower_stage": best_lower,
-             "best_upper_stage": best_upper, "ascent_s": ascent_s,
-             "wall_s": time.perf_counter() - started}
+             "eigh_calls": obj.eigh_calls, **route._asdict(),
+             "ascent_s": ascent_s, "wall_s": time.perf_counter() - started}
     return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
                      f / unit, g / unit, us, vs, t, ascent, stats)
 
 
 def _newton_bracket(balanced: FramePair, obj: _Objective):
     """The Newton stages of optimize on obj = _Objective(balanced), as
-    (D, us, vs), (t, f, g) and the route: its stop ("gap" or
-    "top_stage"), stage_gaps, stage_steps, stage_stops, and the stages
-    that gave D and t."""
+    (D, us, vs), (t, f, g) and their _Route (stop "gap" or "top_stage")."""
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
@@ -417,8 +429,10 @@ def _newton_bracket(balanced: FramePair, obj: _Objective):
             break
         b_rel *= B_REL_FACTOR
     stop = "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage"
-    return lower, upper[1:], (stop, stage_gaps, stage_steps, stage_stops,
-                              best_lower, best_upper)
+    return lower, upper[1:], _Route(
+        stop=stop, stage_gaps=stage_gaps, stage_steps=stage_steps,
+        stage_stops=stage_stops, best_lower_stage=best_lower,
+        best_upper_stage=best_upper)
 
 
 def phi_lower(bracket: CbBracket) -> MultiplierNormEstimate:
@@ -438,7 +452,7 @@ def phi_lower(bracket: CbBracket) -> MultiplierNormEstimate:
     if bracket.stats.get("stop") == "pure":
         return ascent
     u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
-    top = aligned_estimate(bracket.pair, u, v, "eigenvectors")
+    top = aligned_estimate(bracket.pair, u, v)
     return ascent if ascent.value >= top.value else top
 
 
