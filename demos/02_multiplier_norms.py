@@ -6,9 +6,9 @@ operator norm over all such masks; unimodular masks suffice.  Two
 estimators: alternating ascent (fast lower bound) and the phase grid
 (near-exact for small n).  The optimizer brackets the completely bounded
 refinement, which replaces scalar masks by matrix coefficients and so
-sits above both; its top eigenvectors also give a lower bound on the
-multiplier norm (phi_lower, which reads the pair off the bracket), and
-that bound meets the bracket when the optimal states are pure.
+sits above both.  The bracket keeps its best ascent as phi's lower
+bound (bracket.ascent), and that bound meets the bracket when the
+optimal states are pure.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from framescale import (
     norm_lower_alternating,
     norm_oracle_grid,
     optimize,
-    phi_lower,
 )
 
 rng = np.random.default_rng(1)
@@ -50,5 +49,5 @@ bracket = optimize(pair)
 print("\ncompletely bounded norm, certified on both sides")
 print(f"  [m_lower, m_upper] = [{bracket.m_lower:.6f}, {bracket.m_upper:.6f}]")
 print(f"  scalar ascent value: {alt.value:.6f}")
-phi = phi_lower(bracket)
-print(f"  read off the bracket ({phi.method}): {phi.value:.6f}")
+print(f"  kept on the bracket (start {bracket.stats['ascent_start']}): "
+      f"{bracket.ascent.value:.6f}")

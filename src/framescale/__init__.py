@@ -34,7 +34,6 @@ from .rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
-    phi_lower,
 )
 from .verify import (
     VerificationError,
@@ -74,7 +73,6 @@ __all__ = [
     "norm_oracle_grid",
     "optimize",
     "pair_operator",
-    "phi_lower",
     "ratio_experiment",
     "run_suite",
     "super_key_check",

@@ -25,7 +25,7 @@ from .instances import GENERATOR_KINDS, generate
 from .linalg import eigh
 from .multiplier import (GRID_MAX_N, GRID_MIN_STEPS, norm_lower_alternating,
                          norm_oracle_grid)
-from .rescale import build_dilation, extract_scaling, optimize, phi_lower
+from .rescale import build_dilation, extract_scaling, optimize
 from .verify import SUITES, VerificationError, run_suite
 
 FORMAT_VERSION = 1
@@ -250,13 +250,6 @@ def _timed(fn, *args):
     return out, time.perf_counter() - started
 
 
-def _ascent_stats(ascent) -> dict:
-    """SVDs, trial steps included, and kept extrapolations of a record's
-    one ascent: optimize's, kept on the bracket, or analyze's own."""
-    return {"ascent_iterations": ascent.iterations,
-            "ascent_extrapolations": ascent.extrapolations}
-
-
 def _cmd_analyze(args) -> int:
     corpus = load_corpus(args.infile)
     records = []
@@ -271,8 +264,9 @@ def _cmd_analyze(args) -> int:
                "check_results": {"identity_deviation": dev,
                                  "x_is_frame": bx.is_frame,
                                  "y_is_frame": by.is_frame},
-               "stats": {"phi_route": alt.method, "ascent_s": ascent_s,
-                         **_ascent_stats(alt)}}
+               "stats": {"ascent_s": ascent_s,
+                         "ascent_iterations": alt.iterations,
+                         "ascent_extrapolations": alt.extrapolations}}
         if _oracle_allowed(pair, args.phase_steps):
             grid, rec["stats"]["grid_s"] = _timed(
                 norm_oracle_grid, pair, args.phase_steps)
@@ -301,7 +295,6 @@ def _cmd_rescale(args) -> int:
     failures = 0
     for label, pair, _ in corpus:
         bracket = optimize(pair)
-        phi = phi_lower(bracket)
         scaling = extract_scaling(bracket)
         checks = {"bound_respected": scaling.bounds_within()}
         if args.dilation:
@@ -309,16 +302,15 @@ def _cmd_rescale(args) -> int:
             checks["dilation_defect"] = dil.isometry_defect
             checks["dilation_isometric"] = dil.is_isometric
         rec = {"instance": label, "n": pair.n, "d": pair.dim,
-               "phi_norm_lower": phi.value,
+               "phi_norm_lower": bracket.ascent.value,
                "M_upper": bracket.m_upper, "M_lower": bracket.m_lower,
                "gap": bracket.gap,
-               "ratio": bracket.m_upper / phi.value,
+               "ratio": bracket.m_upper / bracket.ascent.value,
                "weights": [float(t) for t in bracket.log_weights],
                "bessel_x": [scaling.bounds_x.lower, scaling.bounds_x.upper],
                "bessel_y": [scaling.bounds_y.lower, scaling.bounds_y.upper],
                "check_results": checks,
-               "stats": {**bracket.stats, "phi_route": phi.method,
-                         **_ascent_stats(bracket.ascent)}}
+               "stats": bracket.stats}
         ok = all(v for v in checks.values() if isinstance(v, bool))
         failures += not ok
         records.append(rec)
@@ -386,12 +378,17 @@ def _rewrite_and_load(path: str, pair: FramePair) -> FramePair:
     return load_instance(path)[0]
 
 
+def _median(values) -> float:
+    """The middle of BENCH_REPEATS values."""
+    return sorted(values)[BENCH_REPEATS // 2]
+
+
 def _bench_timed(fn, *args):
-    """fn(*args) once untimed, then BENCH_REPEATS timed calls: the last
-    call's result and the median of their wall seconds."""
+    """fn(*args) once untimed, then BENCH_REPEATS timed calls: their
+    results, in call order, and the median of their wall seconds."""
     fn(*args)
-    runs = [_timed(fn, *args) for _ in range(BENCH_REPEATS)]
-    return runs[-1][0], sorted(t for _, t in runs)[BENCH_REPEATS // 2]
+    outs, seconds = zip(*(_timed(fn, *args) for _ in range(BENCH_REPEATS)))
+    return outs, _median(seconds)
 
 
 def _cmd_bench(args) -> int:
@@ -410,7 +407,8 @@ def _cmd_bench(args) -> int:
         _, t_eig = _bench_timed(eigh, frame_operator(pair.xs))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cell" + INSTANCE_SUFFIX)
-            back, t_io = _bench_timed(_rewrite_and_load, path, pair)
+            backs, t_io = _bench_timed(_rewrite_and_load, path, pair)
+        back = backs[-1]
         # bytes, not values: -0.0 == 0.0, but a flipped sign is a miss
         if (back.xs.tobytes() != pair.xs.tobytes()
                 or back.ys.tobytes() != pair.ys.tobytes()):
@@ -418,10 +416,13 @@ def _cmd_bench(args) -> int:
             print(f"n={n} d={d}: instance file did not round-trip",
                   file=sys.stderr)
         grid_ok = _oracle_allowed(pair, args.phase_steps)
-        grid, t_grid = (_bench_timed(norm_oracle_grid, pair, args.phase_steps)
-                        if grid_ok else (None, None))
+        grids, t_grid = (_bench_timed(norm_oracle_grid, pair, args.phase_steps)
+                         if grid_ok else ([None], None))
+        grid = grids[-1]
         masks = args.phase_steps ** (n - 1) if grid_ok else None
-        bracket, t_opt = _bench_timed(optimize, pair)
+        brackets, t_opt = _bench_timed(optimize, pair)
+        bracket = brackets[-1]
+        t_ascent = _median(br.stats["ascent_s"] for br in brackets)
         rec = {"n": n, "d": d, "workload_checksum": checksum,
                "repeats": BENCH_REPEATS,
                "eig_seconds": t_eig,
@@ -432,7 +433,8 @@ def _cmd_bench(args) -> int:
                "grid_rows_kept": grid.rows_kept if grid_ok else None,
                "grid_masks_evaluated": grid.masks_evaluated if grid_ok else None,
                "optimize_seconds": t_opt,
-               "stats": {**bracket.stats, **_ascent_stats(bracket.ascent)}}
+               "ascent_seconds": t_ascent,
+               "stats": bracket.stats}
         records.append(rec)
         grid_note = (f" grid={t_grid:.4f}s ({rec['grid_ns_per_mask']:.1f} ns/mask)"
                      if grid_ok else "")
@@ -441,7 +443,7 @@ def _cmd_bench(args) -> int:
               f"stop={bracket.stats['stop']} "
               f"steps={bracket.stats['newton_steps']} "
               f"eigh={bracket.stats['eigh_calls']} "
-              f"ascent={bracket.stats['ascent_s']:.4f}s")
+              f"ascent={t_ascent:.4f}s")
     if not records:
         print("empty grid, nothing to time")
     if args.out:

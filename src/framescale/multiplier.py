@@ -4,13 +4,13 @@ A scalar mask a = (a_1, ..., a_n) with |a_k| <= 1 induces the linear map
 u -> sum_k a_k <u, y_k> x_k.  The worst mask norm is the multiplier norm;
 replacing scalars by m x m matrices gives the amplified maps whose supremum
 over all m is the completely bounded norm.  This module provides exact
-evaluation, an alternating-ascent lower bound from the all-ones mask
-with a certified witness, the certified value of the aligned mask at a
-given unit pair (aligned_estimate), an exhaustive phase-grid oracle for
-small n, and the amplified maps through which the dual certificate of
-rescale.optimize replays.  Every function takes a pair, never a bracket:
-rescale.phi_lower reads phi off a bracket.  _certify forms every
-estimate's value, on pair.balanced.
+evaluation, an alternating-ascent lower bound with a certified witness,
+from the all-ones mask (norm_lower_alternating) or from the mask aligned
+at a given unit pair (aligned_ascent), an exhaustive phase-grid oracle
+for small n, and the amplified maps through which the dual certificate
+of rescale.optimize replays.  Every function takes a pair, never a
+bracket: rescale.optimize keeps phi's ascent on its bracket.  _certify
+forms every estimate's value, on pair.balanced.
 """
 
 import functools
@@ -52,12 +52,12 @@ class MultiplierNormEstimate:
 
     value equals Re sum_k mask_k <u, y_k> <x_k, v> for the stored unit
     witnesses, so any reader can replay the certificate.  method is
-    "ascent" (norm_lower_alternating), "eigenvectors" (aligned_estimate)
-    or "grid" (norm_oracle_grid); iterations counts the ascent's
-    SVDs, its trial steps included, and extrapolations its accepted
-    trial steps; rows_kept and masks_evaluated count the grid's rows and
-    masks that reach its per-mask work (see norm_oracle_grid).  Each
-    count is 0 where its method does not run.
+    "ascent" (norm_lower_alternating or aligned_ascent) or "grid"
+    (norm_oracle_grid); iterations counts the ascent's SVDs, its trial
+    steps included, and extrapolations its accepted trial steps;
+    rows_kept and masks_evaluated count the grid's rows and masks that
+    reach its per-mask work (see norm_oracle_grid).  Each count is 0
+    where its method does not run.
     """
 
     value: float
@@ -134,16 +134,15 @@ def norm_lower_alternating(pair: FramePair) -> MultiplierNormEstimate:
     With the mask fixed, the best (u, v) is the top singular pair of the
     mask matrix; with (u, v) fixed, the best mask aligns each phase so
     every term contributes positively.  Both half-steps are monotone.  The
-    ascent has one start, the all-ones mask, and stops once its aligned
-    value rises by at most ASCENT_RTOL of itself, or after
-    ASCENT_MAX_ITERS SVDs.  rescale.optimize runs it once per pair and
-    keeps it on the bracket, where rescale.phi_lower reads it.  The stop
-    is tight because rescale.optimize's pure route reads its weights off
-    the witness: under a mangling of two indices by 10^80 and 10^-80, its
-    m_upper drifted 1.1e-14 relative at 1e-12 and 2.8e-15 at 1e-14.  At
-    a zero mask matrix, where every unit pair is top, u and v lie along
-    y_k and x_k of the largest ||x_k|| ||y_k||, so the ascent cannot
-    stall at 0.
+    ascent stops once its aligned value rises by at most ASCENT_RTOL of
+    itself, or after ASCENT_MAX_ITERS SVDs.  rescale.optimize runs it
+    first on every pair; aligned_ascent runs the same ascent from another
+    start.  The stop is tight because rescale.optimize's pure route reads
+    its weights off the witness: under a mangling of two indices by 10^80
+    and 10^-80, its m_upper drifted 1.1e-14 relative at 1e-12 and
+    2.8e-15 at 1e-14.  At a zero mask matrix, where every unit pair is
+    top, u and v lie along y_k and x_k of the largest ||x_k|| ||y_k||, so
+    the ascent cannot stall at 0.
 
     The ascent converges linearly, so near a fixed point it extrapolates
     its phases: once a step rises by at most ASCENT_EXTRAPOLATION_GATE of
@@ -161,7 +160,21 @@ def norm_lower_alternating(pair: FramePair) -> MultiplierNormEstimate:
     witness is the same, and terms too small or too large to align in
     the caller's units cannot overflow (see _certify).
     """
-    eps = np.ones(pair.n)
+    return _ascend(pair, np.ones(pair.n))
+
+
+def aligned_ascent(pair: FramePair, u: np.ndarray,
+                   v: np.ndarray) -> MultiplierNormEstimate:
+    """norm_lower_alternating's ascent from the mask aligning each term
+    <u, y_k> <x_k, v> of pair.balanced at unit (u, v), 1 where a term
+    vanishes: its value is at least sum_k |<u, y_k>| |<x_k, v>| of pair.
+    rescale.optimize runs it after its first Newton stage."""
+    mask, _ = _align(coefficients(pair.balanced, u, v), np.ones(pair.n))
+    return _ascend(pair, mask)
+
+
+def _ascend(pair: FramePair, eps: np.ndarray) -> MultiplierNormEstimate:
+    """The ascent of norm_lower_alternating from the mask eps."""
     balanced = pair.balanced
     ys_conj = balanced.ys.conj()
 
@@ -196,17 +209,6 @@ def norm_lower_alternating(pair: FramePair) -> MultiplierNormEstimate:
         recent = [eps]
     return _certify(pair, eps, u, v, "ascent",
                     iterations=iterations, extrapolations=extrapolations)
-
-
-def aligned_estimate(pair: FramePair, u: np.ndarray,
-                     v: np.ndarray) -> MultiplierNormEstimate:
-    """The estimate at unit (u, v) of the mask that aligns each term
-    <u, y_k> <x_k, v> of pair.balanced, as the ascent does (1 where a term
-    vanishes): its value is sum_k |<u, y_k>| |<x_k, v>|.  Its method is
-    "eigenvectors": rescale.phi_lower calls it at the top eigenvectors of
-    a Newton bracket's Gibbs states."""
-    mask, _ = _align(coefficients(pair.balanced, u, v), np.ones(pair.n))
-    return _certify(pair, mask, u, v, "eigenvectors")
 
 
 @functools.cache

@@ -21,8 +21,9 @@ coefficients built from rho and sigma reach it (Haagerup's factorization
 of Schur multipliers; Paulsen, Completely Bounded Maps and Operator
 Algebras, 2002).  h is convex, and the two sides meet at its minimum.
 At pure states D is also the value of a scalar mask, so it bounds the
-multiplier norm phi from below too.  phi_lower reads phi off a bracket;
-it is the one reader of the routes' stop names and tuple layout.
+multiplier norm phi from below too.  phi has one route: the alternating
+ascent that optimize runs, at most twice per pair, and keeps on the
+bracket as CbBracket.ascent.
 """
 
 import time
@@ -35,8 +36,8 @@ import numpy as np
 from .frames import (BesselBounds, FramePair, bounds_from_spectrum,
                      coefficients, dual_terms, dual_value, frame_eigh)
 from .linalg import eigh
-from .multiplier import (MultiplierNormEstimate, aligned_estimate,
-                         check_mask, norm_lower_alternating)
+from .multiplier import (MultiplierNormEstimate, aligned_ascent, check_mask,
+                         norm_lower_alternating)
 
 BRACKET_SLACK = 1e-8  # relative to m_upper
 PSD_CLAMP = 1e-10  # lam_max(S) may pass the dilation bound by this, relative
@@ -248,32 +249,33 @@ class CbBracket:
     pair is the caller's pair (not pair.balanced), read off by later steps.
     m_upper is max(f, g), the Bessel bounds at log_weights (or, for
     pair.balanced, at balanced_weights).  m_lower is frames.dual_value(pair,
-    dual_us, dual_vs), bitwise.  ascent is optimize's one ascent,
-    norm_lower_alternating(pair), kept on both routes for phi_lower.  On
-    the pure route (stop "pure") the tuples are the one-row (u) and (v)
-    of the ascent's witness and the weights are its closed form; on the
-    Newton route they are the Gibbs tuples of a stage end, d rows each,
-    and optimize returns the best stage end for each of m_lower and
-    m_upper, which may come from different stages.  With cu_k = (y_k^* us_j)_j and cv_k = (x_k^*
-    vs_i)_i, the unit rank-one coefficients A_k = (cv_k / |cv_k|)(conj
+    dual_us, dual_vs), bitwise.  ascent, phi's lower bound, is the ascent
+    whose witness closed a pure bracket (stop "pure"), whose one-row (u)
+    and (v) are the tuples and whose closed form the weights are; on a
+    Newton bracket it is the larger of optimize's two ascents (the
+    all-ones one on a tie), the tuples are the Gibbs tuples of a stage
+    end, d rows each, and m_lower and m_upper are each the best of the
+    stage ends.  With cu_k = (y_k^* us_j)_j and cv_k = (x_k^* vs_i)_i, the unit rank-one coefficients A_k = (cv_k / |cv_k|)(conj
     cu_k / |cu_k|)^T (A_k = 0 where either vanishes) give an amplified
     map whose norm is at least sum_k |cv_k| |cu_k| = D.  stats counts
     what optimize did: stages, newton_steps, line_search_candidates
     (Armijo points scored), eigh_calls (stacked LAPACK calls on F, G and
-    the Newton Hessian), stop ("pure" when the pure route closed the
-    bracket, "gap" once a stage's duality gap met GAP_TOL, "top_stage"
+    the Newton Hessian), stop ("pure" when an ascent's witness closed
+    the bracket, "gap" once a stage's duality gap met GAP_TOL, "top_stage"
     when the loop ran out of stages), stage_gaps (the relative gap
     (m_upper - D) / m_upper after each stage), stage_steps (the Newton
     steps of each stage; they sum to newton_steps), stage_stops (why
     each stage ended: "gap", "gradient", "fixed_point", "no_descent" or
     "steps"; see _newton_stage), best_lower_stage and best_upper_stage
-    (the stages, numbered from 1, whose ends gave m_lower and m_upper),
-    ascent_s (the wall seconds of the ascent) and wall_s.  optimize
-    builds the record once, from either route's stop and stage lists: a
-    pure bracket has no stages, so stages, newton_steps and both best
-    stages are 0 and the stage lists are empty.  A non-finite
-    m_lower, f or g, or m_lower above m_upper by more than BRACKET_SLACK
-    of it, raises ValueError.
+    (the stages, numbered from 1, whose ends gave m_lower and m_upper; 0
+    on a pure bracket), ascents (1 or 2), ascent_start ("ones" or
+    "stage_1": the start of the kept ascent), ascent_iterations,
+    ascent_extrapolations and ascent_s (the SVDs, kept trial steps and
+    wall seconds of every ascent) and wall_s.  optimize builds the record
+    once, from the route's stop and stage lists: a bracket closed by the
+    first ascent has no stages, one closed by the restart one.  A
+    non-finite m_lower, f or g, or m_lower above m_upper by more than
+    BRACKET_SLACK of it, raises ValueError.
     """
 
     pair: FramePair
@@ -311,14 +313,15 @@ class CbBracket:
 def _pure_bracket(balanced: FramePair, obj: _Objective, est):
     """The bracket at pure dual states from one ascent, or None.
 
-    est = norm_lower_alternating(pair), from the all-ones mask, ends at
-    unit (u, v).  With a_k = |<x_k, v>|^2 and c_k = |<u, y_k>|^2 on
-    balanced = pair.balanced, the weights t_k = (1/2) ln(c_k / a_k) give
-    e^{t_k} a_k = e^{-t_k} c_k = sqrt(a_k c_k), so <F_t v, v> = <G_t u,
-    u> = D, the dual value of the one-row tuples (u) and (v), and f, g
-    >= D.  One obj.spectra call gives f and g; where max(f, g) - D <=
-    GAP_TOL max(f, g) the bracket [D, max(f, g)] is closed with no
-    Newton loop, and returned as (D, us, vs) and (t, f, g).
+    est, an ascent of pair (optimize's first, or its restart after the
+    first Newton stage), ends at unit (u, v).  With a_k = |<x_k, v>|^2
+    and c_k = |<u, y_k>|^2 on balanced = pair.balanced, the weights t_k
+    = (1/2) ln(c_k / a_k) give e^{t_k} a_k = e^{-t_k} c_k = sqrt(a_k
+    c_k), so <F_t v, v> = <G_t u, u> = D, the dual value of the one-row
+    tuples (u) and (v), and f, g >= D.  One obj.spectra call gives f and
+    g; where max(f, g) - D <= GAP_TOL max(f, g) the bracket [D, max(f,
+    g)] is closed with no further Newton stage, and returned as (D, us,
+    vs) and (t, f, g).
     None where some a_k or c_k is 0 (its weight would be infinite) or
     the gap stays open.  t is formed as ln(|<u, y_k>| / |<x_k, v>|),
     whose quotient stays in the float range where a_k and c_k are
@@ -358,47 +361,59 @@ def optimize(pair: FramePair) -> CbBracket:
     first (_pure_bracket): one ascent from the all-ones mask, whose
     witness (u, v) gives closed-form weights and, where max(f, g) meets
     its dual value D to GAP_TOL, the bracket at once (stop "pure").
-    Otherwise one loop runs, from the balanced equalizer start: Newton
-    stages on the smoothed objective at b_rel = B_REL_START, times
-    B_REL_FACTOR each stage, up to B_REL_TOP.  After each stage t is
-    balanced and the Gibbs states of F and G give the dual tuples, whose
-    dual_value is D; the loop stops once that stage's (m_upper - D) /
-    m_upper <= GAP_TOL.  The bracket is the best seen: m_lower is the
-    largest D, with its tuples, and m_upper the smallest max(f, g), with
-    its weights, f and g, each from the stage that gave it.  Either
+    Otherwise _newton_bracket runs, whose restarted ascent after its
+    first stage may still close the bracket on the pure route.  Either
     route gives (D, us, vs) and (t, f, g) of pair.balanced, moved to the
     caller's units here: f, g and D are divided by pair.unit, and t, kept
     as balanced_weights, gives log_weights t - 2 ln 2 pair.balance.
     Powers of two are exact, so m_lower is still dual_value(pair, us, vs)
     bitwise, and a mangling of the pair by powers of two gives the same
-    bracket and dual tuples bitwise.  The bracket keeps pair and, on both
-    routes, the ascent, the only one optimize runs.  Its stats are built
-    here, once, from the route's _Route: the pure route has no stages.
+    bracket and dual tuples bitwise.  The bracket keeps pair and one of
+    the ascents (see CbBracket), the only ones optimize runs.  Its stats
+    are built here, once, from the route's _Route.
     """
     started = time.perf_counter()
-    ascent = norm_lower_alternating(pair)
+    ascents = [norm_lower_alternating(pair)]
     ascent_s = time.perf_counter() - started
     balanced, unit = pair.balanced, pair.unit
     obj = _Objective(balanced)
-    pure = _pure_bracket(balanced, obj, ascent)
-    if pure is None:
-        (dual, us, vs), (t, f, g), route = _newton_bracket(balanced, obj)
-    else:
-        (dual, us, vs), (t, f, g) = pure
-        route = _Route(stop="pure", stage_gaps=[], stage_steps=[],
-                       stage_stops=[], best_lower_stage=0, best_upper_stage=0)
+    found = _pure_bracket(balanced, obj, ascents[0])
+    route = _Route("pure", [], [], [], 0, 0)
+    if found is None:
+        found, route, restart, restart_s = _newton_bracket(pair, obj)
+        ascents.append(restart)
+        ascent_s += restart_s
+    (dual, us, vs), (t, f, g) = found
+    ascent = (ascents[-1] if route.stop == "pure"
+              else max(ascents, key=lambda est: est.value))
     stats = {"stages": len(route.stage_gaps),
              "newton_steps": sum(route.stage_steps),
              "line_search_candidates": obj.candidates,
              "eigh_calls": obj.eigh_calls, **route._asdict(),
+             "ascents": len(ascents),
+             "ascent_start": ("ones", "stage_1")[ascents.index(ascent)],
+             "ascent_iterations": sum(est.iterations for est in ascents),
+             "ascent_extrapolations": sum(e.extrapolations for e in ascents),
              "ascent_s": ascent_s, "wall_s": time.perf_counter() - started}
     return CbBracket(pair, dual / unit, t - 2.0 * np.log(2.0) * pair.balance,
                      f / unit, g / unit, us, vs, t, ascent, stats)
 
 
-def _newton_bracket(balanced: FramePair, obj: _Objective):
-    """The Newton stages of optimize on obj = _Objective(balanced), as
-    (D, us, vs), (t, f, g) and their _Route (stop "gap" or "top_stage")."""
+def _newton_bracket(pair: FramePair, obj: _Objective):
+    """The Newton stages of optimize on obj = _Objective(pair.balanced):
+    ((D, us, vs), (t, f, g)), their _Route, the restarted ascent and its
+    wall seconds.  Stages on the smoothed objective run from the
+    balanced equalizer start at b_rel = B_REL_START, times B_REL_FACTOR
+    each stage, up to B_REL_TOP.  After each stage t is balanced and the
+    Gibbs states of F and G give the dual tuples, whose dual_value is D;
+    the loop stops once (m_upper - D) / m_upper <= GAP_TOL (stop "gap",
+    else "top_stage").  m_lower is the largest D, with its tuples, and
+    m_upper the smallest max(f, g), with its t, f and g.  After stage 1
+    the ascent restarts once (aligned_ascent) at the top eigenvectors v
+    of F and u of G; where _pure_bracket closes on its witness, that
+    bracket is returned, with stop "pure" and the one stage.
+    """
+    balanced = pair.balanced
     # start at the per-vector scale equalizer: exact at d = 1, and any
     # diagonal rescaling of the pair shifts this start by the amount
     # that cancels it, so the descent is equivariant under mangling
@@ -421,6 +436,14 @@ def _newton_bracket(balanced: FramePair, obj: _Objective):
         dual = dual_value(balanced, us, vs)
         f, g = (float(top) for top in w[:, -1])
         stage_gaps.append((max(f, g) - dual) / max(f, g))
+        if len(stage_gaps) == 1:
+            started = time.perf_counter()
+            restart = aligned_ascent(pair, v[1][:, -1], v[0][:, -1])
+            restart_s = time.perf_counter() - started
+            pure = _pure_bracket(balanced, obj, restart)
+            if pure is not None:
+                return pure, _Route("pure", stage_gaps, stage_steps,
+                                    stage_stops, 0, 0), restart, restart_s
         if lower is None or dual > lower[0]:
             lower, best_lower = (dual, us, vs), len(stage_gaps)
         if upper is None or max(f, g) < upper[0]:
@@ -429,31 +452,10 @@ def _newton_bracket(balanced: FramePair, obj: _Objective):
             break
         b_rel *= B_REL_FACTOR
     stop = "gap" if stage_gaps[-1] <= GAP_TOL else "top_stage"
-    return lower, upper[1:], _Route(
+    return (lower, upper[1:]), _Route(
         stop=stop, stage_gaps=stage_gaps, stage_steps=stage_steps,
         stage_stops=stage_stops, best_lower_stage=best_lower,
-        best_upper_stage=best_upper)
-
-
-def phi_lower(bracket: CbBracket) -> MultiplierNormEstimate:
-    """A certified lower bound on phi of pair = bracket.pair, read off
-    bracket = optimize(pair) with no ascent of its own.
-
-    On a pure bracket (stats["stop"] "pure") the dual tuples are the one
-    rows of the witness of optimize's ascent, so phi is bracket.ascent
-    itself (method "ascent").  On a Newton bracket the last rows of the
-    dual tuples are the top eigenvectors v of F and u of G (eigh sorts
-    ascending), times a Gibbs weight of at least 1/d.  Normalised, they
-    give P = sum_k |<x_k, v>| |<y_k, u>| at the mask aligning each term,
-    D at pure states (method "eigenvectors"), and the larger of P and
-    bracket.ascent is returned, the ascent on a tie.
-    """
-    ascent = bracket.ascent
-    if bracket.stats.get("stop") == "pure":
-        return ascent
-    u, v = (w[-1] / np.linalg.norm(w[-1]) for w in (bracket.dual_us, bracket.dual_vs))
-    top = aligned_estimate(bracket.pair, u, v)
-    return ascent if ascent.value >= top.value else top
+        best_upper_stage=best_upper), restart, restart_s
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,8 @@ the rank-one coupling blocks of trace_pairing_check are one broadcast
 product of those tables.
 
 Where the multiplier norm phi has no closed form, the checks take a
-certified lower bound on it, read off a bracket of rescale.optimize
-(rescale.phi_lower, or the one ascent the bracket keeps), which makes
-no estimate easier to pass.
+certified lower bound on it, the ascent a bracket of rescale.optimize
+keeps (CbBracket.ascent), which makes no estimate easier to pass.
 
 The sign averages (khintchine_check and the chain of super_key_check)
 enumerate one sign vector per class {s, -s}, the 2^(m-1) patterns with
@@ -88,7 +87,6 @@ from .rescale import (
     dilation_reconstruct,
     extract_scaling,
     optimize,
-    phi_lower,
 )
 
 IDENTITY_RTOL = 1e-10
@@ -506,13 +504,12 @@ def ratio_experiment(seed: int = 0) -> dict:
 
     RATIO_INSTANCES gaussian pairs, n up to RATIO_N_MAX and d up to
     RATIO_D_MAX, are mangled by scalars of magnitude 1e-3 to 1e3.  phi is
-    phi_lower's value; its witness must replay, and as phi <=
-    ||Phi||_cb <= m_upper, each m_upper / phi must lie in [1, 2 (1 + 5e-2)]
-    up to rounding.  Records carry phi_gap = (m_upper - phi) / m_upper and
-    phi_route: "ascent" where phi is optimize's one ascent, kept on the
-    bracket, and "eigenvectors" where the top eigenvectors of a Newton
-    bracket's F and G beat it.  The summary counts as pinned those with
-    phi_gap <= PINNED_RTOL, and the records on each route.
+    the bracket's ascent; its witness must replay, and as phi <=
+    ||Phi||_cb <= m_upper, each m_upper / phi must lie in [1, 2 (1 +
+    5e-2)] up to rounding.  Records carry phi_gap = (m_upper - phi) /
+    m_upper and the ascent's start ("ones" or "stage_1", see CbBracket).
+    The summary counts as pinned those with phi_gap <= PINNED_RTOL, and
+    the records from each start.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2024]))
     limit = 2.0 * (1.0 + EXPERIMENT_CUSHION)
@@ -522,10 +519,10 @@ def ratio_experiment(seed: int = 0) -> dict:
         d = int(rng.integers(1, RATIO_D_MAX + 1))
         pair = mangle(gaussian_pair(rng, n, d), mangling_scalars(rng, n))
         bracket = optimize(pair)
-        phi = phi_lower(bracket)
+        phi = bracket.ascent
         ratio = bracket.m_upper / phi.value
         rec = {"instance": i, "n": n, "d": d, "phi_norm": phi.value,
-               "phi_route": phi.method,
+               "ascent_start": bracket.stats["ascent_start"],
                "m_upper": bracket.m_upper, "m_lower": bracket.m_lower,
                "ratio": ratio,
                "phi_gap": (bracket.m_upper - phi.value) / bracket.m_upper,
@@ -547,9 +544,10 @@ def ratio_experiment(seed: int = 0) -> dict:
                         "limit": limit,
                         "pinned": sum(r["phi_gap"] <= PINNED_RTOL
                                       for r in records),
-                        "phi_routes": {
-                            route: sum(r["phi_route"] == route for r in records)
-                            for route in ("ascent", "eigenvectors")}}}
+                        "ascent_starts": {
+                            start: sum(r["ascent_start"] == start
+                                       for r in records)
+                            for start in ("ones", "stage_1")}}}
 
 
 def suite_khintchine(seed: int = 0) -> dict:
@@ -602,12 +600,13 @@ def suite_trace(seed: int = 0) -> dict:
 
 
 def _chain_instances(rng: np.random.Generator):
-    """Pairs with phi: 1 for an orthonormal-basis union, else phi_lower's."""
+    """Pairs with phi: 1 for an orthonormal-basis union, else the value of
+    the ascent its bracket keeps."""
     out = [(onb_union_pair(rng, 3, 3), 1.0)]
     pairs = [d1_scalar_pair(rng, int(rng.integers(2, 6))) for _ in range(2)]
     pairs += [gaussian_pair(rng, n, d)
               for n, d in ((2, 2), (3, 2), (4, 2), (4, 3))]
-    return out + [(pair, phi_lower(optimize(pair)).value) for pair in pairs]
+    return out + [(pair, optimize(pair).ascent.value) for pair in pairs]
 
 
 def suite_chain(seed: int = 0) -> dict:
@@ -723,14 +722,50 @@ def suite_d1(seed: int = 0) -> dict:
                         **_worst(records, "bound_error", "weight_error")}}
 
 
+def _sub_pair_slack(bracket) -> float:
+    """The least (m_upper - m_lower') / m_upper over the sub-pairs of
+    bracket.pair with one index dropped, m_lower' each one's bracket end
+    and m_upper the pair's: a sub-pair's map is a restriction of the
+    pair's, so its cb norm is at most the pair's."""
+    pair, top = bracket.pair, bracket.m_upper
+    lowers = [optimize(FramePair(np.delete(pair.xs, k, 0),
+                                 np.delete(pair.ys, k, 0))).m_lower
+              for k in range(pair.n)]
+    return float(np.min((top - np.array(lowers)) / top))
+
+
+def _direct_sum_slack(first, second) -> float:
+    """How far the bracket of the direct sum of the brackets' pairs, on
+    disjoint indices and orthogonal coordinate blocks, overlaps the
+    larger part's.  The sum's cb norm is the larger of the parts', so its
+    m_lower is at most the larger part m_upper, and the larger part
+    m_lower at most its m_upper; the smaller of the two relative slacks."""
+    p, q = first.pair, second.pair
+    xs = np.zeros((p.n + q.n, p.dim + q.dim), dtype=np.complex128)
+    ys = np.zeros_like(xs)
+    xs[:p.n, :p.dim], ys[:p.n, :p.dim] = p.xs, p.ys
+    xs[p.n:, p.dim:], ys[p.n:, p.dim:] = q.xs, q.ys
+    total = optimize(FramePair(xs, ys))
+    top = max(first.m_upper, second.m_upper)
+    lower = max(first.m_lower, second.m_lower)
+    return float(np.minimum((top - total.m_lower) / top,
+                            (total.m_upper - lower) / total.m_upper))
+
+
 def suite_invariance(seed: int = 0) -> dict:
     """Symmetry checks: diagonal reparameterization, and the images of the
     pair under a common unitary, independent unitaries U on x and V on
     y, relabelling (the indices reversed), swapping x and y, and
-    conjugating both families."""
+    conjugating both families.  Two relations too: no sub-pair with one
+    index dropped has its m_lower above the pair's m_upper, and the
+    direct sum with a second drawn pair overlaps the larger part's
+    bracket (see _sub_pair_slack and _direct_sum_slack), each to
+    ROUNDING_RTOL; the summary reports the least slack of each."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 707]))
-    # V has its own stream, so the other images keep their draws
+    # V and the second part of the sum have their own streams, so the
+    # other images keep their draws
     v_rng = np.random.default_rng(np.random.SeedSequence([seed, 708]))
+    sum_rng = np.random.default_rng(np.random.SeedSequence([seed, 709]))
     records = []
     for i in range(INVARIANCE_INSTANCES):
         n = int(rng.integers(2, 5))
@@ -774,10 +809,26 @@ def suite_invariance(seed: int = 0) -> dict:
                 or not t_drift <= ROUNDING_RTOL:
             raise VerificationError(
                 f"instance {i}: estimator symmetry drift", record)
+        other = gaussian_pair(sum_rng, int(sum_rng.integers(2, 5)),
+                              int(sum_rng.integers(1, 4)))
+        record["sub_pair_slack"] = sub = _sub_pair_slack(base)
+        record["direct_sum_slack"] = overlap = _direct_sum_slack(
+            base, optimize(other))
+        if not -sub <= ROUNDING_RTOL:
+            raise VerificationError(
+                f"instance {i}: a sub-pair's m_lower is above the pair's "
+                f"m_upper by {-sub:.3e}", record)
+        if not -overlap <= ROUNDING_RTOL:
+            raise VerificationError(
+                f"instance {i}: the direct sum misses the larger part's "
+                f"bracket by {-overlap:.3e}", record)
     return {"suite": "invariance", "records": records,
             "summary": {"instances": len(records),
                         **_worst(records, *drifts, "alternating_drift",
-                                 "grid_drift")}}
+                                 "grid_drift"),
+                        **{f"worst_{key}": min(r[key] for r in records)
+                           for key in ("sub_pair_slack",
+                                       "direct_sum_slack")}}}
 
 
 def _psi_fd_ratios(obj: _Objective, t: np.ndarray, b_rel: float):

@@ -37,8 +37,9 @@ RATIO_BUDGET_SECONDS = 300.0
 
 
 def test_criterion_01_certified_bound_within_twice_oracle():
-    # the denominator is phi_lower's certified lower bound on phi; the
-    # suite replays each witness and refuses phi above m_upper
+    # the denominator is the ascent each bracket keeps, a certified lower
+    # bound on phi; the suite replays each witness and refuses phi above
+    # m_upper
     start = time.monotonic()
     report = ratio_experiment(seed=0)
     elapsed = time.monotonic() - start
@@ -57,7 +58,8 @@ def test_criterion_01_certified_bound_within_twice_oracle():
     print(f"criterion 01 PASS: max ratio {summary['max_ratio']:.4f} over "
           f"{summary['instances']} instances in {elapsed:.1f}s; phi pinned "
           f"to 1e-9 on {summary['pinned']}, largest phi_gap "
-          f"{max(rec['phi_gap'] for rec in records):.2e}")
+          f"{max(rec['phi_gap'] for rec in records):.2e}; ascent starts "
+          f"{summary['ascent_starts']}")
 
 
 def test_criterion_02_first_moment_constant():
@@ -129,6 +131,10 @@ def test_criterion_08_reparameterization_invariance():
     for name in ("relabel", "swap", "conjugate"):
         assert summary[f"worst_{name}_drift"] <= 1e-9, name
     assert summary["worst_grid_drift"] <= 1e-9
+    # a sub-pair's m_lower stays below the pair's m_upper, and the direct
+    # sum's bracket overlaps the larger part's, to rounding
+    assert summary["worst_sub_pair_slack"] >= -1e-12
+    assert summary["worst_direct_sum_slack"] >= -1e-12
     print(f"criterion 08 PASS: diagonal drift "
           f"{summary['worst_diag_drift']:.2e}, unitary drift "
           f"{summary['worst_unitary_drift']:.2e}, relabel, swap and "
@@ -136,7 +142,9 @@ def test_criterion_08_reparameterization_invariance():
           f"{summary['worst_swap_drift']:.2e} and "
           f"{summary['worst_conjugate_drift']:.2e}, alternating drift "
           f"{summary['worst_alternating_drift']:.2e} (limit 1e-6), grid drift "
-          f"{summary['worst_grid_drift']:.2e} (limit 1e-9)")
+          f"{summary['worst_grid_drift']:.2e} (limit 1e-9), sub-pair and "
+          f"direct-sum slacks {summary['worst_sub_pair_slack']:.2e} and "
+          f"{summary['worst_direct_sum_slack']:.2e} (limit -1e-12)")
 
 
 def test_criterion_09_bracket_ordering():

@@ -19,7 +19,7 @@ from framescale import cli, frames, multiplier, rescale, verify
 from framescale.frames import FramePair
 from framescale.instances import gaussian_pair, generate
 from framescale.multiplier import norm_lower_alternating, norm_oracle_grid
-from framescale.rescale import optimize, phi_lower
+from framescale.rescale import optimize
 from framescale.verify import VerificationError
 
 from conftest import VERIFY_CHECK_ARGUMENTS
@@ -441,9 +441,10 @@ def test_verify_ratio_suite_through_the_cli(tmp_path, capsys):
     assert summary["max_ratio"] == max(r["ratio"] for r in records)
     assert summary["max_ratio"] <= 2.1
     assert summary["pinned"] == sum(r["phi_gap"] <= 1e-9 for r in records)
-    assert summary["phi_routes"] == {
-        route: sum(r["phi_route"] == route for r in records)
-        for route in ("ascent", "eigenvectors")}
+    assert summary["ascent_starts"] == {
+        start: sum(r["ascent_start"] == start for r in records)
+        for start in ("ones", "stage_1")}
+    assert sum(summary["ascent_starts"].values()) == 200
     for r in records:
         assert r["ratio"] == r["m_upper"] / r["phi_norm"] >= 1.0 - 1e-12
         assert r["phi_gap"] == (r["m_upper"] - r["phi_norm"]) / r["m_upper"]
@@ -497,20 +498,19 @@ def test_rescale_records_stats_and_one_ascent(tmp_path):
                      "--out", str(out)]) == 0
     rec = read_json(str(out))["records"][0]
     br = optimize(pair)
-    phi = phi_lower(br)
-    assert rec["phi_norm_lower"] == phi.value
+    assert rec["phi_norm_lower"] == br.ascent.value
     stats = rec["stats"]
     # the one ascent is optimize's pure route, which closes this pair's
-    # bracket with no Newton stage; phi is that ascent, read off the
-    # bracket once per record, and the record counts and times the
-    # ascent once, under optimize's stats
-    assert phi is br.ascent and phi.method == "ascent"
-    assert stats["phi_route"] == "ascent"
+    # bracket with no Newton stage; phi is that ascent, kept on the
+    # bracket, and the record counts and times the ascent once, under
+    # optimize's stats
+    assert br.ascent.method == "ascent"
+    assert stats["ascents"] == 1 and stats["ascent_start"] == "ones"
     assert stats["ascent_iterations"] == br.ascent.iterations > 0
     assert stats["ascent_extrapolations"] == br.ascent.extrapolations
     assert set(stats) == {"stages", "newton_steps",
                           "line_search_candidates", "eigh_calls",
-                          "phi_route", "ascent_s",
+                          "ascents", "ascent_start", "ascent_s",
                           "ascent_iterations", "ascent_extrapolations",
                           "stop", "stage_gaps", "stage_steps", "stage_stops",
                           "best_lower_stage", "best_upper_stage", "wall_s"}
@@ -603,10 +603,9 @@ def test_analyze_writes_report_and_csv(tmp_path, monkeypatch):
     # analyze runs one ascent from the all-ones mask and never optimizes
     alt = norm_lower_alternating(cli.load_instance(str(inst))[0])
     assert rec["phi_norm_lower"] == alt.value
-    assert set(rec["stats"]) == {"phi_route", "ascent_s", "ascent_iterations",
+    assert set(rec["stats"]) == {"ascent_s", "ascent_iterations",
                                  "ascent_extrapolations", "grid_s",
                                  "grid_rows_kept", "grid_masks_evaluated"}
-    assert rec["stats"]["phi_route"] == "ascent"
     assert rec["stats"]["ascent_iterations"] == alt.iterations
     assert rec["stats"]["ascent_extrapolations"] == alt.extrapolations
     assert rec["stats"]["ascent_s"] > 0.0
@@ -752,7 +751,7 @@ def test_bench_checksums_are_deterministic(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out_b)]) == 0
     rec_a = read_json(str(out_a))["records"][0]
     rec_b = read_json(str(out_b))["records"][0]
-    assert f" stop=pure steps=0 eigh=1 ascent={rec_a['stats']['ascent_s']:.4f}s" \
+    assert f" stop=pure steps=0 eigh=1 ascent={rec_a['ascent_seconds']:.4f}s" \
         in printed
     assert rec_a["workload_checksum"] == rec_b["workload_checksum"]
     # the optimizer's counts repeat; only its timings may differ
@@ -762,6 +761,7 @@ def test_bench_checksums_are_deterministic(tmp_path, capsys):
                       if k not in timings}
     assert counts["stop"] == "pure" and counts["ascent_iterations"] >= 1
     assert 0.0 < rec_a["stats"]["ascent_s"] < rec_a["stats"]["wall_s"]
+    assert 0.0 < rec_a["ascent_seconds"] < rec_a["optimize_seconds"]
     assert "phi_seconds" not in rec_a
     assert rec_a["io_seconds"] > 0.0
     # the grid's time per mask over 8^2 masks
@@ -848,13 +848,17 @@ def test_bench_times_the_median_of_repeats_after_an_untimed_call(
         tmp_path, monkeypatch):
     calls = {}
     eig_inputs = []
+    ascents = []
 
     def counted(name, fn):
         def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
             if name == "eigh":
                 eig_inputs.append(args[0])
-            return fn(*args)
+            out = fn(*args)
+            if name == "optimize":
+                ascents.append(out.stats["ascent_s"])
+            return out
         return wrapper
 
     layers = ("eigh", "_rewrite_and_load", "norm_oracle_grid", "optimize")
@@ -865,7 +869,10 @@ def test_bench_times_the_median_of_repeats_after_an_untimed_call(
                      "8", "--out", str(out)]) == 0
     assert cli.BENCH_REPEATS == 3
     assert calls == {name: 1 + cli.BENCH_REPEATS for name in layers}
-    assert read_json(str(out))["records"][0]["repeats"] == 3
+    record = read_json(str(out))["records"][0]
+    assert record["repeats"] == 3
+    # the ascent's seconds are those of the three timed optimize calls'
+    assert record["ascent_seconds"] == sorted(ascents[1:])[1]
     # the eig cell diagonalises the frame operator, which is exactly
     # Hermitian, so check_hermitian skips its norms
     for s in eig_inputs:
@@ -877,7 +884,8 @@ def test_bench_timed_keeps_the_last_result_and_the_median(monkeypatch):
     results = iter(["untimed", "first", "second", "last"])
     monkeypatch.setattr(cli, "_timed", lambda fn, *args: (fn(*args),
                                                           next(seconds)))
-    assert cli._bench_timed(lambda: next(results)) == ("last", 0.3)
+    assert cli._bench_timed(lambda: next(results)) == (
+        ("first", "second", "last"), 0.3)
 
 
 def test_startup_loads_neither_numpy_random_nor_hashlib(tmp_path):
@@ -1164,25 +1172,34 @@ def _package_calls():
 
 
 def test_only_optimize_and_analyze_run_an_ascent():
-    # a record runs one alternating ascent: rescale.optimize's, kept on
-    # the bracket for phi_lower, or analyze's own; a call anywhere else
-    # would be a second ascent per record
-    allowed = {("rescale.py", "optimize"), ("cli.py", "_cmd_analyze")}
+    # a record runs at most two alternating ascents, both in optimize:
+    # the all-ones one and its restart after the first Newton stage,
+    # called once, by the Newton route; analyze runs its own all-ones
+    # ascent.  A call anywhere else would be one more ascent per record,
+    # and _ascend, their one loop, is run by those two entry points alone
+    allowed = {"norm_lower_alternating": {("rescale.py", "optimize"),
+                                          ("cli.py", "_cmd_analyze")},
+               "aligned_ascent": {("rescale.py", "_newton_bracket")},
+               "_ascend": {("multiplier.py", "norm_lower_alternating"),
+                           ("multiplier.py", "aligned_ascent")}}
     spans = {}
     for source in sorted(Path(cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text(), str(source))):
             if isinstance(node, ast.FunctionDef):
                 spans.setdefault(source.name, []).append(node)
+    callers = {name: [] for name in allowed}
     for source, line, name in _package_calls():
-        if name != "norm_lower_alternating":
+        if name not in allowed:
             continue
         inner = min((node for node in spans.get(source, [])
                      if node.lineno <= line <= node.end_lineno),
                     key=lambda node: node.end_lineno - node.lineno,
                     default=None)
         caller = inner.name if inner else "<module>"
-        assert (source, caller) in allowed, \
-            f"{source}:{line}: {caller} calls norm_lower_alternating"
+        assert (source, caller) in allowed[name], \
+            f"{source}:{line}: {caller} calls {name}"
+        callers[name].append(caller)
+    assert callers["aligned_ascent"] == ["_newton_bracket"]
 
 
 def test_only_frames_decides_a_power_of_two_scale():

@@ -32,7 +32,7 @@ from framescale.multiplier import (
     _hermitian_rows,
     _offset_weights,
 )
-from framescale.rescale import optimize, phi_lower
+from framescale.rescale import optimize
 from framescale.verify import witness_defect
 
 
@@ -555,7 +555,7 @@ def test_grid_oracle_is_scale_equivariant_without_overflow():
         scaled = FramePair(pair.xs * 2.0 ** a, pair.ys * 2.0 ** b)
         for est in (norm_oracle_grid(scaled, phase_steps=16),
                     norm_lower_alternating(scaled),
-                    phi_lower(optimize(scaled))):
+                    optimize(scaled).ascent):
             assert witness_defect(scaled, est) <= 1e-12, (a, b, est.method)
 
 
@@ -582,7 +582,7 @@ def test_grid_oracle_cross_validates_alternating():
 def test_grid_over_cos_bounds_phi_from_above():
     # the regular s-gon of phases contains the disc of radius cos(pi/s),
     # and the mask norm is convex and homogeneous, so phi <= grid /
-    # cos(pi/s); phi_lower's value lies above the bare grid on most of
+    # cos(pi/s); the bracket's ascent lies above the bare grid on most of
     # these pairs, so the cos factor is needed
     rng = np.random.default_rng(28)
     above = 0
@@ -591,7 +591,7 @@ def test_grid_over_cos_bounds_phi_from_above():
                        ("schauder_mangled", 5, 3), ("onb_union", 4, 2),
                        ("onb_union", 3, 1)):
         pair = generate(kind, rng, n, d)
-        phi = phi_lower(optimize(pair)).value
+        phi = optimize(pair).ascent.value
         for s in (8, 12, 16):
             grid = norm_oracle_grid(pair, s).value
             assert phi <= grid / np.cos(np.pi / s) * (1.0 + 1e-12), (kind, s)

@@ -23,7 +23,7 @@ from framescale.instances import (
     random_complex,
 )
 from framescale.multiplier import norm_lower_alternating
-from framescale.rescale import optimize, phi_lower
+from framescale.rescale import optimize
 from framescale.verify import (
     MAX_PATTERN_ORDER,
     VerificationError,
@@ -881,7 +881,7 @@ def test_ratio_experiment_beyond_the_old_grid_shapes():
     for n in (6, 7, 8):
         pair = mangle(gaussian_pair(rng, n, 4), mangling_scalars(rng, n))
         bracket = optimize(pair)
-        phi = phi_lower(bracket)
+        phi = bracket.ascent
         assert 1.0 - 1e-12 <= bracket.m_upper / phi.value <= 2.1
         assert witness_defect(pair, phi) <= 1e-12
 
@@ -943,12 +943,20 @@ def _nan_value(f):
     return lambda *args: replace(f(*args), value=np.nan)
 
 
+def _nan_ascent(f):
+    """optimize with the value of its bracket's ascent read as NaN."""
+    def run(pair):
+        bracket = f(pair)
+        return replace(bracket, ascent=_nan_value(lambda: bracket.ascent)())
+    return run
+
+
 @pytest.mark.parametrize("suite, provoke, message", [
     ("ratio", _spoil("witness_defect", lambda _: lambda pair, est: 1.0),
      "phi's witness fails to replay"),
     ("ratio", _spoil("witness_defect", lambda _: lambda pair, est: np.nan),
      "phi's witness fails to replay"),
-    ("ratio", _spoil("phi_lower", _nan_value),
+    ("ratio", _spoil("optimize", _nan_ascent),
      "phi's witness fails to replay"),
     ("ratio", _spoil("EXPERIMENT_CUSHION", lambda _: -0.6),
      r"ratio \S+ above 0\.80"),
@@ -983,6 +991,16 @@ def _nan_value(f):
      "estimator symmetry drift"),
     ("invariance", _spoil("norm_oracle_grid", _nan_value),
      "estimator symmetry drift"),
+    ("invariance", _spoil("_sub_pair_slack", lambda _: lambda br: -1e-9),
+     "a sub-pair's m_lower is above"),
+    ("invariance", _spoil("_sub_pair_slack", lambda _: lambda br: np.nan),
+     "a sub-pair's m_lower is above"),
+    ("invariance", _spoil("_direct_sum_slack",
+                          lambda _: lambda first, second: -1e-9),
+     "the direct sum misses"),
+    ("invariance", _spoil("_direct_sum_slack",
+                          lambda _: lambda first, second: np.nan),
+     "the direct sum misses"),
     ("psi_fd", _spoil("_psi_fd_ratios", _nan_entry(0)), "psi derivatives"),
     ("psi_fd", _spoil("_psi_fd_ratios", _nan_entry(1)), "psi derivatives"),
 ], ids=["ratio_witness", "ratio_witness_nan", "ratio_phi_nan", "ratio_limit",
@@ -991,8 +1009,10 @@ def _nan_value(f):
         "end_to_end_identity_nan", "d1_bound", "d1_bound_nan", "d1_weights",
         "d1_weights_nan", "invariance_image", "invariance_image_nan",
         "invariance_estimators", "invariance_pair_operator_nan",
-        "invariance_ascent_nan", "invariance_grid_nan", "psi_fd_grad_nan",
-        "psi_fd_hess_nan"])
+        "invariance_ascent_nan", "invariance_grid_nan",
+        "invariance_sub_pair", "invariance_sub_pair_nan",
+        "invariance_direct_sum", "invariance_direct_sum_nan",
+        "psi_fd_grad_nan", "psi_fd_hess_nan"])
 def test_suite_gates_refuse_a_spoiled_run(suite, provoke, message,
                                           monkeypatch):
     # each suite gate fails on a run spoiled through a name its suite
